@@ -2,7 +2,7 @@
 
 Set KSOL_DISABLE_JIT=1 (before import) to run the identical kernel source
 uncompiled. The fallback exists for debugging and as a correctness
-cross-check; benchmarks/bench_kernels.py compares the two paths.
+cross-check; tests/test_jit_fallback.py compares the two paths.
 """
 
 import os

@@ -1,9 +1,11 @@
-"""Hot numeric kernels: scalar phase-plane right-hand sides and the adaptive
-embedded Runge-Kutta integrator with event location.
+"""Hot numeric kernels: the adaptive embedded Runge-Kutta integrator with
+event location, and its private scalar copy of the phase-plane field.
 
 Everything here is written against a packed float64 parameter array so the
 same source compiles under numba and runs unchanged in the pure-Python
-fallback (KSOL_DISABLE_JIT=1).
+fallback (KSOL_DISABLE_JIT=1). numba cannot call the array evaluators of
+``phase``, so ``kth_root``, ``profile_value`` and ``rhs`` repeat them for the
+integrator alone, in the same operation order.
 
 Integrator: Dormand-Prince 5(4) pair, fifth-order propagation with a
 fourth-order error estimate, PI step-size control, cubic Hermite dense
@@ -298,12 +300,16 @@ def integrate_core(
             h *= fac
             continue
 
-        # accepted; PI controller for the next step
-        fac = 0.9 * err**-0.14 * err_prev**0.08
-        if fac > 5.0:
+        # accepted; PI controller for the next step (an exact step, err = 0,
+        # takes the largest growth the clip allows)
+        if err == 0.0:
             fac = 5.0
-        if fac < 0.2:
-            fac = 0.2
+        else:
+            fac = 0.9 * err**-0.14 * err_prev**0.08
+            if fac > 5.0:
+                fac = 5.0
+            if fac < 0.2:
+                fac = 0.2
         h_next = min(h * fac, max_step)
         err_prev = max(err, 1e-10)
 

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import orbit as orbit_mod
-from . import phase, picard, profile
+from . import phase, picard, profile, sigma
 from .errors import KsolError, ParameterError
 
 DEFAULTS = {
@@ -154,7 +154,7 @@ def _classify_payload(cfg):
             "elliptic_max_rel": res.max_rel,
             "rows": res.n_rows,
             "rejected": res.n_rejected,
-            "potential_identity": profile.potential_identity_residual(trace, p),
+            "potential_identity": profile.potential_identity_residual(table, p),
         }
         try:
             rr = profile.tail_rate(table, p, oc)
@@ -212,14 +212,15 @@ def cmd_portrait(args):
                 F, G = phase.system_rhs((X, Z), p)
                 writer.writerow(["field", "", "", f"{X:.12g}", f"{Z:.12g}", f"{F:.12g}", f"{G:.12g}"])
         # X_s = 0 nullcline: Z = (n-2k)(1 - x/x_A) X / f(x) where positive
-        for X in np.linspace(1e-9, p.x_cap * 0.999, 400):
-            x = phase.kth_root(X, p.k)
-            fx = phase.f_profile(x, p)
-            if fx <= 0.0:
-                continue
-            Z = (p.n - 2 * p.k) * (1.0 - x / p.x_A) * X / fx
-            if 0.0 <= Z <= z_hi:
-                writer.writerow(["nullcline_X", "X_s=0", "", f"{X:.12g}", f"{Z:.12g}", "", ""])
+        X = np.linspace(1e-9, p.x_cap * 0.999, 400)
+        x = phase.kth_root(X, p.k)
+        fx = phase.profile_value(x, p)
+        keep = fx > 0.0
+        X, x, fx = X[keep], x[keep], fx[keep]
+        Z = (p.n - 2 * p.k) * (1.0 - x / p.x_A) * X / fx
+        for Xi, Zi in zip(X, Z):
+            if 0.0 <= Zi <= z_hi:
+                writer.writerow(["nullcline_X", "X_s=0", "", f"{Xi:.12g}", f"{Zi:.12g}", "", ""])
         for Z in np.linspace(0.0, z_hi, 100):
             writer.writerow(["nullcline_Z", "X=X_B", "", f"{p.X_B:.12g}", f"{Z:.12g}", "", ""])
         for X in np.linspace(0.0, p.x_cap, 100):
@@ -247,16 +248,10 @@ def cmd_profile(args):
     controls = _controls(cfg)
     sol, trace, oc = orbit_mod.run_orbit(p, float(cfg["alpha"]), controls, float(cfg["tol"]))
     table = profile.reconstruct_u(trace, p)
-    lam1, lam2, sig = profile.sigma_k_column(table, p)
+    lam1, lam2 = sigma.schouten_pair(table.u, table.u_r, table.u_rr, table.r, p.n, p.k)
+    sig, cond = sigma.split_sigma_l(lam1, lam2, p.n, p.k)
     # keep rows where sigma_k is a well-conditioned combination of the
     # eigenvalues (it cancels to O(Z) on axis-bound tails)
-    from .sigma import binomial
-
-    b1 = float(binomial(p.n - 1, p.k - 1))
-    b2 = float(binomial(p.n - 1, p.k))
-    cond = (b1 * np.abs(lam1) + b2 * np.abs(lam2)) / np.maximum(
-        np.abs(b1 * lam1 + b2 * lam2), 1e-300
-    )
     keep = cond < 1e6
     fh, writer = _open_csv(cfg["out"])
     try:
@@ -397,7 +392,7 @@ def _verify_checks(cfg):
         record("u_positive_decreasing", 0.0, 0.5, ok=bool(np.all(table.u > 0) and np.all(table.u_r < 0)))
         res = profile.elliptic_residual(table, p)
         record("elliptic_residual", res.max_rel, 1e-6)
-        record("potential_identity", profile.potential_identity_residual(trace, p), 1e-6)
+        record("potential_identity", profile.potential_identity_residual(table, p), 1e-6)
         org = profile.origin_expansion_check(table, table.alpha, p)
         record("origin_expansion_slope", org.rel_err, 1e-2)
         record("origin_zx_ratio", org.zx_ratio_err, 1e-5)

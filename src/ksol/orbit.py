@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, picard
+from . import _kernels, phase, picard
 from .errors import DomainError, NotApplicableError
-from .phase import kth_root
 
 TYPE_GAMMA = "TypeGamma"
 TYPE_B = "TypeB"
@@ -71,9 +70,7 @@ class OrbitControls:
     conv_rhs: float = 1e-9
     conv_span: float = 2.0
     max_samples: int = 400_000
-    include_tail: bool = True
     # classification tolerances
-    tol_A_rel: float = 0.02
     gamma_near_rel: float = 0.05
     bounded_ratio: float = 100.0
 
@@ -157,14 +154,12 @@ def integrate(start, p, controls=None, stop_at_xb=False):
     s_arr, x_arr, z_arr, events, status = _integrate_raw(
         x0, z0, s0, p, controls, prof, stop_at_xb
     )
-    tail_end = 0
-    if controls.include_tail:
-        tx, tz = start.tail.unweighted(p.k)
-        keep = start.tail.grid < s0
-        s_arr = np.concatenate([start.tail.grid[keep], s_arr])
-        x_arr = np.concatenate([tx[keep], x_arr])
-        z_arr = np.concatenate([tz[keep], z_arr])
-        tail_end = int(np.sum(keep))
+    tx, tz = start.tail.unweighted(p.k)
+    keep = start.tail.grid < s0
+    s_arr = np.concatenate([start.tail.grid[keep], s_arr])
+    x_arr = np.concatenate([tx[keep], x_arr])
+    z_arr = np.concatenate([tz[keep], z_arr])
+    tail_end = int(np.sum(keep))
     return OrbitTrace(s_arr, x_arr, z_arr, events, status, start.chart, tail_end)
 
 
@@ -214,7 +209,7 @@ def classify_orbit(trace, p, controls=None):
     if status == "converged_axis":
         return _axis_class(x_end, p, controls, diag)
     if status in ("reached_asymptote", "blow_up_Z"):
-        near = (p.gamma - kth_root(x_end, p.k)) < controls.gamma_near_rel * p.gamma
+        near = (p.gamma - phase.kth_root(x_end, p.k)) < controls.gamma_near_rel * p.gamma
         if near:
             diag["Z_end"] = z_end
             return OrbitClass(TYPE_GAMMA, diagnostics=diag)
@@ -226,7 +221,7 @@ def classify_orbit(trace, p, controls=None):
     z_min, z_max = float(np.min(zw)), float(np.max(zw))
     z_peak = float(np.max(trace.Z))
     diag.update(z_tail=(z_min, z_max), x_end=x_end)
-    gamma_gap = p.gamma - kth_root(x_end, p.k)
+    gamma_gap = p.gamma - phase.kth_root(x_end, p.k)
     if gamma_gap < controls.gamma_near_rel * p.gamma and zw[-1] >= zw[0] > 0.0:
         diag["Z_end"] = z_end
         return OrbitClass(TYPE_GAMMA, diagnostics=diag)
@@ -236,7 +231,7 @@ def classify_orbit(trace, p, controls=None):
         status == "s_max"
         and z_min > 0.0
         and z_max / z_min < controls.bounded_ratio
-        and kth_root(x_end, p.k) <= p.gamma * (1.0 - controls.gamma_near_rel)
+        and phase.kth_root(x_end, p.k) <= p.gamma * (1.0 - controls.gamma_near_rel)
     ):
         return OrbitClass(GENERALIZED_B, diagnostics=diag)
     return OrbitClass(UNDETERMINED, diagnostics=diag)
@@ -280,15 +275,11 @@ def monotonicity_monitor(trace, p, tol=1e-9):
     """
     crossings = trace.event_s("crossed_X_B")
     s_stop = crossings[0] if crossings else math.inf
-    pp = _kernels.pack_params(p)
-    out = []
-    for s, X, Z in zip(trace.s, trace.X, trace.Z):
-        if s > s_stop or X > p.X_B:
-            continue
-        F, _G = _kernels.rhs(X, Z, pp, _kernels.PROF_F)
-        if F < -tol * max(1.0, abs(X)):
-            out.append((float(s), float(X), float(F)))
-    return out
+    climb = (trace.s <= s_stop) & (trace.X <= p.X_B)
+    s, X = trace.s[climb], trace.X[climb]
+    F, _G = phase.vector_field(X, trace.Z[climb], p)
+    bad = np.nonzero(F < -tol * np.maximum(1.0, np.abs(X)))[0]
+    return [(float(s[i]), float(X[i]), float(F[i])) for i in bad]
 
 
 def z_lower_bound_check(trace, p, slack=1e-6):
@@ -313,10 +304,7 @@ def log_z_identity_check(trace, p, base_tol=1e-7):
     s, Z, X = s[good], Z[good], trace.X[good]
     if s.size < 5:
         return []
-    k = p.k
-    x = np.where(X > 0, X, 1.0) ** (1.0 / k)
-    x[X <= 0] = 0.0
-    g = 2.0 * k * (1.0 - x / p.x_B)
+    g = phase.vector_field(X, Z, p)[1] / Z
     ln_z = np.log(Z)
     hp = s[2:] - s[1:-1]
     hm = s[1:-1] - s[:-2]
@@ -451,9 +439,7 @@ def barrier_compare(p, alpha=1.0, alpha_bar=1.0, controls=None, n_grid=400, x_lo
     # f and h coincide exactly at x_B (nu + x_B = gamma - x_B), so the
     # strict comparison runs over the open interval
     xs = np.linspace(x_lo ** (1.0 / p.k), p.x_B, n_grid, endpoint=False)
-    fmh = picard._prof_values(xs, p, picard.PROF_F) - picard._prof_values(
-        xs, p, picard.PROF_H
-    )
+    fmh = phase.profile_value(xs, p, phase.PROF_F) - phase.profile_value(xs, p, phase.PROF_H)
     return BarrierReport(
         X_grid=grid,
         Z_of_X=z_on,

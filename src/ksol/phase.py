@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import PROF_F, PROF_H
 from .errors import DomainError, NotApplicableError, ParameterError
 from .sigma import MAX_DIM, binomial
 
@@ -24,12 +25,19 @@ DEGENERATE_LINE = "degenerate-line"
 
 
 def kth_root(value, k):
-    """x^(1/k) as exp(ln x / k), guarded to return 0 at x <= 0."""
-    if value <= 0.0:
-        return 0.0
+    """x^(1/k) as exp(ln x / k), guarded to return 0 at x <= 0; floats or arrays.
+
+    numpy's exp and log round alike on scalars and arrays, unlike the math
+    module's, so every evaluation matches the uncompiled integrator kernel.
+    """
+    if not isinstance(value, np.ndarray):
+        if value <= 0.0:
+            return 0.0
+        return float(value) if k == 1 else float(np.exp(np.log(value) / k))
+    pos = value > 0.0
     if k == 1:
-        return float(value)
-    return math.exp(math.log(value) / k)
+        return np.where(pos, value, 0.0)
+    return np.where(pos, np.exp(np.log(np.where(pos, value, 1.0)) / k), 0.0)
 
 
 @dataclass(frozen=True)
@@ -104,12 +112,6 @@ class SolitonParams:
         """h(0) = c_nk beta^k nu^k (nu >= 0 requires rho >= 2 theta)."""
         return self.cb * self.nu**self.k
 
-    def packed(self):
-        """Float array consumed by the jit kernels."""
-        from . import _kernels
-
-        return _kernels.pack_params(self)
-
 
 def make_params(n, k, rho, theta):
     """Validate (n, k, rho, theta) and populate all derived constants."""
@@ -151,6 +153,42 @@ def _unpack(state):
     return a, b
 
 
+def _profile_ratio(x, p, prof):
+    """(q, g) with q = 1 - x/x_A and g the profile's numerator over q: gamma - x
+    for f (prof=PROF_F), nu + x for the A-chart h (prof=PROF_H)."""
+    q = 1.0 - x / p.x_A
+    return q, (p.gamma - x if prof == PROF_F else p.nu + x) / q
+
+
+def profile_value(x, p, prof=PROF_F):
+    """f or h at x = X^(1/k), c_nk beta^k q g^k with (q, g) from
+    :func:`_profile_ratio`; floats or arrays, no domain check. g^k is a
+    k-fold product, in the operation order of the integrator's kernel."""
+    q, g = _profile_ratio(x, p, prof)
+    power = g
+    for _ in range(p.k - 1):
+        power = power * g
+    return p.cb * q * power
+
+
+def profile_slope(x, p, prof=PROF_F):
+    """d/dx of :func:`profile_value`: c_nk beta^k k g^(k-1) (((k-1)/(n+2k)) g -+ 1),
+    with - for f and + for h. Takes floats or arrays."""
+    _q, g = _profile_ratio(x, p, prof)
+    sign = 1.0 if prof == PROF_F else -1.0
+    return p.cb * p.k * g ** (p.k - 1) * (((p.k - 1) / (p.n + 2 * p.k)) * g - sign)
+
+
+def vector_field(X, Z, p, prof=PROF_F):
+    """(X_s, Z_s) with profile f, or with h the reversed A-chart field;
+    floats or arrays, no domain check, in the operation order of the
+    integrator's scalar kernel."""
+    x = kth_root(X, p.k)
+    F = -(p.n - 2.0 * p.k) * (1.0 - x / p.x_A) * X + Z * profile_value(x, p, prof)
+    G = 2.0 * p.k * Z * (1.0 - x / p.x_B)
+    return F, G
+
+
 def f_profile(x, p):
     """Nonlinearity f evaluated at x = X^(1/k).
 
@@ -159,16 +197,14 @@ def f_profile(x, p):
     """
     if x < 0.0 or x >= p.x_A:
         raise DomainError(f"f domain is 0 <= x < {p.x_A}, got {x}")
-    q = 1.0 - x / p.x_A
-    return p.cb * q * ((p.gamma - x) / q) ** p.k
+    return profile_value(x, p, PROF_F)
 
 
 def h_profile(w, p):
     """A-chart nonlinearity h at w = W^(1/k); h(0) = c_nk beta^k nu^k."""
     if w < 0.0 or w >= p.x_A:
         raise DomainError(f"h domain is 0 <= w < {p.x_A}, got {w}")
-    q = 1.0 - w / p.x_A
-    return p.cb * q * ((p.nu + w) / q) ** p.k
+    return profile_value(w, p, PROF_H)
 
 
 def system_rhs(state, p):
@@ -182,41 +218,38 @@ def system_rhs(state, p):
     if X < 0.0:
         raise DomainError("X must be nonnegative (k-th root undefined)")
     x = kth_root(X, p.k)
-    lin = -(p.n - 2 * p.k) * (1.0 - x / p.x_A) * X
     if Z == 0.0:
-        return lin, 0.0
-    G = 2.0 * p.k * Z * (1.0 - x / p.x_B)
+        return -(p.n - 2 * p.k) * (1.0 - x / p.x_A) * X, 0.0
     if x >= p.x_A:
         # the corner gamma = x_A (rho = 2 theta): f -> 0 there, so the
         # asymptote line X = gamma^k = X_A is stationary in X
         if p.gamma == p.x_A and X <= p.X_A * (1.0 + 1e-12):
-            return 0.0, G
+            return 0.0, 2.0 * p.k * Z * (1.0 - x / p.x_B)
         raise DomainError(f"state with X^(1/k) = {x} >= x_A = {p.x_A} and Z > 0")
-    return lin + Z * f_profile(x, p), G
+    return vector_field(X, Z, p, PROF_F)
 
 
 def system_rhs_A(state, p):
     """Right-hand side (W_s, V_s) of the A-chart system.
 
-    W_s = (n-2k) W (1 - w/x_A) - V h(w),  V_s = -2k V (1 - w/x_B).
+    W_s = (n-2k) W (1 - w/x_A) - V h(w),  V_s = -2k V (1 - w/x_B): the
+    negated field with profile h.
     """
     W, V = _unpack(state)
     if W < 0.0:
         raise DomainError("W must be nonnegative (k-th root undefined)")
     w = kth_root(W, p.k)
-    F = (p.n - 2 * p.k) * (1.0 - w / p.x_A) * W - V * h_profile(w, p)
-    G = -2.0 * p.k * V * (1.0 - w / p.x_B)
-    return F, G
+    if w >= p.x_A:
+        raise DomainError(f"h domain is 0 <= w < {p.x_A}, got {w}")
+    F, G = vector_field(W, V, p, PROF_H)
+    return -F, -G
 
 
 def df_dX(X, p):
     """Analytic derivative d f(X^(1/k)) / dX for the Jacobian."""
     k = p.k
-    x = kth_root(X, k)
-    q = 1.0 - x / p.x_A
-    g = (p.gamma - x) / q
     xpow = X ** ((1 - k) / k) if k > 1 else 1.0
-    return p.cb * xpow * g ** (k - 1) * (((k - 1) / (p.n + 2 * k)) * g - 1.0)
+    return profile_slope(kth_root(X, k), p, PROF_F) * xpow / k
 
 
 def jacobian(state, p):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConvergenceError, DomainError, NotApplicableError, ParameterError
+from .phase import PROF_F, PROF_H, kth_root, profile_slope, profile_value, vector_field
 
 GRID_POINTS = 512
 WINDOW_FACTOR = 12.0  # s_min = s0 - WINDOW_FACTOR/(2k)
@@ -32,29 +32,9 @@ MAX_RETRIES = 8
 MAX_SWEEPS = 200
 RATE_LIMIT = 0.9
 
-PROF_F = _kernels.PROF_F
-PROF_H = _kernels.PROF_H
-
 
 def _prof0(p, prof):
     return p.f0 if prof == PROF_F else p.h0
-
-
-def _prof_values(x, p, prof):
-    """Vectorized f (or h) at x = X^(1/k) >= 0."""
-    q = 1.0 - x / p.x_A
-    num = (p.gamma - x) if prof == PROF_F else (p.nu + x)
-    return p.cb * q * (num / q) ** p.k
-
-
-def _prof_lipschitz(p, prof, y_max):
-    """Numeric Lipschitz constant of the profile on [0, y_max], with margin."""
-    y = np.linspace(0.0, y_max, 1024)
-    q = 1.0 - y / p.x_A
-    g = ((p.gamma - y) if prof == PROF_F else (p.nu + y)) / q
-    sign = 1.0 if prof == PROF_F else -1.0
-    deriv = p.cb * p.k * g ** (p.k - 1) * (((p.k - 1) / (p.n + 2 * p.k)) * g - sign)
-    return 1.05 * float(np.max(np.abs(deriv)))
 
 
 def alpha_weight(alpha, p):
@@ -82,7 +62,8 @@ def _constants(alpha_k, p, prof):
     p0 = _prof0(p, prof)
     cap_x = min(p.gamma_k, p.X_B) if prof == PROF_F else p.X_B
     y_max = cap_x ** (1.0 / k)
-    M = _prof_lipschitz(p, prof, y_max)
+    # numeric Lipschitz constant of the profile on [0, y_max], with margin
+    M = 1.05 * float(np.max(np.abs(profile_slope(np.linspace(0.0, y_max, 1024), p, prof))))
     two_ak = 2.0 * alpha_k
     zc = 2.0 * n * alpha_k / p0  # weighted Z upper bound
     # integrand amplitudes: |F1|, |G1| <= c e^((2k+2)t)
@@ -286,10 +267,9 @@ def apply_E(tail, alpha, p, prof=PROF_F, check=True):
     ew = np.exp(2.0 * k * t)
     X = tail.X_samples * ew
     Z = tail.Z_samples * ew
-    x = np.where(X > 0.0, X, 1.0) ** (1.0 / k)
-    x = np.where(X > 0.0, x, 0.0)
+    x = kth_root(X, k)
 
-    F1 = k * p.m * X ** ((k + 1.0) / k) + Z * (_prof_values(x, p, prof) - p0)
+    F1 = k * p.m * X ** ((k + 1.0) / k) + Z * (profile_value(x, p, prof) - p0)
     G1 = -k * (1.0 - p.m) * Z * x
     P1 = F1 - (p0 / n) * G1
 
@@ -466,22 +446,17 @@ def derivative_residual(sol, p, prof=None):
     tail = sol.tail
     X, Z = tail.unweighted(p.k)
     h = tail.grid[1] - tail.grid[0]
-    pp = _kernels.pack_params(p)
 
     def central(y, stride):
         return (y[2 * stride :] - y[: -2 * stride]) / (2.0 * stride * h)
 
-    worst = 0.0
-    lo, hi = 4, tail.grid.size - 4
-    for y, comp in ((X, 0), (Z, 1)):
+    def richardson(y):
         d1 = central(y, 1)[3:-3]
         d2 = central(y, 2)[2:-2]
         d4 = central(y, 4)
         ra = (4.0 * d1 - d2) / 3.0
         rb = (4.0 * d2 - d4) / 3.0
-        deriv = (16.0 * ra - rb) / 15.0
-        for j in range(lo, hi):
-            F, G = _kernels.rhs(X[j], Z[j], pp, prof)
-            target = F if comp == 0 else G
-            worst = max(worst, abs(deriv[j - lo] - target))
-    return worst
+        return (16.0 * ra - rb) / 15.0
+
+    F, G = vector_field(X[4:-4], Z[4:-4], p, prof)
+    return float(max(np.max(np.abs(richardson(X) - F)), np.max(np.abs(richardson(Z) - G))))

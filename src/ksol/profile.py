@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import orbit as orbit_mod
+from . import phase
 from .errors import DomainError
-from .sigma import binomial
+from .sigma import binomial, schouten_pair, split_sigma_l
 
 LN_FLOOR = -680.0  # linear-space columns must stay representable
 
@@ -66,10 +67,7 @@ def reconstruct_u(trace, p):
     r = np.exp(sr)
     u = np.exp(ln_ur)
     u_r = -u * xr / r
-    pp = p.packed()
-    from . import _kernels
-
-    F = np.array([_kernels.rhs(Xi, Zi, pp, _kernels.PROF_F)[0] for Xi, Zi in zip(Xr, Zr)])
+    F, _G = phase.vector_field(Xr, Zr, p)
     x_slope = F / (k * Xr ** ((k - 1.0) / k))
     u_rr = -(u / r**2) * (x_slope - xr - xr**2)
 
@@ -321,9 +319,8 @@ def elliptic_residual(table, p):
     """
     n, k, m = p.n, p.k, p.m
     u, u_r, u_rr, r = table.u, table.u_r, table.u_rr, table.r
+    lam1, lam2 = schouten_pair(u, u_r, u_rr, r, n, k)
     q = u_r / u
-    lam1 = -((1.0 - m) / 2.0) * (u_rr / u - ((5.0 - m) / 4.0) * q * q)
-    lam2 = -((1.0 - m) / 2.0) * q * (1.0 / r + ((1.0 - m) / 4.0) * q)
     good = lam2 > 0.0
     if not np.any(good):
         raise DomainError("no rows with lambda2 > 0")
@@ -355,13 +352,8 @@ def elliptic_residual(table, p):
 
 def sigma_k_column(table, p):
     """sigma_k of the Schouten spectrum along the profile (Euclidean gauge)."""
-    m = p.m
-    q = table.u_r / table.u
-    lam1 = -((1.0 - m) / 2.0) * (table.u_rr / table.u - ((5.0 - m) / 4.0) * q * q)
-    lam2 = -((1.0 - m) / 2.0) * q * (1.0 / table.r + ((1.0 - m) / 4.0) * q)
-    b1 = float(binomial(p.n - 1, p.k - 1))
-    b2 = float(binomial(p.n - 1, p.k))
-    return lam1, lam2, lam2 ** (p.k - 1) * (b1 * lam1 + b2 * lam2)
+    lam1, lam2 = schouten_pair(table.u, table.u_r, table.u_rr, table.r, p.n, p.k)
+    return lam1, lam2, split_sigma_l(lam1, lam2, p.n, p.k)[0]
 
 
 @dataclass(frozen=True)
@@ -388,28 +380,23 @@ def potential_phi(trace, p):
     return PotentialTable(s=s, phi=phi, phi_s=phi_s, w=w)
 
 
-def potential_identity_residual(trace, p):
+def potential_identity_residual(table, p):
     """Defect of phi_ss - w_s phi_s/(2w) = (sigma_k^(1/k) - rho) w.
 
     With phi_s = 2 theta w this reduces to theta w_s = (sigma_k^(1/k) - rho) w;
     w_s is analytic ((1/k) w (ln Z)_s) and sigma_k is evaluated from the
-    reconstructed eigenvalues in the metric gauge.
+    eigenvalues of the reconstructed ``table`` in the metric gauge.
     """
-    table = reconstruct_u(trace, p)
-    lam1, lam2, sig = sigma_k_column(table, p)
-    b1 = float(binomial(p.n - 1, p.k - 1))
-    b2 = float(binomial(p.n - 1, p.k))
+    lam1, lam2 = schouten_pair(table.u, table.u_r, table.u_rr, table.r, p.n, p.k)
+    sig, cond = split_sigma_l(lam1, lam2, p.n, p.k)
     # sigma_k is a cancelling combination of the eigenvalues (it vanishes
     # like Z on axis-bound tails while the eigenvalues stay O(1/r^2)); only
     # rows where that combination is well-conditioned are verifiable
-    combo = b1 * lam1 + b2 * lam2
-    cond = (b1 * np.abs(lam1) + b2 * np.abs(lam2)) / np.maximum(np.abs(combo), 1e-300)
     good = (sig > 0.0) & (cond < 1e4)
     u, Z, X = table.u[good], table.Z[good], table.X[good]
     w = Z ** (1.0 / p.k)
-    x = X ** (1.0 / p.k)
-    lnz_s = 2.0 * p.k * (1.0 - x / p.x_B)
-    w_s = w * lnz_s / p.k
+    _F, G = phase.vector_field(X, Z, p)
+    w_s = w * (G / Z) / p.k
     # metric-gauge sigma_k^(1/k): the Euclidean-gauge eigenvalues carry u^(1-m)
     sig_root = sig[good] ** (1.0 / p.k) / u ** (1.0 - p.m)
     lhs = p.theta * w_s

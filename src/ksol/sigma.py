@@ -138,6 +138,27 @@ class RadialEigenPair:
         return lam
 
 
+def schouten_pair(u, u_r, u_rr, r, n, k):
+    """(lambda1, lambda2) in the Euclidean gauge from radial derivatives of u;
+    floats or arrays, no validation."""
+    m = (n - 2 * k) / (n + 2 * k)
+    q = u_r / u
+    lam1 = -((1.0 - m) / 2.0) * (u_rr / u - ((5.0 - m) / 4.0) * q * q)
+    lam2 = -((1.0 - m) / 2.0) * q * (1.0 / r + ((1.0 - m) / 4.0) * q)
+    return lam1, lam2
+
+
+def split_sigma_l(lam1, lam2, n, l):
+    """sigma_l of the split spectrum, lambda2^(l-1) [C(n-1,l-1) lambda1 +
+    C(n-1,l) lambda2], and the condition number of the bracket's sum;
+    floats or arrays, no validation."""
+    b1 = float(binomial(n - 1, l - 1))
+    b2 = float(binomial(n - 1, l))
+    combo = b1 * lam1 + b2 * lam2
+    cond = (b1 * np.abs(lam1) + b2 * np.abs(lam2)) / np.maximum(np.abs(combo), 1e-300)
+    return lam2 ** (l - 1) * combo, cond
+
+
 def radial_schouten_eigenvalues(u, u_r, u_rr, r, n, k):
     """Schouten eigenvalues (Euclidean gauge) from radial derivatives of u.
 
@@ -148,11 +169,7 @@ def radial_schouten_eigenvalues(u, u_r, u_rr, r, n, k):
         raise DomainError("r must be positive; use the origin expansion at r=0")
     if u <= 0.0:
         raise DomainError("conformal factor u must be positive")
-    m = (n - 2 * k) / (n + 2 * k)
-    q = u_r / u
-    lam1 = -((1.0 - m) / 2.0) * (u_rr / u - ((5.0 - m) / 4.0) * q * q)
-    lam2 = -((1.0 - m) / 2.0) * q * (1.0 / r + ((1.0 - m) / 4.0) * q)
-    return RadialEigenPair(lam1, lam2, n, k)
+    return RadialEigenPair(*schouten_pair(u, u_r, u_rr, r, n, k), n, k)
 
 
 def radial_sigma_l(pair, l):
@@ -163,9 +180,7 @@ def radial_sigma_l(pair, l):
     n = pair.n
     if not 1 <= l <= n:
         raise DomainError(f"l={l} out of range 1..{n}")
-    b1 = float(binomial(n - 1, l - 1))
-    b2 = float(binomial(n - 1, l))
-    return pair.lambda2 ** (l - 1) * (b1 * pair.lambda1 + b2 * pair.lambda2)
+    return split_sigma_l(pair.lambda1, pair.lambda2, n, l)[0]
 
 
 def is_admissible_radial(pair):

@@ -4,7 +4,8 @@ Jacobians and critical points, pinned to hand-derived values."""
 import numpy as np
 import pytest
 
-from ksol import phase
+from ksol import _kernels, phase
+from ksol._jit import JIT_ENABLED
 from ksol.errors import DomainError, NotApplicableError, ParameterError
 
 RNG = np.random.default_rng(42)
@@ -136,6 +137,33 @@ class TestSystemRHS:
         assert W_s == pytest.approx(5.0 / 3.0)
         assert V_s == 0.0
         assert phase.system_rhs_A((0.0, 0.0), p) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (7, 3), (12, 4)])
+    @pytest.mark.parametrize("prof", [phase.PROF_F, phase.PROF_H])
+    @pytest.mark.parametrize("rho", [-0.5, 3.0])
+    def test_array_field_matches_kernel(self, n, k, prof, rho):
+        # the integrator's scalar copy of the field is the reference; for
+        # k >= 3 a k-fold product and **k round differently
+        p = phase.make_params(n, k, rho, 1.0)
+        pp = _kernels.pack_params(p)
+        X, Z = np.meshgrid(
+            np.linspace(0.0, 0.999 * p.x_cap, 41), np.geomspace(1e-6, 1e3, 30)
+        )
+        X, Z = X.ravel(), Z.ravel()
+        F, G = phase.vector_field(X, Z, p, prof)
+        ref = np.array([_kernels.rhs(a, b, pp, prof) for a, b in zip(X, Z)])
+        if JIT_ENABLED:
+            # compiled exp and log are LLVM's, not numpy's: x moves by an
+            # ulp, which the cancellation in X_s can amplify
+            scale = np.max(np.abs(ref), axis=0)
+            np.testing.assert_allclose(F, ref[:, 0], rtol=1e-12, atol=1e-12 * scale[0])
+            np.testing.assert_allclose(G, ref[:, 1], rtol=1e-12, atol=1e-12 * scale[1])
+        else:
+            np.testing.assert_array_equal(F, ref[:, 0])
+            np.testing.assert_array_equal(G, ref[:, 1])
+        if prof == phase.PROF_H:
+            for i in range(0, X.size, 37):
+                assert phase.system_rhs_A((X[i], Z[i]), p) == (-F[i], -G[i])
 
     def test_A_chart_pullback_consistency(self):
         # X = (x_A - w)^k, Z = V maps the A-chart field to the XZ field:

@@ -183,7 +183,7 @@ class TestPotential:
         pot = profile.potential_phi(tr, p)
         assert np.all(pot.phi_s > 0.0)
         assert np.all(np.diff(pot.phi) > 0.0)
-        assert profile.potential_identity_residual(tr, p) < 1e-6
+        assert profile.potential_identity_residual(profile.reconstruct_u(tr, p), p) < 1e-6
 
     def test_gauge_shift_changes_nothing(self, run):
         p, _sol, tr, _oc = run(4, 1, 0.0)

@@ -162,6 +162,33 @@ class TestRadialSigma:
         assert sigma.radial_sigma_l(sigma.RadialEigenPair(5.0, 0.0, 6, 3), 2) == 0.0
         assert sigma.radial_sigma_l(sigma.RadialEigenPair(0.0, 1.0, 4, 2), 2) == pytest.approx(3.0)
 
+    def test_array_spectrum_matches_enumeration(self):
+        # the array evaluators behind the profile residuals agree with the
+        # scalar path and with subset enumeration on the expanded list
+        rng = np.random.default_rng(7)
+        size = 12
+        for n in range(3, 9):
+            for k in range(1, n + 1):
+                u = rng.uniform(0.2, 3.0, size)
+                u_r = rng.normal(size=size)
+                u_rr = rng.normal(size=size)
+                r = rng.uniform(0.1, 5.0, size)
+                lam1, lam2 = sigma.schouten_pair(u, u_r, u_rr, r, n, k)
+                pairs = [
+                    sigma.radial_schouten_eigenvalues(u[i], u_r[i], u_rr[i], r[i], n, k)
+                    for i in range(size)
+                ]
+                assert list(lam1) == [pair.lambda1 for pair in pairs]
+                assert list(lam2) == [pair.lambda2 for pair in pairs]
+                for l in range(1, n + 1):
+                    sig, cond = sigma.split_sigma_l(lam1, lam2, n, l)
+                    for i, pair in enumerate(pairs):
+                        full = sigma.sigma_k_enumerated(pair.expand(), l)
+                        assert sig[i] == pytest.approx(full, rel=1e-12, abs=1e-12)
+                    # no cancellation when both eigenvalues share a sign
+                    assert np.all(cond >= 1.0 - 1e-12)
+                    np.testing.assert_allclose(cond[lam1 * lam2 > 0.0], 1.0, rtol=1e-12)
+
     def test_matches_expanded_list(self):
         for _ in range(400):
             n = int(RNG.integers(3, 9))
