@@ -55,6 +55,18 @@ EV_CONVERGED = 4
 EV_BLOWUP = 5
 EV_STEP_FLOOR = 6
 
+# integrator settings no caller varies (numba freezes module globals at
+# compile time)
+BLOWUP_Z = 1e12
+# Z collapses toward the axis much faster than X finishes its approach
+# (rates 2k vs |n-2k|); a deep floor keeps the measured X_inf and the
+# tail-rate window inside the asymptotic regime
+Z_FLOOR_REL = 1e-26
+# sustained convergence to B: |rhs| below CONV_RHS for an s-span CONV_SPAN
+CONV_RHS = 1e-9
+CONV_SPAN = 2.0
+EV_CAP = 512  # logged events kept; later ones are only counted
+
 
 def pack_params(p):
     pp = np.empty(PP_SIZE)
@@ -181,7 +193,7 @@ def _hermite(theta, h, y0, f0, y1, f1):
 
 
 @njit
-def _event_value(code, X, Z, pp, asym_tol, x_cap, blowup_z):
+def _event_value(code, X, Z, pp, asym_tol, x_cap):
     """Signed event functions; a root marks the event location."""
     k = int(pp[PP_K])
     if code == EV_CROSS_XB:
@@ -190,26 +202,35 @@ def _event_value(code, X, Z, pp, asym_tol, x_cap, blowup_z):
         return (pp[PP_GAMMA] - kth_root(X, k)) - asym_tol * pp[PP_GAMMA]
     if code == EV_EXITED:
         return X - x_cap
-    return Z - blowup_z  # EV_BLOWUP
+    return Z - BLOWUP_Z  # EV_BLOWUP
 
 
 @njit
-def _bisect_event(code, h, X0, Z0, fX0, fZ0, X1, Z1, fX1, fZ1, pp, asym_tol, x_cap, blowup_z):
+def _bisect_event(code, h, X0, Z0, fX0, fZ0, X1, Z1, fX1, fZ1, pp, asym_tol, x_cap):
     """Bisection for the event root on the Hermite interpolant; returns theta."""
     lo = 0.0
     hi = 1.0
-    vlo = _event_value(code, X0, Z0, pp, asym_tol, x_cap, blowup_z)
+    vlo = _event_value(code, X0, Z0, pp, asym_tol, x_cap)
     for _ in range(64):
         mid = 0.5 * (lo + hi)
         xm = _hermite(mid, h, X0, fX0, X1, fX1)
         zm = _hermite(mid, h, Z0, fZ0, Z1, fZ1)
-        vm = _event_value(code, xm, zm, pp, asym_tol, x_cap, blowup_z)
+        vm = _event_value(code, xm, zm, pp, asym_tol, x_cap)
         if (vm > 0.0) == (vlo > 0.0):
             lo = mid
             vlo = vm
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+@njit
+def _log_event(ev_s, ev_code, n_ev, s, code):
+    """Store the event while the buffer has room, count it either way."""
+    if n_ev < ev_s.size:
+        ev_s[n_ev] = s
+        ev_code[n_ev] = code
+    return n_ev + 1
 
 
 @njit
@@ -221,15 +242,10 @@ def integrate_core(
     pp,
     prof,
     rtol,
-    atol,
     max_step,
     step_floor,
-    blowup_z,
     asym_tol,
-    z_floor_rel,
     conv_dist,
-    conv_rhs,
-    conv_span,
     b_x,
     b_z,
     has_b,
@@ -238,14 +254,14 @@ def integrate_core(
 ):
     """Adaptive integration of the phase-plane field with event detection.
 
-    Returns (s_arr, x_arr, z_arr, count, ev_s, ev_code, ev_count, status).
+    Returns (s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status); the event
+    arrays keep the first EV_CAP of the n_ev events that fired.
     """
     s_out = np.empty(max_samples)
     x_out = np.empty(max_samples)
     z_out = np.empty(max_samples)
-    ev_cap = 512
-    ev_s = np.empty(ev_cap)
-    ev_code = np.zeros(ev_cap, dtype=np.int64)
+    ev_s = np.empty(EV_CAP)
+    ev_code = np.zeros(EV_CAP, dtype=np.int64)
     n_ev = 0
 
     k = int(pp[PP_K])
@@ -278,10 +294,7 @@ def integrate_core(
                 if relax < h:
                     h = max(relax, 4.0 * step_floor)
         if h < step_floor:
-            if n_ev < ev_cap:
-                ev_s[n_ev] = s
-                ev_code[n_ev] = EV_STEP_FLOOR
-                n_ev += 1
+            n_ev = _log_event(ev_s, ev_code, n_ev, s, EV_STEP_FLOOR)
             status = ST_STEP_FLOOR
             break
 
@@ -289,8 +302,8 @@ def integrate_core(
 
         # a vanishing scale only happens for an identically-zero component
         # (the invariant Z = 0 axis), which then carries no error
-        scX = atol + rtol * max(abs(X), abs(X1))
-        scZ = atol + rtol * max(abs(Z), abs(Z1))
+        scX = rtol * max(abs(X), abs(X1))
+        scZ = rtol * max(abs(Z), abs(Z1))
         ex = errX / scX if scX > 0.0 else 0.0
         ez = errZ / scZ if scZ > 0.0 else 0.0
         err = np.sqrt(0.5 * (ex * ex + ez * ez))
@@ -312,69 +325,38 @@ def integrate_core(
                 fac = 0.2
         h_next = min(h * fac, max_step)
         err_prev = max(err, 1e-10)
-
-        terminal = False
         s1 = s + h
 
-        # non-terminal (or stop_at_xb) crossing of X = X_B
-        if (X - pp[PP_XB]) * (X1 - pp[PP_XB]) < 0.0:
-            th = _bisect_event(
-                EV_CROSS_XB, h, X, Z, fX, fZ, X1, Z1, fX1, fZ1, pp, asym_tol, x_cap, blowup_z
-            )
-            se = s + th * h
-            if n_ev < ev_cap:
-                ev_s[n_ev] = se
-                ev_code[n_ev] = EV_CROSS_XB
-                n_ev += 1
-            if stop_at_xb:
-                X1 = pp[PP_XB]
-                Z1 = _hermite(th, h, Z, fZ, Z1, fZ1)
-                s1 = se
-                status = ST_XB_STOP
-                terminal = True
+        # a crossing of X = X_B is logged; with stop_at_xb it ends the run
+        crossed = (X - pp[PP_XB]) * (X1 - pp[PP_XB]) < 0.0
+        if crossed and not stop_at_xb:
+            th = _bisect_event(EV_CROSS_XB, h, X, Z, fX, fZ, X1, Z1, fX1, fZ1, pp, asym_tol, x_cap)
+            n_ev = _log_event(ev_s, ev_code, n_ev, s + th * h, EV_CROSS_XB)
 
-        # exit of the admissible X-range
-        if not terminal and X1 > x_cap:
-            th = _bisect_event(
-                EV_EXITED, h, X, Z, fX, fZ, X1, Z1, fX1, fZ1, pp, asym_tol, x_cap, blowup_z
-            )
-            s1 = s + th * h
-            X1 = x_cap
-            Z1 = _hermite(th, h, Z, fZ, Z1, fZ1)
-            if n_ev < ev_cap:
-                ev_s[n_ev] = s1
-                ev_code[n_ev] = EV_EXITED
-                n_ev += 1
-            status = ST_EXITED
-            terminal = True
-
-        # asymptote proximity in x = X^(1/k)
-        if (
-            not terminal
-            and asym_tol > 0.0
-            and pp[PP_GAMMA] - kth_root(X1, k) < asym_tol * pp[PP_GAMMA]
-        ):
-            if n_ev < ev_cap:
-                ev_s[n_ev] = s1
-                ev_code[n_ev] = EV_ASYMPTOTE
-                n_ev += 1
-            status = ST_ASYMPTOTE
-            terminal = True
-
-        # blow-up of Z
-        if not terminal and Z1 > blowup_z:
-            th = _bisect_event(
-                EV_BLOWUP, h, X, Z, fX, fZ, X1, Z1, fX1, fZ1, pp, asym_tol, x_cap, blowup_z
-            )
-            s1 = s + th * h
-            X1 = _hermite(th, h, X, fX, X1, fX1)
-            Z1 = blowup_z
-            if n_ev < ev_cap:
-                ev_s[n_ev] = s1
-                ev_code[n_ev] = EV_BLOWUP
-                n_ev += 1
-            status = ST_BLOWUP
-            terminal = True
+        # terminal events by precedence: X_B stop > exit of the admissible
+        # X-range > asymptote proximity in x = X^(1/k) > blow-up of Z
+        code = 0
+        if crossed and stop_at_xb:
+            code, status = EV_CROSS_XB, ST_XB_STOP
+        elif X1 > x_cap:
+            code, status = EV_EXITED, ST_EXITED
+        elif asym_tol > 0.0 and pp[PP_GAMMA] - kth_root(X1, k) < asym_tol * pp[PP_GAMMA]:
+            code, status = EV_ASYMPTOTE, ST_ASYMPTOTE
+        elif Z1 > BLOWUP_Z:
+            code, status = EV_BLOWUP, ST_BLOWUP
+        if code != 0:
+            # clip the state to the event point on the Hermite interpolant:
+            # the event's own coordinate to its level, the other interpolated
+            # (the asymptote stops at the step end)
+            if code != EV_ASYMPTOTE:
+                th = _bisect_event(code, h, X, Z, fX, fZ, X1, Z1, fX1, fZ1, pp, asym_tol, x_cap)
+                s1 = s + th * h
+                if code == EV_BLOWUP:
+                    X1, Z1 = _hermite(th, h, X, fX, X1, fX1), BLOWUP_Z
+                else:
+                    X1 = pp[PP_XB] if code == EV_CROSS_XB else x_cap
+                    Z1 = _hermite(th, h, Z, fZ, Z1, fZ1)
+            n_ev = _log_event(ev_s, ev_code, n_ev, s1, code)
 
         s = s1
         X = X1
@@ -385,7 +367,7 @@ def integrate_core(
             x_out[m] = X
             z_out[m] = Z
             m += 1
-        if terminal:
+        if code != 0:
             break
         if m >= max_samples:
             status = ST_OVERFLOW
@@ -398,14 +380,11 @@ def integrate_core(
         if has_b:
             dist = max(abs(X - b_x), abs(Z - b_z))
             rn = max(abs(fX), abs(fZ))
-            if dist < conv_dist and rn < conv_rhs:
+            if dist < conv_dist and rn < CONV_RHS:
                 if not np.isfinite(conv_since):
                     conv_since = s
-                elif s - conv_since >= conv_span:
-                    if n_ev < ev_cap:
-                        ev_s[n_ev] = s
-                        ev_code[n_ev] = EV_CONVERGED
-                        n_ev += 1
+                elif s - conv_since >= CONV_SPAN:
+                    n_ev = _log_event(ev_s, ev_code, n_ev, s, EV_CONVERGED)
                     status = ST_CONV_B
                     break
             else:
@@ -413,14 +392,12 @@ def integrate_core(
 
         # collapse onto the Z = 0 axis beyond X_B (orbits toward A or the
         # degenerate line)
-        if X > pp[PP_XB] and Z < z_floor_rel * z_peak:
-            if n_ev < ev_cap:
-                ev_s[n_ev] = s
-                ev_code[n_ev] = EV_CONVERGED
-                n_ev += 1
+        if X > pp[PP_XB] and Z < Z_FLOOR_REL * z_peak:
+            n_ev = _log_event(ev_s, ev_code, n_ev, s, EV_CONVERGED)
             status = ST_CONV_AXIS
             break
 
         h = h_next
 
-    return s_out[:m], x_out[:m], z_out[:m], m, ev_s[:n_ev], ev_code[:n_ev], n_ev, status
+    n_kept = min(n_ev, EV_CAP)
+    return s_out[:m], x_out[:m], z_out[:m], ev_s[:n_kept], ev_code[:n_kept], n_ev, status

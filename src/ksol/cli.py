@@ -34,7 +34,6 @@ DEFAULTS = {
     "rtol": 1e-10,
     "tol": 1e-10,
     "out": None,
-    "format": "json",
     "grid": 25,
     "orbits": "0.5,1.0,2.0",
     "rhos": None,
@@ -289,6 +288,7 @@ def cmd_profile(args):
 def _verify_checks(cfg):
     p = _params(cfg)
     controls = _controls(cfg)
+    tol = float(cfg["tol"])
     alpha = float(cfg["alpha"])
     checks = {}
 
@@ -357,19 +357,17 @@ def _verify_checks(cfg):
     record("zs_sign_structure", abs(g_at_b), 1e-12, ok=sign_ok and abs(g_at_b) < 1e-12)
 
     # local solution certificate
-    sol = picard.picard_solve(alpha, p, float(cfg["tol"]))
-    record("picard_residual", sol.sup_residual, float(cfg["tol"]))
+    sol, trace, oc = orbit_mod.run_orbit(p, alpha, controls, tol)
+    record("picard_residual", sol.sup_residual, tol)
     record("picard_rate", sol.contraction_rate, 0.9)
     ak = picard.alpha_weight(alpha, p)
     lim_err = max(
         abs(sol.weighted_limits[0] - ak), abs(sol.weighted_limits[1] - p.n * ak / p.f0)
     )
     record("picard_weighted_limits", lim_err, 1e-8)
-    record("picard_derivative_defect", picard.derivative_residual(sol, p), 10.0 * float(cfg["tol"]))
+    record("picard_derivative_defect", picard.derivative_residual(sol, p), 10.0 * tol)
 
     # orbit, classification, monitors
-    trace = orbit_mod.integrate(sol, p, controls)
-    oc = orbit_mod.classify_orbit(trace, p, controls)
     record(
         "classification_in_regime_table",
         0.0,
@@ -425,9 +423,8 @@ def cmd_verify(args):
 def _sweep_row(idx, rho, alpha, base):
     row = {"idx": idx, "rho": rho, "alpha": alpha}
     try:
-        p = phase.make_params(int(base["n"]), int(base["k"]), rho, float(base["theta"]))
-        controls = orbit_mod.OrbitControls(rtol=float(base["rtol"]), s_max=float(base["s_max"]))
-        sol, trace, oc = orbit_mod.run_orbit(p, alpha, controls, float(base["tol"]))
+        p = _params(dict(base, rho=rho))
+        sol, trace, oc = orbit_mod.run_orbit(p, alpha, _controls(base), float(base["tol"]))
         row.update(
             {"class": oc.kind, "s_end": float(trace.s[-1]), "X_inf": oc.X_inf, "status": "ok"}
         )

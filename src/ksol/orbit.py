@@ -47,32 +47,28 @@ _STATUS_NAMES = {
 }
 
 
+# classification tolerances
+GAMMA_NEAR_REL = 0.05  # an end point within 5 % of gamma in x counts as near
+BOUNDED_RATIO = 100.0  # max/min of Z over the tail window of a bounded band
+
+
 @dataclass(frozen=True)
 class OrbitControls:
-    rtol: float = 1e-10
+    """Integrator settings; the fixed ones are constants in ``_kernels``."""
+
     # both components stay strictly positive along admissible orbits, so the
-    # error control can be purely relative; an absolute floor would wreck the
+    # error control is purely relative; an absolute floor would wreck the
     # relative accuracy of Z on its way down to the axis
-    atol: float = 0.0
+    rtol: float = 1e-10
     s_max: float = 200.0
     max_step: float = 0.25
     step_floor: float = 1e-13
-    blowup_z: float = 1e12
     # terminal proximity to the asymptote, relative in x = X^(1/k); the
     # transverse contraction rate grows with Z, so this cannot be pushed
-    # much further with an explicit pair
+    # much further with an explicit pair (<= 0 turns asymptote handling off)
     asym_tol: float = 1e-5
-    # Z collapses toward the axis much faster than X finishes its approach
-    # (rates 2k vs |n-2k|); a deep floor keeps the measured X_inf and the
-    # tail-rate window inside the asymptotic regime
-    z_floor_rel: float = 1e-26
     conv_dist: float = 1e-7
-    conv_rhs: float = 1e-9
-    conv_span: float = 2.0
     max_samples: int = 400_000
-    # classification tolerances
-    gamma_near_rel: float = 0.05
-    bounded_ratio: float = 100.0
 
 
 @dataclass(frozen=True)
@@ -90,6 +86,7 @@ class OrbitTrace:
     status: str
     chart: str = "XZ"
     tail_end_index: int = 0
+    events_dropped: int = 0  # fired beyond the kernel's event buffer
 
     @property
     def end_state(self):
@@ -112,6 +109,9 @@ def _integrate_raw(x0, z0, s0, p, controls, prof, stop_at_xb=False):
     has_b = prof == _kernels.PROF_F and p.Z_B is not None and p.rho > 0.0
     b_x = p.X_B if has_b else 0.0
     b_z = p.Z_B if has_b else 0.0
+    # for n < 2k the region boundary X = x_cap is crossed in finite s (X_s > 0
+    # there): the run must end at the exit, not at an asymptote tolerance
+    asym_tol = controls.asym_tol if p.n >= 2 * p.k else -1.0
     out = _kernels.integrate_core(
         x0,
         z0,
@@ -120,24 +120,19 @@ def _integrate_raw(x0, z0, s0, p, controls, prof, stop_at_xb=False):
         pp,
         prof,
         controls.rtol,
-        controls.atol,
         controls.max_step,
         controls.step_floor,
-        controls.blowup_z,
-        controls.asym_tol,
-        controls.z_floor_rel,
+        asym_tol,
         controls.conv_dist,
-        controls.conv_rhs,
-        controls.conv_span,
         b_x,
         b_z,
         has_b,
         stop_at_xb,
         controls.max_samples,
     )
-    s_arr, x_arr, z_arr, _m, ev_s, ev_code, _n_ev, status = out
+    s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status = out
     events = [(float(se), _EVENT_NAMES[int(ce)]) for se, ce in zip(ev_s, ev_code)]
-    return s_arr, x_arr, z_arr, events, _STATUS_NAMES[int(status)]
+    return s_arr, x_arr, z_arr, events, _STATUS_NAMES[int(status)], int(n_ev) - len(events)
 
 
 def integrate(start, p, controls=None, stop_at_xb=False):
@@ -151,7 +146,7 @@ def integrate(start, p, controls=None, stop_at_xb=False):
     prof = _kernels.PROF_F if start.chart == "XZ" else _kernels.PROF_H
     x0, z0 = start.state_at_s0(p)
     s0 = start.tail.s0
-    s_arr, x_arr, z_arr, events, status = _integrate_raw(
+    s_arr, x_arr, z_arr, events, status, dropped = _integrate_raw(
         x0, z0, s0, p, controls, prof, stop_at_xb
     )
     tx, tz = start.tail.unweighted(p.k)
@@ -160,7 +155,7 @@ def integrate(start, p, controls=None, stop_at_xb=False):
     x_arr = np.concatenate([tx[keep], x_arr])
     z_arr = np.concatenate([tz[keep], z_arr])
     tail_end = int(np.sum(keep))
-    return OrbitTrace(s_arr, x_arr, z_arr, events, status, start.chart, tail_end)
+    return OrbitTrace(s_arr, x_arr, z_arr, events, status, start.chart, tail_end, dropped)
 
 
 def _tail_window(trace, frac=0.25):
@@ -170,7 +165,7 @@ def _tail_window(trace, frac=0.25):
     return slice(max(trace.tail_end_index, min(i0, s.size - 8)), s.size)
 
 
-def _axis_class(x_end, p, controls, diag):
+def _axis_class(x_end, p, diag):
     """Orbit type for a collapse onto the Z = 0 axis beyond X_B.
 
     Away from n = 2k the corner point A is the only axis limit compatible
@@ -188,7 +183,7 @@ def _axis_class(x_end, p, controls, diag):
     return OrbitClass(GENERALIZED_A, X_inf=x_end, diagnostics=diag)
 
 
-def classify_orbit(trace, p, controls=None):
+def classify_orbit(trace, p):
     """Orbit type per the regime taxonomy; never guesses silently.
 
     An orbit ending at s_max must show a clear signature (asymptote
@@ -196,10 +191,10 @@ def classify_orbit(trace, p, controls=None):
     to be classified; anything else is reported Undetermined together
     with the tail diagnostics.
     """
-    controls = controls or OrbitControls()
     x_end, z_end = trace.end_state
     status = trace.status
     diag = {"status": status, "s_end": float(trace.s[-1])}
+    near_gamma = p.gamma - phase.kth_root(x_end, p.k) < GAMMA_NEAR_REL * p.gamma
 
     if status == "exited_region":
         return OrbitClass(NON_ADMISSIBLE, s_exit=float(trace.s[-1]), diagnostics=diag)
@@ -207,10 +202,9 @@ def classify_orbit(trace, p, controls=None):
         diag["B"] = (p.X_B, p.Z_B)
         return OrbitClass(TYPE_B, diagnostics=diag)
     if status == "converged_axis":
-        return _axis_class(x_end, p, controls, diag)
+        return _axis_class(x_end, p, diag)
     if status in ("reached_asymptote", "blow_up_Z"):
-        near = (p.gamma - phase.kth_root(x_end, p.k)) < controls.gamma_near_rel * p.gamma
-        if near:
+        if near_gamma:
             diag["Z_end"] = z_end
             return OrbitClass(TYPE_GAMMA, diagnostics=diag)
         return OrbitClass(UNDETERMINED, diagnostics=diag)
@@ -221,18 +215,12 @@ def classify_orbit(trace, p, controls=None):
     z_min, z_max = float(np.min(zw)), float(np.max(zw))
     z_peak = float(np.max(trace.Z))
     diag.update(z_tail=(z_min, z_max), x_end=x_end)
-    gamma_gap = p.gamma - phase.kth_root(x_end, p.k)
-    if gamma_gap < controls.gamma_near_rel * p.gamma and zw[-1] >= zw[0] > 0.0:
+    if near_gamma and zw[-1] >= zw[0] > 0.0:
         diag["Z_end"] = z_end
         return OrbitClass(TYPE_GAMMA, diagnostics=diag)
     if x_end > p.X_B and z_end < 1e-6 * z_peak and zw[-1] <= zw[0]:
-        return _axis_class(x_end, p, controls, diag)
-    if (
-        status == "s_max"
-        and z_min > 0.0
-        and z_max / z_min < controls.bounded_ratio
-        and phase.kth_root(x_end, p.k) <= p.gamma * (1.0 - controls.gamma_near_rel)
-    ):
+        return _axis_class(x_end, p, diag)
+    if status == "s_max" and z_min > 0.0 and z_max / z_min < BOUNDED_RATIO and not near_gamma:
         return OrbitClass(GENERALIZED_B, diagnostics=diag)
     return OrbitClass(UNDETERMINED, diagnostics=diag)
 
@@ -259,7 +247,7 @@ def run_orbit(p, alpha=1.0, controls=None, tol=picard.DEFAULT_TOL):
     """Convenience pipeline: local solution, continuation, classification."""
     sol = picard.picard_solve(alpha, p, tol)
     trace = integrate(sol, p, controls)
-    return sol, trace, classify_orbit(trace, p, controls)
+    return sol, trace, classify_orbit(trace, p)
 
 
 # ---------------------------------------------------------------------------

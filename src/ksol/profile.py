@@ -57,7 +57,7 @@ def reconstruct_u(trace, p):
     s, X, Z = s[admissible], X[admissible], Z[admissible]
     if s.size == 0:
         raise DomainError("trace has no admissible samples")
-    x = X ** (1.0 / k)
+    x = phase.kth_root(X, k)
     ln_u = ((1.0 / k) * np.log(Z) - 2.0 * s) / (1.0 - m)
 
     # representable subset for the linear-space columns (u_rr ~ u / r^2)
@@ -289,7 +289,7 @@ def affine_z_root_fit(trace, p, frac=0.5):
     """
     s, Z = trace.s, trace.Z
     sel = s >= s[0] + (1.0 - frac) * (s[-1] - s[0])
-    y = Z[sel] ** (1.0 / p.k)
+    y = phase.kth_root(Z[sel], p.k)
     coef = np.polyfit(s[sel], y, 1)
     pred = np.polyval(coef, s[sel])
     ss_res = float(np.sum((y - pred) ** 2))
@@ -300,7 +300,7 @@ def affine_z_root_fit(trace, p, frac=0.5):
 def steady_slope_constant(p):
     """The constant C with Z (gamma - x)^k -> C on steady orbits."""
     g = p.gamma
-    return (p.n - 2 * p.k) / (p.c_nk * p.beta**p.k) * (1.0 - g / p.x_A) ** p.k * g**p.k
+    return (p.n - 2 * p.k) / p.cb * (1.0 - g / p.x_A) ** p.k * g**p.k
 
 
 @dataclass(frozen=True)
@@ -372,7 +372,7 @@ def potential_phi(trace, p):
     """
     good = trace.Z > 0.0
     s = trace.s[good]
-    w = trace.Z[good] ** (1.0 / p.k)
+    w = phase.kth_root(trace.Z[good], p.k)
     phi_s = 2.0 * p.theta * w
     phi = np.empty_like(phi_s)
     phi[0] = 0.0
@@ -394,11 +394,11 @@ def potential_identity_residual(table, p):
     # rows where that combination is well-conditioned are verifiable
     good = (sig > 0.0) & (cond < 1e4)
     u, Z, X = table.u[good], table.Z[good], table.X[good]
-    w = Z ** (1.0 / p.k)
+    w = phase.kth_root(Z, p.k)
     _F, G = phase.vector_field(X, Z, p)
     w_s = w * (G / Z) / p.k
     # metric-gauge sigma_k^(1/k): the Euclidean-gauge eigenvalues carry u^(1-m)
-    sig_root = sig[good] ** (1.0 / p.k) / u ** (1.0 - p.m)
+    sig_root = phase.kth_root(sig[good], p.k) / u ** (1.0 - p.m)
     lhs = p.theta * w_s
     rhs = (sig_root - p.rho) * w
     # both sides vanish together whenever the orbit crosses X = X_B
@@ -439,14 +439,13 @@ def flow_solution(table, p, t, T=1.0):
     steady (rho = 0):   e^(-beta gamma~ t) u(|x| e^(-beta t)),
     with beta = (1-m) theta and beta gamma~ = 2 theta + rho.
     """
-    beta = (1.0 - p.m) * p.theta
     bg = 2.0 * p.theta + p.rho  # beta * gamma~ collapses to 2 theta + rho
     if p.rho > 0.0:
         if not t < T:
             raise DomainError("shrinker snapshots require t < T")
-        return FlowSolution("shrinker", (T - t) ** bg, (T - t) ** beta, table)
+        return FlowSolution("shrinker", (T - t) ** bg, (T - t) ** p.beta, table)
     if p.rho < 0.0:
         if not t > 0.0:
             raise DomainError("expander snapshots require t > 0")
-        return FlowSolution("expander", t**-bg, t**-beta, table)
-    return FlowSolution("steady", math.exp(-bg * t), math.exp(-beta * t), table)
+        return FlowSolution("expander", t**-bg, t**-p.beta, table)
+    return FlowSolution("steady", math.exp(-bg * t), math.exp(-p.beta * t), table)

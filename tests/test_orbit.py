@@ -17,10 +17,10 @@ RNG = np.random.default_rng(11)
 
 
 def integrate_state(x0, z0, s0, p, controls, stop_at_xb=False):
-    s, X, Z, events, status = orbit._integrate_raw(
+    s, X, Z, events, status, dropped = orbit._integrate_raw(
         x0, z0, s0, p, controls, 0, stop_at_xb
     )
-    return orbit.OrbitTrace(s, X, Z, events, status)
+    return orbit.OrbitTrace(s, X, Z, events, status, events_dropped=dropped)
 
 
 class TestIntegratorOracles:
@@ -81,7 +81,7 @@ class TestIntegratorEdges:
         ctl = orbit.OrbitControls(s_max=50.0, max_samples=40, max_step=0.05)
         tr = integrate_state(1.0, 0.5, 0.0, p, ctl)
         assert tr.status == "sample_overflow"
-        oc = orbit.classify_orbit(tr, p, ctl)
+        oc = orbit.classify_orbit(tr, p)
         assert oc.kind == orbit.UNDETERMINED  # never silently guessed
 
     def test_generalized_b_abstention(self):
@@ -91,8 +91,15 @@ class TestIntegratorEdges:
         ctl = orbit.OrbitControls(s_max=40.0, conv_dist=0.0)
         tr = integrate_state(1.0, 0.5, 0.0, p, ctl)
         assert tr.status == "s_max"
-        oc = orbit.classify_orbit(tr, p, ctl)
+        oc = orbit.classify_orbit(tr, p)
         assert oc.kind == orbit.GENERALIZED_B
+
+    def test_dropped_events_are_counted(self, run):
+        # circling B for a long s-range fires more X_B crossings than the
+        # event buffer keeps; the excess is counted, not lost silently
+        _p, _sol, tr, _oc = run(12, 1, 1.0, s_max=2000.0, conv_dist=0.0)
+        assert len(tr.events) == 512
+        assert tr.events_dropped == 2111
 
 
 class TestEventsPerRegime:
@@ -113,8 +120,10 @@ class TestEventsPerRegime:
         seg = tr.Z[j : j + 40]
         assert seg[-1] < seg[0]
 
-    def test_subcritical_dimension_exits(self, run):
-        p, _sol, tr, oc = run(3, 2, 1.0)
+    @pytest.mark.parametrize("alpha", [1.0, 1.15, 1.18])
+    def test_subcritical_dimension_exits(self, alpha, run):
+        # X_s > 0 on X = x_cap for n < 2k: the orbit exits, whatever alpha
+        p, _sol, tr, oc = run(3, 2, 1.0, alpha=alpha)
         assert oc.kind == orbit.NON_ADMISSIBLE
         assert oc.s_exit is not None and math.isfinite(oc.s_exit)
         assert tr.X[-1] == pytest.approx(p.x_cap, rel=1e-9)
