@@ -19,18 +19,15 @@ from ._jit import njit
 # packed parameter layout
 PP_N = 0
 PP_K = 1
-PP_M = 2
-PP_BETA = 3
-PP_GAMMA = 4
-PP_CB = 5  # c_nk * beta^k
-PP_XA = 6  # X_A
-PP_XB = 7  # X_B
-PP_GK = 8  # gamma^k
-PP_XCAP = 9  # min(gamma^k, X_A)
-PP_NU = 10
-PP_XA_ROOT = 11  # x_A = (n+2k)/k
-PP_XB_ROOT = 12  # x_B = (n+2k)/(2k)
-PP_SIZE = 13
+PP_GAMMA = 2
+PP_CB = 3  # c_nk * beta^k
+PP_XB = 4  # X_B
+PP_GK = 5  # gamma^k
+PP_XCAP = 6  # min(gamma^k, X_A)
+PP_NU = 7
+PP_XA_ROOT = 8  # x_A = (n+2k)/k
+PP_XB_ROOT = 9  # x_B = (n+2k)/(2k)
+PP_SIZE = 10
 
 # profile selector for the shared rhs kernel
 PROF_F = 0  # origin chart, numerator gamma - x
@@ -72,11 +69,8 @@ def pack_params(p):
     pp = np.empty(PP_SIZE)
     pp[PP_N] = float(p.n)
     pp[PP_K] = float(p.k)
-    pp[PP_M] = p.m
-    pp[PP_BETA] = p.beta
     pp[PP_GAMMA] = p.gamma
     pp[PP_CB] = p.cb
-    pp[PP_XA] = p.X_A
     pp[PP_XB] = p.X_B
     pp[PP_GK] = p.gamma_k
     pp[PP_XCAP] = p.x_cap

@@ -10,6 +10,7 @@ Option precedence: command-line flags > config file (flat key=value lines)
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -21,55 +22,62 @@ import numpy as np
 
 from . import orbit as orbit_mod
 from . import phase, picard, profile, sigma
-from .errors import KsolError, ParameterError
+from .errors import DomainError, KsolError, ParameterError
 
+# an option missing here defaults to None
 DEFAULTS = {
-    "theta": None,
-    "rho": None,
-    "n": None,
-    "k": None,
     "alpha": 1.0,
     "alpha_bar": 1.0,
     "s_max": 200.0,
     "rtol": 1e-10,
     "tol": 1e-10,
-    "out": None,
     "grid": 25,
     "orbits": "0.5,1.0,2.0",
-    "rhos": None,
     "alphas": "1.0",
-    "jobs": None,
-    "profile_s_max": 30.0,
 }
 
 
 def _read_config(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read config file {path!r}: {exc}") from None
     cfg = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParameterError(f"config line without '=': {line!r}")
-            key, val = line.split("=", 1)
-            cfg[key.strip()] = val.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParameterError(f"config line without '=': {line!r}")
+        key, val = line.split("=", 1)
+        cfg[key.strip()] = val.strip()
     return cfg
 
 
-def _resolve(args, keys):
-    """flags > config file > defaults, with type coercion from defaults."""
-    file_cfg = _read_config(args.config) if getattr(args, "config", None) else {}
-    out = {}
-    for key in keys:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            out[key] = flag
-        elif key in file_cfg:
-            out[key] = file_cfg[key]
-        else:
-            out[key] = DEFAULTS.get(key)
-    return out
+def _resolve(args, defaults=DEFAULTS):
+    """The subcommand's own options: flags > config file > defaults.
+
+    Config-file values stay text; _number converts them where they are used.
+    """
+    file_cfg = _read_config(args.config) if args.config else {}
+    return {
+        key: flag if flag is not None else file_cfg.get(key, defaults.get(key))
+        for key, flag in vars(args).items()
+        if key not in ("command", "func", "config")
+    }
+
+
+def _number(text, key, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ParameterError(f"--{key.replace('_', '-')} is not a number: {text!r}") from None
+
+
+def _numbers(cfg, key):
+    """A comma-list option (rhos, alphas, orbits) as floats."""
+    return [_number(v, key) for v in str(cfg[key]).split(",") if v]
 
 
 def _require(cfg, *keys):
@@ -81,12 +89,32 @@ def _require(cfg, *keys):
 def _params(cfg):
     _require(cfg, "n", "k", "rho", "theta")
     return phase.make_params(
-        int(cfg["n"]), int(cfg["k"]), float(cfg["rho"]), float(cfg["theta"])
+        _number(cfg["n"], "n", int),
+        _number(cfg["k"], "k", int),
+        _number(cfg["rho"], "rho"),
+        _number(cfg["theta"], "theta"),
     )
 
 
 def _controls(cfg):
-    return orbit_mod.OrbitControls(rtol=float(cfg["rtol"]), s_max=float(cfg["s_max"]))
+    return orbit_mod.OrbitControls(
+        rtol=_number(cfg["rtol"], "rtol"), s_max=_number(cfg["s_max"], "s_max")
+    )
+
+
+def _analyse(p, alpha, cfg):
+    """One run: (sol, trace, oc) and, for an admissible orbit, the profile
+    table and its tail rate, or rate_error, the message of a failed fit.
+    Stages are called through their modules, so a tracer can wrap them."""
+    sol, trace, oc = orbit_mod.run_orbit(p, alpha, _controls(cfg), _number(cfg["tol"], "tol"))
+    table = rate = rate_error = None
+    if oc.kind not in (orbit_mod.NON_ADMISSIBLE, orbit_mod.UNDETERMINED):
+        table = profile.reconstruct_u(trace, p)
+        try:
+            rate = profile.tail_rate(table, p, oc)
+        except KsolError as exc:
+            rate_error = str(exc)
+    return sol, trace, oc, table, rate, rate_error
 
 
 def _write_json(payload, path):
@@ -106,9 +134,15 @@ def _jsonify(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def _open_csv(path):
+@contextlib.contextmanager
+def _csv_writer(path):
+    """A CSV writer on the file at path, or on stdout without one."""
     fh = open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
-    return fh, csv.writer(fh, lineterminator="\n")
+    try:
+        yield csv.writer(fh, lineterminator="\n")
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
 def _derived_dict(p):
@@ -126,10 +160,10 @@ def _derived_dict(p):
     }
 
 
-def _classify_payload(cfg):
+def cmd_classify(args):
+    cfg = _resolve(args)
     p = _params(cfg)
-    controls = _controls(cfg)
-    sol, trace, oc = orbit_mod.run_orbit(p, float(cfg["alpha"]), controls, float(cfg["tol"]))
+    sol, trace, oc, table, rate, rate_error = _analyse(p, _number(cfg["alpha"], "alpha"), cfg)
     payload = {
         "config": {k: cfg[k] for k in ("n", "k", "rho", "theta", "alpha", "s_max", "rtol", "tol")},
         "params": _derived_dict(p),
@@ -146,8 +180,7 @@ def _classify_payload(cfg):
         },
         "monitors": orbit_mod.monitor_report(trace, p),
     }
-    if oc.kind not in (orbit_mod.NON_ADMISSIBLE, orbit_mod.UNDETERMINED):
-        table = profile.reconstruct_u(trace, p)
+    if table is not None:
         res = profile.elliptic_residual(table, p)
         payload["residuals"] = {
             "elliptic_max_rel": res.max_rel,
@@ -155,61 +188,57 @@ def _classify_payload(cfg):
             "rejected": res.n_rejected,
             "potential_identity": profile.potential_identity_residual(table, p),
         }
-        try:
-            rr = profile.tail_rate(table, p, oc)
+        if rate is None:
+            payload["tail_rate"] = {"error": rate_error}
+        else:
             payload["tail_rate"] = {
-                "fitted_exponent": rr.fitted_exponent,
-                "log_correction_power": rr.log_correction_power,
-                "predicted_exponent": rr.predicted.exponent if rr.predicted else None,
-                "predicted_log_power": rr.predicted.log_power if rr.predicted else None,
-                "agreement": rr.agreement,
-                "r2": rr.r2,
-                "model": rr.details["selected"],
+                "fitted_exponent": rate.fitted_exponent,
+                "log_correction_power": rate.log_correction_power,
+                "predicted_exponent": rate.predicted.exponent if rate.predicted else None,
+                "predicted_log_power": rate.predicted.log_power if rate.predicted else None,
+                "agreement": rate.agreement,
+                "r2": rate.r2,
+                "model": rate.details["selected"],
             }
-        except KsolError as exc:
-            payload["tail_rate"] = {"error": str(exc)}
         if oc.kind == orbit_mod.TYPE_GAMMA:
             payload["z_tail_rate"] = {
                 "fitted": profile.z_tail_rate(trace),
                 "predicted": -p.k * p.rho / p.theta,
             }
-    return payload
-
-
-def cmd_classify(args):
-    cfg = _resolve(args, ["n", "k", "rho", "theta", "alpha", "s_max", "rtol", "tol", "out"])
-    payload = _classify_payload(cfg)
     _write_json(payload, cfg["out"])
     return 0
 
 
 def cmd_portrait(args):
-    cfg = _resolve(
-        args, ["n", "k", "rho", "theta", "s_max", "rtol", "tol", "grid", "orbits", "out"]
-    )
+    cfg = _resolve(args)
     p = _params(cfg)
     controls = _controls(cfg)
-    alphas = [float(a) for a in str(cfg["orbits"]).split(",") if a]
-    n_grid = int(cfg["grid"])
+    tol = _number(cfg["tol"], "tol")
+    alphas = _numbers(cfg, "orbits")
+    n_grid = _number(cfg["grid"], "grid", int)
 
     orbits = []
     z_hi = 0.0
     for a in alphas:
-        sol, trace, _oc = orbit_mod.run_orbit(p, a, controls)
+        _sol, trace, _oc = orbit_mod.run_orbit(p, a, controls, tol)
         orbits.append((a, trace))
         finite = trace.Z[np.isfinite(trace.Z)]
         z_hi = max(z_hi, float(np.percentile(finite, 97.0)))
     z_hi = min(max(z_hi, 1.0), 10.0 * (p.Z_B or z_hi or 1.0)) if p.Z_B else max(z_hi, 1.0)
 
-    fh, writer = _open_csv(cfg["out"])
-    try:
+    with _csv_writer(cfg["out"]) as writer:
         writer.writerow(["record", "label", "s", "X", "Z", "dX", "dZ"])
         xs = np.linspace(0.0, p.x_cap, n_grid)
         zs = np.linspace(0.0, z_hi, n_grid)
         for X in xs:
             for Z in zs:
-                F, G = phase.system_rhs((X, Z), p)
-                writer.writerow(["field", "", "", f"{X:.12g}", f"{Z:.12g}", f"{F:.12g}", f"{G:.12g}"])
+                try:
+                    F, G = phase.system_rhs((X, Z), p)
+                    dX, dZ = f"{F:.12g}", f"{G:.12g}"
+                except DomainError:
+                    # the field is undefined at X = x_cap = X_A, Z > 0 (rho > 2 theta)
+                    dX = dZ = ""
+                writer.writerow(["field", "", "", f"{X:.12g}", f"{Z:.12g}", dX, dZ])
         # X_s = 0 nullcline: Z = (n-2k)(1 - x/x_A) X / f(x) where positive
         X = np.linspace(1e-9, p.x_cap * 0.999, 400)
         x = phase.kth_root(X, p.k)
@@ -234,26 +263,22 @@ def cmd_portrait(args):
                 writer.writerow(
                     ["orbit", f"alpha={a:g}", f"{s:.12g}", f"{X:.12g}", f"{Z:.12g}", "", ""]
                 )
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
 def cmd_profile(args):
-    cfg = _resolve(args, ["n", "k", "rho", "theta", "alpha", "rtol", "tol", "out", "profile_s_max"])
-    cfg["s_max"] = cfg["profile_s_max"]
+    cfg = _resolve(args, dict(DEFAULTS, s_max=30.0))
     p = _params(cfg)
-    controls = _controls(cfg)
-    sol, trace, oc = orbit_mod.run_orbit(p, float(cfg["alpha"]), controls, float(cfg["tol"]))
+    sol, trace, oc = orbit_mod.run_orbit(
+        p, _number(cfg["alpha"], "alpha"), _controls(cfg), _number(cfg["tol"], "tol")
+    )
     table = profile.reconstruct_u(trace, p)
     lam1, lam2 = sigma.schouten_pair(table.u, table.u_r, table.u_rr, table.r, p.n, p.k)
     sig, cond = sigma.split_sigma_l(lam1, lam2, p.n, p.k)
     # keep rows where sigma_k is a well-conditioned combination of the
     # eigenvalues (it cancels to O(Z) on axis-bound tails)
     keep = cond < 1e6
-    fh, writer = _open_csv(cfg["out"])
-    try:
+    with _csv_writer(cfg["out"]) as writer:
         writer.writerow(["r", "u", "u_r", "u_rr", "lambda1", "lambda2", "sigma_k"])
         for i in np.nonzero(keep)[0]:
             writer.writerow(
@@ -267,9 +292,6 @@ def cmd_profile(args):
                     f"{sig[i]:.16g}",
                 ]
             )
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     res = profile.elliptic_residual(table, p)
     sidecar = {
         "config": {k: cfg[k] for k in ("n", "k", "rho", "theta", "alpha")},
@@ -285,11 +307,11 @@ def cmd_profile(args):
     return 0
 
 
-def _verify_checks(cfg):
+def cmd_verify(args):
+    cfg = _resolve(args)
     p = _params(cfg)
-    controls = _controls(cfg)
-    tol = float(cfg["tol"])
-    alpha = float(cfg["alpha"])
+    tol = _number(cfg["tol"], "tol")
+    alpha = _number(cfg["alpha"], "alpha")
     checks = {}
 
     def record(name, value, threshold, ok=None):
@@ -357,7 +379,7 @@ def _verify_checks(cfg):
     record("zs_sign_structure", abs(g_at_b), 1e-12, ok=sign_ok and abs(g_at_b) < 1e-12)
 
     # local solution certificate
-    sol, trace, oc = orbit_mod.run_orbit(p, alpha, controls, tol)
+    sol, trace, oc, table, rate, _rate_error = _analyse(p, alpha, cfg)
     record("picard_residual", sol.sup_residual, tol)
     record("picard_rate", sol.contraction_rate, 0.9)
     ak = picard.alpha_weight(alpha, p)
@@ -378,8 +400,7 @@ def _verify_checks(cfg):
     for name, count in mon.items():
         record(f"monitor_{name}", float(count), 0.0, ok=count == 0)
 
-    if oc.kind not in (orbit_mod.NON_ADMISSIBLE, orbit_mod.UNDETERMINED):
-        table = profile.reconstruct_u(trace, p)
+    if table is not None:
         x_back = (-table.r * table.u_r / table.u) ** p.k
         z_back = (table.r**2 * table.u ** (1.0 - p.m)) ** p.k
         rt = max(
@@ -394,22 +415,12 @@ def _verify_checks(cfg):
         org = profile.origin_expansion_check(table, table.alpha, p)
         record("origin_expansion_slope", org.rel_err, 1e-2)
         record("origin_zx_ratio", org.zx_ratio_err, 1e-5)
-        try:
-            rr = profile.tail_rate(table, p, oc)
-            if rr.agreement is not None:
-                record("tail_rate_agreement", rr.agreement, 0.02)
-        except KsolError:
-            pass
+        if rate is not None and rate.agreement is not None:
+            record("tail_rate_agreement", rate.agreement, 0.02)
     if p.rho > 2.0 * p.theta and p.n >= 2 * p.k:
-        rep = orbit_mod.barrier_compare(p, alpha, float(cfg["alpha_bar"]), controls)
+        rep = orbit_mod.barrier_compare(p, alpha, _number(cfg["alpha_bar"], "alpha_bar"), _controls(cfg))
         record("barrier_ordering", -rep.min_gap, 0.0, ok=rep.ordered)
         record("barrier_f_gt_h", -rep.f_minus_h_min, 0.0, ok=rep.f_gt_h)
-    return p, checks
-
-
-def cmd_verify(args):
-    cfg = _resolve(args, ["n", "k", "rho", "theta", "alpha", "alpha_bar", "s_max", "rtol", "tol", "out"])
-    p, checks = _verify_checks(cfg)
     all_pass = all(c["pass"] for c in checks.values())
     payload = {
         "config": {k: cfg[k] for k in ("n", "k", "rho", "theta", "alpha")},
@@ -424,18 +435,14 @@ def _sweep_row(idx, rho, alpha, base):
     row = {"idx": idx, "rho": rho, "alpha": alpha}
     try:
         p = _params(dict(base, rho=rho))
-        sol, trace, oc = orbit_mod.run_orbit(p, alpha, _controls(base), float(base["tol"]))
+        _sol, trace, oc, _table, rate, rate_error = _analyse(p, alpha, base)
         row.update(
             {"class": oc.kind, "s_end": float(trace.s[-1]), "X_inf": oc.X_inf, "status": "ok"}
         )
-        if oc.kind not in (orbit_mod.NON_ADMISSIBLE, orbit_mod.UNDETERMINED):
-            table = profile.reconstruct_u(trace, p)
-            try:
-                rr = profile.tail_rate(table, p, oc)
-                row["exponent"] = rr.fitted_exponent
-                row["log_power"] = rr.log_correction_power
-            except KsolError as exc:
-                row["error"] = str(exc)
+        row["error"] = rate_error
+        if rate is not None:
+            row["exponent"] = rate.fitted_exponent
+            row["log_power"] = rate.log_correction_power
     except KsolError as exc:
         row["status"] = "error"
         row["error"] = str(exc)
@@ -443,33 +450,19 @@ def _sweep_row(idx, rho, alpha, base):
 
 
 def cmd_sweep(args):
-    cfg = _resolve(
-        args,
-        ["n", "k", "theta", "rhos", "alphas", "s_max", "rtol", "tol", "jobs", "out"],
-    )
+    cfg = _resolve(args, dict(DEFAULTS, jobs=os.environ.get("KSOL_JOBS", "1")))
     _require(cfg, "n", "k", "theta", "rhos")
-    rhos = [float(v) for v in str(cfg["rhos"]).split(",") if v]
-    alphas = [float(v) for v in str(cfg["alphas"]).split(",") if v]
-    jobs = cfg["jobs"]
-    if jobs is None:
-        jobs = os.environ.get("KSOL_JOBS", "1")
-    jobs = max(1, int(jobs))
+    rhos = _numbers(cfg, "rhos")
+    alphas = _numbers(cfg, "alphas")
+    jobs = max(1, _number(cfg["jobs"], "jobs", int))
     grid = [(i, r, a) for i, (r, a) in enumerate((r, a) for r in rhos for a in alphas)]
-    if jobs == 1:
-        rows = [_sweep_row(i, r, a, cfg) for i, r, a in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda t: _sweep_row(t[0], t[1], t[2], cfg), grid))
-    rows.sort(key=lambda r: r["idx"])
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        rows = list(pool.map(lambda t: _sweep_row(*t, cfg), grid))
     cols = ["idx", "rho", "alpha", "class", "s_end", "X_inf", "exponent", "log_power", "status", "error"]
-    fh, writer = _open_csv(cfg["out"])
-    try:
+    with _csv_writer(cfg["out"]) as writer:
         writer.writerow(cols)
         for row in rows:
             writer.writerow(["" if row.get(c) is None else row.get(c) for c in cols])
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
@@ -508,7 +501,6 @@ def build_parser():
     _add_common(sp)
     sp.add_argument("--rho", type=float)
     sp.add_argument("--alpha", type=float)
-    sp.add_argument("--profile-s-max", dest="profile_s_max", type=float)
     sp.set_defaults(func=cmd_profile)
 
     sp = sub.add_parser("verify", help="run the invariant suite; exit 1 on any failure")

@@ -324,7 +324,6 @@ class LocalSolution:
     u0: float | None
     chart: str = "XZ"
     retries: int = 0
-    first_sweep_change: float = 0.0
 
     def state_at_s0(self, p):
         """Unweighted (X, Z) at the right endpoint, the hand-off to the
@@ -344,7 +343,6 @@ def _picard(alpha, p, tol, prof, n_points):
         cur = seed
         prev_change = None
         rate_max = 0.0
-        first_change = 0.0
         failed = False
         sweeps = 0
         for i in range(MAX_SWEEPS):
@@ -358,8 +356,6 @@ def _picard(alpha, p, tol, prof, n_points):
                     np.max(np.abs(nxt.Z_samples - cur.Z_samples)),
                 )
             )
-            if i == 0:
-                first_change = change
             if prev_change is not None and prev_change > 0.0:
                 rate = change / prev_change
                 rate_max = max(rate_max, rate)
@@ -406,7 +402,6 @@ def _picard(alpha, p, tol, prof, n_points):
         u0=u0,
         chart="XZ" if prof == PROF_F else "WV",
         retries=retries,
-        first_sweep_change=first_change,
     )
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -110,6 +111,7 @@ class TestPortrait:
         rows = list(csv.DictReader(out.open()))
         kinds = {r["record"] for r in rows}
         assert {"field", "nullcline_X", "nullcline_Z", "critical", "orbit"} <= kinds
+        assert all(r["dX"] and r["dZ"] for r in rows if r["record"] == "field")
         # the Z_s = 0 nullcline is the vertical line X = X_B plus the axis
         p = phase.make_params(4, 1, 1.0, 1.0)
         vert = [r for r in rows if r["record"] == "nullcline_Z" and r["label"] == "X=X_B"]
@@ -130,6 +132,23 @@ class TestPortrait:
                 continue
             X, Z = float(r["X"]), float(r["Z"])
             assert not phase.in_admissible_region((X, Z), p)
+
+    @pytest.mark.parametrize("n,k,rho", [(4, 1, 5.0), (3, 2, 3.0)])
+    def test_field_cells_at_X_A_are_empty(self, tmp_path, n, k, rho):
+        # for rho > 2 theta the grid's last column is X = x_cap = X_A, where
+        # the field is undefined for Z > 0
+        out = tmp_path / "port.csv"
+        code = run_cli(["portrait", "--n", str(n), "--k", str(k), "--rho", str(rho),
+                        "--theta", "1", "--grid", "9", "--orbits", "1.0", "--out", str(out)])
+        assert code == 0
+        p = phase.make_params(n, k, rho, 1.0)
+        field = [r for r in csv.DictReader(out.open()) if r["record"] == "field"]
+        assert len(field) == 81
+        empty = [r for r in field if not r["dX"]]
+        assert len(empty) == 8
+        for r in empty:
+            assert r["dZ"] == "" and float(r["Z"]) > 0.0
+            assert float(r["X"]) == pytest.approx(p.X_A)
 
 
 class TestVerify:
@@ -194,6 +213,21 @@ class TestSweep:
         assert len(list(csv.DictReader(out.open()))) == 2
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("case", ["missing_config", "non_numeric_config", "non_numeric_list"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, case):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=four\nk=1\nrho=1.0\ntheta=1.0\n")
+        argv = {
+            "missing_config": ["classify", "--config", str(tmp_path / "absent.cfg")],
+            "non_numeric_config": ["classify", "--config", str(cfg)],
+            "non_numeric_list": ["sweep", "--n", "4", "--k", "1", "--theta", "1",
+                                 "--rhos=1", "--alphas=abc"],
+        }[case]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestConfigPrecedence:
     def test_file_then_flag(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -204,3 +238,13 @@ class TestConfigPrecedence:
         # a flag overrides the file
         run_cli(["classify", "--config", str(cfg), "--alpha", "3.0", "--out", str(out)])
         assert json.loads(out.read_text())["config"]["alpha"] == 3.0
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_profile_reads_s_max(self, tmp_path, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=4\nk=1\nrho=1.0\ntheta=1.0\n" + ("s_max=5\n" if source == "config" else ""))
+        flag = ["--s-max", "5"] if source == "flag" else []
+        out = tmp_path / "p.csv"
+        assert run_cli(["profile", "--config", str(cfg), *flag, "--out", str(out)]) == 0
+        r = [float(row["r"]) for row in csv.DictReader(out.open())]
+        assert r and max(r) <= math.exp(5.0) * (1.0 + 1e-12)
