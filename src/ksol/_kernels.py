@@ -1,15 +1,20 @@
-"""Hot numeric kernels: the adaptive embedded Runge-Kutta integrator with
-event location, and its private scalar copy of the phase-plane field.
+"""Hot numeric kernels: the adaptive integrator with event location, and
+its private scalar copy of the phase-plane field and its Jacobian.
 
 Everything here is written against a packed float64 parameter array so the
 same source compiles under numba and runs unchanged in the pure-Python
 fallback (KSOL_DISABLE_JIT=1). numba cannot call the array evaluators of
-``phase``, so ``kth_root``, ``profile_value`` and ``rhs`` repeat them for the
-integrator alone, in the same operation order.
+``phase``, so ``kth_root``, ``profile_value``, ``rhs`` and ``jac`` repeat
+them for the integrator alone, in the same operation order.
 
 Integrator: Dormand-Prince 5(4) pair, fifth-order propagation with a
-fourth-order error estimate, PI step-size control, cubic Hermite dense
-output for event bisection.
+fourth-order error estimate and PI step-size control. Once its step is
+stability-limited (h times the spectral radius of the closed-form 2x2
+Jacobian above STIFF_HRHO on STIFF_SPAN consecutive accepted steps) the
+rest of the run takes RODAS4 steps: linearly implicit, L-stable, order 4
+with an embedded order-3 estimate, its stage systems solved in closed
+form. Both feed a cubic Hermite dense output on which every event,
+the terminal asymptote included, is located by bisection.
 """
 
 import numpy as np
@@ -63,6 +68,11 @@ Z_FLOOR_REL = 1e-26
 CONV_RHS = 1e-9
 CONV_SPAN = 2.0
 EV_CAP = 512  # logged events kept; later ones are only counted
+# stiffness switch: DOPRI5's real stability boundary is h |lambda| ~ 3.3, so
+# h rho(J) > STIFF_HRHO on STIFF_SPAN consecutive accepted steps marks a
+# step held by stability, not accuracy; RODAS4 then takes the rest of the run
+STIFF_HRHO = 1.0
+STIFF_SPAN = 15
 
 
 def pack_params(p):
@@ -90,15 +100,21 @@ def kth_root(value, k):
 
 
 @njit
-def profile_value(x, pp, prof):
-    """f(x) for prof=0, h(x) for prof=1, at x = X^(1/k)."""
-    k = int(pp[PP_K])
+def _profile_ratio(x, pp, prof):
+    """(q, g): q = 1 - x/x_A and g the profile's numerator over q."""
     q = 1.0 - x / pp[PP_XA_ROOT]
     if prof == PROF_H:
         num = pp[PP_NU] + x
     else:
         num = pp[PP_GAMMA] - x
-    base = num / q
+    return q, num / q
+
+
+@njit
+def profile_value(x, pp, prof):
+    """f(x) for prof=0, h(x) for prof=1, at x = X^(1/k)."""
+    k = int(pp[PP_K])
+    q, base = _profile_ratio(x, pp, prof)
     r = 1.0
     for _ in range(k):
         r *= base
@@ -114,6 +130,39 @@ def rhs(X, Z, pp, prof):
     F = -(n - 2.0 * k) * (1.0 - x / pp[PP_XA_ROOT]) * X + Z * profile_value(x, pp, prof)
     G = 2.0 * k * Z * (1.0 - x / pp[PP_XB_ROOT])
     return F, G
+
+
+@njit
+def jac(X, Z, pp, prof):
+    """Jacobian of ``rhs`` at X > 0 as (dF/dX, dF/dZ, dG/dX, dG/dZ), by the
+    formulas of ``phase.jacobian`` with either profile; X^((1-k)/k) is x/X."""
+    n = pp[PP_N]
+    k = int(pp[PP_K])
+    m = (n - 2.0 * k) / (n + 2.0 * k)
+    x = kth_root(X, k)
+    q, g = _profile_ratio(x, pp, prof)
+    g_km1 = 1.0
+    for _ in range(k - 1):
+        g_km1 *= g
+    sign = 1.0 if prof == PROF_F else -1.0
+    slope = pp[PP_CB] * k * g_km1 * (((k - 1) / (n + 2.0 * k)) * g - sign)
+    xpow = x / X if k > 1 else 1.0
+    dFdX = (2.0 * k - n) + m * (k + 1) * x + Z * (slope * xpow / k)
+    dFdZ = pp[PP_CB] * q * (g_km1 * g)  # profile_value, same product order
+    dGdX = -(1.0 - m) * Z * xpow
+    dGdZ = 2.0 * k - (1.0 - m) * k * x
+    return dFdX, dFdZ, dGdX, dGdZ
+
+
+@njit
+def _spectral_radius(a, b, c, d):
+    """Largest eigenvalue modulus of [[a, b], [c, d]] from trace and determinant."""
+    t = a + d
+    det = a * d - b * c
+    disc = t * t - 4.0 * det
+    if disc >= 0.0:
+        return 0.5 * (abs(t) + np.sqrt(disc))
+    return np.sqrt(det)
 
 
 # Dormand-Prince 5(4) tableau
@@ -172,6 +221,97 @@ def _dopri_step(X, Z, h, fX, fZ, pp, prof):
     errX = h * (_E1 * fX + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x + _E7 * k7x)
     errZ = h * (_E1 * fZ + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z + _E7 * k7z)
     return X1, Z1, errX, errZ, k7x, k7z
+
+
+# RODAS4 (Hairer & Wanner, rodas.f METH=1), in the transformed form whose
+# stages u_i solve (I/(gamma h) - J) u_i = f(y + sum a_ij u_j) + sum c_ij u_j / h;
+# y + sum a_5j u_j + u5 is the order-3 solution and u6 its error
+_RGAMMA = 0.25
+_RA21 = 1.544
+_RA31, _RA32 = 0.9466785280815826, 0.2557011698983284
+_RA41, _RA42, _RA43 = 3.314825187068521, 2.896124015972201, 0.9986419139977817
+_RA51, _RA52, _RA53, _RA54 = (
+    1.221224509226641,
+    6.019134481288629,
+    12.53708332932087,
+    -0.6878860361058950,
+)
+_RC21 = -5.6688
+_RC31, _RC32 = -2.430093356833875, -0.2063599157091915
+_RC41, _RC42, _RC43 = -0.1073529058151375, -9.594562251023355, -20.47028614809616
+_RC51, _RC52, _RC53, _RC54 = (
+    7.496443313967647,
+    -10.24680431464352,
+    -33.99990352819905,
+    11.70890893206160,
+)
+_RC61, _RC62, _RC63, _RC64, _RC65 = (
+    8.083246795921522,
+    -7.981132988064893,
+    -31.52159432874371,
+    16.31930543123136,
+    -6.058818238834054,
+)
+
+
+@njit
+def _solve2(E, rx, rz):
+    """Cramer's rule for E u = r, with E = (e11, e12, e21, e22, det)."""
+    e11, e12, e21, e22, det = E
+    return (e22 * rx - e12 * rz) / det, (e11 * rz - e21 * rx) / det
+
+
+@njit
+def _rodas_step(X, Z, h, fX, fZ, pp, prof):
+    """One RODAS4 step from (X, Z) with derivative (fX, fZ) already known.
+
+    One Jacobian per step; each stage's 2x2 system is solved by Cramer's
+    rule. Returns (X1, Z1, errX, errZ, fX1, fZ1) like ``_dopri_step``; the
+    last pair is one extra rhs call at the step end.
+    """
+    a, b, c, d = jac(X, Z, pp, prof)
+    diag = 1.0 / (_RGAMMA * h)
+    E = (diag - a, -b, -c, diag - d, (diag - a) * (diag - d) - b * c)
+
+    u1x, u1z = _solve2(E, fX, fZ)
+
+    gx, gz = rhs(X + _RA21 * u1x, Z + _RA21 * u1z, pp, prof)
+    u2x, u2z = _solve2(E, gx + _RC21 * u1x / h, gz + _RC21 * u1z / h)
+
+    gx, gz = rhs(X + _RA31 * u1x + _RA32 * u2x, Z + _RA31 * u1z + _RA32 * u2z, pp, prof)
+    rx = gx + (_RC31 * u1x + _RC32 * u2x) / h
+    rz = gz + (_RC31 * u1z + _RC32 * u2z) / h
+    u3x, u3z = _solve2(E, rx, rz)
+
+    gx, gz = rhs(
+        X + _RA41 * u1x + _RA42 * u2x + _RA43 * u3x,
+        Z + _RA41 * u1z + _RA42 * u2z + _RA43 * u3z,
+        pp,
+        prof,
+    )
+    rx = gx + (_RC41 * u1x + _RC42 * u2x + _RC43 * u3x) / h
+    rz = gz + (_RC41 * u1z + _RC42 * u2z + _RC43 * u3z) / h
+    u4x, u4z = _solve2(E, rx, rz)
+
+    y5x = X + _RA51 * u1x + _RA52 * u2x + _RA53 * u3x + _RA54 * u4x
+    y5z = Z + _RA51 * u1z + _RA52 * u2z + _RA53 * u3z + _RA54 * u4z
+    gx, gz = rhs(y5x, y5z, pp, prof)
+    rx = gx + (_RC51 * u1x + _RC52 * u2x + _RC53 * u3x + _RC54 * u4x) / h
+    rz = gz + (_RC51 * u1z + _RC52 * u2z + _RC53 * u3z + _RC54 * u4z) / h
+    u5x, u5z = _solve2(E, rx, rz)
+
+    # embedded order-3 solution; its correction u6 gives the order-4 one
+    y6x = y5x + u5x
+    y6z = y5z + u5z
+    gx, gz = rhs(y6x, y6z, pp, prof)
+    rx = gx + (_RC61 * u1x + _RC62 * u2x + _RC63 * u3x + _RC64 * u4x + _RC65 * u5x) / h
+    rz = gz + (_RC61 * u1z + _RC62 * u2z + _RC63 * u3z + _RC64 * u4z + _RC65 * u5z) / h
+    u6x, u6z = _solve2(E, rx, rz)
+
+    X1 = y6x + u6x
+    Z1 = y6z + u6z
+    fX1, fZ1 = rhs(X1, Z1, pp, prof)
+    return X1, Z1, u6x, u6z, fX1, fZ1
 
 
 @njit
@@ -248,8 +388,11 @@ def integrate_core(
 ):
     """Adaptive integration of the phase-plane field with event detection.
 
-    Returns (s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status); the event
-    arrays keep the first EV_CAP of the n_ev events that fired.
+    Returns (s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status, n_acc,
+    n_rej, n_rhs, h_min, stiff_from_s): the event arrays keep the first
+    EV_CAP of the n_ev events that fired; then the accepted and rejected
+    steps, the rhs evaluations, the shortest accepted step and the s where
+    RODAS4 took over (NaN if it never did).
     """
     s_out = np.empty(max_samples)
     x_out = np.empty(max_samples)
@@ -275,6 +418,13 @@ def integrate_core(
     z_peak = Z
     conv_since = np.inf
     status = ST_SMAX
+    stiff = False
+    n_limited = 0  # consecutive accepted DOPRI steps with h rho(J) > STIFF_HRHO
+    stiff_from_s = np.nan
+    n_acc = 0
+    n_rej = 0
+    n_rhs = 1
+    h_min = np.nan
 
     while s < s_max:
         if h > s_max - s:
@@ -292,7 +442,11 @@ def integrate_core(
             status = ST_STEP_FLOOR
             break
 
-        X1, Z1, errX, errZ, fX1, fZ1 = _dopri_step(X, Z, h, fX, fZ, pp, prof)
+        if stiff:
+            X1, Z1, errX, errZ, fX1, fZ1 = _rodas_step(X, Z, h, fX, fZ, pp, prof)
+        else:
+            X1, Z1, errX, errZ, fX1, fZ1 = _dopri_step(X, Z, h, fX, fZ, pp, prof)
+        n_rhs += 6
 
         # a vanishing scale only happens for an identically-zero component
         # (the invariant Z = 0 axis), which then carries no error
@@ -303,16 +457,23 @@ def integrate_core(
         err = np.sqrt(0.5 * (ex * ex + ez * ez))
         bad_state = (X1 < 0.0) or (Z1 < 0.0) or (not np.isfinite(X1)) or (not np.isfinite(Z1))
         if err > 1.0 or bad_state:
-            fac = 0.2 if bad_state else max(0.2, 0.9 * err**-0.2)
+            n_rej += 1
+            if bad_state:
+                fac = 0.2
+            else:
+                fac = max(0.2, 0.9 * err ** (-0.25 if stiff else -0.2))
             h *= fac
             continue
 
-        # accepted; PI controller for the next step (an exact step, err = 0,
-        # takes the largest growth the clip allows)
+        # accepted; PI controller for DOPRI, I controller for RODAS4 (an
+        # exact step, err = 0, takes the largest growth the clip allows)
+        n_acc += 1
+        if n_acc == 1 or h < h_min:
+            h_min = h
         if err == 0.0:
             fac = 5.0
         else:
-            fac = 0.9 * err**-0.14 * err_prev**0.08
+            fac = 0.9 * err**-0.25 if stiff else 0.9 * err**-0.14 * err_prev**0.08
             if fac > 5.0:
                 fac = 5.0
             if fac < 0.2:
@@ -341,15 +502,18 @@ def integrate_core(
         if code != 0:
             # clip the state to the event point on the Hermite interpolant:
             # the event's own coordinate to its level, the other interpolated
-            # (the asymptote stops at the step end)
-            if code != EV_ASYMPTOTE:
-                th = _bisect_event(code, h, X, Z, fX, fZ, X1, Z1, fX1, fZ1, pp, asym_tol, x_cap)
-                s1 = s + th * h
-                if code == EV_BLOWUP:
-                    X1, Z1 = _hermite(th, h, X, fX, X1, fX1), BLOWUP_Z
+            th = _bisect_event(code, h, X, Z, fX, fZ, X1, Z1, fX1, fZ1, pp, asym_tol, x_cap)
+            s1 = s + th * h
+            if code == EV_BLOWUP:
+                X1, Z1 = _hermite(th, h, X, fX, X1, fX1), BLOWUP_Z
+            else:
+                Z1 = _hermite(th, h, Z, fZ, Z1, fZ1)
+                if code == EV_CROSS_XB:
+                    X1 = pp[PP_XB]
+                elif code == EV_EXITED:
+                    X1 = x_cap
                 else:
-                    X1 = pp[PP_XB] if code == EV_CROSS_XB else x_cap
-                    Z1 = _hermite(th, h, Z, fZ, Z1, fZ1)
+                    X1 = (pp[PP_GAMMA] - asym_tol * pp[PP_GAMMA]) ** k
             n_ev = _log_event(ev_s, ev_code, n_ev, s1, code)
 
         s = s1
@@ -391,7 +555,31 @@ def integrate_core(
             status = ST_CONV_AXIS
             break
 
+        # stiffness test on the accepted DOPRI step at the new state
+        if not stiff and X > 0.0:
+            a, b, c, d = jac(X, Z, pp, prof)
+            if h * _spectral_radius(a, b, c, d) > STIFF_HRHO:
+                n_limited += 1
+                if n_limited >= STIFF_SPAN:
+                    stiff = True
+                    stiff_from_s = s
+            else:
+                n_limited = 0
+
         h = h_next
 
     n_kept = min(n_ev, EV_CAP)
-    return s_out[:m], x_out[:m], z_out[:m], ev_s[:n_kept], ev_code[:n_kept], n_ev, status
+    return (
+        s_out[:m],
+        x_out[:m],
+        z_out[:m],
+        ev_s[:n_kept],
+        ev_code[:n_kept],
+        n_ev,
+        status,
+        n_acc,
+        n_rej,
+        n_rhs,
+        h_min,
+        stiff_from_s,
+    )

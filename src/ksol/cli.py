@@ -58,14 +58,19 @@ def _read_config(path):
 def _resolve(args, defaults=DEFAULTS):
     """The subcommand's own options: flags > config file > defaults.
 
-    Config-file values stay text; _number converts them where they are used.
+    Text from the config file (or a default read from the environment) is
+    converted with the type of the flag of the same name, so a value has
+    one type wherever it came from.
     """
     file_cfg = _read_config(args.config) if args.config else {}
-    return {
-        key: flag if flag is not None else file_cfg.get(key, defaults.get(key))
-        for key, flag in vars(args).items()
-        if key not in ("command", "func", "config")
-    }
+    cfg = {}
+    for key, flag in vars(args).items():
+        if key in ("command", "func", "config", "types"):
+            continue
+        value = flag if flag is not None else file_cfg.get(key, defaults.get(key))
+        kind = args.types.get(key)
+        cfg[key] = _number(value, key, kind) if kind and isinstance(value, str) else value
+    return cfg
 
 
 def _number(text, key, kind=float):
@@ -88,25 +93,18 @@ def _require(cfg, *keys):
 
 def _params(cfg):
     _require(cfg, "n", "k", "rho", "theta")
-    return phase.make_params(
-        _number(cfg["n"], "n", int),
-        _number(cfg["k"], "k", int),
-        _number(cfg["rho"], "rho"),
-        _number(cfg["theta"], "theta"),
-    )
+    return phase.make_params(cfg["n"], cfg["k"], cfg["rho"], cfg["theta"])
 
 
 def _controls(cfg):
-    return orbit_mod.OrbitControls(
-        rtol=_number(cfg["rtol"], "rtol"), s_max=_number(cfg["s_max"], "s_max")
-    )
+    return orbit_mod.OrbitControls(rtol=cfg["rtol"], s_max=cfg["s_max"])
 
 
 def _analyse(p, alpha, cfg):
     """One run: (sol, trace, oc) and, for an admissible orbit, the profile
     table and its tail rate, or rate_error, the message of a failed fit.
     Stages are called through their modules, so a tracer can wrap them."""
-    sol, trace, oc = orbit_mod.run_orbit(p, alpha, _controls(cfg), _number(cfg["tol"], "tol"))
+    sol, trace, oc = orbit_mod.run_orbit(p, alpha, _controls(cfg), cfg["tol"])
     table = rate = rate_error = None
     if oc.kind not in (orbit_mod.NON_ADMISSIBLE, orbit_mod.UNDETERMINED):
         table = profile.reconstruct_u(trace, p)
@@ -163,7 +161,7 @@ def _derived_dict(p):
 def cmd_classify(args):
     cfg = _resolve(args)
     p = _params(cfg)
-    sol, trace, oc, table, rate, rate_error = _analyse(p, _number(cfg["alpha"], "alpha"), cfg)
+    sol, trace, oc, table, rate, rate_error = _analyse(p, cfg["alpha"], cfg)
     payload = {
         "config": {k: cfg[k] for k in ("n", "k", "rho", "theta", "alpha", "s_max", "rtol", "tol")},
         "params": _derived_dict(p),
@@ -179,6 +177,14 @@ def cmd_classify(args):
             "u0": sol.u0,
         },
         "monitors": orbit_mod.monitor_report(trace, p),
+        "solver": {
+            "accepted_steps": trace.accepted_steps,
+            "rejected_steps": trace.rejected_steps,
+            "rhs_evals": trace.rhs_evals,
+            "h_min": trace.h_min,
+            "stiff_from_s": None if math.isnan(trace.stiff_from_s) else trace.stiff_from_s,
+            "events_dropped": trace.events_dropped,
+        },
     }
     if table is not None:
         res = profile.elliptic_residual(table, p)
@@ -213,9 +219,9 @@ def cmd_portrait(args):
     cfg = _resolve(args)
     p = _params(cfg)
     controls = _controls(cfg)
-    tol = _number(cfg["tol"], "tol")
+    tol = cfg["tol"]
     alphas = _numbers(cfg, "orbits")
-    n_grid = _number(cfg["grid"], "grid", int)
+    n_grid = cfg["grid"]
 
     orbits = []
     z_hi = 0.0
@@ -269,9 +275,7 @@ def cmd_portrait(args):
 def cmd_profile(args):
     cfg = _resolve(args, dict(DEFAULTS, s_max=30.0))
     p = _params(cfg)
-    sol, trace, oc = orbit_mod.run_orbit(
-        p, _number(cfg["alpha"], "alpha"), _controls(cfg), _number(cfg["tol"], "tol")
-    )
+    sol, trace, oc = orbit_mod.run_orbit(p, cfg["alpha"], _controls(cfg), cfg["tol"])
     table = profile.reconstruct_u(trace, p)
     lam1, lam2 = sigma.schouten_pair(table.u, table.u_r, table.u_rr, table.r, p.n, p.k)
     sig, cond = sigma.split_sigma_l(lam1, lam2, p.n, p.k)
@@ -310,8 +314,8 @@ def cmd_profile(args):
 def cmd_verify(args):
     cfg = _resolve(args)
     p = _params(cfg)
-    tol = _number(cfg["tol"], "tol")
-    alpha = _number(cfg["alpha"], "alpha")
+    tol = cfg["tol"]
+    alpha = cfg["alpha"]
     checks = {}
 
     def record(name, value, threshold, ok=None):
@@ -418,7 +422,7 @@ def cmd_verify(args):
         if rate is not None and rate.agreement is not None:
             record("tail_rate_agreement", rate.agreement, 0.02)
     if p.rho > 2.0 * p.theta and p.n >= 2 * p.k:
-        rep = orbit_mod.barrier_compare(p, alpha, _number(cfg["alpha_bar"], "alpha_bar"), _controls(cfg))
+        rep = orbit_mod.barrier_compare(p, alpha, cfg["alpha_bar"], _controls(cfg))
         record("barrier_ordering", -rep.min_gap, 0.0, ok=rep.ordered)
         record("barrier_f_gt_h", -rep.f_minus_h_min, 0.0, ok=rep.f_gt_h)
     all_pass = all(c["pass"] for c in checks.values())
@@ -454,7 +458,7 @@ def cmd_sweep(args):
     _require(cfg, "n", "k", "theta", "rhos")
     rhos = _numbers(cfg, "rhos")
     alphas = _numbers(cfg, "alphas")
-    jobs = max(1, _number(cfg["jobs"], "jobs", int))
+    jobs = max(1, cfg["jobs"])
     grid = [(i, r, a) for i, (r, a) in enumerate((r, a) for r in rhos for a in alphas)]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         rows = list(pool.map(lambda t: _sweep_row(*t, cfg), grid))
@@ -516,6 +520,9 @@ def build_parser():
     sp.add_argument("--alphas", help="comma list of alpha seeds")
     sp.add_argument("--jobs", type=int)
     sp.set_defaults(func=cmd_sweep)
+    for sp in sub.choices.values():
+        # each flag's type, for _resolve to convert config-file text with
+        sp.set_defaults(types={a.dest: a.type for a in sp._actions if a.type is not None})
     return parser
 
 

@@ -63,9 +63,9 @@ class OrbitControls:
     s_max: float = 200.0
     max_step: float = 0.25
     step_floor: float = 1e-13
-    # terminal proximity to the asymptote, relative in x = X^(1/k); the
-    # transverse contraction rate grows with Z, so this cannot be pushed
-    # much further with an explicit pair (<= 0 turns asymptote handling off)
+    # terminal proximity to the asymptote, relative in x = X^(1/k), located
+    # by bisection; the transverse contraction rate grows with Z, which the
+    # stiff RODAS4 step absorbs (<= 0 turns asymptote handling off)
     asym_tol: float = 1e-5
     conv_dist: float = 1e-7
     max_samples: int = 400_000
@@ -86,7 +86,13 @@ class OrbitTrace:
     status: str
     chart: str = "XZ"
     tail_end_index: int = 0
+    # integrator counters (the Picard tail samples are not steps)
     events_dropped: int = 0  # fired beyond the kernel's event buffer
+    accepted_steps: int = 0
+    rejected_steps: int = 0
+    rhs_evals: int = 0
+    h_min: float = math.nan  # shortest accepted step
+    stiff_from_s: float = math.nan  # where RODAS4 took over; NaN if it never did
 
     @property
     def end_state(self):
@@ -130,9 +136,17 @@ def _integrate_raw(x0, z0, s0, p, controls, prof, stop_at_xb=False):
         stop_at_xb,
         controls.max_samples,
     )
-    s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status = out
+    s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status, n_acc, n_rej, n_rhs, h_min, stiff_s = out
     events = [(float(se), _EVENT_NAMES[int(ce)]) for se, ce in zip(ev_s, ev_code)]
-    return s_arr, x_arr, z_arr, events, _STATUS_NAMES[int(status)], int(n_ev) - len(events)
+    counters = {
+        "events_dropped": int(n_ev) - len(events),
+        "accepted_steps": int(n_acc),
+        "rejected_steps": int(n_rej),
+        "rhs_evals": int(n_rhs),
+        "h_min": float(h_min),
+        "stiff_from_s": float(stiff_s),
+    }
+    return s_arr, x_arr, z_arr, events, _STATUS_NAMES[int(status)], counters
 
 
 def integrate(start, p, controls=None, stop_at_xb=False):
@@ -146,7 +160,7 @@ def integrate(start, p, controls=None, stop_at_xb=False):
     prof = _kernels.PROF_F if start.chart == "XZ" else _kernels.PROF_H
     x0, z0 = start.state_at_s0(p)
     s0 = start.tail.s0
-    s_arr, x_arr, z_arr, events, status, dropped = _integrate_raw(
+    s_arr, x_arr, z_arr, events, status, counters = _integrate_raw(
         x0, z0, s0, p, controls, prof, stop_at_xb
     )
     tx, tz = start.tail.unweighted(p.k)
@@ -155,7 +169,7 @@ def integrate(start, p, controls=None, stop_at_xb=False):
     x_arr = np.concatenate([tx[keep], x_arr])
     z_arr = np.concatenate([tz[keep], z_arr])
     tail_end = int(np.sum(keep))
-    return OrbitTrace(s_arr, x_arr, z_arr, events, status, start.chart, tail_end, dropped)
+    return OrbitTrace(s_arr, x_arr, z_arr, events, status, start.chart, tail_end, **counters)
 
 
 def _tail_window(trace, frac=0.25):
@@ -309,6 +323,9 @@ def log_z_identity_check(trace, p, base_tol=1e-7):
     return [(float(s[i + 1]), float(d[i] - g[i + 1])) for i in bad]
 
 
+SELF_X_BLOCK = 256  # segment rows per block of the self-intersection count
+
+
 def _arc_decimate(x, z, n_keep):
     """Indices spaced uniformly in polyline arc length (loop-preserving)."""
     dx = np.diff(x)
@@ -348,16 +365,29 @@ def self_intersection_check(trace, p=None, n_keep=4000):
     px, pz = x[idx], z[idx]
     ax, az = px[:-1], pz[:-1]
     bx, bz = px[1:], pz[1:]
+    x_lo, x_hi = np.minimum(ax, bx), np.maximum(ax, bx)
+    z_lo, z_hi = np.minimum(az, bz), np.maximum(az, bz)
     n = ax.size
     crossings = 0
-    for i in range(n - 2):
-        j0 = i + 2
-        cx, cz = ax[j0:], az[j0:]
-        dxx, dzz = bx[j0:], bz[j0:]
-        o1 = (bx[i] - ax[i]) * (cz - az[i]) - (bz[i] - az[i]) * (cx - ax[i])
-        o2 = (bx[i] - ax[i]) * (dzz - az[i]) - (bz[i] - az[i]) * (dxx - ax[i])
-        o3 = (dxx - cx) * (az[i] - cz) - (dzz - cz) * (ax[i] - cx)
-        o4 = (dxx - cx) * (bz[i] - cz) - (dzz - cz) * (bx[i] - cx)
+    # segment i against every later segment j >= i + 2, SELF_X_BLOCK rows at
+    # a time; a proper crossing needs overlapping bounding boxes, so only
+    # those pairs get the four orientation products
+    for i0 in range(0, n - 2, SELF_X_BLOCK):
+        r = np.arange(i0, min(i0 + SELF_X_BLOCK, n - 2))[:, None]
+        c = np.arange(i0 + 2, n)
+        near = (
+            (c >= r + 2)
+            & (x_lo[c] <= x_hi[r])
+            & (x_hi[c] >= x_lo[r])
+            & (z_lo[c] <= z_hi[r])
+            & (z_hi[c] >= z_lo[r])
+        )
+        i, j = np.nonzero(near)
+        i, j = i + i0, j + i0 + 2
+        o1 = (bx[i] - ax[i]) * (az[j] - az[i]) - (bz[i] - az[i]) * (ax[j] - ax[i])
+        o2 = (bx[i] - ax[i]) * (bz[j] - az[i]) - (bz[i] - az[i]) * (bx[j] - ax[i])
+        o3 = (bx[j] - ax[j]) * (az[i] - az[j]) - (bz[j] - az[j]) * (ax[i] - ax[j])
+        o4 = (bx[j] - ax[j]) * (bz[i] - az[j]) - (bz[j] - az[j]) * (bx[i] - ax[j])
         crossings += int(np.count_nonzero((o1 * o2 < 0.0) & (o3 * o4 < 0.0)))
     return crossings
 

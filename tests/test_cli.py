@@ -214,15 +214,21 @@ class TestSweep:
 
 
 class TestUsageErrors:
-    @pytest.mark.parametrize("case", ["missing_config", "non_numeric_config", "non_numeric_list"])
+    @pytest.mark.parametrize(
+        "case", ["missing_config", "non_numeric_config", "non_numeric_list", "sweep_shared_config"]
+    )
     def test_malformed_input_exits_2(self, tmp_path, capsys, case):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=four\nk=1\nrho=1.0\ntheta=1.0\n")
+        shared = tmp_path / "sweep.cfg"
+        shared.write_text("n=4\nk=1\ntheta=1.0\ntol=x\n")
         argv = {
             "missing_config": ["classify", "--config", str(tmp_path / "absent.cfg")],
             "non_numeric_config": ["classify", "--config", str(cfg)],
             "non_numeric_list": ["sweep", "--n", "4", "--k", "1", "--theta", "1",
                                  "--rhos=1", "--alphas=abc"],
+            # a value every row shares fails the command, not each row
+            "sweep_shared_config": ["sweep", "--config", str(shared), "--rhos=1,5"],
         }[case]
         assert run_cli(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -234,7 +240,7 @@ class TestConfigPrecedence:
         cfg.write_text("n=4\nk=1\nrho=1.0\ntheta=1.0\nalpha=2.0\n")
         out = tmp_path / "r.json"
         run_cli(["classify", "--config", str(cfg), "--out", str(out)])
-        assert json.loads(out.read_text())["config"]["alpha"] == "2.0"
+        assert json.loads(out.read_text())["config"]["alpha"] == 2.0
         # a flag overrides the file
         run_cli(["classify", "--config", str(cfg), "--alpha", "3.0", "--out", str(out)])
         assert json.loads(out.read_text())["config"]["alpha"] == 3.0

@@ -10,17 +10,17 @@ import math
 import numpy as np
 import pytest
 
-from ksol import orbit, phase, picard
+from ksol import _kernels, orbit, phase, picard
 from ksol.errors import NotApplicableError
 
 RNG = np.random.default_rng(11)
 
 
 def integrate_state(x0, z0, s0, p, controls, stop_at_xb=False):
-    s, X, Z, events, status, dropped = orbit._integrate_raw(
+    s, X, Z, events, status, counters = orbit._integrate_raw(
         x0, z0, s0, p, controls, 0, stop_at_xb
     )
-    return orbit.OrbitTrace(s, X, Z, events, status, events_dropped=dropped)
+    return orbit.OrbitTrace(s, X, Z, events, status, **counters)
 
 
 class TestIntegratorOracles:
@@ -94,12 +94,19 @@ class TestIntegratorEdges:
         oc = orbit.classify_orbit(tr, p)
         assert oc.kind == orbit.GENERALIZED_B
 
-    def test_dropped_events_are_counted(self, run):
-        # circling B for a long s-range fires more X_B crossings than the
-        # event buffer keeps; the excess is counted, not lost silently
-        _p, _sol, tr, _oc = run(12, 1, 1.0, s_max=2000.0, conv_dist=0.0)
-        assert len(tr.events) == 512
-        assert tr.events_dropped == 2111
+    def test_dropped_events_are_counted(self):
+        # events past the buffer are counted, not lost silently; no orbit
+        # crosses X_B often enough to fill it (B damps every spiral within
+        # ~20 crossings), so the kernel's logger is driven directly
+        cap = _kernels.EV_CAP
+        ev_s = np.empty(cap)
+        ev_code = np.zeros(cap, dtype=np.int64)
+        n_ev = 0
+        for i in range(cap + 100):
+            n_ev = _kernels._log_event(ev_s, ev_code, n_ev, float(i), _kernels.EV_CROSS_XB)
+        assert n_ev == cap + 100
+        np.testing.assert_array_equal(ev_s, np.arange(cap))
+        np.testing.assert_array_equal(ev_code, _kernels.EV_CROSS_XB)
 
 
 class TestEventsPerRegime:

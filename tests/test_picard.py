@@ -218,7 +218,7 @@ class TestPicardSolve:
         X, Z = tail.unweighted(p.k)
         j = int(np.searchsorted(tail.grid, tail.s0 - 2.0))
         ctl = orbit.OrbitControls(s_max=tail.s0 + 3.0)
-        s_arr, x_arr, z_arr, _ev, _st, _dropped = orbit._integrate_raw(
+        s_arr, x_arr, z_arr, _ev, _st, _counters = orbit._integrate_raw(
             X[j], Z[j], tail.grid[j], p, ctl, 0
         )
         # cubic Hermite interpolation of the integrator output (linear
