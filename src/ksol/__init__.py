@@ -13,7 +13,7 @@ from .errors import (
 )
 from .phase import PhaseState, SolitonParams, make_params
 from .picard import LocalSolution, picard_solve, picard_solve_at_A
-from .orbit import OrbitControls, OrbitTrace, classify_orbit, integrate, run_orbit
+from .orbit import OrbitControls, OrbitTrace, classify_orbit, integrate, run_orbit, run_orbits
 from .profile import ProfileTable, reconstruct_u, tail_rate
 
 __version__ = "0.1.0"
@@ -37,5 +37,6 @@ __all__ = [
     "picard_solve_at_A",
     "reconstruct_u",
     "run_orbit",
+    "run_orbits",
     "tail_rate",
 ]

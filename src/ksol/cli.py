@@ -3,10 +3,16 @@
 Subcommands: classify, portrait, profile, verify, sweep. Reports are JSON
 (UTF-8, sorted keys), bulk numeric tables are CSV (comma separated, '.'
 decimal, header row, LF endings). Exit codes: 0 success, 1 verification
-failure, 2 usage or parameter error.
+failure (only ``verify``), 2 usage or parameter error, or a stage that
+reports it cannot proceed, 3 internal error (any other exception; stderr
+names the command and the exception).
 
 Option precedence: command-line flags > config file (flat key=value lines)
 > built-in defaults. KSOL_JOBS sets the default for --jobs.
+
+A sweep groups its rows by rho: the alphas of one rho share one
+continuation (see orbit.run_orbits), and the --jobs threads run over the
+rho values.
 """
 
 import argparse
@@ -100,19 +106,37 @@ def _controls(cfg):
     return orbit_mod.OrbitControls(rtol=cfg["rtol"], s_max=cfg["s_max"])
 
 
-def _analyse(p, alpha, cfg):
-    """One run: (sol, trace, oc) and, for an admissible orbit, the profile
-    table and its tail rate, or rate_error, the message of a failed fit.
-    Stages are called through their modules, so a tracer can wrap them."""
-    sol, trace, oc = orbit_mod.run_orbit(p, alpha, _controls(cfg), cfg["tol"])
-    table = rate = rate_error = None
-    if oc.kind not in (orbit_mod.NON_ADMISSIBLE, orbit_mod.UNDETERMINED):
-        table = profile.reconstruct_u(trace, p)
-        try:
-            rate = profile.tail_rate(table, p, oc)
-        except KsolError as exc:
-            rate_error = str(exc)
-    return sol, trace, oc, table, rate, rate_error
+def _analyse(p, alphas, cfg):
+    """One run per alpha, the alphas sharing one continuation. Yields in
+    order (sol, trace, oc, table, rate, rate_error), with the profile table
+    and its tail rate for an admissible orbit (rate_error is the message of
+    a failed fit), or the KsolError that ended that alpha's run. Stages are
+    called through their modules, so a tracer can wrap them."""
+    for run in orbit_mod.run_orbits(p, alphas, _controls(cfg), cfg["tol"]):
+        if isinstance(run, KsolError):
+            yield run
+            continue
+        sol, trace, oc = run
+        table = rate = rate_error = None
+        if oc.kind not in (orbit_mod.NON_ADMISSIBLE, orbit_mod.UNDETERMINED):
+            try:
+                table = profile.reconstruct_u(trace, p)
+            except KsolError as exc:
+                yield exc
+                continue
+            try:
+                rate = profile.tail_rate(table, p, oc)
+            except KsolError as exc:
+                rate_error = str(exc)
+        yield sol, trace, oc, table, rate, rate_error
+
+
+def _analyse_one(p, alpha, cfg):
+    """The run of classify and verify; a failed alpha raises its KsolError."""
+    [result] = _analyse(p, [alpha], cfg)
+    if isinstance(result, KsolError):
+        raise result
+    return result
 
 
 def _write_json(payload, path):
@@ -161,7 +185,7 @@ def _derived_dict(p):
 def cmd_classify(args):
     cfg = _resolve(args)
     p = _params(cfg)
-    sol, trace, oc, table, rate, rate_error = _analyse(p, cfg["alpha"], cfg)
+    sol, trace, oc, table, rate, rate_error = _analyse_one(p, cfg["alpha"], cfg)
     payload = {
         "config": {k: cfg[k] for k in ("n", "k", "rho", "theta", "alpha", "s_max", "rtol", "tol")},
         "params": _derived_dict(p),
@@ -225,8 +249,10 @@ def cmd_portrait(args):
 
     orbits = []
     z_hi = 0.0
-    for a in alphas:
-        _sol, trace, _oc = orbit_mod.run_orbit(p, a, controls, tol)
+    for a, run in zip(alphas, orbit_mod.run_orbits(p, alphas, controls, tol)):
+        if isinstance(run, KsolError):
+            raise run
+        _sol, trace, _oc = run
         orbits.append((a, trace))
         finite = trace.Z[np.isfinite(trace.Z)]
         z_hi = max(z_hi, float(np.percentile(finite, 97.0)))
@@ -340,31 +366,35 @@ def cmd_verify(args):
             F, G = phase.system_rhs(loc, p)
             worst = max(worst, abs(F), abs(G))
     record("critical_points_rhs_zero", worst, 1e-12)
-    min_norm = math.inf
-    for _ in range(1000):
-        X = rng.uniform(0.05, p.x_cap * 0.95)
-        Z = rng.uniform(0.05, 2.0)
-        if p.Z_B is not None and max(abs(X - p.X_B), abs(Z - p.Z_B)) < 1e-3:
-            continue
-        if p.n == 2 * p.k and Z < 1e-3:
-            continue
-        F, G = phase.system_rhs((X, Z), p)
-        min_norm = min(min_norm, max(abs(F), abs(G)))
+    # random points off the critical points, one array call per check
+    X = rng.uniform(0.05, 0.95, 1000) * p.x_cap
+    Z = rng.uniform(0.05, 2.0, 1000)
+    if p.Z_B is not None:
+        off_b = np.maximum(np.abs(X - p.X_B), np.abs(Z - p.Z_B)) >= 1e-3
+        X, Z = X[off_b], Z[off_b]
+    F, G = phase.vector_field(X, Z, p)
+    min_norm = float(np.min(np.maximum(np.abs(F), np.abs(G))))
     record("field_nonzero_off_critical", min_norm, math.inf, ok=min_norm > 0.0)
 
-    # analytic Jacobian vs central differences
-    worst = 0.0
-    for _ in range(200):
-        X = rng.uniform(0.05, p.x_cap * 0.95)
-        Z = rng.uniform(0.05, 2.0)
-        J = phase.jacobian((X, Z), p)
-        eps = 1e-6
-        fd = np.empty((2, 2))
-        for j, d in enumerate(((eps, 0.0), (0.0, eps))):
-            hi = phase.system_rhs((X + d[0], Z + d[1]), p)
-            lo = phase.system_rhs((X - d[0], Z - d[1]), p)
-            fd[:, j] = [(hi[0] - lo[0]) / (2 * eps), (hi[1] - lo[1]) / (2 * eps)]
-        worst = max(worst, float(np.max(np.abs(J - fd) / (1.0 + np.abs(fd)))))
+    # analytic Jacobian vs central differences, the step in X relative to X;
+    # the rows of the stencil are X+, X-, Z+, Z-
+    X = rng.uniform(0.05, 0.95, 200) * p.x_cap
+    Z = rng.uniform(0.05, 2.0, 200)
+    eps_x = 1e-6 * np.minimum(1.0, X)
+    eps_z = 1e-6
+    F, G = phase.vector_field(
+        X + np.array([[1.0], [-1.0], [0.0], [0.0]]) * eps_x,
+        Z + np.array([[0.0], [0.0], [1.0], [-1.0]]) * eps_z,
+        p,
+    )
+    fd = np.array(
+        [
+            [(F[0] - F[1]) / (2.0 * eps_x), (F[2] - F[3]) / (2.0 * eps_z)],
+            [(G[0] - G[1]) / (2.0 * eps_x), (G[2] - G[3]) / (2.0 * eps_z)],
+        ]
+    )
+    J = np.stack([phase.jacobian((x, z), p) for x, z in zip(X, Z)], axis=-1)
+    worst = float(np.max(np.abs(J - fd) / (1.0 + np.abs(fd))))
     record("jacobian_matches_fd", worst, 1e-6)
 
     # repulsion at the asymptote and the Z_s sign structure
@@ -375,15 +405,15 @@ def cmd_verify(args):
             worst = max(worst, F)
         limit = 0.0 if p.n == 2 * p.k else -1e-12
         record("asymptote_repulsion", worst, limit, ok=worst <= limit + 1e-15)
-    sign_ok = True
-    for X in np.linspace(0.0, p.x_cap * 0.999, 200):
-        _, G = phase.system_rhs((X, 1.0), p)
-        sign_ok &= (G > 0) == (X < p.X_B) or abs(X - p.X_B) < 1e-9
-    _, g_at_b = phase.system_rhs((p.X_B, 1.0), p)
-    record("zs_sign_structure", abs(g_at_b), 1e-12, ok=sign_ok and abs(g_at_b) < 1e-12)
+    # the last point is B's X
+    X = np.append(np.linspace(0.0, p.x_cap * 0.999, 200), p.X_B)
+    _, G = phase.vector_field(X, np.ones_like(X), p)
+    sign_ok = bool(np.all(((G[:-1] > 0) == (X[:-1] < p.X_B)) | (np.abs(X[:-1] - p.X_B) < 1e-9)))
+    g_at_b = abs(float(G[-1]))
+    record("zs_sign_structure", g_at_b, 1e-12, ok=sign_ok and g_at_b < 1e-12)
 
     # local solution certificate
-    sol, trace, oc, table, rate, _rate_error = _analyse(p, alpha, cfg)
+    sol, trace, oc, table, rate, _rate_error = _analyse_one(p, alpha, cfg)
     record("picard_residual", sol.sup_residual, tol)
     record("picard_rate", sol.contraction_rate, 0.9)
     ak = picard.alpha_weight(alpha, p)
@@ -435,11 +465,18 @@ def cmd_verify(args):
     return 0 if all_pass else 1
 
 
-def _sweep_row(idx, rho, alpha, base):
-    row = {"idx": idx, "rho": rho, "alpha": alpha}
+def _sweep_rows(rho, alphas, base):
+    """The rows of one rho; its alphas share one continuation."""
+    rows = [{"rho": rho, "alpha": alpha} for alpha in alphas]
     try:
-        p = _params(dict(base, rho=rho))
-        _sol, trace, oc, _table, rate, rate_error = _analyse(p, alpha, base)
+        results = _analyse(_params(dict(base, rho=rho)), alphas, base)
+    except KsolError as exc:  # a rho that the shared theta rejects
+        results = [exc] * len(alphas)
+    for row, result in zip(rows, results):
+        if isinstance(result, KsolError):
+            row.update({"status": "error", "error": str(result)})
+            continue
+        _sol, trace, oc, _table, rate, rate_error = result
         row.update(
             {"class": oc.kind, "s_end": float(trace.s[-1]), "X_inf": oc.X_inf, "status": "ok"}
         )
@@ -447,10 +484,7 @@ def _sweep_row(idx, rho, alpha, base):
         if rate is not None:
             row["exponent"] = rate.fitted_exponent
             row["log_power"] = rate.log_correction_power
-    except KsolError as exc:
-        row["status"] = "error"
-        row["error"] = str(exc)
-    return row
+    return rows
 
 
 def cmd_sweep(args):
@@ -459,13 +493,13 @@ def cmd_sweep(args):
     rhos = _numbers(cfg, "rhos")
     alphas = _numbers(cfg, "alphas")
     jobs = max(1, cfg["jobs"])
-    grid = [(i, r, a) for i, (r, a) in enumerate((r, a) for r in rhos for a in alphas)]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        rows = list(pool.map(lambda t: _sweep_row(*t, cfg), grid))
+        groups = list(pool.map(lambda rho: _sweep_rows(rho, alphas, cfg), rhos))
     cols = ["idx", "rho", "alpha", "class", "s_end", "X_inf", "exponent", "log_power", "status", "error"]
     with _csv_writer(cfg["out"]) as writer:
         writer.writerow(cols)
-        for row in rows:
+        for idx, row in enumerate(row for rows in groups for row in rows):
+            row["idx"] = idx
             writer.writerow(["" if row.get(c) is None else row.get(c) for c in cols])
     return 0
 
@@ -534,6 +568,9 @@ def main(argv=None):
     except KsolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program, not of the input
+        print(f"internal error in {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -10,12 +10,12 @@ leave the region at a finite s_exit.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _kernels, phase, picard
-from .errors import DomainError, NotApplicableError
+from .errors import DomainError, KsolError, NotApplicableError
 
 TYPE_GAMMA = "TypeGamma"
 TYPE_B = "TypeB"
@@ -163,13 +163,19 @@ def integrate(start, p, controls=None, stop_at_xb=False):
     s_arr, x_arr, z_arr, events, status, counters = _integrate_raw(
         x0, z0, s0, p, controls, prof, stop_at_xb
     )
-    tx, tz = start.tail.unweighted(p.k)
-    keep = start.tail.grid < s0
+    s_arr, x_arr, z_arr, tail_end = _with_tail(start, p.k, s_arr, x_arr, z_arr)
+    return OrbitTrace(s_arr, x_arr, z_arr, events, status, start.chart, tail_end, **counters)
+
+
+def _with_tail(start, k, s_arr, x_arr, z_arr):
+    """Samples from s0 on, preceded by the local solution's tail below s0;
+    also returns the number of tail samples."""
+    tx, tz = start.tail.unweighted(k)
+    keep = start.tail.grid < start.tail.s0
     s_arr = np.concatenate([start.tail.grid[keep], s_arr])
     x_arr = np.concatenate([tx[keep], x_arr])
     z_arr = np.concatenate([tz[keep], z_arr])
-    tail_end = int(np.sum(keep))
-    return OrbitTrace(s_arr, x_arr, z_arr, events, status, start.chart, tail_end, **counters)
+    return s_arr, x_arr, z_arr, int(np.sum(keep))
 
 
 def _tail_window(trace, frac=0.25):
@@ -257,11 +263,94 @@ def expected_kinds(p):
     return {TYPE_A}
 
 
+def run_orbits(p, alphas, controls=None, tol=picard.DEFAULT_TOL):
+    """Local solution, continuation and classification for each alpha.
+
+    The system is autonomous and the orbit leaving the origin is unique, so
+    alpha only shifts it in s: X(s; alpha) = X(s + c; 1) with
+    c = ln(alpha_k)/(2k). Each alpha gets its own Picard tail, and one
+    continuation serves them all: it starts from the alpha whose s0 + c
+    comes first and runs until every alpha reaches its own s_max. Returns
+    one (sol, trace, oc) per alpha, in order; an alpha whose local solution
+    fails gets its KsolError in place of the tuple.
+    """
+    controls = controls or OrbitControls()
+    sols = []
+    for alpha in alphas:
+        try:
+            sols.append(picard.picard_solve(alpha, p, tol))
+        except KsolError as exc:
+            sols.append(exc)
+    ok = [sol for sol in sols if not isinstance(sol, KsolError)]
+    if not ok:
+        return sols
+
+    def gauge(sol):
+        return math.log(picard.alpha_weight(sol.alpha, p)) / (2.0 * p.k)
+
+    first = min(ok, key=lambda sol: sol.tail.s0 + gauge(sol))
+    c0 = gauge(first)
+    c_max = max(gauge(sol) for sol in ok)
+    shared = integrate(first, p, replace(controls, s_max=controls.s_max + (c_max - c0)))
+    runs = []
+    for sol in sols:
+        if not isinstance(sol, KsolError):
+            # shift by the difference, so the integrated alpha's is exactly 0
+            c = gauge(sol)
+            trace = _shifted_trace(shared, sol, c0 - c, c < c_max, controls.s_max, p)
+            sol = (sol, trace, classify_orbit(trace, p))
+        runs.append(sol)
+    return runs
+
+
+def _shifted_trace(shared, sol, shift, ends_early, s_max, p):
+    """The trace of sol's alpha read off a shared continuation.
+
+    It is sol's own tail below s0, then the shared samples shifted by
+    ``shift`` in s from s0 on. A row that ends before the shared run
+    (``ends_early``) and that the run went past is cut at s_max: the later
+    samples and events are dropped, a cubic Hermite point closes it and its
+    status is s_max. The solver counters are the shared run's, with
+    stiff_from_s shifted into the row's frame.
+    """
+    i0 = shared.tail_end_index
+    s = shared.s[i0:] + shift
+    X, Z = shared.X[i0:], shared.Z[i0:]
+    events = [(se + shift, name) for se, name in shared.events]
+    status = shared.status
+    lo = int(np.searchsorted(s, sol.tail.s0))
+    if ends_early and s[-1] > s_max:
+        i = int(np.searchsorted(s, s_max, side="right")) - 1  # s[i] <= s_max < s[i + 1]
+        if s[i] < s_max:
+            h = s[i + 1] - s[i]
+            th = (s_max - s[i]) / h
+            F, G = phase.vector_field(X[i : i + 2], Z[i : i + 2], p)
+            X = np.append(X[: i + 1], _kernels._hermite(th, h, X[i], F[0], X[i + 1], F[1]))
+            Z = np.append(Z[: i + 1], _kernels._hermite(th, h, Z[i], G[0], Z[i + 1], G[1]))
+            s = np.append(s[: i + 1], s_max)
+        else:
+            s, X, Z = s[: i + 1], X[: i + 1], Z[: i + 1]
+        events = [(se, name) for se, name in events if se <= s_max]
+        status = "s_max"
+    s, X, Z, tail_end = _with_tail(sol, p.k, s[lo:], X[lo:], Z[lo:])
+    return replace(
+        shared,
+        s=s,
+        X=X,
+        Z=Z,
+        events=events,
+        status=status,
+        tail_end_index=tail_end,
+        stiff_from_s=shared.stiff_from_s + shift,
+    )
+
+
 def run_orbit(p, alpha=1.0, controls=None, tol=picard.DEFAULT_TOL):
-    """Convenience pipeline: local solution, continuation, classification."""
-    sol = picard.picard_solve(alpha, p, tol)
-    trace = integrate(sol, p, controls)
-    return sol, trace, classify_orbit(trace, p)
+    """Local solution, continuation and classification for one alpha."""
+    run = run_orbits(p, [alpha], controls, tol)[0]
+    if isinstance(run, KsolError):
+        raise run
+    return run
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ DEFAULT_TOL = 1e-10
 MAX_RETRIES = 8
 MAX_SWEEPS = 200
 RATE_LIMIT = 0.9
+THRESHOLD_STEP = 0.5 * math.log(2.0)  # left step of a trial endpoint
+MAX_THRESHOLD_STEPS = 2048  # to s ~ -710; e^(2s) is 0 in floats below s ~ -373
 
 
 def _prof0(p, prof):
@@ -92,7 +94,8 @@ def thresholds(alpha, p, prof=PROF_F):
     s1 keeps X below min(gamma^k, X_B) (closed form); s2 makes the operator
     map the space into itself; s3 makes it a contraction with constant
     below 1/2. s2 and s3 are found constructively by stepping a trial
-    endpoint left until the explicit bounds hold.
+    endpoint left until the explicit bounds hold, in at most
+    MAX_THRESHOLD_STEPS steps (ConvergenceError beyond).
     """
     if alpha <= 0.0:
         raise DomainError("alpha must be positive")
@@ -101,15 +104,23 @@ def thresholds(alpha, p, prof=PROF_F):
     cap_x, _M, K1, K2, C = _constants(alpha_k, p, prof)
     s1 = math.log(cap_x / (2.0 * alpha_k)) / (2.0 * p.k)
 
-    step = 0.5 * math.log(2.0)
-    s2 = min(s1, 0.0)
-    while K1 * math.exp(2.0 * s2) > alpha_k / 2.0 or K2 * math.exp(2.0 * s2) > (
-        p.n * alpha_k / (2.0 * p0)
-    ):
-        s2 -= step
-    s3 = min(s1, 0.0)
-    while C * math.exp(2.0 * s3) >= 0.5:
-        s3 -= step
+    def step_left(name, fails):
+        s = min(s1, 0.0)
+        for _ in range(MAX_THRESHOLD_STEPS):
+            if not fails(s):
+                return s
+            s -= THRESHOLD_STEP
+        raise ConvergenceError(
+            f"Picard thresholds: {name} not found in {MAX_THRESHOLD_STEPS} steps "
+            f"(alpha {alpha:g}, s {s:.6g})"
+        )
+
+    s2 = step_left(
+        "s2 (self-map)",
+        lambda s: K1 * math.exp(2.0 * s) > alpha_k / 2.0
+        or K2 * math.exp(2.0 * s) > p.n * alpha_k / (2.0 * p0),
+    )
+    s3 = step_left("s3 (contraction)", lambda s: C * math.exp(2.0 * s) >= 0.5)
     s0 = min(s1, s2, s3)
     return Thresholds(s1, s2, s3, s0, C)
 
@@ -285,7 +296,12 @@ def apply_E(tail, alpha, p, prof=PROF_F, check=True):
     T1 = _tail_integral(P1, t, 2.0 * k, n + 2.0)
     T2 = _tail_integral(G1, t, 2.0 * k, 2.0)
 
-    scale = math.exp(-2.0 * k * tail.s_min)
+    try:
+        scale = math.exp(-2.0 * k * tail.s_min)
+    except OverflowError:
+        raise ConvergenceError(
+            f"Picard tail: e^(-2k s_min) overflows (alpha {alpha:g}, s_min {tail.s_min:.6g})"
+        ) from None
     A1 = np.exp(-n * shift) * (T1 + C1)
     A2 = T2 + C2
     wE1 = alpha_k + scale * (A1 + (p0 / n) * A2)

@@ -202,6 +202,25 @@ class TestSweep:
         assert {"class", "X_inf", "exponent"} <= set(rows[0].keys())
         assert all(r["class"] == "TypeA" and r["X_inf"] for r in rows)
 
+    def test_one_integration_per_rho(self, tmp_path, monkeypatch):
+        from ksol import orbit
+
+        calls = []
+        integrate = orbit.integrate
+        monkeypatch.setattr(
+            orbit, "integrate", lambda *a, **kw: calls.append(1) or integrate(*a, **kw)
+        )
+        out = tmp_path / "s.csv"
+        code = run_cli(["sweep", "--n", "4", "--k", "1", "--theta", "1", "--rhos=0,1",
+                        "--alphas=0.5,1.0,2.0", "--out", str(out)])
+        assert code == 0 and len(calls) == 2
+        rows = list(csv.DictReader(out.open()))
+        assert [r["idx"] for r in rows] == [str(i) for i in range(6)]
+        assert [(r["rho"], r["alpha"]) for r in rows] == [
+            (rho, a) for rho in ("0.0", "1.0") for a in ("0.5", "1.0", "2.0")
+        ]
+        assert all(r["status"] == "ok" for r in rows)
+
     def test_jobs_env_default(self, tmp_path):
         out = tmp_path / "s.csv"
         proc = run_proc(
@@ -232,6 +251,27 @@ class TestUsageErrors:
         }[case]
         assert run_cli(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    @pytest.mark.parametrize("rho", ["100", "-1.99"])
+    def test_picard_overflow_is_reported(self, capsys, command, rho):
+        # the Picard tail of (33, 16) needs e^(-2k s_min) beyond the float range
+        code = run_cli([command, "--n", "33", "--k", "16", "--rho", rho, "--theta", "1"])
+        err = capsys.readouterr().err
+        assert code in (1, 2)
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_internal_error_exits_3(self, capsys, monkeypatch):
+        from ksol import orbit
+
+        def fault(*args, **kwargs):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(orbit, "run_orbits", fault)
+        code = run_cli(["classify", "--n", "4", "--k", "1", "--rho", "1", "--theta", "1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "internal error in classify: ZeroDivisionError: float division by zero\n"
 
 
 class TestConfigPrecedence:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ksol import phase, picard, profile
-from ksol.errors import DomainError, NotApplicableError, ParameterError
+from ksol.errors import ConvergenceError, DomainError, NotApplicableError, ParameterError
 from ksol.picard import _cumulative_product
 
 RNG = np.random.default_rng(7)
@@ -76,6 +76,13 @@ class TestThresholds:
             p = phase.make_params(n, k, rho, 1.0)
             th = picard.thresholds(1.0, p)
             assert th.contraction_bound * math.exp(2.0 * th.s0) < 0.5
+
+    def test_step_cap_is_reported(self, monkeypatch):
+        p = phase.make_params(4, 1, 1.0, 1.0)
+        assert picard.thresholds(1.0, p).s3 < -picard.THRESHOLD_STEP
+        monkeypatch.setattr(picard, "MAX_THRESHOLD_STEPS", 1)
+        with pytest.raises(ConvergenceError, match="not found in 1 steps"):
+            picard.thresholds(1.0, p)
 
 
 class TestSpaceAndOperator:
@@ -243,6 +250,12 @@ class TestPicardSolve:
         xi, zi = hermite_eval(tail.grid[on_tail])
         assert np.max(np.abs(xi - X[on_tail]) / X[on_tail]) < 1e-8
         assert np.max(np.abs(zi - Z[on_tail]) / Z[on_tail]) < 1e-8
+
+    def test_overflow_is_a_convergence_error(self):
+        # s_min is near -39 for (33, 16, 100), so e^(-32 s_min) exceeds the float range
+        p = phase.make_params(33, 16, 100.0, 1.0)
+        with pytest.raises(ConvergenceError, match=r"overflows \(alpha 0.5, s_min -"):
+            picard.picard_solve(0.5, p)
 
     def test_alpha_validation(self):
         p = phase.make_params(4, 1, 0.0, 1.0)
