@@ -1,8 +1,9 @@
-"""JIT dispatch: numba-compiled kernels by default, pure Python on request.
+"""JIT dispatch: numba-compiled kernels where numba is installed (the
+optional ``jit`` extra), the identical source as pure Python otherwise.
 
-Set KSOL_DISABLE_JIT=1 (before import) to run the identical kernel source
-uncompiled. The fallback exists for debugging and as a correctness
-cross-check; tests/test_jit_fallback.py compares the two paths.
+Set KSOL_DISABLE_JIT=1 (before import) to run the kernels uncompiled even
+with numba present, for debugging and as a correctness cross-check;
+tests/test_jit_fallback.py compares the two paths.
 """
 
 import os
@@ -13,7 +14,7 @@ JIT_ENABLED = _flag not in {"1", "true", "yes", "on"}
 if JIT_ENABLED:
     try:
         from numba import njit as _numba_njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is an optional extra
         JIT_ENABLED = False
 
 if JIT_ENABLED:

@@ -1,11 +1,16 @@
 """Hot numeric kernels: the adaptive integrator with event location, and
 its private scalar copy of the phase-plane field and its Jacobian.
 
-Everything here is written against a packed float64 parameter array so the
-same source compiles under numba and runs unchanged in the pure-Python
-fallback (KSOL_DISABLE_JIT=1). numba cannot call the array evaluators of
-``phase``, so ``kth_root``, ``profile_value``, ``rhs`` and ``jac`` repeat
-them for the integrator alone, in the same operation order.
+Everything here reads its parameters from the tuple of PP_SIZE floats that
+``pack_params`` builds, and does its scalar work on Python floats with the
+``math`` module, so the same source compiles under numba and runs as plain
+Python wherever numba is absent (or KSOL_DISABLE_JIT=1); uncompiled, an
+operation on numpy scalars costs several times as much as on floats, for
+the same IEEE result. numba cannot call the array evaluators of ``phase``, so
+``kth_root``, ``profile_value``, ``rhs`` and ``jac`` repeat them for the
+integrator alone, in the same operation order. ``kth_root`` alone keeps
+numpy's exp and log: they round differently from libm's on some inputs,
+and ``phase.kth_root`` must agree with it bit for bit on arrays.
 
 Integrator: Dormand-Prince 5(4) pair, fifth-order propagation with a
 fourth-order error estimate and PI step-size control. Once its step is
@@ -16,6 +21,8 @@ with an embedded order-3 estimate, its stage systems solved in closed
 form. Both feed a cubic Hermite dense output on which every event,
 the terminal asymptote included, is located by bisection.
 """
+
+import math
 
 import numpy as np
 
@@ -76,18 +83,20 @@ STIFF_SPAN = 15
 
 
 def pack_params(p):
-    pp = np.empty(PP_SIZE)
-    pp[PP_N] = float(p.n)
-    pp[PP_K] = float(p.k)
-    pp[PP_GAMMA] = p.gamma
-    pp[PP_CB] = p.cb
-    pp[PP_XB] = p.X_B
-    pp[PP_GK] = p.gamma_k
-    pp[PP_XCAP] = p.x_cap
-    pp[PP_NU] = p.nu
-    pp[PP_XA_ROOT] = p.x_A
-    pp[PP_XB_ROOT] = p.x_B
-    return pp
+    """The parameters the kernels read, as a tuple of PP_SIZE floats in the
+    PP_* order; numba types it as UniTuple(float64, 10)."""
+    return (
+        float(p.n),
+        float(p.k),
+        float(p.gamma),
+        float(p.cb),
+        float(p.X_B),
+        float(p.gamma_k),
+        float(p.x_cap),
+        float(p.nu),
+        float(p.x_A),
+        float(p.x_B),
+    )
 
 
 @njit
@@ -96,7 +105,7 @@ def kth_root(value, k):
         return 0.0
     if k == 1:
         return value
-    return np.exp(np.log(value) / k)
+    return float(np.exp(np.log(value) / k))
 
 
 @njit
@@ -161,8 +170,8 @@ def _spectral_radius(a, b, c, d):
     det = a * d - b * c
     disc = t * t - 4.0 * det
     if disc >= 0.0:
-        return 0.5 * (abs(t) + np.sqrt(disc))
-    return np.sqrt(det)
+        return 0.5 * (abs(t) + math.sqrt(disc))
+    return math.sqrt(det)
 
 
 # Dormand-Prince 5(4) tableau
@@ -416,15 +425,15 @@ def integrate_core(
     h = min(1e-3, max_step)
     err_prev = 1.0
     z_peak = Z
-    conv_since = np.inf
+    conv_since = math.inf
     status = ST_SMAX
     stiff = False
     n_limited = 0  # consecutive accepted DOPRI steps with h rho(J) > STIFF_HRHO
-    stiff_from_s = np.nan
+    stiff_from_s = math.nan
     n_acc = 0
     n_rej = 0
     n_rhs = 1
-    h_min = np.nan
+    h_min = math.nan
 
     while s < s_max:
         if h > s_max - s:
@@ -454,8 +463,8 @@ def integrate_core(
         scZ = rtol * max(abs(Z), abs(Z1))
         ex = errX / scX if scX > 0.0 else 0.0
         ez = errZ / scZ if scZ > 0.0 else 0.0
-        err = np.sqrt(0.5 * (ex * ex + ez * ez))
-        bad_state = (X1 < 0.0) or (Z1 < 0.0) or (not np.isfinite(X1)) or (not np.isfinite(Z1))
+        err = math.sqrt(0.5 * (ex * ex + ez * ez))
+        bad_state = (X1 < 0.0) or (Z1 < 0.0) or (not math.isfinite(X1)) or (not math.isfinite(Z1))
         if err > 1.0 or bad_state:
             n_rej += 1
             if bad_state:
@@ -539,14 +548,14 @@ def integrate_core(
             dist = max(abs(X - b_x), abs(Z - b_z))
             rn = max(abs(fX), abs(fZ))
             if dist < conv_dist and rn < CONV_RHS:
-                if not np.isfinite(conv_since):
+                if not math.isfinite(conv_since):
                     conv_since = s
                 elif s - conv_since >= CONV_SPAN:
                     n_ev = _log_event(ev_s, ev_code, n_ev, s, EV_CONVERGED)
                     status = ST_CONV_B
                     break
             else:
-                conv_since = np.inf
+                conv_since = math.inf
 
         # collapse onto the Z = 0 axis beyond X_B (orbits toward A or the
         # degenerate line)

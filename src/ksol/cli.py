@@ -452,7 +452,9 @@ def cmd_verify(args):
         if rate is not None and rate.agreement is not None:
             record("tail_rate_agreement", rate.agreement, 0.02)
     if p.rho > 2.0 * p.theta and p.n >= 2 * p.k:
-        rep = orbit_mod.barrier_compare(p, alpha, cfg["alpha_bar"], _controls(cfg))
+        rep = orbit_mod.barrier_compare(
+            p, alpha_bar=cfg["alpha_bar"], controls=_controls(cfg), tol=tol, sol=sol
+        )
         record("barrier_ordering", -rep.min_gap, 0.0, ok=rep.ordered)
         record("barrier_f_gt_h", -rep.f_minus_h_min, 0.0, ok=rep.f_gt_h)
     all_pass = all(c["pass"] for c in checks.values())

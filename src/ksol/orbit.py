@@ -118,10 +118,12 @@ def _integrate_raw(x0, z0, s0, p, controls, prof, stop_at_xb=False):
     # for n < 2k the region boundary X = x_cap is crossed in finite s (X_s > 0
     # there): the run must end at the exit, not at an asymptote tolerance
     asym_tol = controls.asym_tol if p.n >= 2 * p.k else -1.0
+    # the Picard tail hands over numpy scalars; Python floats keep the
+    # uncompiled kernel's arithmetic off numpy's scalar path
     out = _kernels.integrate_core(
-        x0,
-        z0,
-        s0,
+        float(x0),
+        float(z0),
+        float(s0),
         controls.s_max,
         pp,
         prof,
@@ -517,21 +519,27 @@ def _z_of_x_curve(trace, x_hi):
     return x[inc], z[inc]
 
 
-def barrier_compare(p, alpha=1.0, alpha_bar=1.0, controls=None, n_grid=400, x_lo=0.01):
+def barrier_compare(
+    p, alpha=1.0, alpha_bar=1.0, controls=None, n_grid=400, x_lo=0.01, tol=picard.DEFAULT_TOL,
+    sol=None,
+):
     """Compare the origin orbit Z(X) with the reversed A-orbit V-(X).
 
     Both curves are parametrized by X on [x_lo, X_B] (X is strictly
     increasing there for each); the A-orbit must dominate pointwise, and
-    f > h on the same interval.
+    f > h on the same interval. The local solutions are solved at ``tol``;
+    ``sol``, the origin's LocalSolution when the caller already has it,
+    replaces the solve for ``alpha``.
     """
     if not p.rho > 2.0 * p.theta:
         raise NotApplicableError("barrier comparison requires rho > 2 theta")
     if p.n < 2 * p.k:
         raise NotApplicableError("barrier comparison requires n >= 2k")
     controls = controls or OrbitControls()
-    sol_o = picard.picard_solve(alpha, p)
-    tr_o = integrate(sol_o, p, controls, stop_at_xb=True)
-    sol_a = picard.picard_solve_at_A(alpha_bar, p)
+    if sol is None:
+        sol = picard.picard_solve(alpha, p, tol)
+    tr_o = integrate(sol, p, controls, stop_at_xb=True)
+    sol_a = picard.picard_solve_at_A(alpha_bar, p, tol)
     tr_a = integrate(sol_a, p, controls, stop_at_xb=True)
     if tr_o.status != "stopped_at_X_B" or tr_a.status != "stopped_at_X_B":
         raise DomainError(

@@ -167,6 +167,23 @@ class TestVerify:
                         "--theta", "1", "--out", str(out)])
         assert code == 0
 
+    def test_barrier_reuses_local_solution(self, tmp_path, monkeypatch):
+        # rho > 2 theta and n >= 2k: the barrier comparison takes the origin's
+        # local solution from the run instead of solving it again
+        from ksol import picard
+
+        calls = []
+        solve = picard.picard_solve
+        monkeypatch.setattr(
+            picard, "picard_solve", lambda *a, **kw: calls.append(a) or solve(*a, **kw)
+        )
+        out = tmp_path / "v.json"
+        run_cli(["verify", "--n", "4", "--k", "1", "--rho", "5", "--theta", "1",
+                 "--alpha", "0.7", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert doc["checks"]["barrier_ordering"]["pass"]
+        assert len(calls) == 1
+
 
 class TestSweep:
     def test_regime_table_and_determinism(self, tmp_path):

@@ -7,6 +7,11 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
+import pytest
+
+from ksol import _jit, _kernels, orbit, phase
+
 
 def classify_json(env_extra):
     env = dict(os.environ)
@@ -39,3 +44,59 @@ def test_fallback_matches_jit():
     b = jit["tail_rate"]["fitted_exponent"]
     assert abs(a - b) < 1e-9
     assert abs(py["residuals"]["elliptic_max_rel"]) < 1e-6
+
+
+# the kernels integrate_core calls through module globals
+STEP_KERNELS = (
+    "kth_root", "profile_value", "rhs", "jac", "_spectral_radius",
+    "_dopri_step", "_rodas_step", "_hermite", "_event_value",
+)
+
+
+def _non_floats(values):
+    """The numeric scalars among values (tuples flattened) that are not
+    Python floats; np.float64 is a float subclass, so the type must match."""
+    out = []
+    for v in values:
+        if isinstance(v, tuple):
+            out += _non_floats(v)
+        elif isinstance(v, (float, np.generic)) and type(v) is not float:
+            out.append(v)
+    return out
+
+
+@pytest.mark.skipif(_jit.JIT_ENABLED, reason="the compiled kernels return numba's own types")
+@pytest.mark.parametrize("n, k", [(4, 1), (5, 2)])
+def test_fallback_kernels_compute_on_python_floats(n, k, monkeypatch):
+    p = phase.make_params(n, k, 1.0, 1.0)
+    pp = _kernels.pack_params(p)
+    assert len(pp) == _kernels.PP_SIZE
+    assert all(type(v) is float for v in pp)
+    for prof in (_kernels.PROF_F, _kernels.PROF_H):
+        out = _kernels.rhs(0.7, 0.3, pp, prof) + _kernels.jac(0.7, 0.3, pp, prof)
+        assert all(type(v) is float for v in out), out
+
+    # a numpy scalar anywhere in the step loop reaches the states, the step
+    # size or a kernel result, and so the arguments or result of a kernel
+    seen = []
+
+    def spy(fn):
+        def call(*args):
+            out = fn(*args)
+            seen.extend(_non_floats(args + (out,)))
+            return out
+
+        return call
+
+    for name in STEP_KERNELS:
+        monkeypatch.setattr(_kernels, name, spy(getattr(_kernels, name)))
+    results = []
+    integrate_core = _kernels.integrate_core
+    monkeypatch.setattr(
+        _kernels, "integrate_core", lambda *a: results.append(integrate_core(*a)) or results[-1]
+    )
+    orbit.run_orbit(p, 1.0)
+    [result] = results
+    h_min, stiff_from_s = result[-2:]
+    assert type(h_min) is float and type(stiff_from_s) is float
+    assert seen == []
