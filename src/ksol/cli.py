@@ -393,7 +393,7 @@ def cmd_verify(args):
             [(G[0] - G[1]) / (2.0 * eps_x), (G[2] - G[3]) / (2.0 * eps_z)],
         ]
     )
-    J = np.stack([phase.jacobian((x, z), p) for x, z in zip(X, Z)], axis=-1)
+    J = phase.jacobian((X, Z), p)
     worst = float(np.max(np.abs(J - fd) / (1.0 + np.abs(fd))))
     record("jacobian_matches_fd", worst, 1e-6)
 
@@ -453,7 +453,7 @@ def cmd_verify(args):
             record("tail_rate_agreement", rate.agreement, 0.02)
     if p.rho > 2.0 * p.theta and p.n >= 2 * p.k:
         rep = orbit_mod.barrier_compare(
-            p, alpha_bar=cfg["alpha_bar"], controls=_controls(cfg), tol=tol, sol=sol
+            p, alpha_bar=cfg["alpha_bar"], controls=_controls(cfg), tol=tol, trace=trace
         )
         record("barrier_ordering", -rep.min_gap, 0.0, ok=rep.ordered)
         record("barrier_f_gt_h", -rep.f_minus_h_min, 0.0, ok=rep.f_gt_h)

@@ -75,8 +75,12 @@ class OrbitControls:
 class OrbitTrace:
     """Adaptive samples of one orbit plus the located events.
 
-    Samples are strictly increasing in s. In the WV chart the rows hold
-    (sigma, W-, V-) for the reversed A-chart flow (sigma = -s).
+    Samples are strictly increasing in s: the Picard tail below s0, then the
+    ends of the integrator's steps and, between them, interior points of
+    each DOP853 step's continuous extension, enough that the cubic Hermite
+    between consecutive samples keeps ``_kernels.SAMPLE_TOL`` (RODAS4 steps
+    give their ends only). In the WV chart the rows hold (sigma, W-, V-)
+    for the reversed A-chart flow (sigma = -s).
     """
 
     s: np.ndarray
@@ -322,16 +326,7 @@ def _shifted_trace(shared, sol, shift, ends_early, s_max, p):
     status = shared.status
     lo = int(np.searchsorted(s, sol.tail.s0))
     if ends_early and s[-1] > s_max:
-        i = int(np.searchsorted(s, s_max, side="right")) - 1  # s[i] <= s_max < s[i + 1]
-        if s[i] < s_max:
-            h = s[i + 1] - s[i]
-            th = (s_max - s[i]) / h
-            F, G = phase.vector_field(X[i : i + 2], Z[i : i + 2], p)
-            X = np.append(X[: i + 1], _kernels._hermite(th, h, X[i], F[0], X[i + 1], F[1]))
-            Z = np.append(Z[: i + 1], _kernels._hermite(th, h, Z[i], G[0], Z[i + 1], G[1]))
-            s = np.append(s[: i + 1], s_max)
-        else:
-            s, X, Z = s[: i + 1], X[: i + 1], Z[: i + 1]
+        s, X, Z = _cut_at(s, X, Z, s_max, p)
         events = [(se, name) for se, name in events if se <= s_max]
         status = "s_max"
     s, X, Z, tail_end = _with_tail(sol, p.k, s[lo:], X[lo:], Z[lo:])
@@ -345,6 +340,20 @@ def _shifted_trace(shared, sol, shift, ends_early, s_max, p):
         tail_end_index=tail_end,
         stiff_from_s=shared.stiff_from_s + shift,
     )
+
+
+def _cut_at(s, X, Z, s_cut, p):
+    """The samples up to s_cut (within the trace), closed by the cubic
+    Hermite point at s_cut unless a sample sits there."""
+    i = int(np.searchsorted(s, s_cut, side="right")) - 1  # s[i] <= s_cut < s[i + 1]
+    if s[i] == s_cut:
+        return s[: i + 1], X[: i + 1], Z[: i + 1]
+    h = s[i + 1] - s[i]
+    th = (s_cut - s[i]) / h
+    F, G = phase.vector_field(X[i : i + 2], Z[i : i + 2], p)
+    X = np.append(X[: i + 1], _kernels._hermite(th, h, X[i], F[0], X[i + 1], F[1]))
+    Z = np.append(Z[: i + 1], _kernels._hermite(th, h, Z[i], G[0], Z[i + 1], G[1]))
+    return np.append(s[: i + 1], s_cut), X, Z
 
 
 def run_orbit(p, alpha=1.0, controls=None, tol=picard.DEFAULT_TOL):
@@ -386,18 +395,21 @@ def z_lower_bound_check(trace, p, slack=1e-6):
 
 
 def log_z_identity_check(trace, p, base_tol=1e-7):
-    """Defect of the exact relation (ln Z)_s = 2k (1 - x/x_B) on the samples.
+    """Defect of the exact relation (ln Z)_s = g = 2k (1 - x/x_B) on the samples.
 
-    Uses nonuniform central differences of ln Z; the tolerance budgets the
-    finite-difference truncation from the analytic curvature of the target,
-    so a clean trace reports no violations while a perturbed one does.
+    Uses nonuniform central differences of ln Z, whose truncation error is
+    (h+ h- / 6) g''. The tolerance budgets it from g'' in closed form: g
+    depends on X alone, so g'' = g_XX F^2 + g_X (J (F, G))_X with J the
+    field's Jacobian. A clean trace then reports no violations whatever
+    its spacing, while a perturbed one does.
     """
     s, Z = trace.s, trace.Z
     good = Z > 0.0
     s, Z, X = s[good], Z[good], trace.X[good]
     if s.size < 5:
         return []
-    g = phase.vector_field(X, Z, p)[1] / Z
+    F, G = phase.vector_field(X, Z, p)
+    g = G / Z
     ln_z = np.log(Z)
     hp = s[2:] - s[1:-1]
     hm = s[1:-1] - s[:-2]
@@ -407,9 +419,12 @@ def log_z_identity_check(trace, p, base_tol=1e-7):
         + ln_z[1:-1] * (hp - hm) / (hp * hm)
         - ln_z[:-2] * hp / (hm * (hp + hm))
     )
-    g1 = np.gradient(g, s)
-    g2 = np.gradient(g1, s)
-    tol = base_tol * (1.0 + np.abs(g[1:-1])) + 0.5 * (hp * hm) * np.abs(g2[1:-1]) + 1e-12
+    Xi, Fi = X[1:-1], F[1:-1]
+    J = phase.jacobian((Xi, Z[1:-1]), p)
+    g_X = -(2.0 / p.x_B) * phase.kth_root(Xi, p.k) / Xi
+    g_XX = g_X * (1.0 / p.k - 1.0) / Xi
+    g2 = g_XX * Fi * Fi + g_X * (J[0, 0] * Fi + J[0, 1] * G[1:-1])
+    tol = base_tol * (1.0 + np.abs(g[1:-1])) + 0.5 * (hp * hm) * np.abs(g2) + 1e-12
     bad = np.nonzero(np.abs(d - g[1:-1]) > 3.0 * tol)[0]
     return [(float(s[i + 1]), float(d[i] - g[i + 1])) for i in bad]
 
@@ -510,9 +525,8 @@ class BarrierReport:
     f_gt_h: bool
 
 
-def _z_of_x_curve(trace, x_hi):
-    """Monotone (X, Z) curve up to x_hi from a stopped-at-X_B trace."""
-    x, z = trace.X, trace.Z
+def _z_of_x_curve(x, z, x_hi):
+    """Monotone (X, Z) curve up to x_hi from samples that end at X_B."""
     keep = x <= x_hi * (1.0 + 1e-12)
     x, z = x[keep], z[keep]
     inc = np.concatenate([[True], np.diff(x) > 0.0])
@@ -521,32 +535,35 @@ def _z_of_x_curve(trace, x_hi):
 
 def barrier_compare(
     p, alpha=1.0, alpha_bar=1.0, controls=None, n_grid=400, x_lo=0.01, tol=picard.DEFAULT_TOL,
-    sol=None,
+    trace=None,
 ):
     """Compare the origin orbit Z(X) with the reversed A-orbit V-(X).
 
     Both curves are parametrized by X on [x_lo, X_B] (X is strictly
     increasing there for each); the A-orbit must dominate pointwise, and
-    f > h on the same interval. The local solutions are solved at ``tol``;
-    ``sol``, the origin's LocalSolution when the caller already has it,
-    replaces the solve for ``alpha``.
+    f > h on the same interval. The local solutions are solved at ``tol``.
+    ``trace``, the origin orbit's trace for ``alpha`` when the caller
+    already has it, is cut at its first crossing of X_B instead of
+    integrating that orbit again; only the A side is then solved here.
     """
     if not p.rho > 2.0 * p.theta:
         raise NotApplicableError("barrier comparison requires rho > 2 theta")
     if p.n < 2 * p.k:
         raise NotApplicableError("barrier comparison requires n >= 2k")
     controls = controls or OrbitControls()
-    if sol is None:
-        sol = picard.picard_solve(alpha, p, tol)
-    tr_o = integrate(sol, p, controls, stop_at_xb=True)
+    if trace is None:
+        trace = integrate(picard.picard_solve(alpha, p, tol), p, controls, stop_at_xb=True)
+    crossings = trace.event_s("crossed_X_B")
     sol_a = picard.picard_solve_at_A(alpha_bar, p, tol)
     tr_a = integrate(sol_a, p, controls, stop_at_xb=True)
-    if tr_o.status != "stopped_at_X_B" or tr_a.status != "stopped_at_X_B":
-        raise DomainError(
-            f"barrier orbits did not reach X_B (origin: {tr_o.status}, A: {tr_a.status})"
-        )
-    xo, zo = _z_of_x_curve(tr_o, p.X_B)
-    xa, va = _z_of_x_curve(tr_a, p.X_B)
+    if not crossings or tr_a.status != "stopped_at_X_B":
+        origin = "stopped_at_X_B" if crossings else trace.status
+        raise DomainError(f"barrier orbits did not reach X_B (origin: {origin}, A: {tr_a.status})")
+    # the crossing point itself is X_B exactly, as a stopped run ends
+    _s, xo, zo = _cut_at(trace.s, trace.X, trace.Z, crossings[0], p)
+    xo = np.append(xo[:-1], p.X_B)
+    xo, zo = _z_of_x_curve(xo, zo, p.X_B)
+    xa, va = _z_of_x_curve(tr_a.X, tr_a.Z, p.X_B)
     grid = np.linspace(x_lo, p.X_B, n_grid)
     z_on = np.interp(grid, xo, zo)
     v_on = np.interp(grid, xa, va)

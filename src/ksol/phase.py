@@ -253,18 +253,22 @@ def df_dX(X, p):
 
 
 def jacobian(state, p):
-    """Analytic Jacobian of (F, G) at an interior point 0 < X < X_A.
+    """Analytic Jacobian of (F, G) at interior points 0 < X < X_A.
 
-    Matches central finite differences; at the corner points O and A the
-    field is not differentiable, use the restricted forms instead.
+    ``state`` is one point, or (X, Z) as two arrays of one shape, which
+    gives the entries as arrays: shape (2, 2) + X.shape. Matches central
+    finite differences; at the corner points O and A the field is not
+    differentiable, use the restricted forms instead.
     """
-    X, Z = _unpack(state)
-    if X <= 0.0 or X >= p.X_A:
+    X, Z = state
+    if np.ndim(X) == 0:
+        X, Z = _unpack(state)
+    if np.any(X <= 0.0) or np.any(X >= p.X_A):
         raise DomainError("Jacobian defined for 0 < X < X_A; use restricted forms")
     n, k, m = p.n, p.k, p.m
     x = kth_root(X, k)
     dFdX = (2 * k - n) + m * (k + 1) * x + Z * df_dX(X, p)
-    dFdZ = f_profile(x, p)
+    dFdZ = profile_value(x, p, PROF_F)
     dGdX = -(1.0 - m) * Z * (X ** ((1 - k) / k) if k > 1 else 1.0)
     dGdZ = 2.0 * k - (1.0 - m) * k * x
     return np.array([[dFdX, dFdZ], [dGdX, dGdZ]])

@@ -184,6 +184,26 @@ class TestVerify:
         assert doc["checks"]["barrier_ordering"]["pass"]
         assert len(calls) == 1
 
+    def test_barrier_reuses_main_run(self, tmp_path, monkeypatch):
+        # the barrier comparison cuts the run's own origin orbit at X_B
+        # instead of integrating it a second time; only the A-orbit is new
+        from ksol import orbit
+
+        charts = []
+        integrate = orbit.integrate
+
+        def spy(start, *a, **kw):
+            charts.append(start.chart)
+            return integrate(start, *a, **kw)
+
+        monkeypatch.setattr(orbit, "integrate", spy)
+        out = tmp_path / "v.json"
+        run_cli(["verify", "--n", "4", "--k", "1", "--rho", "5", "--theta", "1",
+                 "--alpha", "0.7", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert doc["checks"]["barrier_ordering"]["pass"]
+        assert sorted(charts) == ["WV", "XZ"]
+
 
 class TestSweep:
     def test_regime_table_and_determinism(self, tmp_path):

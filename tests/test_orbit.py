@@ -193,6 +193,13 @@ class TestMonitors:
             "self_intersections": 0,
         }
 
+    def test_log_identity_holds_across_spacing_jumps(self, run):
+        # (4,1,5) at alpha 0.7 has a sample spacing that drops from 0.049 to
+        # 0.041 at s = 3.396; a g'' taken from np.gradient twice there left
+        # a clean trace with one violation of 6.7e-7
+        p, _sol, tr, _oc = run(4, 1, 5.0, alpha=0.7)
+        assert orbit.log_z_identity_check(tr, p) == []
+
     def test_perturbed_z_flags_log_identity(self, run):
         p, _sol, tr, _oc = run(4, 1, 1.0)
         Z = tr.Z.copy()
@@ -259,3 +266,15 @@ class TestBarrier:
         rep = orbit.barrier_compare(p)
         assert rep.ordered and rep.f_gt_h
         assert rep.slope_A > rep.slope_origin
+
+    @pytest.mark.parametrize("rho,theta", [(5.0, 1.0), (1.0, 1e-6)])
+    @pytest.mark.parametrize("alpha", [0.5, 0.7, 2.0])
+    def test_main_trace_matches_stopped_run(self, rho, theta, alpha):
+        # the origin curve cut from a full run at its first X_B crossing
+        # against a run of its own stopped there
+        p = phase.make_params(4, 1, rho, theta)
+        _sol, tr, _oc = orbit.run_orbit(p, alpha)
+        cut = orbit.barrier_compare(p, alpha, trace=tr)
+        own = orbit.barrier_compare(p, alpha)
+        assert (cut.ordered, cut.f_gt_h) == (own.ordered, own.f_gt_h)
+        assert abs(cut.min_gap - own.min_gap) <= 1e-9
