@@ -227,8 +227,6 @@ def cmd_classify(args):
                 "predicted_exponent": rate.predicted.exponent if rate.predicted else None,
                 "predicted_log_power": rate.predicted.log_power if rate.predicted else None,
                 "agreement": rate.agreement,
-                "r2": rate.r2,
-                "model": rate.details["selected"],
             }
         if oc.kind == orbit_mod.TYPE_GAMMA:
             payload["z_tail_rate"] = {
@@ -451,6 +449,10 @@ def cmd_verify(args):
         record("origin_zx_ratio", org.zx_ratio_err, 1e-5)
         if rate is not None and rate.agreement is not None:
             record("tail_rate_agreement", rate.agreement, 0.02)
+            want = rate.predicted.log_power
+            if want and rate.log_correction_power is not None:
+                err = abs(rate.log_correction_power - want) / abs(want)
+                record("tail_log_power_agreement", err, 1e-2)
     if p.rho > 2.0 * p.theta and p.n >= 2 * p.k:
         rep = orbit_mod.barrier_compare(
             p, alpha_bar=cfg["alpha_bar"], controls=_controls(cfg), tol=tol, trace=trace

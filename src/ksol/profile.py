@@ -3,12 +3,12 @@ soliton potential, self-similar flow snapshots, and asymptotic rate
 estimation against the predicted decay laws.
 
 All reconstruction happens in log space (ln u is linear in ln Z and s)
-so that far tails, where u underflows double precision, still support
-rate fits; the linear-space table keeps only representable rows.
+so that far tails, where u underflows double precision, still carry their
+decay rates; the linear-space table keeps only representable rows.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,14 +18,16 @@ from .errors import DomainError
 from .sigma import binomial, schouten_pair, split_sigma_l
 
 LN_FLOOR = -680.0  # linear-space columns must stay representable
+MIN_TAIL_SPAN = 2.0 * math.log(10.0)  # two decades of r before a rate is read
 
 
 @dataclass(frozen=True)
 class ProfileTable:
     """Samples (r, u, u_r, u_rr) of the reconstructed conformal factor.
 
-    ``s_full``/``ln_u_full`` cover the whole admissible trace (log space,
-    no underflow filtering) and are what the rate fits consume.
+    ``s_full``, ``x_full`` and ``ln_u_full`` cover the whole admissible
+    trace (log space, no underflow filtering). ``x_full`` is x = X^(1/k) =
+    -d ln u/ds, from which ``tail_rate`` reads the decay.
     """
 
     r: np.ndarray
@@ -38,6 +40,7 @@ class ProfileTable:
     Z: np.ndarray
     s: np.ndarray
     s_full: np.ndarray
+    x_full: np.ndarray
     ln_u_full: np.ndarray
     excluded_inadmissible: int = 0
     excluded_unrepresentable: int = 0
@@ -85,6 +88,7 @@ def reconstruct_u(trace, p):
         Z=Zr,
         s=sr,
         s_full=s,
+        x_full=x,
         ln_u_full=ln_u,
         excluded_inadmissible=n_in,
         excluded_unrepresentable=n_rep,
@@ -150,14 +154,20 @@ class RatePrediction:
 
 
 def expected_rate(p, orbit_class):
-    """The decay law the asymptotic analysis predicts for this orbit type.
+    """The decay law the asymptotic analysis predicts for this orbit type,
+    or None where the regime table does not allow the type.
 
     The expander exponent is the one forced by the unambiguous two-sided
     bound Z ~ e^(-k rho/theta s), namely u ~ r^(-(2+rho/theta)/(1-m));
     quoted closed forms for it vary, so the Z-rate is what gets verified.
+    On steady n = 2k orbits eps = gamma - x obeys eps_s ~ -c Z eps^k with
+    (ln Z)_s = 2k eps/gamma, so eps ~ gamma (k-2)/(2k s), and gamma = 2:
+    the log power is (k-2)/k. At k = 2 it is 0, and s eps decays like 1/ln s.
     """
     n, k, m = p.n, p.k, p.m
     kind = orbit_class.kind
+    if kind not in orbit_mod.expected_kinds(p):
+        return None
     if kind == orbit_mod.TYPE_GAMMA:
         if p.rho < 0.0:
             return RatePrediction(
@@ -169,7 +179,7 @@ def expected_rate(p, orbit_class):
             return RatePrediction(
                 -2.0 / (1.0 - m), 1.0 / (1.0 - m), "steady: u ~ (ln r / r^2)^(1/(1-m))"
             )
-        return RatePrediction(-2.0, (k - 1.0) / k, "steady n=2k: u ~ (ln r)^((k-1)/k)/r^2")
+        return RatePrediction(-2.0, (k - 2.0) / k, "steady n=2k: u ~ (ln r)^((k-2)/k)/r^2")
     if kind in (orbit_mod.TYPE_B, orbit_mod.GENERALIZED_B):
         return RatePrediction(-2.0 / (1.0 - m), None, "shrinker slow decay: u ~ r^(-2/(1-m))")
     if kind == orbit_mod.TYPE_A:
@@ -188,86 +198,40 @@ class RateReport:
     log_correction_power: float | None
     predicted: RatePrediction | None
     agreement: float | None
-    r2: float
-    window: tuple
-    details: dict = field(default_factory=dict)
 
 
-def _weighted_fit(A, y, w):
-    sw = np.sqrt(w)
-    coef, *_ = np.linalg.lstsq(A * sw[:, None], y * sw, rcond=None)
-    resid = y - A @ coef
-    ss_res = float(np.sum(w * resid**2))
-    ss_tot = float(np.sum(w * (y - np.average(y, weights=w)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return coef, ss_res, r2
+def tail_rate(table, p, orbit_class):
+    """The decay exponent of u, and on steady orbits its log power, read off
+    the flow.
 
-
-def tail_rate(table, p, orbit_class, decades=1.0):
-    """Fit the decay exponent (and any logarithmic correction) of u.
-
-    The pure power law is fitted over the last ``decades`` of r with
-    weights proportional to r. The log-corrected model needs a wide window
-    to decouple ln ln r from ln r (they are collinear across one decade),
-    so it uses the final three quarters of the trace; both fits are
-    reported and the better weighted residual is selected.
+    Along the orbit d ln u/ds = -x exactly (u_r = -u x/r), so u decays like
+    r^(-lim x). An orbit that converges exponentially gives the exponent
+    -x(s_end). A steady orbit (TypeGamma at rho = 0) approaches gamma like
+    p/s, which is u ~ r^(-gamma) (ln r)^p: the log power p = lim s (gamma - x)
+    comes from one c0 + c1/s fit of s (gamma - x) over s >= s_end/2, and the
+    exponent is x's limit with the fitted correction taken out,
+    -(x + (c0 + c1/s)/s) at s_end: -gamma up to the fit's residual there.
     """
-    s, ln_u = table.s_full, table.ln_u_full
-    span = s[-1] - s[0]
-    need = decades * math.log(10.0)
-    if span < 2.0 * need or s[-1] <= 1.0:
+    s, x = table.s_full, table.x_full
+    if s[-1] - s[0] < MIN_TAIL_SPAN or s[-1] <= 1.0:
         raise DomainError(
-            f"tail span {span:.2f} too short for a {decades}-decade fit; increase s_max"
+            f"tail span {s[-1] - s[0]:.2f} too short to read a decay rate; increase s_max"
         )
-    last = s >= s[-1] - need
-    sl, yl = s[last], ln_u[last]
-    w = np.exp(sl - sl[-1])  # weights proportional to r
-    coef_p, _res, r2_p = _weighted_fit(np.column_stack([sl, np.ones_like(sl)]), yl, w)
-
-    # model comparison lives on a wide window: across a single decade
-    # ln ln r is indistinguishable from a constant, so the log coefficient
-    # is only identifiable, and the two models only comparable, in the large
-    wide = s >= max(1.0, s[-1] * 0.25)
-    sw_, yw_ = s[wide], ln_u[wide]
-    ww = np.ones_like(sw_)
-    coef_pw, res_pw, _ = _weighted_fit(np.column_stack([sw_, np.ones_like(sw_)]), yw_, ww)
-    coef_l, res_lw, r2_l = _weighted_fit(
-        np.column_stack([sw_, np.log(sw_), np.ones_like(sw_)]), yw_, ww
-    )
-
+    limit, log_power = float(x[-1]), None
+    if orbit_class.kind == orbit_mod.TYPE_GAMMA and p.rho == 0.0:
+        late = s >= 0.5 * s[-1]
+        c1, c0 = np.polyfit(1.0 / s[late], s[late] * (p.gamma - x[late]), 1)
+        log_power = float(c0)
+        limit += (c0 + c1 / s[-1]) / s[-1]
     predicted = expected_rate(p, orbit_class)
-    want_log = predicted is not None and predicted.log_power is not None
-    # the extra parameter must earn its keep: prefer the log-corrected model
-    # only when it beats the pure power law decisively on the wide window,
-    # its coefficient is not noise-level, and its exponent is consistent with
-    # the local last-decade fit (a transient-dominated window fails this)
-    use_log = (
-        res_lw < 1e-2 * res_pw
-        and abs(coef_l[1]) > 0.05
-        and abs(coef_l[0] - coef_p[0]) <= 0.03 * abs(coef_p[0])
-    )
-    details = {
-        "power_fit": (float(coef_p[0]), r2_p),
-        "power_fit_wide": (float(coef_pw[0]), float(res_pw)),
-        "log_fit": (float(coef_l[0]), float(coef_l[1]), r2_l, float(res_lw)),
-        "selected": "log" if use_log else "power",
-        "log_predicted": want_log,
-    }
-    if use_log:
-        fitted, logpow, r2 = float(coef_l[0]), float(coef_l[1]), r2_l
-    else:
-        fitted, logpow, r2 = float(coef_p[0]), None, r2_p
     agreement = None
     if predicted is not None:
-        agreement = abs(fitted - predicted.exponent) / abs(predicted.exponent)
+        agreement = abs(limit + predicted.exponent) / abs(predicted.exponent)
     return RateReport(
-        fitted_exponent=fitted,
-        log_correction_power=logpow,
+        fitted_exponent=-limit,
+        log_correction_power=log_power,
         predicted=predicted,
         agreement=agreement,
-        r2=r2,
-        window=(float(sl[0]), float(sl[-1])),
-        details=details,
     )
 
 

@@ -74,6 +74,20 @@ class TestClassify:
         keys = [line.split('"')[1] for line in text.splitlines() if line.startswith('  "')]
         assert keys == sorted(keys)
 
+    def test_tail_rate_keys(self, tmp_path):
+        out = tmp_path / "r.json"
+        run_cli(["classify", "--n", "4", "--k", "1", "--rho", "0", "--theta", "1",
+                 "--out", str(out)])
+        rate = json.loads(out.read_text())["tail_rate"]
+        assert set(rate) == {
+            "fitted_exponent",
+            "log_correction_power",
+            "predicted_exponent",
+            "predicted_log_power",
+            "agreement",
+        }
+        assert rate["log_correction_power"] == pytest.approx(1.5, abs=1e-3)
+
 
 class TestProfileCommand:
     def test_header_rows_and_positivity(self, tmp_path):
@@ -167,6 +181,24 @@ class TestVerify:
                         "--theta", "1", "--out", str(out)])
         assert code == 0
 
+    @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (6, 3)])
+    def test_steady_log_power_checked(self, tmp_path, n, k):
+        out = tmp_path / "v.json"
+        code = run_cli(["verify", "--n", str(n), "--k", str(k), "--rho", "0",
+                        "--theta", "1", "--out", str(out)])
+        check = json.loads(out.read_text())["checks"]["tail_log_power_agreement"]
+        assert code == 0 and check["pass"] and check["threshold"] == 1e-2
+
+    @pytest.mark.parametrize("n,k,rho", [(4, 1, -1.0), (4, 1, 1.0), (4, 2, 1.0), (4, 2, 0.0)])
+    def test_no_log_power_check_without_a_log_power(self, tmp_path, n, k, rho):
+        # expanders and shrinkers have none; (4,2,0) has a predicted power of 0
+        out = tmp_path / "v.json"
+        run_cli(["verify", "--n", str(n), "--k", str(k), "--rho", str(rho),
+                 "--theta", "1", "--out", str(out)])
+        checks = json.loads(out.read_text())["checks"]
+        assert "tail_rate_agreement" in checks
+        assert "tail_log_power_agreement" not in checks
+
     def test_barrier_reuses_local_solution(self, tmp_path, monkeypatch):
         # rho > 2 theta and n >= 2k: the barrier comparison takes the origin's
         # local solution from the run instead of solving it again
@@ -218,6 +250,14 @@ class TestSweep:
         classes = [r["class"] for r in rows]
         assert classes[0] == "TypeGamma" and classes[1] == "TypeGamma"
         assert classes[2] in ("TypeB", "GeneralizedB")
+
+    def test_log_power_on_steady_rows_only(self, tmp_path):
+        out = tmp_path / "s.csv"
+        run_cli(["sweep", "--n", "4", "--k", "1", "--theta", "1", "--rhos=-1,0,1",
+                 "--alphas", "1.0", "--out", str(out)])
+        powers = [r["log_power"] for r in csv.DictReader(out.open())]
+        assert powers[0] == powers[2] == ""
+        assert float(powers[1]) == pytest.approx(1.5, abs=1e-3)
 
     def test_partial_failure_recorded(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -83,6 +83,20 @@ class TestExpectedRates:
         p, _sol, _tr, oc = run(3, 2, 1.0)
         assert profile.expected_rate(p, oc) is None
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_n2k_steady_log_power(self, k):
+        # (k-2)/k: eps = gamma - x ~ gamma (k-2)/(2k s) with gamma = 2
+        p = phase.make_params(2 * k, k, 0.0, 1.0)
+        pred = profile.expected_rate(p, orbit.OrbitClass(orbit.TYPE_GAMMA))
+        assert pred.exponent == pytest.approx(-2.0)
+        assert pred.log_power == pytest.approx((k - 2.0) / k)
+
+    @pytest.mark.parametrize("n,k,rho", [(4, 1, 1.0), (3, 2, 1.0)])
+    def test_no_prediction_outside_regime_table(self, n, k, rho):
+        # TypeGamma is impossible for rho > 0 and for n < 2k
+        p = phase.make_params(n, k, rho, 1.0)
+        assert profile.expected_rate(p, orbit.OrbitClass(orbit.TYPE_GAMMA)) is None
+
 
 class TestTailRates:
     def test_expander_z_rate(self, run):
@@ -110,7 +124,6 @@ class TestTailRates:
         assert a == pytest.approx(2.0 * C ** (1.0 / p.k) / p.gamma, rel=1e-3)
         tab = profile.reconstruct_u(tr, p)
         rr = profile.tail_rate(tab, p, oc)
-        assert rr.details["selected"] == "log"
         assert rr.fitted_exponent == pytest.approx(-3.0, rel=0.02)
         assert rr.log_correction_power == pytest.approx(1.5, rel=0.02)
 
@@ -128,6 +141,14 @@ class TestTailRates:
         tab = profile.reconstruct_u(tr, p)
         rr = profile.tail_rate(tab, p, oc)
         assert rr.fitted_exponent == pytest.approx(-2.0 * (1.0 + d), rel=0.02)
+
+    def test_rate_is_read_from_x(self, run):
+        # d ln u/ds = -x along the flow: the exponent of an exponentially
+        # converging orbit is -x at the end of the trace (k = 2, so x != X)
+        p, _sol, tr, oc = run(4, 2, 1.0)
+        tab = profile.reconstruct_u(tr, p)
+        np.testing.assert_allclose(np.gradient(tab.ln_u_full, tab.s_full), -tab.x_full, atol=1e-3)
+        assert profile.tail_rate(tab, p, oc).fitted_exponent == -tab.x_full[-1]
 
     def test_short_tail_raises(self, run):
         p = phase.make_params(4, 1, 0.0, 1.0)
@@ -171,6 +192,7 @@ class TestEllipticResidual:
             Z=tab.Z,
             s=tab.s,
             s_full=tab.s_full,
+            x_full=tab.x_full,
             ln_u_full=tab.ln_u_full,
         )
         with pytest.raises(DomainError):
@@ -235,3 +257,35 @@ class TestFlowSolutions:
         fs = profile.flow_solution(tab, p, t=0.0, T=1.0)
         with pytest.raises(DomainError):
             fs(np.array([1e30]))
+
+
+class TestSteadyN2kOracle:
+    """The n = 2k steady log power against scipy Radau (rtol 1e-13, analytic
+    Jacobian). Radau starts from the trace at s = 5, where the orbit has left
+    the origin, and integrates to s = 200, far enough to tell (k-2)/k from
+    (k-1)/k."""
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_radau_gives_k_minus_2_over_k(self, k, run):
+        integrate = pytest.importorskip("scipy.integrate")
+        p, _sol, tr, oc = run(2 * k, k, 0.0)
+        j = int(np.searchsorted(tr.s, 5.0))
+        res = integrate.solve_ivp(
+            lambda _s, y: phase.vector_field(y[0], y[1], p),
+            (tr.s[j], 200.0),
+            [tr.X[j], tr.Z[j]],
+            method="Radau",
+            rtol=1e-13,
+            atol=1e-300,
+            jac=lambda _s, y: phase.jacobian(y, p),
+            dense_output=True,
+        )
+        assert res.success
+        s = np.linspace(100.0, 200.0, 201)
+        x = phase.kth_root(res.sol(s)[0], k)
+        _c1, c0 = np.polyfit(1.0 / s, s * (p.gamma - x), 1)
+        assert c0 == pytest.approx((k - 2.0) / k, abs=2e-3)
+        assert abs(c0 - (k - 1.0) / k) > 0.2
+        rr = profile.tail_rate(profile.reconstruct_u(tr, p), p, oc)
+        assert rr.log_correction_power == pytest.approx(c0, abs=1e-4)
+        assert rr.predicted.log_power == pytest.approx(c0, abs=2e-3)

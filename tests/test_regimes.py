@@ -26,6 +26,16 @@ class TestScalingInvariance:
         if xinfs[0] is not None:
             assert max(xinfs) - min(xinfs) < 1e-5 * xinfs[0]
 
+    @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (6, 1)])
+    def test_steady_log_power_alpha_independent(self, n, k, run):
+        powers = []
+        for alpha in (0.5, 1.0, 2.0):
+            p, _sol, tr, oc = run(n, k, 0.0, 1.0, alpha)
+            rr = profile.tail_rate(profile.reconstruct_u(tr, p), p, oc)
+            assert rr.log_correction_power == pytest.approx(rr.predicted.log_power, abs=1e-3)
+            powers.append(rr.log_correction_power)
+        assert max(powers) - min(powers) <= 2e-4
+
     def test_orbit_is_translation_of_itself(self, run):
         # Z as a function of X is the alpha-free signature of the orbit
         p1, _s1, tr1, _o1 = run(4, 1, 1.0, 1.0, 1.0)
