@@ -27,8 +27,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import orbit as orbit_mod
-from . import phase, picard, profile, sigma
+from . import _jit, phase, picard, profile, sigma
 from .errors import DomainError, KsolError, ParameterError
+
+# the kernel path of this process, named in the classify and verify reports
+BACKEND = "numba" if _jit.JIT_ENABLED else "python"
 
 # an option missing here defaults to None
 DEFAULTS = {
@@ -187,6 +190,7 @@ def cmd_classify(args):
     p = _params(cfg)
     sol, trace, oc, table, rate, rate_error = _analyse_one(p, cfg["alpha"], cfg)
     payload = {
+        "backend": BACKEND,
         "config": {k: cfg[k] for k in ("n", "k", "rho", "theta", "alpha", "s_max", "rtol", "tol")},
         "params": _derived_dict(p),
         "class": {"kind": oc.kind, "X_inf": oc.X_inf, "s_exit": oc.s_exit},
@@ -461,6 +465,7 @@ def cmd_verify(args):
         record("barrier_f_gt_h", -rep.f_minus_h_min, 0.0, ok=rep.f_gt_h)
     all_pass = all(c["pass"] for c in checks.values())
     payload = {
+        "backend": BACKEND,
         "config": {k: cfg[k] for k in ("n", "k", "rho", "theta", "alpha")},
         "checks": checks,
         "all_pass": all_pass,

@@ -163,6 +163,12 @@ def expected_rate(p, orbit_class):
     On steady n = 2k orbits eps = gamma - x obeys eps_s ~ -c Z eps^k with
     (ln Z)_s = 2k eps/gamma, so eps ~ gamma (k-2)/(2k s), and gamma = 2:
     the log power is (k-2)/k. At k = 2 it is 0, and s eps decays like 1/ln s.
+
+    Two of these exponents cannot disagree with ``tail_rate``. The expander
+    exponent is -gamma, and the run stops at gamma - x = asym_tol gamma, so
+    the agreement is asym_tol (1e-5) by construction. The GeneralizedA
+    exponent -2(1 + d) = -X_inf^(1/k) is -x(s_end) itself, so the agreement
+    is 0.
     """
     n, k, m = p.n, p.k, p.m
     kind = orbit_class.kind
@@ -211,6 +217,11 @@ def tail_rate(table, p, orbit_class):
     comes from one c0 + c1/s fit of s (gamma - x) over s >= s_end/2, and the
     exponent is x's limit with the fitted correction taken out,
     -(x + (c0 + c1/s)/s) at s_end: -gamma up to the fit's residual there.
+
+    The agreement with ``expected_rate`` checks nothing on two orbit types:
+    on expanders it is the asymptote tolerance asym_tol (1e-5), where the
+    run stops, and on GeneralizedA orbits it is 0.0, because the prediction
+    is read from x(s_end) itself.
     """
     s, x = table.s_full, table.x_full
     if s[-1] - s[0] < MIN_TAIL_SPAN or s[-1] <= 1.0:

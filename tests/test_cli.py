@@ -1,6 +1,7 @@
 """Command-line surface: flags, exit codes, file formats, determinism."""
 
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from ksol import cli, phase
+from ksol import _jit, cli, phase
 
 
 def run_cli(argv):
@@ -87,6 +88,26 @@ class TestClassify:
             "agreement",
         }
         assert rate["log_correction_power"] == pytest.approx(1.5, abs=1e-3)
+
+
+class TestBackend:
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_report_names_the_backend(self, tmp_path, command):
+        out = tmp_path / "r.json"
+        run_cli([command, "--n", "4", "--k", "1", "--rho", "-1", "--theta", "1",
+                 "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert doc["backend"] == ("numba" if _jit.JIT_ENABLED else "python")
+        if importlib.util.find_spec("numba") is None:
+            assert doc["backend"] == "python"
+
+    def test_disabled_jit_reports_python(self):
+        proc = run_proc(
+            ["classify", "--n", "4", "--k", "1", "--rho", "-1", "--theta", "1"],
+            {"KSOL_DISABLE_JIT": "1"},
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["backend"] == "python"
 
 
 class TestProfileCommand:

@@ -23,6 +23,36 @@ def integrate_state(x0, z0, s0, p, controls, stop_at_xb=False):
     return orbit.OrbitTrace(s, X, Z, events, status, **counters)
 
 
+def all_pairs_crossings(px, pz, block=256):
+    """Reference count for the sweep: every segment against every later one
+    that shares no endpoint, with the same bounding-box and orientation
+    tests and no pruning."""
+    ax, az = px[:-1], pz[:-1]
+    bx, bz = px[1:], pz[1:]
+    x_lo, x_hi = np.minimum(ax, bx), np.maximum(ax, bx)
+    z_lo, z_hi = np.minimum(az, bz), np.maximum(az, bz)
+    n = ax.size
+    crossings = 0
+    for i0 in range(0, n - 2, block):
+        r = np.arange(i0, min(i0 + block, n - 2))[:, None]
+        c = np.arange(i0 + 2, n)
+        near = (
+            (c >= r + 2)
+            & (x_lo[c] <= x_hi[r])
+            & (x_hi[c] >= x_lo[r])
+            & (z_lo[c] <= z_hi[r])
+            & (z_hi[c] >= z_lo[r])
+        )
+        i, j = np.nonzero(near)
+        i, j = i + i0, j + i0 + 2
+        o1 = (bx[i] - ax[i]) * (az[j] - az[i]) - (bz[i] - az[i]) * (ax[j] - ax[i])
+        o2 = (bx[i] - ax[i]) * (bz[j] - az[i]) - (bz[i] - az[i]) * (bx[j] - ax[i])
+        o3 = (bx[j] - ax[j]) * (az[i] - az[j]) - (bz[j] - az[j]) * (ax[i] - ax[j])
+        o4 = (bx[j] - ax[j]) * (bz[i] - az[j]) - (bz[j] - az[j]) * (bx[i] - ax[j])
+        crossings += int(np.count_nonzero((o1 * o2 < 0.0) & (o3 * o4 < 0.0)))
+    return crossings
+
+
 class TestIntegratorOracles:
     def test_axis_logistic_closed_form(self):
         # on Z = 0 with k = 1 the system is logistic:
@@ -232,6 +262,32 @@ class TestMonitors:
         Z = np.array([0.0, 1.0, 0.0, 1.0, 0.9])
         fake = orbit.OrbitTrace(s, X, Z, [], "s_max")
         assert orbit.self_intersection_check(fake) >= 1
+
+    def test_sweep_matches_all_pairs(self, run):
+        # grid-snapped random walks: ties in x_lo, vertical, zero-length and
+        # collinear overlapping segments, shared endpoints; 700 points span
+        # three SELF_X_BLOCK blocks
+        rng = np.random.default_rng(2024)
+        for grid, size in [(4, 40), (7, 700), (25, 700), (300, 700)]:
+            px = rng.integers(0, grid, size).astype(float)
+            pz = rng.integers(0, grid, size).astype(float)
+            want = all_pairs_crossings(px, pz)
+            assert orbit._crossings(px, pz) == want
+            if grid <= 7:
+                assert want > 0
+        s = np.arange(5.0)
+        X = np.array([0.0, 1.0, 1.0, 0.0, 0.3])
+        Z = np.array([0.0, 1.0, 0.0, 1.0, 0.9])
+        cases = [(orbit.OrbitTrace(s, X, Z, [], "s_max"), None)]
+        for n, k, rho, theta in [(4, 1, 1.0, 1e-6), (4, 1, 0.0, 1.0)]:
+            p, _sol, tr, _oc = run(n, k, rho, theta=theta)
+            cases.append((tr, p))
+        counts = []
+        for tr, p in cases:
+            px, pz = orbit._monitor_polyline(tr, p, 4000)
+            counts.append(orbit.self_intersection_check(tr, p))
+            assert counts[-1] == all_pairs_crossings(px, pz)
+        assert counts == [1, 15767, 0]
 
 
 class TestBarrier:

@@ -259,6 +259,7 @@ class TestFlowSolutions:
             fs(np.array([1e30]))
 
 
+@pytest.mark.slow
 class TestSteadyN2kOracle:
     """The n = 2k steady log power against scipy Radau (rtol 1e-13, analytic
     Jacobian). Radau starts from the trace at s = 5, where the orbit has left

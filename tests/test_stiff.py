@@ -260,6 +260,7 @@ def oracle(run):
     return _solve
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("method", ["Radau", "LSODA"])
 class TestScipyOracle:
     @pytest.mark.parametrize(
