@@ -7,10 +7,18 @@ Everything here reads its parameters from the tuple of PP_SIZE floats that
 Python wherever numba is absent (or KSOL_DISABLE_JIT=1); uncompiled, an
 operation on numpy scalars costs several times as much as on floats, for
 the same IEEE result. numba cannot call the array evaluators of ``phase``, so
-``kth_root``, ``profile_value``, ``rhs`` and ``jac`` repeat them for the
-integrator alone, in the same operation order. ``kth_root`` alone keeps
-numpy's exp and log: they round differently from libm's on some inputs,
-and ``phase.kth_root`` must agree with it bit for bit on arrays.
+``kth_root``, ``rhs`` and ``jac`` repeat them for the integrator alone.
+``kth_root`` alone keeps numpy's exp and log: they round differently from
+libm's on some inputs, and ``phase.kth_root`` must agree with it bit for bit
+on arrays.
+
+Chart: the integrator's state is (X, W), W = ln(c_nk beta^k Z), where
+X_s = -(n-2k)(1 - x/x_A) X + e^W q g^k and W_s = 2k (1 - x/x_B) depends on
+x alone: the exponential arcs of Z are straight lines in W. X's error is
+held relative to X and W's absolutely, both at rtol, which is to first
+order the relative control of Z. The axis Z = 0 is W = -inf, where W stays.
+The samples are returned in Z = e^W/(c_nk beta^k), and the thresholds on Z
+(BLOWUP_Z, Z_FLOOR_REL, CONV_RHS) are applied as their exact images.
 
 Integrator: DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5, II.10),
 an explicit 12-stage pair of order 8 whose error estimate combines
@@ -18,12 +26,14 @@ embedded order-5 and order-3 solutions, with PI step-size control. Each
 accepted DOP853 step builds its order-7 continuous extension from three
 more stages: every event is located on it by bisection, and it supplies
 interior samples wherever the cubic Hermite between the step ends would
-miss SAMPLE_TOL. Once the step is stability-limited (h times the spectral
-radius of the closed-form 2x2 Jacobian above STIFF_HRHO on STIFF_SPAN
-consecutive accepted steps) the rest of the run takes RODAS4 steps:
-linearly implicit, L-stable, order 4 with an embedded order-3 estimate,
-its stage systems solved in closed form. Their events, the terminal
-asymptote included, are bisected on the cubic Hermite of the step ends.
+miss SAMPLE_TOL in (X, W). Once the step is stability-limited (h times the
+spectral radius of the closed-form 2x2 Jacobian above STIFF_HRHO on
+STIFF_SPAN consecutive accepted steps) the rest of the run takes RODAS4
+steps: linearly implicit, L-stable, order 4 with an embedded order-3
+estimate, its stage systems solved in closed form. Their events, the
+terminal asymptote included, are located on the step itself: the cubic
+Hermite of the step ends gives the first estimate, then secant re-steps of
+the step length from the step start (at most RESTEP_MAX) refine it.
 """
 
 import math
@@ -87,8 +97,13 @@ STIFF_HRHO = 1.93
 STIFF_SPAN = 15
 # interior samples: an accepted DOP853 step is cut into pieces short enough
 # that the cubic Hermite between consecutive samples stays within
-# SAMPLE_TOL, relative, of the order-7 extension at the midpoint
+# SAMPLE_TOL of the order-7 extension at the midpoint, relative in X and
+# absolute in W (relative in Z)
 SAMPLE_TOL = 1e-9
+# Newton re-steps that locate an event on a RODAS4 step
+RESTEP_MAX = 4
+# e^W overflows beyond this; the field takes e^W = inf there, a bad state
+EXP_W_MAX = 709.0
 
 
 def pack_params(p):
@@ -129,31 +144,27 @@ def _profile_ratio(x, pp, prof):
 
 
 @njit
-def profile_value(x, pp, prof):
-    """f(x) for prof=0, h(x) for prof=1, at x = X^(1/k)."""
+def rhs(X, W, pp, prof):
+    """(X_s, W_s) in the log chart W = ln(c_nk beta^k Z): e^W q g^k is the
+    term Z f(x) of X_s, and W_s = Z_s/Z = 2k (1 - x/x_B) depends on x alone.
+    With prof=1 this is the reversed A-chart field in (W-, ln(c_nk beta^k V-))."""
+    n = pp[PP_N]
     k = int(pp[PP_K])
-    q, base = _profile_ratio(x, pp, prof)
+    x = kth_root(X, k)
+    q, g = _profile_ratio(x, pp, prof)
     r = 1.0
     for _ in range(k):
-        r *= base
-    return pp[PP_CB] * q * r
+        r *= g
+    ez = math.exp(W) if W < EXP_W_MAX else math.inf
+    F = -(n - 2.0 * k) * (1.0 - x / pp[PP_XA_ROOT]) * X + ez * (q * r)
+    return F, 2.0 * k * (1.0 - x / pp[PP_XB_ROOT])
 
 
 @njit
-def rhs(X, Z, pp, prof):
-    """(X_s, Z_s); with prof=1 this is the reversed A-chart field in (W-, V-)."""
-    n = pp[PP_N]
-    k = pp[PP_K]
-    x = kth_root(X, int(k))
-    F = -(n - 2.0 * k) * (1.0 - x / pp[PP_XA_ROOT]) * X + Z * profile_value(x, pp, prof)
-    G = 2.0 * k * Z * (1.0 - x / pp[PP_XB_ROOT])
-    return F, G
-
-
-@njit
-def jac(X, Z, pp, prof):
-    """Jacobian of ``rhs`` at X > 0 as (dF/dX, dF/dZ, dG/dX, dG/dZ), by the
-    formulas of ``phase.jacobian`` with either profile; X^((1-k)/k) is x/X."""
+def jac(X, W, pp, prof):
+    """Jacobian of ``rhs`` at X > 0 as (dF/dX, dF/dW, dW_s/dX, dW_s/dW): the
+    entries of ``phase.jacobian`` in the log chart, with dF/dW = e^W q g^k
+    the f-term of F and dW_s/dW = 0; X^((1-k)/k) is x/X."""
     n = pp[PP_N]
     k = int(pp[PP_K])
     m = (n - 2.0 * k) / (n + 2.0 * k)
@@ -163,13 +174,13 @@ def jac(X, Z, pp, prof):
     for _ in range(k - 1):
         g_km1 *= g
     sign = 1.0 if prof == PROF_F else -1.0
-    slope = pp[PP_CB] * k * g_km1 * (((k - 1) / (n + 2.0 * k)) * g - sign)
+    ez = math.exp(W) if W < EXP_W_MAX else math.inf
+    slope = k * g_km1 * (((k - 1) / (n + 2.0 * k)) * g - sign)
     xpow = x / X if k > 1 else 1.0
-    dFdX = (2.0 * k - n) + m * (k + 1) * x + Z * (slope * xpow / k)
-    dFdZ = pp[PP_CB] * q * (g_km1 * g)  # profile_value, same product order
-    dGdX = -(1.0 - m) * Z * xpow
-    dGdZ = 2.0 * k - (1.0 - m) * k * x
-    return dFdX, dFdZ, dGdX, dGdZ
+    dFdX = (2.0 * k - n) + m * (k + 1) * x + ez * (slope * xpow / k)
+    dFdW = ez * (q * (g_km1 * g))  # the f-term of rhs, same product order
+    dGdX = -(1.0 - m) * xpow
+    return dFdX, dFdW, dGdX, 0.0
 
 
 @njit
@@ -374,91 +385,91 @@ _D6_0, _D6_5, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14
 
 
 @njit
-def _dop853_step(X, Z, h, fX, fZ, pp, prof):
-    """One DOP853 step from (X, Z) with derivative (fX, fZ) already known.
+def _dop853_step(X, W, h, fX, fW, pp, prof):
+    """One DOP853 step from (X, W) with derivative (fX, fW) already known.
 
-    Returns (X1, Z1, e5X, e5Z, e3X, e3Z, KX, KZ): the order-8 solution, the
+    Returns (X1, W1, e5X, e5W, e3X, e3W, KX, KW): the order-8 solution, the
     order-5 and order-3 error estimates, and per component the stages
     K5..K11 and the FSAL derivative K12 at the step end, which the
     continuous extension reuses (K1..K4 enter neither).
     """
-    k1x, k1z = rhs(X + h * _A1_0 * fX, Z + h * _A1_0 * fZ, pp, prof)
-    k2x, k2z = rhs(X + h * (_A2_0 * fX + _A2_1 * k1x), Z + h * (_A2_0 * fZ + _A2_1 * k1z), pp, prof)
-    k3x, k3z = rhs(X + h * (_A3_0 * fX + _A3_2 * k2x), Z + h * (_A3_0 * fZ + _A3_2 * k2z), pp, prof)
-    k4x, k4z = rhs(
+    k1x, k1w = rhs(X + h * _A1_0 * fX, W + h * _A1_0 * fW, pp, prof)
+    k2x, k2w = rhs(X + h * (_A2_0 * fX + _A2_1 * k1x), W + h * (_A2_0 * fW + _A2_1 * k1w), pp, prof)
+    k3x, k3w = rhs(X + h * (_A3_0 * fX + _A3_2 * k2x), W + h * (_A3_0 * fW + _A3_2 * k2w), pp, prof)
+    k4x, k4w = rhs(
         X + h * (_A4_0 * fX + _A4_2 * k2x + _A4_3 * k3x),
-        Z + h * (_A4_0 * fZ + _A4_2 * k2z + _A4_3 * k3z),
+        W + h * (_A4_0 * fW + _A4_2 * k2w + _A4_3 * k3w),
         pp,
         prof,
     )
-    k5x, k5z = rhs(
+    k5x, k5w = rhs(
         X + h * (_A5_0 * fX + _A5_3 * k3x + _A5_4 * k4x),
-        Z + h * (_A5_0 * fZ + _A5_3 * k3z + _A5_4 * k4z),
+        W + h * (_A5_0 * fW + _A5_3 * k3w + _A5_4 * k4w),
         pp,
         prof,
     )
-    k6x, k6z = rhs(
+    k6x, k6w = rhs(
         X + h * (_A6_0 * fX + _A6_3 * k3x + _A6_4 * k4x + _A6_5 * k5x),
-        Z + h * (_A6_0 * fZ + _A6_3 * k3z + _A6_4 * k4z + _A6_5 * k5z),
+        W + h * (_A6_0 * fW + _A6_3 * k3w + _A6_4 * k4w + _A6_5 * k5w),
         pp,
         prof,
     )
-    k7x, k7z = rhs(
+    k7x, k7w = rhs(
         X + h * (_A7_0 * fX + _A7_3 * k3x + _A7_4 * k4x + _A7_5 * k5x + _A7_6 * k6x),
-        Z + h * (_A7_0 * fZ + _A7_3 * k3z + _A7_4 * k4z + _A7_5 * k5z + _A7_6 * k6z),
+        W + h * (_A7_0 * fW + _A7_3 * k3w + _A7_4 * k4w + _A7_5 * k5w + _A7_6 * k6w),
         pp,
         prof,
     )
-    k8x, k8z = rhs(
+    k8x, k8w = rhs(
         X + h * (_A8_0 * fX + _A8_3 * k3x + _A8_4 * k4x + _A8_5 * k5x + _A8_6 * k6x + _A8_7 * k7x),
-        Z + h * (_A8_0 * fZ + _A8_3 * k3z + _A8_4 * k4z + _A8_5 * k5z + _A8_6 * k6z + _A8_7 * k7z),
+        W + h * (_A8_0 * fW + _A8_3 * k3w + _A8_4 * k4w + _A8_5 * k5w + _A8_6 * k6w + _A8_7 * k7w),
         pp,
         prof,
     )
-    k9x, k9z = rhs(
+    k9x, k9w = rhs(
         X
         + h
         * (
             _A9_0 * fX + _A9_3 * k3x + _A9_4 * k4x + _A9_5 * k5x + _A9_6 * k6x + _A9_7 * k7x
             + _A9_8 * k8x
         ),
-        Z
+        W
         + h
         * (
-            _A9_0 * fZ + _A9_3 * k3z + _A9_4 * k4z + _A9_5 * k5z + _A9_6 * k6z + _A9_7 * k7z
-            + _A9_8 * k8z
+            _A9_0 * fW + _A9_3 * k3w + _A9_4 * k4w + _A9_5 * k5w + _A9_6 * k6w + _A9_7 * k7w
+            + _A9_8 * k8w
         ),
         pp,
         prof,
     )
-    k10x, k10z = rhs(
+    k10x, k10w = rhs(
         X
         + h
         * (
             _A10_0 * fX + _A10_3 * k3x + _A10_4 * k4x + _A10_5 * k5x + _A10_6 * k6x
             + _A10_7 * k7x + _A10_8 * k8x + _A10_9 * k9x
         ),
-        Z
+        W
         + h
         * (
-            _A10_0 * fZ + _A10_3 * k3z + _A10_4 * k4z + _A10_5 * k5z + _A10_6 * k6z
-            + _A10_7 * k7z + _A10_8 * k8z + _A10_9 * k9z
+            _A10_0 * fW + _A10_3 * k3w + _A10_4 * k4w + _A10_5 * k5w + _A10_6 * k6w
+            + _A10_7 * k7w + _A10_8 * k8w + _A10_9 * k9w
         ),
         pp,
         prof,
     )
-    k11x, k11z = rhs(
+    k11x, k11w = rhs(
         X
         + h
         * (
             _A11_0 * fX + _A11_3 * k3x + _A11_4 * k4x + _A11_5 * k5x + _A11_6 * k6x
             + _A11_7 * k7x + _A11_8 * k8x + _A11_9 * k9x + _A11_10 * k10x
         ),
-        Z
+        W
         + h
         * (
-            _A11_0 * fZ + _A11_3 * k3z + _A11_4 * k4z + _A11_5 * k5z + _A11_6 * k6z
-            + _A11_7 * k7z + _A11_8 * k8z + _A11_9 * k9z + _A11_10 * k10z
+            _A11_0 * fW + _A11_3 * k3w + _A11_4 * k4w + _A11_5 * k5w + _A11_6 * k6w
+            + _A11_7 * k7w + _A11_8 * k8w + _A11_9 * k9w + _A11_10 * k10w
         ),
         pp,
         prof,
@@ -467,34 +478,34 @@ def _dop853_step(X, Z, h, fX, fZ, pp, prof):
         _B0 * fX + _B5 * k5x + _B6 * k6x + _B7 * k7x + _B8 * k8x + _B9 * k9x + _B10 * k10x
         + _B11 * k11x
     )
-    Z1 = Z + h * (
-        _B0 * fZ + _B5 * k5z + _B6 * k6z + _B7 * k7z + _B8 * k8z + _B9 * k9z + _B10 * k10z
-        + _B11 * k11z
+    W1 = W + h * (
+        _B0 * fW + _B5 * k5w + _B6 * k6w + _B7 * k7w + _B8 * k8w + _B9 * k9w + _B10 * k10w
+        + _B11 * k11w
     )
-    k12x, k12z = rhs(X1, Z1, pp, prof)
+    k12x, k12w = rhs(X1, W1, pp, prof)
     e5x = h * (
         _E5_0 * fX + _E5_5 * k5x + _E5_6 * k6x + _E5_7 * k7x + _E5_8 * k8x + _E5_9 * k9x
         + _E5_10 * k10x + _E5_11 * k11x
     )
-    e5z = h * (
-        _E5_0 * fZ + _E5_5 * k5z + _E5_6 * k6z + _E5_7 * k7z + _E5_8 * k8z + _E5_9 * k9z
-        + _E5_10 * k10z + _E5_11 * k11z
+    e5w = h * (
+        _E5_0 * fW + _E5_5 * k5w + _E5_6 * k6w + _E5_7 * k7w + _E5_8 * k8w + _E5_9 * k9w
+        + _E5_10 * k10w + _E5_11 * k11w
     )
     e3x = h * (
         _E3_0 * fX + _B5 * k5x + _B6 * k6x + _B7 * k7x + _E3_8 * k8x + _B9 * k9x + _B10 * k10x
         + _E3_11 * k11x
     )
-    e3z = h * (
-        _E3_0 * fZ + _B5 * k5z + _B6 * k6z + _B7 * k7z + _E3_8 * k8z + _B9 * k9z + _B10 * k10z
-        + _E3_11 * k11z
+    e3w = h * (
+        _E3_0 * fW + _B5 * k5w + _B6 * k6w + _B7 * k7w + _E3_8 * k8w + _B9 * k9w + _B10 * k10w
+        + _E3_11 * k11w
     )
     KX = (k5x, k6x, k7x, k8x, k9x, k10x, k11x, k12x)
-    KZ = (k5z, k6z, k7z, k8z, k9z, k10z, k11z, k12z)
-    return X1, Z1, e5x, e5z, e3x, e3z, KX, KZ
+    KW = (k5w, k6w, k7w, k8w, k9w, k10w, k11w, k12w)
+    return X1, W1, e5x, e5w, e3x, e3w, KX, KW
 
 
 @njit
-def _dop853_error(e5x, e5z, e3x, e3z, scX, scZ):
+def _dop853_error(e5x, e5w, e3x, e3w, scX, scW):
     """Hairer's combined error norm err5^2 / sqrt(err5^2 + 0.01 err3^2) of
     the scaled estimates; the order-3 term damps it where the order-5
     estimate is unreliably small."""
@@ -503,72 +514,72 @@ def _dop853_error(e5x, e5z, e3x, e3z, scX, scZ):
     if scX > 0.0:
         a += (e5x / scX) ** 2
         b += (e3x / scX) ** 2
-    if scZ > 0.0:
-        a += (e5z / scZ) ** 2
-        b += (e3z / scZ) ** 2
+    if scW > 0.0:
+        a += (e5w / scW) ** 2
+        b += (e3w / scW) ** 2
     if a == 0.0 and b == 0.0:
         return 0.0
     return a / math.sqrt(2.0 * (a + 0.01 * b))
 
 
 @njit
-def _dop853_dense(X, Z, h, fX, fZ, X1, Z1, KX, KZ, pp, prof):
+def _dop853_dense(X, W, h, fX, fW, X1, W1, KX, KW, pp, prof):
     """The order-7 continuous extension of an accepted DOP853 step, as the
-    coefficients (F0, ..., F6) of ``_dense`` for X and for Z; its three
+    coefficients (F0, ..., F6) of ``_dense`` for X and for W; its three
     extra stages cost three rhs calls."""
     k5x, k6x, k7x, k8x, k9x, k10x, k11x, k12x = KX
-    k5z, k6z, k7z, k8z, k9z, k10z, k11z, k12z = KZ
-    k13x, k13z = rhs(
+    k5w, k6w, k7w, k8w, k9w, k10w, k11w, k12w = KW
+    k13x, k13w = rhs(
         X
         + h
         * (
             _A13_0 * fX + _A13_6 * k6x + _A13_7 * k7x + _A13_8 * k8x + _A13_9 * k9x
             + _A13_10 * k10x + _A13_11 * k11x + _A13_12 * k12x
         ),
-        Z
+        W
         + h
         * (
-            _A13_0 * fZ + _A13_6 * k6z + _A13_7 * k7z + _A13_8 * k8z + _A13_9 * k9z
-            + _A13_10 * k10z + _A13_11 * k11z + _A13_12 * k12z
+            _A13_0 * fW + _A13_6 * k6w + _A13_7 * k7w + _A13_8 * k8w + _A13_9 * k9w
+            + _A13_10 * k10w + _A13_11 * k11w + _A13_12 * k12w
         ),
         pp,
         prof,
     )
-    k14x, k14z = rhs(
+    k14x, k14w = rhs(
         X
         + h
         * (
             _A14_0 * fX + _A14_5 * k5x + _A14_6 * k6x + _A14_7 * k7x + _A14_10 * k10x
             + _A14_11 * k11x + _A14_12 * k12x + _A14_13 * k13x
         ),
-        Z
+        W
         + h
         * (
-            _A14_0 * fZ + _A14_5 * k5z + _A14_6 * k6z + _A14_7 * k7z + _A14_10 * k10z
-            + _A14_11 * k11z + _A14_12 * k12z + _A14_13 * k13z
+            _A14_0 * fW + _A14_5 * k5w + _A14_6 * k6w + _A14_7 * k7w + _A14_10 * k10w
+            + _A14_11 * k11w + _A14_12 * k12w + _A14_13 * k13w
         ),
         pp,
         prof,
     )
-    k15x, k15z = rhs(
+    k15x, k15w = rhs(
         X
         + h
         * (
             _A15_0 * fX + _A15_5 * k5x + _A15_6 * k6x + _A15_7 * k7x + _A15_8 * k8x
             + _A15_12 * k12x + _A15_13 * k13x + _A15_14 * k14x
         ),
-        Z
+        W
         + h
         * (
-            _A15_0 * fZ + _A15_5 * k5z + _A15_6 * k6z + _A15_7 * k7z + _A15_8 * k8z
-            + _A15_12 * k12z + _A15_13 * k13z + _A15_14 * k14z
+            _A15_0 * fW + _A15_5 * k5w + _A15_6 * k6w + _A15_7 * k7w + _A15_8 * k8w
+            + _A15_12 * k12w + _A15_13 * k13w + _A15_14 * k14w
         ),
         pp,
         prof,
     )
     cx = _extension(h, X, X1, fX, KX, k13x, k14x, k15x)
-    cz = _extension(h, Z, Z1, fZ, KZ, k13z, k14z, k15z)
-    return cx, cz
+    cw = _extension(h, W, W1, fW, KW, k13w, k14w, k15w)
+    return cx, cw
 
 
 @njit
@@ -609,15 +620,15 @@ def _extension(h, y0, y1, k0, K, k13, k14, k15):
 
 
 @njit
-def _sample_count(cx, cz, magX, magZ):
+def _sample_count(cx, cw, magX, magW):
     """Pieces of a DOP853 step between emitted samples. At theta = 1/2 the
     extension exceeds the cubic Hermite by (F3 + (F4 + (F5 + F6/2)/2)/2)/16;
     that gap shrinks with the fourth power of the piece length."""
     gap = 0.0
     if magX > 0.0:
         gap = abs(cx[3] + 0.5 * (cx[4] + 0.5 * (cx[5] + 0.5 * cx[6]))) / magX
-    if magZ > 0.0:
-        gap = max(gap, abs(cz[3] + 0.5 * (cz[4] + 0.5 * (cz[5] + 0.5 * cz[6]))) / magZ)
+    if magW > 0.0:
+        gap = max(gap, abs(cw[3] + 0.5 * (cw[4] + 0.5 * (cw[5] + 0.5 * cw[6]))) / magW)
     gap *= 0.0625
     if not SAMPLE_TOL < gap < math.inf:
         return 1
@@ -627,8 +638,9 @@ def _sample_count(cx, cz, magX, magZ):
 @njit
 def _hermite_coeffs(h, y0, f0, y1, f1):
     """The cubic Hermite through (y0, f0) and (y1, f1) in the form of
-    ``_dense``: the first three coefficients, the corrections zero."""
-    d = y1 - y0
+    ``_dense``: the first three coefficients, the corrections zero. Equal
+    ends give d = 0, also at W = -inf on the invariant axis."""
+    d = y1 - y0 if y1 != y0 else 0.0
     return (d, h * f0 - d, 2.0 * d - h * (f0 + f1), 0.0, 0.0, 0.0, 0.0)
 
 
@@ -679,68 +691,68 @@ _RC61, _RC62, _RC63, _RC64, _RC65 = (
 
 
 @njit
-def _solve2(E, rx, rz):
+def _solve2(E, rx, rw):
     """Cramer's rule for E u = r, with E = (e11, e12, e21, e22, det)."""
     e11, e12, e21, e22, det = E
-    return (e22 * rx - e12 * rz) / det, (e11 * rz - e21 * rx) / det
+    return (e22 * rx - e12 * rw) / det, (e11 * rw - e21 * rx) / det
 
 
 @njit
-def _rodas_step(X, Z, h, fX, fZ, pp, prof):
-    """One RODAS4 step from (X, Z) with derivative (fX, fZ) already known.
+def _rodas_step(X, W, h, fX, fW, pp, prof):
+    """One RODAS4 step from (X, W) with derivative (fX, fW) already known.
 
     One Jacobian per step; each stage's 2x2 system is solved by Cramer's
-    rule. Returns (X1, Z1, errX, errZ, fX1, fZ1): the order-4 solution, its
+    rule. Returns (X1, W1, errX, errW, fX1, fW1): the order-4 solution, its
     error against the order-3 one, and the derivative at the step end, one
     extra rhs call.
     """
-    a, b, c, d = jac(X, Z, pp, prof)
+    a, b, c, d = jac(X, W, pp, prof)
     diag = 1.0 / (_RGAMMA * h)
     E = (diag - a, -b, -c, diag - d, (diag - a) * (diag - d) - b * c)
 
-    u1x, u1z = _solve2(E, fX, fZ)
+    u1x, u1w = _solve2(E, fX, fW)
 
-    gx, gz = rhs(X + _RA21 * u1x, Z + _RA21 * u1z, pp, prof)
-    u2x, u2z = _solve2(E, gx + _RC21 * u1x / h, gz + _RC21 * u1z / h)
+    gx, gw = rhs(X + _RA21 * u1x, W + _RA21 * u1w, pp, prof)
+    u2x, u2w = _solve2(E, gx + _RC21 * u1x / h, gw + _RC21 * u1w / h)
 
-    gx, gz = rhs(X + _RA31 * u1x + _RA32 * u2x, Z + _RA31 * u1z + _RA32 * u2z, pp, prof)
+    gx, gw = rhs(X + _RA31 * u1x + _RA32 * u2x, W + _RA31 * u1w + _RA32 * u2w, pp, prof)
     rx = gx + (_RC31 * u1x + _RC32 * u2x) / h
-    rz = gz + (_RC31 * u1z + _RC32 * u2z) / h
-    u3x, u3z = _solve2(E, rx, rz)
+    rw = gw + (_RC31 * u1w + _RC32 * u2w) / h
+    u3x, u3w = _solve2(E, rx, rw)
 
-    gx, gz = rhs(
+    gx, gw = rhs(
         X + _RA41 * u1x + _RA42 * u2x + _RA43 * u3x,
-        Z + _RA41 * u1z + _RA42 * u2z + _RA43 * u3z,
+        W + _RA41 * u1w + _RA42 * u2w + _RA43 * u3w,
         pp,
         prof,
     )
     rx = gx + (_RC41 * u1x + _RC42 * u2x + _RC43 * u3x) / h
-    rz = gz + (_RC41 * u1z + _RC42 * u2z + _RC43 * u3z) / h
-    u4x, u4z = _solve2(E, rx, rz)
+    rw = gw + (_RC41 * u1w + _RC42 * u2w + _RC43 * u3w) / h
+    u4x, u4w = _solve2(E, rx, rw)
 
     y5x = X + _RA51 * u1x + _RA52 * u2x + _RA53 * u3x + _RA54 * u4x
-    y5z = Z + _RA51 * u1z + _RA52 * u2z + _RA53 * u3z + _RA54 * u4z
-    gx, gz = rhs(y5x, y5z, pp, prof)
+    y5w = W + _RA51 * u1w + _RA52 * u2w + _RA53 * u3w + _RA54 * u4w
+    gx, gw = rhs(y5x, y5w, pp, prof)
     rx = gx + (_RC51 * u1x + _RC52 * u2x + _RC53 * u3x + _RC54 * u4x) / h
-    rz = gz + (_RC51 * u1z + _RC52 * u2z + _RC53 * u3z + _RC54 * u4z) / h
-    u5x, u5z = _solve2(E, rx, rz)
+    rw = gw + (_RC51 * u1w + _RC52 * u2w + _RC53 * u3w + _RC54 * u4w) / h
+    u5x, u5w = _solve2(E, rx, rw)
 
     # embedded order-3 solution; its correction u6 gives the order-4 one
     y6x = y5x + u5x
-    y6z = y5z + u5z
-    gx, gz = rhs(y6x, y6z, pp, prof)
+    y6w = y5w + u5w
+    gx, gw = rhs(y6x, y6w, pp, prof)
     rx = gx + (_RC61 * u1x + _RC62 * u2x + _RC63 * u3x + _RC64 * u4x + _RC65 * u5x) / h
-    rz = gz + (_RC61 * u1z + _RC62 * u2z + _RC63 * u3z + _RC64 * u4z + _RC65 * u5z) / h
-    u6x, u6z = _solve2(E, rx, rz)
+    rw = gw + (_RC61 * u1w + _RC62 * u2w + _RC63 * u3w + _RC64 * u4w + _RC65 * u5w) / h
+    u6x, u6w = _solve2(E, rx, rw)
 
     X1 = y6x + u6x
-    Z1 = y6z + u6z
-    fX1, fZ1 = rhs(X1, Z1, pp, prof)
-    return X1, Z1, u6x, u6z, fX1, fZ1
+    W1 = y6w + u6w
+    fX1, fW1 = rhs(X1, W1, pp, prof)
+    return X1, W1, u6x, u6w, fX1, fW1
 
 
 @njit
-def _event_value(code, X, Z, pp, asym_tol, x_cap):
+def _event_value(code, X, W, pp, asym_tol, x_cap):
     """Signed event functions; a root marks the event location."""
     k = int(pp[PP_K])
     if code == EV_CROSS_XB:
@@ -749,25 +761,87 @@ def _event_value(code, X, Z, pp, asym_tol, x_cap):
         return (pp[PP_GAMMA] - kth_root(X, k)) - asym_tol * pp[PP_GAMMA]
     if code == EV_EXITED:
         return X - x_cap
-    return Z - BLOWUP_Z  # EV_BLOWUP
+    return W - math.log(pp[PP_CB] * BLOWUP_Z)  # EV_BLOWUP: Z = BLOWUP_Z
 
 
 @njit
-def _bisect_event(code, X0, Z0, cx, cz, pp, asym_tol, x_cap):
+def _bisect_event(code, X0, W0, cx, cw, pp, asym_tol, x_cap):
     """Bisection for the event root on the step's dense output (coefficients
-    cx, cz of ``_dense``); returns theta."""
+    cx, cw of ``_dense``); returns theta."""
     lo = 0.0
     hi = 1.0
-    vlo = _event_value(code, X0, Z0, pp, asym_tol, x_cap)
+    vlo = _event_value(code, X0, W0, pp, asym_tol, x_cap)
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        vm = _event_value(code, _dense(mid, X0, cx), _dense(mid, Z0, cz), pp, asym_tol, x_cap)
+        vm = _event_value(code, _dense(mid, X0, cx), _dense(mid, W0, cw), pp, asym_tol, x_cap)
         if (vm > 0.0) == (vlo > 0.0):
             lo = mid
             vlo = vm
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+@njit
+def _locate(code, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, prof, asym_tol, x_cap, step_floor):
+    """The event of ``code`` inside an accepted step from (X, W) to (X1, W1):
+    (theta, Xe, We, n_re), the fraction of the step, the state there and the
+    RODAS4 re-steps taken.
+
+    After DOP853 the root is bisected on the order-7 extension. After RODAS4
+    the cubic Hermite of the step ends only starts the search, which then
+    runs on the step itself: the secant method on the step length theta h,
+    each iterate a re-step from the step start (at most RESTEP_MAX), the
+    first secant through the full step, and a bisection of the bracket of
+    the re-steps so far wherever the secant would leave it.
+    """
+    th = _bisect_event(code, X, W, cx, cw, pp, asym_tol, x_cap)
+    if not stiff:
+        return th, _dense(th, X, cx), _dense(th, W, cw), 0
+    v0 = _event_value(code, X, W, pp, asym_tol, x_cap)
+    lo = 0.0
+    hi = 1.0
+    th_prev = 1.0
+    v_prev = _event_value(code, X1, W1, pp, asym_tol, x_cap)
+    n_re = 0
+    while True:
+        Xe, We, _ex, _ew, _fX, _fW = _rodas_step(X, W, th * h, fX, fW, pp, prof)
+        n_re += 1
+        v = _event_value(code, Xe, We, pp, asym_tol, x_cap)
+        if (v > 0.0) == (v0 > 0.0):
+            lo = th
+        else:
+            hi = th
+        dth = -v * (th - th_prev) / (v - v_prev) if v != v_prev else 0.0
+        if n_re == RESTEP_MAX or abs(dth) * h <= step_floor:
+            return th, Xe, We, n_re
+        th_prev = th
+        v_prev = v
+        th = th + dth
+        if not lo < th < hi:
+            th = 0.5 * (lo + hi)
+
+
+@njit
+def _sample(s_out, x_out, z_out, m, s, X, W, cb, room):
+    """Store the sample (s, X, Z = e^W/cb) if s lies beyond the last one and
+    more than ``room`` slots are free; returns the new sample count."""
+    if s > s_out[m - 1] and m < s_out.size - room:
+        s_out[m] = s
+        x_out[m] = X
+        z_out[m] = math.exp(W) / cb
+        m += 1
+    return m
+
+
+@njit
+def _interior(s_out, x_out, z_out, m, s, h, t0, t1, n_sub, X, W, cx, cw, cb):
+    """Samples at n_sub - 1 equal divisions of the fractions [t0, t1] of the
+    step, keeping one slot free for the step's end."""
+    for j in range(1, n_sub):
+        t = t0 + (t1 - t0) * j / n_sub
+        m = _sample(s_out, x_out, z_out, m, s + t * h, _dense(t, X, cx), _dense(t, W, cw), cb, 1)
+    return m
 
 
 @njit
@@ -782,7 +856,7 @@ def _log_event(ev_s, ev_code, n_ev, s, code):
 @njit
 def integrate_core(
     X0,
-    Z0,
+    W0,
     s0,
     s_max,
     pp,
@@ -798,13 +872,18 @@ def integrate_core(
     stop_at_xb,
     max_samples,
 ):
-    """Adaptive integration of the phase-plane field with event detection.
+    """Adaptive integration of the phase-plane field in the log chart, with
+    event detection.
 
-    Returns (s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status, n_acc,
-    n_rej, n_rhs, h_min, stiff_from_s): the event arrays keep the first
-    EV_CAP of the n_ev events that fired; then the accepted and rejected
-    steps, the rhs evaluations, the shortest accepted step and the s where
-    RODAS4 took over (NaN if it never did).
+    The state is (X, W), W = ln(c_nk beta^k Z); W0 = -inf starts on the
+    invariant axis Z = 0, where W stays. X's error is held relative to X,
+    W's absolutely, both at rtol. Returns (s_arr, x_arr, z_arr, ev_s,
+    ev_code, n_ev, status, n_acc, n_rej, n_rhs, h_min, stiff_from_s): the
+    samples, with Z = e^W/(c_nk beta^k); the event arrays, which keep the
+    first EV_CAP of the n_ev events that fired; then the accepted and
+    rejected steps, the rhs evaluations (event re-steps included), the
+    shortest accepted step and the s where RODAS4 took over (NaN if it
+    never did).
     """
     s_out = np.empty(max_samples)
     x_out = np.empty(max_samples)
@@ -814,20 +893,24 @@ def integrate_core(
     n_ev = 0
 
     k = int(pp[PP_K])
+    cb = pp[PP_CB]
     x_cap = pp[PP_XCAP]
+    w_blowup = math.log(cb * BLOWUP_Z)
+    w_floor = math.log(Z_FLOOR_REL)
+    # W carries no error on the axis
+    magW = 1.0 if W0 > -math.inf else 0.0
     s = s0
     X = X0
-    Z = Z0
-    m = 0
-    s_out[m] = s
-    x_out[m] = X
-    z_out[m] = Z
-    m += 1
+    W = W0
+    s_out[0] = s
+    x_out[0] = X
+    z_out[0] = math.exp(W) / cb
+    m = 1
 
-    fX, fZ = rhs(X, Z, pp, prof)
+    fX, fW = rhs(X, W, pp, prof)
     h = min(1e-3, max_step)
     err_prev = 1.0
-    z_peak = Z
+    w_peak = W
     conv_since = math.inf
     status = ST_SMAX
     stiff = False
@@ -855,27 +938,27 @@ def integrate_core(
             break
 
         if stiff:
-            X1, Z1, errX, errZ, fX1, fZ1 = _rodas_step(X, Z, h, fX, fZ, pp, prof)
+            X1, W1, errX, errW, fX1, fW1 = _rodas_step(X, W, h, fX, fW, pp, prof)
             n_rhs += 6
         else:
-            X1, Z1, e5x, e5z, e3x, e3z, KX, KZ = _dop853_step(X, Z, h, fX, fZ, pp, prof)
+            X1, W1, e5x, e5w, e3x, e3w, KX, KW = _dop853_step(X, W, h, fX, fW, pp, prof)
             fX1 = KX[7]
-            fZ1 = KZ[7]
+            fW1 = KW[7]
             n_rhs += 12
 
-        # a vanishing scale only happens for an identically-zero component
-        # (the invariant Z = 0 axis), which then carries no error
+        # X is relative, W absolute: an absolute error in W = ln(c_nk beta^k
+        # Z) is, to first order, the same error in Z relative to Z
         magX = max(abs(X), abs(X1))
-        magZ = max(abs(Z), abs(Z1))
         scX = rtol * magX
-        scZ = rtol * magZ
+        scW = rtol * magW
         if stiff:
             ex = errX / scX if scX > 0.0 else 0.0
-            ez = errZ / scZ if scZ > 0.0 else 0.0
-            err = math.sqrt(0.5 * (ex * ex + ez * ez))
+            ew = errW / scW if scW > 0.0 else 0.0
+            err = math.sqrt(0.5 * (ex * ex + ew * ew))
         else:
-            err = _dop853_error(e5x, e5z, e3x, e3z, scX, scZ)
-        bad_state = (X1 < 0.0) or (Z1 < 0.0) or (not math.isfinite(X1)) or (not math.isfinite(Z1))
+            err = _dop853_error(e5x, e5w, e3x, e3w, scX, scW)
+        # W1 = -inf is the axis; NaN or +inf is not a state
+        bad_state = (X1 < 0.0) or (not math.isfinite(X1)) or (not W1 < math.inf)
         if err > 1.0 or bad_state:
             n_rej += 1
             if bad_state:
@@ -909,20 +992,17 @@ def integrate_core(
         n_sub = 1
         if stiff:
             cx = _hermite_coeffs(h, X, fX, X1, fX1)
-            cz = _hermite_coeffs(h, Z, fZ, Z1, fZ1)
+            cw = _hermite_coeffs(h, W, fW, W1, fW1)
         else:
-            cx, cz = _dop853_dense(X, Z, h, fX, fZ, X1, Z1, KX, KZ, pp, prof)
+            cx, cw = _dop853_dense(X, W, h, fX, fW, X1, W1, KX, KW, pp, prof)
             n_rhs += 3
-            n_sub = _sample_count(cx, cz, magX, magZ)
-
-        # a crossing of X = X_B is logged; with stop_at_xb it ends the run
-        crossed = (X - pp[PP_XB]) * (X1 - pp[PP_XB]) < 0.0
-        if crossed and not stop_at_xb:
-            th = _bisect_event(EV_CROSS_XB, X, Z, cx, cz, pp, asym_tol, x_cap)
-            n_ev = _log_event(ev_s, ev_code, n_ev, s + th * h, EV_CROSS_XB)
+            n_sub = _sample_count(cx, cw, magX, magW)
 
         # terminal events by precedence: X_B stop > exit of the admissible
-        # X-range > asymptote proximity in x = X^(1/k) > blow-up of Z
+        # X-range > asymptote proximity in x = X^(1/k) > blow-up of Z; the
+        # state is clipped to the event: its own coordinate to its level, the
+        # other from the locator
+        crossed = (X - pp[PP_XB]) * (X1 - pp[PP_XB]) < 0.0
         code = 0
         th = 1.0
         if crossed and stop_at_xb:
@@ -931,59 +1011,61 @@ def integrate_core(
             code, status = EV_EXITED, ST_EXITED
         elif asym_tol > 0.0 and pp[PP_GAMMA] - kth_root(X1, k) < asym_tol * pp[PP_GAMMA]:
             code, status = EV_ASYMPTOTE, ST_ASYMPTOTE
-        elif Z1 > BLOWUP_Z:
+        elif W1 > w_blowup:
             code, status = EV_BLOWUP, ST_BLOWUP
         if code != 0:
-            # clip the state to the event point on the dense output: the
-            # event's own coordinate to its level, the other interpolated
-            th = _bisect_event(code, X, Z, cx, cz, pp, asym_tol, x_cap)
+            th, X1, W1, n_re = _locate(
+                code, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, prof, asym_tol, x_cap, step_floor
+            )
+            n_rhs += 6 * n_re
             s1 = s + th * h
             if code == EV_BLOWUP:
-                X1, Z1 = _dense(th, X, cx), BLOWUP_Z
+                W1 = w_blowup
+            elif code == EV_CROSS_XB:
+                X1 = pp[PP_XB]
+            elif code == EV_EXITED:
+                X1 = x_cap
             else:
-                Z1 = _dense(th, Z, cz)
-                if code == EV_CROSS_XB:
-                    X1 = pp[PP_XB]
-                elif code == EV_EXITED:
-                    X1 = x_cap
-                else:
-                    X1 = (pp[PP_GAMMA] - asym_tol * pp[PP_GAMMA]) ** k
-            n_ev = _log_event(ev_s, ev_code, n_ev, s1, code)
+                X1 = (pp[PP_GAMMA] - asym_tol * pp[PP_GAMMA]) ** k
 
-        # interior samples at equal fractions of the step (of its part
-        # before a terminal event), then the step end; the buffer keeps room
-        # for the end sample
-        n_sub = min(n_sub, max_samples - m)
-        for j in range(1, n_sub):
-            tj = th * j / n_sub
-            sj = s + tj * h
-            if sj > s_out[m - 1]:
-                s_out[m] = sj
-                x_out[m] = _dense(tj, X, cx)
-                z_out[m] = _dense(tj, Z, cz)
-                m += 1
+        # samples: interior points at equal fractions of the step (of its
+        # part before a terminal event), then the step end. A crossing of
+        # X = X_B is logged, and is a sample itself, with the interior points
+        # before it those a run stopped there emits
+        t0 = 0.0
+        if crossed and not stop_at_xb:
+            tc, _xc, wc, n_re = _locate(
+                EV_CROSS_XB, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, prof, asym_tol, x_cap,
+                step_floor,
+            )
+            n_rhs += 6 * n_re
+            if tc < th:
+                n_ev = _log_event(ev_s, ev_code, n_ev, s + tc * h, EV_CROSS_XB)
+                m = _interior(s_out, x_out, z_out, m, s, h, 0.0, tc, n_sub, X, W, cx, cw, cb)
+                m = _sample(s_out, x_out, z_out, m, s + tc * h, pp[PP_XB], wc, cb, 1)
+                t0 = tc
+        m = _interior(s_out, x_out, z_out, m, s, h, t0, th, n_sub, X, W, cx, cw, cb)
+        if code != 0:
+            n_ev = _log_event(ev_s, ev_code, n_ev, s1, code)
         s = s1
         X = X1
-        Z = Z1
-        fX, fZ = fX1, fZ1
-        if s > s_out[m - 1]:
-            s_out[m] = s
-            x_out[m] = X
-            z_out[m] = Z
-            m += 1
+        W = W1
+        fX, fW = fX1, fW1
+        m = _sample(s_out, x_out, z_out, m, s, X, W, cb, 0)
         if code != 0:
             break
         if m >= max_samples:
             status = ST_OVERFLOW
             break
 
-        if Z > z_peak:
-            z_peak = Z
+        if W > w_peak:
+            w_peak = W
 
         # sustained convergence to the interior attractor B
         if has_b:
+            Z = math.exp(W) / cb
             dist = max(abs(X - b_x), abs(Z - b_z))
-            rn = max(abs(fX), abs(fZ))
+            rn = max(abs(fX), abs(Z * fW))
             if dist < conv_dist and rn < CONV_RHS:
                 if not math.isfinite(conv_since):
                     conv_since = s
@@ -995,15 +1077,15 @@ def integrate_core(
                 conv_since = math.inf
 
         # collapse onto the Z = 0 axis beyond X_B (orbits toward A or the
-        # degenerate line)
-        if X > pp[PP_XB] and Z < Z_FLOOR_REL * z_peak:
+        # degenerate line): Z below Z_FLOOR_REL times its peak
+        if X > pp[PP_XB] and W - w_peak < w_floor:
             n_ev = _log_event(ev_s, ev_code, n_ev, s, EV_CONVERGED)
             status = ST_CONV_AXIS
             break
 
         # stiffness test on the accepted DOP853 step at the new state
         if not stiff and X > 0.0:
-            a, b, c, d = jac(X, Z, pp, prof)
+            a, b, c, d = jac(X, W, pp, prof)
             if h * _spectral_radius(a, b, c, d) > STIFF_HRHO:
                 n_limited += 1
                 if n_limited >= STIFF_SPAN:

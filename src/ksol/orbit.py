@@ -57,8 +57,9 @@ class OrbitControls:
     """Integrator settings; the fixed ones are constants in ``_kernels``."""
 
     # both components stay strictly positive along admissible orbits, so the
-    # error control is purely relative; an absolute floor would wreck the
-    # relative accuracy of Z on its way down to the axis
+    # error control is relative: X relative to X and W = ln(c_nk beta^k Z)
+    # absolutely, which is Z relative to Z at first order; an absolute floor
+    # on Z would wreck its relative accuracy on its way down to the axis
     rtol: float = 1e-10
     s_max: float = 200.0
     max_step: float = 0.25
@@ -78,9 +79,12 @@ class OrbitTrace:
     Samples are strictly increasing in s: the Picard tail below s0, then the
     ends of the integrator's steps and, between them, interior points of
     each DOP853 step's continuous extension, enough that the cubic Hermite
-    between consecutive samples keeps ``_kernels.SAMPLE_TOL`` (RODAS4 steps
-    give their ends only). In the WV chart the rows hold (sigma, W-, V-)
-    for the reversed A-chart flow (sigma = -s).
+    between consecutive samples keeps ``_kernels.SAMPLE_TOL`` in (X, ln Z),
+    the integrator's chart up to a constant in ln Z (RODAS4 steps give
+    their ends only). Each crossing of X_B is a sample too. Z is read off
+    the integrated W = ln(c_nk beta^k Z) as e^W/(c_nk beta^k). In the WV
+    chart the rows hold (sigma, W-, V-) for the reversed A-chart flow
+    (sigma = -s).
     """
 
     s: np.ndarray
@@ -122,11 +126,13 @@ def _integrate_raw(x0, z0, s0, p, controls, prof, stop_at_xb=False):
     # for n < 2k the region boundary X = x_cap is crossed in finite s (X_s > 0
     # there): the run must end at the exit, not at an asymptote tolerance
     asym_tol = controls.asym_tol if p.n >= 2 * p.k else -1.0
-    # the Picard tail hands over numpy scalars; Python floats keep the
+    # the kernel integrates W = ln(c_nk beta^k Z), -inf on the axis Z = 0;
+    # the Picard tail hands over numpy scalars, and Python floats keep the
     # uncompiled kernel's arithmetic off numpy's scalar path
+    w0 = math.log(pp[_kernels.PP_CB] * float(z0)) if z0 > 0.0 else -math.inf
     out = _kernels.integrate_core(
         float(x0),
-        float(z0),
+        w0,
         float(s0),
         controls.s_max,
         pp,
@@ -215,7 +221,8 @@ def classify_orbit(trace, p):
     An orbit ending at s_max must show a clear signature (asymptote
     approach with growing Z, collapse onto the axis, or a bounded band)
     to be classified; anything else is reported Undetermined together
-    with the tail diagnostics.
+    with the tail diagnostics. A trace cut short by the sample buffer or
+    the step floor is Undetermined, with the status as its reason.
     """
     x_end, z_end = trace.end_state
     status = trace.status
@@ -235,7 +242,12 @@ def classify_orbit(trace, p):
             return OrbitClass(TYPE_GAMMA, diagnostics=diag)
         return OrbitClass(UNDETERMINED, diagnostics=diag)
 
-    # ran to s_max (or stalled): read the tail
+    if status in ("sample_overflow", "step_floor"):
+        # a budget cut the trace short: its tail says nothing of the orbit's end
+        diag["reason"] = f"trace cut short ({status})"
+        return OrbitClass(UNDETERMINED, diagnostics=diag)
+
+    # ran to s_max: read the tail
     win = _tail_window(trace)
     zw = trace.Z[win]
     z_min, z_max = float(np.min(zw)), float(np.max(zw))
@@ -344,15 +356,19 @@ def _shifted_trace(shared, sol, shift, ends_early, s_max, p):
 
 def _cut_at(s, X, Z, s_cut, p):
     """The samples up to s_cut (within the trace), closed by the cubic
-    Hermite point at s_cut unless a sample sits there."""
+    Hermite point at s_cut unless a sample sits there. The Hermite runs in
+    (X, ln Z), the integrator's chart up to a constant in ln Z, where the
+    samples keep ``_kernels.SAMPLE_TOL``."""
     i = int(np.searchsorted(s, s_cut, side="right")) - 1  # s[i] <= s_cut < s[i + 1]
     if s[i] == s_cut:
         return s[: i + 1], X[: i + 1], Z[: i + 1]
     h = s[i + 1] - s[i]
     th = (s_cut - s[i]) / h
     F, G = phase.vector_field(X[i : i + 2], Z[i : i + 2], p)
+    ln_z = np.log(Z[i : i + 2])
+    g = G / Z[i : i + 2]
     X = np.append(X[: i + 1], _kernels._hermite(th, h, X[i], F[0], X[i + 1], F[1]))
-    Z = np.append(Z[: i + 1], _kernels._hermite(th, h, Z[i], G[0], Z[i + 1], G[1]))
+    Z = np.append(Z[: i + 1], math.exp(_kernels._hermite(th, h, ln_z[0], g[0], ln_z[1], g[1])))
     return np.append(s[: i + 1], s_cut), X, Z
 
 

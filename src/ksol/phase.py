@@ -181,8 +181,8 @@ def profile_slope(x, p, prof=PROF_F):
 
 def vector_field(X, Z, p, prof=PROF_F):
     """(X_s, Z_s) with profile f, or with h the reversed A-chart field;
-    floats or arrays, no domain check, in the operation order of the
-    integrator's scalar kernel."""
+    floats or arrays, no domain check. The integrator's scalar kernel
+    evaluates the same field in the log chart W = ln(c_nk beta^k Z)."""
     x = kth_root(X, p.k)
     F = -(p.n - 2.0 * p.k) * (1.0 - x / p.x_A) * X + Z * profile_value(x, p, prof)
     G = 2.0 * p.k * Z * (1.0 - x / p.x_B)

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ksol import orbit, phase, picard
@@ -32,3 +34,26 @@ def solve_local():
         return cache[key]
 
     return _solve
+
+
+@pytest.fixture(scope="session")
+def log_chart():
+    """p -> (fun, jac) of the field in (X, ln Z) for scipy's solve_ivp: the
+    integrator's chart up to a constant in ln Z, where Z's exponential arcs
+    are straight lines and an absolute tolerance on ln Z is a relative one
+    on Z."""
+
+    def _chart(p):
+        def fun(_s, y):
+            Z = math.exp(y[1])
+            F, G = phase.vector_field(y[0], Z, p)
+            return [F, G / Z]
+
+        def jac(_s, y):
+            Z = math.exp(y[1])
+            J = phase.jacobian((y[0], Z), p)
+            return [[J[0, 0], J[0, 1] * Z], [J[1, 0] / Z, 0.0]]
+
+        return fun, jac
+
+    return _chart

@@ -1,0 +1,79 @@
+"""The regime corpus: 16 (n, k) pairs times 18 values of rho/theta, at
+theta = 1 and alpha = 1, against the paper's regime table.
+
+Every run must end in ``orbit.expected_kinds``. The runs that do not yet are
+strict xfails, each pinned under its cause; a fix turns its pins into
+unexpected passes, and they must then come out. A run may raise a KsolError
+(it then counts as a result outside the table), but no other exception,
+pinned or not.
+"""
+
+import pytest
+
+from ksol import orbit, phase
+from ksol.errors import KsolError
+
+PAIRS = [
+    (3, 1), (4, 1), (6, 1), (4, 2), (5, 2), (3, 2), (6, 3), (7, 3),
+    (5, 3), (9, 4), (12, 4), (16, 8), (33, 16), (64, 8), (6, 4), (10, 5),
+]
+RATIOS = [
+    -1.99, -1.5, -1.0, -0.3, -1e-2, -1e-4, 0.0, 1e-4, 1e-2, 0.3, 1.0, 1.99, 2.0, 2.01, 3.0,
+    10.0, 1e2, 1e4,
+]
+
+SLOW_PASSAGE = (
+    "rho/theta -> 0+: the passage along x ~ gamma ~ x_B lasts of order theta/rho, "
+    "beyond s_max, and its tail reads as TypeGamma or Undetermined"
+)
+AXIS_STOP_BELOW_GAMMA = (
+    "n < 2k, rho -> 2 theta-: the axis flow carries X past x_cap, but the run stops "
+    "converged_axis below gamma and is labelled TypeA"
+)
+LARGE_RATIO = "rho/theta >= 1e2: the run reaches s_max Undetermined"
+ABSOLUTE_Z = (
+    "absolute Z thresholds: BLOWUP_Z stops the run far from the asymptote, Undetermined"
+)
+PICARD_OVERFLOW = "Picard overflow: e^(-2k s_min) exceeds the float range"
+
+KNOWN = {}
+for _n, _k in PAIRS:
+    if _n >= 2 * _k and (_n, _k) not in ((33, 16), (64, 8)):
+        KNOWN.update({(_n, _k, r): SLOW_PASSAGE for r in (1e-4, 1e-2)})
+KNOWN.update({(5, 3, 1.99): AXIS_STOP_BELOW_GAMMA, (6, 4, 1.99): AXIS_STOP_BELOW_GAMMA})
+KNOWN.update(
+    {
+        case: LARGE_RATIO
+        for case in [
+            (3, 1, 1e4), (4, 1, 1e4), (5, 2, 1e4), (7, 3, 1e4), (9, 4, 1e2), (9, 4, 1e4),
+            (12, 4, 1e4),
+        ]
+    }
+)
+KNOWN.update({(33, 16, r): ABSOLUTE_Z for r in (-1.5, -1.0, -0.3, -1e-2, -1e-4, 0.0, 1e-4, 1e-2)})
+KNOWN.update({(64, 8, r): ABSOLUTE_Z for r in (-1.99, -1.5, -1.0, -0.3, -1e-2, -1e-4, 0.0, 1e-4, 1e-2)})
+KNOWN.update({(33, 16, r): PICARD_OVERFLOW for r in (-1.99, 1e2, 1e4)})
+
+
+def _case(n, k, ratio):
+    cause = KNOWN.get((n, k, ratio))
+    marks = [pytest.mark.xfail(strict=True, raises=AssertionError, reason=cause)] if cause else []
+    return pytest.param(n, k, ratio, marks=marks, id=f"{n}-{k}-{ratio:g}")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,k,ratio", [_case(n, k, r) for n, k in PAIRS for r in RATIOS])
+def test_result_is_in_the_regime_table(n, k, ratio):
+    p = phase.make_params(n, k, ratio, 1.0)
+    try:
+        _sol, trace, oc = orbit.run_orbit(p)
+        result = (oc.kind, trace.status)
+    except KsolError as exc:
+        result = (type(exc).__name__, str(exc))
+    assert result[0] in orbit.expected_kinds(p), result
+
+
+def test_pins_name_corpus_cases():
+    # 21 wrong labels, 27 Undetermined and 3 errors at the last count
+    assert len(KNOWN) == 51
+    assert set(KNOWN) <= {(n, k, r) for n, k in PAIRS for r in RATIOS}

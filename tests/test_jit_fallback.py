@@ -48,9 +48,10 @@ def test_fallback_matches_jit():
 
 # the kernels integrate_core calls through module globals
 STEP_KERNELS = (
-    "kth_root", "profile_value", "rhs", "jac", "_spectral_radius",
+    "kth_root", "rhs", "jac", "_spectral_radius",
     "_dop853_step", "_dop853_error", "_dop853_dense", "_extension", "_sample_count",
-    "_hermite_coeffs", "_dense", "_rodas_step", "_event_value",
+    "_hermite_coeffs", "_dense", "_rodas_step", "_event_value", "_locate", "_sample",
+    "_interior",
 )
 
 

@@ -114,6 +114,20 @@ class TestIntegratorEdges:
         oc = orbit.classify_orbit(tr, p)
         assert oc.kind == orbit.UNDETERMINED  # never silently guessed
 
+    def test_truncated_type_gamma_run_is_undetermined(self):
+        # the expander (4,1,-1) is TypeGamma; cut at half its integrator
+        # samples, its tail still climbs toward gamma, but the run never
+        # reached the asymptote and must not be labelled
+        p = phase.make_params(4, 1, -1.0, 1.0)
+        _sol, tr, oc = orbit.run_orbit(p)
+        assert oc.kind == orbit.TYPE_GAMMA
+        half = (tr.s.size - tr.tail_end_index) // 2
+        _sol, cut, oc = orbit.run_orbit(p, controls=orbit.OrbitControls(max_samples=half))
+        assert cut.status == "sample_overflow"
+        assert cut.s.size - cut.tail_end_index == half
+        assert oc.kind == orbit.UNDETERMINED
+        assert oc.diagnostics["reason"] == "trace cut short (sample_overflow)"
+
     def test_generalized_b_abstention(self):
         # with convergence detection disabled the orbit keeps circling B;
         # the classifier must report the bounded band, not convergence
@@ -287,7 +301,7 @@ class TestMonitors:
             px, pz = orbit._monitor_polyline(tr, p, 4000)
             counts.append(orbit.self_intersection_check(tr, p))
             assert counts[-1] == all_pairs_crossings(px, pz)
-        assert counts == [1, 15767, 0]
+        assert counts == [1, 16450, 0]
 
 
 class TestBarrier:

@@ -1,11 +1,12 @@
 """Phase-plane layer: derived constants, the vector field and its charts,
 Jacobians and critical points, pinned to hand-derived values."""
 
+import math
+
 import numpy as np
 import pytest
 
 from ksol import _kernels, phase
-from ksol._jit import JIT_ENABLED
 from ksol.errors import DomainError, NotApplicableError, ParameterError
 
 RNG = np.random.default_rng(42)
@@ -142,8 +143,10 @@ class TestSystemRHS:
     @pytest.mark.parametrize("prof", [phase.PROF_F, phase.PROF_H])
     @pytest.mark.parametrize("rho", [-0.5, 3.0])
     def test_array_field_matches_kernel(self, n, k, prof, rho):
-        # the integrator's scalar copy of the field is the reference; for
-        # k >= 3 a k-fold product and **k round differently
+        # the integrator's scalar field runs in the log chart W = ln(c_nk
+        # beta^k Z): its X_s is the array field's F with e^W for c_nk beta^k Z,
+        # which differ by an ulp that the cancellation in X_s can amplify, and
+        # its W_s is G/Z
         p = phase.make_params(n, k, rho, 1.0)
         pp = _kernels.pack_params(p)
         X, Z = np.meshgrid(
@@ -151,16 +154,10 @@ class TestSystemRHS:
         )
         X, Z = X.ravel(), Z.ravel()
         F, G = phase.vector_field(X, Z, p, prof)
-        ref = np.array([_kernels.rhs(a, b, pp, prof) for a, b in zip(X, Z)])
-        if JIT_ENABLED:
-            # compiled exp and log are LLVM's, not numpy's: x moves by an
-            # ulp, which the cancellation in X_s can amplify
-            scale = np.max(np.abs(ref), axis=0)
-            np.testing.assert_allclose(F, ref[:, 0], rtol=1e-12, atol=1e-12 * scale[0])
-            np.testing.assert_allclose(G, ref[:, 1], rtol=1e-12, atol=1e-12 * scale[1])
-        else:
-            np.testing.assert_array_equal(F, ref[:, 0])
-            np.testing.assert_array_equal(G, ref[:, 1])
+        ref = np.array([_kernels.rhs(a, math.log(p.cb * b), pp, prof) for a, b in zip(X, Z)])
+        scale = np.max(np.abs(ref[:, 0]))
+        np.testing.assert_allclose(F, ref[:, 0], rtol=1e-12, atol=1e-12 * scale)
+        np.testing.assert_allclose(G / Z, ref[:, 1], rtol=1e-13, atol=1e-13 * 2 * k)
         if prof == phase.PROF_H:
             for i in range(0, X.size, 37):
                 assert phase.system_rhs_A((X[i], Z[i]), p) == (-F[i], -G[i])

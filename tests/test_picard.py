@@ -228,23 +228,25 @@ class TestPicardSolve:
         s_arr, x_arr, z_arr, _ev, _st, _counters = orbit._integrate_raw(
             X[j], Z[j], tail.grid[j], p, ctl, 0
         )
-        # cubic Hermite interpolation of the integrator output (linear
+        # cubic Hermite interpolation of the integrator output in its chart
+        # (X, W = ln(c_nk beta^k Z)), where the samples keep SAMPLE_TOL (linear
         # interpolation between adaptive samples would swamp the comparison)
         from ksol import _kernels
 
         pp = _kernels.pack_params(p)
+        w_arr = np.log(p.cb * z_arr)
 
         def hermite_eval(s_query):
-            out_x, out_z = [], []
+            out_x, out_w = [], []
             for sq in s_query:
                 i = max(0, min(np.searchsorted(s_arr, sq) - 1, s_arr.size - 2))
                 h = s_arr[i + 1] - s_arr[i]
                 th = (sq - s_arr[i]) / h
-                f0 = _kernels.rhs(x_arr[i], z_arr[i], pp, 0)
-                f1 = _kernels.rhs(x_arr[i + 1], z_arr[i + 1], pp, 0)
+                f0 = _kernels.rhs(x_arr[i], w_arr[i], pp, 0)
+                f1 = _kernels.rhs(x_arr[i + 1], w_arr[i + 1], pp, 0)
                 out_x.append(_kernels._hermite(th, h, x_arr[i], f0[0], x_arr[i + 1], f1[0]))
-                out_z.append(_kernels._hermite(th, h, z_arr[i], f0[1], z_arr[i + 1], f1[1]))
-            return np.array(out_x), np.array(out_z)
+                out_w.append(_kernels._hermite(th, h, w_arr[i], f0[1], w_arr[i + 1], f1[1]))
+            return np.array(out_x), np.exp(out_w) / p.cb
 
         on_tail = tail.grid >= tail.grid[j]
         xi, zi = hermite_eval(tail.grid[on_tail])
