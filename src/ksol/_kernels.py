@@ -18,7 +18,10 @@ x alone: the exponential arcs of Z are straight lines in W. X's error is
 held relative to X and W's absolutely, both at rtol, which is to first
 order the relative control of Z. The axis Z = 0 is W = -inf, where W stays.
 The samples are returned in Z = e^W/(c_nk beta^k), and the thresholds on Z
-(BLOWUP_Z, Z_FLOOR_REL, CONV_RHS) are applied as their exact images.
+(Z_FLOOR_REL, CONV_RHS) are applied as their exact images. No bound on Z
+stops a run: W grows only linearly up the asymptote, and a step whose e^W
+would overflow (W > EXP_W_MAX) is rejected as a bad state, so the step
+floor is the one stop left there.
 
 Integrator: DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5, II.10),
 an explicit 12-stage pair of order 8 whose error estimate combines
@@ -48,12 +51,11 @@ PP_K = 1
 PP_GAMMA = 2
 PP_CB = 3  # c_nk * beta^k
 PP_XB = 4  # X_B
-PP_GK = 5  # gamma^k
-PP_XCAP = 6  # min(gamma^k, X_A)
-PP_NU = 7
-PP_XA_ROOT = 8  # x_A = (n+2k)/k
-PP_XB_ROOT = 9  # x_B = (n+2k)/(2k)
-PP_SIZE = 10
+PP_XCAP = 5  # min(gamma^k, X_A)
+PP_NU = 6
+PP_XA_ROOT = 7  # x_A = (n+2k)/k
+PP_XB_ROOT = 8  # x_B = (n+2k)/(2k)
+PP_SIZE = 9
 
 # profile selector for the shared rhs kernel
 PROF_F = 0  # origin chart, numerator gamma - x
@@ -65,7 +67,6 @@ ST_ASYMPTOTE = 1
 ST_EXITED = 2
 ST_CONV_B = 3
 ST_CONV_AXIS = 4
-ST_BLOWUP = 5
 ST_STEP_FLOOR = 6
 ST_XB_STOP = 7
 ST_OVERFLOW = 8
@@ -75,12 +76,10 @@ EV_CROSS_XB = 1
 EV_ASYMPTOTE = 2
 EV_EXITED = 3
 EV_CONVERGED = 4
-EV_BLOWUP = 5
 EV_STEP_FLOOR = 6
 
 # integrator settings no caller varies (numba freezes module globals at
 # compile time)
-BLOWUP_Z = 1e12
 # Z collapses toward the axis much faster than X finishes its approach
 # (rates 2k vs |n-2k|); a deep floor keeps the measured X_inf and the
 # tail-rate window inside the asymptotic regime
@@ -108,14 +107,13 @@ EXP_W_MAX = 709.0
 
 def pack_params(p):
     """The parameters the kernels read, as a tuple of PP_SIZE floats in the
-    PP_* order; numba types it as UniTuple(float64, 10)."""
+    PP_* order; numba types it as UniTuple(float64, 9)."""
     return (
         float(p.n),
         float(p.k),
         float(p.gamma),
         float(p.cb),
         float(p.X_B),
-        float(p.gamma_k),
         float(p.x_cap),
         float(p.nu),
         float(p.x_A),
@@ -757,11 +755,9 @@ def _event_value(code, X, W, pp, asym_tol, x_cap):
     k = int(pp[PP_K])
     if code == EV_CROSS_XB:
         return X - pp[PP_XB]
-    if code == EV_ASYMPTOTE:
-        return (pp[PP_GAMMA] - kth_root(X, k)) - asym_tol * pp[PP_GAMMA]
     if code == EV_EXITED:
         return X - x_cap
-    return W - math.log(pp[PP_CB] * BLOWUP_Z)  # EV_BLOWUP: Z = BLOWUP_Z
+    return (pp[PP_GAMMA] - kth_root(X, k)) - asym_tol * pp[PP_GAMMA]  # EV_ASYMPTOTE
 
 
 @njit
@@ -895,7 +891,6 @@ def integrate_core(
     k = int(pp[PP_K])
     cb = pp[PP_CB]
     x_cap = pp[PP_XCAP]
-    w_blowup = math.log(cb * BLOWUP_Z)
     w_floor = math.log(Z_FLOOR_REL)
     # W carries no error on the axis
     magW = 1.0 if W0 > -math.inf else 0.0
@@ -924,14 +919,6 @@ def integrate_core(
     while s < s_max:
         if h > s_max - s:
             h = s_max - s
-        # resolve the approach to the asymptote X = gamma^k (asym_tol <= 0
-        # disables all asymptote handling)
-        if asym_tol > 0.0:
-            x_root = kth_root(X, k)
-            if pp[PP_GAMMA] - x_root < 1e-3 and abs(fX) > 0.0:
-                relax = abs(pp[PP_GK] - X) / abs(fX)
-                if relax < h:
-                    h = max(relax, 4.0 * step_floor)
         if h < step_floor:
             n_ev = _log_event(ev_s, ev_code, n_ev, s, EV_STEP_FLOOR)
             status = ST_STEP_FLOOR
@@ -999,9 +986,9 @@ def integrate_core(
             n_sub = _sample_count(cx, cw, magX, magW)
 
         # terminal events by precedence: X_B stop > exit of the admissible
-        # X-range > asymptote proximity in x = X^(1/k) > blow-up of Z; the
-        # state is clipped to the event: its own coordinate to its level, the
-        # other from the locator
+        # X-range > asymptote proximity in x = X^(1/k) (asym_tol <= 0 turns
+        # it off); the state is clipped to the event: its own coordinate to
+        # its level, the other from the locator
         crossed = (X - pp[PP_XB]) * (X1 - pp[PP_XB]) < 0.0
         code = 0
         th = 1.0
@@ -1011,17 +998,13 @@ def integrate_core(
             code, status = EV_EXITED, ST_EXITED
         elif asym_tol > 0.0 and pp[PP_GAMMA] - kth_root(X1, k) < asym_tol * pp[PP_GAMMA]:
             code, status = EV_ASYMPTOTE, ST_ASYMPTOTE
-        elif W1 > w_blowup:
-            code, status = EV_BLOWUP, ST_BLOWUP
         if code != 0:
             th, X1, W1, n_re = _locate(
                 code, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, prof, asym_tol, x_cap, step_floor
             )
             n_rhs += 6 * n_re
             s1 = s + th * h
-            if code == EV_BLOWUP:
-                W1 = w_blowup
-            elif code == EV_CROSS_XB:
+            if code == EV_CROSS_XB:
                 X1 = pp[PP_XB]
             elif code == EV_EXITED:
                 X1 = x_cap

@@ -30,7 +30,6 @@ _EVENT_NAMES = {
     _kernels.EV_ASYMPTOTE: "reached_asymptote",
     _kernels.EV_EXITED: "exited_region",
     _kernels.EV_CONVERGED: "converged_critical",
-    _kernels.EV_BLOWUP: "blow_up_Z",
     _kernels.EV_STEP_FLOOR: "step_floor",
 }
 
@@ -40,7 +39,6 @@ _STATUS_NAMES = {
     _kernels.ST_EXITED: "exited_region",
     _kernels.ST_CONV_B: "converged_B",
     _kernels.ST_CONV_AXIS: "converged_axis",
-    _kernels.ST_BLOWUP: "blow_up_Z",
     _kernels.ST_STEP_FLOOR: "step_floor",
     _kernels.ST_XB_STOP: "stopped_at_X_B",
     _kernels.ST_OVERFLOW: "sample_overflow",
@@ -66,7 +64,7 @@ class OrbitControls:
     step_floor: float = 1e-13
     # terminal proximity to the asymptote, relative in x = X^(1/k), located
     # by bisection; the transverse contraction rate grows with Z, which the
-    # stiff RODAS4 step absorbs (<= 0 turns asymptote handling off)
+    # stiff RODAS4 step absorbs (<= 0 turns the event off)
     asym_tol: float = 1e-5
     conv_dist: float = 1e-7
     max_samples: int = 400_000
@@ -118,7 +116,9 @@ class OrbitClass:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _integrate_raw(x0, z0, s0, p, controls, prof, stop_at_xb=False):
+def _integrate_raw(x0, w0, s0, p, controls, prof, stop_at_xb=False):
+    """One run of the kernel from (X, W) = (x0, w0) at s0, with
+    W = ln(c_nk beta^k Z) (-inf on the axis Z = 0)."""
     pp = _kernels.pack_params(p)
     has_b = prof == _kernels.PROF_F and p.Z_B is not None and p.rho > 0.0
     b_x = p.X_B if has_b else 0.0
@@ -126,13 +126,11 @@ def _integrate_raw(x0, z0, s0, p, controls, prof, stop_at_xb=False):
     # for n < 2k the region boundary X = x_cap is crossed in finite s (X_s > 0
     # there): the run must end at the exit, not at an asymptote tolerance
     asym_tol = controls.asym_tol if p.n >= 2 * p.k else -1.0
-    # the kernel integrates W = ln(c_nk beta^k Z), -inf on the axis Z = 0;
     # the Picard tail hands over numpy scalars, and Python floats keep the
     # uncompiled kernel's arithmetic off numpy's scalar path
-    w0 = math.log(pp[_kernels.PP_CB] * float(z0)) if z0 > 0.0 else -math.inf
     out = _kernels.integrate_core(
         float(x0),
-        w0,
+        float(w0),
         float(s0),
         controls.s_max,
         pp,
@@ -170,10 +168,10 @@ def integrate(start, p, controls=None, stop_at_xb=False):
     """
     controls = controls or OrbitControls()
     prof = _kernels.PROF_F if start.chart == "XZ" else _kernels.PROF_H
-    x0, z0 = start.state_at_s0(p)
+    x0, w0 = start.state_at_s0(p)
     s0 = start.tail.s0
     s_arr, x_arr, z_arr, events, status, counters = _integrate_raw(
-        x0, z0, s0, p, controls, prof, stop_at_xb
+        x0, w0, s0, p, controls, prof, stop_at_xb
     )
     s_arr, x_arr, z_arr, tail_end = _with_tail(start, p.k, s_arr, x_arr, z_arr)
     return OrbitTrace(s_arr, x_arr, z_arr, events, status, start.chart, tail_end, **counters)
@@ -221,8 +219,10 @@ def classify_orbit(trace, p):
     An orbit ending at s_max must show a clear signature (asymptote
     approach with growing Z, collapse onto the axis, or a bounded band)
     to be classified; anything else is reported Undetermined together
-    with the tail diagnostics. A trace cut short by the sample buffer or
-    the step floor is Undetermined, with the status as its reason.
+    with the tail diagnostics. An orbit that reaches the asymptote event
+    (x within asym_tol of gamma) is type gamma. A trace cut short by the
+    sample buffer or the step floor is Undetermined, with the status as its
+    reason.
     """
     x_end, z_end = trace.end_state
     status = trace.status
@@ -236,11 +236,9 @@ def classify_orbit(trace, p):
         return OrbitClass(TYPE_B, diagnostics=diag)
     if status == "converged_axis":
         return _axis_class(x_end, p, diag)
-    if status in ("reached_asymptote", "blow_up_Z"):
-        if near_gamma:
-            diag["Z_end"] = z_end
-            return OrbitClass(TYPE_GAMMA, diagnostics=diag)
-        return OrbitClass(UNDETERMINED, diagnostics=diag)
+    if status == "reached_asymptote":
+        diag["Z_end"] = z_end
+        return OrbitClass(TYPE_GAMMA, diagnostics=diag)
 
     if status in ("sample_overflow", "step_floor"):
         # a budget cut the trace short: its tail says nothing of the orbit's end

@@ -342,10 +342,15 @@ class LocalSolution:
     retries: int = 0
 
     def state_at_s0(self, p):
-        """Unweighted (X, Z) at the right endpoint, the hand-off to the
-        global integrator. For the A-chart the pair is (W, V) at s = -s0."""
-        w = math.exp(2.0 * p.k * self.tail.s0)
-        return self.tail.X_samples[-1] * w, self.tail.Z_samples[-1] * w
+        """The hand-off to the global integrator in its chart: (X, W) at the
+        right endpoint, W = ln(c_nk beta^k Z), -inf on the axis Z = 0. For
+        the A-chart the pair is (W-, ln(c_nk beta^k V-)) at s = -s0. W is
+        summed from logs of the weighted sample: the product c_nk beta^k Z
+        underflows where both factors are tiny."""
+        two_ks0 = 2.0 * p.k * self.tail.s0
+        wz = float(self.tail.Z_samples[-1])
+        w0 = math.log(p.cb) + math.log(wz) + two_ks0 if wz > 0.0 else -math.inf
+        return self.tail.X_samples[-1] * math.exp(two_ks0), w0
 
 
 def _picard(alpha, p, tol, prof, n_points):

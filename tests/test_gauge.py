@@ -1,9 +1,17 @@
-"""Alpha gauge reuse: the alphas of one parameter set share one continuation.
+"""The gauges of the orbit: alpha and theta.
 
+Alpha gauge reuse: the alphas of one parameter set share one continuation.
 The system is autonomous and the orbit leaving the origin is unique, so
 alpha only shifts it in s. ``orbit.run_orbits`` integrates once per group
 and reads every alpha off that run; each row is checked against the run
 of that alpha on its own.
+
+Theta gauge: in the integrator's chart (X, W = ln(c_nk beta^k Z)) theta
+enters only through gamma = x_B (1 + rho/(2 theta)), so the orbit depends
+on rho/theta, not on theta. Runs at theta = 1e-3 and 1e3 are checked
+against theta = 1 at the same rho/theta (a metamorphic relation: Chen et
+al., Metamorphic Testing: A Review of Challenges and Opportunities, ACM
+CSUR 2018).
 """
 
 import numpy as np
@@ -91,3 +99,25 @@ def _assert_same_trace(a, b):
             assert np.array_equal(x, y, equal_nan=True), name
         else:
             assert x == y, name
+
+
+# expanders and steady solitons, n > 2k and n = 2k: each runs up the
+# asymptote X = gamma^k with Z unbounded
+THETA_PAIRS = ((4, 1), (5, 2), (4, 2), (7, 3), (9, 4), (10, 5))
+THETA_RATIOS = (-1.0, -0.3, 0.0)
+
+
+@pytest.mark.slow
+class TestThetaGauge:
+    @pytest.mark.parametrize("n,k", THETA_PAIRS)
+    def test_orbit_depends_on_rho_over_theta(self, n, k, run):
+        # step counts are not compared: Picard's s0 moves with theta, since
+        # its contraction bound mixes X and Z in one sup norm
+        for ratio in THETA_RATIOS:
+            _p, _sol, trace_1, oc_1 = run(n, k, ratio)
+            assert oc_1.kind == orbit.TYPE_GAMMA, ratio
+            for theta in (1e-3, 1e3):
+                _p, _sol, trace, oc = run(n, k, ratio * theta, theta)
+                case = (ratio, theta)
+                assert (oc.kind, trace.status) == (oc_1.kind, trace_1.status), case
+                assert abs(trace.s[-1] - trace_1.s[-1]) <= 1e-6, case

@@ -17,8 +17,9 @@ RNG = np.random.default_rng(11)
 
 
 def integrate_state(x0, z0, s0, p, controls, stop_at_xb=False):
+    w0 = math.log(p.cb * z0) if z0 > 0.0 else -math.inf
     s, X, Z, events, status, counters = orbit._integrate_raw(
-        x0, z0, s0, p, controls, 0, stop_at_xb
+        x0, w0, s0, p, controls, 0, stop_at_xb
     )
     return orbit.OrbitTrace(s, X, Z, events, status, **counters)
 
@@ -127,6 +128,45 @@ class TestIntegratorEdges:
         assert cut.s.size - cut.tail_end_index == half
         assert oc.kind == orbit.UNDETERMINED
         assert oc.diagnostics["reason"] == "trace cut short (sample_overflow)"
+
+    def test_exp_w_max_is_the_bound_on_w(self):
+        # nothing bounds Z but the float range: on the exact asymptote
+        # solution of n = 2k, rho < 0, W = ln(c_nk beta^k Z) climbs at the
+        # rate 2 until a step would take e^W past EXP_W_MAX, a bad state,
+        # and the rejected steps shrink to the step floor
+        p = phase.make_params(4, 2, -1.0, 1.0)
+        ctl = orbit.OrbitControls(s_max=2000.0, asym_tol=-1.0)
+        tr = integrate_state(p.gamma_k, 1.0, 0.0, p, ctl)
+        assert tr.status == "step_floor"
+        assert np.all(tr.X == p.gamma_k)
+        assert math.log(p.cb * tr.Z[-1]) == pytest.approx(_kernels.EXP_W_MAX, abs=1e-9)
+        assert math.isfinite(tr.Z[-1])
+
+    def test_asymptote_event_off_ends_cut_short(self):
+        # without the asymptote event the expander (64,8,-1) climbs the
+        # asymptote until its steps fail at the step floor (at W ~ 261,
+        # where gamma - x is lost to rounding), and the cut trace is not
+        # labelled
+        p = phase.make_params(64, 8, -1.0, 1.0)
+        ctl = orbit.OrbitControls(asym_tol=-1.0, s_max=2000.0)
+        _sol, tr, oc = orbit.run_orbit(p, controls=ctl)
+        assert tr.status == "step_floor" and tr.s[-1] < 2000.0
+        assert oc.kind == orbit.UNDETERMINED
+        assert oc.diagnostics["reason"] == "trace cut short (step_floor)"
+
+    def test_hand_off_where_c_nk_beta_k_z_underflows(self):
+        # (33,16) at rho = 10, theta = 1e-3: c_nk beta^k = 1.9e-51 and
+        # Z(s0) = 9.3e-297, whose product underflows to 0; the hand-off
+        # W0 is summed from logs, so the run starts, and ends cut short at
+        # the step floor, instead of raising
+        p = phase.make_params(33, 16, 10.0, 1e-3)
+        sol = picard.picard_solve(1.0, p)
+        _x0, w0 = sol.state_at_s0(p)
+        z0 = sol.tail.Z_samples[-1] * math.exp(2.0 * p.k * sol.tail.s0)
+        assert p.cb * z0 == 0.0 < z0
+        assert w0 == pytest.approx(math.log(p.cb) + math.log(z0), rel=1e-14)
+        _sol, tr, oc = orbit.run_orbit(p)
+        assert (oc.kind, tr.status) == (orbit.UNDETERMINED, "step_floor")
 
     def test_generalized_b_abstention(self):
         # with convergence detection disabled the orbit keeps circling B;

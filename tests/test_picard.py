@@ -226,7 +226,7 @@ class TestPicardSolve:
         j = int(np.searchsorted(tail.grid, tail.s0 - 2.0))
         ctl = orbit.OrbitControls(s_max=tail.s0 + 3.0)
         s_arr, x_arr, z_arr, _ev, _st, _counters = orbit._integrate_raw(
-            X[j], Z[j], tail.grid[j], p, ctl, 0
+            X[j], np.log(p.cb * Z[j]), tail.grid[j], p, ctl, 0
         )
         # cubic Hermite interpolation of the integrator output in its chart
         # (X, W = ln(c_nk beta^k Z)), where the samples keep SAMPLE_TOL (linear
