@@ -203,6 +203,13 @@ def cmd_classify(args):
             "sup_residual": sol.sup_residual,
             "weighted_limits": list(sol.weighted_limits),
             "u0": sol.u0,
+            "retries": sol.retries,
+            "thresholds": {
+                "s1": sol.thresholds.s1,
+                "s2": sol.thresholds.s2,
+                "s3": sol.thresholds.s3,
+                "contraction_bound": sol.thresholds.contraction_bound,
+            },
         },
         "monitors": orbit_mod.monitor_report(trace, p),
         "solver": {

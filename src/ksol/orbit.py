@@ -436,8 +436,9 @@ def log_z_identity_check(trace, p, base_tol=1e-7):
     Xi, Fi = X[1:-1], F[1:-1]
     J = phase.jacobian((Xi, Z[1:-1]), p)
     g_X = -(2.0 / p.x_B) * phase.kth_root(Xi, p.k) / Xi
-    g_XX = g_X * (1.0 / p.k - 1.0) / Xi
-    g2 = g_XX * Fi * Fi + g_X * (J[0, 0] * Fi + J[0, 1] * G[1:-1])
+    # g_XX F^2 with g_XX = g_X (1/k - 1) / X, formed through F/X: where X is
+    # tiny, g_X / X overflows while F/X stays of order one
+    g2 = g_X * (1.0 / p.k - 1.0) * (Fi / Xi) * Fi + g_X * (J[0, 0] * Fi + J[0, 1] * G[1:-1])
     tol = base_tol * (1.0 + np.abs(g[1:-1])) + 0.5 * (hp * hm) * np.abs(g2) + 1e-12
     bad = np.nonzero(np.abs(d - g[1:-1]) > 3.0 * tol)[0]
     return [(float(s[i + 1]), float(d[i] - g[i + 1])) for i in bad]

@@ -17,6 +17,7 @@ forces the weighted Z-limit to n alpha_k / f(0) (the slow eigendirection is
 u(0) = (n alpha_k / f(0))^(1/((1-m)k)), exposed as ``u0``.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -202,11 +203,31 @@ def _exp_moments(z):
 def _product_weights(z, offsets):
     """Weights w with sum(w * g[stencil]) ~= (1/h) int over one interval of
     p(tau) e^(mu tau), where p is the cubic through the de-exponentiated
-    samples g_j e^(-z xi_j). Exact for g = (cubic) * e^(mu tau)."""
+    samples g_j e^(-z xi_j). Exact for g = (cubic) * e^(mu tau).
+
+    The weights depend on mu and h only through z = mu h; the operator
+    reads them through the per-z cache of ``_stencil_weights``."""
     V = np.vander(offsets, 4, increasing=True)
     coef = np.linalg.solve(V.T @ V, V.T)  # exact 4x4 interpolation, solved stably
     w = _exp_moments(z) @ coef
     return w * np.exp(-z * offsets)
+
+
+# node offsets of the first, interior and last interval's stencil
+_STENCIL_OFFSETS = ((0.0, 1.0, 2.0, 3.0), (-1.0, 0.0, 1.0, 2.0), (-2.0, -1.0, 0.0, 1.0))
+
+
+@functools.lru_cache
+def _stencil_weights(z):
+    """The first, interior and last stencil weights of ``_cumulative_product``
+    for z = mu h, read-only. A solve sweeps one grid with two values of mu, so
+    after its first sweep every lookup on that grid hits."""
+    out = []
+    for offsets in _STENCIL_OFFSETS:
+        w = _product_weights(z, np.array(offsets))
+        w.flags.writeable = False
+        out.append(w)
+    return tuple(out)
 
 
 def _cumulative_product(y, h, mu):
@@ -215,13 +236,11 @@ def _cumulative_product(y, h, mu):
 
     Plain cumulative Simpson leaves an O(h^3 mu^3) bias that dominates the
     fixed point's derivative defect; weighting the interpolation by the
-    known exponential removes it.
+    known exponential removes it. The weights depend only on z = mu h and
+    are cached per z (``_stencil_weights``).
     """
     n = y.size
-    z = mu * h
-    w_first = _product_weights(z, np.array([0.0, 1.0, 2.0, 3.0]))
-    w_mid = _product_weights(z, np.array([-1.0, 0.0, 1.0, 2.0]))
-    w_last = _product_weights(z, np.array([-2.0, -1.0, 0.0, 1.0]))
+    w_first, w_mid, w_last = _stencil_weights(mu * h)
     inc = np.empty(n - 1)
     inc[0] = w_first @ y[:4]
     inc[1 : n - 2] = (
@@ -259,8 +278,9 @@ def apply_E(tail, alpha, p, prof=PROF_F, check=True):
     """One application of the integral operator, weighted in and out.
 
     The integral over (-inf, s_min] uses the leading e^((2k+2)t) decay of
-    the integrands in closed form; the rest is cumulative Simpson on the
-    uniform grid with the exponential kernels evaluated exactly at nodes.
+    the integrands in closed form; the rest is the exponentially fitted
+    cumulative product rule on the uniform grid, with the exponential
+    kernels evaluated exactly at nodes.
     """
     if check:
         rep = verify_membership(tail, alpha, p, prof)

@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import io
 import json
 import math
 import os
@@ -66,6 +67,34 @@ class TestClassify:
         )
         assert proc.returncode == 2
         assert "2*theta + rho" in proc.stderr
+
+    def test_picard_certificate(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli(["classify", "--n", "4", "--k", "1", "--rho", "1", "--theta", "1",
+                        "--out", str(out)]) == 0
+        local = json.loads(out.read_text())["local_solution"]
+        assert set(local) == {
+            "s0", "iterations", "contraction_rate", "sup_residual", "weighted_limits",
+            "u0", "retries", "thresholds",
+        }
+        th = local["thresholds"]
+        assert set(th) == {"s1", "s2", "s3", "contraction_bound"}
+        assert local["retries"] == 0
+        assert local["s0"] == min(th["s1"], th["s2"], th["s3"])
+        assert th["contraction_bound"] * math.exp(2.0 * local["s0"]) < 0.5
+
+    def test_tiny_picard_x_passes_the_monitors(self, tmp_path):
+        # the hand-off of (33, 16) at rho = 10, theta = 1e-3 has X(s0) ~ 1e-285;
+        # the log Z identity's tolerance must not overflow there (the suite
+        # turns RuntimeWarning into an error, which the CLI reports as exit 3)
+        out = tmp_path / "r.json"
+        code = run_cli(["classify", "--n", "33", "--k", "16", "--rho", "10",
+                        "--theta", "1e-3", "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["class"]["kind"] == "Undetermined"
+        assert doc["status"] == "step_floor"
+        assert set(doc["monitors"].values()) == {0}
 
     def test_stable_key_order(self, tmp_path):
         out = tmp_path / "r.json"
@@ -318,6 +347,18 @@ class TestSweep:
             (rho, a) for rho in ("0.0", "1.0") for a in ("0.5", "1.0", "2.0")
         ]
         assert all(r["status"] == "ok" for r in rows)
+
+    def test_jobs_do_not_change_the_table(self, tmp_path):
+        # the sweep's threads share the Picard weight cache
+        args = ["sweep", "--n", "4", "--k", "1", "--theta", "1", "--rhos=0,1,5",
+                "--alphas=0.5,2"]
+        tables = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert run_cli(args + ["--jobs", jobs, "--out", str(out)]) == 0
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
+        assert len(list(csv.DictReader(io.StringIO(tables[0].decode())))) == 6
 
     def test_jobs_env_default(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -3,6 +3,8 @@ integrands with closed-form integrals, and the k=1 fixed point by an
 independent power-series oracle derived directly from the ODE system."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -54,6 +56,70 @@ class TestQuadrature:
         assert errs[0] < 1e-8
         # fourth-order convergence, give or take
         assert errs[1] < errs[0] / 8.0
+
+    def test_cold_and_warm_cache_give_the_same_tail(self):
+        p = phase.make_params(4, 1, 1.0, 1.0)
+        picard._stencil_weights.cache_clear()
+        cold = picard.picard_solve(1.0, p).tail
+        warm = picard.picard_solve(1.0, p).tail
+        assert picard._stencil_weights.cache_info().hits > 0
+        for a, b in [(cold.grid, warm.grid), (cold.X_samples, warm.X_samples),
+                     (cold.Z_samples, warm.Z_samples)]:
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mu", [2.0, 6.0])
+    def test_cached_weights_equal_fresh_ones(self, mu, monkeypatch):
+        h = 6.0 / 511.0
+        t = np.arange(512) * h
+        y = np.cos(t) * np.exp(mu * t)
+        picard._stencil_weights(mu * h)
+        hits = picard._stencil_weights.cache_info().hits
+        cached = _cumulative_product(y, h, mu)
+        assert picard._stencil_weights.cache_info().hits == hits + 1
+        # the undecorated helper calls _product_weights afresh
+        monkeypatch.setattr(picard, "_stencil_weights", picard._stencil_weights.__wrapped__)
+        assert np.array_equal(cached, _cumulative_product(y, h, mu))
+
+    def test_second_solve_on_a_grid_builds_no_weights(self, monkeypatch):
+        p = phase.make_params(5, 2, 1.0, 1.0)
+        calls = []
+        build = picard._product_weights
+        monkeypatch.setattr(
+            picard, "_product_weights", lambda *a: calls.append(a[0]) or build(*a)
+        )
+        picard._stencil_weights.cache_clear()
+        assert picard.picard_solve(0.7, p).retries == 0
+        # two values of z = mu h on the solve's one grid, three stencils each
+        assert len(calls) == 6
+        calls.clear()
+        picard.picard_solve(0.7, p)
+        assert calls == []
+
+    def test_threads_share_the_cache(self):
+        # more threads than cores on a short switch interval; each result must
+        # equal the one computed on a single thread
+        h = 6.0 / 511.0
+        t = np.arange(512) * h
+        y = np.cos(t) * np.exp(2.0 * t)
+        mus = [2.0 + 0.25 * j for j in range(16)] * 4
+        want = [_cumulative_product(y, h, mu) for mu in mus]
+        picard._stencil_weights.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda mu: _cumulative_product(y, h, mu), mus, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+    def test_cache_is_bounded(self):
+        assert picard._stencil_weights.cache_parameters()["maxsize"] is not None
+
+    def test_cached_weights_are_read_only(self):
+        for w in picard._stencil_weights(0.3):
+            with pytest.raises(ValueError):
+                w[0] = 0.0
 
 
 class TestThresholds:
