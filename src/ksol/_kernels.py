@@ -52,14 +52,14 @@ PP_GAMMA = 2
 PP_CB = 3  # c_nk * beta^k
 PP_XB = 4  # X_B
 PP_XCAP = 5  # min(gamma^k, X_A)
-PP_NU = 6
-PP_XA_ROOT = 7  # x_A = (n+2k)/k
-PP_XB_ROOT = 8  # x_B = (n+2k)/(2k)
-PP_SIZE = 9
-
-# profile selector for the shared rhs kernel
-PROF_F = 0  # origin chart, numerator gamma - x
-PROF_H = 1  # reversed A chart, numerator nu + x
+PP_NUM_A = 6  # the chart's profile numerator num_a + num_b x:
+PP_NUM_B = 7  # (gamma, -1) for f, (nu, +1) for the A-chart h
+PP_XA_ROOT = 8  # x_A = (n+2k)/k
+PP_XB_ROOT = 9  # x_B = (n+2k)/(2k)
+PP_HAS_B = 10  # 1.0 where the run converges to B at (PP_BX, PP_BZ), else 0.0
+PP_BX = 11
+PP_BZ = 12
+PP_SIZE = 13
 
 # terminal status codes
 ST_SMAX = 0
@@ -99,15 +99,16 @@ STIFF_SPAN = 15
 # SAMPLE_TOL of the order-7 extension at the midpoint, relative in X and
 # absolute in W (relative in Z)
 SAMPLE_TOL = 1e-9
-# Newton re-steps that locate an event on a RODAS4 step
+# secant re-steps that locate an event on a RODAS4 step
 RESTEP_MAX = 4
 # e^W overflows beyond this; the field takes e^W = inf there, a bad state
 EXP_W_MAX = 709.0
 
 
 def pack_params(p):
-    """The parameters the kernels read, as a tuple of PP_SIZE floats in the
-    PP_* order; numba types it as UniTuple(float64, 9)."""
+    """The parameters the kernels read from ``p`` in its chart, as a tuple of
+    PP_SIZE = 13 floats in the PP_* order; numba types it as
+    UniTuple(float64, 13)."""
     return (
         float(p.n),
         float(p.k),
@@ -115,9 +116,13 @@ def pack_params(p):
         float(p.cb),
         float(p.X_B),
         float(p.x_cap),
-        float(p.nu),
+        float(p.num_a),
+        float(p.num_b),
         float(p.x_A),
         float(p.x_B),
+        1.0 if p.b_attracts else 0.0,
+        float(p.X_B) if p.b_attracts else 0.0,
+        float(p.Z_B) if p.b_attracts else 0.0,
     )
 
 
@@ -131,25 +136,22 @@ def kth_root(value, k):
 
 
 @njit
-def _profile_ratio(x, pp, prof):
-    """(q, g): q = 1 - x/x_A and g the profile's numerator over q."""
+def _profile_ratio(x, pp):
+    """(q, g): q = 1 - x/x_A and g the chart's profile numerator over q."""
     q = 1.0 - x / pp[PP_XA_ROOT]
-    if prof == PROF_H:
-        num = pp[PP_NU] + x
-    else:
-        num = pp[PP_GAMMA] - x
-    return q, num / q
+    return q, (pp[PP_NUM_A] + pp[PP_NUM_B] * x) / q
 
 
 @njit
-def rhs(X, W, pp, prof):
+def rhs(X, W, pp):
     """(X_s, W_s) in the log chart W = ln(c_nk beta^k Z): e^W q g^k is the
     term Z f(x) of X_s, and W_s = Z_s/Z = 2k (1 - x/x_B) depends on x alone.
-    With prof=1 this is the reversed A-chart field in (W-, ln(c_nk beta^k V-))."""
+    Packed in the A chart, this is the reversed A-chart field in
+    (W-, ln(c_nk beta^k V-))."""
     n = pp[PP_N]
     k = int(pp[PP_K])
     x = kth_root(X, k)
-    q, g = _profile_ratio(x, pp, prof)
+    q, g = _profile_ratio(x, pp)
     r = 1.0
     for _ in range(k):
         r *= g
@@ -159,7 +161,7 @@ def rhs(X, W, pp, prof):
 
 
 @njit
-def jac(X, W, pp, prof):
+def jac(X, W, pp):
     """Jacobian of ``rhs`` at X > 0 as (dF/dX, dF/dW, dW_s/dX, dW_s/dW): the
     entries of ``phase.jacobian`` in the log chart, with dF/dW = e^W q g^k
     the f-term of F and dW_s/dW = 0; X^((1-k)/k) is x/X."""
@@ -167,13 +169,12 @@ def jac(X, W, pp, prof):
     k = int(pp[PP_K])
     m = (n - 2.0 * k) / (n + 2.0 * k)
     x = kth_root(X, k)
-    q, g = _profile_ratio(x, pp, prof)
+    q, g = _profile_ratio(x, pp)
     g_km1 = 1.0
     for _ in range(k - 1):
         g_km1 *= g
-    sign = 1.0 if prof == PROF_F else -1.0
     ez = math.exp(W) if W < EXP_W_MAX else math.inf
-    slope = k * g_km1 * (((k - 1) / (n + 2.0 * k)) * g - sign)
+    slope = k * g_km1 * (((k - 1) / (n + 2.0 * k)) * g + pp[PP_NUM_B])
     xpow = x / X if k > 1 else 1.0
     dFdX = (2.0 * k - n) + m * (k + 1) * x + ez * (slope * xpow / k)
     dFdW = ez * (q * (g_km1 * g))  # the f-term of rhs, same product order
@@ -383,7 +384,7 @@ _D6_0, _D6_5, _D6_6, _D6_7, _D6_8, _D6_9, _D6_10, _D6_11, _D6_12, _D6_13, _D6_14
 
 
 @njit
-def _dop853_step(X, W, h, fX, fW, pp, prof):
+def _dop853_step(X, W, h, fX, fW, pp):
     """One DOP853 step from (X, W) with derivative (fX, fW) already known.
 
     Returns (X1, W1, e5X, e5W, e3X, e3W, KX, KW): the order-8 solution, the
@@ -391,38 +392,33 @@ def _dop853_step(X, W, h, fX, fW, pp, prof):
     K5..K11 and the FSAL derivative K12 at the step end, which the
     continuous extension reuses (K1..K4 enter neither).
     """
-    k1x, k1w = rhs(X + h * _A1_0 * fX, W + h * _A1_0 * fW, pp, prof)
-    k2x, k2w = rhs(X + h * (_A2_0 * fX + _A2_1 * k1x), W + h * (_A2_0 * fW + _A2_1 * k1w), pp, prof)
-    k3x, k3w = rhs(X + h * (_A3_0 * fX + _A3_2 * k2x), W + h * (_A3_0 * fW + _A3_2 * k2w), pp, prof)
+    k1x, k1w = rhs(X + h * _A1_0 * fX, W + h * _A1_0 * fW, pp)
+    k2x, k2w = rhs(X + h * (_A2_0 * fX + _A2_1 * k1x), W + h * (_A2_0 * fW + _A2_1 * k1w), pp)
+    k3x, k3w = rhs(X + h * (_A3_0 * fX + _A3_2 * k2x), W + h * (_A3_0 * fW + _A3_2 * k2w), pp)
     k4x, k4w = rhs(
         X + h * (_A4_0 * fX + _A4_2 * k2x + _A4_3 * k3x),
         W + h * (_A4_0 * fW + _A4_2 * k2w + _A4_3 * k3w),
         pp,
-        prof,
     )
     k5x, k5w = rhs(
         X + h * (_A5_0 * fX + _A5_3 * k3x + _A5_4 * k4x),
         W + h * (_A5_0 * fW + _A5_3 * k3w + _A5_4 * k4w),
         pp,
-        prof,
     )
     k6x, k6w = rhs(
         X + h * (_A6_0 * fX + _A6_3 * k3x + _A6_4 * k4x + _A6_5 * k5x),
         W + h * (_A6_0 * fW + _A6_3 * k3w + _A6_4 * k4w + _A6_5 * k5w),
         pp,
-        prof,
     )
     k7x, k7w = rhs(
         X + h * (_A7_0 * fX + _A7_3 * k3x + _A7_4 * k4x + _A7_5 * k5x + _A7_6 * k6x),
         W + h * (_A7_0 * fW + _A7_3 * k3w + _A7_4 * k4w + _A7_5 * k5w + _A7_6 * k6w),
         pp,
-        prof,
     )
     k8x, k8w = rhs(
         X + h * (_A8_0 * fX + _A8_3 * k3x + _A8_4 * k4x + _A8_5 * k5x + _A8_6 * k6x + _A8_7 * k7x),
         W + h * (_A8_0 * fW + _A8_3 * k3w + _A8_4 * k4w + _A8_5 * k5w + _A8_6 * k6w + _A8_7 * k7w),
         pp,
-        prof,
     )
     k9x, k9w = rhs(
         X
@@ -438,7 +434,6 @@ def _dop853_step(X, W, h, fX, fW, pp, prof):
             + _A9_8 * k8w
         ),
         pp,
-        prof,
     )
     k10x, k10w = rhs(
         X
@@ -454,7 +449,6 @@ def _dop853_step(X, W, h, fX, fW, pp, prof):
             + _A10_7 * k7w + _A10_8 * k8w + _A10_9 * k9w
         ),
         pp,
-        prof,
     )
     k11x, k11w = rhs(
         X
@@ -470,7 +464,6 @@ def _dop853_step(X, W, h, fX, fW, pp, prof):
             + _A11_7 * k7w + _A11_8 * k8w + _A11_9 * k9w + _A11_10 * k10w
         ),
         pp,
-        prof,
     )
     X1 = X + h * (
         _B0 * fX + _B5 * k5x + _B6 * k6x + _B7 * k7x + _B8 * k8x + _B9 * k9x + _B10 * k10x
@@ -480,7 +473,7 @@ def _dop853_step(X, W, h, fX, fW, pp, prof):
         _B0 * fW + _B5 * k5w + _B6 * k6w + _B7 * k7w + _B8 * k8w + _B9 * k9w + _B10 * k10w
         + _B11 * k11w
     )
-    k12x, k12w = rhs(X1, W1, pp, prof)
+    k12x, k12w = rhs(X1, W1, pp)
     e5x = h * (
         _E5_0 * fX + _E5_5 * k5x + _E5_6 * k6x + _E5_7 * k7x + _E5_8 * k8x + _E5_9 * k9x
         + _E5_10 * k10x + _E5_11 * k11x
@@ -521,7 +514,7 @@ def _dop853_error(e5x, e5w, e3x, e3w, scX, scW):
 
 
 @njit
-def _dop853_dense(X, W, h, fX, fW, X1, W1, KX, KW, pp, prof):
+def _dop853_dense(X, W, h, fX, fW, X1, W1, KX, KW, pp):
     """The order-7 continuous extension of an accepted DOP853 step, as the
     coefficients (F0, ..., F6) of ``_dense`` for X and for W; its three
     extra stages cost three rhs calls."""
@@ -541,7 +534,6 @@ def _dop853_dense(X, W, h, fX, fW, X1, W1, KX, KW, pp, prof):
             + _A13_10 * k10w + _A13_11 * k11w + _A13_12 * k12w
         ),
         pp,
-        prof,
     )
     k14x, k14w = rhs(
         X
@@ -557,7 +549,6 @@ def _dop853_dense(X, W, h, fX, fW, X1, W1, KX, KW, pp, prof):
             + _A14_11 * k11w + _A14_12 * k12w + _A14_13 * k13w
         ),
         pp,
-        prof,
     )
     k15x, k15w = rhs(
         X
@@ -573,7 +564,6 @@ def _dop853_dense(X, W, h, fX, fW, X1, W1, KX, KW, pp, prof):
             + _A15_12 * k12w + _A15_13 * k13w + _A15_14 * k14w
         ),
         pp,
-        prof,
     )
     cx = _extension(h, X, X1, fX, KX, k13x, k14x, k15x)
     cw = _extension(h, W, W1, fW, KW, k13w, k14w, k15w)
@@ -696,7 +686,7 @@ def _solve2(E, rx, rw):
 
 
 @njit
-def _rodas_step(X, W, h, fX, fW, pp, prof):
+def _rodas_step(X, W, h, fX, fW, pp):
     """One RODAS4 step from (X, W) with derivative (fX, fW) already known.
 
     One Jacobian per step; each stage's 2x2 system is solved by Cramer's
@@ -704,16 +694,16 @@ def _rodas_step(X, W, h, fX, fW, pp, prof):
     error against the order-3 one, and the derivative at the step end, one
     extra rhs call.
     """
-    a, b, c, d = jac(X, W, pp, prof)
+    a, b, c, d = jac(X, W, pp)
     diag = 1.0 / (_RGAMMA * h)
     E = (diag - a, -b, -c, diag - d, (diag - a) * (diag - d) - b * c)
 
     u1x, u1w = _solve2(E, fX, fW)
 
-    gx, gw = rhs(X + _RA21 * u1x, W + _RA21 * u1w, pp, prof)
+    gx, gw = rhs(X + _RA21 * u1x, W + _RA21 * u1w, pp)
     u2x, u2w = _solve2(E, gx + _RC21 * u1x / h, gw + _RC21 * u1w / h)
 
-    gx, gw = rhs(X + _RA31 * u1x + _RA32 * u2x, W + _RA31 * u1w + _RA32 * u2w, pp, prof)
+    gx, gw = rhs(X + _RA31 * u1x + _RA32 * u2x, W + _RA31 * u1w + _RA32 * u2w, pp)
     rx = gx + (_RC31 * u1x + _RC32 * u2x) / h
     rw = gw + (_RC31 * u1w + _RC32 * u2w) / h
     u3x, u3w = _solve2(E, rx, rw)
@@ -722,7 +712,6 @@ def _rodas_step(X, W, h, fX, fW, pp, prof):
         X + _RA41 * u1x + _RA42 * u2x + _RA43 * u3x,
         W + _RA41 * u1w + _RA42 * u2w + _RA43 * u3w,
         pp,
-        prof,
     )
     rx = gx + (_RC41 * u1x + _RC42 * u2x + _RC43 * u3x) / h
     rw = gw + (_RC41 * u1w + _RC42 * u2w + _RC43 * u3w) / h
@@ -730,7 +719,7 @@ def _rodas_step(X, W, h, fX, fW, pp, prof):
 
     y5x = X + _RA51 * u1x + _RA52 * u2x + _RA53 * u3x + _RA54 * u4x
     y5w = W + _RA51 * u1w + _RA52 * u2w + _RA53 * u3w + _RA54 * u4w
-    gx, gw = rhs(y5x, y5w, pp, prof)
+    gx, gw = rhs(y5x, y5w, pp)
     rx = gx + (_RC51 * u1x + _RC52 * u2x + _RC53 * u3x + _RC54 * u4x) / h
     rw = gw + (_RC51 * u1w + _RC52 * u2w + _RC53 * u3w + _RC54 * u4w) / h
     u5x, u5w = _solve2(E, rx, rw)
@@ -738,14 +727,14 @@ def _rodas_step(X, W, h, fX, fW, pp, prof):
     # embedded order-3 solution; its correction u6 gives the order-4 one
     y6x = y5x + u5x
     y6w = y5w + u5w
-    gx, gw = rhs(y6x, y6w, pp, prof)
+    gx, gw = rhs(y6x, y6w, pp)
     rx = gx + (_RC61 * u1x + _RC62 * u2x + _RC63 * u3x + _RC64 * u4x + _RC65 * u5x) / h
     rw = gw + (_RC61 * u1w + _RC62 * u2w + _RC63 * u3w + _RC64 * u4w + _RC65 * u5w) / h
     u6x, u6w = _solve2(E, rx, rw)
 
     X1 = y6x + u6x
     W1 = y6w + u6w
-    fX1, fW1 = rhs(X1, W1, pp, prof)
+    fX1, fW1 = rhs(X1, W1, pp)
     return X1, W1, u6x, u6w, fX1, fW1
 
 
@@ -779,7 +768,7 @@ def _bisect_event(code, X0, W0, cx, cw, pp, asym_tol, x_cap):
 
 
 @njit
-def _locate(code, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, prof, asym_tol, x_cap, step_floor):
+def _locate(code, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, asym_tol, x_cap, step_floor):
     """The event of ``code`` inside an accepted step from (X, W) to (X1, W1):
     (theta, Xe, We, n_re), the fraction of the step, the state there and the
     RODAS4 re-steps taken.
@@ -801,7 +790,7 @@ def _locate(code, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, prof, asym_tol, x_
     v_prev = _event_value(code, X1, W1, pp, asym_tol, x_cap)
     n_re = 0
     while True:
-        Xe, We, _ex, _ew, _fX, _fW = _rodas_step(X, W, th * h, fX, fW, pp, prof)
+        Xe, We, _ex, _ew, _fX, _fW = _rodas_step(X, W, th * h, fX, fW, pp)
         n_re += 1
         v = _event_value(code, Xe, We, pp, asym_tol, x_cap)
         if (v > 0.0) == (v0 > 0.0):
@@ -856,15 +845,11 @@ def integrate_core(
     s0,
     s_max,
     pp,
-    prof,
     rtol,
     max_step,
     step_floor,
     asym_tol,
     conv_dist,
-    b_x,
-    b_z,
-    has_b,
     stop_at_xb,
     max_samples,
 ):
@@ -902,7 +887,7 @@ def integrate_core(
     z_out[0] = math.exp(W) / cb
     m = 1
 
-    fX, fW = rhs(X, W, pp, prof)
+    fX, fW = rhs(X, W, pp)
     h = min(1e-3, max_step)
     err_prev = 1.0
     w_peak = W
@@ -925,10 +910,10 @@ def integrate_core(
             break
 
         if stiff:
-            X1, W1, errX, errW, fX1, fW1 = _rodas_step(X, W, h, fX, fW, pp, prof)
+            X1, W1, errX, errW, fX1, fW1 = _rodas_step(X, W, h, fX, fW, pp)
             n_rhs += 6
         else:
-            X1, W1, e5x, e5w, e3x, e3w, KX, KW = _dop853_step(X, W, h, fX, fW, pp, prof)
+            X1, W1, e5x, e5w, e3x, e3w, KX, KW = _dop853_step(X, W, h, fX, fW, pp)
             fX1 = KX[7]
             fW1 = KW[7]
             n_rhs += 12
@@ -981,7 +966,7 @@ def integrate_core(
             cx = _hermite_coeffs(h, X, fX, X1, fX1)
             cw = _hermite_coeffs(h, W, fW, W1, fW1)
         else:
-            cx, cw = _dop853_dense(X, W, h, fX, fW, X1, W1, KX, KW, pp, prof)
+            cx, cw = _dop853_dense(X, W, h, fX, fW, X1, W1, KX, KW, pp)
             n_rhs += 3
             n_sub = _sample_count(cx, cw, magX, magW)
 
@@ -1000,7 +985,7 @@ def integrate_core(
             code, status = EV_ASYMPTOTE, ST_ASYMPTOTE
         if code != 0:
             th, X1, W1, n_re = _locate(
-                code, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, prof, asym_tol, x_cap, step_floor
+                code, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, asym_tol, x_cap, step_floor
             )
             n_rhs += 6 * n_re
             s1 = s + th * h
@@ -1018,8 +1003,7 @@ def integrate_core(
         t0 = 0.0
         if crossed and not stop_at_xb:
             tc, _xc, wc, n_re = _locate(
-                EV_CROSS_XB, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, prof, asym_tol, x_cap,
-                step_floor,
+                EV_CROSS_XB, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, asym_tol, x_cap, step_floor
             )
             n_rhs += 6 * n_re
             if tc < th:
@@ -1045,9 +1029,9 @@ def integrate_core(
             w_peak = W
 
         # sustained convergence to the interior attractor B
-        if has_b:
+        if pp[PP_HAS_B] > 0.0:
             Z = math.exp(W) / cb
-            dist = max(abs(X - b_x), abs(Z - b_z))
+            dist = max(abs(X - pp[PP_BX]), abs(Z - pp[PP_BZ]))
             rn = max(abs(fX), abs(Z * fW))
             if dist < conv_dist and rn < CONV_RHS:
                 if not math.isfinite(conv_since):
@@ -1068,7 +1052,7 @@ def integrate_core(
 
         # stiffness test on the accepted DOP853 step at the new state
         if not stiff and X > 0.0:
-            a, b, c, d = jac(X, W, pp, prof)
+            a, b, c, d = jac(X, W, pp)
             if h * _spectral_radius(a, b, c, d) > STIFF_HRHO:
                 n_limited += 1
                 if n_limited >= STIFF_SPAN:

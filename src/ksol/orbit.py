@@ -63,7 +63,8 @@ class OrbitControls:
     max_step: float = 0.25
     step_floor: float = 1e-13
     # terminal proximity to the asymptote, relative in x = X^(1/k), located
-    # by bisection; the transverse contraction rate grows with Z, which the
+    # by bisection on a DOP853 step's extension and by secant re-steps on a
+    # RODAS4 step; the transverse contraction rate grows with Z, which the
     # stiff RODAS4 step absorbs (<= 0 turns the event off)
     asym_tol: float = 1e-5
     conv_dist: float = 1e-7
@@ -116,13 +117,9 @@ class OrbitClass:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _integrate_raw(x0, w0, s0, p, controls, prof, stop_at_xb=False):
-    """One run of the kernel from (X, W) = (x0, w0) at s0, with
-    W = ln(c_nk beta^k Z) (-inf on the axis Z = 0)."""
-    pp = _kernels.pack_params(p)
-    has_b = prof == _kernels.PROF_F and p.Z_B is not None and p.rho > 0.0
-    b_x = p.X_B if has_b else 0.0
-    b_z = p.Z_B if has_b else 0.0
+def _integrate_raw(x0, w0, s0, p, controls, stop_at_xb=False):
+    """One run of the kernel in the chart of ``p`` from (X, W) = (x0, w0) at
+    s0, with W = ln(c_nk beta^k Z) (-inf on the axis Z = 0)."""
     # for n < 2k the region boundary X = x_cap is crossed in finite s (X_s > 0
     # there): the run must end at the exit, not at an asymptote tolerance
     asym_tol = controls.asym_tol if p.n >= 2 * p.k else -1.0
@@ -133,16 +130,12 @@ def _integrate_raw(x0, w0, s0, p, controls, prof, stop_at_xb=False):
         float(w0),
         float(s0),
         controls.s_max,
-        pp,
-        prof,
+        _kernels.pack_params(p),
         controls.rtol,
         controls.max_step,
         controls.step_floor,
         asym_tol,
         controls.conv_dist,
-        b_x,
-        b_z,
-        has_b,
         stop_at_xb,
         controls.max_samples,
     )
@@ -167,11 +160,9 @@ def integrate(start, p, controls=None, stop_at_xb=False):
     sigma = -s), which is the orientation the barrier comparison needs.
     """
     controls = controls or OrbitControls()
-    prof = _kernels.PROF_F if start.chart == "XZ" else _kernels.PROF_H
     x0, w0 = start.state_at_s0(p)
-    s0 = start.tail.s0
     s_arr, x_arr, z_arr, events, status, counters = _integrate_raw(
-        x0, w0, s0, p, controls, prof, stop_at_xb
+        x0, w0, start.tail.s0, p.in_chart(start.chart), controls, stop_at_xb
     )
     s_arr, x_arr, z_arr, tail_end = _with_tail(start, p.k, s_arr, x_arr, z_arr)
     return OrbitTrace(s_arr, x_arr, z_arr, events, status, start.chart, tail_end, **counters)
@@ -610,7 +601,7 @@ def barrier_compare(
     # f and h coincide exactly at x_B (nu + x_B = gamma - x_B), so the
     # strict comparison runs over the open interval
     xs = np.linspace(x_lo ** (1.0 / p.k), p.x_B, n_grid, endpoint=False)
-    fmh = phase.profile_value(xs, p, phase.PROF_F) - phase.profile_value(xs, p, phase.PROF_H)
+    fmh = phase.profile_value(xs, p) - phase.profile_value(xs, p.in_chart("WV"))
     return BarrierReport(
         X_grid=grid,
         Z_of_X=z_on,

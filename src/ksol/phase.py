@@ -2,17 +2,20 @@
 point A in (W, V), derived parameter constants, critical points and the
 admissible region.
 
+Reversing s turns the A-chart system into the origin system with f replaced
+by h, which differs from f only in its numerator; a parameter set is built
+in one chart ("XZ" or "WV") and carries that difference as data.
+
 Conventions: s is the cylindrical coordinate (r = e^s), X = (-r u_r/u)^k,
 Z = (r^2 u^(1-m))^k with m = (n-2k)/(n+2k). Lower-case x, w always denote
 k-th roots X^(1/k), W^(1/k).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._kernels import PROF_F, PROF_H
 from .errors import DomainError, NotApplicableError, ParameterError
 from .sigma import MAX_DIM, binomial
 
@@ -42,16 +45,19 @@ def kth_root(value, k):
 
 @dataclass(frozen=True)
 class SolitonParams:
-    """Parameter tuple (n, k, rho, theta) plus every derived constant.
+    """Parameter tuple (n, k, rho, theta) plus every derived constant, in
+    the chart ``chart``: "XZ" at the origin, "WV" at the corner point A.
 
     Built through :func:`make_params`, which enforces theta > 0 and
-    2*theta + rho > 0 (necessary for any admissible soliton).
+    2*theta + rho > 0 (necessary for any admissible soliton), in the origin
+    chart; :meth:`in_chart` gives the same set in the other chart.
     """
 
     n: int
     k: int
     rho: float
     theta: float
+    chart: str = "XZ"
     # derived
     m: float = field(init=False)
     beta: float = field(init=False)
@@ -66,10 +72,20 @@ class SolitonParams:
     x_B: float = field(init=False)
     gamma_k: float = field(init=False)
     x_cap: float = field(init=False)
+    # the chart's profile numerator num_a + num_b x (gamma - x for f, nu + x
+    # for h), the profile at 0, the Picard box's cap on X, and whether the
+    # run is drawn to B (origin chart, B in the region)
+    num_a: float = field(init=False)
+    num_b: float = field(init=False)
+    profile0: float = field(init=False)
+    picard_cap: float = field(init=False)
+    b_attracts: bool = field(init=False)
 
     def __post_init__(self):
         n, k = self.n, self.k
         rho, theta = self.rho, self.theta
+        if self.chart not in ("XZ", "WV"):
+            raise ParameterError(f"chart must be 'XZ' or 'WV', got {self.chart!r}")
         m = (n - 2 * k) / (n + 2 * k)
         beta = (1.0 - m) * theta
         gamma = ((n + 2 * k) / k) * (2.0 * theta + rho) / (4.0 * theta)
@@ -96,6 +112,16 @@ class SolitonParams:
         object.__setattr__(self, "x_B", x_B)
         object.__setattr__(self, "gamma_k", gamma**k)
         object.__setattr__(self, "x_cap", min(gamma**k, X_A))
+        origin = self.chart == "XZ"
+        object.__setattr__(self, "num_a", gamma if origin else self.nu)
+        object.__setattr__(self, "num_b", -1.0 if origin else 1.0)
+        object.__setattr__(self, "profile0", self.f0 if origin else self.h0)
+        object.__setattr__(self, "picard_cap", min(gamma**k, X_B) if origin else X_B)
+        object.__setattr__(self, "b_attracts", origin and Z_B is not None and rho > 0.0)
+
+    def in_chart(self, chart):
+        """This parameter set in the chart labelled ``chart`` ("XZ" or "WV")."""
+        return self if chart == self.chart else replace(self, chart=chart)
 
     @property
     def cb(self):
@@ -153,38 +179,39 @@ def _unpack(state):
     return a, b
 
 
-def _profile_ratio(x, p, prof):
-    """(q, g) with q = 1 - x/x_A and g the profile's numerator over q: gamma - x
-    for f (prof=PROF_F), nu + x for the A-chart h (prof=PROF_H)."""
+def _profile_ratio(x, p):
+    """(q, g) with q = 1 - x/x_A and g the chart's profile numerator
+    num_a + num_b x over q: gamma - x for f, nu + x for the A-chart h."""
     q = 1.0 - x / p.x_A
-    return q, (p.gamma - x if prof == PROF_F else p.nu + x) / q
+    return q, (p.num_a + p.num_b * x) / q
 
 
-def profile_value(x, p, prof=PROF_F):
-    """f or h at x = X^(1/k), c_nk beta^k q g^k with (q, g) from
-    :func:`_profile_ratio`; floats or arrays, no domain check. g^k is a
-    k-fold product, in the operation order of the integrator's kernel."""
-    q, g = _profile_ratio(x, p, prof)
+def profile_value(x, p):
+    """The chart's profile (f at the origin, h at A) at x = X^(1/k),
+    c_nk beta^k q g^k with (q, g) from :func:`_profile_ratio`; floats or
+    arrays, no domain check. g^k is a k-fold product, in the operation order
+    of the integrator's kernel."""
+    q, g = _profile_ratio(x, p)
     power = g
     for _ in range(p.k - 1):
         power = power * g
     return p.cb * q * power
 
 
-def profile_slope(x, p, prof=PROF_F):
-    """d/dx of :func:`profile_value`: c_nk beta^k k g^(k-1) (((k-1)/(n+2k)) g -+ 1),
-    with - for f and + for h. Takes floats or arrays."""
-    _q, g = _profile_ratio(x, p, prof)
-    sign = 1.0 if prof == PROF_F else -1.0
-    return p.cb * p.k * g ** (p.k - 1) * (((p.k - 1) / (p.n + 2 * p.k)) * g - sign)
+def profile_slope(x, p):
+    """d/dx of :func:`profile_value`: c_nk beta^k k g^(k-1) (((k-1)/(n+2k)) g + num_b),
+    num_b = -1 for f and +1 for h. Takes floats or arrays."""
+    _q, g = _profile_ratio(x, p)
+    return p.cb * p.k * g ** (p.k - 1) * (((p.k - 1) / (p.n + 2 * p.k)) * g + p.num_b)
 
 
-def vector_field(X, Z, p, prof=PROF_F):
-    """(X_s, Z_s) with profile f, or with h the reversed A-chart field;
-    floats or arrays, no domain check. The integrator's scalar kernel
-    evaluates the same field in the log chart W = ln(c_nk beta^k Z)."""
+def vector_field(X, Z, p):
+    """(X_s, Z_s) with the chart's profile: the origin field with f, or with
+    h the reversed A-chart field; floats or arrays, no domain check. The
+    integrator's scalar kernel evaluates the same field in the log chart
+    W = ln(c_nk beta^k Z)."""
     x = kth_root(X, p.k)
-    F = -(p.n - 2.0 * p.k) * (1.0 - x / p.x_A) * X + Z * profile_value(x, p, prof)
+    F = -(p.n - 2.0 * p.k) * (1.0 - x / p.x_A) * X + Z * profile_value(x, p)
     G = 2.0 * p.k * Z * (1.0 - x / p.x_B)
     return F, G
 
@@ -197,14 +224,14 @@ def f_profile(x, p):
     """
     if x < 0.0 or x >= p.x_A:
         raise DomainError(f"f domain is 0 <= x < {p.x_A}, got {x}")
-    return profile_value(x, p, PROF_F)
+    return profile_value(x, p.in_chart("XZ"))
 
 
 def h_profile(w, p):
     """A-chart nonlinearity h at w = W^(1/k); h(0) = c_nk beta^k nu^k."""
     if w < 0.0 or w >= p.x_A:
         raise DomainError(f"h domain is 0 <= w < {p.x_A}, got {w}")
-    return profile_value(w, p, PROF_H)
+    return profile_value(w, p.in_chart("WV"))
 
 
 def system_rhs(state, p):
@@ -226,7 +253,7 @@ def system_rhs(state, p):
         if p.gamma == p.x_A and X <= p.X_A * (1.0 + 1e-12):
             return 0.0, 2.0 * p.k * Z * (1.0 - x / p.x_B)
         raise DomainError(f"state with X^(1/k) = {x} >= x_A = {p.x_A} and Z > 0")
-    return vector_field(X, Z, p, PROF_F)
+    return vector_field(X, Z, p)
 
 
 def system_rhs_A(state, p):
@@ -241,7 +268,7 @@ def system_rhs_A(state, p):
     w = kth_root(W, p.k)
     if w >= p.x_A:
         raise DomainError(f"h domain is 0 <= w < {p.x_A}, got {w}")
-    F, G = vector_field(W, V, p, PROF_H)
+    F, G = vector_field(W, V, p.in_chart("WV"))
     return -F, -G
 
 
@@ -249,7 +276,7 @@ def df_dX(X, p):
     """Analytic derivative d f(X^(1/k)) / dX for the Jacobian."""
     k = p.k
     xpow = X ** ((1 - k) / k) if k > 1 else 1.0
-    return profile_slope(kth_root(X, k), p, PROF_F) * xpow / k
+    return profile_slope(kth_root(X, k), p) * xpow / k
 
 
 def jacobian(state, p):
@@ -268,7 +295,7 @@ def jacobian(state, p):
     n, k, m = p.n, p.k, p.m
     x = kth_root(X, k)
     dFdX = (2 * k - n) + m * (k + 1) * x + Z * df_dX(X, p)
-    dFdZ = profile_value(x, p, PROF_F)
+    dFdZ = profile_value(x, p)
     dGdX = -(1.0 - m) * Z * (X ** ((1 - k) / k) if k > 1 else 1.0)
     dGdZ = 2.0 * k - (1.0 - m) * k * x
     return np.array([[dFdX, dFdZ], [dGdX, dGdZ]])

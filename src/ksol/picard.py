@@ -9,7 +9,8 @@ space demands
 
 with alpha_k = alpha^((1-m)k). The same machinery solves the mirrored
 problem at A: reversing s turns the A-chart system into the origin system
-with f replaced by h, so everything below is generic over that profile.
+with f replaced by h, so everything below reads the profile from the
+parameter set's chart (``phase.SolitonParams.in_chart``).
 
 Normalization note: the operator pins the weighted X-limit to alpha_k, which
 forces the weighted Z-limit to n alpha_k / f(0) (the slow eigendirection is
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NotApplicableError, ParameterError
-from .phase import PROF_F, PROF_H, kth_root, profile_slope, profile_value, vector_field
+from .phase import kth_root, profile_slope, profile_value, vector_field
 
 GRID_POINTS = 512
 WINDOW_FACTOR = 12.0  # s_min = s0 - WINDOW_FACTOR/(2k)
@@ -34,10 +35,6 @@ MAX_SWEEPS = 200
 RATE_LIMIT = 0.9
 THRESHOLD_STEP = 0.5 * math.log(2.0)  # left step of a trial endpoint
 MAX_THRESHOLD_STEPS = 2048  # to s ~ -710; e^(2s) is 0 in floats below s ~ -373
-
-
-def _prof0(p, prof):
-    return p.f0 if prof == PROF_F else p.h0
 
 
 def alpha_weight(alpha, p):
@@ -54,7 +51,7 @@ class Thresholds:
     contraction_bound: float  # C such that the contraction constant is C e^(2 s0)
 
 
-def _constants(alpha_k, p, prof):
+def _constants(alpha_k, p):
     """Explicit constants of the mapping and contraction estimates.
 
     All bounds are taken in the weighted sup norm; the mapped-image bounds
@@ -62,11 +59,10 @@ def _constants(alpha_k, p, prof):
     estimate gives C with ||E u - E v|| <= C e^(2 s0) ||u - v||.
     """
     n, k, m = p.n, p.k, p.m
-    p0 = _prof0(p, prof)
-    cap_x = min(p.gamma_k, p.X_B) if prof == PROF_F else p.X_B
-    y_max = cap_x ** (1.0 / k)
+    p0 = p.profile0
+    y_max = p.picard_cap ** (1.0 / k)
     # numeric Lipschitz constant of the profile on [0, y_max], with margin
-    M = 1.05 * float(np.max(np.abs(profile_slope(np.linspace(0.0, y_max, 1024), p, prof))))
+    M = 1.05 * float(np.max(np.abs(profile_slope(np.linspace(0.0, y_max, 1024), p))))
     two_ak = 2.0 * alpha_k
     zc = 2.0 * n * alpha_k / p0  # weighted Z upper bound
     # integrand amplitudes: |F1|, |G1| <= c e^((2k+2)t)
@@ -86,10 +82,10 @@ def _constants(alpha_k, p, prof):
         l_G / 2.0,
         (l_F + (p0 / n) * l_G) / (n + 2.0) + (p0 / n) * l_G / 2.0,
     )
-    return cap_x, M, K1, K2, C
+    return K1, K2, C
 
 
-def thresholds(alpha, p, prof=PROF_F):
+def thresholds(alpha, p):
     """The admissible right endpoints (s1, s2, s3) and s0 = min of the three.
 
     s1 keeps X below min(gamma^k, X_B) (closed form); s2 makes the operator
@@ -101,9 +97,8 @@ def thresholds(alpha, p, prof=PROF_F):
     if alpha <= 0.0:
         raise DomainError("alpha must be positive")
     alpha_k = alpha_weight(alpha, p)
-    p0 = _prof0(p, prof)
-    cap_x, _M, K1, K2, C = _constants(alpha_k, p, prof)
-    s1 = math.log(cap_x / (2.0 * alpha_k)) / (2.0 * p.k)
+    K1, K2, C = _constants(alpha_k, p)
+    s1 = math.log(p.picard_cap / (2.0 * alpha_k)) / (2.0 * p.k)
 
     def step_left(name, fails):
         s = min(s1, 0.0)
@@ -119,7 +114,7 @@ def thresholds(alpha, p, prof=PROF_F):
     s2 = step_left(
         "s2 (self-map)",
         lambda s: K1 * math.exp(2.0 * s) > alpha_k / 2.0
-        or K2 * math.exp(2.0 * s) > p.n * alpha_k / (2.0 * p0),
+        or K2 * math.exp(2.0 * s) > p.n * alpha_k / (2.0 * p.profile0),
     )
     s3 = step_left("s3 (contraction)", lambda s: C * math.exp(2.0 * s) >= 0.5)
     s0 = min(s1, s2, s3)
@@ -152,28 +147,27 @@ class MembershipReport:
     min_slack_Z: float
 
 
-def affine_seed(alpha, p, s0, prof=PROF_F, n_points=GRID_POINTS):
-    """The seed tail: constant weighted values (alpha_k, n alpha_k / f(0))."""
+def affine_seed(alpha, p, s0, n_points=GRID_POINTS):
+    """The seed tail: constant weighted values (alpha_k, n alpha_k / f(0)),
+    with h(0) for f(0) in the A chart."""
     alpha_k = alpha_weight(alpha, p)
     s_min = s0 - WINDOW_FACTOR / (2.0 * p.k)
     grid = np.linspace(s_min, s0, n_points)
-    p0 = _prof0(p, prof)
     return WeightedTail(
         s0,
         s_min,
         grid,
         np.full(n_points, alpha_k),
-        np.full(n_points, p.n * alpha_k / p0),
+        np.full(n_points, p.n * alpha_k / p.profile0),
     )
 
 
-def verify_membership(tail, alpha, p, prof=PROF_F):
+def verify_membership(tail, alpha, p):
     """Pointwise check of the four weighted space bounds, with worst slack."""
     alpha_k = alpha_weight(alpha, p)
-    p0 = _prof0(p, prof)
     wx, wz = tail.X_samples, tail.Z_samples
     slack_x = float(min(np.min(wx - alpha_k / 2.0), np.min(2.0 * alpha_k - wx)))
-    zc = p.n * alpha_k / p0
+    zc = p.n * alpha_k / p.profile0
     slack_z = float(min(np.min(wz - zc / 2.0), np.min(2.0 * zc - wz)))
     return MembershipReport(slack_x >= 0.0 and slack_z >= 0.0, slack_x, slack_z)
 
@@ -274,7 +268,7 @@ def _tail_integral(vals, t, two_k, mu):
     return b1 / mu + b2 / (mu + 2.0)
 
 
-def apply_E(tail, alpha, p, prof=PROF_F, check=True):
+def apply_E(tail, alpha, p, check=True):
     """One application of the integral operator, weighted in and out.
 
     The integral over (-inf, s_min] uses the leading e^((2k+2)t) decay of
@@ -283,7 +277,7 @@ def apply_E(tail, alpha, p, prof=PROF_F, check=True):
     kernels evaluated exactly at nodes.
     """
     if check:
-        rep = verify_membership(tail, alpha, p, prof)
+        rep = verify_membership(tail, alpha, p)
         if not rep.ok:
             raise DomainError(
                 f"tail violates the weighted space bounds (slack X {rep.min_slack_X:.3e}, "
@@ -291,7 +285,7 @@ def apply_E(tail, alpha, p, prof=PROF_F, check=True):
             )
     n, k = p.n, p.k
     alpha_k = alpha_weight(alpha, p)
-    p0 = _prof0(p, prof)
+    p0 = p.profile0
     t = tail.grid
     h = t[1] - t[0]
     shift = t - tail.s_min
@@ -300,7 +294,7 @@ def apply_E(tail, alpha, p, prof=PROF_F, check=True):
     Z = tail.Z_samples * ew
     x = kth_root(X, k)
 
-    F1 = k * p.m * X ** ((k + 1.0) / k) + Z * (profile_value(x, p, prof) - p0)
+    F1 = k * p.m * X ** ((k + 1.0) / k) + Z * (profile_value(x, p) - p0)
     G1 = -k * (1.0 - p.m) * Z * x
     P1 = F1 - (p0 / n) * G1
 
@@ -373,22 +367,22 @@ class LocalSolution:
         return self.tail.X_samples[-1] * math.exp(two_ks0), w0
 
 
-def _picard(alpha, p, tol, prof, n_points):
+def _picard(alpha, p, tol, n_points):
     if not 1e-8 <= alpha <= 1e8:
         raise DomainError("alpha outside the supported range [1e-8, 1e8]")
-    th = thresholds(alpha, p, prof)
+    th = thresholds(alpha, p)
     s0 = th.s0
     retries = 0
     while True:
-        seed = affine_seed(alpha, p, s0, prof, n_points)
+        seed = affine_seed(alpha, p, s0, n_points)
         cur = seed
         prev_change = None
         rate_max = 0.0
         failed = False
         sweeps = 0
         for i in range(MAX_SWEEPS):
-            nxt = apply_E(cur, alpha, p, prof, check=False)
-            if not verify_membership(nxt, alpha, p, prof).ok:
+            nxt = apply_E(cur, alpha, p, check=False)
+            if not verify_membership(nxt, alpha, p).ok:
                 failed = True
                 break
             change = float(
@@ -419,7 +413,7 @@ def _picard(alpha, p, tol, prof, n_points):
             )
         s0 -= 0.5 * math.log(2.0)
 
-    final = apply_E(cur, alpha, p, prof, check=False)
+    final = apply_E(cur, alpha, p, check=False)
     residual = float(
         max(
             np.max(np.abs(final.X_samples - cur.X_samples)),
@@ -427,9 +421,9 @@ def _picard(alpha, p, tol, prof, n_points):
         )
     )
     limits = _extrapolate_limit(cur)
-    p0 = _prof0(p, prof)
-    if prof == PROF_F:
-        u0 = (p.n * alpha_weight(alpha, p) / p0) ** (1.0 / ((1.0 - p.m) * p.k))
+    # u(0) belongs to the profile u at the origin; the A chart has none
+    if p.chart == "XZ":
+        u0 = (p.n * alpha_weight(alpha, p) / p.profile0) ** (1.0 / ((1.0 - p.m) * p.k))
     else:
         u0 = None
     return LocalSolution(
@@ -441,7 +435,7 @@ def _picard(alpha, p, tol, prof, n_points):
         thresholds=Thresholds(th.s1, th.s2, th.s3, s0, th.contraction_bound),
         weighted_limits=limits,
         u0=u0,
-        chart="XZ" if prof == PROF_F else "WV",
+        chart=p.chart,
         retries=retries,
     )
 
@@ -453,7 +447,7 @@ def picard_solve(alpha, p, tol=DEFAULT_TOL, n_points=GRID_POINTS):
     change drops below tol, shifting s0 left (at most 8 times) if the
     empirical contraction rate reaches 0.9.
     """
-    return _picard(alpha, p, tol, PROF_F, n_points)
+    return _picard(alpha, p, tol, n_points)
 
 
 def picard_solve_at_A(alpha_bar, p, tol=DEFAULT_TOL, n_points=GRID_POINTS):
@@ -468,17 +462,16 @@ def picard_solve_at_A(alpha_bar, p, tol=DEFAULT_TOL, n_points=GRID_POINTS):
         raise NotApplicableError("orbit at A requires rho >= 2 theta")
     if p.rho == 2.0 * p.theta:
         raise ParameterError("rho = 2 theta is degenerate: h(0) = 0")
-    return _picard(alpha_bar, p, tol, PROF_H, n_points)
+    return _picard(alpha_bar, p.in_chart("WV"), tol, n_points)
 
 
-def derivative_residual(sol, p, prof=None):
-    """Max pointwise defect of the tail against the differential system.
+def derivative_residual(sol, p):
+    """Max pointwise defect of the tail against the differential system of
+    its chart.
 
     Sixth-order Richardson extrapolation of centered differences on the
     uniform grid, compared with the analytic right-hand side.
     """
-    if prof is None:
-        prof = PROF_F if sol.chart == "XZ" else PROF_H
     tail = sol.tail
     X, Z = tail.unweighted(p.k)
     h = tail.grid[1] - tail.grid[0]
@@ -494,5 +487,5 @@ def derivative_residual(sol, p, prof=None):
         rb = (4.0 * d2 - d4) / 3.0
         return (16.0 * ra - rb) / 15.0
 
-    F, G = vector_field(X[4:-4], Z[4:-4], p, prof)
+    F, G = vector_field(X[4:-4], Z[4:-4], p.in_chart(sol.chart))
     return float(max(np.max(np.abs(richardson(X) - F)), np.max(np.abs(richardson(Z) - G))))

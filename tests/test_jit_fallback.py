@@ -71,11 +71,11 @@ def _non_floats(values):
 @pytest.mark.parametrize("n, k", [(4, 1), (5, 2)])
 def test_fallback_kernels_compute_on_python_floats(n, k, monkeypatch):
     p = phase.make_params(n, k, 1.0, 1.0)
-    pp = _kernels.pack_params(p)
-    assert len(pp) == _kernels.PP_SIZE
-    assert all(type(v) is float for v in pp)
-    for prof in (_kernels.PROF_F, _kernels.PROF_H):
-        out = _kernels.rhs(0.7, 0.3, pp, prof) + _kernels.jac(0.7, 0.3, pp, prof)
+    for chart in ("XZ", "WV"):
+        pp = _kernels.pack_params(p.in_chart(chart))
+        assert len(pp) == _kernels.PP_SIZE
+        assert all(type(v) is float for v in pp)
+        out = _kernels.rhs(0.7, 0.3, pp) + _kernels.jac(0.7, 0.3, pp)
         assert all(type(v) is float for v in out), out
 
     # a numpy scalar anywhere in the step loop reaches the states, the step

@@ -19,7 +19,7 @@ RNG = np.random.default_rng(11)
 def integrate_state(x0, z0, s0, p, controls, stop_at_xb=False):
     w0 = math.log(p.cb * z0) if z0 > 0.0 else -math.inf
     s, X, Z, events, status, counters = orbit._integrate_raw(
-        x0, w0, s0, p, controls, 0, stop_at_xb
+        x0, w0, s0, p, controls, stop_at_xb
     )
     return orbit.OrbitTrace(s, X, Z, events, status, **counters)
 

@@ -292,7 +292,7 @@ class TestPicardSolve:
         j = int(np.searchsorted(tail.grid, tail.s0 - 2.0))
         ctl = orbit.OrbitControls(s_max=tail.s0 + 3.0)
         s_arr, x_arr, z_arr, _ev, _st, _counters = orbit._integrate_raw(
-            X[j], np.log(p.cb * Z[j]), tail.grid[j], p, ctl, 0
+            X[j], np.log(p.cb * Z[j]), tail.grid[j], p, ctl
         )
         # cubic Hermite interpolation of the integrator output in its chart
         # (X, W = ln(c_nk beta^k Z)), where the samples keep SAMPLE_TOL (linear
@@ -308,8 +308,8 @@ class TestPicardSolve:
                 i = max(0, min(np.searchsorted(s_arr, sq) - 1, s_arr.size - 2))
                 h = s_arr[i + 1] - s_arr[i]
                 th = (sq - s_arr[i]) / h
-                f0 = _kernels.rhs(x_arr[i], w_arr[i], pp, 0)
-                f1 = _kernels.rhs(x_arr[i + 1], w_arr[i + 1], pp, 0)
+                f0 = _kernels.rhs(x_arr[i], w_arr[i], pp)
+                f1 = _kernels.rhs(x_arr[i + 1], w_arr[i + 1], pp)
                 out_x.append(_kernels._hermite(th, h, x_arr[i], f0[0], x_arr[i + 1], f1[0]))
                 out_w.append(_kernels._hermite(th, h, w_arr[i], f0[1], w_arr[i + 1], f1[1]))
             return np.array(out_x), np.exp(out_w) / p.cb

@@ -26,39 +26,38 @@ class TestKernelJacobian:
         for _ in range(100):
             X = float(rng.uniform(0.02, 0.98) * p.x_cap)
             Z = float(rng.uniform(1e-3, 1e3))
-            J = np.reshape(_kernels.jac(X, math.log(p.cb * Z), pp, _kernels.PROF_F), (2, 2))
+            J = np.reshape(_kernels.jac(X, math.log(p.cb * Z), pp), (2, 2))
             JZ = phase.jacobian((X, Z), p)
             ref = np.array([[JZ[0, 0], JZ[0, 1] * Z], [JZ[1, 0] / Z, 0.0]])
             np.testing.assert_allclose(J, ref, rtol=1e-13, atol=1e-13 * np.max(np.abs(ref)))
 
     def test_h_profile_matches_central_differences(self, n, k):
         p = phase.make_params(n, k, 3.0, 1.0)
-        pp = _kernels.pack_params(p)
-        prof = _kernels.PROF_H
+        pp = _kernels.pack_params(p.in_chart("WV"))
         rng = np.random.default_rng(10 * n + k)
         for _ in range(100):
             X = float(rng.uniform(0.05, 0.95) * p.x_A) ** k
             W = math.log(p.cb * float(rng.uniform(0.05, 3.0)))
-            J = np.reshape(_kernels.jac(X, W, pp, prof), (2, 2))
+            J = np.reshape(_kernels.jac(X, W, pp), (2, 2))
             fd = np.empty((2, 2))
             for j, (dx, dw) in enumerate(((1e-6 * X, 0.0), (0.0, 1e-6))):
-                hi = _kernels.rhs(X + dx, W + dw, pp, prof)
-                lo = _kernels.rhs(X - dx, W - dw, pp, prof)
+                hi = _kernels.rhs(X + dx, W + dw, pp)
+                lo = _kernels.rhs(X - dx, W - dw, pp)
                 fd[:, j] = (np.array(hi) - np.array(lo)) / (2.0 * (dx + dw))
             assert np.max(np.abs(J - fd) / (1.0 + np.abs(fd))) < 1e-6
 
 
-def _dop853(X, W, h, fX, fW, pp, prof):
+def _dop853(X, W, h, fX, fW, pp):
     """The DOP853 step in the (X1, W1, errX, errW, fX1, fW1) form of RODAS4."""
-    X1, W1, e5x, e5w, _e3x, _e3w, KX, KW = _kernels._dop853_step(X, W, h, fX, fW, pp, prof)
+    X1, W1, e5x, e5w, _e3x, _e3w, KX, KW = _kernels._dop853_step(X, W, h, fX, fW, pp)
     return X1, W1, e5x, e5w, KX[-1], KW[-1]
 
 
 def _fixed_steps(step, n_steps, X, W, pp, s_span=1.0):
     """The state (X, W) after n_steps equal steps over s_span."""
-    fX, fW = _kernels.rhs(X, W, pp, _kernels.PROF_F)
+    fX, fW = _kernels.rhs(X, W, pp)
     for _ in range(n_steps):
-        X, W, _ex, _ew, fX, fW = step(X, W, s_span / n_steps, fX, fW, pp, _kernels.PROF_F)
+        X, W, _ex, _ew, fX, fW = step(X, W, s_span / n_steps, fX, fW, pp)
     return np.array([X, W])
 
 
@@ -121,13 +120,13 @@ class TestDop853Step:
         # fixed steps to that point: the interpolation error is O(h^8), so
         # halving h divides it by ~256, where the cubic Hermite alone gives ~16
         _p, pp, X0, W0 = _start(5, 2, -1.0)
-        fX, fW = _kernels.rhs(X0, W0, pp, _kernels.PROF_F)
+        fX, fW = _kernels.rhs(X0, W0, pp)
         errs = []
         for h in (0.5, 0.25):
             X1, W1, _a, _b, _c, _d, KX, KW = _kernels._dop853_step(
-                X0, W0, h, fX, fW, pp, _kernels.PROF_F
+                X0, W0, h, fX, fW, pp
             )
-            cx, cw = _kernels._dop853_dense(X0, W0, h, fX, fW, X1, W1, KX, KW, pp, _kernels.PROF_F)
+            cx, cw = _kernels._dop853_dense(X0, W0, h, fX, fW, X1, W1, KX, KW, pp)
             got = (_kernels._dense(0.3, X0, cx), _kernels._dense(0.3, W0, cw))
             ref = _fixed_steps(_dop853, 64, X0, W0, pp, s_span=0.3 * h)
             errs.append(_chart_error(got, ref))
@@ -142,11 +141,11 @@ class TestDop853Step:
         # SAMPLE_TOL
         _p, pp, X0, W0 = _start(n, k, rho)
         h = 0.1
-        fX, fW = _kernels.rhs(X0, W0, pp, _kernels.PROF_F)
-        X1, W1, e5x, e5w, e3x, e3w, KX, KW = _kernels._dop853_step(X0, W0, h, fX, fW, pp, 0)
+        fX, fW = _kernels.rhs(X0, W0, pp)
+        X1, W1, e5x, e5w, e3x, e3w, KX, KW = _kernels._dop853_step(X0, W0, h, fX, fW, pp)
         magX = max(abs(X0), abs(X1))
         assert _kernels._dop853_error(e5x, e5w, e3x, e3w, 1e-10 * magX, 1e-10) < 1.0
-        cx, cw = _kernels._dop853_dense(X0, W0, h, fX, fW, X1, W1, KX, KW, pp, 0)
+        cx, cw = _kernels._dop853_dense(X0, W0, h, fX, fW, X1, W1, KX, KW, pp)
 
         def worst(pieces):
             out = 0.0
@@ -154,7 +153,7 @@ class TestDop853Step:
                 t0, t1 = j / pieces, (j + 1) / pieces
                 a = (_kernels._dense(t0, X0, cx), _kernels._dense(t0, W0, cw))
                 b = (_kernels._dense(t1, X0, cx), _kernels._dense(t1, W0, cw))
-                fa, fb = _kernels.rhs(*a, pp, 0), _kernels.rhs(*b, pp, 0)
+                fa, fb = _kernels.rhs(*a, pp), _kernels.rhs(*b, pp)
                 for i, (y0, c, scale) in enumerate(((X0, cx, None), (W0, cw, 1.0))):
                     ref = _kernels._dense(0.5 * (t0 + t1), y0, c)
                     mid = _kernels._hermite(0.5, h / pieces, a[i], fa[i], b[i], fb[i])
