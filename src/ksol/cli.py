@@ -412,7 +412,8 @@ def cmd_verify(args):
         for Z in np.linspace(0.1, 5.0, 25):
             F, _ = phase.system_rhs((p.gamma_k, Z), p)
             worst = max(worst, F)
-        limit = 0.0 if p.n == 2 * p.k else -1e-12
+        # n = 2k, and rho = 2 theta (gamma = x_A), make X_s vanish on the line
+        limit = 0.0 if p.n == 2 * p.k or p.rho == 2.0 * p.theta else -1e-12
         record("asymptote_repulsion", worst, limit, ok=worst <= limit + 1e-15)
     # the last point is B's X
     X = np.append(np.linspace(0.0, p.x_cap * 0.999, 200), p.X_B)

@@ -204,6 +204,20 @@ def _axis_class(x_end, p, diag):
     return OrbitClass(GENERALIZED_A, X_inf=x_end, diagnostics=diag)
 
 
+def _gamma_class(z_end, p, diag):
+    """Orbit type for an end at the asymptote with Z growing: TypeGamma at
+    rho <= 0. At rho > 0, gamma > x_B, where Z_s/Z = 2k (1 - x/x_B) < 0, so
+    Z cannot grow up the asymptote and the end is Undetermined."""
+    diag["Z_end"] = z_end
+    if p.rho <= 0.0:
+        return OrbitClass(TYPE_GAMMA, diagnostics=diag)
+    diag["reason"] = (
+        "slow passage: at rho > 0 Z decays past x_B, so the passage along x ~ gamma ~ x_B, "
+        "of order theta/rho in s, did not end in the run"
+    )
+    return OrbitClass(UNDETERMINED, diagnostics=diag)
+
+
 def classify_orbit(trace, p):
     """Orbit type per the regime taxonomy; never guesses silently.
 
@@ -211,7 +225,8 @@ def classify_orbit(trace, p):
     approach with growing Z, collapse onto the axis, or a bounded band)
     to be classified; anything else is reported Undetermined together
     with the tail diagnostics. An orbit that reaches the asymptote event
-    (x within asym_tol of gamma) is type gamma. A trace cut short by the
+    (x within asym_tol of gamma) is type gamma at rho <= 0 and Undetermined
+    at rho > 0, where no orbit is type gamma. A trace cut short by the
     sample buffer or the step floor is Undetermined, with the status as its
     reason.
     """
@@ -228,8 +243,7 @@ def classify_orbit(trace, p):
     if status == "converged_axis":
         return _axis_class(x_end, p, diag)
     if status == "reached_asymptote":
-        diag["Z_end"] = z_end
-        return OrbitClass(TYPE_GAMMA, diagnostics=diag)
+        return _gamma_class(z_end, p, diag)
 
     if status in ("sample_overflow", "step_floor"):
         # a budget cut the trace short: its tail says nothing of the orbit's end
@@ -243,8 +257,7 @@ def classify_orbit(trace, p):
     z_peak = float(np.max(trace.Z))
     diag.update(z_tail=(z_min, z_max), x_end=x_end)
     if near_gamma and zw[-1] >= zw[0] > 0.0:
-        diag["Z_end"] = z_end
-        return OrbitClass(TYPE_GAMMA, diagnostics=diag)
+        return _gamma_class(z_end, p, diag)
     if x_end > p.X_B and z_end < 1e-6 * z_peak and zw[-1] <= zw[0]:
         return _axis_class(x_end, p, diag)
     if status == "s_max" and z_min > 0.0 and z_max / z_min < BOUNDED_RATIO and not near_gamma:

@@ -231,6 +231,17 @@ class TestVerify:
                         "--theta", "1", "--out", str(out)])
         assert code == 0
 
+    @pytest.mark.parametrize("n,k,rho,theta", [(4, 1, 2.0, 1.0), (12, 4, 2.0, 1.0), (4, 1, 2e-3, 1e-3)])
+    def test_asymptote_line_is_stationary_at_rho_eq_2theta(self, tmp_path, n, k, rho, theta):
+        # gamma = x_A: X_s vanishes on X = gamma^k, whose repulsion limit is 0
+        out = tmp_path / "v.json"
+        code = run_cli(["verify", "--n", str(n), "--k", str(k), "--rho", str(rho),
+                        "--theta", str(theta), "--out", str(out)])
+        doc = json.loads(out.read_text())
+        check = doc["checks"]["asymptote_repulsion"]
+        assert check["threshold"] == 0.0 and check["pass"]
+        assert code == 0 and doc["all_pass"]
+
     @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (6, 3)])
     def test_steady_log_power_checked(self, tmp_path, n, k):
         out = tmp_path / "v.json"

@@ -24,7 +24,7 @@ RATIOS = [
 
 SLOW_PASSAGE = (
     "rho/theta -> 0+: the passage along x ~ gamma ~ x_B lasts of order theta/rho, "
-    "beyond s_max, and its tail reads as TypeGamma or Undetermined"
+    "beyond s_max, and its tail is Undetermined"
 )
 AXIS_STOP_BELOW_GAMMA = (
     "n < 2k, rho -> 2 theta-: the axis flow carries X past x_cap, but the run stops "
@@ -69,6 +69,6 @@ def test_result_is_in_the_regime_table(n, k, ratio):
 
 
 def test_pins_name_corpus_cases():
-    # 24 wrong labels, 11 Undetermined and 3 errors at the last count
+    # 2 wrong labels, 33 Undetermined and 3 errors at the last count
     assert len(KNOWN) == 38
     assert set(KNOWN) <= {(n, k, r) for n, k in PAIRS for r in RATIOS}

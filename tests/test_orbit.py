@@ -6,6 +6,7 @@ and the exponential solution riding the asymptote when n = 2k.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,6 +129,15 @@ class TestIntegratorEdges:
         assert cut.s.size - cut.tail_end_index == half
         assert oc.kind == orbit.UNDETERMINED
         assert oc.diagnostics["reason"] == "trace cut short (sample_overflow)"
+
+    @pytest.mark.parametrize("n,k,rho", [(4, 1, 1.0), (4, 2, 1e-2), (4, 1, 5.0)])
+    def test_asymptote_end_at_positive_rho_is_undetermined(self, n, k, rho, run):
+        # at rho > 0, gamma > x_B and Z decays along the asymptote, so no
+        # orbit is TypeGamma: an end there is a slow passage cut short
+        p, _sol, tr, _oc = run(n, k, rho)
+        oc = orbit.classify_orbit(replace(tr, status="reached_asymptote"), p)
+        assert oc.kind == orbit.UNDETERMINED
+        assert oc.diagnostics["reason"].startswith("slow passage")
 
     def test_exp_w_max_is_the_bound_on_w(self):
         # nothing bounds Z but the float range: on the exact asymptote

@@ -164,6 +164,18 @@ class TestSystemRHS:
             for i in range(0, X.size, 37):
                 assert phase.system_rhs_A((X[i], Z[i]), p) == (-F[i], -G[i])
 
+    @pytest.mark.parametrize("n,k,rho", [(4, 1, 5.0), (5, 2, 3.0), (6, 1, 10.0)])
+    @pytest.mark.parametrize("chart", ["XZ", "WV"])
+    def test_profile_slope_matches_central_differences(self, n, k, rho, chart):
+        # the slope sets Picard's Lipschitz constant M and dF/dX of the Jacobian
+        p = phase.make_params(n, k, rho, 1.0).in_chart(chart)
+        x = np.linspace(0.0, 0.95 * p.x_B, 97)
+        d = 1e-6 * p.x_B
+        fd = (phase.profile_value(x + d, p) - phase.profile_value(x - d, p)) / (2.0 * d)
+        np.testing.assert_allclose(
+            phase.profile_slope(x, p), fd, rtol=1e-7, atol=1e-7 * np.max(np.abs(fd))
+        )
+
     def test_A_chart_pullback_consistency(self):
         # X = (x_A - w)^k, Z = V maps the A-chart field to the XZ field:
         # dX/ds = -k (x_A - w)^(k-1) dw/ds with dw/ds = W_s W^((1-k)/k)/k
