@@ -739,26 +739,26 @@ def _rodas_step(X, W, h, fX, fW, pp):
 
 
 @njit
-def _event_value(code, X, W, pp, asym_tol, x_cap):
-    """Signed event functions; a root marks the event location."""
+def _event_value(code, X, pp, asym_tol):
+    """Signed event functions of X; a root marks the event location."""
     k = int(pp[PP_K])
     if code == EV_CROSS_XB:
         return X - pp[PP_XB]
     if code == EV_EXITED:
-        return X - x_cap
+        return X - pp[PP_XCAP]
     return (pp[PP_GAMMA] - kth_root(X, k)) - asym_tol * pp[PP_GAMMA]  # EV_ASYMPTOTE
 
 
 @njit
-def _bisect_event(code, X0, W0, cx, cw, pp, asym_tol, x_cap):
-    """Bisection for the event root on the step's dense output (coefficients
-    cx, cw of ``_dense``); returns theta."""
+def _bisect_event(code, X0, cx, pp, asym_tol):
+    """Bisection for the event root on the step's dense output in X
+    (coefficients cx of ``_dense``); returns theta."""
     lo = 0.0
     hi = 1.0
-    vlo = _event_value(code, X0, W0, pp, asym_tol, x_cap)
+    vlo = _event_value(code, X0, pp, asym_tol)
     for _ in range(64):
         mid = 0.5 * (lo + hi)
-        vm = _event_value(code, _dense(mid, X0, cx), _dense(mid, W0, cw), pp, asym_tol, x_cap)
+        vm = _event_value(code, _dense(mid, X0, cx), pp, asym_tol)
         if (vm > 0.0) == (vlo > 0.0):
             lo = mid
             vlo = vm
@@ -768,7 +768,7 @@ def _bisect_event(code, X0, W0, cx, cw, pp, asym_tol, x_cap):
 
 
 @njit
-def _locate(code, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, asym_tol, x_cap, step_floor):
+def _locate(code, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, asym_tol, step_floor):
     """The event of ``code`` inside an accepted step from (X, W) to (X1, W1):
     (theta, Xe, We, n_re), the fraction of the step, the state there and the
     RODAS4 re-steps taken.
@@ -780,19 +780,19 @@ def _locate(code, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, asym_tol, x_cap, s
     first secant through the full step, and a bisection of the bracket of
     the re-steps so far wherever the secant would leave it.
     """
-    th = _bisect_event(code, X, W, cx, cw, pp, asym_tol, x_cap)
+    th = _bisect_event(code, X, cx, pp, asym_tol)
     if not stiff:
         return th, _dense(th, X, cx), _dense(th, W, cw), 0
-    v0 = _event_value(code, X, W, pp, asym_tol, x_cap)
+    v0 = _event_value(code, X, pp, asym_tol)
     lo = 0.0
     hi = 1.0
     th_prev = 1.0
-    v_prev = _event_value(code, X1, W1, pp, asym_tol, x_cap)
+    v_prev = _event_value(code, X1, pp, asym_tol)
     n_re = 0
     while True:
         Xe, We, _ex, _ew, _fX, _fW = _rodas_step(X, W, th * h, fX, fW, pp)
         n_re += 1
-        v = _event_value(code, Xe, We, pp, asym_tol, x_cap)
+        v = _event_value(code, Xe, pp, asym_tol)
         if (v > 0.0) == (v0 > 0.0):
             lo = th
         else:
@@ -875,7 +875,6 @@ def integrate_core(
 
     k = int(pp[PP_K])
     cb = pp[PP_CB]
-    x_cap = pp[PP_XCAP]
     w_floor = math.log(Z_FLOOR_REL)
     # W carries no error on the axis
     magW = 1.0 if W0 > -math.inf else 0.0
@@ -979,20 +978,20 @@ def integrate_core(
         th = 1.0
         if crossed and stop_at_xb:
             code, status = EV_CROSS_XB, ST_XB_STOP
-        elif X1 > x_cap:
+        elif X1 > pp[PP_XCAP]:
             code, status = EV_EXITED, ST_EXITED
         elif asym_tol > 0.0 and pp[PP_GAMMA] - kth_root(X1, k) < asym_tol * pp[PP_GAMMA]:
             code, status = EV_ASYMPTOTE, ST_ASYMPTOTE
         if code != 0:
             th, X1, W1, n_re = _locate(
-                code, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, asym_tol, x_cap, step_floor
+                code, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, asym_tol, step_floor
             )
             n_rhs += 6 * n_re
             s1 = s + th * h
             if code == EV_CROSS_XB:
                 X1 = pp[PP_XB]
             elif code == EV_EXITED:
-                X1 = x_cap
+                X1 = pp[PP_XCAP]
             else:
                 X1 = (pp[PP_GAMMA] - asym_tol * pp[PP_GAMMA]) ** k
 
@@ -1003,7 +1002,7 @@ def integrate_core(
         t0 = 0.0
         if crossed and not stop_at_xb:
             tc, _xc, wc, n_re = _locate(
-                EV_CROSS_XB, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, asym_tol, x_cap, step_floor
+                EV_CROSS_XB, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, asym_tol, step_floor
             )
             n_rhs += 6 * n_re
             if tc < th:

@@ -62,10 +62,9 @@ class OrbitControls:
     s_max: float = 200.0
     max_step: float = 0.25
     step_floor: float = 1e-13
-    # terminal proximity to the asymptote, relative in x = X^(1/k), located
-    # by bisection on a DOP853 step's extension and by secant re-steps on a
-    # RODAS4 step; the transverse contraction rate grows with Z, which the
-    # stiff RODAS4 step absorbs (<= 0 turns the event off)
+    # terminal proximity to the asymptote, relative in x = X^(1/k), located on
+    # the step (DOP853: bisection on its extension, RODAS4: secant re-steps); Z
+    # speeds the transverse contraction, which RODAS4 absorbs (<= 0: no event)
     asym_tol: float = 1e-5
     conv_dist: float = 1e-7
     max_samples: int = 400_000
@@ -205,17 +204,14 @@ def _axis_class(x_end, p, diag):
 
 
 def _gamma_class(z_end, p, diag):
-    """Orbit type for an end at the asymptote with Z growing: TypeGamma at
-    rho <= 0. At rho > 0, gamma > x_B, where Z_s/Z = 2k (1 - x/x_B) < 0, so
-    Z cannot grow up the asymptote and the end is Undetermined."""
+    """TypeGamma for an end at the asymptote with Z growing, at rho <= 0. At
+    rho > 0, gamma > x_B, where Z_s/Z = 2k (1 - x/x_B) < 0: Z cannot grow up
+    the asymptote, and the end is a slow passage cut short."""
     diag["Z_end"] = z_end
-    if p.rho <= 0.0:
-        return OrbitClass(TYPE_GAMMA, diagnostics=diag)
-    diag["reason"] = (
-        "slow passage: at rho > 0 Z decays past x_B, so the passage along x ~ gamma ~ x_B, "
-        "of order theta/rho in s, did not end in the run"
-    )
-    return OrbitClass(UNDETERMINED, diagnostics=diag)
+    if p.rho > 0.0:
+        diag["reason"] = "slow passage along x ~ gamma ~ x_B, of order theta/rho in s, not ended"
+        return OrbitClass(UNDETERMINED, diagnostics=diag)
+    return OrbitClass(TYPE_GAMMA, diagnostics=diag)
 
 
 def classify_orbit(trace, p):
@@ -225,10 +221,9 @@ def classify_orbit(trace, p):
     approach with growing Z, collapse onto the axis, or a bounded band)
     to be classified; anything else is reported Undetermined together
     with the tail diagnostics. An orbit that reaches the asymptote event
-    (x within asym_tol of gamma) is type gamma at rho <= 0 and Undetermined
-    at rho > 0, where no orbit is type gamma. A trace cut short by the
-    sample buffer or the step floor is Undetermined, with the status as its
-    reason.
+    (x within asym_tol of gamma) is type gamma at rho <= 0, Undetermined at
+    rho > 0. A trace cut short by the sample buffer or the step floor is
+    Undetermined, with the status as its reason.
     """
     x_end, z_end = trace.end_state
     status = trace.status

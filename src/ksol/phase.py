@@ -253,7 +253,7 @@ def system_rhs(state, p):
         if p.gamma == p.x_A and X <= p.X_A * (1.0 + 1e-12):
             return 0.0, 2.0 * p.k * Z * (1.0 - x / p.x_B)
         raise DomainError(f"state with X^(1/k) = {x} >= x_A = {p.x_A} and Z > 0")
-    return vector_field(X, Z, p)
+    return vector_field(X, Z, p.in_chart("XZ"))
 
 
 def system_rhs_A(state, p):
@@ -272,15 +272,9 @@ def system_rhs_A(state, p):
     return -F, -G
 
 
-def df_dX(X, p):
-    """Analytic derivative d f(X^(1/k)) / dX for the Jacobian."""
-    k = p.k
-    xpow = X ** ((1 - k) / k) if k > 1 else 1.0
-    return profile_slope(kth_root(X, k), p) * xpow / k
-
-
 def jacobian(state, p):
-    """Analytic Jacobian of (F, G) at interior points 0 < X < X_A.
+    """Analytic Jacobian of (F, G) = ``vector_field`` at interior points
+    0 < X < X_A.
 
     ``state`` is one point, or (X, Z) as two arrays of one shape, which
     gives the entries as arrays: shape (2, 2) + X.shape. Matches central
@@ -294,9 +288,10 @@ def jacobian(state, p):
         raise DomainError("Jacobian defined for 0 < X < X_A; use restricted forms")
     n, k, m = p.n, p.k, p.m
     x = kth_root(X, k)
-    dFdX = (2 * k - n) + m * (k + 1) * x + Z * df_dX(X, p)
+    xpow = X ** ((1 - k) / k) if k > 1 else 1.0  # dx/dX = xpow/k
+    dFdX = (2 * k - n) + m * (k + 1) * x + Z * (profile_slope(x, p) * xpow / k)
     dFdZ = profile_value(x, p)
-    dGdX = -(1.0 - m) * Z * (X ** ((1 - k) / k) if k > 1 else 1.0)
+    dGdX = -(1.0 - m) * Z * xpow
     dGdZ = 2.0 * k - (1.0 - m) * k * x
     return np.array([[dFdX, dFdZ], [dGdX, dGdZ]])
 

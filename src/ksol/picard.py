@@ -9,8 +9,7 @@ space demands
 
 with alpha_k = alpha^((1-m)k). The same machinery solves the mirrored
 problem at A: reversing s turns the A-chart system into the origin system
-with f replaced by h, so everything below reads the profile from the
-parameter set's chart (``phase.SolitonParams.in_chart``).
+with f replaced by h; everything below reads the profile from p's chart.
 
 Normalization note: the operator pins the weighted X-limit to alpha_k, which
 forces the weighted Z-limit to n alpha_k / f(0) (the slow eigendirection is

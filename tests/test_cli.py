@@ -231,7 +231,9 @@ class TestVerify:
                         "--theta", "1", "--out", str(out)])
         assert code == 0
 
-    @pytest.mark.parametrize("n,k,rho,theta", [(4, 1, 2.0, 1.0), (12, 4, 2.0, 1.0), (4, 1, 2e-3, 1e-3)])
+    @pytest.mark.parametrize(
+        "n,k,rho,theta", [(4, 1, 2.0, 1.0), (12, 4, 2.0, 1.0), (4, 1, 2e-3, 1e-3)]
+    )
     def test_asymptote_line_is_stationary_at_rho_eq_2theta(self, tmp_path, n, k, rho, theta):
         # gamma = x_A: X_s vanishes on X = gamma^k, whose repulsion limit is 0
         out = tmp_path / "v.json"
