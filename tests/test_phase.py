@@ -64,6 +64,18 @@ class TestMakeParams:
         assert phase.make_params(3, 2, 1.0, 1.0).Z_B is None
         assert phase.make_params(5, 2, -1.0, 1.0).Z_B is not None
 
+    def test_charts_differ_only_in_the_profile_data(self):
+        p = phase.make_params(5, 2, 3.0, 1.0)
+        a = p.in_chart("WV")
+        assert p.chart == "XZ" and p.in_chart("XZ") is p and a.in_chart("XZ") == p
+        assert (p.num_a, p.num_b, p.profile0) == (p.gamma, -1.0, p.f0)
+        assert (a.num_a, a.num_b, a.profile0) == (p.nu, 1.0, p.h0)
+        assert (p.picard_cap, a.picard_cap) == (min(p.gamma_k, p.X_B), p.X_B)
+        assert p.b_attracts and not a.b_attracts
+        assert (a.gamma, a.X_B, a.Z_B, a.x_cap) == (p.gamma, p.X_B, p.Z_B, p.x_cap)
+        with pytest.raises(ParameterError):
+            p.in_chart("AB")
+
 
 class TestProfiles:
     def test_f_reference_values(self):
