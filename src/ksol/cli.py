@@ -193,7 +193,12 @@ def cmd_classify(args):
         "backend": BACKEND,
         "config": {k: cfg[k] for k in ("n", "k", "rho", "theta", "alpha", "s_max", "rtol", "tol")},
         "params": _derived_dict(p),
-        "class": {"kind": oc.kind, "X_inf": oc.X_inf, "s_exit": oc.s_exit},
+        "class": {
+            "kind": oc.kind,
+            "X_inf": oc.X_inf,
+            "s_exit": oc.s_exit,
+            "reason": oc.diagnostics.get("reason"),
+        },
         "status": trace.status,
         "events": [{"s": s, "kind": kind} for s, kind in trace.events],
         "local_solution": {
@@ -366,13 +371,11 @@ def cmd_verify(args):
     for cp in phase.critical_points(p):
         if cp.kind == phase.DEGENERATE_LINE:
             locs = [(x, 0.0) for x in np.linspace(0.0, p.x_cap, 7)]
-        elif cp.chart == "WV":
-            locs = []
-            worst = max(worst, max(abs(v) for v in phase.system_rhs_A((0.0, 0.0), p)))
         else:
-            locs = [cp.location]
+            # a point of the A chart sits at that chart's origin
+            locs = [(0.0, 0.0) if cp.chart == "WV" else cp.location]
         for loc in locs:
-            F, G = phase.system_rhs(loc, p)
+            F, G = phase.system_rhs(loc, p.in_chart(cp.chart))
             worst = max(worst, abs(F), abs(G))
     record("critical_points_rhs_zero", worst, 1e-12)
     # random points off the critical points, one array call per check

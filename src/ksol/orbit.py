@@ -116,9 +116,10 @@ class OrbitClass:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _integrate_raw(x0, w0, s0, p, controls, stop_at_xb=False):
+def _integrate_raw(x0, w0, s0, p, controls):
     """One run of the kernel in the chart of ``p`` from (X, W) = (x0, w0) at
-    s0, with W = ln(c_nk beta^k Z) (-inf on the axis Z = 0)."""
+    s0, with W = ln(c_nk beta^k Z) (-inf on the axis Z = 0); an A-chart run
+    ends at its first crossing of X_B."""
     # for n < 2k the region boundary X = x_cap is crossed in finite s (X_s > 0
     # there): the run must end at the exit, not at an asymptote tolerance
     asym_tol = controls.asym_tol if p.n >= 2 * p.k else -1.0
@@ -135,7 +136,7 @@ def _integrate_raw(x0, w0, s0, p, controls, stop_at_xb=False):
         controls.step_floor,
         asym_tol,
         controls.conv_dist,
-        stop_at_xb,
+        p.stops_at_xb,
         controls.max_samples,
     )
     s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status, n_acc, n_rej, n_rhs, h_min, stiff_s = out
@@ -151,17 +152,18 @@ def _integrate_raw(x0, w0, s0, p, controls, stop_at_xb=False):
     return s_arr, x_arr, z_arr, events, _STATUS_NAMES[int(status)], counters
 
 
-def integrate(start, p, controls=None, stop_at_xb=False):
+def integrate(start, p, controls=None):
     """Continue a local solution into a global orbit trace.
 
     ``start`` is a LocalSolution; XZ charts continue the origin orbit
     forward in s, WV charts continue the A-orbit backwards (forward in
-    sigma = -s), which is the orientation the barrier comparison needs.
+    sigma = -s), which is the orientation the barrier comparison needs, and
+    end at X_B, where that comparison ends (status "stopped_at_X_B").
     """
     controls = controls or OrbitControls()
     x0, w0 = start.state_at_s0(p)
     s_arr, x_arr, z_arr, events, status, counters = _integrate_raw(
-        x0, w0, start.tail.s0, p.in_chart(start.chart), controls, stop_at_xb
+        x0, w0, start.tail.s0, p.in_chart(start.chart), controls
     )
     s_arr, x_arr, z_arr, tail_end = _with_tail(start, p.k, s_arr, x_arr, z_arr)
     return OrbitTrace(s_arr, x_arr, z_arr, events, status, start.chart, tail_end, **counters)
@@ -223,7 +225,8 @@ def classify_orbit(trace, p):
     with the tail diagnostics. An orbit that reaches the asymptote event
     (x within asym_tol of gamma) is type gamma at rho <= 0, Undetermined at
     rho > 0. A trace cut short by the sample buffer or the step floor is
-    Undetermined, with the status as its reason.
+    Undetermined, with the status as its reason. Every Undetermined result
+    says why in ``diagnostics["reason"]``.
     """
     x_end, z_end = trace.end_state
     status = trace.status
@@ -257,6 +260,10 @@ def classify_orbit(trace, p):
         return _axis_class(x_end, p, diag)
     if status == "s_max" and z_min > 0.0 and z_max / z_min < BOUNDED_RATIO and not near_gamma:
         return OrbitClass(GENERALIZED_B, diagnostics=diag)
+    diag["reason"] = (
+        f"no end signature at {status}: no asymptote approach with Z growing, "
+        "no collapse onto the axis, no bounded band"
+    )
     return OrbitClass(UNDETERMINED, diagnostics=diag)
 
 
@@ -492,7 +499,7 @@ def _monitor_polyline(trace, p, n_keep):
     sz = max(float(np.ptp(z)), 1e-300)
     x = (x - x.min()) / sx
     z = (z - z.min()) / sz
-    if p is not None and p.Z_B is not None and p.rho > 0.0:
+    if p is not None and p.b_attracts:
         bx = (p.X_B - trace.X.min()) / sx
         bz = (p.Z_B - trace.Z.min()) / sz
         keep = np.hypot(x - bx, z - bz) > 0.01
@@ -580,9 +587,10 @@ def barrier_compare(
     Both curves are parametrized by X on [x_lo, X_B] (X is strictly
     increasing there for each); the A-orbit must dominate pointwise, and
     f > h on the same interval. The local solutions are solved at ``tol``.
-    ``trace``, the origin orbit's trace for ``alpha`` when the caller
-    already has it, is cut at its first crossing of X_B instead of
-    integrating that orbit again; only the A side is then solved here.
+    The origin curve is the origin orbit's trace for ``alpha`` cut at its
+    first crossing of X_B: ``trace`` when the caller already has it, else
+    the trace of :func:`run_orbit`. The A-orbit's run ends at X_B by its
+    chart.
     """
     if not p.rho > 2.0 * p.theta:
         raise NotApplicableError("barrier comparison requires rho > 2 theta")
@@ -590,14 +598,13 @@ def barrier_compare(
         raise NotApplicableError("barrier comparison requires n >= 2k")
     controls = controls or OrbitControls()
     if trace is None:
-        trace = integrate(picard.picard_solve(alpha, p, tol), p, controls, stop_at_xb=True)
+        _sol, trace, _oc = run_orbit(p, alpha, controls, tol)
     crossings = trace.event_s("crossed_X_B")
-    sol_a = picard.picard_solve_at_A(alpha_bar, p, tol)
-    tr_a = integrate(sol_a, p, controls, stop_at_xb=True)
+    tr_a = integrate(picard.picard_solve_at_A(alpha_bar, p, tol), p, controls)
     if not crossings or tr_a.status != "stopped_at_X_B":
-        origin = "stopped_at_X_B" if crossings else trace.status
+        origin = "crossed_X_B" if crossings else trace.status
         raise DomainError(f"barrier orbits did not reach X_B (origin: {origin}, A: {tr_a.status})")
-    # the crossing point itself is X_B exactly, as a stopped run ends
+    # the crossing point itself is X_B exactly, as the A-chart run ends
     _s, xo, zo = _cut_at(trace.s, trace.X, trace.Z, crossings[0], p)
     xo = np.append(xo[:-1], p.X_B)
     xo, zo = _z_of_x_curve(xo, zo, p.X_B)

@@ -4,7 +4,10 @@ admissible region.
 
 Reversing s turns the A-chart system into the origin system with f replaced
 by h, which differs from f only in its numerator; a parameter set is built
-in one chart ("XZ" or "WV") and carries that difference as data.
+in one chart ("XZ" or "WV") and carries that difference as data. Every
+entry point reads the chart from the parameter set: ``profile_at`` gives f
+or h, ``system_rhs`` the origin system or the negated field with h, and
+``restricted_jacobian_origin`` the linearization at O or at A.
 
 Conventions: s is the cylindrical coordinate (r = e^s), X = (-r u_r/u)^k,
 Z = (r^2 u^(1-m))^k with m = (n-2k)/(n+2k). Lower-case x, w always denote
@@ -73,13 +76,15 @@ class SolitonParams:
     gamma_k: float = field(init=False)
     x_cap: float = field(init=False)
     # the chart's profile numerator num_a + num_b x (gamma - x for f, nu + x
-    # for h), the profile at 0, the Picard box's cap on X, and whether the
-    # run is drawn to B (origin chart, B in the region)
+    # for h), the profile at 0, the Picard box's cap on X, whether the run is
+    # drawn to B (origin chart, B in the region) and whether it ends at X_B
+    # (A chart: the barrier compares the two orbits on [0, X_B])
     num_a: float = field(init=False)
     num_b: float = field(init=False)
     profile0: float = field(init=False)
     picard_cap: float = field(init=False)
     b_attracts: bool = field(init=False)
+    stops_at_xb: bool = field(init=False)
 
     def __post_init__(self):
         n, k = self.n, self.k
@@ -118,6 +123,7 @@ class SolitonParams:
         object.__setattr__(self, "profile0", self.f0 if origin else self.h0)
         object.__setattr__(self, "picard_cap", min(gamma**k, X_B) if origin else X_B)
         object.__setattr__(self, "b_attracts", origin and Z_B is not None and rho > 0.0)
+        object.__setattr__(self, "stops_at_xb", not origin)
 
     def in_chart(self, chart):
         """This parameter set in the chart labelled ``chart`` ("XZ" or "WV")."""
@@ -216,60 +222,45 @@ def vector_field(X, Z, p):
     return F, G
 
 
-def f_profile(x, p):
-    """Nonlinearity f evaluated at x = X^(1/k).
+def profile_at(x, p):
+    """The chart's profile at x = X^(1/k) (W^(1/k) in the A chart), checked
+    against its domain 0 <= x < x_A: f at the origin,
 
-    f(x) = c_nk beta^k (1 - x/x_A) ((gamma - x)/(1 - x/x_A))^k;
-    vanishes at x = gamma and is singular at x = x_A.
+    f(x) = c_nk beta^k (1 - x/x_A) ((gamma - x)/(1 - x/x_A))^k,
+
+    which vanishes at x = gamma, and h at A, with nu + x for gamma - x and
+    h(0) = c_nk beta^k nu^k. Both are singular at x = x_A.
     """
     if x < 0.0 or x >= p.x_A:
-        raise DomainError(f"f domain is 0 <= x < {p.x_A}, got {x}")
-    return profile_value(x, p.in_chart("XZ"))
-
-
-def h_profile(w, p):
-    """A-chart nonlinearity h at w = W^(1/k); h(0) = c_nk beta^k nu^k."""
-    if w < 0.0 or w >= p.x_A:
-        raise DomainError(f"h domain is 0 <= w < {p.x_A}, got {w}")
-    return profile_value(w, p.in_chart("WV"))
+        raise DomainError(f"profile domain is 0 <= x < {p.x_A}, got {x}")
+    return profile_value(x, p)
 
 
 def system_rhs(state, p):
-    """Right-hand side (X_s, Z_s) of the autonomous system.
+    """Right-hand side of the system in the chart of ``p``, with a domain check.
 
-    X_s = -(n-2k)(1 - x/x_A) X + Z f(x),  Z_s = 2k Z (1 - x/x_B).
-    The first term of X_s vanishes identically for n = 2k. States on the
-    Z = 0 axis are accepted up to X = X_A (the f-term carries the factor Z).
+    Origin chart: X_s = -(n-2k)(1 - x/x_A) X + Z f(x),  Z_s = 2k Z (1 - x/x_B);
+    the first term of X_s vanishes identically for n = 2k. A chart: the
+    negated field with h, W_s = (n-2k) W (1 - w/x_A) - V h(w),
+    V_s = -2k V (1 - w/x_B). States on the axis Z = 0 are evaluated at every
+    X >= 0 (the profile term carries the factor Z). Off the axis x < x_A is
+    required, except on the line x = x_A when the chart's profile numerator
+    vanishes at x_A: the origin chart at rho = 2 theta (gamma = x_A).
     """
     X, Z = _unpack(state)
     if X < 0.0:
         raise DomainError("X must be nonnegative (k-th root undefined)")
+    sign = 1.0 if p.chart == "XZ" else -1.0
     x = kth_root(X, p.k)
     if Z == 0.0:
-        return -(p.n - 2 * p.k) * (1.0 - x / p.x_A) * X, 0.0
-    if x >= p.x_A:
-        # the corner gamma = x_A (rho = 2 theta): f -> 0 there, so the
-        # asymptote line X = gamma^k = X_A is stationary in X
-        if p.gamma == p.x_A and X <= p.X_A * (1.0 + 1e-12):
-            return 0.0, 2.0 * p.k * Z * (1.0 - x / p.x_B)
-        raise DomainError(f"state with X^(1/k) = {x} >= x_A = {p.x_A} and Z > 0")
-    return vector_field(X, Z, p.in_chart("XZ"))
-
-
-def system_rhs_A(state, p):
-    """Right-hand side (W_s, V_s) of the A-chart system.
-
-    W_s = (n-2k) W (1 - w/x_A) - V h(w),  V_s = -2k V (1 - w/x_B): the
-    negated field with profile h.
-    """
-    W, V = _unpack(state)
-    if W < 0.0:
-        raise DomainError("W must be nonnegative (k-th root undefined)")
-    w = kth_root(W, p.k)
-    if w >= p.x_A:
-        raise DomainError(f"h domain is 0 <= w < {p.x_A}, got {w}")
-    F, G = vector_field(W, V, p.in_chart("WV"))
-    return -F, -G
+        return sign * -(p.n - 2 * p.k) * (1.0 - x / p.x_A) * X, 0.0
+    if x < p.x_A:
+        F, G = vector_field(X, Z, p)
+        return sign * F, sign * G
+    if p.num_a + p.num_b * p.x_A == 0.0 and X <= p.X_A * (1.0 + 1e-12):
+        # the profile tends to 0 at x_A, so the line X = X_A is stationary in X
+        return 0.0, sign * 2.0 * p.k * Z * (1.0 - x / p.x_B)
+    raise DomainError(f"state with X^(1/k) = {x} >= x_A = {p.x_A} and Z > 0")
 
 
 def jacobian(state, p):
@@ -327,43 +318,27 @@ class Linearization:
 
 
 def restricted_jacobian_origin(p):
-    """Restricted Jacobian at O = (0, 0), taken through sectors Z < K X.
+    """Restricted Jacobian at the origin of the chart of ``p``, taken through
+    sectors Z < K X: O = (X, Z) = (0, 0) in "XZ", A = (W, V) = (0, 0) in "WV".
 
-    [[-(n-2k), f(0)], [0, 2k]]; saddle for n > 2k, degenerate for n = 2k,
-    source for n < 2k.
+    [[-(n-2k), P(0)], [0, 2k]] with P the chart's profile, negated in the A
+    chart, whose system is the negated field; the direction of eigenvalue
+    2k (-2k at A) is spanned by (1, n/P(0)). Saddle for n > 2k, degenerate
+    for n = 2k; for n < 2k a source at O and a stable node at A.
     """
     n, k = p.n, p.k
-    f0 = p.f0
-    mat = np.array([[-(n - 2 * k), f0], [0.0, 2.0 * k]])
-    eigenvalues = (complex(2.0 * k), complex(-(n - 2 * k)))
-    eigenvectors = ((1.0, n / f0), (1.0, 0.0))
+    sign = 1.0 if p.chart == "XZ" else -1.0
+    p0 = p.profile0
+    # + 0.0 takes the sign off a negated zero (n = 2k, h(0) at rho = 2 theta)
+    mat = sign * np.array([[-(n - 2.0 * k), p0], [0.0, 2.0 * k]]) + 0.0
+    eigenvalues = (complex(mat[1, 1]), complex(mat[0, 0]))
+    eigenvectors = ((1.0, n / p0) if p0 > 0.0 else None, (1.0, 0.0))
     if n > 2 * k:
         kind = SADDLE
     elif n == 2 * k:
         kind = DEGENERATE
     else:
-        kind = SOURCE
-    return Linearization(mat, eigenvalues, eigenvectors, kind)
-
-
-def restricted_jacobian_A(p):
-    """Restricted Jacobian of the A-chart system at (W, V) = (0, 0).
-
-    [[n-2k, -h(0)], [0, -2k]]; the decaying direction (eigenvalue -2k) is
-    spanned by (1, n/h(0)).
-    """
-    n, k = p.n, p.k
-    h0 = p.h0
-    mat = np.array([[float(n - 2 * k), -h0], [0.0, -2.0 * k]])
-    eigenvalues = (complex(-2.0 * k), complex(n - 2 * k))
-    eigenvectors = ((1.0, n / h0) if h0 > 0.0 else None, (1.0, 0.0))
-    if n > 2 * k:
-        kind = SADDLE
-    elif n == 2 * k:
-        kind = DEGENERATE
-    else:
-        # both eigenvalues negative: a stable node
-        kind = ATTRACTOR
+        kind = SOURCE if p.chart == "XZ" else ATTRACTOR
     return Linearization(mat, eigenvalues, eigenvectors, kind)
 
 
@@ -379,7 +354,7 @@ def jacobian_B(p):
         raise NotApplicableError("B is a distinguished critical point only for n > 2k")
     if p.rho == 0.0:
         raise NotApplicableError("B escapes to infinity for rho = 0")
-    fb = f_profile(p.x_B, p)
+    fb = profile_at(p.x_B, p.in_chart("XZ"))
     T = -((n - 2 * k) / 2.0) * (p.x_B**k - (k - 1) / k)
     mat = np.array([[T, fb], [-(n - 2 * k) / fb, 0.0]])
     eigenvalues = eig2x2(((T, fb), (-(n - 2 * k) / fb, 0.0)))
@@ -414,7 +389,7 @@ def critical_points(p):
     """
     n, k = p.n, p.k
     pts = []
-    lin_o = restricted_jacobian_origin(p)
+    lin_o = restricted_jacobian_origin(p.in_chart("XZ"))
     pts.append(
         CriticalPoint(
             "O",
@@ -440,7 +415,7 @@ def critical_points(p):
             )
         )
         return pts
-    lin_a = restricted_jacobian_A(p)
+    lin_a = restricted_jacobian_origin(p.in_chart("WV"))
     pts.append(
         CriticalPoint(
             "A",

@@ -96,6 +96,20 @@ class TestClassify:
         assert doc["status"] == "step_floor"
         assert set(doc["monitors"].values()) == {0}
 
+    @pytest.mark.parametrize(
+        "theta,reason", [("1000", "slow passage"), ("1e-6", "no end signature"), ("1", None)]
+    )
+    def test_class_reason(self, tmp_path, theta, reason):
+        # an Undetermined class says why; a decided one carries reason null
+        out = tmp_path / "r.json"
+        run_cli(["classify", "--n", "4", "--k", "1", "--rho", "1", "--theta", theta,
+                 "--out", str(out)])
+        cls = json.loads(out.read_text())["class"]
+        if reason is None:
+            assert cls["kind"] == "TypeB" and cls["reason"] is None
+        else:
+            assert cls["kind"] == "Undetermined" and reason in cls["reason"]
+
     def test_stable_key_order(self, tmp_path):
         out = tmp_path / "r.json"
         run_cli(["classify", "--n", "4", "--k", "1", "--rho", "1", "--theta", "1",

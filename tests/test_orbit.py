@@ -17,11 +17,9 @@ from ksol.errors import NotApplicableError
 RNG = np.random.default_rng(11)
 
 
-def integrate_state(x0, z0, s0, p, controls, stop_at_xb=False):
+def integrate_state(x0, z0, s0, p, controls):
     w0 = math.log(p.cb * z0) if z0 > 0.0 else -math.inf
-    s, X, Z, events, status, counters = orbit._integrate_raw(
-        x0, w0, s0, p, controls, stop_at_xb
-    )
+    s, X, Z, events, status, counters = orbit._integrate_raw(x0, w0, s0, p, controls)
     return orbit.OrbitTrace(s, X, Z, events, status, **counters)
 
 
@@ -387,14 +385,47 @@ class TestBarrier:
         assert rep.ordered and rep.f_gt_h
         assert rep.slope_A > rep.slope_origin
 
+    @pytest.mark.parametrize("n,k,rho", [(4, 1, 5.0), (5, 2, 3.0), (12, 4, 10.0)])
+    def test_A_chart_run_stops_at_X_B(self, n, k, rho):
+        # the A-orbit's run ends at X_B by its chart; the origin orbit's goes on
+        p = phase.make_params(n, k, rho, 1.0)
+        tr_a = orbit.integrate(picard.picard_solve_at_A(1.0, p), p)
+        assert tr_a.status == "stopped_at_X_B" and tr_a.X[-1] == p.X_B
+        _sol, tr, _oc = orbit.run_orbit(p, 1.0)
+        assert tr.status != "stopped_at_X_B"
+        assert tr.s[-1] > tr.event_s("crossed_X_B")[0]
+
     @pytest.mark.parametrize("rho,theta", [(5.0, 1.0), (1.0, 1e-6)])
     @pytest.mark.parametrize("alpha", [0.5, 0.7, 2.0])
     def test_main_trace_matches_stopped_run(self, rho, theta, alpha):
-        # the origin curve cut from a full run at its first X_B crossing
-        # against a run of its own stopped there
+        # the origin curve is the run's trace cut at its first X_B crossing; the
+        # kernel stopped there, as it stops an A-chart run, emits the same samples
         p = phase.make_params(4, 1, rho, theta)
-        _sol, tr, _oc = orbit.run_orbit(p, alpha)
-        cut = orbit.barrier_compare(p, alpha, trace=tr)
-        own = orbit.barrier_compare(p, alpha)
-        assert (cut.ordered, cut.f_gt_h) == (own.ordered, own.f_gt_h)
-        assert abs(cut.min_gap - own.min_gap) <= 1e-9
+        sol, tr, _oc = orbit.run_orbit(p, alpha)
+        ctl = orbit.OrbitControls()
+        x0, w0 = sol.state_at_s0(p)
+        out = _kernels.integrate_core(
+            float(x0), float(w0), float(sol.tail.s0), ctl.s_max, _kernels.pack_params(p),
+            ctl.rtol, ctl.max_step, ctl.step_floor, ctl.asym_tol, ctl.conv_dist, True,
+            ctl.max_samples,
+        )
+        assert out[6] == _kernels.ST_XB_STOP
+        i0 = tr.tail_end_index
+        stop = i0 + out[0].size
+        assert tr.s[stop - 1] == tr.event_s("crossed_X_B")[0]
+        for got, want in zip((tr.s, tr.X, tr.Z), out[:3]):
+            np.testing.assert_array_equal(got[i0:stop], want)
+
+    @pytest.mark.parametrize(
+        "n,k,rho,gap",
+        [
+            (5, 2, 5.0, 0.001620511186994312),
+            (7, 3, 8.0, 9.585150697321212e-05),
+            (12, 4, 10.0, 1.6372259833872752e-05),
+        ],
+        ids=["5-2-5", "7-3-8", "12-4-10"],
+    )
+    def test_min_gap_pinned(self, n, k, rho, gap):
+        # min_gap as a run stopped at the origin orbit's first X_B crossing gave it
+        rep = orbit.barrier_compare(phase.make_params(n, k, rho, 1.0), 1.0)
+        assert rep.ordered and rep.min_gap == pytest.approx(gap, rel=1e-9)

@@ -80,40 +80,40 @@ class TestMakeParams:
 class TestProfiles:
     def test_f_reference_values(self):
         p = phase.make_params(4, 1, 0.0, 1.0)
-        assert phase.f_profile(0.0, p) == pytest.approx(6.0)
-        assert phase.f_profile(1.0, p) == pytest.approx(4.0)
-        assert phase.f_profile(p.gamma, p) == pytest.approx(0.0, abs=1e-14)
+        assert phase.profile_at(0.0, p) == pytest.approx(6.0)
+        assert phase.profile_at(1.0, p) == pytest.approx(4.0)
+        assert phase.profile_at(p.gamma, p) == pytest.approx(0.0, abs=1e-14)
 
     def test_f_vanishes_at_gamma_all_k(self):
         for n, k, rho in [(5, 2, 1.0), (4, 2, -0.5), (7, 3, 0.0)]:
             p = phase.make_params(n, k, rho, 1.0)
-            assert phase.f_profile(p.gamma, p) == pytest.approx(0.0, abs=1e-12)
+            assert phase.profile_at(p.gamma, p) == pytest.approx(0.0, abs=1e-12)
 
     def test_f_strictly_decreasing_k1(self):
         p = phase.make_params(6, 1, 0.8, 1.2)
         xs = np.linspace(0.0, p.gamma, 400)
-        vals = [phase.f_profile(x, p) for x in xs]
+        vals = [phase.profile_at(x, p) for x in xs]
         assert np.all(np.diff(vals) < 0.0)
 
     def test_h_reference_values(self):
         p = phase.make_params(4, 1, 5.0, 1.0)
         assert p.nu == pytest.approx(4.5)
-        assert phase.h_profile(0.0, p) == pytest.approx(9.0)
+        assert phase.profile_at(0.0, p.in_chart("WV")) == pytest.approx(9.0)
         p2 = phase.make_params(4, 1, 2.0, 1.0)
         assert p2.nu == pytest.approx(0.0)
-        assert phase.h_profile(0.0, p2) == pytest.approx(0.0)
+        assert phase.profile_at(0.0, p2.in_chart("WV")) == pytest.approx(0.0)
 
     def test_h_nonnegative_on_domain(self):
         p = phase.make_params(5, 2, 5.0, 1.0)
         for w in np.linspace(0.0, p.x_A * 0.99, 300):
-            assert phase.h_profile(w, p) >= 0.0
+            assert phase.profile_at(w, p.in_chart("WV")) >= 0.0
 
     def test_domain_errors(self):
         p = phase.make_params(4, 1, 0.0, 1.0)
         with pytest.raises(DomainError):
-            phase.f_profile(p.x_A, p)
+            phase.profile_at(p.x_A, p)
         with pytest.raises(DomainError):
-            phase.h_profile(-0.1, p)
+            phase.profile_at(-0.1, p.in_chart("WV"))
 
 
 class TestSystemRHS:
@@ -131,7 +131,7 @@ class TestSystemRHS:
         p = phase.make_params(4, 1, 1.0, 1.0)
         F, G = phase.system_rhs((3.0, 1.0), p)
         assert abs(F) < 1e-12 and abs(G) < 1e-12
-        assert phase.f_profile(3.0, p) == pytest.approx(3.0)
+        assert phase.profile_at(3.0, p) == pytest.approx(3.0)
 
     def test_first_term_vanishes_for_n_eq_2k(self):
         p = phase.make_params(4, 2, 1.0, 1.0)
@@ -146,10 +146,20 @@ class TestSystemRHS:
 
     def test_A_chart_reference(self):
         p = phase.make_params(4, 1, 5.0, 1.0)
-        W_s, V_s = phase.system_rhs_A((1.0, 0.0), p)
+        W_s, V_s = phase.system_rhs((1.0, 0.0), p.in_chart("WV"))
         assert W_s == pytest.approx(5.0 / 3.0)
         assert V_s == 0.0
-        assert phase.system_rhs_A((0.0, 0.0), p) == (0.0, 0.0)
+        assert phase.system_rhs((0.0, 0.0), p.in_chart("WV")) == (0.0, 0.0)
+
+    def test_A_chart_domain(self):
+        # off the axis the A chart needs w < x_A: h's numerator nu + x never
+        # vanishes there, unlike f's gamma - x at rho = 2 theta
+        for rho in (2.0, 5.0):
+            a = phase.make_params(4, 1, rho, 1.0).in_chart("WV")
+            with pytest.raises(DomainError):
+                phase.system_rhs((a.X_A, 1.0), a)
+            # on the axis every w is evaluated: W_s = (n-2k) W (1 - w/x_A), x_A = 6
+            assert phase.system_rhs((9.0, 0.0), a) == (-9.0, 0.0)
 
     @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (7, 3), (12, 4)])
     # ids 0 and 1 name the origin and the A chart
@@ -174,7 +184,7 @@ class TestSystemRHS:
         np.testing.assert_allclose(G / Z, ref[:, 1], rtol=1e-13, atol=1e-13 * 2 * k)
         if chart == "WV":
             for i in range(0, X.size, 37):
-                assert phase.system_rhs_A((X[i], Z[i]), p) == (-F[i], -G[i])
+                assert phase.system_rhs((X[i], Z[i]), cp) == (-F[i], -G[i])
 
     @pytest.mark.parametrize("n,k,rho", [(4, 1, 5.0), (5, 2, 3.0), (6, 1, 10.0)])
     @pytest.mark.parametrize("chart", ["XZ", "WV"])
@@ -200,7 +210,7 @@ class TestSystemRHS:
                 X = (p.x_A - w) ** k
                 if X >= p.x_cap or X <= 0.0:
                     continue
-                W_s, V_s = phase.system_rhs_A((W, V), p)
+                W_s, V_s = phase.system_rhs((W, V), p.in_chart("WV"))
                 F, G = phase.system_rhs((X, V), p)
                 # chain rule: dX/ds = -k (x_A - w)^(k-1) dw/ds
                 dxds = -k * (p.x_A - w) ** (k - 1) * (W_s * w ** (1 - k) / k)
@@ -229,7 +239,7 @@ class TestJacobian:
         p = phase.make_params(5, 2, 1.0, 1.0)
         J = phase.jacobian((p.X_B, 0.7), p)
         assert J[1, 1] == pytest.approx(0.0, abs=1e-12)
-        assert J[0, 1] == pytest.approx(phase.f_profile(p.x_B, p))
+        assert J[0, 1] == pytest.approx(phase.profile_at(p.x_B, p))
 
     def test_boundary_rejected(self):
         p = phase.make_params(4, 1, 0.0, 1.0)
@@ -255,9 +265,27 @@ class TestRestrictedJacobians:
 
     def test_A_restricted(self):
         p = phase.make_params(4, 1, 5.0, 1.0)
-        lin = phase.restricted_jacobian_A(p)
+        lin = phase.restricted_jacobian_origin(p.in_chart("WV"))
         assert lin.kind == phase.SADDLE
         assert lin.eigenvectors[0] == pytest.approx((1.0, p.n / p.h0))
+
+    # n > 2k, n = 2k, n < 2k, and h(0) = 0 at rho = 2 theta for n > 2k and n = 2k
+    @pytest.mark.parametrize(
+        "n,k,rho", [(4, 1, 5.0), (4, 2, 5.0), (3, 2, 5.0), (4, 1, 2.0), (4, 2, 2.0)]
+    )
+    def test_A_closed_form_without_negative_zero(self, n, k, rho):
+        p = phase.make_params(n, k, rho, 1.0)
+        lin = phase.restricted_jacobian_origin(p.in_chart("WV"))
+        np.testing.assert_array_equal(lin.matrix, [[n - 2 * k, -p.h0], [0.0, -2 * k]])
+        assert lin.eigenvalues == (complex(-2 * k), complex(n - 2 * k))
+        want = (1.0, n / p.h0) if p.h0 > 0.0 else None
+        assert lin.eigenvectors == (want, (1.0, 0.0))
+        kinds = {1: phase.SADDLE, 0: phase.DEGENERATE, -1: phase.ATTRACTOR}
+        assert lin.kind == kinds[int(np.sign(n - 2 * k))]
+        zeros = [float(v) for v in lin.matrix.ravel()]
+        zeros += [part for e in lin.eigenvalues for part in (e.real, e.imag)]
+        zeros += [v for vec in lin.eigenvectors if vec is not None for v in vec]
+        assert all(math.copysign(1.0, v) > 0.0 for v in zeros if v == 0.0)
 
     def test_B_reference(self):
         p = phase.make_params(4, 1, 1.0, 1.0)
