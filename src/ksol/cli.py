@@ -8,11 +8,11 @@ reports it cannot proceed, 3 internal error (any other exception; stderr
 names the command and the exception).
 
 Option precedence: command-line flags > config file (flat key=value lines)
-> built-in defaults. KSOL_JOBS sets the default for --jobs.
+> built-in defaults.
 
 A sweep groups its rows by rho: the alphas of one rho share one
-continuation (see orbit.run_orbits), and the --jobs threads run over the
-rho values.
+continuation (see orbit.run_orbits), and the rho groups run in order on
+the calling thread. --jobs is accepted and has no effect.
 """
 
 import argparse
@@ -20,9 +20,7 @@ import contextlib
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -67,9 +65,8 @@ def _read_config(path):
 def _resolve(args, defaults=DEFAULTS):
     """The subcommand's own options: flags > config file > defaults.
 
-    Text from the config file (or a default read from the environment) is
-    converted with the type of the flag of the same name, so a value has
-    one type wherever it came from.
+    Text from the config file is converted with the type of the flag of the
+    same name, so a value has one type wherever it came from.
     """
     file_cfg = _read_config(args.config) if args.config else {}
     cfg = {}
@@ -478,6 +475,7 @@ def cmd_verify(args):
     payload = {
         "backend": BACKEND,
         "config": {k: cfg[k] for k in ("n", "k", "rho", "theta", "alpha")},
+        "class": {"kind": oc.kind, "reason": oc.diagnostics.get("reason")},
         "checks": checks,
         "all_pass": all_pass,
     }
@@ -508,17 +506,15 @@ def _sweep_rows(rho, alphas, base):
 
 
 def cmd_sweep(args):
-    cfg = _resolve(args, dict(DEFAULTS, jobs=os.environ.get("KSOL_JOBS", "1")))
+    cfg = _resolve(args)
     _require(cfg, "n", "k", "theta", "rhos")
     rhos = _numbers(cfg, "rhos")
     alphas = _numbers(cfg, "alphas")
-    jobs = max(1, cfg["jobs"])
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        groups = list(pool.map(lambda rho: _sweep_rows(rho, alphas, cfg), rhos))
+    rows = [row for rho in rhos for row in _sweep_rows(rho, alphas, cfg)]
     cols = ["idx", "rho", "alpha", "class", "s_end", "X_inf", "exponent", "log_power", "status", "error"]
     with _csv_writer(cfg["out"]) as writer:
         writer.writerow(cols)
-        for idx, row in enumerate(row for rows in groups for row in rows):
+        for idx, row in enumerate(rows):
             row["idx"] = idx
             writer.writerow(["" if row.get(c) is None else row.get(c) for c in cols])
     return 0
@@ -572,7 +568,12 @@ def build_parser():
     _add_common(sp)
     sp.add_argument("--rhos", help="comma list of rho values")
     sp.add_argument("--alphas", help="comma list of alpha seeds")
-    sp.add_argument("--jobs", type=int)
+    sp.add_argument(
+        "--jobs",
+        type=int,
+        help="accepted and ignored: the rho groups run in order on the calling "
+        "thread; kept only because pipebench's alpha_sweep still passes it",
+    )
     sp.set_defaults(func=cmd_sweep)
     for sp in sub.choices.values():
         # each flag's type, for _resolve to convert config-file text with

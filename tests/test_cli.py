@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -153,6 +154,21 @@ class TestBackend:
         assert json.loads(proc.stdout)["backend"] == "python"
 
 
+class TestImports:
+    def test_cli_loads_no_thread_pool(self):
+        # concurrent.futures pulls in logging; neither belongs in the start-up
+        # of every command
+        code = (
+            "import sys, ksol.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestProfileCommand:
     def test_header_rows_and_positivity(self, tmp_path):
         out = tmp_path / "p.csv"
@@ -276,6 +292,17 @@ class TestVerify:
         assert "tail_rate_agreement" in checks
         assert "tail_log_power_agreement" not in checks
 
+    @pytest.mark.parametrize("rho,theta,kind", [("1", "1e3", "Undetermined"), ("5", "1", "TypeB")])
+    def test_class_reason(self, tmp_path, rho, theta, kind):
+        # as in classify: an Undetermined class says why, a decided one
+        # carries reason null
+        out = tmp_path / "v.json"
+        run_cli(["verify", "--n", "4", "--k", "1", "--rho", rho, "--theta", theta,
+                 "--out", str(out)])
+        cls = json.loads(out.read_text())["class"]
+        assert set(cls) == {"kind", "reason"} and cls["kind"] == kind
+        assert (cls["reason"] is None) == (kind != "Undetermined")
+
     def test_barrier_reuses_local_solution(self, tmp_path, monkeypatch):
         # rho > 2 theta and n >= 2k: the barrier comparison takes the origin's
         # local solution from the run instead of solving it again
@@ -376,7 +403,7 @@ class TestSweep:
         assert all(r["status"] == "ok" for r in rows)
 
     def test_jobs_do_not_change_the_table(self, tmp_path):
-        # the sweep's threads share the Picard weight cache
+        # --jobs is still accepted and has no effect on the table
         args = ["sweep", "--n", "4", "--k", "1", "--theta", "1", "--rhos=0,1,5",
                 "--alphas=0.5,2"]
         tables = []
@@ -387,15 +414,26 @@ class TestSweep:
         assert tables[0] == tables[1]
         assert len(list(csv.DictReader(io.StringIO(tables[0].decode())))) == 6
 
-    def test_jobs_env_default(self, tmp_path):
+    def test_rows_run_on_the_calling_thread(self, tmp_path, monkeypatch):
+        # the rho groups run in order on the caller's thread, whatever --jobs
+        # says, and the sweep leaves no thread behind
+        from ksol import orbit
+
+        threads = []
+        run_orbits = orbit.run_orbits
+
+        def spy(*a, **kw):
+            threads.append(threading.get_ident())
+            return run_orbits(*a, **kw)
+
+        monkeypatch.setattr(orbit, "run_orbits", spy)
+        before = threading.active_count()
         out = tmp_path / "s.csv"
-        proc = run_proc(
-            ["sweep", "--n", "4", "--k", "1", "--theta", "1", "--rhos=0,1",
-             "--out", str(out)],
-            env_extra={"KSOL_JOBS": "2"},
-        )
-        assert proc.returncode == 0
-        assert len(list(csv.DictReader(out.open()))) == 2
+        code = run_cli(["sweep", "--n", "4", "--k", "1", "--theta", "1", "--rhos=0,1,5",
+                        "--alphas=0.5,2", "--jobs", "2", "--out", str(out)])
+        assert code == 0
+        assert threads == [threading.get_ident()] * 3
+        assert threading.active_count() == before
 
 
 class TestUsageErrors:
