@@ -8,9 +8,12 @@ Python wherever numba is absent (or KSOL_DISABLE_JIT=1); uncompiled, an
 operation on numpy scalars costs several times as much as on floats, for
 the same IEEE result. numba cannot call the array evaluators of ``phase``, so
 ``kth_root``, ``rhs`` and ``jac`` repeat them for the integrator alone.
-``kth_root`` alone keeps numpy's exp and log: they round differently from
-libm's on some inputs, and ``phase.kth_root`` must agree with it bit for bit
-on arrays.
+``rhs`` and ``jac`` evaluate the field in one straight line, with no helper
+call: at k = 1, where x = X and g^k = g, they take neither the root nor the
+power loop, and the step loop's asymptote test reads X itself. At k >= 2
+``kth_root`` keeps numpy's exp and log: they round differently from libm's
+on some inputs, and ``phase.kth_root`` must agree with it bit for bit on
+arrays.
 
 Chart: the integrator's state is (X, W), W = ln(c_nk beta^k Z), where
 X_s = -(n-2k)(1 - x/x_A) X + e^W q g^k and W_s = 2k (1 - x/x_B) depends on
@@ -128,18 +131,16 @@ def pack_params(p):
 
 @njit
 def kth_root(value, k):
+    """x^(1/k) for k >= 2 as exp(ln x / k), 0 at x <= 0 and NaN passed
+    through; at k = 1 the value itself. numpy's exp and log round alike on
+    scalars and arrays, so this agrees bit for bit with ``phase.kth_root``
+    on arrays; the quotient is taken on a Python float, the same IEEE
+    division as on numpy's scalar."""
     if value <= 0.0:
         return 0.0
     if k == 1:
         return value
-    return float(np.exp(np.log(value) / k))
-
-
-@njit
-def _profile_ratio(x, pp):
-    """(q, g): q = 1 - x/x_A and g the chart's profile numerator over q."""
-    q = 1.0 - x / pp[PP_XA_ROOT]
-    return q, (pp[PP_NUM_A] + pp[PP_NUM_B] * x) / q
+    return float(np.exp(float(np.log(value)) / k))
 
 
 @njit
@@ -147,16 +148,22 @@ def rhs(X, W, pp):
     """(X_s, W_s) in the log chart W = ln(c_nk beta^k Z): e^W q g^k is the
     term Z f(x) of X_s, and W_s = Z_s/Z = 2k (1 - x/x_B) depends on x alone.
     Packed in the A chart, this is the reversed A-chart field in
-    (W-, ln(c_nk beta^k V-))."""
+    (W-, ln(c_nk beta^k V-)). At k = 1, x is X and g^k is g: neither the
+    root nor the power loop runs, and every other operation is the same."""
     n = pp[PP_N]
-    k = int(pp[PP_K])
-    x = kth_root(X, k)
-    q, g = _profile_ratio(x, pp)
-    r = 1.0
-    for _ in range(k):
-        r *= g
+    k = pp[PP_K]
+    if k == 1.0:
+        x = 0.0 if X <= 0.0 else X
+    else:
+        x = kth_root(X, k)
+    q = 1.0 - x / pp[PP_XA_ROOT]
+    g = (pp[PP_NUM_A] + pp[PP_NUM_B] * x) / q
+    gk = g
+    if k != 1.0:
+        for _ in range(int(k) - 1):
+            gk *= g
     ez = math.exp(W) if W < EXP_W_MAX else math.inf
-    F = -(n - 2.0 * k) * (1.0 - x / pp[PP_XA_ROOT]) * X + ez * (q * r)
+    F = -(n - 2.0 * k) * q * X + ez * (q * gk)
     return F, 2.0 * k * (1.0 - x / pp[PP_XB_ROOT])
 
 
@@ -164,19 +171,27 @@ def rhs(X, W, pp):
 def jac(X, W, pp):
     """Jacobian of ``rhs`` at X > 0 as (dF/dX, dF/dW, dW_s/dX, dW_s/dW): the
     entries of ``phase.jacobian`` in the log chart, with dF/dW = e^W q g^k
-    the f-term of F and dW_s/dW = 0; X^((1-k)/k) is x/X."""
+    the f-term of F and dW_s/dW = 0; X^((1-k)/k) is x/X, and 1 at k = 1,
+    where x and g^(k-1) = 1 take no root and no power loop."""
     n = pp[PP_N]
-    k = int(pp[PP_K])
+    k = pp[PP_K]
     m = (n - 2.0 * k) / (n + 2.0 * k)
-    x = kth_root(X, k)
-    q, g = _profile_ratio(x, pp)
+    if k == 1.0:
+        x = 0.0 if X <= 0.0 else X
+        xpow = 1.0
+    else:
+        x = kth_root(X, k)
+        xpow = x / X
+    q = 1.0 - x / pp[PP_XA_ROOT]
+    g = (pp[PP_NUM_A] + pp[PP_NUM_B] * x) / q
     g_km1 = 1.0
-    for _ in range(k - 1):
-        g_km1 *= g
+    if k != 1.0:
+        g_km1 = g
+        for _ in range(int(k) - 2):
+            g_km1 *= g
     ez = math.exp(W) if W < EXP_W_MAX else math.inf
-    slope = k * g_km1 * (((k - 1) / (n + 2.0 * k)) * g + pp[PP_NUM_B])
-    xpow = x / X if k > 1 else 1.0
-    dFdX = (2.0 * k - n) + m * (k + 1) * x + ez * (slope * xpow / k)
+    slope = k * g_km1 * (((k - 1.0) / (n + 2.0 * k)) * g + pp[PP_NUM_B])
+    dFdX = (2.0 * k - n) + m * (k + 1.0) * x + ez * (slope * xpow / k)
     dFdW = ez * (q * (g_km1 * g))  # the f-term of rhs, same product order
     dGdX = -(1.0 - m) * xpow
     return dFdX, dFdW, dGdX, 0.0
@@ -980,7 +995,10 @@ def integrate_core(
             code, status = EV_CROSS_XB, ST_XB_STOP
         elif X1 > pp[PP_XCAP]:
             code, status = EV_EXITED, ST_EXITED
-        elif asym_tol > 0.0 and pp[PP_GAMMA] - kth_root(X1, k) < asym_tol * pp[PP_GAMMA]:
+        elif (
+            asym_tol > 0.0
+            and pp[PP_GAMMA] - (X1 if k == 1 else kth_root(X1, k)) < asym_tol * pp[PP_GAMMA]
+        ):
             code, status = EV_ASYMPTOTE, ST_ASYMPTOTE
         if code != 0:
             th, X1, W1, n_re = _locate(

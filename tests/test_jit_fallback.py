@@ -1,11 +1,13 @@
 """The pure-Python kernel path (KSOL_DISABLE_JIT=1) must agree with the
 compiled path; the kernels share one source, so this guards the dispatch."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,9 +52,24 @@ def test_fallback_matches_jit():
 STEP_KERNELS = (
     "kth_root", "rhs", "jac", "_spectral_radius",
     "_dop853_step", "_dop853_error", "_dop853_dense", "_extension", "_sample_count",
-    "_hermite_coeffs", "_dense", "_rodas_step", "_event_value", "_locate", "_sample",
-    "_interior",
+    "_hermite_coeffs", "_dense", "_rodas_step", "_solve2", "_event_value", "_bisect_event",
+    "_locate", "_sample", "_interior", "_log_event",
 )
+# the @njit kernels the step loop does not reach: the loop itself, and the
+# Hermite that orbit.py calls on a finished trace
+OUTSIDE_STEP_LOOP = {"integrate_core", "_hermite"}
+
+
+def test_step_kernels_list_every_njit_kernel():
+    # a kernel added later is spied on below only if it is listed
+    tree = ast.parse(Path(_kernels.__file__).read_text())
+    njit = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(d, ast.Name) and d.id == "njit" for d in node.decorator_list)
+    }
+    assert njit - OUTSIDE_STEP_LOOP == set(STEP_KERNELS)
 
 
 def _non_floats(values):

@@ -3,6 +3,7 @@ kernel's closed-form Jacobian, the RODAS4 step, the switch from DOP853 to
 it, and the orbits it produces against scipy's implicit solvers."""
 
 import collections
+import itertools
 import math
 import re
 
@@ -45,6 +46,78 @@ class TestKernelJacobian:
                 lo = _kernels.rhs(X - dx, W - dw, pp)
                 fd[:, j] = (np.array(hi) - np.array(lo)) / (2.0 * (dx + dw))
             assert np.max(np.abs(J - fd) / (1.0 + np.abs(fd))) < 1e-6
+
+
+def _general_field(X, W, pp):
+    """``rhs`` and ``jac`` evaluated the general way: k an int, the root
+    through ``_kernels.kth_root``, g^(k-1) by the power loop from 1.0, and
+    every other operation as in the kernels and in their order."""
+    n = pp[_kernels.PP_N]
+    k = int(pp[_kernels.PP_K])
+    x = _kernels.kth_root(X, k)
+    q = 1.0 - x / pp[_kernels.PP_XA_ROOT]
+    g = (pp[_kernels.PP_NUM_A] + pp[_kernels.PP_NUM_B] * x) / q
+    g_km1 = 1.0
+    for _ in range(k - 1):
+        g_km1 *= g
+    ez = math.exp(W) if W < _kernels.EXP_W_MAX else math.inf
+    F = -(n - 2.0 * k) * (1.0 - x / pp[_kernels.PP_XA_ROOT]) * X + ez * (q * (g_km1 * g))
+    field = (F, 2.0 * k * (1.0 - x / pp[_kernels.PP_XB_ROOT]))
+    if k > 1 and X == 0.0:
+        return field, None  # X^((1-k)/k) is infinite: jac is taken at X > 0
+    m = (n - 2.0 * k) / (n + 2.0 * k)
+    slope = k * g_km1 * (((k - 1) / (n + 2.0 * k)) * g + pp[_kernels.PP_NUM_B])
+    xpow = x / X if k > 1 else 1.0
+    dFdX = (2.0 * k - n) + m * (k + 1) * x + ez * (slope * xpow / k)
+    dGdX = -(1.0 - m) * xpow
+    return field, (dFdX, ez * (q * (g_km1 * g)), dGdX, 0.0)
+
+
+@pytest.mark.skipif(
+    _jit.JIT_ENABLED, reason="compiled exp and log need not round as numpy's and CPython's do"
+)
+class TestStraightLineField:
+    @pytest.mark.parametrize("n,k,rho", [(4, 1, 1.0), (6, 1, -1.0), (5, 2, 1.0), (7, 3, -0.5)])
+    @pytest.mark.parametrize("chart", ["XZ", "WV"])
+    def test_rhs_and_jac_equal_the_general_evaluation(self, n, k, rho, chart):
+        # bit for bit, signed zeros and NaN included: repr tells -0.0 from
+        # 0.0 and shows every NaN as nan. The edge grid meets each guard;
+        # the random states, where e^W, q and g are all far from 1, catch a
+        # regrouped product
+        p = phase.make_params(n, k, rho, 1.0)
+        pp = _kernels.pack_params(p.in_chart(chart))
+        edges = itertools.product(
+            (0.0, -0.0, -1e-3, 1e-300, 0.5 * p.X_B, math.nan),
+            (-math.inf, -800.0, 0.0, 708.9, 709.0, 710.0),
+        )
+        rng = np.random.default_rng(n + 10 * k)
+        states = zip(
+            (rng.uniform(0.01, 0.99, 200) * p.x_cap).tolist(), rng.uniform(-30.0, 30.0, 200).tolist()
+        )
+        for X, W in itertools.chain(edges, states):
+            field, jacobian = _general_field(X, W, pp)
+            assert repr(_kernels.rhs(X, W, pp)) == repr(field), (X, W)
+            if jacobian is not None:
+                assert repr(_kernels.jac(X, W, pp)) == repr(jacobian), (X, W)
+
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_kth_root_agrees_with_the_array_root(self, k):
+        values = np.geomspace(1e-300, 1e300, 1201)
+        roots = phase.kth_root(values, k)
+        for i, v in enumerate(values.tolist()):
+            got = _kernels.kth_root(v, k)
+            assert type(got) is float
+            assert got == phase.kth_root(np.array([v]), k)[0] == roots[i], (v, k)
+
+    @pytest.mark.parametrize("n,k,rho,calls", [(4, 1, 1.0, False), (5, 2, 1.0, True)])
+    def test_k1_run_takes_no_root(self, n, k, rho, calls, monkeypatch):
+        counter = collections.Counter()
+        root = _kernels.kth_root
+        monkeypatch.setattr(
+            _kernels, "kth_root", lambda *a: counter.update(["kth_root"]) or root(*a)
+        )
+        orbit.run_orbit(phase.make_params(n, k, rho, 1.0))
+        assert (counter["kth_root"] > 0) == calls
 
 
 def _dop853(X, W, h, fX, fW, pp):
