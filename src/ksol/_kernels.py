@@ -32,7 +32,9 @@ embedded order-5 and order-3 solutions, with PI step-size control. Each
 accepted DOP853 step builds its order-7 continuous extension from three
 more stages: every event is located on it by bisection, and it supplies
 interior samples wherever the cubic Hermite between the step ends would
-miss SAMPLE_TOL in (X, W). Once the step is stability-limited (h times the
+miss SAMPLE_TOL in (X, W). Its steps are therefore limited by accuracy,
+up to DOP853_MAX_STEP = CONV_SPAN / 2, not by the caller's max_step, which
+caps the RODAS4 steps only. Once the step is stability-limited (h times the
 spectral radius of the closed-form 2x2 Jacobian above STIFF_HRHO on
 STIFF_SPAN consecutive accepted steps) the rest of the run takes RODAS4
 steps: linearly implicit, L-stable, order 4 with an embedded order-3
@@ -90,6 +92,12 @@ Z_FLOOR_REL = 1e-26
 # sustained convergence to B: |rhs| below CONV_RHS for an s-span CONV_SPAN
 CONV_RHS = 1e-9
 CONV_SPAN = 2.0
+# the longest DOP853 step. Its samples come from the continuous extension;
+# only the ends tested at step ends, converged_B and converged_axis, need a
+# cap: CONV_SPAN / 2 keeps a run read off a shared continuation within
+# CONV_SPAN of its own run wherever the convergence clock does not restart.
+# RODAS4 emits only its step ends and keeps the caller's max_step
+DOP853_MAX_STEP = 0.5 * CONV_SPAN
 EV_CAP = 512  # logged events kept; later ones are only counted
 # stiffness switch: h rho(J) > STIFF_HRHO on STIFF_SPAN consecutive accepted
 # steps marks a step held by stability, not accuracy; RODAS4 then takes the
@@ -873,13 +881,14 @@ def integrate_core(
 
     The state is (X, W), W = ln(c_nk beta^k Z); W0 = -inf starts on the
     invariant axis Z = 0, where W stays. X's error is held relative to X,
-    W's absolutely, both at rtol. Returns (s_arr, x_arr, z_arr, ev_s,
-    ev_code, n_ev, status, n_acc, n_rej, n_rhs, h_min, stiff_from_s): the
-    samples, with Z = e^W/(c_nk beta^k); the event arrays, which keep the
-    first EV_CAP of the n_ev events that fired; then the accepted and
-    rejected steps, the rhs evaluations (event re-steps included), the
-    shortest accepted step and the s where RODAS4 took over (NaN if it
-    never did).
+    W's absolutely, both at rtol. DOP853 steps are at most DOP853_MAX_STEP
+    long, RODAS4 steps at most max_step. Returns (s_arr, x_arr, z_arr, ev_s,
+    ev_code, n_ev, status, n_acc, n_rej, n_rhs, h_min, h_max,
+    stiff_from_s): the samples, with Z = e^W/(c_nk beta^k); the event
+    arrays, which keep the first EV_CAP of the n_ev events that fired; then
+    the accepted and rejected steps, the rhs evaluations (event re-steps
+    included), the shortest and the longest accepted step and the s where
+    RODAS4 took over (NaN if it never did).
     """
     s_out = np.empty(max_samples)
     x_out = np.empty(max_samples)
@@ -914,6 +923,7 @@ def integrate_core(
     n_rej = 0
     n_rhs = 1
     h_min = math.nan
+    h_max = math.nan
 
     while s < s_max:
         if h > s_max - s:
@@ -960,6 +970,8 @@ def integrate_core(
         n_acc += 1
         if n_acc == 1 or h < h_min:
             h_min = h
+        if n_acc == 1 or h > h_max:
+            h_max = h
         if err == 0.0:
             fac = 5.0
         else:
@@ -968,7 +980,7 @@ def integrate_core(
                 fac = 5.0
             if fac < 0.2:
                 fac = 0.2
-        h_next = min(h * fac, max_step)
+        h_next = min(h * fac, max_step if stiff else DOP853_MAX_STEP)
         err_prev = max(err, 1e-10)
         s1 = s + h
 
@@ -1075,6 +1087,7 @@ def integrate_core(
                 if n_limited >= STIFF_SPAN:
                     stiff = True
                     stiff_from_s = s
+                    h_next = min(h_next, max_step)
             else:
                 n_limited = 0
 
@@ -1093,5 +1106,6 @@ def integrate_core(
         n_rej,
         n_rhs,
         h_min,
+        h_max,
         stiff_from_s,
     )

@@ -219,6 +219,7 @@ def cmd_classify(args):
             "rejected_steps": trace.rejected_steps,
             "rhs_evals": trace.rhs_evals,
             "h_min": trace.h_min,
+            "h_max": trace.h_max,
             "stiff_from_s": None if math.isnan(trace.stiff_from_s) else trace.stiff_from_s,
             "events_dropped": trace.events_dropped,
         },

@@ -60,6 +60,9 @@ class OrbitControls:
     # on Z would wreck its relative accuracy on its way down to the axis
     rtol: float = 1e-10
     s_max: float = 200.0
+    # caps the RODAS4 steps, which emit only their ends as samples; DOP853
+    # steps are capped at CONV_SPAN / 2 (_kernels.DOP853_MAX_STEP) and
+    # sampled to SAMPLE_TOL from their continuous extension
     max_step: float = 0.25
     step_floor: float = 1e-13
     # terminal proximity to the asymptote, relative in x = X^(1/k), located on
@@ -98,6 +101,7 @@ class OrbitTrace:
     rejected_steps: int = 0
     rhs_evals: int = 0
     h_min: float = math.nan  # shortest accepted step
+    h_max: float = math.nan  # longest accepted step
     stiff_from_s: float = math.nan  # where RODAS4 took over; NaN if it never did
 
     @property
@@ -139,7 +143,8 @@ def _integrate_raw(x0, w0, s0, p, controls):
         p.stops_at_xb,
         controls.max_samples,
     )
-    s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status, n_acc, n_rej, n_rhs, h_min, stiff_s = out
+    s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status = out[:7]
+    n_acc, n_rej, n_rhs, h_min, h_max, stiff_s = out[7:]
     events = [(float(se), _EVENT_NAMES[int(ce)]) for se, ce in zip(ev_s, ev_code)]
     counters = {
         "events_dropped": int(n_ev) - len(events),
@@ -147,6 +152,7 @@ def _integrate_raw(x0, w0, s0, p, controls):
         "rejected_steps": int(n_rej),
         "rhs_evals": int(n_rhs),
         "h_min": float(h_min),
+        "h_max": float(h_max),
         "stiff_from_s": float(stiff_s),
     }
     return s_arr, x_arr, z_arr, events, _STATUS_NAMES[int(status)], counters

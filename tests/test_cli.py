@@ -40,6 +40,7 @@ class TestClassify:
         doc = json.loads(out.read_text())
         assert doc["class"]["kind"] == "TypeGamma"
         assert doc["config"]["rho"] == -1.0
+        assert 0.0 < doc["solver"]["h_min"] <= doc["solver"]["h_max"]
         assert doc["monitors"] == {
             "x_monotone_below_XB": 0,
             "z_lower_bound": 0,

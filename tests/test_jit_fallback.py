@@ -116,6 +116,23 @@ def test_fallback_kernels_compute_on_python_floats(n, k, monkeypatch):
     )
     orbit.run_orbit(p, 1.0)
     [result] = results
-    h_min, stiff_from_s = result[-2:]
-    assert type(h_min) is float and type(stiff_from_s) is float
+    h_min, h_max, stiff_from_s = result[-3:]
+    assert type(h_min) is float and type(h_max) is float and type(stiff_from_s) is float
     assert seen == []
+
+
+def test_integrate_core_arity():
+    # orbit.py unpacks the result by position, on either path: the samples,
+    # the events, the status, the step and rhs counts, h_min, h_max and
+    # stiff_from_s
+    p = phase.make_params(4, 1, -1.0, 1.0)
+    ctl = orbit.OrbitControls(s_max=1.0)
+    out = _kernels.integrate_core(
+        0.1, 0.0, 0.0, ctl.s_max, _kernels.pack_params(p), ctl.rtol, ctl.max_step,
+        ctl.step_floor, ctl.asym_tol, ctl.conv_dist, False, ctl.max_samples,
+    )
+    assert len(out) == 13
+    n_acc, n_rej, n_rhs, h_min, h_max, stiff_from_s = out[-6:]
+    assert all(isinstance(v, int) for v in (n_acc, n_rej, n_rhs))
+    assert all(isinstance(v, float) for v in (h_min, h_max, stiff_from_s))
+    assert 0.0 < h_min <= h_max

@@ -349,7 +349,9 @@ class TestMonitors:
             px, pz = orbit._monitor_polyline(tr, p, 4000)
             counts.append(orbit.self_intersection_check(tr, p))
             assert counts[-1] == all_pairs_crossings(px, pz)
-        assert counts == [1, 16450, 0]
+        # the theta = 1e-6 corner's count is an artefact of its spiral's
+        # sampling, and moves with the step pattern
+        assert counts == [1, 16381, 0]
 
 
 class TestBarrier:

@@ -12,8 +12,17 @@ import pytest
 
 from ksol import _jit, _kernels, orbit, phase
 
-STIFF_SETS = [(4, 1, -1.0), (5, 2, -1.0), (4, 1, 0.0)]
+# with their accepted steps at alpha 1: their DOP853 arcs end at the
+# stability limit, below every step cap, and RODAS4 keeps max_step
+STIFF_SETS = [(4, 1, -1.0, 961), (5, 2, -1.0, 967), (4, 1, 0.0, 1756)]
 NON_STIFF_SETS = [(4, 1, 1.0), (4, 1, 5.0), (4, 2, 1.0), (3, 2, 3.0), (5, 2, 1.0), (3, 2, 1.0)]
+# the sets the pipeline benchmark runs: the stiff sets, the regime table
+# at theta = 1 and (4,1,1) at the theta corners, as (n, k, rho, theta)
+BENCH_SETS = (
+    [(n, k, rho, 1.0) for n, k, rho, _steps in STIFF_SETS]
+    + [(n, k, rho, 1.0) for n, k, rho in NON_STIFF_SETS + [(4, 2, -1.0)]]
+    + [(4, 1, 1.0, theta) for theta in (1e-6, 1e3, 1e6)]
+)
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (7, 3), (12, 4)])
@@ -252,11 +261,14 @@ class TestRodasStep:
 
 
 class TestStiffSwitch:
-    @pytest.mark.parametrize("n,k,rho", STIFF_SETS)
-    def test_stiff_sets_switch(self, n, k, rho, run):
+    @pytest.mark.parametrize(
+        "n,k,rho,steps", STIFF_SETS, ids=[f"{n}-{k}-{rho}" for n, k, rho, _ in STIFF_SETS]
+    )
+    def test_stiff_sets_switch(self, n, k, rho, steps, run):
         _p, _sol, tr, _oc = run(n, k, rho)
         assert math.isfinite(tr.stiff_from_s)
         assert tr.s[tr.tail_end_index] < tr.stiff_from_s < tr.s[-1]
+        assert tr.accepted_steps == steps
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n,k,rho", NON_STIFF_SETS)
@@ -295,6 +307,37 @@ class TestStiffSwitch:
         assert math.isfinite(tr.stiff_from_s)
         assert len(tr.event_s("crossed_X_B")) < 10
         assert tr.events_dropped == 0
+
+
+class TestStepCaps:
+    @pytest.mark.parametrize(
+        "n,k,rho,most", [(4, 1, 5.0, 260), (4, 2, 1.0, 150), (5, 2, 1.0, 130)]
+    )
+    def test_dop853_steps_are_accuracy_limited(self, n, k, rho, most, run):
+        # spirals into B and the approach to the axis, where a cap of
+        # max_step = 0.25 holds DOP853 to 464, 290 and 210 steps
+        _p, _sol, tr, _oc = run(n, k, rho)
+        assert tr.accepted_steps <= most
+        assert tr.h_max > orbit.OrbitControls().max_step
+
+    @pytest.mark.parametrize(
+        "rho,theta,max_step", [(0.0, 1.0, 0.25), (1.0, 1e3, 0.25), (0.0, 1.0, 0.02)]
+    )
+    def test_rodas4_steps_keep_max_step(self, rho, theta, max_step, run):
+        # RODAS4 samples only its step ends, which the tail-rate fit reads.
+        # At max_step = 0.02 the steady orbit's last DOP853 step proposes a
+        # longer one, which only the clamp at the switch holds: unclamped,
+        # the first RODAS4 step is 0.035. The spacing is compared up to the
+        # rounding of s itself
+        _p, _sol, tr, _oc = run(4, 1, rho, theta=theta, max_step=max_step)
+        after = tr.s[tr.s >= tr.stiff_from_s]
+        assert after.size > 100
+        assert np.all(np.diff(after) <= max_step + np.spacing(after[1:]))
+
+    @pytest.mark.parametrize("n,k,rho,theta", BENCH_SETS)
+    def test_longest_step(self, n, k, rho, theta, run):
+        _p, _sol, tr, _oc = run(n, k, rho, theta=theta)
+        assert tr.h_min <= tr.h_max <= 0.5 * _kernels.CONV_SPAN
 
 
 @pytest.fixture(scope="module")
@@ -350,7 +393,15 @@ def oracle(run, log_chart):
 class TestScipyOracle:
     @pytest.mark.parametrize(
         "n,k,rho,targets",
-        [(4, 1, -1.0, (4, 8, 10)), (5, 2, -1.0, (4, 8, 10)), (4, 1, 0.0, (20, 100, 199))],
+        [
+            (4, 1, -1.0, (4, 8, 10)),
+            (5, 2, -1.0, (4, 8, 10)),
+            (4, 1, 0.0, (20, 100, 199)),
+            # interior samples of DOP853 steps 0.39-1.0 long
+            (4, 1, 5.0, (29.5, 52.2, 76.6)),
+            (4, 2, 1.0, (6.2, 9.0, 13.0)),
+            (5, 2, 1.0, (8.5, 17.0, 23.0)),
+        ],
     )
     def test_samples_match(self, n, k, rho, targets, method, oracle):
         tr, res = oracle(n, k, rho, 1.0, method)
