@@ -42,6 +42,15 @@ estimate, its stage systems solved in closed form. Their events, the
 terminal asymptote included, are located on the step itself: the cubic
 Hermite of the step ends gives the first estimate, then secant re-steps of
 the step length from the step start (at most RESTEP_MAX) refine it.
+
+Ends at B: where B attracts the run, the band test at step ends ends it
+converged_B once the state has settled near B. A weak focus spirals in too
+slowly to settle before s_max; its run ends certified_B at the upward
+crossing of X = X_B where ``certifies_b`` proves convergence from that
+return and the one before (Bendixson-Dulac and Poincare-Bendixson). It is
+tested at upward crossings only, and ends a run only where the band test,
+extrapolated at the measured contraction per loop, could not end it
+before s_max.
 """
 
 import math
@@ -72,6 +81,7 @@ ST_ASYMPTOTE = 1
 ST_EXITED = 2
 ST_CONV_B = 3
 ST_CONV_AXIS = 4
+ST_CERT_B = 5
 ST_STEP_FLOOR = 6
 ST_XB_STOP = 7
 ST_OVERFLOW = 8
@@ -81,6 +91,7 @@ EV_CROSS_XB = 1
 EV_ASYMPTOTE = 2
 EV_EXITED = 3
 EV_CONVERGED = 4
+EV_CERTIFIED = 5
 EV_STEP_FLOOR = 6
 
 # integrator settings no caller varies (numba freezes module globals at
@@ -92,6 +103,11 @@ Z_FLOOR_REL = 1e-26
 # sustained convergence to B: |rhs| below CONV_RHS for an s-span CONV_SPAN
 CONV_RHS = 1e-9
 CONV_SPAN = 2.0
+# the error bound of the Poincare-return certificate on the Z of an upward
+# X_B crossing: CERT_SAFETY rtol Z per accepted step since the run's start.
+# Against scipy Radau (rtol 1e-13) the crossings of (4,1,5), (5,2,1) and
+# (4,1,10) lie within 0.0064 rtol Z per step, 1/1,500 of the bound
+CERT_SAFETY = 10.0
 # the longest DOP853 step. Its samples come from the continuous extension;
 # only the ends tested at step ends, converged_B and converged_axis, need a
 # cap: CONV_SPAN / 2 keeps a run read off a shared continuation within
@@ -862,6 +878,30 @@ def _log_event(ev_s, ev_code, n_ev, s, code):
 
 
 @njit
+def certifies_b(s1, z1, s2, z2, z_b, bound, z_band, s_max):
+    """Whether the upward crossings of X = X_B at (s1, z1) and then (s2, z2)
+    prove that the orbit converges to B and end the run.
+
+    Upward crossings lie on the half-line Z > Z_B of the section, where the
+    flow crosses it one way only. If z_b < z2 < z1, the loop from the first
+    crossing to the second, closed by the segment [z2, z1], bounds a
+    forward-invariant region around B. It holds no periodic orbit, by the
+    Bendixson-Dulac criterion with mu = Z^b q^(k-1), and B is its only
+    critical point, so by Poincare-Bendixson the orbit converges to B. The
+    gap z1 - z2 must exceed ``bound``, the error bound on the two values.
+    The run ends here only if the band test cannot end it before s_max: at
+    the contraction c = (z2 - z_b)/(z1 - z_b) per loop of length s2 - s1,
+    z - z_b falls to z_band, below which that test can pass, at
+    s2 + (s2 - s1) ln(z_band/(z2 - z_b))/ln c; the test then needs CONV_SPAN
+    more. The comparison is multiplied through by ln c <= 0.
+    """
+    if not (z_b < z2 < z1 and z1 - z2 > bound):
+        return False
+    c = (z2 - z_b) / (z1 - z_b)
+    return (s2 - s1) * math.log(z_band / (z2 - z_b)) < (s_max - CONV_SPAN - s2) * math.log(c)
+
+
+@njit
 def integrate_core(
     X0,
     W0,
@@ -882,11 +922,23 @@ def integrate_core(
     The state is (X, W), W = ln(c_nk beta^k Z); W0 = -inf starts on the
     invariant axis Z = 0, where W stays. X's error is held relative to X,
     W's absolutely, both at rtol. DOP853 steps are at most DOP853_MAX_STEP
-    long, RODAS4 steps at most max_step. Returns (s_arr, x_arr, z_arr, ev_s,
-    ev_code, n_ev, status, n_acc, n_rej, n_rhs, h_min, h_max,
-    stiff_from_s): the samples, with Z = e^W/(c_nk beta^k); the event
-    arrays, which keep the first EV_CAP of the n_ev events that fired; then
-    the accepted and rejected steps, the rhs evaluations (event re-steps
+    long, RODAS4 steps at most max_step.
+
+    Where B attracts the run (pp[PP_HAS_B] > 0) and conv_dist > 0, two ends
+    are convergence to B. The band test ends it converged_B once the state
+    has stayed within conv_dist of B, with |rhs| below CONV_RHS, for
+    CONV_SPAN. At each upward crossing of X = X_B after the first,
+    ``certifies_b`` reads the Z of this crossing and of the one before; the
+    error bound is CERT_SAFETY rtol Z per accepted step so far. Where it
+    holds, the run ends certified_B at the crossing: a weak focus, whose
+    spiral contracts too slowly to meet the band before s_max.
+
+    Returns (s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status, cert, n_acc,
+    n_rej, n_rhs, h_min, h_max, stiff_from_s): the samples, with
+    Z = e^W/(c_nk beta^k); the event arrays, which keep the first EV_CAP of
+    the n_ev events that fired; the status; the certificate (s1, Z1, s2, Z2,
+    bound) of the two returns of a certified_B end, NaNs otherwise; then the
+    accepted and rejected steps, the rhs evaluations (event re-steps
     included), the shortest and the longest accepted step and the s where
     RODAS4 took over (NaN if it never did).
     """
@@ -924,6 +976,19 @@ def integrate_core(
     n_rhs = 1
     h_min = math.nan
     h_max = math.nan
+    # the Poincare-return certificate: the last upward X_B crossing (s_up,
+    # z_up), and z_band, the Z - Z_B of an upward crossing below which the
+    # band test can pass: there dist >= Z - Z_B and rn >= |X_s| =
+    # (Z - Z_B) f(x_B), with f(x_B) = (n-2k) q(x_B) X_B / Z_B since X_s = 0 at B
+    certify = pp[PP_HAS_B] > 0.0 and conv_dist > 0.0
+    z_band = 0.0
+    if certify:
+        q_b = 1.0 - pp[PP_XB_ROOT] / pp[PP_XA_ROOT]
+        f_b = (pp[PP_N] - 2.0 * pp[PP_K]) * q_b * pp[PP_BX] / pp[PP_BZ]
+        z_band = min(conv_dist, CONV_RHS / f_b)
+    s_up = math.nan
+    z_up = math.nan
+    cert = (math.nan, math.nan, math.nan, math.nan, math.nan)
 
     while s < s_max:
         if h > s_max - s:
@@ -1028,7 +1093,9 @@ def integrate_core(
         # samples: interior points at equal fractions of the step (of its
         # part before a terminal event), then the step end. A crossing of
         # X = X_B is logged, and is a sample itself, with the interior points
-        # before it those a run stopped there emits
+        # before it those a run stopped there emits. An upward crossing that
+        # certifies convergence to B ends the run there, before any other
+        # event of the step
         t0 = 0.0
         if crossed and not stop_at_xb:
             tc, _xc, wc, n_re = _locate(
@@ -1036,10 +1103,19 @@ def integrate_core(
             )
             n_rhs += 6 * n_re
             if tc < th:
-                n_ev = _log_event(ev_s, ev_code, n_ev, s + tc * h, EV_CROSS_XB)
+                sc = s + tc * h
+                n_ev = _log_event(ev_s, ev_code, n_ev, sc, EV_CROSS_XB)
                 m = _interior(s_out, x_out, z_out, m, s, h, 0.0, tc, n_sub, X, W, cx, cw, cb)
-                m = _sample(s_out, x_out, z_out, m, s + tc * h, pp[PP_XB], wc, cb, 1)
+                m = _sample(s_out, x_out, z_out, m, sc, pp[PP_XB], wc, cb, 1)
                 t0 = tc
+                if certify and X < pp[PP_XB]:
+                    zc = math.exp(wc) / cb
+                    bound = CERT_SAFETY * rtol * n_acc * z_up
+                    if certifies_b(s_up, z_up, sc, zc, pp[PP_BZ], bound, z_band, s_max):
+                        cert = (s_up, z_up, sc, zc, bound)
+                        code, status, th = EV_CERTIFIED, ST_CERT_B, tc
+                        s1, X1, W1 = sc, pp[PP_XB], wc
+                    s_up, z_up = sc, zc
         m = _interior(s_out, x_out, z_out, m, s, h, t0, th, n_sub, X, W, cx, cw, cb)
         if code != 0:
             n_ev = _log_event(ev_s, ev_code, n_ev, s1, code)
@@ -1102,6 +1178,7 @@ def integrate_core(
         ev_code[:n_kept],
         n_ev,
         status,
+        cert,
         n_acc,
         n_rej,
         n_rhs,

@@ -195,6 +195,8 @@ def cmd_classify(args):
             "X_inf": oc.X_inf,
             "s_exit": oc.s_exit,
             "reason": oc.diagnostics.get("reason"),
+            "criterion": oc.diagnostics.get("criterion"),
+            "margin": oc.diagnostics.get("margin"),
         },
         "status": trace.status,
         "events": [{"s": s, "kind": kind} for s, kind in trace.events],

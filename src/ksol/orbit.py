@@ -3,7 +3,10 @@ classification, the barrier comparison for rho > 2 theta, and the runtime
 invariant monitors.
 
 Orbit taxonomy: type gamma reaches the asymptote X = gamma^k with Z
-unbounded; type B converges to the interior attractor; generalized type B
+unbounded; type B converges to the interior attractor, which a run shows by
+settling into a band around it or certifies by two contracting returns to
+the section X = X_B (a weak focus, whose spiral contracts too slowly to
+settle before s_max); generalized type B
 stays in a bounded band around it; type A (or generalized type A when
 n = 2k) collapses onto the Z = 0 axis at X = X_inf; non-admissible orbits
 leave the region at a finite s_exit.
@@ -30,6 +33,7 @@ _EVENT_NAMES = {
     _kernels.EV_ASYMPTOTE: "reached_asymptote",
     _kernels.EV_EXITED: "exited_region",
     _kernels.EV_CONVERGED: "converged_critical",
+    _kernels.EV_CERTIFIED: "certified_B",
     _kernels.EV_STEP_FLOOR: "step_floor",
 }
 
@@ -39,6 +43,7 @@ _STATUS_NAMES = {
     _kernels.ST_EXITED: "exited_region",
     _kernels.ST_CONV_B: "converged_B",
     _kernels.ST_CONV_AXIS: "converged_axis",
+    _kernels.ST_CERT_B: "certified_B",
     _kernels.ST_STEP_FLOOR: "step_floor",
     _kernels.ST_XB_STOP: "stopped_at_X_B",
     _kernels.ST_OVERFLOW: "sample_overflow",
@@ -103,6 +108,9 @@ class OrbitTrace:
     h_min: float = math.nan  # shortest accepted step
     h_max: float = math.nan  # longest accepted step
     stiff_from_s: float = math.nan  # where RODAS4 took over; NaN if it never did
+    # a certified_B end: (s1, Z1, s2, Z2, bound), the two upward returns to
+    # X = X_B that certified convergence to B and the error bound on their Z
+    certificate: tuple | None = None
 
     @property
     def end_state(self):
@@ -143,10 +151,10 @@ def _integrate_raw(x0, w0, s0, p, controls):
         p.stops_at_xb,
         controls.max_samples,
     )
-    s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status = out[:7]
-    n_acc, n_rej, n_rhs, h_min, h_max, stiff_s = out[7:]
+    s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status, cert = out[:8]
+    n_acc, n_rej, n_rhs, h_min, h_max, stiff_s = out[8:]
     events = [(float(se), _EVENT_NAMES[int(ce)]) for se, ce in zip(ev_s, ev_code)]
-    counters = {
+    fields = {
         "events_dropped": int(n_ev) - len(events),
         "accepted_steps": int(n_acc),
         "rejected_steps": int(n_rej),
@@ -154,8 +162,9 @@ def _integrate_raw(x0, w0, s0, p, controls):
         "h_min": float(h_min),
         "h_max": float(h_max),
         "stiff_from_s": float(stiff_s),
+        "certificate": tuple(map(float, cert)) if status == _kernels.ST_CERT_B else None,
     }
-    return s_arr, x_arr, z_arr, events, _STATUS_NAMES[int(status)], counters
+    return s_arr, x_arr, z_arr, events, _STATUS_NAMES[int(status)], fields
 
 
 def integrate(start, p, controls=None):
@@ -168,11 +177,11 @@ def integrate(start, p, controls=None):
     """
     controls = controls or OrbitControls()
     x0, w0 = start.state_at_s0(p)
-    s_arr, x_arr, z_arr, events, status, counters = _integrate_raw(
+    s_arr, x_arr, z_arr, events, status, fields = _integrate_raw(
         x0, w0, start.tail.s0, p.in_chart(start.chart), controls
     )
     s_arr, x_arr, z_arr, tail_end = _with_tail(start, p.k, s_arr, x_arr, z_arr)
-    return OrbitTrace(s_arr, x_arr, z_arr, events, status, start.chart, tail_end, **counters)
+    return OrbitTrace(s_arr, x_arr, z_arr, events, status, start.chart, tail_end, **fields)
 
 
 def _with_tail(start, k, s_arr, x_arr, z_arr):
@@ -233,6 +242,12 @@ def classify_orbit(trace, p):
     rho > 0. A trace cut short by the sample buffer or the step floor is
     Undetermined, with the status as its reason. Every Undetermined result
     says why in ``diagnostics["reason"]``.
+
+    A certified_B end is TypeB, decided by the two returns to X = X_B that
+    ``_kernels.certifies_b`` accepted: its diagnostics name the criterion
+    ("poincare_return"), the returns ((s1, Z1), (s2, Z2)), the contraction
+    (Z2 - Z_B)/(Z1 - Z_B) per loop and the margin (Z1 - Z2)/bound of the gap
+    over the error bound. No other class carries a criterion.
     """
     x_end, z_end = trace.end_state
     status = trace.status
@@ -243,6 +258,16 @@ def classify_orbit(trace, p):
         return OrbitClass(NON_ADMISSIBLE, s_exit=float(trace.s[-1]), diagnostics=diag)
     if status == "converged_B":
         diag["B"] = (p.X_B, p.Z_B)
+        return OrbitClass(TYPE_B, diagnostics=diag)
+    if status == "certified_B":
+        s1, z1, s2, z2, bound = trace.certificate
+        diag.update(
+            B=(p.X_B, p.Z_B),
+            criterion="poincare_return",
+            returns=((s1, z1), (s2, z2)),
+            contraction=(z2 - p.Z_B) / (z1 - p.Z_B),
+            margin=(z1 - z2) / bound,
+        )
         return OrbitClass(TYPE_B, diagnostics=diag)
     if status == "converged_axis":
         return _axis_class(x_end, p, diag)
@@ -339,18 +364,23 @@ def _shifted_trace(shared, sol, shift, ends_early, s_max, p):
     (``ends_early``) and that the run went past is cut at s_max: the later
     samples and events are dropped, a cubic Hermite point closes it and its
     status is s_max. The solver counters are the shared run's, with
-    stiff_from_s shifted into the row's frame.
+    stiff_from_s and the certificate's returns shifted into the row's frame.
     """
     i0 = shared.tail_end_index
     s = shared.s[i0:] + shift
     X, Z = shared.X[i0:], shared.Z[i0:]
     events = [(se + shift, name) for se, name in shared.events]
     status = shared.status
+    certificate = shared.certificate
+    if certificate is not None:
+        s1, z1, s2, z2, bound = certificate
+        certificate = (s1 + shift, z1, s2 + shift, z2, bound)
     lo = int(np.searchsorted(s, sol.tail.s0))
     if ends_early and s[-1] > s_max:
         s, X, Z = _cut_at(s, X, Z, s_max, p)
         events = [(se, name) for se, name in events if se <= s_max]
         status = "s_max"
+        certificate = None
     s, X, Z, tail_end = _with_tail(sol, p.k, s[lo:], X[lo:], Z[lo:])
     return replace(
         shared,
@@ -361,6 +391,7 @@ def _shifted_trace(shared, sol, shift, ends_early, s_max, p):
         status=status,
         tail_end_index=tail_end,
         stiff_from_s=shared.stiff_from_s + shift,
+        certificate=certificate,
     )
 
 

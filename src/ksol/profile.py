@@ -218,10 +218,11 @@ def tail_rate(table, p, orbit_class):
     exponent is x's limit with the fitted correction taken out,
     -(x + (c0 + c1/s)/s) at s_end: -gamma up to the fit's residual there.
 
-    The agreement with ``expected_rate`` checks nothing on two orbit types:
-    on expanders it is the asymptote tolerance asym_tol (1e-5), where the
-    run stops, and on GeneralizedA orbits it is 0.0, because the prediction
-    is read from x(s_end) itself.
+    The agreement with ``expected_rate`` checks nothing on two orbit types
+    and one end: on expanders it is the asymptote tolerance asym_tol (1e-5),
+    where the run stops, on GeneralizedA orbits it is 0.0, because the
+    prediction is read from x(s_end) itself, and on a certified_B end it is
+    0 up to rounding, because the run stops at X = X_B, where x = x_B.
     """
     s, x = table.s_full, table.x_full
     if s[-1] - s[0] < MIN_TAIL_SPAN or s[-1] <= 1.0:

@@ -98,11 +98,10 @@ class TestClassify:
         assert doc["status"] == "step_floor"
         assert set(doc["monitors"].values()) == {0}
 
-    @pytest.mark.parametrize(
-        "theta,reason", [("1000", "slow passage"), ("1e-6", "no end signature"), ("1", None)]
-    )
+    @pytest.mark.parametrize("theta,reason", [("1000", "slow passage"), ("1", None)])
     def test_class_reason(self, tmp_path, theta, reason):
-        # an Undetermined class says why; a decided one carries reason null
+        # an Undetermined class says why; a decided one carries reason null.
+        # Neither was decided by a certificate: criterion and margin are null
         out = tmp_path / "r.json"
         run_cli(["classify", "--n", "4", "--k", "1", "--rho", "1", "--theta", theta,
                  "--out", str(out)])
@@ -111,6 +110,32 @@ class TestClassify:
             assert cls["kind"] == "TypeB" and cls["reason"] is None
         else:
             assert cls["kind"] == "Undetermined" and reason in cls["reason"]
+        assert cls["criterion"] is None and cls["margin"] is None
+
+    def test_no_end_signature_reason(self, tmp_path):
+        # n = 2k has no B; at rho/theta = 1e-2 the run ends at s_max on no
+        # signature the classifier reads
+        out = tmp_path / "r.json"
+        run_cli(["classify", "--n", "4", "--k", "2", "--rho", "0.01", "--theta", "1",
+                 "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert doc["status"] == "s_max"
+        assert doc["class"]["kind"] == "Undetermined"
+        assert "no end signature" in doc["class"]["reason"]
+
+    def test_certified_class_names_its_criterion(self, tmp_path):
+        # theta = 1e-6 makes B a weak focus: two contracting returns to X_B
+        # certify TypeB at s ~ 16.7, and the class names the criterion and
+        # the margin of the gap between the returns over their error bound
+        out = tmp_path / "r.json"
+        run_cli(["classify", "--n", "4", "--k", "1", "--rho", "1", "--theta", "1e-6",
+                 "--out", str(out)])
+        doc = json.loads(out.read_text())
+        cls = doc["class"]
+        assert doc["status"] == "certified_B"
+        assert doc["events"][-1]["kind"] == "certified_B"
+        assert cls["kind"] == "TypeB" and cls["reason"] is None
+        assert cls["criterion"] == "poincare_return" and cls["margin"] > 1.0
 
     def test_stable_key_order(self, tmp_path):
         out = tmp_path / "r.json"

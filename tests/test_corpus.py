@@ -30,7 +30,6 @@ AXIS_STOP_BELOW_GAMMA = (
     "n < 2k, rho -> 2 theta-: the axis flow carries X past x_cap, but the run stops "
     "converged_axis below gamma and is labelled TypeA"
 )
-LARGE_RATIO = "rho/theta >= 1e2: the run reaches s_max Undetermined"
 PICARD_OVERFLOW = "Picard overflow: e^(-2k s_min) exceeds the float range"
 
 KNOWN = {}
@@ -38,15 +37,6 @@ for _n, _k in PAIRS:
     if _n >= 2 * _k:
         KNOWN.update({(_n, _k, r): SLOW_PASSAGE for r in (1e-4, 1e-2)})
 KNOWN.update({(5, 3, 1.99): AXIS_STOP_BELOW_GAMMA, (6, 4, 1.99): AXIS_STOP_BELOW_GAMMA})
-KNOWN.update(
-    {
-        case: LARGE_RATIO
-        for case in [
-            (3, 1, 1e4), (4, 1, 1e4), (5, 2, 1e4), (7, 3, 1e4), (9, 4, 1e2), (9, 4, 1e4),
-            (12, 4, 1e4),
-        ]
-    }
-)
 KNOWN.update({(33, 16, r): PICARD_OVERFLOW for r in (-1.99, 1e2, 1e4)})
 
 
@@ -69,6 +59,6 @@ def test_result_is_in_the_regime_table(n, k, ratio):
 
 
 def test_pins_name_corpus_cases():
-    # 2 wrong labels, 33 Undetermined and 3 errors at the last count
-    assert len(KNOWN) == 38
+    # 2 wrong labels, 26 Undetermined and 3 errors at the last count
+    assert len(KNOWN) == 31
     assert set(KNOWN) <= {(n, k, r) for n, k in PAIRS for r in RATIOS}

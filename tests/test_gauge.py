@@ -33,8 +33,10 @@ SETS = (
     (5, 2, 1.0),
     (3, 2, 1.0),
     (4, 2, -1.0),
+    # a weak focus, certified at its second upward return to X_B
+    (4, 1, 10.0),
 )
-EXACT_ENDS = ("reached_asymptote", "exited_region", "s_max")
+EXACT_ENDS = ("reached_asymptote", "exited_region", "s_max", "certified_B")
 
 
 class TestSharedContinuation:

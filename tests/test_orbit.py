@@ -246,6 +246,79 @@ class TestEventsPerRegime:
         assert 0.0 < d <= p.rho / (2.0 * p.theta)
 
 
+class TestReturnCertificate:
+    """A weak focus ends at two contracting upward returns to X = X_B
+    (``_kernels.certifies_b``); every other run keeps its old end."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
+    def test_weak_focus_is_certified_at_its_second_return(self, alpha, run):
+        # B damps at 1e-6 per unit s: the band test would need s ~ 1e7, and
+        # the run reached s_max = 200 Undetermined after 1,181 steps
+        p, _sol, tr, oc = run(4, 1, 1.0, theta=1e-6, alpha=alpha)
+        assert (oc.kind, tr.status) == (orbit.TYPE_B, "certified_B")
+        assert tr.accepted_steps <= 120 and 16.0 < tr.s[-1] < 17.5
+        s1, z1, s2, z2, bound = tr.certificate
+        ups = [s for s in tr.event_s("crossed_X_B") if tr.X[np.searchsorted(tr.s, s) - 1] < p.X_B]
+        assert ups == [s1, s2] and s2 == tr.s[-1] and tr.X[-1] == p.X_B
+        assert tr.events[-1] == (s2, "certified_B")
+        for s, z in ((s1, z1), (s2, z2)):
+            assert tr.Z[np.searchsorted(tr.s, s)] == z
+        diag = oc.diagnostics
+        assert diag["criterion"] == "poincare_return"
+        assert diag["returns"] == ((s1, z1), (s2, z2))
+        assert 0.999 < diag["contraction"] < 1.0
+        assert diag["margin"] == (z1 - z2) / bound > 1.0
+
+    @pytest.mark.parametrize(
+        "n,k,rho", [(4, 1, -1.0), (4, 1, 0.0), (5, 2, -1.0), (6, 1, -1.0), (4, 1, 0.3)]
+    )
+    def test_no_certificate_without_a_spiral_into_B(self, n, k, rho, run):
+        # rho <= 0: no B draws the run (at (6,1,-1) the field's B is a source
+        # outside the region); (4,1,0.3): a node, approached without a return
+        p, _sol, tr, oc = run(n, k, rho)
+        assert tr.status != "certified_B" and tr.certificate is None
+        assert "criterion" not in oc.diagnostics
+        assert _kernels.pack_params(p)[_kernels.PP_HAS_B] == (1.0 if rho > 0.0 else 0.0)
+
+    @pytest.mark.parametrize("n,k,rho", [(4, 1, 1.0), (4, 1, 5.0), (5, 2, 1.0)])
+    def test_spiral_that_meets_the_band_keeps_its_end(self, n, k, rho, run):
+        _p, _sol, tr, oc = run(n, k, rho)
+        assert (oc.kind, tr.status) == (orbit.TYPE_B, "converged_B")
+
+    def test_conv_dist_zero_turns_the_certificate_off(self):
+        p = phase.make_params(4, 1, 1.0, 1e-6)
+        sol = picard.picard_solve(1.0, p)
+        tr = orbit.integrate(sol, p, orbit.OrbitControls(s_max=40.0, conv_dist=0.0))
+        assert tr.status == "s_max" and tr.certificate is None
+
+    # certifies_b(s1, z1, s2, z2, z_b, bound, z_band, s_max) with Z_B = 1 and
+    # one loop of length 10
+    def test_predicate_accepts_a_slow_contracting_pair(self):
+        assert _kernels.certifies_b(0.0, 2.0, 10.0, 1.99, 1.0, 1e-6, 1e-10, 200.0)
+
+    @pytest.mark.parametrize(
+        "z1,z2,bound",
+        [
+            (1.99, 2.0, 1e-6),  # moving away from B
+            (1.5, 0.5, 1e-6),  # straddling Z_B
+            (1.5, 1.0, 1e-6),  # the second return at Z_B
+            (2.0, 1.99, 0.02),  # a gap below the error bound
+            (math.nan, 1.99, math.nan),  # no earlier return
+        ],
+    )
+    def test_predicate_rejects(self, z1, z2, bound):
+        assert not _kernels.certifies_b(0.0, z1, 10.0, z2, 1.0, bound, 1e-10, 200.0)
+
+    def test_predicate_leaves_a_band_end_before_s_max_alone(self):
+        # c = 0.5 per loop of 10 reaches 1e-10 after 33 loops, s ~ 340: only
+        # an s_max beyond that, less CONV_SPAN, lets the band test end the run
+        args = (0.0, 2.0, 10.0, 1.5, 1.0, 1e-6, 1e-10)
+        loops = math.log(1e-10 / 0.5) / math.log(0.5)
+        s_band = 10.0 + 10.0 * loops + _kernels.CONV_SPAN
+        assert _kernels.certifies_b(*args, s_band - 0.01)
+        assert not _kernels.certifies_b(*args, s_band + 0.01)
+
+
 EXPECTED_GRID_CASES = [(4, 1), (4, 2), (3, 2)]
 
 
@@ -350,8 +423,9 @@ class TestMonitors:
             counts.append(orbit.self_intersection_check(tr, p))
             assert counts[-1] == all_pairs_crossings(px, pz)
         # the theta = 1e-6 corner's count is an artefact of its spiral's
-        # sampling, and moves with the step pattern
-        assert counts == [1, 16381, 0]
+        # sampling, and moves with the step pattern; its run ends certified
+        # at its second upward return to X_B, after one and a half loops
+        assert counts == [1, 134, 0]
 
 
 class TestBarrier:

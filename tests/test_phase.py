@@ -311,6 +311,48 @@ class TestRestrictedJacobians:
             phase.jacobian_B(phase.make_params(4, 1, 0.0, 1.0))
 
 
+class TestDulacFunction:
+    """mu = Z^b q^(k-1), with b + 1 = (n-2k)/(2k) and q = 1 - x/x_A, turns
+    the field into one of divergence
+
+        div(mu (F, G)) = -c_nk beta^k Z^(b+1) (gamma - x)^(k-1) x/X,
+
+    negative on the admissible region: by the Bendixson-Dulac criterion it
+    holds no periodic orbit. The Poincare-return certificate of convergence
+    to B (``_kernels.certifies_b``) rests on this."""
+
+    # the corpus pairs with n > 2k, where B exists at rho > 0
+    PAIRS = [(3, 1), (4, 1), (6, 1), (5, 2), (7, 3), (9, 4), (12, 4), (33, 16), (64, 8)]
+
+    @pytest.mark.parametrize("n,k", PAIRS)
+    @pytest.mark.parametrize("ratio", [1e-2, 1.0, 1e2, 1e4, 1e6])
+    def test_divergence_is_negative_and_closed_form(self, n, k, ratio):
+        p = phase.make_params(n, k, ratio, 1.0)
+        b = (n - 2 * k) / (2 * k) - 1.0
+        rng = np.random.default_rng(19)
+        # 4,000 admissible points, at least 1e-3 x_cap inside the X-range:
+        # there central differences with steps 1e-5 X and 1e-5 Z keep their
+        # error below 1e-3 of the terms they sum (measured: 9e-5)
+        X = p.x_cap * rng.uniform(1e-3, 1.0 - 1e-3, 4000)
+        Z = p.Z_B * 10.0 ** rng.uniform(-3.0, 3.0, 4000)
+
+        def mu_field(X, Z):
+            F, G = phase.vector_field(X, Z, p)
+            mu = Z**b * (1.0 - phase.kth_root(X, k) / p.x_A) ** (k - 1)
+            return mu * F, mu * G
+
+        hx, hz = 1e-5 * X, 1e-5 * Z
+        d_x = (mu_field(X + hx, Z)[0] - mu_field(X - hx, Z)[0]) / (2.0 * hx)
+        d_z = (mu_field(X, Z + hz)[1] - mu_field(X, Z - hz)[1]) / (2.0 * hz)
+        div = d_x + d_z
+        tol = 1e-3 * (np.abs(d_x) + np.abs(d_z))
+        x = phase.kth_root(X, k)
+        closed = -p.cb * Z ** (b + 1.0) * (p.gamma - x) ** (k - 1) * x / X
+        assert np.all(closed < 0.0)
+        assert np.all(div <= tol)
+        assert np.all(np.abs(div - closed) <= tol)
+
+
 class TestCriticalPoints:
     def test_shrinker_membership(self):
         p = phase.make_params(4, 1, 1.0, 1.0)

@@ -343,9 +343,9 @@ class TestStepCaps:
 @pytest.fixture(scope="module")
 def oracle(run, log_chart):
     """scipy Radau and LSODA (rtol = atol = 1e-13 in (X, ln Z), analytic
-    Jacobian) from the first integrator sample X0, with the integrator's
-    terminal event: the asymptote for n >= 2k, the exit at X = x_cap for
-    n < 2k. The solution's second component is ln Z. LSODA holds X's atol
+    Jacobian) from the first integrator sample X0 to 1 past its last (at
+    most to s_max), with the integrator's terminal event: the asymptote for
+    n >= 2k, the exit at X = x_cap for n < 2k. The solution's second component is ln Z. LSODA holds X's atol
     at 1e-13 X0 (X only grows from X0): at 1e-13 it lets an X0 of 1e-11
     drift, and its (6,4) exit moves by 6e-9, where Radau's moves by 1e-13."""
     integrate = pytest.importorskip("scipy.integrate")
@@ -372,7 +372,7 @@ def oracle(run, log_chart):
             i0 = tr.tail_end_index
             res = integrate.solve_ivp(
                 fun,
-                (tr.s[i0], orbit.OrbitControls().s_max),
+                (tr.s[i0], min(tr.s[-1] + 1.0, orbit.OrbitControls().s_max)),
                 [tr.X[i0], math.log(tr.Z[i0])],
                 method=method,
                 rtol=1e-13,
@@ -425,3 +425,26 @@ class TestScipyOracle:
         tr, res = oracle(n, k, 1.0, 1.0, method)
         assert tr.status == "exited_region"
         assert abs(tr.s[-1] - res.t_events[0][0]) <= 1e-9
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,k,rho", [(4, 1, 5.0), (5, 2, 1.0), (4, 1, 10.0)])
+def test_upward_returns_lie_within_the_certificate_bound(n, k, rho, run, oracle):
+    # the Z of every upward return to X = X_B against Radau's, within the
+    # bound the Poincare-return certificate puts on it: CERT_SAFETY rtol Z
+    # per accepted step up to the return. The steps are counted by a run
+    # that stops there. (4,1,10) ends certified at its second return
+    brentq = pytest.importorskip("scipy.optimize").brentq
+    p, sol, tr, _oc = run(n, k, rho)
+    _tr, res = oracle(n, k, rho, 1.0, "Radau")
+    controls = orbit.OrbitControls()
+    ups = [s for s in tr.event_s("crossed_X_B") if tr.X[np.searchsorted(tr.s, s) - 1] < p.X_B]
+    assert len(ups) >= 2
+    for s in ups:
+        steps = orbit.integrate(sol, p, orbit.OrbitControls(s_max=s)).accepted_steps
+        z = tr.Z[np.searchsorted(tr.s, s)]
+        s_ref = brentq(lambda t: res.sol(t)[0] - p.X_B, s - 0.05, s + 0.05, xtol=1e-14)
+        z_ref = math.exp(res.sol(s_ref)[1])
+        assert abs(z - z_ref) <= _kernels.CERT_SAFETY * controls.rtol * steps * z_ref, s
+    if rho == 10.0:
+        assert tr.status == "certified_B" and tr.certificate[2] == ups[-1]
