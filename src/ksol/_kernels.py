@@ -30,18 +30,21 @@ Integrator: DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5, II.10),
 an explicit 12-stage pair of order 8 whose error estimate combines
 embedded order-5 and order-3 solutions, with PI step-size control. Each
 accepted DOP853 step builds its order-7 continuous extension from three
-more stages: every event is located on it by bisection, and it supplies
-interior samples wherever the cubic Hermite between the step ends would
-miss SAMPLE_TOL in (X, W). Its steps are therefore limited by accuracy,
-up to DOP853_MAX_STEP = CONV_SPAN / 2, not by the caller's max_step, which
-caps the RODAS4 steps only. Once the step is stability-limited (h times the
-spectral radius of the closed-form 2x2 Jacobian above STIFF_HRHO on
-STIFF_SPAN consecutive accepted steps) the rest of the run takes RODAS4
-steps: linearly implicit, L-stable, order 4 with an embedded order-3
-estimate, its stage systems solved in closed form. Their events, the
-terminal asymptote included, are located on the step itself: the cubic
-Hermite of the step ends gives the first estimate, then secant re-steps of
-the step length from the step start (at most RESTEP_MAX) refine it.
+more stages. Once the step is stability-limited (h times the spectral
+radius of the closed-form 2x2 Jacobian above STIFF_HRHO on STIFF_SPAN
+consecutive accepted steps) the rest of the run takes Radau IIA steps
+(Hairer & Wanner, Solving ODEs II, IV.8, ported from scipy's radau.py):
+implicit, L-stable and stiffly accurate, order 5 with stage order 3, so it
+keeps its order on the stiff arcs, where the stage order 1 of Rosenbrock
+methods loses it (IV.7, IV.15). Simplified Newton solves its collocation
+system as one real and one complex 2x2 system by Cramer's rule, starting
+from the previous step's collocation cubic; Hairer's filtered estimate
+gives the error, and Gustafsson's predictive controller the next step.
+Both methods have a dense output: the order-7 extension, the collocation
+cubic. Every event is located on it by bisection, and it supplies interior
+samples wherever the cubic Hermite between the step ends would miss
+SAMPLE_TOL in (X, W). So the steps are limited by accuracy, up to
+MAX_STEP = CONV_SPAN / 2.
 
 Ends at B: where B attracts the run, the band test at step ends ends it
 converged_B once the state has settled near B. A weak focus spirals in too
@@ -108,26 +111,23 @@ CONV_SPAN = 2.0
 # Against scipy Radau (rtol 1e-13) the crossings of (4,1,5), (5,2,1) and
 # (4,1,10) lie within 0.0064 rtol Z per step, 1/1,500 of the bound
 CERT_SAFETY = 10.0
-# the longest DOP853 step. Its samples come from the continuous extension;
-# only the ends tested at step ends, converged_B and converged_axis, need a
-# cap: CONV_SPAN / 2 keeps a run read off a shared continuation within
-# CONV_SPAN of its own run wherever the convergence clock does not restart.
-# RODAS4 emits only its step ends and keeps the caller's max_step
-DOP853_MAX_STEP = 0.5 * CONV_SPAN
+# the longest step. Its samples come from the dense output; only the ends
+# tested at step ends, converged_B and converged_axis, need a cap:
+# CONV_SPAN / 2 keeps a run read off a shared continuation within CONV_SPAN
+# of its own run wherever the convergence clock does not restart
+MAX_STEP = 0.5 * CONV_SPAN
 EV_CAP = 512  # logged events kept; later ones are only counted
 # stiffness switch: h rho(J) > STIFF_HRHO on STIFF_SPAN consecutive accepted
-# steps marks a step held by stability, not accuracy; RODAS4 then takes the
+# steps marks a step held by stability, not accuracy; Radau then takes the
 # rest of the run. DOP853's real stability boundary is h |lambda| ~ 6.39,
 # DOPRI5's 3.31, for which 1.0 was tuned: the ratio keeps the switch points
 STIFF_HRHO = 1.93
 STIFF_SPAN = 15
-# interior samples: an accepted DOP853 step is cut into pieces short enough
-# that the cubic Hermite between consecutive samples stays within
-# SAMPLE_TOL of the order-7 extension at the midpoint, relative in X and
-# absolute in W (relative in Z)
+# interior samples: an accepted step is cut into pieces short enough that
+# the cubic Hermite between consecutive samples stays within SAMPLE_TOL of
+# the dense output at the midpoint, relative in X and absolute in W
+# (relative in Z)
 SAMPLE_TOL = 1e-9
-# secant re-steps that locate an event on a RODAS4 step
-RESTEP_MAX = 4
 # e^W overflows beyond this; the field takes e^W = inf there, a bad state
 EXP_W_MAX = 709.0
 
@@ -663,6 +663,31 @@ def _sample_count(cx, cw, magX, magW):
 
 
 @njit
+def _collocation_sample_count(h, fX, fW, cx, cw, magX, magW):
+    """Pieces of a Radau step between emitted samples. The collocation cubic
+    u meets the field at the nodes C1, C2 and 1, so its defect u' - h f(u)
+    in theta is close to K p(t), p = (t - C1)(t - C2)(t - 1), with K set by
+    the defect at the step start, u'(0) - h f0 = F0 + F1 - h f0. The cubic
+    Hermite of a piece from u and f at its ends misses u at the midpoint by
+    a/8 times the change of the defect across the piece a, so N equal pieces
+    miss by e1 (9N^2 - 18N + 10)/N^4 at most, on the first piece, where e1 is
+    the miss of the whole step. N is the least count within SAMPLE_TOL,
+    found below the bound 3 sqrt(e1/SAMPLE_TOL)."""
+    gap = 0.0
+    if magX > 0.0:
+        gap = abs(cx[0] + cx[1] - h * fX) / magX
+    if magW > 0.0:
+        gap = max(gap, abs(cw[0] + cw[1] - h * fW) / magW)
+    e1 = 0.125 * gap
+    if not SAMPLE_TOL < e1 < math.inf:
+        return 1
+    n = int(math.ceil(3.0 * math.sqrt(e1 / SAMPLE_TOL)))
+    while n > 1 and e1 * (9.0 * (n - 1) ** 2 - 18.0 * (n - 1) + 10.0) / (n - 1) ** 4 <= SAMPLE_TOL:
+        n -= 1
+    return n
+
+
+@njit
 def _hermite_coeffs(h, y0, f0, y1, f1):
     """The cubic Hermite through (y0, f0) and (y1, f1) in the form of
     ``_dense``: the first three coefficients, the corrections zero. Equal
@@ -686,95 +711,192 @@ def _hermite(theta, h, y0, f0, y1, f1):
     return _dense(theta, y0, _hermite_coeffs(h, y0, f0, y1, f1))
 
 
-# RODAS4 (Hairer & Wanner, rodas.f METH=1), in the transformed form whose
-# stages u_i solve (I/(gamma h) - J) u_i = f(y + sum a_ij u_j) + sum c_ij u_j / h;
-# y + sum a_5j u_j + u5 is the order-3 solution and u6 its error
-_RGAMMA = 0.25
-_RA21 = 1.544
-_RA31, _RA32 = 0.9466785280815826, 0.2557011698983284
-_RA41, _RA42, _RA43 = 3.314825187068521, 2.896124015972201, 0.9986419139977817
-_RA51, _RA52, _RA53, _RA54 = (
-    1.221224509226641,
-    6.019134481288629,
-    12.53708332932087,
-    -0.6878860361058950,
-)
-_RC21 = -5.6688
-_RC31, _RC32 = -2.430093356833875, -0.2063599157091915
-_RC41, _RC42, _RC43 = -0.1073529058151375, -9.594562251023355, -20.47028614809616
-_RC51, _RC52, _RC53, _RC54 = (
-    7.496443313967647,
-    -10.24680431464352,
-    -33.99990352819905,
-    11.70890893206160,
-)
-_RC61, _RC62, _RC63, _RC64, _RC65 = (
-    8.083246795921522,
-    -7.981132988064893,
-    -31.52159432874371,
-    16.31930543123136,
-    -6.058818238834054,
-)
+# Radau IIA of order 5 (Hairer & Wanner, Solving ODEs II, IV.8), the
+# constants of scipy's radau.py: the nodes C, the error weights E, the
+# eigenvalues of the inverse of the stage matrix (one real, one complex
+# pair), the transformation T that diagonalises it and its inverse TI, and
+# the coefficients P of the collocation cubic
+_RC1 = 0.15505102572168222
+_RC2 = 0.6449489742783178
+_RE1, _RE2, _RE3 = -10.048809399827414, 1.382142733160748, -0.3333333333333333
+_MU_REAL = 3.637834252744496
+_MU_COMPLEX = 2.6810828736277523 - 3.050430199247411j
+_T11, _T12, _T13 = 0.09443876248897524, -0.1412552950209542, 0.03002919410514742
+_T21, _T22, _T23 = 0.2502131229653333, 0.20412935229379994, -0.3829421127572619
+# T's third row is (1, 1, 0)
+_TI11, _TI12, _TI13 = 4.178718591551904, 0.32768282076106237, 0.5233764454994495
+_TI21, _TI22, _TI23 = -4.178718591551904, -0.32768282076106237, 0.47662355450055044
+_TI31, _TI32, _TI33 = 0.5028726349457868, -2.571926949855605, 0.5960392048282249
+# scipy's TI_COMPLEX, TI's second row plus i times its third
+_TIC1, _TIC2, _TIC3 = _TI21 + 1j * _TI31, _TI22 + 1j * _TI32, _TI23 + 1j * _TI33
+_P11, _P12, _P13 = 10.048809399827414, -25.62959144707664, 15.580782047249224
+_P21, _P22, _P23 = -1.382142733160748, 10.296258113743303, -8.914115380582556
+_P31, _P32, _P33 = 0.3333333333333333, -2.6666666666666665, 3.3333333333333335
+NEWTON_MAXITER = 6
+_EPS = 2.220446049250313e-16  # the spacing of doubles at 1
 
 
 @njit
-def _solve2(E, rx, rw):
-    """Cramer's rule for E u = r, with E = (e11, e12, e21, e22, det)."""
-    e11, e12, e21, e22, det = E
-    return (e22 * rx - e12 * rw) / det, (e11 * rw - e21 * rx) / det
+def _radau_step(X, W, h, fX, fW, J, cx, cw, ratio, rtol, magW, refine, pp):
+    """One Radau IIA step from (X, W) with derivative (fX, fW) and Jacobian
+    J = (a, b, c, d) there.
 
+    The stage increments u_i = y(s + C_i h) - y solve the collocation system
+    by simplified Newton in TI's coordinates, where it splits into one real
+    and one complex 2x2 system, each solved by Cramer's rule. Newton starts
+    from the previous step's dense output (coefficients cx, cw of ``_dense``
+    on a step ``ratio`` times shorter than h), extrapolated to the nodes;
+    ratio = 0 starts from zero. The error is Hairer's filtered estimate,
+    (MU_REAL/h - J)^-1 (f + sum_i E_i u_i / h), refined once through f when
+    ``refine`` (an attempt of this step was rejected) and it fails rtol.
 
-@njit
-def _rodas_step(X, W, h, fX, fW, pp):
-    """One RODAS4 step from (X, W) with derivative (fX, fW) already known.
-
-    One Jacobian per step; each stage's 2x2 system is solved by Cramer's
-    rule. Returns (X1, W1, errX, errW, fX1, fW1): the order-4 solution, its
-    error against the order-3 one, and the derivative at the step end, one
-    extra rhs call.
+    Returns (X1, W1, err, n_iter, n_f, cx1, cw1): the solution, the error
+    norm (inf where Newton did not converge), the Newton iterations and the
+    rhs calls made, and the collocation cubic as coefficients of ``_dense``.
     """
-    a, b, c, d = jac(X, W, pp)
-    diag = 1.0 / (_RGAMMA * h)
-    E = (diag - a, -b, -c, diag - d, (diag - a) * (diag - d) - b * c)
+    a, b, c, d = J
+    mr = _MU_REAL / h
+    mc = _MU_COMPLEX / h
+    det_r = (mr - a) * (mr - d) - b * c
+    det_c = (mc - a) * (mc - d) - b * c
+    scX = rtol * abs(X)
+    scW = rtol * magW
+    # Newton's tolerance on the scaled update, as scipy sets it
+    tol = max(10.0 * _EPS / rtol, min(0.03, math.sqrt(rtol)))
 
-    u1x, u1w = _solve2(E, fX, fW)
+    u1x = _dense(1.0 + _RC1 * ratio, 0.0, cx) - cx[0]
+    u2x = _dense(1.0 + _RC2 * ratio, 0.0, cx) - cx[0]
+    u3x = _dense(1.0 + ratio, 0.0, cx) - cx[0]
+    u1w = _dense(1.0 + _RC1 * ratio, 0.0, cw) - cw[0]
+    u2w = _dense(1.0 + _RC2 * ratio, 0.0, cw) - cw[0]
+    u3w = _dense(1.0 + ratio, 0.0, cw) - cw[0]
+    v1x = _TI11 * u1x + _TI12 * u2x + _TI13 * u3x
+    v2x = _TI21 * u1x + _TI22 * u2x + _TI23 * u3x
+    v3x = _TI31 * u1x + _TI32 * u2x + _TI33 * u3x
+    v1w = _TI11 * u1w + _TI12 * u2w + _TI13 * u3w
+    v2w = _TI21 * u1w + _TI22 * u2w + _TI23 * u3w
+    v3w = _TI31 * u1w + _TI32 * u2w + _TI33 * u3w
 
-    gx, gw = rhs(X + _RA21 * u1x, W + _RA21 * u1w, pp)
-    u2x, u2w = _solve2(E, gx + _RC21 * u1x / h, gw + _RC21 * u1w / h)
+    converged = False
+    norm_old = -1.0
+    rate = 0.0
+    n_iter = 0
+    while n_iter < NEWTON_MAXITER:
+        n_iter += 1
+        g1x, g1w = rhs(X + u1x, W + u1w, pp)
+        g2x, g2w = rhs(X + u2x, W + u2w, pp)
+        g3x, g3w = rhs(X + u3x, W + u3w, pp)
+        if not (
+            math.isfinite(g1x) and math.isfinite(g2x) and math.isfinite(g3x)
+            and math.isfinite(g1w) and math.isfinite(g2w) and math.isfinite(g3w)
+        ):
+            break
+        rx = _TI11 * g1x + _TI12 * g2x + _TI13 * g3x - mr * v1x
+        rw = _TI11 * g1w + _TI12 * g2w + _TI13 * g3w - mr * v1w
+        zx = _TIC1 * g1x + _TIC2 * g2x + _TIC3 * g3x - mc * (v2x + 1j * v3x)
+        zw = _TIC1 * g1w + _TIC2 * g2w + _TIC3 * g3w - mc * (v2w + 1j * v3w)
+        d1x = ((mr - d) * rx + b * rw) / det_r
+        d1w = ((mr - a) * rw + c * rx) / det_r
+        dzx = ((mc - d) * zx + b * zw) / det_c
+        dzw = ((mc - a) * zw + c * zx) / det_c
+        d2x, d3x, d2w, d3w = dzx.real, dzx.imag, dzw.real, dzw.imag
 
-    gx, gw = rhs(X + _RA31 * u1x + _RA32 * u2x, W + _RA31 * u1w + _RA32 * u2w, pp)
-    rx = gx + (_RC31 * u1x + _RC32 * u2x) / h
-    rw = gw + (_RC31 * u1w + _RC32 * u2w) / h
-    u3x, u3w = _solve2(E, rx, rw)
+        sq = 0.0
+        if scX > 0.0:
+            sq += ((d1x * d1x + d2x * d2x + d3x * d3x) / scX) / scX
+        if scW > 0.0:
+            sq += ((d1w * d1w + d2w * d2w + d3w * d3w) / scW) / scW
+        norm = math.sqrt(sq / 6.0)
+        # scipy's tests on the rate of convergence, except that an update
+        # below tol is converged whatever the rate: it moves the stages by
+        # less than Newton's tolerance, and near a fixed point it and the
+        # rate are rounding (scipy halves the step there: 154 of 2,217
+        # attempts on (12,1,1) held at B to s = 2000)
+        if norm_old >= 0.0:
+            rate = norm / norm_old
+            if norm > tol and (
+                rate >= 1.0 or rate ** (NEWTON_MAXITER - n_iter + 1) / (1.0 - rate) * norm > tol
+            ):
+                break
 
-    gx, gw = rhs(
-        X + _RA41 * u1x + _RA42 * u2x + _RA43 * u3x,
-        W + _RA41 * u1w + _RA42 * u2w + _RA43 * u3w,
-        pp,
-    )
-    rx = gx + (_RC41 * u1x + _RC42 * u2x + _RC43 * u3x) / h
-    rw = gw + (_RC41 * u1w + _RC42 * u2w + _RC43 * u3w) / h
-    u4x, u4w = _solve2(E, rx, rw)
+        v1x += d1x
+        v2x += d2x
+        v3x += d3x
+        v1w += d1w
+        v2w += d2w
+        v3w += d3w
+        u1x = _T11 * v1x + _T12 * v2x + _T13 * v3x
+        u2x = _T21 * v1x + _T22 * v2x + _T23 * v3x
+        u3x = v1x + v2x
+        u1w = _T11 * v1w + _T12 * v2w + _T13 * v3w
+        u2w = _T21 * v1w + _T22 * v2w + _T23 * v3w
+        u3w = v1w + v2w
 
-    y5x = X + _RA51 * u1x + _RA52 * u2x + _RA53 * u3x + _RA54 * u4x
-    y5w = W + _RA51 * u1w + _RA52 * u2w + _RA53 * u3w + _RA54 * u4w
-    gx, gw = rhs(y5x, y5w, pp)
-    rx = gx + (_RC51 * u1x + _RC52 * u2x + _RC53 * u3x + _RC54 * u4x) / h
-    rw = gw + (_RC51 * u1w + _RC52 * u2w + _RC53 * u3w + _RC54 * u4w) / h
-    u5x, u5w = _solve2(E, rx, rw)
+        if norm == 0.0 or (norm_old >= 0.0 and (rate >= 1.0 or rate / (1.0 - rate) * norm < tol)):
+            converged = True
+            break
+        norm_old = norm
 
-    # embedded order-3 solution; its correction u6 gives the order-4 one
-    y6x = y5x + u5x
-    y6w = y5w + u5w
-    gx, gw = rhs(y6x, y6w, pp)
-    rx = gx + (_RC61 * u1x + _RC62 * u2x + _RC63 * u3x + _RC64 * u4x + _RC65 * u5x) / h
-    rw = gw + (_RC61 * u1w + _RC62 * u2w + _RC63 * u3w + _RC64 * u4w + _RC65 * u5w) / h
-    u6x, u6w = _solve2(E, rx, rw)
+    n_f = 3 * n_iter
+    if not converged:
+        return X, W, math.inf, n_iter, n_f, cx, cw
 
-    X1 = y6x + u6x
-    W1 = y6w + u6w
-    fX1, fW1 = rhs(X1, W1, pp)
-    return X1, W1, u6x, u6w, fX1, fW1
+    X1 = X + u3x
+    W1 = W + u3w
+    scX = rtol * max(abs(X), abs(X1))
+    ex = (_RE1 * u1x + _RE2 * u2x + _RE3 * u3x) / h
+    ew = (_RE1 * u1w + _RE2 * u2w + _RE3 * u3w) / h
+    errx = ((mr - d) * (fX + ex) + b * (fW + ew)) / det_r
+    errw = ((mr - a) * (fW + ew) + c * (fX + ex)) / det_r
+    err = _rms(errx, errw, scX, scW)
+    if refine and err > 1.0:
+        gx, gw = rhs(X + errx, W + errw, pp)
+        n_f += 1
+        errx = ((mr - d) * (gx + ex) + b * (gw + ew)) / det_r
+        errw = ((mr - a) * (gw + ew) + c * (gx + ex)) / det_r
+        err = _rms(errx, errw, scX, scW)
+    return X1, W1, err, n_iter, n_f, _collocation(u1x, u2x, u3x), _collocation(u1w, u2w, u3w)
+
+
+@njit
+def _radau_safety(n_iter):
+    """scipy's safety factor of the step controller, smaller the more Newton
+    iterations the step took."""
+    return 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER + n_iter)
+
+
+@njit
+def _predict_factor(h, h_acc, err, err_acc):
+    """Gustafsson's predictive step factor (Hairer & Wanner II, IV.8), as
+    scipy's ``predict_factor``: err^(-1/4), times min(1, (h/h_acc)
+    (err_acc/err)^(1/4)) once a previous step (h_acc > 0) was accepted with
+    error err_acc; inf at err = 0."""
+    if err == 0.0:
+        return math.inf
+    mult = 1.0
+    if h_acc > 0.0:
+        mult = min(1.0, h / h_acc * (err_acc / err) ** 0.25)
+    return mult * err**-0.25
+
+
+@njit
+def _rms(ex, ew, scX, scW):
+    """Root mean square of the two scaled components (one with scale 0
+    counts as 0)."""
+    a = ex / scX if scX > 0.0 else 0.0
+    b = ew / scW if scW > 0.0 else 0.0
+    return math.sqrt(0.5 * (a * a + b * b))
+
+
+@njit
+def _collocation(u1, u2, u3):
+    """The collocation cubic Q1 t + Q2 t^2 + Q3 t^3, Q = u P, through the
+    stage increments of one component, as coefficients of ``_dense``:
+    F0 = Q1 + Q2 + Q3 is its value u3 at the step end, F1 = -Q2 - Q3 and
+    F2 = -Q3."""
+    q2 = _P12 * u1 + _P22 * u2 + _P32 * u3
+    q3 = _P13 * u1 + _P23 * u2 + _P33 * u3
+    return (u3, -q2 - q3, -q3, 0.0, 0.0, 0.0, 0.0)
 
 
 @njit
@@ -804,46 +926,6 @@ def _bisect_event(code, X0, cx, pp, asym_tol):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-@njit
-def _locate(code, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, asym_tol, step_floor):
-    """The event of ``code`` inside an accepted step from (X, W) to (X1, W1):
-    (theta, Xe, We, n_re), the fraction of the step, the state there and the
-    RODAS4 re-steps taken.
-
-    After DOP853 the root is bisected on the order-7 extension. After RODAS4
-    the cubic Hermite of the step ends only starts the search, which then
-    runs on the step itself: the secant method on the step length theta h,
-    each iterate a re-step from the step start (at most RESTEP_MAX), the
-    first secant through the full step, and a bisection of the bracket of
-    the re-steps so far wherever the secant would leave it.
-    """
-    th = _bisect_event(code, X, cx, pp, asym_tol)
-    if not stiff:
-        return th, _dense(th, X, cx), _dense(th, W, cw), 0
-    v0 = _event_value(code, X, pp, asym_tol)
-    lo = 0.0
-    hi = 1.0
-    th_prev = 1.0
-    v_prev = _event_value(code, X1, pp, asym_tol)
-    n_re = 0
-    while True:
-        Xe, We, _ex, _ew, _fX, _fW = _rodas_step(X, W, th * h, fX, fW, pp)
-        n_re += 1
-        v = _event_value(code, Xe, pp, asym_tol)
-        if (v > 0.0) == (v0 > 0.0):
-            lo = th
-        else:
-            hi = th
-        dth = -v * (th - th_prev) / (v - v_prev) if v != v_prev else 0.0
-        if n_re == RESTEP_MAX or abs(dth) * h <= step_floor:
-            return th, Xe, We, n_re
-        th_prev = th
-        v_prev = v
-        th = th + dth
-        if not lo < th < hi:
-            th = 0.5 * (lo + hi)
 
 
 @njit
@@ -909,7 +991,6 @@ def integrate_core(
     s_max,
     pp,
     rtol,
-    max_step,
     step_floor,
     asym_tol,
     conv_dist,
@@ -921,8 +1002,7 @@ def integrate_core(
 
     The state is (X, W), W = ln(c_nk beta^k Z); W0 = -inf starts on the
     invariant axis Z = 0, where W stays. X's error is held relative to X,
-    W's absolutely, both at rtol. DOP853 steps are at most DOP853_MAX_STEP
-    long, RODAS4 steps at most max_step.
+    W's absolutely, both at rtol. Steps are at most MAX_STEP long.
 
     Where B attracts the run (pp[PP_HAS_B] > 0) and conv_dist > 0, two ends
     are convergence to B. The band test ends it converged_B once the state
@@ -938,9 +1018,10 @@ def integrate_core(
     Z = e^W/(c_nk beta^k); the event arrays, which keep the first EV_CAP of
     the n_ev events that fired; the status; the certificate (s1, Z1, s2, Z2,
     bound) of the two returns of a certified_B end, NaNs otherwise; then the
-    accepted and rejected steps, the rhs evaluations (event re-steps
-    included), the shortest and the longest accepted step and the s where
-    RODAS4 took over (NaN if it never did).
+    accepted and rejected steps, the rhs evaluations (three per Newton
+    iteration of a Radau attempt, and one at each accepted Radau step's
+    end), the shortest and the longest accepted step and the s where Radau
+    took over (NaN if it never did).
     """
     s_out = np.empty(max_samples)
     x_out = np.empty(max_samples)
@@ -952,6 +1033,10 @@ def integrate_core(
     k = int(pp[PP_K])
     cb = pp[PP_CB]
     w_floor = math.log(Z_FLOOR_REL)
+    # for n >= 2k the flow keeps x below gamma (X_s = -(n-2k) q X <= 0 on
+    # x = gamma): a step that ends beyond gamma^k has lost gamma - x to
+    # rounding, a bad state, and no exit of the region
+    X_gamma = pp[PP_GAMMA] ** k if pp[PP_N] >= 2.0 * pp[PP_K] else math.inf
     # W carries no error on the axis
     magW = 1.0 if W0 > -math.inf else 0.0
     s = s0
@@ -963,7 +1048,7 @@ def integrate_core(
     m = 1
 
     fX, fW = rhs(X, W, pp)
-    h = min(1e-3, max_step)
+    h = 1e-3
     err_prev = 1.0
     w_peak = W
     conv_since = math.inf
@@ -971,6 +1056,15 @@ def integrate_core(
     stiff = False
     n_limited = 0  # consecutive accepted DOP853 steps with h rho(J) > STIFF_HRHO
     stiff_from_s = math.nan
+    # Radau: the Jacobian at the step start, the last accepted Radau step
+    # (0 before the first; its error is err_prev), whether an attempt of the
+    # current step was rejected, and the dense output of the last accepted
+    # step
+    J = (0.0, 0.0, 0.0, 0.0)
+    h_acc = 0.0
+    rejected = False
+    cx = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    cw = cx
     n_acc = 0
     n_rej = 0
     n_rhs = 1
@@ -999,8 +1093,11 @@ def integrate_core(
             break
 
         if stiff:
-            X1, W1, errX, errW, fX1, fW1 = _rodas_step(X, W, h, fX, fW, pp)
-            n_rhs += 6
+            X1, W1, err, n_iter, n_f, rx, rw = _radau_step(
+                X, W, h, fX, fW, J, cx, cw, h / h_acc if h_acc > 0.0 else 0.0, rtol, magW,
+                rejected, pp,
+            )
+            n_rhs += n_f
         else:
             X1, W1, e5x, e5w, e3x, e3w, KX, KW = _dop853_step(X, W, h, fX, fW, pp)
             fX1 = KX[7]
@@ -1012,50 +1109,56 @@ def integrate_core(
         magX = max(abs(X), abs(X1))
         scX = rtol * magX
         scW = rtol * magW
-        if stiff:
-            ex = errX / scX if scX > 0.0 else 0.0
-            ew = errW / scW if scW > 0.0 else 0.0
-            err = math.sqrt(0.5 * (ex * ex + ew * ew))
-        else:
+        if not stiff:
             err = _dop853_error(e5x, e5w, e3x, e3w, scX, scW)
         # W1 = -inf is the axis; NaN or +inf is not a state
-        bad_state = (X1 < 0.0) or (not math.isfinite(X1)) or (not W1 < math.inf)
+        bad_state = (X1 < 0.0) or (not math.isfinite(X1)) or (not W1 < math.inf) or X1 > X_gamma
         if err > 1.0 or bad_state:
             n_rej += 1
             if bad_state:
                 fac = 0.2
+            elif not stiff:
+                fac = max(0.2, 0.9 * err**-0.125)
+            elif err == math.inf:
+                fac = 0.5  # Newton did not converge
             else:
-                fac = max(0.2, 0.9 * err ** (-0.25 if stiff else -0.125))
+                fac = max(0.2, _radau_safety(n_iter) * _predict_factor(h, h_acc, err, err_prev))
+                rejected = True
             h *= fac
             continue
 
         # accepted; PI controller for DOP853 (the order-5 exponents 0.7/5 and
-        # 0.4/5 rescaled to order 8), I controller for RODAS4 (an exact step,
-        # err = 0, takes the largest growth the clip allows)
+        # 0.4/5 rescaled to order 8), Gustafsson's predictive controller for
+        # Radau, as scipy has it
         n_acc += 1
         if n_acc == 1 or h < h_min:
             h_min = h
         if n_acc == 1 or h > h_max:
             h_max = h
-        if err == 0.0:
+        if stiff:
+            fac = min(10.0, _radau_safety(n_iter) * _predict_factor(h, h_acc, err, err_prev))
+            h_acc = h
+            rejected = False
+        elif err == 0.0:
             fac = 5.0
         else:
-            fac = 0.9 * err**-0.25 if stiff else 0.9 * err**-0.0875 * err_prev**0.05
+            fac = 0.9 * err**-0.0875 * err_prev**0.05
             if fac > 5.0:
                 fac = 5.0
             if fac < 0.2:
                 fac = 0.2
-        h_next = min(h * fac, max_step if stiff else DOP853_MAX_STEP)
+        h_next = min(h * fac, MAX_STEP)
         err_prev = max(err, 1e-10)
         s1 = s + h
 
-        # dense output of the step: the order-7 extension after DOP853, which
-        # also sets how many samples the step emits, the cubic Hermite of the
-        # step ends after RODAS4
-        n_sub = 1
+        # dense output of the step, which also sets how many samples the step
+        # emits: the order-7 extension after DOP853 (three rhs calls), the
+        # collocation cubic after Radau (the step end's derivative is one)
         if stiff:
-            cx = _hermite_coeffs(h, X, fX, X1, fX1)
-            cw = _hermite_coeffs(h, W, fW, W1, fW1)
+            cx, cw = rx, rw
+            fX1, fW1 = rhs(X1, W1, pp)
+            n_rhs += 1
+            n_sub = _collocation_sample_count(h, fX, fW, cx, cw, magX, magW)
         else:
             cx, cw = _dop853_dense(X, W, h, fX, fW, X1, W1, KX, KW, pp)
             n_rhs += 3
@@ -1063,8 +1166,8 @@ def integrate_core(
 
         # terminal events by precedence: X_B stop > exit of the admissible
         # X-range > asymptote proximity in x = X^(1/k) (asym_tol <= 0 turns
-        # it off); the state is clipped to the event: its own coordinate to
-        # its level, the other from the locator
+        # it off), each bisected on the dense output; the state is clipped to
+        # the event: X to its level, W read off the dense output there
         crossed = (X - pp[PP_XB]) * (X1 - pp[PP_XB]) < 0.0
         code = 0
         th = 1.0
@@ -1078,10 +1181,8 @@ def integrate_core(
         ):
             code, status = EV_ASYMPTOTE, ST_ASYMPTOTE
         if code != 0:
-            th, X1, W1, n_re = _locate(
-                code, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, asym_tol, step_floor
-            )
-            n_rhs += 6 * n_re
+            th = _bisect_event(code, X, cx, pp, asym_tol)
+            W1 = _dense(th, W, cw)
             s1 = s + th * h
             if code == EV_CROSS_XB:
                 X1 = pp[PP_XB]
@@ -1098,10 +1199,8 @@ def integrate_core(
         # event of the step
         t0 = 0.0
         if crossed and not stop_at_xb:
-            tc, _xc, wc, n_re = _locate(
-                EV_CROSS_XB, X, W, h, fX, fW, X1, W1, cx, cw, stiff, pp, asym_tol, step_floor
-            )
-            n_rhs += 6 * n_re
+            tc = _bisect_event(EV_CROSS_XB, X, cx, pp, asym_tol)
+            wc = _dense(tc, W, cw)
             if tc < th:
                 sc = s + tc * h
                 n_ev = _log_event(ev_s, ev_code, n_ev, sc, EV_CROSS_XB)
@@ -1155,17 +1254,20 @@ def integrate_core(
             status = ST_CONV_AXIS
             break
 
-        # stiffness test on the accepted DOP853 step at the new state
-        if not stiff and X > 0.0:
+        # the Jacobian at the new state: Radau's for its next step, or the
+        # stiffness test on the accepted DOP853 step, whose Jacobian the
+        # first Radau step reuses
+        if X > 0.0:
             a, b, c, d = jac(X, W, pp)
-            if h * _spectral_radius(a, b, c, d) > STIFF_HRHO:
-                n_limited += 1
-                if n_limited >= STIFF_SPAN:
-                    stiff = True
-                    stiff_from_s = s
-                    h_next = min(h_next, max_step)
-            else:
-                n_limited = 0
+            J = (a, b, c, d)
+            if not stiff:
+                if h * _spectral_radius(a, b, c, d) > STIFF_HRHO:
+                    n_limited += 1
+                    if n_limited >= STIFF_SPAN:
+                        stiff = True
+                        stiff_from_s = s
+                else:
+                    n_limited = 0
 
         h = h_next
 

@@ -65,14 +65,10 @@ class OrbitControls:
     # on Z would wreck its relative accuracy on its way down to the axis
     rtol: float = 1e-10
     s_max: float = 200.0
-    # caps the RODAS4 steps, which emit only their ends as samples; DOP853
-    # steps are capped at CONV_SPAN / 2 (_kernels.DOP853_MAX_STEP) and
-    # sampled to SAMPLE_TOL from their continuous extension
-    max_step: float = 0.25
     step_floor: float = 1e-13
-    # terminal proximity to the asymptote, relative in x = X^(1/k), located on
-    # the step (DOP853: bisection on its extension, RODAS4: secant re-steps); Z
-    # speeds the transverse contraction, which RODAS4 absorbs (<= 0: no event)
+    # terminal proximity to the asymptote, relative in x = X^(1/k), bisected
+    # on the step's dense output; Z speeds the transverse contraction, which
+    # the Radau steps absorb (<= 0: no event)
     asym_tol: float = 1e-5
     conv_dist: float = 1e-7
     max_samples: int = 400_000
@@ -84,10 +80,10 @@ class OrbitTrace:
 
     Samples are strictly increasing in s: the Picard tail below s0, then the
     ends of the integrator's steps and, between them, interior points of
-    each DOP853 step's continuous extension, enough that the cubic Hermite
-    between consecutive samples keeps ``_kernels.SAMPLE_TOL`` in (X, ln Z),
-    the integrator's chart up to a constant in ln Z (RODAS4 steps give
-    their ends only). Each crossing of X_B is a sample too. Z is read off
+    each step's dense output (DOP853's continuous extension, Radau's
+    collocation cubic), enough that the cubic Hermite between consecutive
+    samples keeps ``_kernels.SAMPLE_TOL`` in (X, ln Z), the integrator's
+    chart up to a constant in ln Z. Each crossing of X_B is a sample too. Z is read off
     the integrated W = ln(c_nk beta^k Z) as e^W/(c_nk beta^k). In the WV
     chart the rows hold (sigma, W-, V-) for the reversed A-chart flow
     (sigma = -s).
@@ -104,10 +100,13 @@ class OrbitTrace:
     events_dropped: int = 0  # fired beyond the kernel's event buffer
     accepted_steps: int = 0
     rejected_steps: int = 0
+    # field evaluations: the start's, 12 per DOP853 attempt and 3 per
+    # continuous extension, 3 per Newton iteration of a Radau attempt, 1 at
+    # each accepted Radau step's end and 1 per refined error estimate
     rhs_evals: int = 0
     h_min: float = math.nan  # shortest accepted step
     h_max: float = math.nan  # longest accepted step
-    stiff_from_s: float = math.nan  # where RODAS4 took over; NaN if it never did
+    stiff_from_s: float = math.nan  # where Radau took over; NaN if it never did
     # a certified_B end: (s1, Z1, s2, Z2, bound), the two upward returns to
     # X = X_B that certified convergence to B and the error bound on their Z
     certificate: tuple | None = None
@@ -144,7 +143,6 @@ def _integrate_raw(x0, w0, s0, p, controls):
         controls.s_max,
         _kernels.pack_params(p),
         controls.rtol,
-        controls.max_step,
         controls.step_floor,
         asym_tol,
         controls.conv_dist,

@@ -247,13 +247,21 @@ def tail_rate(table, p, orbit_class):
     )
 
 
+Z_RATE_POINTS = 65  # equally spaced points of the Z-rate fit
+
+
 def z_tail_rate(trace, span=5.0):
-    """Slope of ln Z over the last ``span`` units of s."""
+    """Least-squares slope of ln Z over the last ``span`` units of s, read at
+    Z_RATE_POINTS equally spaced points by linear interpolation of ln Z
+    between the samples. The fit then does not depend on where the
+    integrator put its steps: a stiff tail's Radau steps are up to
+    ``_kernels.MAX_STEP`` long, and DOP853's crowd where it slows down."""
     s, Z = trace.s, trace.Z
-    sel = (s >= s[-1] - span) & (Z > 0.0)
-    if np.sum(sel) < 8:
-        raise DomainError("not enough tail samples for a Z-rate fit")
-    coef = np.polyfit(s[sel], np.log(Z[sel]), 1)
+    i0 = int(np.searchsorted(s, s[-1] - span, side="right")) - 1
+    if i0 < 0 or not np.all(Z[i0:] > 0.0):
+        raise DomainError("the trace does not cover the Z-rate window with Z > 0")
+    grid = np.linspace(s[-1] - span, s[-1], Z_RATE_POINTS)
+    coef = np.polyfit(grid, np.interp(grid, s[i0:], np.log(Z[i0:])), 1)
     return float(coef[0])
 
 

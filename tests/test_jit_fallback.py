@@ -53,8 +53,9 @@ def test_fallback_matches_jit():
 STEP_KERNELS = (
     "kth_root", "rhs", "jac", "_spectral_radius",
     "_dop853_step", "_dop853_error", "_dop853_dense", "_extension", "_sample_count",
-    "_hermite_coeffs", "_dense", "_rodas_step", "_solve2", "_event_value", "_bisect_event",
-    "_locate", "_sample", "_interior", "_log_event", "certifies_b",
+    "_radau_step", "_radau_safety", "_predict_factor", "_rms", "_collocation",
+    "_collocation_sample_count", "_hermite_coeffs", "_dense", "_event_value", "_bisect_event",
+    "_sample", "_interior", "_log_event", "certifies_b",
 )
 # the @njit kernels the step loop does not reach: the loop itself, and the
 # Hermite that orbit.py calls on a finished trace
@@ -129,8 +130,8 @@ def test_integrate_core_arity():
     p = phase.make_params(4, 1, -1.0, 1.0)
     ctl = orbit.OrbitControls(s_max=1.0)
     out = _kernels.integrate_core(
-        0.1, 0.0, 0.0, ctl.s_max, _kernels.pack_params(p), ctl.rtol, ctl.max_step,
-        ctl.step_floor, ctl.asym_tol, ctl.conv_dist, False, ctl.max_samples,
+        0.1, 0.0, 0.0, ctl.s_max, _kernels.pack_params(p), ctl.rtol, ctl.step_floor,
+        ctl.asym_tol, ctl.conv_dist, False, ctl.max_samples,
     )
     assert len(out) == 14
     assert len(out[7]) == 5 and all(math.isnan(v) for v in out[7])

@@ -101,14 +101,14 @@ class TestIntegratorOracles:
 class TestIntegratorEdges:
     def test_step_floor_reported(self):
         p = phase.make_params(4, 1, 1.0, 1.0)
-        ctl = orbit.OrbitControls(s_max=5.0, step_floor=0.5, max_step=0.25)
+        ctl = orbit.OrbitControls(s_max=5.0, step_floor=0.5)
         tr = integrate_state(1.0, 0.5, 0.0, p, ctl)
         assert tr.status == "step_floor"
         assert tr.event_s("step_floor")
 
     def test_sample_overflow_is_explicit(self):
         p = phase.make_params(4, 1, 1.0, 1.0)
-        ctl = orbit.OrbitControls(s_max=50.0, max_samples=40, max_step=0.05)
+        ctl = orbit.OrbitControls(s_max=50.0, max_samples=40)
         tr = integrate_state(1.0, 0.5, 0.0, p, ctl)
         assert tr.status == "sample_overflow"
         oc = orbit.classify_orbit(tr, p)
@@ -482,7 +482,7 @@ class TestBarrier:
         x0, w0 = sol.state_at_s0(p)
         out = _kernels.integrate_core(
             float(x0), float(w0), float(sol.tail.s0), ctl.s_max, _kernels.pack_params(p),
-            ctl.rtol, ctl.max_step, ctl.step_floor, ctl.asym_tol, ctl.conv_dist, True,
+            ctl.rtol, ctl.step_floor, ctl.asym_tol, ctl.conv_dist, True,
             ctl.max_samples,
         )
         assert out[6] == _kernels.ST_XB_STOP

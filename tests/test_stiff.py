@@ -1,6 +1,7 @@
 """The continuation: the DOP853 step and its continuous extension, the
-kernel's closed-form Jacobian, the RODAS4 step, the switch from DOP853 to
-it, and the orbits it produces against scipy's implicit solvers."""
+kernel's closed-form Jacobian, the Radau IIA step and its collocation
+cubic, the switch from DOP853 to it, and the orbits it produces against
+scipy's implicit solvers."""
 
 import collections
 import itertools
@@ -13,8 +14,9 @@ import pytest
 from ksol import _jit, _kernels, orbit, phase
 
 # with their accepted steps at alpha 1: their DOP853 arcs end at the
-# stability limit, below every step cap, and RODAS4 keeps max_step
-STIFF_SETS = [(4, 1, -1.0, 961), (5, 2, -1.0, 967), (4, 1, 0.0, 1756)]
+# stability limit, below the step cap, and Radau takes 91, 82 and 319 steps
+# after it (RODAS4 took 568, 559 and 1,306)
+STIFF_SETS = [(4, 1, -1.0, 484), (5, 2, -1.0, 490), (4, 1, 0.0, 769)]
 NON_STIFF_SETS = [(4, 1, 1.0), (4, 1, 5.0), (4, 2, 1.0), (3, 2, 3.0), (5, 2, 1.0), (3, 2, 1.0)]
 # the sets the pipeline benchmark runs: the stiff sets, the regime table
 # at theta = 1 and (4,1,1) at the theta corners, as (n, k, rho, theta)
@@ -130,9 +132,33 @@ class TestStraightLineField:
 
 
 def _dop853(X, W, h, fX, fW, pp):
-    """The DOP853 step in the (X1, W1, errX, errW, fX1, fW1) form of RODAS4."""
+    """The DOP853 step in the (X1, W1, errX, errW, fX1, fW1) form of
+    ``_fixed_steps``."""
     X1, W1, e5x, e5w, _e3x, _e3w, KX, KW = _kernels._dop853_step(X, W, h, fX, fW, pp)
     return X1, W1, e5x, e5w, KX[-1], KW[-1]
+
+
+def _radau_stepper(rtol=1e-10):
+    """The Radau step in the form of ``_fixed_steps``, each step's Newton
+    started from the previous one's collocation cubic, as in the
+    integrator. From the zero start of the first step Newton can fail where
+    the integrator would never try that step; such a step is taken as two
+    halves. Returns (X1, W1, err, 0, fX1, fW1)."""
+    zero = (0.0,) * 7
+    last = {"cx": zero, "cw": zero, "h": math.inf}
+
+    def step(X, W, h, fX, fW, pp):
+        X1, W1, err, _n_iter, _n_f, cx, cw = _kernels._radau_step(
+            X, W, h, fX, fW, _kernels.jac(X, W, pp), last["cx"], last["cw"], h / last["h"],
+            rtol, 1.0, False, pp,
+        )
+        if err == math.inf:
+            X1, W1, _e, _z, fX1, fW1 = step(X, W, 0.5 * h, fX, fW, pp)
+            return step(X1, W1, 0.5 * h, fX1, fW1, pp)
+        last.update(cx=cx, cw=cw, h=h)
+        return (X1, W1, err, 0.0) + _kernels.rhs(X1, W1, pp)
+
+    return step
 
 
 def _fixed_steps(step, n_steps, X, W, pp, s_span=1.0):
@@ -248,16 +274,101 @@ class TestDop853Step:
         assert worst(pieces - 1) > _kernels.SAMPLE_TOL
 
 
-class TestRodasStep:
-    def test_fourth_order(self):
-        # fixed steps over s in [0, 1]: halving h divides the error by ~16;
+class TestRadauStep:
+    def test_coefficients_match_scipy(self):
+        # bit for bit against scipy's radau.py; T's third row is (1, 1, 0)
+        radau = pytest.importorskip("scipy.integrate._ivp.radau")
+
+        def const(name):
+            return getattr(_kernels, name)
+
+        assert (const("_RC1"), const("_RC2")) == tuple(radau.C[:2]) and radau.C[2] == 1.0
+        assert (const("_RE1"), const("_RE2"), const("_RE3")) == tuple(radau.E)
+        assert const("_MU_REAL") == radau.MU_REAL
+        assert const("_MU_COMPLEX") == radau.MU_COMPLEX
+        for name, table in (("_T", radau.T[:2]), ("_TI", radau.TI), ("_P", radau.P)):
+            for i, row in enumerate(table):
+                for j, value in enumerate(row):
+                    assert const(f"{name}{i + 1}{j + 1}") == value, (name, i, j)
+        assert tuple(radau.T[2]) == (1.0, 1.0, 0.0)
+        assert (const("_TIC1"), const("_TIC2"), const("_TIC3")) == tuple(radau.TI_COMPLEX)
+        assert _kernels.NEWTON_MAXITER == radau.NEWTON_MAXITER
+
+    def test_fifth_order(self):
+        # fixed steps over s in [0, 1]: halving h divides the error by ~32;
         # a wrong coefficient drops the order and the ratio with it
         _p, pp, X0, W0 = _start(5, 2, -1.0)
         ref = _fixed_steps(_dop853, 2048, X0, W0, pp)
         errs = [
-            _chart_error(_fixed_steps(_kernels._rodas_step, n, X0, W0, pp), ref) for n in (16, 32)
+            _chart_error(_fixed_steps(_radau_stepper(), n, X0, W0, pp), ref) for n in (16, 32)
         ]
-        assert errs[0] / errs[1] >= 12.0
+        assert errs[0] / errs[1] >= 25.0
+
+    def test_keeps_its_order_on_the_stiff_arc(self, run):
+        # 50 fixed steps of h = 0.054 along the expander's stiff arc from
+        # where the run switched (h rho(J) = 23 there), against DOP853 at
+        # h = 1.35e-4, below its stability limit: RODAS4, of stage order 1,
+        # ends 5.3e-11 off in X; Radau, of stage order 3, keeps the bound
+        p, _sol, tr, _oc = run(4, 1, -1.0)
+        pp = _kernels.pack_params(p)
+        i = int(np.searchsorted(tr.s, tr.stiff_from_s))
+        X0, W0 = tr.X[i], math.log(p.cb * tr.Z[i])
+        span = 50 * 0.054
+        ref = _fixed_steps(_dop853, 20_000, X0, W0, pp, s_span=span)
+        got = _fixed_steps(_radau_stepper(), 50, X0, W0, pp, s_span=span)
+        assert abs(got[0] - ref[0]) <= 1e-12 * ref[0]
+
+    @pytest.mark.parametrize("n,k,rho,h", [(5, 2, -1.0, 0.05), (4, 1, 1.0, 0.02)])
+    def test_sample_count_keeps_the_hermite_within_tol(self, n, k, rho, h):
+        # as for DOP853: an accepted step cut into _collocation_sample_count
+        # pieces, the cubic Hermite of each piece from the collocation
+        # cubic's values and the field there stays near SAMPLE_TOL of the
+        # cubic at the piece midpoint, and one piece fewer misses SAMPLE_TOL.
+        # At rtol = 1e-10 an accepted step's cubic needs no interior sample
+        # on these states, so the step is accepted at rtol = 1e-6
+        _p, pp, X0, W0 = _start(n, k, rho)
+        fX, fW = _kernels.rhs(X0, W0, pp)
+        zero = (0.0,) * 7
+        X1, _W1, err, _n_iter, _n_f, cx, cw = _kernels._radau_step(
+            X0, W0, h, fX, fW, _kernels.jac(X0, W0, pp), zero, zero, 0.0, 1e-6, 1.0, False, pp
+        )
+        assert err < 1.0
+        magX = max(abs(X0), abs(X1))
+
+        def worst(pieces):
+            out = 0.0
+            for j in range(pieces):
+                t0, t1 = j / pieces, (j + 1) / pieces
+                a = (_kernels._dense(t0, X0, cx), _kernels._dense(t0, W0, cw))
+                b = (_kernels._dense(t1, X0, cx), _kernels._dense(t1, W0, cw))
+                fa, fb = _kernels.rhs(*a, pp), _kernels.rhs(*b, pp)
+                for i, (y0, c, scale) in enumerate(((X0, cx, None), (W0, cw, 1.0))):
+                    ref = _kernels._dense(0.5 * (t0 + t1), y0, c)
+                    mid = _kernels._hermite(0.5, h / pieces, a[i], fa[i], b[i], fb[i])
+                    out = max(out, abs(mid - ref) / (scale or abs(ref)))
+            return out
+
+        pieces = _kernels._collocation_sample_count(h, fX, fW, cx, cw, magX, 1.0)
+        assert pieces > 1
+        assert worst(pieces) <= 2.0 * _kernels.SAMPLE_TOL
+        assert worst(pieces - 1) > _kernels.SAMPLE_TOL
+
+    def test_collocation_cubic_meets_the_stages(self):
+        # the dense output passes through the step end exactly, and its
+        # derivative meets the field there (C3 = 1 is a collocation node)
+        _p, pp, X0, W0 = _start(5, 2, -1.0)
+        fX, fW = _kernels.rhs(X0, W0, pp)
+        zero = (0.0,) * 7
+        h = 0.01
+        X1, W1, err, _n_iter, _n_f, cx, cw = _kernels._radau_step(
+            X0, W0, h, fX, fW, _kernels.jac(X0, W0, pp), zero, zero, 0.0, 1e-10, 1.0, False, pp
+        )
+        assert err < 1.0
+        assert _kernels._dense(1.0, X0, cx) == X1 and _kernels._dense(1.0, W0, cw) == W1
+        gX, gW = _kernels.rhs(X1, W1, pp)
+        # d/dtheta of _dense at theta = 1 is F0 - F1 - F2 for a cubic
+        assert abs((cx[0] - cx[1] - cx[2]) / h - gX) <= 1e-8 * abs(gX)
+        assert abs((cw[0] - cw[1] - cw[2]) / h - gW) <= 1e-8 * abs(gW)
 
 
 class TestStiffSwitch:
@@ -277,35 +388,56 @@ class TestStiffSwitch:
         assert math.isnan(tr.stiff_from_s)
 
     def test_expander_step_count(self, monkeypatch):
-        # DOPRI5 alone took 47,265 steps at its stability limit; every rhs
-        # call is the start's, 12 of a DOP853 attempt, 6 of a RODAS4 attempt
-        # or event re-step, or 3 of a continuous extension (counted only on
-        # the Python kernels: compiled kernels call each other directly)
+        # DOPRI5 alone took 47,265 steps at its stability limit, DOP853 and
+        # RODAS4 961. Every rhs call is the start's, 12 of a DOP853 attempt,
+        # 3 of a continuous extension, 3 of a Newton iteration of a Radau
+        # attempt, 1 at an accepted Radau step's end, or 1 of a refined
+        # error estimate (counted only on the Python kernels: compiled
+        # kernels call each other directly)
         calls = collections.Counter()
         if not _jit.JIT_ENABLED:
-            for name in ("_dop853_step", "_rodas_step", "_dop853_dense"):
-                fn = getattr(_kernels, name)
-                monkeypatch.setattr(
-                    _kernels, name, lambda *a, _fn=fn, _name=name: calls.update([_name]) or _fn(*a)
-                )
+
+            def spy(name, fn):
+                def call(*args):
+                    out = fn(*args)
+                    calls[name] += 1
+                    if name == "_radau_step":
+                        n_iter, n_f = out[3], out[4]
+                        calls["newton"] += n_iter
+                        calls["refined"] += n_f - 3 * n_iter
+                    return out
+
+                return call
+
+            for name in ("rhs", "_dop853_step", "_radau_step", "_dop853_dense"):
+                monkeypatch.setattr(_kernels, name, spy(name, getattr(_kernels, name)))
         _sol, tr, oc = orbit.run_orbit(phase.make_params(4, 1, -1.0, 1.0))
         assert oc.kind == orbit.TYPE_GAMMA
-        assert tr.accepted_steps <= 1057
+        assert tr.accepted_steps <= 532
         if not _jit.JIT_ENABLED:
-            # the asymptote, located on a RODAS4 step, is the only event
-            attempts = calls["_dop853_step"] + calls["_rodas_step"]
-            assert 0 < attempts - (tr.accepted_steps + tr.rejected_steps) <= _kernels.RESTEP_MAX
-            assert tr.rhs_evals == (
-                1 + 12 * calls["_dop853_step"] + 6 * calls["_rodas_step"] + 3 * calls["_dop853_dense"]
+            # every accepted DOP853 step builds its extension once; events
+            # are bisected on the dense output and take no step
+            assert calls["_dop853_step"] + calls["_radau_step"] == (
+                tr.accepted_steps + tr.rejected_steps
+            )
+            radau_ends = tr.accepted_steps - calls["_dop853_dense"]
+            assert tr.rhs_evals == calls["rhs"] == (
+                1 + 12 * calls["_dop853_step"] + 3 * calls["_dop853_dense"]
+                + 3 * calls["newton"] + radau_ends + calls["refined"]
             )
 
     def test_node_B_takes_no_spurious_crossings(self, run):
         # B is a stable node for (12,1,1) (eigenvalues -34.7 and -0.29):
-        # the orbit meets X_B at most a few times; DOPRI5 held at its
-        # stability limit there chattered across X_B 2,623 times by s = 2000
-        _p, _sol, tr, _oc = run(12, 1, 1.0, s_max=2000.0, conv_dist=0.0)
+        # the orbit meets X_B at most a few times on its way in; DOPRI5 held
+        # at its stability limit there chattered across X_B 2,623 times by
+        # s = 2000. Once the state sits at B to rounding, X - X_B may flip
+        # between -1 and +1 ulp from one Radau step to the next; those
+        # crossings (29 by s = 2000, Z within 1 ulp of Z_B) are not counted
+        p, _sol, tr, _oc = run(12, 1, 1.0, s_max=2000.0, conv_dist=0.0)
         assert math.isfinite(tr.stiff_from_s)
-        assert len(tr.event_s("crossed_X_B")) < 10
+        crossings = tr.event_s("crossed_X_B")
+        z_at = tr.Z[np.searchsorted(tr.s, crossings)]
+        assert np.sum(np.abs(z_at - p.Z_B) > 1e-12 * p.Z_B) < 10
         assert tr.events_dropped == 0
 
 
@@ -314,25 +446,39 @@ class TestStepCaps:
         "n,k,rho,most", [(4, 1, 5.0, 260), (4, 2, 1.0, 150), (5, 2, 1.0, 130)]
     )
     def test_dop853_steps_are_accuracy_limited(self, n, k, rho, most, run):
-        # spirals into B and the approach to the axis, where a cap of
-        # max_step = 0.25 holds DOP853 to 464, 290 and 210 steps
+        # spirals into B and the approach to the axis, where a cap of 0.25
+        # held DOP853 to 464, 290 and 210 steps
         _p, _sol, tr, _oc = run(n, k, rho)
         assert tr.accepted_steps <= most
-        assert tr.h_max > orbit.OrbitControls().max_step
+        assert tr.h_max > 0.25
 
-    @pytest.mark.parametrize(
-        "rho,theta,max_step", [(0.0, 1.0, 0.25), (1.0, 1e3, 0.25), (0.0, 1.0, 0.02)]
-    )
-    def test_rodas4_steps_keep_max_step(self, rho, theta, max_step, run):
-        # RODAS4 samples only its step ends, which the tail-rate fit reads.
-        # At max_step = 0.02 the steady orbit's last DOP853 step proposes a
-        # longer one, which only the clamp at the switch holds: unclamped,
-        # the first RODAS4 step is 0.035. The spacing is compared up to the
-        # rounding of s itself
-        _p, _sol, tr, _oc = run(4, 1, rho, theta=theta, max_step=max_step)
-        after = tr.s[tr.s >= tr.stiff_from_s]
-        assert after.size > 100
-        assert np.all(np.diff(after) <= max_step + np.spacing(after[1:]))
+    @pytest.mark.parametrize("n,k,rho,theta", [(4, 1, -1.0, 1.0), (4, 1, 0.0, 1.0), (4, 1, 1.0, 1e3)])
+    def test_radau_samples_keep_sample_tol(self, n, k, rho, theta, run):
+        # after the switch the samples lie at most CONV_SPAN / 2 apart (up to
+        # the rounding of s), and the cubic Hermite between neighbours, from
+        # the samples and the field there, meets the flow from the left one
+        # (DOP853 at h rho(J) <= 2, below its stability limit) at the
+        # midpoint within SAMPLE_TOL, X relative and ln Z absolute; measured:
+        # 2.1e-10 at most
+        p, _sol, tr, _oc = run(n, k, rho, theta=theta)
+        pp = _kernels.pack_params(p)
+        i0 = int(np.searchsorted(tr.s, tr.stiff_from_s))
+        s, X = tr.s[i0:], tr.X[i0:]
+        W = np.log(p.cb * tr.Z[i0:])
+        assert s.size > 80
+        h = np.diff(s)
+        assert np.all(h <= 0.5 * _kernels.CONV_SPAN + np.spacing(s[1:]))
+        for j in range(h.size):
+            fa = _kernels.rhs(X[j], W[j], pp)
+            fb = _kernels.rhs(X[j + 1], W[j + 1], pp)
+            rho_j = _kernels._spectral_radius(*_kernels.jac(X[j], W[j], pp))
+            steps = 8 + int(h[j] * (20.0 + 0.25 * rho_j))
+            mid = _fixed_steps(_dop853, steps, X[j], W[j], pp, s_span=0.5 * h[j])
+            got = (
+                _kernels._hermite(0.5, h[j], X[j], fa[0], X[j + 1], fb[0]),
+                _kernels._hermite(0.5, h[j], W[j], fa[1], W[j + 1], fb[1]),
+            )
+            assert _chart_error(got, mid) <= _kernels.SAMPLE_TOL, s[j]
 
     @pytest.mark.parametrize("n,k,rho,theta", BENCH_SETS)
     def test_longest_step(self, n, k, rho, theta, run):
