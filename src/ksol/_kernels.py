@@ -117,6 +117,10 @@ CERT_SAFETY = 10.0
 # of its own run wherever the convergence clock does not restart
 MAX_STEP = 0.5 * CONV_SPAN
 EV_CAP = 512  # logged events kept; later ones are only counted
+# a sign change of X - X_B between step ends that both lie within XB_ROUND
+# X_B of X_B (4.5 to 9 ulps) is rounding and no crossing: held at B, the
+# state lands an ulp either side of X_B from one step to the next
+XB_ROUND = 1e-15
 # stiffness switch: h rho(J) > STIFF_HRHO on STIFF_SPAN consecutive accepted
 # steps marks a step held by stability, not accuracy; Radau then takes the
 # rest of the run. DOP853's real stability boundary is h |lambda| ~ 6.39,
@@ -1033,10 +1037,13 @@ def integrate_core(
     k = int(pp[PP_K])
     cb = pp[PP_CB]
     w_floor = math.log(Z_FLOOR_REL)
-    # for n >= 2k the flow keeps x below gamma (X_s = -(n-2k) q X <= 0 on
-    # x = gamma): a step that ends beyond gamma^k has lost gamma - x to
-    # rounding, a bad state, and no exit of the region
-    X_gamma = pp[PP_GAMMA] ** k if pp[PP_N] >= 2.0 * pp[PP_K] else math.inf
+    # where x = gamma ends the region of the origin chart (g = gamma - x,
+    # gamma <= x_A, so q >= 0 there) and n >= 2k, g^k vanishes on it and
+    # X_s = -(n-2k) q X <= 0: the flow cannot leave there, and a step that
+    # ends beyond gamma^k has lost gamma - x to rounding, a bad state and no
+    # exit of the region
+    gamma_edge = pp[PP_N] >= 2.0 * pp[PP_K] and pp[PP_NUM_B] < 0.0 and pp[PP_GAMMA] <= pp[PP_XA_ROOT]
+    X_gamma = pp[PP_XCAP] if gamma_edge else math.inf
     # W carries no error on the axis
     magW = 1.0 if W0 > -math.inf else 0.0
     s = s0
@@ -1168,7 +1175,9 @@ def integrate_core(
         # X-range > asymptote proximity in x = X^(1/k) (asym_tol <= 0 turns
         # it off), each bisected on the dense output; the state is clipped to
         # the event: X to its level, W read off the dense output there
-        crossed = (X - pp[PP_XB]) * (X1 - pp[PP_XB]) < 0.0
+        crossed = (X - pp[PP_XB]) * (X1 - pp[PP_XB]) < 0.0 and max(
+            abs(X - pp[PP_XB]), abs(X1 - pp[PP_XB])
+        ) > XB_ROUND * pp[PP_XB]
         code = 0
         th = 1.0
         if crossed and stop_at_xb:

@@ -246,7 +246,7 @@ def cmd_classify(args):
             }
         if oc.kind == orbit_mod.TYPE_GAMMA:
             payload["z_tail_rate"] = {
-                "fitted": profile.z_tail_rate(trace),
+                "fitted": profile.z_tail_rate(trace, p),
                 "predicted": -p.k * p.rho / p.theta,
             }
     _write_json(payload, cfg["out"])

@@ -130,7 +130,7 @@ def test_criterion_06_regime_table(run):
 def test_criterion_07_expander_rate(run):
     p, _sol, tr, oc = run(4, 1, -1.0)
     assert oc.kind == orbit.TYPE_GAMMA
-    fitted = profile.z_tail_rate(tr, 5.0)
+    fitted = profile.z_tail_rate(tr, p, 5.0)
     expected = -p.k * p.rho / p.theta
     assert fitted == pytest.approx(expected, rel=0.01)
     print(f"PASS criterion 7: expander Z-rate {fitted:.5f} vs {expected} (<=1%)")

@@ -1,6 +1,7 @@
 """Profile reconstruction, decay-rate estimation and residual checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,8 +102,21 @@ class TestExpectedRates:
 class TestTailRates:
     def test_expander_z_rate(self, run):
         p, _sol, tr, _oc = run(4, 1, -1.0)
-        rate = profile.z_tail_rate(tr, 5.0)
+        rate = profile.z_tail_rate(tr, p, 5.0)
         assert rate == pytest.approx(-p.k * p.rho / p.theta, rel=0.01)
+
+    @pytest.mark.parametrize("rho", [-1.0, 0.0])
+    def test_z_rate_does_not_depend_on_the_sample_placement(self, rho, run):
+        # every other sample dropped moves the rate by 2.6e-11 (expander)
+        # and 2.4e-9 (steady, samples 1.0 apart) relative; linear
+        # interpolation of ln Z between the samples moved it by 1.4e-7 and
+        # 1.2e-4
+        p, _sol, tr, _oc = run(4, 1, rho)
+        keep = np.ones(tr.s.size, dtype=bool)
+        keep[-2::-2] = False
+        thin = replace(tr, s=tr.s[keep], X=tr.X[keep], Z=tr.Z[keep])
+        rate = profile.z_tail_rate(tr, p, 5.0)
+        assert profile.z_tail_rate(thin, p, 5.0) == pytest.approx(rate, rel=1e-8)
 
     def test_expander_u_exponent(self, run):
         p, _sol, tr, oc = run(4, 1, -1.0)

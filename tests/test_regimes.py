@@ -123,7 +123,7 @@ class TestThetaScaling:
             rho = -0.9 * theta
             p, _sol, tr, oc = run(4, 1, rho, theta)
             assert oc.kind == orbit.TYPE_GAMMA
-            rate = profile.z_tail_rate(tr, 4.0)
+            rate = profile.z_tail_rate(tr, p, 4.0)
             assert rate == pytest.approx(-p.k * p.rho / p.theta, rel=0.01)
 
     def test_steady_slope_tracks_theta(self, run):

@@ -428,16 +428,11 @@ class TestStiffSwitch:
 
     def test_node_B_takes_no_spurious_crossings(self, run):
         # B is a stable node for (12,1,1) (eigenvalues -34.7 and -0.29):
-        # the orbit meets X_B at most a few times on its way in; DOPRI5 held
-        # at its stability limit there chattered across X_B 2,623 times by
-        # s = 2000. Once the state sits at B to rounding, X - X_B may flip
-        # between -1 and +1 ulp from one Radau step to the next; those
-        # crossings (29 by s = 2000, Z within 1 ulp of Z_B) are not counted
-        p, _sol, tr, _oc = run(12, 1, 1.0, s_max=2000.0, conv_dist=0.0)
+        # the orbit meets X_B at most a few times; DOPRI5 held at its
+        # stability limit there chattered across X_B 2,623 times by s = 2000
+        _p, _sol, tr, _oc = run(12, 1, 1.0, s_max=2000.0, conv_dist=0.0)
         assert math.isfinite(tr.stiff_from_s)
-        crossings = tr.event_s("crossed_X_B")
-        z_at = tr.Z[np.searchsorted(tr.s, crossings)]
-        assert np.sum(np.abs(z_at - p.Z_B) > 1e-12 * p.Z_B) < 10
+        assert len(tr.event_s("crossed_X_B")) < 10
         assert tr.events_dropped == 0
 
 
