@@ -6,7 +6,9 @@ Orbit taxonomy: type gamma reaches the asymptote X = gamma^k with Z
 unbounded; type B converges to the interior attractor, which a run shows by
 settling into a band around it or certifies by two contracting returns to
 the section X = X_B (a weak focus, whose spiral contracts too slowly to
-settle before s_max); generalized type B
+settle before s_max), or by a funnel into a stiff node B that closes at the
+Picard hand-off (a slow passage, which settles only long after s_max);
+generalized type B
 stays in a bounded band around it; type A (or generalized type A when
 n = 2k) collapses onto the Z = 0 axis at X = X_inf; non-admissible orbits
 leave the region at a finite s_exit.
@@ -14,6 +16,7 @@ leave the region at a finite s_exit.
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +56,17 @@ _STATUS_NAMES = {
 # classification tolerances
 GAMMA_NEAR_REL = 0.05  # an end point within 5 % of gamma in x counts as near
 BOUNDED_RATIO = 100.0  # max/min of Z over the tail window of a bounded band
+
+# the funnel certificate: the fences are sampled at FUNNEL_POINTS points of
+# the chord on [0, 1 - FUNNEL_DELTA], and their slopes along it at
+# FUNNEL_END_POINTS points of [1 - FUNNEL_DELTA, 1], where the values fall
+# toward rounding; each sample must exceed FUNNEL_SAFETY times its rounding
+# estimate
+FUNNEL_POINTS = 4000
+FUNNEL_END_POINTS = 64
+FUNNEL_DELTA = 1e-3
+FUNNEL_SAFETY = 4.0
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -108,7 +122,9 @@ class OrbitTrace:
     h_max: float = math.nan  # longest accepted step
     stiff_from_s: float = math.nan  # where Radau took over; NaN if it never did
     # a certified_B end: (s1, Z1, s2, Z2, bound), the two upward returns to
-    # X = X_B that certified convergence to B and the error bound on their Z
+    # X = X_B that certified convergence to B and the error bound on their
+    # Z, or, for a run that ended at the Picard hand-off, its
+    # FunnelCertificate (the hand-off point, its error bound and the margin)
     certificate: tuple | None = None
 
     @property
@@ -117,6 +133,22 @@ class OrbitTrace:
 
     def event_s(self, kind):
         return [s for s, name in self.events if name == kind]
+
+
+class FunnelCertificate(NamedTuple):
+    """The funnel into B that the hand-off point (X, Z) lies in.
+
+    ``err`` is Picard's error bound on X and Z at s0, so the orbit starts in
+    the box (X, Z) +- err. The chord from the box's upper left corner to B
+    is an upper fence and the nullcline F = 0 a lower one; ``margin`` is the
+    least ratio of a fence value (or of its slope near B) to FUNNEL_SAFETY
+    times its rounding estimate, above 1 on every certificate.
+    """
+
+    X: float
+    Z: float
+    err: float
+    margin: float
 
 
 @dataclass(frozen=True)
@@ -241,11 +273,14 @@ def classify_orbit(trace, p):
     Undetermined, with the status as its reason. Every Undetermined result
     says why in ``diagnostics["reason"]``.
 
-    A certified_B end is TypeB, decided by the two returns to X = X_B that
-    ``_kernels.certifies_b`` accepted: its diagnostics name the criterion
+    A certified_B end is TypeB. Where ``_kernels.certifies_b`` accepted two
+    returns to X = X_B, its diagnostics name the criterion
     ("poincare_return"), the returns ((s1, Z1), (s2, Z2)), the contraction
     (Z2 - Z_B)/(Z1 - Z_B) per loop and the margin (Z1 - Z2)/bound of the gap
-    over the error bound. No other class carries a criterion.
+    over the error bound. Where the run ended at the Picard hand-off on a
+    :class:`FunnelCertificate`, they name the criterion ("funnel"), the
+    hand-off point and the certificate's margin. No other class carries a
+    criterion.
     """
     x_end, z_end = trace.end_state
     status = trace.status
@@ -256,6 +291,12 @@ def classify_orbit(trace, p):
         return OrbitClass(NON_ADMISSIBLE, s_exit=float(trace.s[-1]), diagnostics=diag)
     if status == "converged_B":
         diag["B"] = (p.X_B, p.Z_B)
+        return OrbitClass(TYPE_B, diagnostics=diag)
+    if status == "certified_B" and isinstance(trace.certificate, FunnelCertificate):
+        cert = trace.certificate
+        diag.update(
+            B=(p.X_B, p.Z_B), criterion="funnel", hand_off=(cert.X, cert.Z), margin=cert.margin
+        )
         return OrbitClass(TYPE_B, diagnostics=diag)
     if status == "certified_B":
         s1, z1, s2, z2, bound = trace.certificate
@@ -321,9 +362,11 @@ def run_orbits(p, alphas, controls=None, tol=picard.DEFAULT_TOL):
     alpha only shifts it in s: X(s; alpha) = X(s + c; 1) with
     c = ln(alpha_k)/(2k). Each alpha gets its own Picard tail, and one
     continuation serves them all: it starts from the alpha whose s0 + c
-    comes first and runs until every alpha reaches its own s_max. Returns
-    one (sol, trace, oc) per alpha, in order; an alpha whose local solution
-    fails gets its KsolError in place of the tuple.
+    comes first and runs until every alpha reaches its own s_max. An alpha
+    whose hand-off already lies in a funnel into B (:func:`funnel_end`) is
+    not continued: its trace is its tail and the hand-off, ended
+    certified_B. Returns one (sol, trace, oc) per alpha, in order; an alpha
+    whose local solution fails gets its KsolError in place of the tuple.
     """
     controls = controls or OrbitControls()
     sols = []
@@ -332,26 +375,150 @@ def run_orbits(p, alphas, controls=None, tol=picard.DEFAULT_TOL):
             sols.append(picard.picard_solve(alpha, p, tol))
         except KsolError as exc:
             sols.append(exc)
-    ok = [sol for sol in sols if not isinstance(sol, KsolError)]
-    if not ok:
-        return sols
+    certs = [None if isinstance(sol, KsolError) else funnel_end(sol, p, controls) for sol in sols]
+    ok = [sol for sol, cert in zip(sols, certs) if not isinstance(sol, KsolError) and cert is None]
 
     def gauge(sol):
         return math.log(picard.alpha_weight(sol.alpha, p)) / (2.0 * p.k)
 
-    first = min(ok, key=lambda sol: sol.tail.s0 + gauge(sol))
-    c0 = gauge(first)
-    c_max = max(gauge(sol) for sol in ok)
-    shared = integrate(first, p, replace(controls, s_max=controls.s_max + (c_max - c0)))
+    if ok:
+        first = min(ok, key=lambda sol: sol.tail.s0 + gauge(sol))
+        c0 = gauge(first)
+        c_max = max(gauge(sol) for sol in ok)
+        shared = integrate(first, p, replace(controls, s_max=controls.s_max + (c_max - c0)))
     runs = []
-    for sol in sols:
-        if not isinstance(sol, KsolError):
+    for sol, cert in zip(sols, certs):
+        if isinstance(sol, KsolError):
+            runs.append(sol)
+            continue
+        if cert is not None:
+            trace = _hand_off_trace(sol, p, cert)
+        else:
             # shift by the difference, so the integrated alpha's is exactly 0
             c = gauge(sol)
             trace = _shifted_trace(shared, sol, c0 - c, c < c_max, controls.s_max, p)
-            sol = (sol, trace, classify_orbit(trace, p))
-        runs.append(sol)
+        runs.append((sol, trace, classify_orbit(trace, p)))
     return runs
+
+
+def funnel_end(sol, p, controls):
+    """The :class:`FunnelCertificate` that ends sol's run at its hand-off,
+    or None, where the run is continued.
+
+    It is checked only where the band test cannot end the run before s_max:
+    B attracts the run and conv_dist > 0 (the switch of every end at B), B
+    is a node (the field's Jacobian there has real eigenvalues, the slow one
+    lambda), and at the rate |lambda| the hand-off's Z_B - Z cannot fall to
+    z_band, below which the band test can pass, before s_max - CONV_SPAN
+    (the budget of ``_kernels.certifies_b``). The error bound is Picard's
+    a-posteriori one, sup_residual / (1 - rate) in the weighted norm, with
+    the larger of the measured and the proven contraction rate, carried to
+    s0 by e^(2k s0).
+    """
+    if not (p.b_attracts and controls.conv_dist > 0.0):
+        return None
+    X, W = sol.state_at_s0(p)
+    X, Z = float(X), math.exp(W) / p.cb  # the integrator's first sample
+    if not Z < p.Z_B:
+        return None
+    lam = phase.eig2x2(phase.jacobian((p.X_B, p.Z_B), p))
+    if lam[0].imag != 0.0:
+        return None
+    slow = max(lam[0].real, lam[1].real)
+    # the Z - Z_B of the band's level: conv_dist, or CONV_RHS / f(x_B), since
+    # |X_s| = (Z - Z_B) f(x_B) on the section X = X_B
+    z_band = min(controls.conv_dist, _kernels.CONV_RHS / phase.profile_value(p.x_B, p))
+    s0 = sol.tail.s0
+    if -slow * (controls.s_max - _kernels.CONV_SPAN - s0) >= math.log((p.Z_B - Z) / z_band):
+        return None
+    rate = max(sol.contraction_rate, sol.thresholds.contraction_bound * math.exp(2.0 * s0))
+    err = sol.sup_residual / (1.0 - rate) * math.exp(2.0 * p.k * s0)
+    return funnel_certificate(X, Z, err, p)
+
+
+def funnel_certificate(X, Z, err, p):
+    """The :class:`FunnelCertificate` of an orbit through the box
+    (X, Z) +- err below B, or None where the check refuses it.
+
+    Fences and funnels (Hubbard & West, *Differential Equations: A Dynamical
+    Systems Approach*, Part I, ch. 1). Where F > 0 the orbit is a graph
+    Z(X) with dZ/dX = G/F. On the nullcline F = 0 the flow points straight
+    up, into F > 0, since dF/dZ = f > 0: a lower fence. On the chord from
+    L = (X - err, Z + err) to B, of slope sigma > 0, it points below the
+    chord where F > 0 and sigma F - G > 0: an upper fence. If F > 0 on the
+    box and both values are positive on the chord short of B, the region
+    between the fences right of L holds the orbit, X increases in it, and
+    it closes at B, its only critical point: the orbit converges to B.
+
+    The chord C(t) = L + t (B - L) is sampled on [0, 1 - FUNNEL_DELTA] in
+    one call to ``phase.vector_field``. Both values vanish at B, so on
+    [1 - FUNNEL_DELTA, 1] the mean-value form F(C(t)) = -int_t^1 dF/dt'
+    reads them off their slopes along the chord, which ``phase.jacobian``
+    gives and which must be negative. Every sample must exceed
+    FUNNEL_SAFETY times its rounding estimate. This is a sampled check;
+    ``tests/test_oracle.py`` re-proves what it certifies with interval
+    arithmetic.
+    """
+    xl, zl = X - err, Z + err
+    if not (0.0 < xl and X + err < p.X_B and zl < p.Z_B):
+        return None
+    k, n2k, m = p.k, p.n - 2.0 * p.k, p.m
+    dx, dz = p.X_B - xl, p.Z_B - zl
+    sigma = dz / dx
+    # the chord short of B, then the four corners of the box
+    t = np.linspace(0.0, 1.0 - FUNNEL_DELTA, FUNNEL_POINTS)
+    Xs = np.concatenate([xl + t * dx, X + err * np.array([1.0, 1.0, -1.0, -1.0])])
+    Zs = np.concatenate([zl + t * dz, Z + err * np.array([1.0, -1.0, 1.0, -1.0])])
+    F, G = phase.vector_field(Xs, Zs, p)
+    H = sigma * F[:-4] - G[:-4]
+    cond = _f_condition(phase.kth_root(Xs, k), p)
+    # both terms of F are at most (n-2k) X + |F|; those of G at most 2k Z
+    round_F = cond * (n2k * Xs + np.abs(F))
+    round_G = 8.0 * 2.0 * k * Zs[:-4] + np.abs(G[:-4])
+    round_H = sigma * round_F[:-4] + round_G + sigma * np.abs(F[:-4]) + np.abs(H)
+    # the slopes along the chord near B
+    t = np.linspace(1.0 - FUNNEL_DELTA, 1.0, FUNNEL_END_POINTS)
+    Xe, Ze = xl + t * dx, zl + t * dz
+    J = phase.jacobian((Xe, Ze), p)
+    x = phase.kth_root(Xe, k)
+    dF = J[0, 0] * dx + J[0, 1] * dz
+    dH = sigma * dF - (J[1, 0] * dx + J[1, 1] * dz)
+    # dF/dX = (2k - n) + m (k+1) x + Z f'(x) x/(kX): its three terms
+    f_x = np.abs(n2k) + m * (k + 1) * x + np.abs(J[0, 0] + n2k - m * (k + 1) * x)
+    round_dF = _f_condition(x, p) * (f_x * dx + J[0, 1] * dz)
+    round_dG = 8.0 * (np.abs(J[1, 0]) * dx + (2.0 * k + (1.0 - m) * k * x) * dz)
+    round_dH = sigma * round_dF + round_dG + sigma * np.abs(dF) + np.abs(dH)
+    margin = float(
+        min(
+            np.min(F / round_F),
+            np.min(H / round_H),
+            np.min(-dF / round_dF),
+            np.min(-dH / round_dH),
+        )
+    ) / (FUNNEL_SAFETY * _EPS)
+    if not margin > 1.0:
+        return None
+    return FunnelCertificate(X, Z, err, margin)
+
+
+def _f_condition(x, p):
+    """The relative rounding error of the profile f(x) in units of eps: its
+    k-fold power of g = (gamma - x)/q carries the cancellation of
+    gamma - x, (gamma + x)/(gamma - x) per factor; the root, the quotients
+    and the products around it add a few more."""
+    return (p.k + 1.0) * (p.gamma + x) / (p.gamma - x) + 8.0
+
+
+def _hand_off_trace(sol, p, cert):
+    """The trace of a run ended at its hand-off by the funnel certificate
+    ``cert``: sol's tail below s0, then the hand-off state, the
+    integrator's first sample."""
+    s0 = sol.tail.s0
+    X, Z = np.array([cert.X]), np.array([cert.Z])
+    s, X, Z, tail_end = _with_tail(sol, p.k, np.array([s0]), X, Z)
+    return OrbitTrace(
+        s, X, Z, [(s0, "certified_B")], "certified_B", "XZ", tail_end, certificate=cert
+    )
 
 
 def _shifted_trace(shared, sol, shift, ends_early, s_max, p):

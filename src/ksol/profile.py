@@ -223,7 +223,16 @@ def tail_rate(table, p, orbit_class):
     where the run stops, on GeneralizedA orbits it is 0.0, because the
     prediction is read from x(s_end) itself, and on a certified_B end it is
     0 up to rounding, because the run stops at X = X_B, where x = x_B.
+
+    A run that ended at the Picard hand-off on a funnel certificate has no
+    tail span: its trace stops at s0, long before x nears x_B, and the
+    DomainError says so.
     """
+    if orbit_class.diagnostics.get("criterion") == "funnel":
+        raise DomainError(
+            "the run ended at the Picard hand-off on a funnel certificate: "
+            "no tail span to read a decay rate from"
+        )
     s, x = table.s_full, table.x_full
     if s[-1] - s[0] < MIN_TAIL_SPAN or s[-1] <= 1.0:
         raise DomainError(

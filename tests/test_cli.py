@@ -98,19 +98,31 @@ class TestClassify:
         assert doc["status"] == "step_floor"
         assert set(doc["monitors"].values()) == {0}
 
-    @pytest.mark.parametrize("theta,reason", [("1000", "slow passage"), ("1", None)])
-    def test_class_reason(self, tmp_path, theta, reason):
+    @pytest.mark.parametrize(
+        "n,k,rho,theta,kind,criterion",
+        [("4", "2", "1e-4", "1", "Undetermined", None), ("4", "1", "1", "1e3", "TypeB", "funnel"),
+         ("4", "1", "1", "1", "TypeB", None)],
+    )
+    def test_class_reason(self, tmp_path, n, k, rho, theta, kind, criterion):
         # an Undetermined class says why; a decided one carries reason null.
-        # Neither was decided by a certificate: criterion and margin are null
+        # n = 2k has no B, so its slow passage stays Undetermined; the theta
+        # 1e3 corner is decided at its hand-off by the funnel certificate,
+        # which the class names with its margin; (4,1,1) at theta 1 ends
+        # converged_B, and its criterion and margin are null
         out = tmp_path / "r.json"
-        run_cli(["classify", "--n", "4", "--k", "1", "--rho", "1", "--theta", theta,
+        run_cli(["classify", "--n", n, "--k", k, "--rho", rho, "--theta", theta,
                  "--out", str(out)])
         cls = json.loads(out.read_text())["class"]
-        if reason is None:
-            assert cls["kind"] == "TypeB" and cls["reason"] is None
+        assert cls["kind"] == kind
+        if kind == "Undetermined":
+            assert "slow passage" in cls["reason"]
         else:
-            assert cls["kind"] == "Undetermined" and reason in cls["reason"]
-        assert cls["criterion"] is None and cls["margin"] is None
+            assert cls["reason"] is None
+        assert cls["criterion"] == criterion
+        if criterion is None:
+            assert cls["margin"] is None
+        else:
+            assert cls["margin"] > 1.0
 
     def test_no_end_signature_reason(self, tmp_path):
         # n = 2k has no B; at rho/theta = 1e-2 the run ends at s_max on no
@@ -318,12 +330,16 @@ class TestVerify:
         assert "tail_rate_agreement" in checks
         assert "tail_log_power_agreement" not in checks
 
-    @pytest.mark.parametrize("rho,theta,kind", [("1", "1e3", "Undetermined"), ("5", "1", "TypeB")])
-    def test_class_reason(self, tmp_path, rho, theta, kind):
+    @pytest.mark.parametrize(
+        "n,k,rho,theta,kind",
+        [("4", "2", "1e-4", "1", "Undetermined"), ("4", "1", "1", "1e3", "TypeB"),
+         ("4", "1", "5", "1", "TypeB")],
+    )
+    def test_class_reason(self, tmp_path, n, k, rho, theta, kind):
         # as in classify: an Undetermined class says why, a decided one
         # carries reason null
         out = tmp_path / "v.json"
-        run_cli(["verify", "--n", "4", "--k", "1", "--rho", rho, "--theta", theta,
+        run_cli(["verify", "--n", n, "--k", k, "--rho", rho, "--theta", theta,
                  "--out", str(out)])
         cls = json.loads(out.read_text())["class"]
         assert set(cls) == {"kind", "reason"} and cls["kind"] == kind

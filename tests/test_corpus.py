@@ -23,8 +23,9 @@ RATIOS = [
 ]
 
 SLOW_PASSAGE = (
-    "rho/theta -> 0+: the passage along x ~ gamma ~ x_B lasts of order theta/rho, "
-    "beyond s_max, and its tail is Undetermined"
+    "n = 2k, rho/theta -> 0+: there is no B to end the run at a funnel, the passage "
+    "along x ~ gamma ~ x_B lasts of order theta/rho, beyond s_max, and its tail is "
+    "Undetermined"
 )
 AXIS_STOP_BELOW_GAMMA = (
     "n < 2k, rho -> 2 theta-: the axis flow carries X past x_cap, but the run stops "
@@ -34,7 +35,7 @@ PICARD_OVERFLOW = "Picard overflow: e^(-2k s_min) exceeds the float range"
 
 KNOWN = {}
 for _n, _k in PAIRS:
-    if _n >= 2 * _k:
+    if _n == 2 * _k:
         KNOWN.update({(_n, _k, r): SLOW_PASSAGE for r in (1e-4, 1e-2)})
 KNOWN.update({(5, 3, 1.99): AXIS_STOP_BELOW_GAMMA, (6, 4, 1.99): AXIS_STOP_BELOW_GAMMA})
 KNOWN.update({(33, 16, r): PICARD_OVERFLOW for r in (-1.99, 1e2, 1e4)})
@@ -59,6 +60,6 @@ def test_result_is_in_the_regime_table(n, k, ratio):
 
 
 def test_pins_name_corpus_cases():
-    # 2 wrong labels, 26 Undetermined and 3 errors at the last count
-    assert len(KNOWN) == 31
+    # 2 wrong labels, 8 Undetermined and 3 errors at the last count
+    assert len(KNOWN) == 13
     assert set(KNOWN) <= {(n, k, r) for n, k in PAIRS for r in RATIOS}

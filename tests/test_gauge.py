@@ -35,6 +35,8 @@ SETS = (
     (4, 2, -1.0),
     # a weak focus, certified at its second upward return to X_B
     (4, 1, 10.0),
+    # a slow passage into a stiff node, ended at its hand-off by the funnel
+    (4, 1, 1e-2),
 )
 EXACT_ENDS = ("reached_asymptote", "exited_region", "s_max", "certified_B")
 
