@@ -10,9 +10,10 @@ names the command and the exception).
 Option precedence: command-line flags > config file (flat key=value lines)
 > built-in defaults.
 
-A sweep groups its rows by rho: the alphas of one rho share one
-continuation (see orbit.run_orbits), and the rho groups run in order on
-the calling thread. --jobs is accepted and has no effect.
+A sweep groups its rows by rho: the alphas of one rho share one Picard
+solve, at the largest alpha, mapped to the others by the gauge, and one
+continuation (see orbit.run_orbits); the rho groups run in order on the
+calling thread. --jobs is accepted and has no effect.
 """
 
 import argparse
@@ -429,9 +430,10 @@ def cmd_verify(args):
     sol, trace, oc, table, rate, _rate_error = _analyse_one(p, alpha, cfg)
     record("picard_residual", sol.sup_residual, tol)
     record("picard_rate", sol.contraction_rate, 0.9)
+    # relative per component: the limits are alpha_k and n alpha_k / f(0)
     ak = picard.alpha_weight(alpha, p)
     lim_err = max(
-        abs(sol.weighted_limits[0] - ak), abs(sol.weighted_limits[1] - p.n * ak / p.f0)
+        abs(got - want) / want for got, want in zip(sol.weighted_limits, (ak, p.n * ak / p.f0))
     )
     record("picard_weighted_limits", lim_err, 1e-8)
     record("picard_derivative_defect", picard.derivative_residual(sol, p), 10.0 * tol)

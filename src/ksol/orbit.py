@@ -360,50 +360,84 @@ def run_orbits(p, alphas, controls=None, tol=picard.DEFAULT_TOL):
 
     The system is autonomous and the orbit leaving the origin is unique, so
     alpha only shifts it in s: X(s; alpha) = X(s + c; 1) with
-    c = ln(alpha_k)/(2k). Each alpha gets its own Picard tail, and one
-    continuation serves them all: it starts from the alpha whose s0 + c
-    comes first and runs until every alpha reaches its own s_max. An alpha
-    whose hand-off already lies in a funnel into B (:func:`funnel_end`) is
-    not continued: its trace is its tail and the hand-off, ended
-    certified_B. Returns one (sol, trace, oc) per alpha, in order; an alpha
-    whose local solution fails gets its KsolError in place of the tuple.
+    c = ln(alpha_k)/(2k) (``picard.gauge``). One Picard tail serves every
+    alpha: the anchor, the alpha with the largest alpha_k whose solve
+    succeeds, is solved, and every other alpha's tail is the anchor's under
+    ``picard.gauge_map``. All of them hand off the same state, each at its
+    own s0, so one continuation from the anchor's hand-off serves them all;
+    it runs until every alpha reaches its own s_max. An alpha whose
+    hand-off lies in a funnel into B (:func:`funnel_ends`) is not continued:
+    its trace is its tail and the hand-off, ended certified_B. Returns one
+    (sol, trace, oc) per alpha, in order; an alpha that fails Picard's
+    checks, or whose own solve as a candidate anchor fails, gets its
+    KsolError in place of the tuple.
     """
     controls = controls or OrbitControls()
-    sols = []
-    for alpha in alphas:
-        try:
-            sols.append(picard.picard_solve(alpha, p, tol))
-        except KsolError as exc:
-            sols.append(exc)
-    certs = [None if isinstance(sol, KsolError) else funnel_end(sol, p, controls) for sol in sols]
-    ok = [sol for sol, cert in zip(sols, certs) if not isinstance(sol, KsolError) and cert is None]
-
-    def gauge(sol):
-        return math.log(picard.alpha_weight(sol.alpha, p)) / (2.0 * p.k)
-
-    if ok:
-        first = min(ok, key=lambda sol: sol.tail.s0 + gauge(sol))
-        c0 = gauge(first)
-        c_max = max(gauge(sol) for sol in ok)
-        shared = integrate(first, p, replace(controls, s_max=controls.s_max + (c_max - c0)))
+    anchor, sols = _local_solutions(p, alphas, tol)
+    ok = [sol for sol in sols if not isinstance(sol, KsolError)]
+    certs = funnel_ends(anchor, [sol.tail.s0 for sol in ok], p, controls) if ok else []
+    continued = [picard.gauge(sol.alpha, p) for sol, cert in zip(ok, certs) if cert is None]
+    if continued:
+        c0 = picard.gauge(anchor.alpha, p)
+        c_max = max(continued)
+        shared = integrate(anchor, p, replace(controls, s_max=controls.s_max + (c_max - c0)))
     runs = []
-    for sol, cert in zip(sols, certs):
+    ends = iter(certs)
+    for sol in sols:
         if isinstance(sol, KsolError):
             runs.append(sol)
             continue
+        cert = next(ends)
         if cert is not None:
             trace = _hand_off_trace(sol, p, cert)
         else:
-            # shift by the difference, so the integrated alpha's is exactly 0
-            c = gauge(sol)
+            # the shift c0 - c is the negated d of the gauge map, so the
+            # hand-off lands on sol's s0 exactly, and the anchor's shift is 0
+            c = picard.gauge(sol.alpha, p)
             trace = _shifted_trace(shared, sol, c0 - c, c < c_max, controls.s_max, p)
         runs.append((sol, trace, classify_orbit(trace, p)))
     return runs
 
 
+def _local_solutions(p, alphas, tol):
+    """The anchor and one LocalSolution or KsolError per alpha, in order.
+
+    The anchor is the alpha with the largest alpha_k (1 - m > 0, so the
+    largest alpha) that passes ``picard.check_alpha`` and whose own solve
+    succeeds; an alpha whose solve failed keeps its error, and the next one
+    down is tried. Every other alpha is the anchor's image under
+    ``picard.gauge_map``, whose factor r = alpha_k / alpha_k(anchor) is then
+    at most 1, so its residual is at most the anchor's. The anchor is None
+    when no alpha could be solved.
+    """
+    anchor = None
+    by_alpha = {}
+    for alpha in sorted(set(alphas), reverse=True):
+        try:
+            if anchor is None:
+                picard.check_alpha(alpha)
+                anchor = by_alpha[alpha] = picard.picard_solve(alpha, p, tol)
+            else:
+                by_alpha[alpha] = picard.gauge_map(anchor, alpha, p)
+        except KsolError as exc:
+            by_alpha[alpha] = exc
+    return anchor, [by_alpha[alpha] for alpha in alphas]
+
+
 def funnel_end(sol, p, controls):
     """The :class:`FunnelCertificate` that ends sol's run at its hand-off,
-    or None, where the run is continued.
+    or None, where the run is continued (:func:`funnel_ends` at sol's own
+    s0)."""
+    return funnel_ends(sol, [sol.tail.s0], p, controls)[0]
+
+
+def funnel_ends(sol, s0s, p, controls):
+    """For each s0 of s0s, the :class:`FunnelCertificate` that ends a run
+    handed off sol's state at that s0, or None, where the run is continued.
+
+    The alphas of one parameter set hand off the same state with the same
+    error bound, each at its own s0 (``picard.gauge_map``), so the
+    certificate is checked at most once and only the budget gate reads s0.
 
     It is checked only where the band test cannot end the run before s_max:
     B attracts the run and conv_dist > 0 (the switch of every end at B), B
@@ -415,25 +449,29 @@ def funnel_end(sol, p, controls):
     the larger of the measured and the proven contraction rate, carried to
     s0 by e^(2k s0).
     """
+    none = [None] * len(s0s)
     if not (p.b_attracts and controls.conv_dist > 0.0):
-        return None
+        return none
     X, W = sol.state_at_s0(p)
     X, Z = float(X), math.exp(W) / p.cb  # the integrator's first sample
     if not Z < p.Z_B:
-        return None
+        return none
     lam = phase.eig2x2(phase.jacobian((p.X_B, p.Z_B), p))
     if lam[0].imag != 0.0:
-        return None
+        return none
     slow = max(lam[0].real, lam[1].real)
     # the Z - Z_B of the band's level: conv_dist, or CONV_RHS / f(x_B), since
     # |X_s| = (Z - Z_B) f(x_B) on the section X = X_B
     z_band = min(controls.conv_dist, _kernels.CONV_RHS / phase.profile_value(p.x_B, p))
+    level = math.log((p.Z_B - Z) / z_band)
+    gated = [not -slow * (controls.s_max - _kernels.CONV_SPAN - s0) >= level for s0 in s0s]
+    if not any(gated):
+        return none
     s0 = sol.tail.s0
-    if -slow * (controls.s_max - _kernels.CONV_SPAN - s0) >= math.log((p.Z_B - Z) / z_band):
-        return None
     rate = max(sol.contraction_rate, sol.thresholds.contraction_bound * math.exp(2.0 * s0))
     err = sol.sup_residual / (1.0 - rate) * math.exp(2.0 * p.k * s0)
-    return funnel_certificate(X, Z, err, p)
+    cert = funnel_certificate(X, Z, err, p)
+    return [cert if gate else None for gate in gated]
 
 
 def funnel_certificate(X, Z, err, p):
@@ -524,8 +562,9 @@ def _hand_off_trace(sol, p, cert):
 def _shifted_trace(shared, sol, shift, ends_early, s_max, p):
     """The trace of sol's alpha read off a shared continuation.
 
-    It is sol's own tail below s0, then the shared samples shifted by
-    ``shift`` in s from s0 on. A row that ends before the shared run
+    It is sol's own tail below s0, then the shared samples from the
+    hand-off on, shifted by ``shift`` in s, which puts the hand-off at sol's
+    s0. A row that ends before the shared run
     (``ends_early``) and that the run went past is cut at s_max: the later
     samples and events are dropped, a cubic Hermite point closes it and its
     status is s_max. The solver counters are the shared run's, with
@@ -540,13 +579,12 @@ def _shifted_trace(shared, sol, shift, ends_early, s_max, p):
     if certificate is not None:
         s1, z1, s2, z2, bound = certificate
         certificate = (s1 + shift, z1, s2 + shift, z2, bound)
-    lo = int(np.searchsorted(s, sol.tail.s0))
     if ends_early and s[-1] > s_max:
         s, X, Z = _cut_at(s, X, Z, s_max, p)
         events = [(se, name) for se, name in events if se <= s_max]
         status = "s_max"
         certificate = None
-    s, X, Z, tail_end = _with_tail(sol, p.k, s[lo:], X[lo:], Z[lo:])
+    s, X, Z, tail_end = _with_tail(sol, p.k, s, X, Z)
     return replace(
         shared,
         s=s,

@@ -19,7 +19,7 @@ u(0) = (n alpha_k / f(0))^(1/((1-m)k)), exposed as ``u0``.
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +39,60 @@ MAX_THRESHOLD_STEPS = 2048  # to s ~ -710; e^(2s) is 0 in floats below s ~ -373
 def alpha_weight(alpha, p):
     """alpha_k = alpha^((1-m)k), the weighted amplitude matching u(0)-scaling."""
     return alpha ** ((1.0 - p.m) * p.k)
+
+
+def gauge(alpha, p):
+    """c = ln(alpha_k)/(2k), the shift in s that alpha makes. The system is
+    autonomous and the orbit leaving the origin is unique, so
+    X(s; alpha) = X(s + c; 1)."""
+    return math.log(alpha_weight(alpha, p)) / (2.0 * p.k)
+
+
+def gauge_map(sol, alpha, p):
+    """The LocalSolution of alpha, read off sol, the solution of the same
+    parameter set at another alpha.
+
+    With d = c(alpha) - c(sol.alpha) (see :func:`gauge`) and
+    r = alpha_k / alpha_k(sol.alpha) = e^(2kd), alpha's orbit is sol's
+    shifted by -d in s, so its weighted samples are sol's times r on sol's
+    grid shifted by -d; the residual and the weighted limits scale by r too.
+    The thresholds shift by -d. The contraction bound C of ``_constants``
+    scales as alpha_k^(1/k) = e^(2c), and K1 as alpha_k^(1+1/k), so
+    C e^(2 s0) and K1 e^(2 s0)/alpha_k, and with them the self-map and
+    contraction inequalities, are sol's at the shifted s0. The contraction
+    rate, iterations and retries are sol's; u0 is alpha's. alpha is checked
+    as :func:`picard_solve` checks it.
+    """
+    check_alpha(alpha)
+    d = gauge(alpha, p) - gauge(sol.alpha, p)
+    r = alpha_weight(alpha, p) / alpha_weight(sol.alpha, p)
+    tail, th = sol.tail, sol.thresholds
+    return replace(
+        sol,
+        tail=WeightedTail(
+            tail.s0 - d, tail.s_min - d, tail.grid - d, tail.X_samples * r, tail.Z_samples * r
+        ),
+        alpha=alpha,
+        sup_residual=sol.sup_residual * r,
+        thresholds=Thresholds(
+            th.s1 - d, th.s2 - d, th.s3 - d, th.s0 - d, th.contraction_bound * math.exp(2.0 * d)
+        ),
+        weighted_limits=tuple(w * r for w in sol.weighted_limits),
+        u0=_u0(alpha, p.in_chart(sol.chart)),
+    )
+
+
+def check_alpha(alpha):
+    """Raise DomainError unless alpha lies in the supported range."""
+    if not 1e-8 <= alpha <= 1e8:
+        raise DomainError("alpha outside the supported range [1e-8, 1e8]")
+
+
+def _u0(alpha, p):
+    """u(0) of the profile at the origin; the A chart has none."""
+    if p.chart != "XZ":
+        return None
+    return (p.n * alpha_weight(alpha, p) / p.profile0) ** (1.0 / ((1.0 - p.m) * p.k))
 
 
 @dataclass(frozen=True)
@@ -367,8 +421,7 @@ class LocalSolution:
 
 
 def _picard(alpha, p, tol, n_points):
-    if not 1e-8 <= alpha <= 1e8:
-        raise DomainError("alpha outside the supported range [1e-8, 1e8]")
+    check_alpha(alpha)
     th = thresholds(alpha, p)
     s0 = th.s0
     retries = 0
@@ -420,11 +473,6 @@ def _picard(alpha, p, tol, n_points):
         )
     )
     limits = _extrapolate_limit(cur)
-    # u(0) belongs to the profile u at the origin; the A chart has none
-    if p.chart == "XZ":
-        u0 = (p.n * alpha_weight(alpha, p) / p.profile0) ** (1.0 / ((1.0 - p.m) * p.k))
-    else:
-        u0 = None
     return LocalSolution(
         tail=cur,
         alpha=alpha,
@@ -433,7 +481,7 @@ def _picard(alpha, p, tol, n_points):
         sup_residual=residual,
         thresholds=Thresholds(th.s1, th.s2, th.s3, s0, th.contraction_bound),
         weighted_limits=limits,
-        u0=u0,
+        u0=_u0(alpha, p),
         chart=p.chart,
         retries=retries,
     )

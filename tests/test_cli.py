@@ -293,6 +293,15 @@ class TestVerify:
             failed = {k: v for k, v in doc["checks"].items() if not v["pass"]}
             assert code == 0 and doc["all_pass"], failed
 
+    def test_weighted_limits_are_checked_relative(self, tmp_path):
+        # each limit against its own size: (6,3,-1) at alpha 1.7 has
+        # alpha_k = 4.913, and its X limit is off by 4.55e-8, 9.3e-9 of it
+        out = tmp_path / "v.json"
+        code = run_cli(["verify", "--n", "6", "--k", "3", "--rho=-1", "--theta", "1",
+                        "--alpha", "1.7", "--out", str(out)])
+        check = json.loads(out.read_text())["checks"]["picard_weighted_limits"]
+        assert code == 0 and check["pass"] and check["threshold"] == 1e-8
+
     def test_n_eq_2k_suite_passes(self, tmp_path):
         out = tmp_path / "v.json"
         code = run_cli(["verify", "--n", "4", "--k", "2", "--rho", "1",
@@ -443,6 +452,32 @@ class TestSweep:
             (rho, a) for rho in ("0.0", "1.0") for a in ("0.5", "1.0", "2.0")
         ]
         assert all(r["status"] == "ok" for r in rows)
+
+    def test_anchor_row_is_its_classify_run(self, tmp_path):
+        # the largest alpha anchors each rho group (one Picard solve): its row
+        # is the run classify makes at that alpha, and the other rows, read
+        # off it, keep the classes and statuses they had with a solve each
+        out = tmp_path / "s.csv"
+        code = run_cli(["sweep", "--n", "4", "--k", "1", "--theta", "1", "--rhos=0,1,5",
+                        "--alphas=0.5,1.0,2.0", "--out", str(out)])
+        assert code == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [(r["class"], r["status"]) for r in rows] == (
+            [("TypeGamma", "ok")] * 3 + [("TypeB", "ok")] * 6
+        )
+        for row in rows[2::3]:
+            rep = tmp_path / "c.json"
+            assert run_cli(["classify", "--n", "4", "--k", "1", "--theta", "1",
+                            "--rho", row["rho"], "--alpha", "2.0", "--out", str(rep)]) == 0
+            doc = json.loads(rep.read_text())
+            # a run ends at s_max or at its terminal event
+            s_end = 200.0 if doc["status"] == "s_max" else doc["events"][-1]["s"]
+            rate = doc["tail_rate"]
+            assert row["class"] == doc["class"]["kind"]
+            assert float(row["s_end"]) == s_end
+            assert float(row["exponent"]) == rate["fitted_exponent"]
+            log_power = float(row["log_power"]) if row["log_power"] else None
+            assert log_power == rate["log_correction_power"]
 
     def test_jobs_do_not_change_the_table(self, tmp_path):
         # --jobs is still accepted and has no effect on the table

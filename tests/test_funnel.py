@@ -167,13 +167,25 @@ def test_the_budget_gate_follows_s_max():
     assert orbit.run_orbit(p, controls=short)[2].diagnostics["criterion"] == "funnel"
 
 
+def test_the_fences_are_checked_once_per_set(monkeypatch):
+    # the alphas of a set share the anchor's hand-off and its error bound
+    p = phase.make_params(4, 1, 1e-2, 1.0)
+    calls = []
+    check = orbit.funnel_certificate
+    monkeypatch.setattr(orbit, "funnel_certificate", lambda *a: calls.append(a) or check(*a))
+    runs = orbit.run_orbits(p, [0.3, 0.5, 1.0, 2.0])
+    assert len(calls) == 1
+    assert all(oc.diagnostics["criterion"] == "funnel" for _sol, _trace, oc in runs)
+
+
 def test_a_funnel_row_does_not_move_the_shared_continuation():
-    # at s_max = 75.3 the budget gate of (6,1,0.3) passes at alpha 0.5
-    # (s0 = -0.69) and fails at alphas 1 and 2 (s0 = -1.04): the funnel end
+    # at s_max = 75.42 the budget gate of (6,1,0.3) passes at alpha 0.5
+    # (mapped s0 = -0.69) and fails at alphas 1 and 2 (s0 = -0.87, -1.04;
+    # the gate passes below s_max = 75.51, 75.34 and 75.16): the funnel end
     # takes alpha 0.5 out of the shared run, and the other rows are read off
     # it as if alpha 0.5 had not been asked for
     p = phase.make_params(6, 1, 0.3, 1.0)
-    controls = orbit.OrbitControls(s_max=75.3)
+    controls = orbit.OrbitControls(s_max=75.42)
     alone = orbit.run_orbits(p, [1.0, 2.0], controls)
     both = orbit.run_orbits(p, [0.5, 1.0, 2.0], controls)
     assert both[0][2].diagnostics["criterion"] == "funnel"

@@ -1,10 +1,11 @@
 """The gauges of the orbit: alpha and theta.
 
-Alpha gauge reuse: the alphas of one parameter set share one continuation.
-The system is autonomous and the orbit leaving the origin is unique, so
-alpha only shifts it in s. ``orbit.run_orbits`` integrates once per group
-and reads every alpha off that run; each row is checked against the run
-of that alpha on its own.
+Alpha gauge reuse: the alphas of one parameter set share one Picard tail
+and one continuation. The system is autonomous and the orbit leaving the
+origin is unique, so alpha only shifts it in s. ``orbit.run_orbits`` solves
+the anchor, the largest alpha, maps its tail to the other alphas
+(``picard.gauge_map``), integrates once per group and reads every alpha off
+that run; each row is checked against the run of that alpha on its own.
 
 Theta gauge: in the integrator's chart (X, W = ln(c_nk beta^k Z)) theta
 enters only through gamma = x_B (1 + rho/(2 theta)), so the orbit depends
@@ -14,11 +15,14 @@ al., Metamorphic Testing: A Review of Challenges and Opportunities, ACM
 CSUR 2018).
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ksol import _kernels, orbit, phase, picard
-from ksol.errors import DomainError
+from ksol.errors import ConvergenceError, DomainError
 
 ALPHAS = (0.3, 0.5, 1.0, 2.0)
 # the stiff sets, then the regime table at theta = 1
@@ -44,22 +48,32 @@ EXACT_ENDS = ("reached_asymptote", "exited_region", "s_max", "certified_B")
 class TestSharedContinuation:
     @pytest.mark.parametrize("n,k,rho", SETS)
     def test_rows_match_one_run_per_alpha(self, n, k, rho, run):
+        # the largest alpha is the anchor: its row is its own run, bit for
+        # bit, and every row's local solution is the anchor's under the map
         p = phase.make_params(n, k, rho, 1.0)
-        integrated = 0  # rows equal to their own run up to the last sample
+        anchor = max(ALPHAS)
+        _p, sol_a, _trace_a, _oc_a = run(n, k, rho, alpha=anchor)
+        X_a, W_a = sol_a.state_at_s0(p)
         for alpha, (sol, trace, oc) in zip(ALPHAS, orbit.run_orbits(p, ALPHAS)):
             _p, sol_1, trace_1, oc_1 = run(n, k, rho, alpha=alpha)
-            integrated += trace.s.size == trace_1.s.size and np.array_equal(
-                trace.X[:-1], trace_1.X[:-1]
-            )
-            assert sol.alpha == alpha and sol.sup_residual == sol_1.sup_residual
+            _assert_same_solution(sol, picard.gauge_map(sol_a, alpha, p))
+            if alpha == anchor:
+                _assert_same_trace(trace, trace_1)
+                assert oc == oc_1
             assert (oc.kind, trace.status) == (oc_1.kind, trace_1.status), alpha
             if oc_1.X_inf is not None:
                 assert oc.X_inf == pytest.approx(oc_1.X_inf, rel=1e-10)
-            ds = abs(trace.s[-1] - trace_1.s[-1])
-            assert ds <= (1e-5 if trace.status in EXACT_ENDS else _kernels.CONV_SPAN), alpha
+            if isinstance(trace.certificate, orbit.FunnelCertificate):
+                # ended on the anchor's hand-off, at the mapped s0; the own
+                # run's s0 is quantized by picard.THRESHOLD_STEP
+                d = picard.gauge(alpha, p) - picard.gauge(anchor, p)
+                assert trace.s[-1] == sol_a.tail.s0 - d
+                assert trace.end_state == (float(X_a), math.exp(W_a) / p.cb)
+            else:
+                ds = abs(trace.s[-1] - trace_1.s[-1])
+                assert ds <= (1e-5 if trace.status in EXACT_ENDS else _kernels.CONV_SPAN), alpha
             assert np.all(np.diff(trace.s) > 0.0)
             assert trace.s[-1] <= 200.0
-        assert integrated >= 1
 
     @pytest.mark.parametrize("n,k,rho", [(4, 1, -1.0), (4, 1, 5.0), (3, 2, 1.0)])
     def test_one_alpha_is_a_plain_integration(self, n, k, rho):
@@ -86,6 +100,43 @@ class TestSharedContinuation:
             assert trace.X[-1] == pytest.approx(trace_1.X[-1], rel=1e-8)
             assert trace.Z[-1] == pytest.approx(trace_1.Z[-1], rel=1e-8)
 
+    def test_one_picard_solve_per_set(self, monkeypatch):
+        p = phase.make_params(4, 1, 1.0, 1.0)
+        calls = []
+        solve = picard.picard_solve
+
+        def spy(alpha, *a, **kw):
+            calls.append(alpha)
+            return solve(alpha, *a, **kw)
+
+        monkeypatch.setattr(picard, "picard_solve", spy)
+        runs = orbit.run_orbits(p, list(ALPHAS))
+        assert calls == [max(ALPHAS)]
+        assert all(oc.kind == orbit.TYPE_B for _sol, _trace, oc in runs)
+        # an alpha out of Picard's range keeps its error, and no solve
+        calls.clear()
+        _good, bad = orbit.run_orbits(p, [1.0, 1e9])
+        assert calls == [1.0] and isinstance(bad, DomainError)
+
+    def test_a_failed_anchor_hands_over_to_the_next_alpha(self, monkeypatch):
+        p = phase.make_params(4, 1, 1.0, 1.0)
+        calls = []
+        solve = picard.picard_solve
+
+        def forged(alpha, *a, **kw):
+            calls.append(alpha)
+            if alpha == 2.0:
+                raise ConvergenceError("forged")
+            return solve(alpha, *a, **kw)
+
+        monkeypatch.setattr(picard, "picard_solve", forged)
+        low, mid, top = orbit.run_orbits(p, [0.5, 1.0, 2.0])
+        assert calls == [2.0, 1.0] and isinstance(top, ConvergenceError)
+        sol_1, trace_1, _oc_1 = orbit.run_orbit(p, 1.0)
+        _assert_same_solution(mid[0], sol_1)
+        _assert_same_trace(mid[1], trace_1)
+        _assert_same_solution(low[0], picard.gauge_map(sol_1, 0.5, p))
+
     def test_picard_error_fails_only_its_alpha(self):
         p = phase.make_params(4, 1, 1.0, 1.0)
         good, bad = orbit.run_orbits(p, [1.0, 1e9])
@@ -93,6 +144,13 @@ class TestSharedContinuation:
         assert good[2].kind == orbit.TYPE_B
         with pytest.raises(DomainError, match="alpha"):
             orbit.run_orbit(p, 1e9)
+
+
+def _assert_same_solution(a, b):
+    """Every field of two LocalSolutions equal, the tail's arrays element
+    by element."""
+    _assert_same_trace(a.tail, b.tail)
+    assert replace(a, tail=None) == replace(b, tail=None)
 
 
 def _assert_same_trace(a, b):

@@ -333,6 +333,60 @@ class TestPicardSolve:
             picard.picard_solve(1e12, p)
 
 
+class TestGaugeMap:
+    """An alpha's local solution is the anchor's shifted by the gauge
+    (``picard.gauge_map``): the anchor is solved at alpha 2 and mapped down."""
+
+    @pytest.mark.parametrize("n,k,rho", [(4, 1, -1.0), (4, 1, 0.0), (5, 2, -1.0), (4, 1, 1.0)])
+    def test_mapped_solution_is_certified(self, n, k, rho):
+        p = phase.make_params(n, k, rho, 1.0)
+        anchor = picard.picard_solve(2.0, p)
+        X_a, Z_a = anchor.tail.unweighted(k)
+        res_a = picard.derivative_residual(anchor, p)
+        eps = np.finfo(float).eps
+        for alpha in (0.3, 0.5, 1.0):
+            sol = picard.gauge_map(anchor, alpha, p)
+            ak = picard.alpha_weight(alpha, p)
+            s0 = sol.tail.s0
+            assert sol.alpha == alpha and sol.sup_residual <= anchor.sup_residual
+            assert picard.verify_membership(sol.tail, alpha, p).ok
+            # the self-map and contraction bounds at the target's own constants
+            K1, K2, C = picard._constants(ak, p)
+            assert K1 * math.exp(2.0 * s0) <= ak / 2.0
+            assert K2 * math.exp(2.0 * s0) <= p.n * ak / (2.0 * p.f0)
+            assert C * math.exp(2.0 * s0) < 0.5
+            assert sol.thresholds.contraction_bound == pytest.approx(C, rel=1e-14)
+            # a shift in s leaves the unweighted orbit as it was, to rounding,
+            # and the derivative defect is measured on it: it moves by at most
+            # the Richardson stencil's weights (their sum is below 2/h) times
+            # the samples' change, plus the field's
+            X, Z = sol.tail.unweighted(k)
+            assert np.all(np.abs(X - X_a) <= 8.0 * eps * X_a)
+            assert np.all(np.abs(Z - Z_a) <= 8.0 * eps * Z_a)
+            h = sol.tail.grid[1] - sol.tail.grid[0]
+            change = max(np.max(np.abs(X - X_a)), np.max(np.abs(Z - Z_a)))
+            assert abs(picard.derivative_residual(sol, p) - res_a) <= 4.0 * change / h
+            own = picard.picard_solve(alpha, p)
+            assert sol.weighted_limits == pytest.approx(own.weighted_limits, rel=1e-9)
+            assert sol.u0 == own.u0
+
+    def test_the_map_onto_its_own_alpha_is_the_identity(self):
+        p = phase.make_params(4, 1, 1.0, 1.0)
+        sol = picard.picard_solve(0.7, p)
+        same = picard.gauge_map(sol, 0.7, p)
+        assert np.array_equal(same.tail.grid, sol.tail.grid)
+        assert np.array_equal(same.tail.X_samples, sol.tail.X_samples)
+        assert np.array_equal(same.tail.Z_samples, sol.tail.Z_samples)
+        assert same.thresholds == sol.thresholds and same.sup_residual == sol.sup_residual
+
+    def test_alpha_validation(self):
+        p = phase.make_params(4, 1, 0.0, 1.0)
+        sol = picard.picard_solve(1.0, p)
+        for alpha in (0.0, -1.0, 1e12):
+            with pytest.raises(DomainError, match="alpha"):
+                picard.gauge_map(sol, alpha, p)
+
+
 class TestSeriesOracle:
     def test_k1_n3_matches_independent_expansion(self):
         # second-order expansion of the classical (k=1, n=3) system derived
