@@ -10,7 +10,9 @@ the same IEEE result. numba cannot call the array evaluators of ``phase``, so
 ``kth_root``, ``rhs`` and ``jac`` repeat them for the integrator alone.
 ``rhs`` and ``jac`` evaluate the field in one straight line, with no helper
 call: at k = 1, where x = X and g^k = g, they take neither the root nor the
-power loop, and the step loop's asymptote test reads X itself. At k >= 2
+power loop, and the step loop's asymptote test reads X itself. At k = 2 they
+take x = sqrt(X), which IEEE 754 rounds correctly, so math.sqrt and np.sqrt
+agree bit for bit, and g^2 = g * g, again with no power loop. At k >= 3
 ``kth_root`` keeps numpy's exp and log: they round differently from libm's
 on some inputs, and ``phase.kth_root`` must agree with it bit for bit on
 arrays.
@@ -159,15 +161,18 @@ def pack_params(p):
 
 @njit
 def kth_root(value, k):
-    """x^(1/k) for k >= 2 as exp(ln x / k), 0 at x <= 0 and NaN passed
-    through; at k = 1 the value itself. numpy's exp and log round alike on
-    scalars and arrays, so this agrees bit for bit with ``phase.kth_root``
-    on arrays; the quotient is taken on a Python float, the same IEEE
-    division as on numpy's scalar."""
+    """x^(1/k), 0 at x <= 0 and NaN passed through: at k = 1 the value
+    itself, at k = 2 the correctly rounded sqrt, at k >= 3 exp(ln x / k).
+    math.sqrt and np.sqrt both round correctly, and numpy's exp and log
+    round alike on scalars and arrays, so this agrees bit for bit with
+    ``phase.kth_root`` on arrays; the quotient is taken on a Python float,
+    the same IEEE division as on numpy's scalar."""
     if value <= 0.0:
         return 0.0
     if k == 1:
         return value
+    if k == 2:
+        return math.sqrt(value)
     return float(np.exp(float(np.log(value)) / k))
 
 
@@ -177,19 +182,25 @@ def rhs(X, W, pp):
     term Z f(x) of X_s, and W_s = Z_s/Z = 2k (1 - x/x_B) depends on x alone.
     Packed in the A chart, this is the reversed A-chart field in
     (W-, ln(c_nk beta^k V-)). At k = 1, x is X and g^k is g: neither the
-    root nor the power loop runs, and every other operation is the same."""
+    root nor the power loop runs. At k = 2, x is sqrt(X) and g^k is g * g,
+    the product the loop forms. Every other operation is the same."""
     n = pp[PP_N]
     k = pp[PP_K]
     if k == 1.0:
         x = 0.0 if X <= 0.0 else X
+    elif k == 2.0:
+        x = 0.0 if X <= 0.0 else math.sqrt(X)
     else:
         x = kth_root(X, k)
     q = 1.0 - x / pp[PP_XA_ROOT]
     g = (pp[PP_NUM_A] + pp[PP_NUM_B] * x) / q
     gk = g
     if k != 1.0:
-        for _ in range(int(k) - 1):
-            gk *= g
+        if k == 2.0:
+            gk = g * g
+        else:
+            for _ in range(int(k) - 1):
+                gk *= g
     ez = math.exp(W) if W < EXP_W_MAX else math.inf
     F = -(n - 2.0 * k) * q * X + ez * (q * gk)
     return F, 2.0 * k * (1.0 - x / pp[PP_XB_ROOT])
@@ -200,7 +211,8 @@ def jac(X, W, pp):
     """Jacobian of ``rhs`` at X > 0 as (dF/dX, dF/dW, dW_s/dX, dW_s/dW): the
     entries of ``phase.jacobian`` in the log chart, with dF/dW = e^W q g^k
     the f-term of F and dW_s/dW = 0; X^((1-k)/k) is x/X, and 1 at k = 1,
-    where x and g^(k-1) = 1 take no root and no power loop."""
+    where x and g^(k-1) = 1 take no root and no power loop. At k = 2, x is
+    sqrt(X) and g^(k-1) is g, with no power loop either."""
     n = pp[PP_N]
     k = pp[PP_K]
     m = (n - 2.0 * k) / (n + 2.0 * k)
@@ -208,15 +220,19 @@ def jac(X, W, pp):
         x = 0.0 if X <= 0.0 else X
         xpow = 1.0
     else:
-        x = kth_root(X, k)
+        if k == 2.0:
+            x = 0.0 if X <= 0.0 else math.sqrt(X)
+        else:
+            x = kth_root(X, k)
         xpow = x / X
     q = 1.0 - x / pp[PP_XA_ROOT]
     g = (pp[PP_NUM_A] + pp[PP_NUM_B] * x) / q
     g_km1 = 1.0
     if k != 1.0:
         g_km1 = g
-        for _ in range(int(k) - 2):
-            g_km1 *= g
+        if k != 2.0:
+            for _ in range(int(k) - 2):
+                g_km1 *= g
     ez = math.exp(W) if W < EXP_W_MAX else math.inf
     slope = k * g_km1 * (((k - 1.0) / (n + 2.0 * k)) * g + pp[PP_NUM_B])
     dFdX = (2.0 * k - n) + m * (k + 1.0) * x + ez * (slope * xpow / k)

@@ -19,6 +19,7 @@ calling thread. --jobs is accepted and has no effect.
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import sys
@@ -536,7 +537,14 @@ def _add_common(sp):
     sp.add_argument("--config")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: ``parse_args`` does not
+    mutate it and ``_resolve`` only reads each subparser's ``types``. A
+    one-shot ``ksol`` process builds it once either way; in-process callers
+    of ``main`` (the pipeline benchmark, the tests, notebooks) skip the
+    rebuild of five subparsers and their help formatters. ``set_defaults``
+    binds the ``cmd_*`` handlers at that first build."""
     parser = argparse.ArgumentParser(
         prog="ksol",
         description="phase-plane laboratory for radial k-Yamabe gradient solitons",

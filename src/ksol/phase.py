@@ -31,19 +31,26 @@ DEGENERATE_LINE = "degenerate-line"
 
 
 def kth_root(value, k):
-    """x^(1/k) as exp(ln x / k), guarded to return 0 at x <= 0; floats or arrays.
+    """x^(1/k), guarded to return 0 at x <= 0; floats or arrays. The value
+    itself at k = 1, sqrt at k = 2, exp(ln x / k) at k >= 3.
 
-    numpy's exp and log round alike on scalars and arrays, unlike the math
-    module's, so every evaluation matches the uncompiled integrator kernel.
+    IEEE 754 rounds sqrt correctly, so math.sqrt and np.sqrt agree bit for
+    bit; numpy's exp and log round alike on scalars and arrays, unlike the
+    math module's. So every evaluation matches the integrator kernel's.
     """
     if not isinstance(value, np.ndarray):
         if value <= 0.0:
             return 0.0
-        return float(value) if k == 1 else float(np.exp(np.log(value) / k))
+        if k == 1:
+            return float(value)
+        if k == 2:
+            return math.sqrt(value)
+        return float(np.exp(np.log(value) / k))
     pos = value > 0.0
     if k == 1:
         return np.where(pos, value, 0.0)
-    return np.where(pos, np.exp(np.log(np.where(pos, value, 1.0)) / k), 0.0)
+    safe = np.where(pos, value, 1.0)
+    return np.where(pos, np.sqrt(safe) if k == 2 else np.exp(np.log(safe) / k), 0.0)
 
 
 @dataclass(frozen=True)

@@ -207,6 +207,11 @@ class TestImports:
         assert proc.stdout.strip() == "[]"
 
 
+class TestParser:
+    def test_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestProfileCommand:
     def test_header_rows_and_positivity(self, tmp_path):
         out = tmp_path / "p.csv"

@@ -4,6 +4,7 @@ cubic, the switch from DOP853 to it, and the orbits it produces against
 scipy's implicit solvers."""
 
 import collections
+import fractions
 import itertools
 import math
 import re
@@ -119,16 +120,42 @@ class TestStraightLineField:
             got = _kernels.kth_root(v, k)
             assert type(got) is float
             assert got == phase.kth_root(np.array([v]), k)[0] == roots[i], (v, k)
+            if k == 2:
+                # the double nearest sqrt(v): v lies between the squares of
+                # the midpoints to got's neighbours, exactly
+                r = fractions.Fraction(got)
+                below = r - fractions.Fraction(math.nextafter(got, 0.0))
+                above = fractions.Fraction(math.nextafter(got, math.inf)) - r
+                assert (r - below / 2) ** 2 <= fractions.Fraction(v) <= (r + above / 2) ** 2, v
 
-    @pytest.mark.parametrize("n,k,rho,calls", [(4, 1, 1.0, False), (5, 2, 1.0, True)])
+    @pytest.mark.parametrize(
+        "n,k,rho,calls", [(4, 1, 1.0, False), (5, 2, 1.0, True), (7, 3, -0.5, True)]
+    )
     def test_k1_run_takes_no_root(self, n, k, rho, calls, monkeypatch):
+        # k = 1 takes no root; k = 2 takes sqrt, and only k >= 3 numpy's
+        # exp and log, counted through the kernels' own numpy name
         counter = collections.Counter()
         root = _kernels.kth_root
         monkeypatch.setattr(
             _kernels, "kth_root", lambda *a: counter.update(["kth_root"]) or root(*a)
         )
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, *a):
+                counter.update(["exp"])
+                return np.exp(*a)
+
+            def log(self, *a):
+                counter.update(["log"])
+                return np.log(*a)
+
+        monkeypatch.setattr(_kernels, "np", CountingNumpy())
         orbit.run_orbit(phase.make_params(n, k, rho, 1.0))
         assert (counter["kth_root"] > 0) == calls
+        assert (counter["exp"] > 0) == (counter["log"] > 0) == (k >= 3)
 
 
 def _dop853(X, W, h, fX, fW, pp):
