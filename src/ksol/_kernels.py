@@ -725,12 +725,6 @@ def _dense(theta, y0, c):
     return y0 + theta * (c[0] + t1 * (c[1] + theta * (c[2] + t1 * inner)))
 
 
-@njit
-def _hermite(theta, h, y0, f0, y1, f1):
-    """Cubic Hermite dense output on one step, theta in [0, 1]."""
-    return _dense(theta, y0, _hermite_coeffs(h, y0, f0, y1, f1))
-
-
 # Radau IIA of order 5 (Hairer & Wanner, Solving ODEs II, IV.8), the
 # constants of scipy's radau.py: the nodes C, the error weights E, the
 # eigenvalues of the inverse of the stage matrix (one real, one complex

@@ -121,6 +121,7 @@ class OrbitTrace:
     h_min: float = math.nan  # shortest accepted step
     h_max: float = math.nan  # longest accepted step
     stiff_from_s: float = math.nan  # where Radau took over; NaN if it never did
+    rtol: float = 0.0  # the integrator's rtol (0 where no run made the trace)
     # a certified_B end: (s1, Z1, s2, Z2, bound), the two upward returns to
     # X = X_B that certified convergence to B and the error bound on their
     # Z, or, for a run that ended at the Picard hand-off, its
@@ -192,6 +193,7 @@ def _integrate_raw(x0, w0, s0, p, controls):
         "h_min": float(h_min),
         "h_max": float(h_max),
         "stiff_from_s": float(stiff_s),
+        "rtol": controls.rtol,
         "certificate": tuple(map(float, cert)) if status == _kernels.ST_CERT_B else None,
     }
     return s_arr, x_arr, z_arr, events, _STATUS_NAMES[int(status)], fields
@@ -599,21 +601,39 @@ def _shifted_trace(shared, sol, shift, ends_early, s_max, p):
 
 
 def _cut_at(s, X, Z, s_cut, p):
-    """The samples up to s_cut (within the trace), closed by the cubic
-    Hermite point at s_cut unless a sample sits there. The Hermite runs in
-    (X, ln Z), the integrator's chart up to a constant in ln Z, where the
-    samples keep ``_kernels.SAMPLE_TOL``."""
+    """The samples up to s_cut (within the trace), closed by the point at
+    s_cut that :func:`hermite` reads in (X, ln Z) over s, unless a sample
+    sits there. (X, ln Z) is the integrator's chart up to a constant in
+    ln Z, where the samples keep ``_kernels.SAMPLE_TOL``."""
     i = int(np.searchsorted(s, s_cut, side="right")) - 1  # s[i] <= s_cut < s[i + 1]
     if s[i] == s_cut:
         return s[: i + 1], X[: i + 1], Z[: i + 1]
-    h = s[i + 1] - s[i]
-    th = (s_cut - s[i]) / h
-    F, G = phase.vector_field(X[i : i + 2], Z[i : i + 2], p)
-    ln_z = np.log(Z[i : i + 2])
-    g = G / Z[i : i + 2]
-    X = np.append(X[: i + 1], _kernels._hermite(th, h, X[i], F[0], X[i + 1], F[1]))
-    Z = np.append(Z[: i + 1], math.exp(_kernels._hermite(th, h, ln_z[0], g[0], ln_z[1], g[1])))
+    piece = slice(i, i + 2)
+    F, G = phase.vector_field(X[piece], Z[piece], p)
+    at = np.array([s_cut])
+    X = np.append(X[: i + 1], hermite(s[piece], X[piece], F, at))
+    ln_z = hermite(s[piece], np.log(Z[piece]), G / Z[piece], at)
+    Z = np.append(Z[: i + 1], math.exp(ln_z[0]))
     return np.append(s[: i + 1], s_cut), X, Z
+
+
+def hermite(knots, values, slopes, at):
+    """The cubic Hermite through ``values`` at the strictly increasing
+    ``knots`` with the given ``slopes``, read at the points ``at`` (arrays).
+    A point is read on the piece whose left knot is the last at or below
+    it, clipped to the first and the last piece. The operation order is
+    ``_kernels._dense``'s on the coefficients d, h f0 - d and
+    2d - h (f0 + f1) of ``_kernels._hermite_coeffs``, with d = 0 between
+    equal values (also -inf ones, on the invariant axis in ln Z), so it
+    reads what the kernel reads, bit for bit."""
+    i = np.clip(np.searchsorted(knots, at, side="right") - 1, 0, knots.size - 2)
+    y0, y1 = values[i], values[i + 1]
+    h = knots[i + 1] - knots[i]
+    t = (at - knots[i]) / h
+    d = np.subtract(y1, y0, out=np.zeros_like(h), where=y1 != y0)
+    c1 = h * slopes[i] - d
+    c2 = 2.0 * d - h * (slopes[i] + slopes[i + 1])
+    return y0 + t * (d + (1.0 - t) * (c1 + t * c2))
 
 
 def run_orbit(p, alpha=1.0, controls=None, tol=picard.DEFAULT_TOL):
@@ -690,97 +710,33 @@ def log_z_identity_check(trace, p, base_tol=1e-7):
     return [(float(s[i + 1]), float(d[i] - g[i + 1])) for i in bad]
 
 
-SELF_X_BLOCK = 256  # sorted segments per block of the self-intersection count
+def self_intersection_check(trace, p):
+    """Returns to the section X = X_B that break the order a planar orbit
+    keeps on it.
 
-
-def _arc_decimate(x, z, n_keep):
-    """Indices spaced uniformly in polyline arc length (loop-preserving)."""
-    dx = np.diff(x)
-    dz = np.diff(z)
-    arc = np.concatenate([[0.0], np.cumsum(np.hypot(dx, dz))])
-    if arc[-1] == 0.0:
-        return np.array([0, x.size - 1])
-    targets = np.linspace(0.0, arc[-1], n_keep)
-    idx = np.unique(np.searchsorted(arc, targets))
-    idx[-1] = x.size - 1
-    return idx
-
-
-def self_intersection_check(trace, p=None, n_keep=4000):
-    """Count proper self-crossings of the orbit polyline.
-
-    Runs in coordinates normalized by the trace extents (spiral turns around
-    B are strongly anisotropic ellipses) and decimates uniformly in the
-    normalized arc length so loops keep their shape. The trace is truncated
-    at its first entry into a small box around B: inside, the linearization
-    certifies an inward spiral and chords of successive turns degenerate
-    numerically.
-
-    The count is a sort-and-sweep over x-ranges (Shamos & Hoey 1976;
-    Bentley & Ottmann 1979): with the segments sorted by their left end,
-    the segments whose x-range meets that of a given one and that sort
-    after it form one contiguous run, found by a binary search. Only those
-    pairs are enumerated, and only those that also overlap in z and share
-    no endpoint get the four orientation products. The cost follows the
-    number of x-overlapping pairs, not n^2/2: 325-3,693 pairs on the
-    theta = 1 workload sets at alpha = 1, 114,841 at (4,1,1) with
-    theta = 1e-6, against about 8M pairs of a 4,000-point polyline. The
-    pairs are built SELF_X_BLOCK sorted segments at a time, so one block
-    holds at most SELF_X_BLOCK * n pairs of an n-segment polyline.
+    On the line X = X_B the field's F changes sign only at B, so the
+    crossings where F > 0 and those where F < 0 each lie on one transversal
+    half-line. A planar orbit crosses a transversal in a monotone sequence
+    (Perko, *Differential Equations and Dynamical Systems*, 3.7): were it
+    to cross itself, a later return would reverse the order. Z is read at
+    the logged crossed_X_B samples (each crossing is a sample, at exactly
+    its event s); on each half-line the direction is that of the last
+    crossing from the first, and every return that moves against it by more
+    than the error bound that ``_kernels.certifies_b`` trusts, CERT_SAFETY
+    rtol Z per accepted step, is counted. Near B the returns are
+    rounding, far below that bound.
     """
-    return _crossings(*_monitor_polyline(trace, p, n_keep))
-
-
-def _monitor_polyline(trace, p, n_keep):
-    """The normalized, truncated and decimated polyline whose crossings
-    ``self_intersection_check`` counts."""
-    x, z = trace.X, trace.Z
-    sx = max(float(np.ptp(x)), 1e-300)
-    sz = max(float(np.ptp(z)), 1e-300)
-    x = (x - x.min()) / sx
-    z = (z - z.min()) / sz
-    if p is not None and p.b_attracts:
-        bx = (p.X_B - trace.X.min()) / sx
-        bz = (p.Z_B - trace.Z.min()) / sz
-        keep = np.hypot(x - bx, z - bz) > 0.01
-        if not keep.all():
-            first_bad = int(np.argmin(keep))
-            x, z = x[: max(first_bad, 8)], z[: max(first_bad, 8)]
-    idx = _arc_decimate(x, z, n_keep)
-    return x[idx], z[idx]
-
-
-def _crossings(px, pz):
-    """Proper crossings between non-adjacent segments of the polyline."""
-    ax, az = px[:-1], pz[:-1]
-    bx, bz = px[1:], pz[1:]
-    x_lo, x_hi = np.minimum(ax, bx), np.maximum(ax, bx)
-    z_lo, z_hi = np.minimum(az, bz), np.maximum(az, bz)
-    n = ax.size
-    crossings = 0
-    # in x_lo order, the segments whose x-range meets that of sorted segment a
-    # and that sort after it are a+1 .. end[a]-1, so every x-overlapping pair
-    # is met once
-    order = np.argsort(x_lo, kind="stable")
-    end = np.searchsorted(x_lo[order], x_hi[order], side="right")
-    for a0 in range(0, n, SELF_X_BLOCK):
-        rows = np.arange(a0, min(a0 + SELF_X_BLOCK, n))
-        run = end[rows] - rows - 1
-        # sorted pairs (a, b), b over a+1 .. end[a]-1 for each row a
-        a = np.repeat(rows, run)
-        b = np.arange(a.size) + np.repeat(rows + 1 - (np.cumsum(run) - run), run)
-        i, j = order[a], order[b]
-        i, j = np.minimum(i, j), np.maximum(i, j)
-        # a proper crossing needs overlapping z-ranges too, and segments that
-        # share no endpoint; only those pairs get the four orientation products
-        near = (j >= i + 2) & (z_lo[j] <= z_hi[i]) & (z_hi[j] >= z_lo[i])
-        i, j = i[near], j[near]
-        o1 = (bx[i] - ax[i]) * (az[j] - az[i]) - (bz[i] - az[i]) * (ax[j] - ax[i])
-        o2 = (bx[i] - ax[i]) * (bz[j] - az[i]) - (bz[i] - az[i]) * (bx[j] - ax[i])
-        o3 = (bx[j] - ax[j]) * (az[i] - az[j]) - (bz[j] - az[j]) * (ax[i] - ax[j])
-        o4 = (bx[j] - ax[j]) * (bz[i] - az[j]) - (bz[j] - az[j]) * (bx[i] - ax[j])
-        crossings += int(np.count_nonzero((o1 * o2 < 0.0) & (o3 * o4 < 0.0)))
-    return crossings
+    i = np.searchsorted(trace.s, trace.event_s("crossed_X_B"))
+    Z = trace.Z[i]
+    F, _G = phase.vector_field(trace.X[i], Z, p)
+    per_z = _kernels.CERT_SAFETY * trace.rtol * trace.accepted_steps
+    count = 0
+    for z in (Z[F > 0.0], Z[F < 0.0]):
+        if z.size < 2:
+            continue
+        back = -np.diff(z) * np.sign(z[-1] - z[0])
+        count += int(np.count_nonzero(back > per_z * np.maximum(z[:-1], z[1:])))
+    return count
 
 
 def monitor_report(trace, p):
@@ -810,12 +766,12 @@ class BarrierReport:
     f_gt_h: bool
 
 
-def _z_of_x_curve(x, z, x_hi):
-    """Monotone (X, Z) curve up to x_hi from samples that end at X_B."""
-    keep = x <= x_hi * (1.0 + 1e-12)
-    x, z = x[keep], z[keep]
-    inc = np.concatenate([[True], np.diff(x) > 0.0])
-    return x[inc], z[inc]
+def _z_of_x(X, Z, p, grid):
+    """Z(X) on ``grid`` off a curve's samples up to its first crossing of
+    X_B, where X increases strictly: the cubic Hermite in X with the slopes
+    dZ/dX = G/F of the field in p's chart."""
+    F, G = phase.vector_field(X, Z, p)
+    return hermite(X, Z, G / F, grid)
 
 
 def barrier_compare(
@@ -827,10 +783,13 @@ def barrier_compare(
     Both curves are parametrized by X on [x_lo, X_B] (X is strictly
     increasing there for each); the A-orbit must dominate pointwise, and
     f > h on the same interval. The local solutions are solved at ``tol``.
-    The origin curve is the origin orbit's trace for ``alpha`` cut at its
-    first crossing of X_B: ``trace`` when the caller already has it, else
-    the trace of :func:`run_orbit`. The A-orbit's run ends at X_B by its
-    chart.
+    The origin curve is the origin orbit's trace for ``alpha`` up to its
+    first crossing of X_B, a sample at X = X_B exactly: ``trace`` when the
+    caller already has it, else the trace of :func:`run_orbit`. The
+    A-orbit's run ends at X_B by its chart. Each curve is read on the grid
+    off the cubic Hermite in X (:func:`hermite`) with the slopes
+    dZ/dX = G/F of its own chart, which the samples keep to the
+    integrator's accuracy; chords between them would not.
     """
     if not p.rho > 2.0 * p.theta:
         raise NotApplicableError("barrier comparison requires rho > 2 theta")
@@ -844,14 +803,10 @@ def barrier_compare(
     if not crossings or tr_a.status != "stopped_at_X_B":
         origin = "crossed_X_B" if crossings else trace.status
         raise DomainError(f"barrier orbits did not reach X_B (origin: {origin}, A: {tr_a.status})")
-    # the crossing point itself is X_B exactly, as the A-chart run ends
-    _s, xo, zo = _cut_at(trace.s, trace.X, trace.Z, crossings[0], p)
-    xo = np.append(xo[:-1], p.X_B)
-    xo, zo = _z_of_x_curve(xo, zo, p.X_B)
-    xa, va = _z_of_x_curve(tr_a.X, tr_a.Z, p.X_B)
+    climb = trace.s <= crossings[0]
     grid = np.linspace(x_lo, p.X_B, n_grid)
-    z_on = np.interp(grid, xo, zo)
-    v_on = np.interp(grid, xa, va)
+    z_on = _z_of_x(trace.X[climb], trace.Z[climb], p, grid)
+    v_on = _z_of_x(tr_a.X, tr_a.Z, p.in_chart("WV"), grid)
     gap = v_on - z_on
     # f and h coincide exactly at x_B (nu + x_B = gamma - x_B), so the
     # strict comparison runs over the open interval

@@ -261,9 +261,9 @@ Z_RATE_POINTS = 65  # equally spaced points of the Z-rate fit
 
 def z_tail_rate(trace, p, span=5.0):
     """Least-squares slope of ln Z over the last ``span`` units of s, read at
-    Z_RATE_POINTS equally spaced points off the cubic Hermite in ln Z between
-    neighbouring samples, with the slopes G/Z of the field there: the
-    integrator's interpolant, which the samples keep within
+    Z_RATE_POINTS equally spaced points off the cubic Hermite in ln Z
+    (``orbit.hermite``), with the slopes G/Z of the field at the samples:
+    the integrator's interpolant, which the samples keep within
     ``_kernels.SAMPLE_TOL``. The fit then does not depend on where the
     integrator put its steps: a stiff tail's Radau steps are up to
     ``_kernels.MAX_STEP`` long, and DOP853's crowd where it slows down."""
@@ -273,16 +273,8 @@ def z_tail_rate(trace, p, span=5.0):
         raise DomainError("the trace does not cover the Z-rate window with Z > 0")
     s, X, Z = s[i0:], X[i0:], Z[i0:]
     _F, G = phase.vector_field(X, Z, p)
-    ln_z, g = np.log(Z), G / Z
     grid = np.linspace(s[-1] - span, s[-1], Z_RATE_POINTS)
-    i = np.minimum(np.searchsorted(s, grid, side="right") - 1, s.size - 2)
-    h = s[i + 1] - s[i]
-    t = (grid - s[i]) / h
-    # _kernels._hermite's form: d, h g0 - d and 2d - h (g0 + g1)
-    d = ln_z[i + 1] - ln_z[i]
-    c1 = h * g[i] - d
-    c2 = 2.0 * d - h * (g[i] + g[i + 1])
-    coef = np.polyfit(grid, ln_z[i] + t * (d + (1.0 - t) * (c1 + t * c2)), 1)
+    coef = np.polyfit(grid, orbit_mod.hermite(s, np.log(Z), G / Z, grid), 1)
     return float(coef[0])
 
 

@@ -298,6 +298,19 @@ class TestVerify:
             failed = {k: v for k, v in doc["checks"].items() if not v["pass"]}
             assert code == 0 and doc["all_pass"], failed
 
+    @pytest.mark.parametrize("alpha", ["0.5", "1", "2"])
+    def test_theta_corner_passes(self, tmp_path, alpha):
+        # (4,1,1) at theta = 1e-6 ends certified_B after one and a half
+        # loops; the barrier gap there is 5.3e-8, which chords between the
+        # samples read as -1.1e-4
+        out = tmp_path / "v.json"
+        code = run_cli(["verify", "--n", "4", "--k", "1", "--rho", "1", "--theta", "1e-6",
+                        "--alpha", alpha, "--out", str(out)])
+        doc = json.loads(out.read_text())
+        failed = {k: v for k, v in doc["checks"].items() if not v["pass"]}
+        assert code == 0 and doc["all_pass"], failed
+        assert {"barrier_ordering", "monitor_self_intersections"} <= set(doc["checks"])
+
     def test_weighted_limits_are_checked_relative(self, tmp_path):
         # each limit against its own size: (6,3,-1) at alpha 1.7 has
         # alpha_k = 4.913, and its X limit is off by 4.55e-8, 9.3e-9 of it

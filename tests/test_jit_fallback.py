@@ -57,9 +57,8 @@ STEP_KERNELS = (
     "_collocation_sample_count", "_hermite_coeffs", "_dense", "_event_value", "_bisect_event",
     "_sample", "_interior", "_log_event", "certifies_b",
 )
-# the @njit kernels the step loop does not reach: the loop itself, and the
-# Hermite that orbit.py calls on a finished trace
-OUTSIDE_STEP_LOOP = {"integrate_core", "_hermite"}
+# the @njit kernel the step loop does not reach: the loop itself
+OUTSIDE_STEP_LOOP = {"integrate_core"}
 
 
 def test_step_kernels_list_every_njit_kernel():

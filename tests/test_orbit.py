@@ -23,34 +23,33 @@ def integrate_state(x0, z0, s0, p, controls):
     return orbit.OrbitTrace(s, X, Z, events, status, **counters)
 
 
-def all_pairs_crossings(px, pz, block=256):
-    """Reference count for the sweep: every segment against every later one
-    that shares no endpoint, with the same bounding-box and orientation
-    tests and no pruning."""
-    ax, az = px[:-1], pz[:-1]
-    bx, bz = px[1:], pz[1:]
-    x_lo, x_hi = np.minimum(ax, bx), np.maximum(ax, bx)
-    z_lo, z_hi = np.minimum(az, bz), np.maximum(az, bz)
-    n = ax.size
-    crossings = 0
-    for i0 in range(0, n - 2, block):
-        r = np.arange(i0, min(i0 + block, n - 2))[:, None]
-        c = np.arange(i0 + 2, n)
-        near = (
-            (c >= r + 2)
-            & (x_lo[c] <= x_hi[r])
-            & (x_hi[c] >= x_lo[r])
-            & (z_lo[c] <= z_hi[r])
-            & (z_hi[c] >= z_lo[r])
+class TestHermite:
+    def test_reads_the_kernels_hermite_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        knots = np.cumsum(rng.uniform(0.01, 0.5, 40))
+        values, slopes = rng.normal(size=40), rng.normal(size=40)
+        at = rng.uniform(knots[0], knots[-1], 200)
+        got = orbit.hermite(knots, values, slopes, at)
+        i = np.searchsorted(knots, at, side="right") - 1
+        for g, j, a in zip(got, i, at):
+            h = knots[j + 1] - knots[j]
+            c = _kernels._hermite_coeffs(h, values[j], slopes[j], values[j + 1], slopes[j + 1])
+            assert g == _kernels._dense((a - knots[j]) / h, values[j], c)
+
+    def test_exact_on_cubics_and_clipped_to_the_end_pieces(self):
+        knots = np.array([0.0, 0.3, 1.0, 1.7])
+        at = np.array([-0.2, 0.0, 0.5, 1.7, 2.0])
+        got = orbit.hermite(knots, knots**3 - knots, 3.0 * knots**2 - 1.0, at)
+        np.testing.assert_allclose(got, at**3 - at, rtol=0.0, atol=1e-14)
+
+    def test_equal_values_read_without_warnings(self):
+        # ln Z = -inf on the invariant axis: d = 0, no inf - inf (the suite
+        # turns RuntimeWarning into an error)
+        got = orbit.hermite(
+            np.array([0.0, 1.0]), np.array([-np.inf, -np.inf]), np.array([2.0, 2.0]),
+            np.array([0.5]),
         )
-        i, j = np.nonzero(near)
-        i, j = i + i0, j + i0 + 2
-        o1 = (bx[i] - ax[i]) * (az[j] - az[i]) - (bz[i] - az[i]) * (ax[j] - ax[i])
-        o2 = (bx[i] - ax[i]) * (bz[j] - az[i]) - (bz[i] - az[i]) * (bx[j] - ax[i])
-        o3 = (bx[j] - ax[j]) * (az[i] - az[j]) - (bz[j] - az[j]) * (ax[i] - ax[j])
-        o4 = (bx[j] - ax[j]) * (bz[i] - az[j]) - (bz[j] - az[j]) * (bx[i] - ax[j])
-        crossings += int(np.count_nonzero((o1 * o2 < 0.0) & (o3 * o4 < 0.0)))
-    return crossings
+        assert got[0] == -np.inf
 
 
 class TestIntegratorOracles:
@@ -391,41 +390,45 @@ class TestMonitors:
         bad = orbit.OrbitTrace(tr.s, tr.X, Z, tr.events, tr.status)
         assert len(orbit.z_lower_bound_check(bad, p)) >= 1
 
-    def test_figure_eight_detected(self):
-        s = np.arange(5.0)
-        X = np.array([0.0, 1.0, 1.0, 0.0, 0.3])
-        Z = np.array([0.0, 1.0, 0.0, 1.0, 0.9])
-        fake = orbit.OrbitTrace(s, X, Z, [], "s_max")
-        assert orbit.self_intersection_check(fake) >= 1
+    def test_forged_return_past_the_one_before_is_flagged(self, run):
+        # (4,1,5) spirals into B: its upward returns to X = X_B fall toward
+        # Z_B. One moved 1e-3 Z_B above the return before it reverses that
+        # order, far beyond the error bound (2.4e-7 Z here)
+        p, _sol, tr, _oc = run(4, 1, 5.0)
+        assert orbit.self_intersection_check(tr, p) == 0
+        i = np.searchsorted(tr.s, tr.event_s("crossed_X_B"))
+        up = i[tr.Z[i] > p.Z_B]
+        assert up.size >= 4
+        Z = tr.Z.copy()
+        Z[up[3]] = Z[up[2]] + 1e-3 * p.Z_B
+        assert orbit.self_intersection_check(replace(tr, Z=Z), p) == 1
 
-    def test_sweep_matches_all_pairs(self, run):
-        # grid-snapped random walks: ties in x_lo, vertical, zero-length and
-        # collinear overlapping segments, shared endpoints; 700 points span
-        # three SELF_X_BLOCK blocks
-        rng = np.random.default_rng(2024)
-        for grid, size in [(4, 40), (7, 700), (25, 700), (300, 700)]:
-            px = rng.integers(0, grid, size).astype(float)
-            pz = rng.integers(0, grid, size).astype(float)
-            want = all_pairs_crossings(px, pz)
-            assert orbit._crossings(px, pz) == want
-            if grid <= 7:
-                assert want > 0
-        s = np.arange(5.0)
-        X = np.array([0.0, 1.0, 1.0, 0.0, 0.3])
-        Z = np.array([0.0, 1.0, 0.0, 1.0, 0.9])
-        cases = [(orbit.OrbitTrace(s, X, Z, [], "s_max"), None)]
-        for n, k, rho, theta in [(4, 1, 1.0, 1e-6), (4, 1, 0.0, 1.0)]:
-            p, _sol, tr, _oc = run(n, k, rho, theta=theta)
-            cases.append((tr, p))
-        counts = []
-        for tr, p in cases:
-            px, pz = orbit._monitor_polyline(tr, p, 4000)
-            counts.append(orbit.self_intersection_check(tr, p))
-            assert counts[-1] == all_pairs_crossings(px, pz)
-        # the theta = 1e-6 corner's count is an artefact of its spiral's
-        # sampling, and moves with the step pattern; its run ends certified
-        # at its second upward return to X_B, after one and a half loops
-        assert counts == [1, 134, 0]
+    def test_rounding_returns_near_B_are_not_flagged(self, run):
+        # (64,8,10) sits at B to rounding: 32 of its returns to X = X_B
+        # reverse their half-line's order, all within 4e-12 Z_B of the one
+        # before, against a bound of about 1.6e-6 Z
+        p, _sol, tr, _oc = run(64, 8, 10.0)
+        assert orbit.self_intersection_check(tr, p) == 0
+        assert orbit.self_intersection_check(replace(tr, rtol=0.0), p) == 32
+        i = np.searchsorted(tr.s, tr.event_s("crossed_X_B"))
+        z = tr.Z[i]
+        for side in (z > p.Z_B, z < p.Z_B):
+            step = np.diff(z[side])
+            back = step * np.sign(z[side][-1] - z[side][0]) < 0.0
+            assert np.max(np.abs(step[back])) <= 4e-12 * p.Z_B
+
+    @pytest.mark.parametrize("n,k,rho", [(4, 1, -1.0), (3, 2, 3.0), (4, 1, 5.0)])
+    def test_fewer_than_two_returns_per_half_line_read_zero(self, n, k, rho, run):
+        # no crossing (the expander), one (TypeA), or the first crossing of
+        # each half-line of (4,1,5): there is no order to break, even with
+        # no error bound and the crossings' Z forged far off
+        p, _sol, tr, _oc = run(n, k, rho)
+        crossings = [ev for ev in tr.events if ev[1] == "crossed_X_B"][:2]
+        i = np.searchsorted(tr.s, [se for se, _name in crossings])
+        Z = tr.Z.copy()
+        Z[i] *= 1.5
+        lone = replace(tr, Z=Z, events=crossings, rtol=0.0)
+        assert orbit.self_intersection_check(lone, p) == 0
 
 
 class TestBarrier:
@@ -495,13 +498,26 @@ class TestBarrier:
     @pytest.mark.parametrize(
         "n,k,rho,gap",
         [
-            (5, 2, 5.0, 0.001620511186994312),
-            (7, 3, 8.0, 9.585150697321212e-05),
-            (12, 4, 10.0, 1.6372259833872752e-05),
+            (5, 2, 5.0, 0.0016205165895436368),
+            (7, 3, 8.0, 9.585209628158756e-05),
+            (12, 4, 10.0, 1.637239823461686e-05),
         ],
         ids=["5-2-5", "7-3-8", "12-4-10"],
     )
     def test_min_gap_pinned(self, n, k, rho, gap):
-        # min_gap as a run stopped at the origin orbit's first X_B crossing gave it
+        # min_gap as a run stopped at the origin orbit's first X_B crossing
+        # gave it, read off the cubic Hermite in X
         rep = orbit.barrier_compare(phase.make_params(n, k, rho, 1.0), 1.0)
         assert rep.ordered and rep.min_gap == pytest.approx(gap, rel=1e-9)
+
+    def test_min_gap_does_not_depend_on_rtol_or_alpha(self):
+        # (4,1,1) at theta = 1e-6: the true gap is 5.31 theta. Chords
+        # between the samples read -1.09e-4 to -1.31e-4 here, and moved
+        # with rtol and alpha
+        p = phase.make_params(4, 1, 1.0, 1e-6)
+        gaps = [
+            orbit.barrier_compare(p, alpha, controls=orbit.OrbitControls(rtol=rtol)).min_gap
+            for rtol, alpha in [(1e-8, 1.0), (1e-10, 1.0), (1e-12, 1.0), (1e-10, 0.5), (1e-10, 2.0)]
+        ]
+        assert max(gaps) - min(gaps) <= 1e-6 * min(gaps)
+        assert gaps[1] == pytest.approx(5.312617e-8, rel=1e-6)

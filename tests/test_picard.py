@@ -301,18 +301,12 @@ class TestPicardSolve:
 
         pp = _kernels.pack_params(p)
         w_arr = np.log(p.cb * z_arr)
+        slopes = np.array([_kernels.rhs(x, w, pp) for x, w in zip(x_arr, w_arr)])
 
         def hermite_eval(s_query):
-            out_x, out_w = [], []
-            for sq in s_query:
-                i = max(0, min(np.searchsorted(s_arr, sq) - 1, s_arr.size - 2))
-                h = s_arr[i + 1] - s_arr[i]
-                th = (sq - s_arr[i]) / h
-                f0 = _kernels.rhs(x_arr[i], w_arr[i], pp)
-                f1 = _kernels.rhs(x_arr[i + 1], w_arr[i + 1], pp)
-                out_x.append(_kernels._hermite(th, h, x_arr[i], f0[0], x_arr[i + 1], f1[0]))
-                out_w.append(_kernels._hermite(th, h, w_arr[i], f0[1], w_arr[i + 1], f1[1]))
-            return np.array(out_x), np.exp(out_w) / p.cb
+            xi = orbit.hermite(s_arr, x_arr, slopes[:, 0], s_query)
+            wi = orbit.hermite(s_arr, w_arr, slopes[:, 1], s_query)
+            return xi, np.exp(wi) / p.cb
 
         on_tail = tail.grid >= tail.grid[j]
         xi, zi = hermite_eval(tail.grid[on_tail])

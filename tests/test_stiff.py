@@ -201,6 +201,24 @@ def _chart_error(got, ref):
     return max(abs(got[0] - ref[0]) / abs(ref[0]), abs(got[1] - ref[1]))
 
 
+def _piece_error(h, X0, W0, cx, cw, pp, pieces):
+    """The largest miss, X relative and W absolute, of the dense output
+    (coefficients cx, cw) of a step of length h at the midpoints of its
+    ``pieces`` equal pieces by ``orbit.hermite`` through the dense output's
+    values at the piece ends and the field there."""
+    t = np.arange(pieces + 1) / pieces
+    ends = np.array([(_kernels._dense(tj, X0, cx), _kernels._dense(tj, W0, cw)) for tj in t])
+    slopes = np.array([_kernels.rhs(X, W, pp) for X, W in ends])
+    mid = 0.5 * (t[:-1] + t[1:])
+    out = 0.0
+    for i, (y0, c) in enumerate(((X0, cx), (W0, cw))):
+        got = orbit.hermite(h * t, ends[:, i], slopes[:, i], h * mid)
+        ref = np.array([_kernels._dense(tm, y0, c) for tm in mid])
+        miss = np.abs(got - ref) / (np.abs(ref) if i == 0 else 1.0)
+        out = max(out, float(np.max(miss)))
+    return out
+
+
 def _start(n, k, rho):
     """Parameters, packed parameters and the state (0.3 X_B, ln(c_nk beta^k / 2))."""
     p = phase.make_params(n, k, rho, 1.0)
@@ -282,23 +300,10 @@ class TestDop853Step:
         assert _kernels._dop853_error(e5x, e5w, e3x, e3w, 1e-10 * magX, 1e-10) < 1.0
         cx, cw = _kernels._dop853_dense(X0, W0, h, fX, fW, X1, W1, KX, KW, pp)
 
-        def worst(pieces):
-            out = 0.0
-            for j in range(pieces):
-                t0, t1 = j / pieces, (j + 1) / pieces
-                a = (_kernels._dense(t0, X0, cx), _kernels._dense(t0, W0, cw))
-                b = (_kernels._dense(t1, X0, cx), _kernels._dense(t1, W0, cw))
-                fa, fb = _kernels.rhs(*a, pp), _kernels.rhs(*b, pp)
-                for i, (y0, c, scale) in enumerate(((X0, cx, None), (W0, cw, 1.0))):
-                    ref = _kernels._dense(0.5 * (t0 + t1), y0, c)
-                    mid = _kernels._hermite(0.5, h / pieces, a[i], fa[i], b[i], fb[i])
-                    out = max(out, abs(mid - ref) / (scale or abs(ref)))
-            return out
-
         pieces = _kernels._sample_count(cx, cw, magX, 1.0)
         assert pieces > 1
-        assert worst(pieces) <= 2.0 * _kernels.SAMPLE_TOL
-        assert worst(pieces - 1) > _kernels.SAMPLE_TOL
+        assert _piece_error(h, X0, W0, cx, cw, pp, pieces) <= 2.0 * _kernels.SAMPLE_TOL
+        assert _piece_error(h, X0, W0, cx, cw, pp, pieces - 1) > _kernels.SAMPLE_TOL
 
 
 class TestRadauStep:
@@ -362,23 +367,10 @@ class TestRadauStep:
         assert err < 1.0
         magX = max(abs(X0), abs(X1))
 
-        def worst(pieces):
-            out = 0.0
-            for j in range(pieces):
-                t0, t1 = j / pieces, (j + 1) / pieces
-                a = (_kernels._dense(t0, X0, cx), _kernels._dense(t0, W0, cw))
-                b = (_kernels._dense(t1, X0, cx), _kernels._dense(t1, W0, cw))
-                fa, fb = _kernels.rhs(*a, pp), _kernels.rhs(*b, pp)
-                for i, (y0, c, scale) in enumerate(((X0, cx, None), (W0, cw, 1.0))):
-                    ref = _kernels._dense(0.5 * (t0 + t1), y0, c)
-                    mid = _kernels._hermite(0.5, h / pieces, a[i], fa[i], b[i], fb[i])
-                    out = max(out, abs(mid - ref) / (scale or abs(ref)))
-            return out
-
         pieces = _kernels._collocation_sample_count(h, fX, fW, cx, cw, magX, 1.0)
         assert pieces > 1
-        assert worst(pieces) <= 2.0 * _kernels.SAMPLE_TOL
-        assert worst(pieces - 1) > _kernels.SAMPLE_TOL
+        assert _piece_error(h, X0, W0, cx, cw, pp, pieces) <= 2.0 * _kernels.SAMPLE_TOL
+        assert _piece_error(h, X0, W0, cx, cw, pp, pieces - 1) > _kernels.SAMPLE_TOL
 
     def test_collocation_cubic_meets_the_stages(self):
         # the dense output passes through the step end exactly, and its
@@ -511,17 +503,14 @@ class TestStepCaps:
         assert s.size > 80
         h = np.diff(s)
         assert np.all(h <= 0.5 * _kernels.CONV_SPAN + np.spacing(s[1:]))
+        slopes = np.array([_kernels.rhs(X[j], W[j], pp) for j in range(s.size)])
+        mids = s[:-1] + 0.5 * h
+        got = [orbit.hermite(s, y, slopes[:, i], mids) for i, y in enumerate((X, W))]
         for j in range(h.size):
-            fa = _kernels.rhs(X[j], W[j], pp)
-            fb = _kernels.rhs(X[j + 1], W[j + 1], pp)
             rho_j = _kernels._spectral_radius(*_kernels.jac(X[j], W[j], pp))
             steps = 8 + int(h[j] * (20.0 + 0.25 * rho_j))
             mid = _fixed_steps(_dop853, steps, X[j], W[j], pp, s_span=0.5 * h[j])
-            got = (
-                _kernels._hermite(0.5, h[j], X[j], fa[0], X[j + 1], fb[0]),
-                _kernels._hermite(0.5, h[j], W[j], fa[1], W[j + 1], fb[1]),
-            )
-            assert _chart_error(got, mid) <= _kernels.SAMPLE_TOL, s[j]
+            assert _chart_error((got[0][j], got[1][j]), mid) <= _kernels.SAMPLE_TOL, s[j]
 
     @pytest.mark.parametrize("n,k,rho,theta", BENCH_SETS)
     def test_longest_step(self, n, k, rho, theta, continued):
