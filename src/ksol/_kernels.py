@@ -32,16 +32,18 @@ Integrator: DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5, II.10),
 an explicit 12-stage pair of order 8 whose error estimate combines
 embedded order-5 and order-3 solutions, with PI step-size control. Each
 accepted DOP853 step builds its order-7 continuous extension from three
-more stages. Once the step is stability-limited (h times the spectral
-radius of the closed-form 2x2 Jacobian above STIFF_HRHO on STIFF_SPAN
-consecutive accepted steps) the rest of the run takes Radau IIA steps
+more stages. Once the step is stability-limited on STIFF_SPAN consecutive
+accepted steps (h times the spectral radius of the closed-form 2x2 Jacobian
+above STIFF_HRHO, or above STIFF_HRHO_SHRINK on a step shorter than the one
+before) the rest of the run takes Radau IIA steps
 (Hairer & Wanner, Solving ODEs II, IV.8, ported from scipy's radau.py):
 implicit, L-stable and stiffly accurate, order 5 with stage order 3, so it
 keeps its order on the stiff arcs, where the stage order 1 of Rosenbrock
 methods loses it (IV.7, IV.15). Simplified Newton solves its collocation
 system as one real and one complex 2x2 system by Cramer's rule, starting
 from the previous step's collocation cubic; Hairer's filtered estimate
-gives the error, and Gustafsson's predictive controller the next step.
+gives the error, and Gustafsson's predictive controller the next step; the
+step after a Newton failure does not grow where the state moves.
 Both methods have a dense output: the order-7 extension, the collocation
 cubic. Every event is located on it by bisection, and it supplies interior
 samples wherever the cubic Hermite between the step ends would miss
@@ -123,11 +125,19 @@ EV_CAP = 512  # logged events kept; later ones are only counted
 # X_B of X_B (4.5 to 9 ulps) is rounding and no crossing: held at B, the
 # state lands an ulp either side of X_B from one step to the next
 XB_ROUND = 1e-15
-# stiffness switch: h rho(J) > STIFF_HRHO on STIFF_SPAN consecutive accepted
-# steps marks a step held by stability, not accuracy; Radau then takes the
-# rest of the run. DOP853's real stability boundary is h |lambda| ~ 6.39,
-# DOPRI5's 3.31, for which 1.0 was tuned: the ratio keeps the switch points
+# stiffness switch: Radau takes the rest of the run once STIFF_SPAN
+# consecutive accepted DOP853 steps were each held by stability, that is
+# h rho(J) > STIFF_HRHO, or h rho(J) > STIFF_HRHO_SHRINK with h shorter than
+# the step before. DOP853's real stability boundary is h |lambda| ~ 6.39,
+# DOPRI5's 3.31, for which 1.0 was tuned: the ratio gives STIFF_HRHO. Up
+# the asymptote rho(J) grows with Z, and DOP853's steps shrink as
+# h ~ rho^-0.58 long before h rho(J) reaches STIFF_HRHO ((4,1,-1): from
+# h rho = 0.46 to 1.95 over 350 steps); the shrinking route hands those arcs
+# over there. Lowering STIFF_HRHO to 0.75 instead hands spirals into B to
+# Radau ((4,1,5): 241 to 351 steps), and the shrinking route alone
+# relabels four (64,8) corpus runs
 STIFF_HRHO = 1.93
+STIFF_HRHO_SHRINK = 0.5
 STIFF_SPAN = 15
 # interior samples: an accepted step is cut into pieces short enough that
 # the cubic Hermite between consecutive samples stays within SAMPLE_TOL of
@@ -1071,15 +1081,17 @@ def integrate_core(
     conv_since = math.inf
     status = ST_SMAX
     stiff = False
-    n_limited = 0  # consecutive accepted DOP853 steps with h rho(J) > STIFF_HRHO
+    n_limited = 0  # consecutive accepted DOP853 steps held by stability
+    h_last = math.inf  # the last accepted DOP853 step
     stiff_from_s = math.nan
     # Radau: the Jacobian at the step start, the last accepted Radau step
     # (0 before the first; its error is err_prev), whether an attempt of the
-    # current step was rejected, and the dense output of the last accepted
-    # step
+    # current step was rejected, whether Newton failed on one, and the dense
+    # output of the last accepted step
     J = (0.0, 0.0, 0.0, 0.0)
     h_acc = 0.0
     rejected = False
+    newton_failed = False
     cx = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     cw = cx
     n_acc = 0
@@ -1138,6 +1150,7 @@ def integrate_core(
                 fac = max(0.2, 0.9 * err**-0.125)
             elif err == math.inf:
                 fac = 0.5  # Newton did not converge
+                newton_failed = True
             else:
                 fac = max(0.2, _radau_safety(n_iter) * _predict_factor(h, h_acc, err, err_prev))
                 rejected = True
@@ -1154,8 +1167,14 @@ def integrate_core(
             h_max = h
         if stiff:
             fac = min(10.0, _radau_safety(n_iter) * _predict_factor(h, h_acc, err, err_prev))
+            # no regrowth right after a Newton failure, which would fail
+            # again, except where the step leaves the state within its
+            # error scale: held at B, Newton fails on rounding, at any h
+            if newton_failed and _rms(X1 - X, W1 - W, scX, scW) > 1.0:
+                fac = min(fac, 1.0)
             h_acc = h
             rejected = False
+            newton_failed = False
         elif err == 0.0:
             fac = 5.0
         else:
@@ -1280,13 +1299,15 @@ def integrate_core(
             a, b, c, d = jac(X, W, pp)
             J = (a, b, c, d)
             if not stiff:
-                if h * _spectral_radius(a, b, c, d) > STIFF_HRHO:
+                hrho = h * _spectral_radius(a, b, c, d)
+                if hrho > STIFF_HRHO or (hrho > STIFF_HRHO_SHRINK and h < h_last):
                     n_limited += 1
                     if n_limited >= STIFF_SPAN:
                         stiff = True
                         stiff_from_s = s
                 else:
                     n_limited = 0
+                h_last = h
 
         h = h_next
 

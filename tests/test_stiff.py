@@ -14,10 +14,10 @@ import pytest
 
 from ksol import _jit, _kernels, orbit, phase
 
-# with their accepted steps at alpha 1: their DOP853 arcs end at the
-# stability limit, below the step cap, and Radau takes 91, 82 and 319 steps
-# after it (RODAS4 took 568, 559 and 1,306)
-STIFF_SETS = [(4, 1, -1.0, 484), (5, 2, -1.0, 490), (4, 1, 0.0, 769)]
+# with their accepted steps at alpha 1: their DOP853 arcs end while the
+# step shrinks with h rho(J) above STIFF_HRHO_SHRINK, below the step cap,
+# and Radau takes 184, 174 and 569 steps after it
+STIFF_SETS = [(4, 1, -1.0, 264), (5, 2, -1.0, 268), (4, 1, 0.0, 620)]
 NON_STIFF_SETS = [(4, 1, 1.0), (4, 1, 5.0), (4, 2, 1.0), (3, 2, 3.0), (5, 2, 1.0), (3, 2, 1.0)]
 # the sets the pipeline benchmark runs: the stiff sets, the regime table
 # at theta = 1 and (4,1,1) at the theta corners, as (n, k, rho, theta)
@@ -337,13 +337,21 @@ class TestRadauStep:
         assert errs[0] / errs[1] >= 25.0
 
     def test_keeps_its_order_on_the_stiff_arc(self, run):
-        # 50 fixed steps of h = 0.054 along the expander's stiff arc from
-        # where the run switched (h rho(J) = 23 there), against DOP853 at
+        # 50 fixed steps of h = 0.054 along the expander's stiff arc from its
+        # first sample with h rho(J) >= 23 (s = 4.83), against DOP853 at
         # h = 1.35e-4, below its stability limit: RODAS4, of stage order 1,
         # ends 5.3e-11 off in X; Radau, of stage order 3, keeps the bound
+        # (6.5e-14). From the switch (s = 2.24, h rho(J) = 1.8) the arc is
+        # not yet stiff, and the same steps end 1.0e-11 off
         p, _sol, tr, _oc = run(4, 1, -1.0)
         pp = _kernels.pack_params(p)
-        i = int(np.searchsorted(tr.s, tr.stiff_from_s))
+        W = np.log(p.cb * tr.Z)
+        h_rho = [
+            0.054 * _kernels._spectral_radius(*_kernels.jac(X, w, pp))
+            for X, w in zip(tr.X.tolist(), W.tolist())
+        ]
+        i = int(np.argmax(np.array(h_rho) >= 23.0))
+        assert tr.s[i] > tr.stiff_from_s
         X0, W0 = tr.X[i], math.log(p.cb * tr.Z[i])
         span = 50 * 0.054
         ref = _fixed_steps(_dop853, 20_000, X0, W0, pp, s_span=span)
@@ -406,6 +414,54 @@ class TestStiffSwitch:
         _p, _sol, tr, _oc = run(n, k, rho, alpha=alpha)
         assert math.isnan(tr.stiff_from_s)
 
+    @staticmethod
+    def _dop853_steps(monkeypatch, n, k, rho):
+        """The trace at alpha 1 and, for each accepted DOP853 step, its
+        length h and h rho(J) at its end, read where the step builds its
+        extension (only on the Python kernels)."""
+        if _jit.JIT_ENABLED:
+            pytest.skip("compiled kernels call each other directly")
+        p = phase.make_params(n, k, rho, 1.0)
+        pp = _kernels.pack_params(p)
+        steps = []
+        dense = _kernels._dop853_dense
+
+        def spy(X, W, h, fX, fW, X1, W1, *rest):
+            steps.append((h, h * _kernels._spectral_radius(*_kernels.jac(X1, W1, pp))))
+            return dense(X, W, h, fX, fW, X1, W1, *rest)
+
+        monkeypatch.setattr(_kernels, "_dop853_dense", spy)
+        _sol, tr, _oc = orbit.run_orbit(p)
+        return tr, steps
+
+    @pytest.mark.parametrize("n,k,rho", [s[:3] for s in STIFF_SETS])
+    def test_stiff_sets_switch_while_the_step_shrinks(self, n, k, rho, monkeypatch):
+        # the last STIFF_SPAN DOP853 steps each shrink with h rho(J) above
+        # STIFF_HRHO_SHRINK, far below the stability limit STIFF_HRHO
+        tr, steps = self._dop853_steps(monkeypatch, n, k, rho)
+        assert math.isfinite(tr.stiff_from_s)
+        span = steps[-_kernels.STIFF_SPAN - 1:]
+        for (h_before, _), (h, h_rho) in zip(span, span[1:]):
+            assert h < h_before
+            assert _kernels.STIFF_HRHO_SHRINK < h_rho < _kernels.STIFF_HRHO
+
+    @pytest.mark.parametrize("n,k,rho,rejected", [(4, 1, -1.0, 7), (5, 2, -1.0, 2), (3, 1, -1.0, 7)])
+    def test_no_regrowth_after_a_newton_failure(self, n, k, rho, rejected, run):
+        # Newton fails on the expander's last unit of s where the step
+        # regrows at once: the controller alternated failures with accepted
+        # steps there, 13, 4 and 13 times
+        _p, _sol, tr, _oc = run(n, k, rho)
+        assert tr.rejected_steps == rejected
+
+    def test_node_B_switches_by_stability(self, monkeypatch):
+        # (12,1,1) still switches where h rho(J) > STIFF_HRHO held on
+        # STIFF_SPAN steps that grow toward B, not shrink
+        tr, steps = self._dop853_steps(monkeypatch, 12, 1, 1.0)
+        assert tr.stiff_from_s == pytest.approx(12.18, abs=5e-3)
+        span = steps[-_kernels.STIFF_SPAN - 1:]
+        for (h_before, _), (h, h_rho) in zip(span, span[1:]):
+            assert h > h_before and h_rho > _kernels.STIFF_HRHO
+
     def test_expander_step_count(self, monkeypatch):
         # DOPRI5 alone took 47,265 steps at its stability limit, DOP853 and
         # RODAS4 961. Every rhs call is the start's, 12 of a DOP853 attempt,
@@ -432,7 +488,7 @@ class TestStiffSwitch:
                 monkeypatch.setattr(_kernels, name, spy(name, getattr(_kernels, name)))
         _sol, tr, oc = orbit.run_orbit(phase.make_params(4, 1, -1.0, 1.0))
         assert oc.kind == orbit.TYPE_GAMMA
-        assert tr.accepted_steps <= 532
+        assert tr.accepted_steps <= 290
         if not _jit.JIT_ENABLED:
             # every accepted DOP853 step builds its extension once; events
             # are bisected on the dense output and take no step
@@ -572,9 +628,11 @@ class TestScipyOracle:
     @pytest.mark.parametrize(
         "n,k,rho,targets",
         [
-            (4, 1, -1.0, (4, 8, 10)),
-            (5, 2, -1.0, (4, 8, 10)),
-            (4, 1, 0.0, (20, 100, 199)),
+            # 3.5, 3.0 and 4.0, and 10: Radau samples between the switch and
+            # the stability limit (s = 4.79, 5.23 and 22.2)
+            (4, 1, -1.0, (3.5, 4, 8, 10)),
+            (5, 2, -1.0, (3.0, 4, 8, 10)),
+            (4, 1, 0.0, (10, 20, 100, 199)),
             # interior samples of DOP853 steps 0.39-1.0 long
             (4, 1, 5.0, (29.5, 52.2, 76.6)),
             (4, 2, 1.0, (6.2, 9.0, 13.0)),
