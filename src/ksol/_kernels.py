@@ -50,14 +50,12 @@ samples wherever the cubic Hermite between the step ends would miss
 SAMPLE_TOL in (X, W). So the steps are limited by accuracy, up to
 MAX_STEP = CONV_SPAN / 2.
 
-Ends at B: where B attracts the run, the band test at step ends ends it
-converged_B once the state has settled near B. A weak focus spirals in too
-slowly to settle before s_max; its run ends certified_B at the upward
-crossing of X = X_B where ``certifies_b`` proves convergence from that
-return and the one before (Bendixson-Dulac and Poincare-Bendixson). It is
-tested at upward crossings only, and ends a run only where the band test,
-extrapolated at the measured contraction per loop, could not end it
-before s_max.
+Ends at B: where B attracts the run, it ends certified_B at the first
+upward crossing of X = X_B where ``certifies_b`` proves convergence from
+that return and the one before (Bendixson-Dulac and Poincare-Bendixson).
+The band test at step ends is the fallback for a run that no such return
+reaches (a node the funnel at the Picard hand-off refuses): it ends the
+run converged_B once the state has settled near B.
 """
 
 import math
@@ -984,9 +982,9 @@ def _log_event(ev_s, ev_code, n_ev, s, code):
 
 
 @njit
-def certifies_b(s1, z1, s2, z2, z_b, bound, z_band, s_max):
-    """Whether the upward crossings of X = X_B at (s1, z1) and then (s2, z2)
-    prove that the orbit converges to B and end the run.
+def certifies_b(z1, z2, z_b, bound):
+    """Whether the upward crossings of X = X_B at Z = z1 and then z2 prove
+    that the orbit converges to B.
 
     Upward crossings lie on the half-line Z > Z_B of the section, where the
     flow crosses it one way only. If z_b < z2 < z1, the loop from the first
@@ -995,16 +993,8 @@ def certifies_b(s1, z1, s2, z2, z_b, bound, z_band, s_max):
     Bendixson-Dulac criterion with mu = Z^b q^(k-1), and B is its only
     critical point, so by Poincare-Bendixson the orbit converges to B. The
     gap z1 - z2 must exceed ``bound``, the error bound on the two values.
-    The run ends here only if the band test cannot end it before s_max: at
-    the contraction c = (z2 - z_b)/(z1 - z_b) per loop of length s2 - s1,
-    z - z_b falls to z_band, below which that test can pass, at
-    s2 + (s2 - s1) ln(z_band/(z2 - z_b))/ln c; the test then needs CONV_SPAN
-    more. The comparison is multiplied through by ln c <= 0.
     """
-    if not (z_b < z2 < z1 and z1 - z2 > bound):
-        return False
-    c = (z2 - z_b) / (z1 - z_b)
-    return (s2 - s1) * math.log(z_band / (z2 - z_b)) < (s_max - CONV_SPAN - s2) * math.log(c)
+    return z_b < z2 < z1 and z1 - z2 > bound
 
 
 @njit
@@ -1029,13 +1019,13 @@ def integrate_core(
     W's absolutely, both at rtol. Steps are at most MAX_STEP long.
 
     Where B attracts the run (pp[PP_HAS_B] > 0) and conv_dist > 0, two ends
-    are convergence to B. The band test ends it converged_B once the state
-    has stayed within conv_dist of B, with |rhs| below CONV_RHS, for
-    CONV_SPAN. At each upward crossing of X = X_B after the first,
-    ``certifies_b`` reads the Z of this crossing and of the one before; the
-    error bound is CERT_SAFETY rtol Z per accepted step so far. Where it
-    holds, the run ends certified_B at the crossing: a weak focus, whose
-    spiral contracts too slowly to meet the band before s_max.
+    are convergence to B. At each upward crossing of X = X_B after the
+    first, ``certifies_b`` reads the Z of this crossing and of the one
+    before; the error bound is CERT_SAFETY rtol Z per accepted step so far.
+    Where it holds, the run ends certified_B at the crossing. The band test,
+    the fallback for a run that no return certifies, ends it converged_B
+    once the state has stayed within conv_dist of B, with |rhs| below
+    CONV_RHS, for CONV_SPAN.
 
     Returns (s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status, cert, n_acc,
     n_rej, n_rhs, h_min, h_max, stiff_from_s): the samples, with
@@ -1099,16 +1089,8 @@ def integrate_core(
     n_rhs = 1
     h_min = math.nan
     h_max = math.nan
-    # the Poincare-return certificate: the last upward X_B crossing (s_up,
-    # z_up), and z_band, the Z - Z_B of an upward crossing below which the
-    # band test can pass: there dist >= Z - Z_B and rn >= |X_s| =
-    # (Z - Z_B) f(x_B), with f(x_B) = (n-2k) q(x_B) X_B / Z_B since X_s = 0 at B
+    # the Poincare-return certificate: the last upward X_B crossing
     certify = pp[PP_HAS_B] > 0.0 and conv_dist > 0.0
-    z_band = 0.0
-    if certify:
-        q_b = 1.0 - pp[PP_XB_ROOT] / pp[PP_XA_ROOT]
-        f_b = (pp[PP_N] - 2.0 * pp[PP_K]) * q_b * pp[PP_BX] / pp[PP_BZ]
-        z_band = min(conv_dist, CONV_RHS / f_b)
     s_up = math.nan
     z_up = math.nan
     cert = (math.nan, math.nan, math.nan, math.nan, math.nan)
@@ -1248,7 +1230,7 @@ def integrate_core(
                 if certify and X < pp[PP_XB]:
                     zc = math.exp(wc) / cb
                     bound = CERT_SAFETY * rtol * n_acc * z_up
-                    if certifies_b(s_up, z_up, sc, zc, pp[PP_BZ], bound, z_band, s_max):
+                    if certifies_b(z_up, zc, pp[PP_BZ], bound):
                         cert = (s_up, z_up, sc, zc, bound)
                         code, status, th = EV_CERTIFIED, ST_CERT_B, tc
                         s1, X1, W1 = sc, pp[PP_XB], wc

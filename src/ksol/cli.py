@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -317,7 +318,11 @@ def cmd_portrait(args):
 def cmd_profile(args):
     cfg = _resolve(args, dict(DEFAULTS, s_max=30.0))
     p = _params(cfg)
-    sol, trace, oc = orbit_mod.run_orbit(p, cfg["alpha"], _controls(cfg), cfg["tol"])
+    controls = _controls(cfg)
+    sol, trace, oc = orbit_mod.run_orbit(p, cfg["alpha"], controls, cfg["tol"])
+    if trace.status == "certified_B":
+        # the class is proven; the table runs on to s_max past the certificate
+        trace = orbit_mod.integrate(sol, p, replace(controls, conv_dist=0.0))
     table = profile.reconstruct_u(trace, p)
     lam1, lam2 = sigma.schouten_pair(table.u, table.u_r, table.u_rr, table.r, p.n, p.k)
     sig, cond = sigma.split_sigma_l(lam1, lam2, p.n, p.k)

@@ -3,13 +3,11 @@ classification, the barrier comparison for rho > 2 theta, and the runtime
 invariant monitors.
 
 Orbit taxonomy: type gamma reaches the asymptote X = gamma^k with Z
-unbounded; type B converges to the interior attractor, which a run shows by
-settling into a band around it or certifies by two contracting returns to
-the section X = X_B (a weak focus, whose spiral contracts too slowly to
-settle before s_max), or by a funnel into a stiff node B that closes at the
-Picard hand-off (a slow passage, which settles only long after s_max);
-generalized type B
-stays in a bounded band around it; type A (or generalized type A when
+unbounded; type B converges to the interior attractor, which a run
+certifies by two contracting returns to the section X = X_B (a focus) or by
+a funnel into a node B that closes at the Picard hand-off, and otherwise
+shows by settling into a band around it; generalized type B stays in a
+bounded band around it; type A (or generalized type A when
 n = 2k) collapses onto the Z = 0 axis at X = X_inf; non-admissible orbits
 leave the region at a finite s_exit.
 """
@@ -281,8 +279,9 @@ def classify_orbit(trace, p):
     (Z2 - Z_B)/(Z1 - Z_B) per loop and the margin (Z1 - Z2)/bound of the gap
     over the error bound. Where the run ended at the Picard hand-off on a
     :class:`FunnelCertificate`, they name the criterion ("funnel"), the
-    hand-off point and the certificate's margin. No other class carries a
-    criterion.
+    hand-off point and the certificate's margin. A converged_B end, the band
+    test's fallback where neither certificate holds, is TypeB with no
+    criterion; no other class carries one.
     """
     x_end, z_end = trace.end_state
     status = trace.status
@@ -367,29 +366,26 @@ def run_orbits(p, alphas, controls=None, tol=picard.DEFAULT_TOL):
     succeeds, is solved, and every other alpha's tail is the anchor's under
     ``picard.gauge_map``. All of them hand off the same state, each at its
     own s0, so one continuation from the anchor's hand-off serves them all;
-    it runs until every alpha reaches its own s_max. An alpha whose
-    hand-off lies in a funnel into B (:func:`funnel_ends`) is not continued:
-    its trace is its tail and the hand-off, ended certified_B. Returns one
-    (sol, trace, oc) per alpha, in order; an alpha that fails Picard's
+    it runs until every alpha reaches its own s_max. Where the hand-off lies
+    in a funnel into B (:func:`funnel_end`), nothing is continued: every
+    alpha's trace is its tail and the hand-off, ended certified_B. Returns
+    one (sol, trace, oc) per alpha, in order; an alpha that fails Picard's
     checks, or whose own solve as a candidate anchor fails, gets its
     KsolError in place of the tuple.
     """
     controls = controls or OrbitControls()
     anchor, sols = _local_solutions(p, alphas, tol)
     ok = [sol for sol in sols if not isinstance(sol, KsolError)]
-    certs = funnel_ends(anchor, [sol.tail.s0 for sol in ok], p, controls) if ok else []
-    continued = [picard.gauge(sol.alpha, p) for sol, cert in zip(ok, certs) if cert is None]
-    if continued:
+    cert = funnel_end(anchor, p, controls) if ok else None
+    if ok and cert is None:
         c0 = picard.gauge(anchor.alpha, p)
-        c_max = max(continued)
+        c_max = max(picard.gauge(sol.alpha, p) for sol in ok)
         shared = integrate(anchor, p, replace(controls, s_max=controls.s_max + (c_max - c0)))
     runs = []
-    ends = iter(certs)
     for sol in sols:
         if isinstance(sol, KsolError):
             runs.append(sol)
             continue
-        cert = next(ends)
         if cert is not None:
             trace = _hand_off_trace(sol, p, cert)
         else:
@@ -428,52 +424,30 @@ def _local_solutions(p, alphas, tol):
 
 def funnel_end(sol, p, controls):
     """The :class:`FunnelCertificate` that ends sol's run at its hand-off,
-    or None, where the run is continued (:func:`funnel_ends` at sol's own
-    s0)."""
-    return funnel_ends(sol, [sol.tail.s0], p, controls)[0]
+    or None, where the run is continued.
 
-
-def funnel_ends(sol, s0s, p, controls):
-    """For each s0 of s0s, the :class:`FunnelCertificate` that ends a run
-    handed off sol's state at that s0, or None, where the run is continued.
-
-    The alphas of one parameter set hand off the same state with the same
-    error bound, each at its own s0 (``picard.gauge_map``), so the
-    certificate is checked at most once and only the budget gate reads s0.
-
-    It is checked only where the band test cannot end the run before s_max:
-    B attracts the run and conv_dist > 0 (the switch of every end at B), B
-    is a node (the field's Jacobian there has real eigenvalues, the slow one
-    lambda), and at the rate |lambda| the hand-off's Z_B - Z cannot fall to
-    z_band, below which the band test can pass, before s_max - CONV_SPAN
-    (the budget of ``_kernels.certifies_b``). The error bound is Picard's
-    a-posteriori one, sup_residual / (1 - rate) in the weighted norm, with
-    the larger of the measured and the proven contraction rate, carried to
-    s0 by e^(2k s0).
+    It is checked where B attracts the run and conv_dist > 0 (the switch of
+    every end at B), and B is a node: the field's Jacobian there has real
+    eigenvalues, which spares a focus the chord. The error bound is
+    Picard's a-posteriori one, sup_residual / (1 - rate) in the weighted
+    norm, with the larger of the measured and the proven contraction rate,
+    carried to s0 by e^(2k s0). The alphas of one parameter set hand off the
+    same state with the same error bound (``picard.gauge_map``), so one
+    check serves them all.
     """
-    none = [None] * len(s0s)
     if not (p.b_attracts and controls.conv_dist > 0.0):
-        return none
+        return None
     X, W = sol.state_at_s0(p)
     X, Z = float(X), math.exp(W) / p.cb  # the integrator's first sample
     if not Z < p.Z_B:
-        return none
+        return None
     lam = phase.eig2x2(phase.jacobian((p.X_B, p.Z_B), p))
     if lam[0].imag != 0.0:
-        return none
-    slow = max(lam[0].real, lam[1].real)
-    # the Z - Z_B of the band's level: conv_dist, or CONV_RHS / f(x_B), since
-    # |X_s| = (Z - Z_B) f(x_B) on the section X = X_B
-    z_band = min(controls.conv_dist, _kernels.CONV_RHS / phase.profile_value(p.x_B, p))
-    level = math.log((p.Z_B - Z) / z_band)
-    gated = [not -slow * (controls.s_max - _kernels.CONV_SPAN - s0) >= level for s0 in s0s]
-    if not any(gated):
-        return none
+        return None
     s0 = sol.tail.s0
     rate = max(sol.contraction_rate, sol.thresholds.contraction_bound * math.exp(2.0 * s0))
     err = sol.sup_residual / (1.0 - rate) * math.exp(2.0 * p.k * s0)
-    cert = funnel_certificate(X, Z, err, p)
-    return [cert if gate else None for gate in gated]
+    return funnel_certificate(X, Z, err, p)
 
 
 def funnel_certificate(X, Z, err, p):

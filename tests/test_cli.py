@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from ksol import _jit, cli, phase
+from ksol import _jit, cli, orbit, phase
 
 
 def run_cli(argv):
@@ -101,14 +101,15 @@ class TestClassify:
     @pytest.mark.parametrize(
         "n,k,rho,theta,kind,criterion",
         [("4", "2", "1e-4", "1", "Undetermined", None), ("4", "1", "1", "1e3", "TypeB", "funnel"),
-         ("4", "1", "1", "1", "TypeB", None)],
+         ("4", "1", "1", "1", "TypeB", "poincare_return"), ("6", "1", "1", "1", "TypeB", None)],
     )
     def test_class_reason(self, tmp_path, n, k, rho, theta, kind, criterion):
         # an Undetermined class says why; a decided one carries reason null.
         # n = 2k has no B, so its slow passage stays Undetermined; the theta
         # 1e3 corner is decided at its hand-off by the funnel certificate,
-        # which the class names with its margin; (4,1,1) at theta 1 ends
-        # converged_B, and its criterion and margin are null
+        # and (4,1,1) at its second upward return to X = X_B, which the class
+        # names with its margin; (6,1,1), whose fences fail, ends converged_B,
+        # and its criterion and margin are null
         out = tmp_path / "r.json"
         run_cli(["classify", "--n", n, "--k", k, "--rho", rho, "--theta", theta,
                  "--out", str(out)])
@@ -228,6 +229,24 @@ class TestProfileCommand:
         assert all(float(r["u"]) > 0.0 for r in rows)
         sidecar = json.loads((tmp_path / "p.csv.json").read_text())
         assert sidecar["elliptic_max_rel"] < 1e-6
+
+    @pytest.mark.parametrize("n,rho,criterion", [(6, 0.3, "funnel"), (4, 5.0, "poincare_return")])
+    def test_table_runs_past_a_certified_end(self, tmp_path, n, rho, criterion):
+        # the run at s_max 30 ends certified_B at its hand-off, r = 0.354
+        # (6,1,0.3), or at its second upward return to X = X_B, r = 313
+        # (4,1,5); the table runs on to r = e^30, and the class stays TypeB
+        p = phase.make_params(n, 1, rho, 1.0)
+        _sol, _tr, oc = orbit.run_orbit(p, controls=orbit.OrbitControls(s_max=30.0))
+        assert oc.diagnostics["criterion"] == criterion
+        out = tmp_path / "p.csv"
+        code = run_cli(["profile", "--n", str(n), "--k", "1", "--rho", str(rho), "--theta", "1",
+                        "--out", str(out)])
+        assert code == 0
+        r = [float(row["r"]) for row in csv.DictReader(out.open())]
+        assert r[-1] == pytest.approx(math.exp(30.0), rel=1e-12)
+        sidecar = json.loads((tmp_path / "p.csv.json").read_text())
+        assert sidecar["class"] == "TypeB" and sidecar["rows"] == len(r)
+        assert sidecar["elliptic_max_rel"] <= 4e-15
 
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "p.csv"

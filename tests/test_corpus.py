@@ -6,6 +6,10 @@ strict xfails, each pinned under its cause; a fix turns its pins into
 unexpected passes, and they must then come out. A run may raise a KsolError
 (it then counts as a result outside the table), but no other exception,
 pinned or not.
+
+Every run into an attracting B ends at B: certified_B, or converged_B on
+the band test only where no certificate reaches, on the sets named in
+BAND_ENDS with their cause.
 """
 
 import pytest
@@ -32,6 +36,16 @@ AXIS_STOP_BELOW_GAMMA = (
     "converged_axis below gamma and is labelled TypeA"
 )
 PICARD_OVERFLOW = "Picard overflow: e^(-2k s_min) exceeds the float range"
+DOUBLE_NODE = (
+    "B is a node with the double eigenvalue -2: the funnel refuses the hand-off, "
+    "and the orbit approaches B with no return to X = X_B"
+)
+ROUNDING_RETURNS = (
+    "B is a node the orbit overshoots in X, so the funnel refuses the hand-off; its "
+    "returns to X = X_B near B are rounding, which no Poincare return certifies"
+)
+BAND_ENDS = {(6, 1, 1.0): DOUBLE_NODE, (12, 4, 1.0): DOUBLE_NODE}
+BAND_ENDS.update({(64, 8, r): ROUNDING_RETURNS for r in (1.99, 2.0, 2.01, 3.0)})
 
 KNOWN = {}
 for _n, _k in PAIRS:
@@ -57,9 +71,13 @@ def test_result_is_in_the_regime_table(n, k, ratio):
     except KsolError as exc:
         result = (type(exc).__name__, str(exc))
     assert result[0] in orbit.expected_kinds(p), result
+    if p.b_attracts:
+        assert trace.status in ("certified_B", "converged_B"), result
+        assert (trace.status == "converged_B") == ((n, k, ratio) in BAND_ENDS), result
 
 
 def test_pins_name_corpus_cases():
     # 2 wrong labels, 8 Undetermined and 3 errors at the last count
     assert len(KNOWN) == 13
     assert set(KNOWN) <= {(n, k, r) for n, k in PAIRS for r in RATIOS}
+    assert set(BAND_ENDS) <= {(n, k, r) for n, k in PAIRS for r in RATIOS}

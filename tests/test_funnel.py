@@ -1,8 +1,8 @@
 """The funnel certificate: a run into a stiff node B ends at its Picard
 hand-off where the chord to B and the nullcline F = 0 fence the orbit in.
 
-``orbit.funnel_end`` checks it only where the band test cannot end the run
-before s_max; every other run is continued exactly as without it. The
+``orbit.funnel_end`` checks it wherever B attracts the run and is a node,
+whatever s_max; every other run is continued exactly as without it. The
 interval oracle that re-proves the certificates is ``tests/test_oracle.py``.
 """
 
@@ -15,13 +15,12 @@ from ksol import orbit, phase, picard
 from test_gauge import _assert_same_trace
 
 # the n > 2k pairs of the regime corpus; at rho/theta 1e-4 and 1e-2 (theta
-# 1) their slow passages are the runs the funnel check selects there
+# 1) their slow passages end at the funnel
 N_GT_2K = ((3, 1), (4, 1), (6, 1), (5, 2), (7, 3), (9, 4), (12, 4), (33, 16), (64, 8))
-GATED = [(n, k, r) for n, k in N_GT_2K for r in (1e-4, 1e-2)]
-# (n, k, rho, theta): a focus, two nodes whose slow rate (0.31, 0.33) lets
-# the band test end the run before s_max, and the weak focus of the theta
-# 1e-6 corner, whose slow passage only the eigenvalue test keeps out
-NOT_GATED = [(4, 1, 1.0, 1.0), (6, 1, 0.3, 1.0), (5, 2, 0.3, 1.0), (4, 1, 1.0, 1e-6)]
+SLOW_PASSAGES = [(n, k, r) for n, k in N_GT_2K for r in (1e-4, 1e-2)]
+# (n, k, rho, theta): a focus, and the weak focus of the theta 1e-6 corner,
+# whose slow passage only the eigenvalue test keeps out
+NOT_GATED = [(4, 1, 1.0, 1.0), (4, 1, 1.0, 1e-6)]
 
 
 def _hand_off(p, alpha=1.0):
@@ -89,9 +88,9 @@ class TestForgedPoints:
         assert orbit.funnel_certificate(fx * p.X_B, fz * p.Z_B, 0.0, p) is None
 
 
-@pytest.mark.parametrize("n,k,rho", GATED)
+@pytest.mark.parametrize("n,k,rho", SLOW_PASSAGES)
 def test_jacobian_at_B_matches_central_differences(n, k, rho):
-    # the gate reads B's eigenvalues off phase.jacobian, the field's own
+    # the node test reads B's eigenvalues off phase.jacobian, the field's own
     # linearization. f varies on the scale gamma - x_B = x_B rho/(2 theta)
     # in x, so the step in X is 1e-4 of that; the field is linear in Z
     p = phase.make_params(n, k, rho, 1.0)
@@ -134,9 +133,8 @@ def test_runs_outside_the_gate_are_continued_as_before(n, k, rho, theta):
     # the funnel check, bit for bit
     p = phase.make_params(n, k, rho, theta)
     controls = orbit.OrbitControls()
-    if rho == 1.0:
-        # a focus: the field's Jacobian at B has complex eigenvalues
-        assert phase.eig2x2(phase.jacobian((p.X_B, p.Z_B), p))[0].imag != 0.0
+    # a focus: the field's Jacobian at B has complex eigenvalues
+    assert phase.eig2x2(phase.jacobian((p.X_B, p.Z_B), p))[0].imag != 0.0
     for alpha in (0.5, 1.0, 2.0):
         sol = picard.picard_solve(alpha, p)
         assert orbit.funnel_end(sol, p, controls) is None
@@ -156,15 +154,14 @@ def test_conv_dist_zero_turns_the_funnel_end_off():
     assert tr.status == "s_max" and tr.accepted_steps > 0
 
 
-def test_the_budget_gate_follows_s_max():
-    # (6,1,0.3) converges to B at the slow rate 0.31: with s_max = 200 the
-    # band test ends it, with s_max = 10 it cannot, and the funnel closes
+def test_the_funnel_end_does_not_read_s_max():
+    # (6,1,0.3) converges to B at the slow rate 0.31; the funnel closes at
+    # its hand-off whether the run is given s_max = 200 or 10
     p = phase.make_params(6, 1, 0.3, 1.0)
     sol = picard.picard_solve(1.0, p)
-    assert orbit.funnel_end(sol, p, orbit.OrbitControls()) is None
-    short = orbit.OrbitControls(s_max=10.0)
-    assert orbit.funnel_end(sol, p, short) is not None
-    assert orbit.run_orbit(p, controls=short)[2].diagnostics["criterion"] == "funnel"
+    cert = orbit.funnel_end(sol, p, orbit.OrbitControls())
+    assert cert is not None
+    assert orbit.funnel_end(sol, p, orbit.OrbitControls(s_max=10.0)) == cert
 
 
 def test_the_fences_are_checked_once_per_set(monkeypatch):
@@ -178,19 +175,17 @@ def test_the_fences_are_checked_once_per_set(monkeypatch):
     assert all(oc.diagnostics["criterion"] == "funnel" for _sol, _trace, oc in runs)
 
 
-def test_a_funnel_row_does_not_move_the_shared_continuation():
-    # at s_max = 75.42 the budget gate of (6,1,0.3) passes at alpha 0.5
-    # (mapped s0 = -0.69) and fails at alphas 1 and 2 (s0 = -0.87, -1.04;
-    # the gate passes below s_max = 75.51, 75.34 and 75.16): the funnel end
-    # takes alpha 0.5 out of the shared run, and the other rows are read off
-    # it as if alpha 0.5 had not been asked for
-    p = phase.make_params(6, 1, 0.3, 1.0)
-    controls = orbit.OrbitControls(s_max=75.42)
-    alone = orbit.run_orbits(p, [1.0, 2.0], controls)
-    both = orbit.run_orbits(p, [0.5, 1.0, 2.0], controls)
-    assert both[0][2].diagnostics["criterion"] == "funnel"
-    for (_s1, tr_1, oc_1), (_s2, tr_2, oc_2) in zip(alone, both[1:]):
-        assert tr_1.accepted_steps > 0 and oc_1.diagnostics.get("criterion") is None
-        _assert_same_trace(tr_1, tr_2)
-        assert oc_1 == oc_2
-
+def test_a_funnel_set_is_not_continued(monkeypatch):
+    # the certificate holds for every alpha of a set or for none: the funnel
+    # set (6,1,0.3) runs no continuation, and (4,1,1) one that all its
+    # alphas share
+    calls = []
+    continue_ = orbit.integrate
+    monkeypatch.setattr(orbit, "integrate", lambda *a: calls.append(a) or continue_(*a))
+    alphas = [0.3, 0.5, 1.0, 2.0]
+    runs = orbit.run_orbits(phase.make_params(6, 1, 0.3, 1.0), alphas)
+    assert calls == []
+    assert all(oc.diagnostics["criterion"] == "funnel" for _sol, _trace, oc in runs)
+    runs = orbit.run_orbits(phase.make_params(4, 1, 1.0, 1.0), alphas)
+    assert len(calls) == 1
+    assert all(oc.diagnostics["criterion"] == "poincare_return" for _sol, _trace, oc in runs)

@@ -29,10 +29,12 @@ iv = mpmath.iv
 
 pytestmark = pytest.mark.slow
 
-# the n > 2k pairs of the regime corpus at rho/theta 1e-4 and 1e-2 (theta 1),
-# then (4,1,1) at the theta corners 1e3 and 1e6, as (n, k, rho, theta)
+# the n > 2k pairs of the regime corpus at rho/theta 1e-4, 1e-2 and 0.3
+# (theta 1), then the node (64,8,1) and (4,1,1) at the theta corners 1e3 and
+# 1e6, as (n, k, rho, theta)
 N_GT_2K = ((3, 1), (4, 1), (6, 1), (5, 2), (7, 3), (9, 4), (12, 4), (33, 16), (64, 8))
-CASES = [(n, k, r, 1.0) for n, k in N_GT_2K for r in (1e-4, 1e-2)] + [
+CASES = [(n, k, r, 1.0) for n, k in N_GT_2K for r in (1e-4, 1e-2, 0.3)] + [
+    (64, 8, 1.0, 1.0),
     (4, 1, 1.0, 1e3),
     (4, 1, 1.0, 1e6),
 ]

@@ -232,7 +232,7 @@ class TestEventsPerRegime:
             assert in_admissible_region((X, Z), p)
 
     def test_converged_B_certificate(self, run):
-        p, _sol, tr, _oc = run(4, 1, 1.0)
+        p, _sol, tr, _oc = run(6, 1, 1.0)
         X_end, Z_end = tr.end_state
         assert abs(X_end - p.X_B) < 1e-6
         assert abs(Z_end - p.Z_B) < 1e-6
@@ -246,8 +246,9 @@ class TestEventsPerRegime:
 
 
 class TestReturnCertificate:
-    """A weak focus ends at two contracting upward returns to X = X_B
-    (``_kernels.certifies_b``); every other run keeps its old end."""
+    """A focus ends at two contracting upward returns to X = X_B
+    (``_kernels.certifies_b``); a run that no return certifies ends at the
+    funnel or the band test."""
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
     def test_weak_focus_is_certified_at_its_second_return(self, alpha, run):
@@ -269,20 +270,27 @@ class TestReturnCertificate:
         assert diag["margin"] == (z1 - z2) / bound > 1.0
 
     @pytest.mark.parametrize(
-        "n,k,rho", [(4, 1, -1.0), (4, 1, 0.0), (5, 2, -1.0), (6, 1, -1.0), (4, 1, 0.3)]
+        "n,k,rho", [(4, 1, -1.0), (4, 1, 0.0), (5, 2, -1.0), (6, 1, -1.0), (6, 1, 1.0)]
     )
     def test_no_certificate_without_a_spiral_into_B(self, n, k, rho, run):
         # rho <= 0: no B draws the run (at (6,1,-1) the field's B is a source
-        # outside the region); (4,1,0.3): a node, approached without a return
+        # outside the region); (6,1,1): a node (double eigenvalue -2) whose
+        # funnel fences fail, approached without a return
         p, _sol, tr, oc = run(n, k, rho)
         assert tr.status != "certified_B" and tr.certificate is None
         assert "criterion" not in oc.diagnostics
         assert _kernels.pack_params(p)[_kernels.PP_HAS_B] == (1.0 if rho > 0.0 else 0.0)
 
-    @pytest.mark.parametrize("n,k,rho", [(4, 1, 1.0), (4, 1, 5.0), (5, 2, 1.0)])
-    def test_spiral_that_meets_the_band_keeps_its_end(self, n, k, rho, run):
-        _p, _sol, tr, oc = run(n, k, rho)
-        assert (oc.kind, tr.status) == (orbit.TYPE_B, "converged_B")
+    @pytest.mark.parametrize("n,k,rho,most", [(4, 1, 1.0, 60), (4, 1, 5.0, 60), (5, 2, 1.0, 70)])
+    def test_spiral_ends_at_its_second_upward_return(self, n, k, rho, most, run):
+        # the band test alone ends these runs after 72, 241 and 107 steps
+        p, _sol, tr, oc = run(n, k, rho)
+        assert (oc.kind, tr.status) == (orbit.TYPE_B, "certified_B")
+        assert oc.diagnostics["criterion"] == "poincare_return"
+        assert tr.accepted_steps <= most
+        s1, _z1, s2, _z2, _bound = tr.certificate
+        ups = [s for s in tr.event_s("crossed_X_B") if tr.X[np.searchsorted(tr.s, s) - 1] < p.X_B]
+        assert ups == [s1, s2] and s2 == tr.s[-1]
 
     def test_conv_dist_zero_turns_the_certificate_off(self):
         p = phase.make_params(4, 1, 1.0, 1e-6)
@@ -290,10 +298,9 @@ class TestReturnCertificate:
         tr = orbit.integrate(sol, p, orbit.OrbitControls(s_max=40.0, conv_dist=0.0))
         assert tr.status == "s_max" and tr.certificate is None
 
-    # certifies_b(s1, z1, s2, z2, z_b, bound, z_band, s_max) with Z_B = 1 and
-    # one loop of length 10
+    # certifies_b(z1, z2, z_b, bound) with Z_B = 1
     def test_predicate_accepts_a_slow_contracting_pair(self):
-        assert _kernels.certifies_b(0.0, 2.0, 10.0, 1.99, 1.0, 1e-6, 1e-10, 200.0)
+        assert _kernels.certifies_b(2.0, 1.99, 1.0, 1e-6)
 
     @pytest.mark.parametrize(
         "z1,z2,bound",
@@ -306,16 +313,7 @@ class TestReturnCertificate:
         ],
     )
     def test_predicate_rejects(self, z1, z2, bound):
-        assert not _kernels.certifies_b(0.0, z1, 10.0, z2, 1.0, bound, 1e-10, 200.0)
-
-    def test_predicate_leaves_a_band_end_before_s_max_alone(self):
-        # c = 0.5 per loop of 10 reaches 1e-10 after 33 loops, s ~ 340: only
-        # an s_max beyond that, less CONV_SPAN, lets the band test end the run
-        args = (0.0, 2.0, 10.0, 1.5, 1.0, 1e-6, 1e-10)
-        loops = math.log(1e-10 / 0.5) / math.log(0.5)
-        s_band = 10.0 + 10.0 * loops + _kernels.CONV_SPAN
-        assert _kernels.certifies_b(*args, s_band - 0.01)
-        assert not _kernels.certifies_b(*args, s_band + 0.01)
+        assert not _kernels.certifies_b(z1, z2, 1.0, bound)
 
 
 EXPECTED_GRID_CASES = [(4, 1), (4, 2), (3, 2)]
@@ -393,8 +391,11 @@ class TestMonitors:
     def test_forged_return_past_the_one_before_is_flagged(self, run):
         # (4,1,5) spirals into B: its upward returns to X = X_B fall toward
         # Z_B. One moved 1e-3 Z_B above the return before it reverses that
-        # order, far beyond the error bound (2.4e-7 Z here)
-        p, _sol, tr, _oc = run(4, 1, 5.0)
+        # order, far beyond the error bound (2.4e-7 Z here). The certificate
+        # ends the default run at its second return, so the arc is read with
+        # the ends at B off, up to s = 110, about where the band test alone
+        # would end it
+        p, _sol, tr, _oc = run(4, 1, 5.0, s_max=110.0, conv_dist=0.0)
         assert orbit.self_intersection_check(tr, p) == 0
         i = np.searchsorted(tr.s, tr.event_s("crossed_X_B"))
         up = i[tr.Z[i] > p.Z_B]
@@ -406,8 +407,9 @@ class TestMonitors:
     def test_rounding_returns_near_B_are_not_flagged(self, run):
         # (64,8,10) sits at B to rounding: 32 of its returns to X = X_B
         # reverse their half-line's order, all within 4e-12 Z_B of the one
-        # before, against a bound of about 1.6e-6 Z
-        p, _sol, tr, _oc = run(64, 8, 10.0)
+        # before, against a bound of about 1.6e-6 Z. The certificate ends the
+        # default run before it sits there, so the ends at B are off
+        p, _sol, tr, _oc = run(64, 8, 10.0, conv_dist=0.0)
         assert orbit.self_intersection_check(tr, p) == 0
         assert orbit.self_intersection_check(replace(tr, rtol=0.0), p) == 32
         i = np.searchsorted(tr.s, tr.event_s("crossed_X_B"))

@@ -55,8 +55,12 @@ class TestScalingInvariance:
 
 class TestHigherK:
     def test_k3_shrinker_converges_to_B(self, run):
-        p, sol, tr, oc = run(7, 3, 1.0)
-        assert oc.kind == orbit.TYPE_B
+        # the Poincare return ends the default run; the rate is read on the
+        # arc with the ends at B off, up to s = 47.7, about where the band
+        # test alone would end it
+        p, _sol, _tr, oc = run(7, 3, 1.0)
+        assert oc.kind == orbit.TYPE_B and oc.diagnostics["criterion"] == "poincare_return"
+        p, _sol, tr, _oc = run(7, 3, 1.0, s_max=47.7, conv_dist=0.0)
         X_end, Z_end = tr.end_state
         assert abs(X_end - p.X_B) < 1e-6 and abs(Z_end - p.Z_B) < 1e-6
         tab = profile.reconstruct_u(tr, p)
@@ -101,10 +105,14 @@ class TestHigherK:
         assert rr.fitted_exponent == pytest.approx(-3.0, rel=0.02)
 
     def test_large_n_classical(self, run):
-        p, _sol, tr, oc = run(12, 1, 1.0)
-        assert oc.kind == orbit.TYPE_B
+        # the funnel ends the default run at its hand-off; the rate is read on
+        # the arc with the ends at B off, up to s = 23.3, about where the band
+        # test alone would end it
+        p, _sol, _tr, oc = run(12, 1, 1.0)
+        assert oc.kind == orbit.TYPE_B and oc.diagnostics["criterion"] == "funnel"
+        p, _sol, tr, arc_oc = run(12, 1, 1.0, s_max=23.3, conv_dist=0.0)
         tab = profile.reconstruct_u(tr, p)
-        rr = profile.tail_rate(tab, p, oc)
+        rr = profile.tail_rate(tab, p, arc_oc)
         assert rr.fitted_exponent == pytest.approx(-2.0 / (1.0 - p.m), rel=0.01)
 
     def test_k5_critical_dimension(self, run):
