@@ -22,8 +22,8 @@ X_s = -(n-2k)(1 - x/x_A) X + e^W q g^k and W_s = 2k (1 - x/x_B) depends on
 x alone: the exponential arcs of Z are straight lines in W. X's error is
 held relative to X and W's absolutely, both at rtol, which is to first
 order the relative control of Z. The axis Z = 0 is W = -inf, where W stays.
-The samples are returned in Z = e^W/(c_nk beta^k), and the thresholds on Z
-(Z_FLOOR_REL, CONV_RHS) are applied as their exact images. No bound on Z
+The samples are returned in Z = e^W/(c_nk beta^k), and the threshold on Z
+(Z_FLOOR_REL) is applied as its exact image. No bound on Z
 stops a run: W grows only linearly up the asymptote, and a step whose e^W
 would overflow (W > EXP_W_MAX) is rejected as a bad state, so the step
 floor is the one stop left there.
@@ -47,15 +47,13 @@ step after a Newton failure does not grow where the state moves.
 Both methods have a dense output: the order-7 extension, the collocation
 cubic. Every event is located on it by bisection, and it supplies interior
 samples wherever the cubic Hermite between the step ends would miss
-SAMPLE_TOL in (X, W). So the steps are limited by accuracy, up to
-MAX_STEP = CONV_SPAN / 2.
+SAMPLE_TOL in (X, W). So the steps are limited by accuracy, up to MAX_STEP.
 
-Ends at B: where B attracts the run, it ends certified_B at the first
-upward crossing of X = X_B where ``certifies_b`` proves convergence from
-that return and the one before (Bendixson-Dulac and Poincare-Bendixson).
-The band test at step ends is the fallback for a run that no such return
-reaches (a node the funnel at the Picard hand-off refuses): it ends the
-run converged_B once the state has settled near B.
+Ends at B: where B attracts the run, its one end there is certified_B, at
+the first upward crossing of X = X_B where ``certifies_b`` proves
+convergence from that return and the one before (Bendixson-Dulac and
+Poincare-Bendixson). A run that no such return reaches (a node the funnel
+at the Picard hand-off refuses) goes on to s_max.
 """
 
 import math
@@ -75,16 +73,13 @@ PP_NUM_A = 6  # the chart's profile numerator num_a + num_b x:
 PP_NUM_B = 7  # (gamma, -1) for f, (nu, +1) for the A-chart h
 PP_XA_ROOT = 8  # x_A = (n+2k)/k
 PP_XB_ROOT = 9  # x_B = (n+2k)/(2k)
-PP_HAS_B = 10  # 1.0 where the run converges to B at (PP_BX, PP_BZ), else 0.0
-PP_BX = 11
-PP_BZ = 12
-PP_SIZE = 13
+PP_BZ = 10  # Z_B where B attracts the run, else 0.0
+PP_SIZE = 11
 
 # terminal status codes
 ST_SMAX = 0
 ST_ASYMPTOTE = 1
 ST_EXITED = 2
-ST_CONV_B = 3
 ST_CONV_AXIS = 4
 ST_CERT_B = 5
 ST_STEP_FLOOR = 6
@@ -105,19 +100,15 @@ EV_STEP_FLOOR = 6
 # (rates 2k vs |n-2k|); a deep floor keeps the measured X_inf and the
 # tail-rate window inside the asymptotic regime
 Z_FLOOR_REL = 1e-26
-# sustained convergence to B: |rhs| below CONV_RHS for an s-span CONV_SPAN
-CONV_RHS = 1e-9
-CONV_SPAN = 2.0
 # the error bound of the Poincare-return certificate on the Z of an upward
 # X_B crossing: CERT_SAFETY rtol Z per accepted step since the run's start.
 # Against scipy Radau (rtol 1e-13) the crossings of (4,1,5), (5,2,1) and
 # (4,1,10) lie within 0.0064 rtol Z per step, 1/1,500 of the bound
 CERT_SAFETY = 10.0
-# the longest step. Its samples come from the dense output; only the ends
-# tested at step ends, converged_B and converged_axis, need a cap:
-# CONV_SPAN / 2 keeps a run read off a shared continuation within CONV_SPAN
-# of its own run wherever the convergence clock does not restart
-MAX_STEP = 0.5 * CONV_SPAN
+# the longest step. Its samples come from the dense output; only the end
+# tested at step ends, converged_axis, needs a cap: it keeps a run read off
+# a shared continuation within MAX_STEP of its own run
+MAX_STEP = 1.0
 EV_CAP = 512  # logged events kept; later ones are only counted
 # a sign change of X - X_B between step ends that both lie within XB_ROUND
 # X_B of X_B (4.5 to 9 ulps) is rounding and no crossing: held at B, the
@@ -148,8 +139,8 @@ EXP_W_MAX = 709.0
 
 def pack_params(p):
     """The parameters the kernels read from ``p`` in its chart, as a tuple of
-    PP_SIZE = 13 floats in the PP_* order; numba types it as
-    UniTuple(float64, 13)."""
+    PP_SIZE = 11 floats in the PP_* order; numba types it as
+    UniTuple(float64, 11)."""
     return (
         float(p.n),
         float(p.k),
@@ -161,8 +152,6 @@ def pack_params(p):
         float(p.num_b),
         float(p.x_A),
         float(p.x_B),
-        1.0 if p.b_attracts else 0.0,
-        float(p.X_B) if p.b_attracts else 0.0,
         float(p.Z_B) if p.b_attracts else 0.0,
     )
 
@@ -1007,7 +996,7 @@ def integrate_core(
     rtol,
     step_floor,
     asym_tol,
-    conv_dist,
+    end_at_b,
     stop_at_xb,
     max_samples,
 ):
@@ -1018,14 +1007,12 @@ def integrate_core(
     invariant axis Z = 0, where W stays. X's error is held relative to X,
     W's absolutely, both at rtol. Steps are at most MAX_STEP long.
 
-    Where B attracts the run (pp[PP_HAS_B] > 0) and conv_dist > 0, two ends
-    are convergence to B. At each upward crossing of X = X_B after the
-    first, ``certifies_b`` reads the Z of this crossing and of the one
-    before; the error bound is CERT_SAFETY rtol Z per accepted step so far.
-    Where it holds, the run ends certified_B at the crossing. The band test,
-    the fallback for a run that no return certifies, ends it converged_B
-    once the state has stayed within conv_dist of B, with |rhs| below
-    CONV_RHS, for CONV_SPAN.
+    Where B attracts the run (pp[PP_BZ] > 0) and end_at_b is set, the run
+    ends at B only on a certificate. At each upward crossing of X = X_B
+    after the first, ``certifies_b`` reads the Z of this crossing and of the
+    one before; the error bound is CERT_SAFETY rtol Z per accepted step so
+    far. Where it holds, the run ends certified_B at the crossing; a run
+    that no return certifies goes on to s_max.
 
     Returns (s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status, cert, n_acc,
     n_rej, n_rhs, h_min, h_max, stiff_from_s): the samples, with
@@ -1068,7 +1055,6 @@ def integrate_core(
     h = 1e-3
     err_prev = 1.0
     w_peak = W
-    conv_since = math.inf
     status = ST_SMAX
     stiff = False
     n_limited = 0  # consecutive accepted DOP853 steps held by stability
@@ -1090,7 +1076,7 @@ def integrate_core(
     h_min = math.nan
     h_max = math.nan
     # the Poincare-return certificate: the last upward X_B crossing
-    certify = pp[PP_HAS_B] > 0.0 and conv_dist > 0.0
+    certify = pp[PP_BZ] > 0.0 and end_at_b
     s_up = math.nan
     z_up = math.nan
     cert = (math.nan, math.nan, math.nan, math.nan, math.nan)
@@ -1251,21 +1237,6 @@ def integrate_core(
 
         if W > w_peak:
             w_peak = W
-
-        # sustained convergence to the interior attractor B
-        if pp[PP_HAS_B] > 0.0:
-            Z = math.exp(W) / cb
-            dist = max(abs(X - pp[PP_BX]), abs(Z - pp[PP_BZ]))
-            rn = max(abs(fX), abs(Z * fW))
-            if dist < conv_dist and rn < CONV_RHS:
-                if not math.isfinite(conv_since):
-                    conv_since = s
-                elif s - conv_since >= CONV_SPAN:
-                    n_ev = _log_event(ev_s, ev_code, n_ev, s, EV_CONVERGED)
-                    status = ST_CONV_B
-                    break
-            else:
-                conv_since = math.inf
 
         # collapse onto the Z = 0 axis beyond X_B (orbits toward A or the
         # degenerate line): Z below Z_FLOOR_REL times its peak

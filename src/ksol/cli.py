@@ -322,7 +322,7 @@ def cmd_profile(args):
     sol, trace, oc = orbit_mod.run_orbit(p, cfg["alpha"], controls, cfg["tol"])
     if trace.status == "certified_B":
         # the class is proven; the table runs on to s_max past the certificate
-        trace = orbit_mod.integrate(sol, p, replace(controls, conv_dist=0.0))
+        trace = orbit_mod.integrate(sol, p, replace(controls, end_at_b=False))
     table = profile.reconstruct_u(trace, p)
     lam1, lam2 = sigma.schouten_pair(table.u, table.u_r, table.u_rr, table.r, p.n, p.k)
     sig, cond = sigma.split_sigma_l(lam1, lam2, p.n, p.k)

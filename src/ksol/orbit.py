@@ -5,11 +5,10 @@ invariant monitors.
 Orbit taxonomy: type gamma reaches the asymptote X = gamma^k with Z
 unbounded; type B converges to the interior attractor, which a run
 certifies by two contracting returns to the section X = X_B (a focus) or by
-a funnel into a node B that closes at the Picard hand-off, and otherwise
-shows by settling into a band around it; generalized type B stays in a
-bounded band around it; type A (or generalized type A when
-n = 2k) collapses onto the Z = 0 axis at X = X_inf; non-admissible orbits
-leave the region at a finite s_exit.
+a funnel into a node B that closes at the Picard hand-off; generalized
+type B stays in a bounded band around it up to s_max with no certificate;
+type A (or generalized type A when n = 2k) collapses onto the Z = 0 axis
+at X = X_inf; non-admissible orbits leave the region at a finite s_exit.
 """
 
 import math
@@ -42,7 +41,6 @@ _STATUS_NAMES = {
     _kernels.ST_SMAX: "s_max",
     _kernels.ST_ASYMPTOTE: "reached_asymptote",
     _kernels.ST_EXITED: "exited_region",
-    _kernels.ST_CONV_B: "converged_B",
     _kernels.ST_CONV_AXIS: "converged_axis",
     _kernels.ST_CERT_B: "certified_B",
     _kernels.ST_STEP_FLOOR: "step_floor",
@@ -82,7 +80,8 @@ class OrbitControls:
     # on the step's dense output; Z speeds the transverse contraction, which
     # the Radau steps absorb (<= 0: no event)
     asym_tol: float = 1e-5
-    conv_dist: float = 1e-7
+    # the switch of every end at B, the funnel and the Poincare return
+    end_at_b: bool = True
     max_samples: int = 400_000
 
 
@@ -120,10 +119,10 @@ class OrbitTrace:
     h_max: float = math.nan  # longest accepted step
     stiff_from_s: float = math.nan  # where Radau took over; NaN if it never did
     rtol: float = 0.0  # the integrator's rtol (0 where no run made the trace)
-    # a certified_B end: (s1, Z1, s2, Z2, bound), the two upward returns to
-    # X = X_B that certified convergence to B and the error bound on their
-    # Z, or, for a run that ended at the Picard hand-off, its
-    # FunnelCertificate (the hand-off point, its error bound and the margin)
+    # a certified_B end, the one end at B: (s1, Z1, s2, Z2, bound), the two
+    # upward returns to X = X_B that certified convergence to B and the
+    # error bound on their Z, or, for a run ended at the Picard hand-off,
+    # its FunnelCertificate (the hand-off point, its error bound, the margin)
     certificate: tuple | None = None
 
     @property
@@ -176,7 +175,7 @@ def _integrate_raw(x0, w0, s0, p, controls):
         controls.rtol,
         controls.step_floor,
         asym_tol,
-        controls.conv_dist,
+        controls.end_at_b,
         p.stops_at_xb,
         controls.max_samples,
     )
@@ -279,9 +278,9 @@ def classify_orbit(trace, p):
     (Z2 - Z_B)/(Z1 - Z_B) per loop and the margin (Z1 - Z2)/bound of the gap
     over the error bound. Where the run ended at the Picard hand-off on a
     :class:`FunnelCertificate`, they name the criterion ("funnel"), the
-    hand-off point and the certificate's margin. A converged_B end, the band
-    test's fallback where neither certificate holds, is TypeB with no
-    criterion; no other class carries one.
+    hand-off point and the certificate's margin. No other class carries a
+    criterion: a run into B that neither certificate ends reaches s_max,
+    where its bounded band reads GeneralizedB.
     """
     x_end, z_end = trace.end_state
     status = trace.status
@@ -290,9 +289,6 @@ def classify_orbit(trace, p):
 
     if status == "exited_region":
         return OrbitClass(NON_ADMISSIBLE, s_exit=float(trace.s[-1]), diagnostics=diag)
-    if status == "converged_B":
-        diag["B"] = (p.X_B, p.Z_B)
-        return OrbitClass(TYPE_B, diagnostics=diag)
     if status == "certified_B" and isinstance(trace.certificate, FunnelCertificate):
         cert = trace.certificate
         diag.update(
@@ -426,8 +422,8 @@ def funnel_end(sol, p, controls):
     """The :class:`FunnelCertificate` that ends sol's run at its hand-off,
     or None, where the run is continued.
 
-    It is checked where B attracts the run and conv_dist > 0 (the switch of
-    every end at B), and B is a node: the field's Jacobian there has real
+    It is checked where B attracts the run and ``controls.end_at_b`` is set,
+    and B is a node: the field's Jacobian there has real
     eigenvalues, which spares a focus the chord. The error bound is
     Picard's a-posteriori one, sup_residual / (1 - rate) in the weighted
     norm, with the larger of the measured and the proven contraction rate,
@@ -435,7 +431,7 @@ def funnel_end(sol, p, controls):
     same state with the same error bound (``picard.gauge_map``), so one
     check serves them all.
     """
-    if not (p.b_attracts and controls.conv_dist > 0.0):
+    if not (p.b_attracts and controls.end_at_b):
         return None
     X, W = sol.state_at_s0(p)
     X, Z = float(X), math.exp(W) / p.cb  # the integrator's first sample

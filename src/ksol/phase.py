@@ -295,10 +295,13 @@ def jacobian(state, p):
 
 
 def eig2x2(mat):
-    """Closed-form eigenvalues of a 2x2 matrix via trace/determinant."""
+    """Closed-form eigenvalues of a 2x2 matrix via trace/determinant; a
+    discriminant within the rounding of t^2 - 4d is the double root t/2."""
     t = mat[0][0] + mat[1][1]
     d = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
     disc = t * t - 4.0 * d
+    if abs(disc) <= 4.0 * np.finfo(float).eps * (t * t + 4.0 * abs(d)):
+        return complex(t / 2.0), complex(t / 2.0)
     if disc >= 0.0:
         root = math.sqrt(disc)
         return complex((t + root) / 2.0), complex((t - root) / 2.0)

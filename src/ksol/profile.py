@@ -15,7 +15,7 @@ import numpy as np
 from . import orbit as orbit_mod
 from . import phase
 from .errors import DomainError
-from .sigma import binomial, schouten_pair, split_sigma_l
+from .sigma import binomial, schouten_pair, sigma_l_bracket, split_sigma_l
 
 LN_FLOOR = -680.0  # linear-space columns must stay representable
 MIN_TAIL_SPAN = 2.0 * math.log(10.0)  # two decades of r before a rate is read
@@ -385,17 +385,19 @@ def potential_identity_residual(table, p):
     eigenvalues of the reconstructed ``table`` in the metric gauge.
     """
     lam1, lam2 = schouten_pair(table.u, table.u_r, table.u_rr, table.r, p.n, p.k)
-    sig, cond = split_sigma_l(lam1, lam2, p.n, p.k)
-    # sigma_k is a cancelling combination of the eigenvalues (it vanishes
-    # like Z on axis-bound tails while the eigenvalues stay O(1/r^2)); only
-    # rows where that combination is well-conditioned are verifiable
-    good = (sig > 0.0) & (cond < 1e4)
+    bracket, cond = sigma_l_bracket(lam1, lam2, p.n, p.k)
+    # sigma_k = lambda2^(k-1) bracket cancels (like Z on axis-bound tails,
+    # the eigenvalues O(1/r^2)): only rows with a well-conditioned bracket
+    # are verifiable. The product underflows at k >= 3 near B, so its sign
+    # is read off the factors and its root taken in logs
+    good = (np.sign(lam2) ** (p.k - 1) * bracket > 0.0) & (lam2 != 0.0) & (cond < 1e4)
     u, Z, X = table.u[good], table.Z[good], table.X[good]
     w = phase.kth_root(Z, p.k)
     _F, G = phase.vector_field(X, Z, p)
     w_s = w * (G / Z) / p.k
+    ln_sig = (p.k - 1) * np.log(np.abs(lam2[good])) + np.log(bracket[good])
     # metric-gauge sigma_k^(1/k): the Euclidean-gauge eigenvalues carry u^(1-m)
-    sig_root = phase.kth_root(sig[good], p.k) / u ** (1.0 - p.m)
+    sig_root = np.exp(ln_sig / p.k) / u ** (1.0 - p.m)
     lhs = p.theta * w_s
     rhs = (sig_root - p.rho) * w
     # both sides vanish together whenever the orbit crosses X = X_B

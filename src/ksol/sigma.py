@@ -152,11 +152,18 @@ def split_sigma_l(lam1, lam2, n, l):
     """sigma_l of the split spectrum, lambda2^(l-1) [C(n-1,l-1) lambda1 +
     C(n-1,l) lambda2], and the condition number of the bracket's sum;
     floats or arrays, no validation."""
+    combo, cond = sigma_l_bracket(lam1, lam2, n, l)
+    return lam2 ** (l - 1) * combo, cond
+
+
+def sigma_l_bracket(lam1, lam2, n, l):
+    """The bracket C(n-1,l-1) lambda1 + C(n-1,l) lambda2 of
+    ``split_sigma_l`` and the condition number of its sum."""
     b1 = float(binomial(n - 1, l - 1))
     b2 = float(binomial(n - 1, l))
     combo = b1 * lam1 + b2 * lam2
     cond = (b1 * np.abs(lam1) + b2 * np.abs(lam2)) / np.maximum(np.abs(combo), 1e-300)
-    return lam2 ** (l - 1) * combo, cond
+    return combo, cond
 
 
 def radial_schouten_eigenvalues(u, u_r, u_rr, r, n, k):

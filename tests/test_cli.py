@@ -101,15 +101,17 @@ class TestClassify:
     @pytest.mark.parametrize(
         "n,k,rho,theta,kind,criterion",
         [("4", "2", "1e-4", "1", "Undetermined", None), ("4", "1", "1", "1e3", "TypeB", "funnel"),
-         ("4", "1", "1", "1", "TypeB", "poincare_return"), ("6", "1", "1", "1", "TypeB", None)],
+         ("4", "1", "1", "1", "TypeB", "poincare_return"),
+         ("6", "1", "1", "1", "GeneralizedB", None)],
     )
     def test_class_reason(self, tmp_path, n, k, rho, theta, kind, criterion):
         # an Undetermined class says why; a decided one carries reason null.
         # n = 2k has no B, so its slow passage stays Undetermined; the theta
         # 1e3 corner is decided at its hand-off by the funnel certificate,
         # and (4,1,1) at its second upward return to X = X_B, which the class
-        # names with its margin; (6,1,1), whose fences fail, ends converged_B,
-        # and its criterion and margin are null
+        # names with its margin; (6,1,1), whose fences fail, runs into B with
+        # no certificate to s_max, GeneralizedB, and its criterion and margin
+        # are null
         out = tmp_path / "r.json"
         run_cli(["classify", "--n", n, "--k", k, "--rho", rho, "--theta", theta,
                  "--out", str(out)])

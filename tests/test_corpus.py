@@ -7,9 +7,10 @@ unexpected passes, and they must then come out. A run may raise a KsolError
 (it then counts as a result outside the table), but no other exception,
 pinned or not.
 
-Every run into an attracting B ends at B: certified_B, or converged_B on
-the band test only where no certificate reaches, on the sets named in
-BAND_ENDS with their cause.
+Every run into an attracting B ends at B on a certificate (certified_B),
+except on the nodes that no certificate reaches, named in
+UNCERTIFIED_NODES with their cause: they run to s_max, where their bounded
+band reads GeneralizedB.
 """
 
 import pytest
@@ -44,8 +45,8 @@ ROUNDING_RETURNS = (
     "B is a node the orbit overshoots in X, so the funnel refuses the hand-off; its "
     "returns to X = X_B near B are rounding, which no Poincare return certifies"
 )
-BAND_ENDS = {(6, 1, 1.0): DOUBLE_NODE, (12, 4, 1.0): DOUBLE_NODE}
-BAND_ENDS.update({(64, 8, r): ROUNDING_RETURNS for r in (1.99, 2.0, 2.01, 3.0)})
+UNCERTIFIED_NODES = {(6, 1, 1.0): DOUBLE_NODE, (12, 4, 1.0): DOUBLE_NODE}
+UNCERTIFIED_NODES.update({(64, 8, r): ROUNDING_RETURNS for r in (1.99, 2.0, 2.01, 3.0)})
 
 KNOWN = {}
 for _n, _k in PAIRS:
@@ -71,13 +72,14 @@ def test_result_is_in_the_regime_table(n, k, ratio):
     except KsolError as exc:
         result = (type(exc).__name__, str(exc))
     assert result[0] in orbit.expected_kinds(p), result
-    if p.b_attracts:
-        assert trace.status in ("certified_B", "converged_B"), result
-        assert (trace.status == "converged_B") == ((n, k, ratio) in BAND_ENDS), result
+    if p.b_attracts and (n, k, ratio) in UNCERTIFIED_NODES:
+        assert result == (orbit.GENERALIZED_B, "s_max"), result
+    elif p.b_attracts:
+        assert result[1] == "certified_B", result
 
 
 def test_pins_name_corpus_cases():
     # 2 wrong labels, 8 Undetermined and 3 errors at the last count
     assert len(KNOWN) == 13
     assert set(KNOWN) <= {(n, k, r) for n, k in PAIRS for r in RATIOS}
-    assert set(BAND_ENDS) <= {(n, k, r) for n, k in PAIRS for r in RATIOS}
+    assert set(UNCERTIFIED_NODES) <= {(n, k, r) for n, k in PAIRS for r in RATIOS}

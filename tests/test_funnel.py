@@ -143,11 +143,11 @@ def test_runs_outside_the_gate_are_continued_as_before(n, k, rho, theta):
         _assert_same_trace(trace, orbit.integrate(sol, p))
 
 
-def test_conv_dist_zero_turns_the_funnel_end_off():
-    # conv_dist = 0 is the switch of every end at B
+def test_end_at_b_false_turns_the_funnel_end_off():
+    # end_at_b is the switch of every end at B
     p = phase.make_params(4, 1, 1e-2, 1.0)
     sol = picard.picard_solve(1.0, p)
-    controls = orbit.OrbitControls(conv_dist=0.0, s_max=5.0)
+    controls = orbit.OrbitControls(end_at_b=False, s_max=5.0)
     assert orbit.funnel_end(sol, p, orbit.OrbitControls()) is not None
     assert orbit.funnel_end(sol, p, controls) is None
     _sol, tr, _oc = orbit.run_orbit(p, controls=controls)

@@ -71,7 +71,7 @@ class TestSharedContinuation:
                 assert trace.end_state == (float(X_a), math.exp(W_a) / p.cb)
             else:
                 ds = abs(trace.s[-1] - trace_1.s[-1])
-                assert ds <= (1e-5 if trace.status in EXACT_ENDS else _kernels.CONV_SPAN), alpha
+                assert ds <= (1e-5 if trace.status in EXACT_ENDS else _kernels.MAX_STEP), alpha
             assert np.all(np.diff(trace.s) > 0.0)
             assert trace.s[-1] <= 200.0
 

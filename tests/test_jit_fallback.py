@@ -130,7 +130,7 @@ def test_integrate_core_arity():
     ctl = orbit.OrbitControls(s_max=1.0)
     out = _kernels.integrate_core(
         0.1, 0.0, 0.0, ctl.s_max, _kernels.pack_params(p), ctl.rtol, ctl.step_floor,
-        ctl.asym_tol, ctl.conv_dist, False, ctl.max_samples,
+        ctl.asym_tol, ctl.end_at_b, False, ctl.max_samples,
     )
     assert len(out) == 14
     assert len(out[7]) == 5 and all(math.isnan(v) for v in out[7])

@@ -179,7 +179,7 @@ class TestIntegratorEdges:
         # with convergence detection disabled the orbit keeps circling B;
         # the classifier must report the bounded band, not convergence
         p = phase.make_params(4, 1, 1.0, 1.0)
-        ctl = orbit.OrbitControls(s_max=40.0, conv_dist=0.0)
+        ctl = orbit.OrbitControls(s_max=40.0, end_at_b=False)
         tr = integrate_state(1.0, 0.5, 0.0, p, ctl)
         assert tr.status == "s_max"
         oc = orbit.classify_orbit(tr, p)
@@ -231,7 +231,7 @@ class TestEventsPerRegime:
         for X, Z in zip(tr.X[:-1], tr.Z[:-1]):
             assert in_admissible_region((X, Z), p)
 
-    def test_converged_B_certificate(self, run):
+    def test_uncertified_node_settles_at_B(self, run):
         p, _sol, tr, _oc = run(6, 1, 1.0)
         X_end, Z_end = tr.end_state
         assert abs(X_end - p.X_B) < 1e-6
@@ -279,7 +279,7 @@ class TestReturnCertificate:
         p, _sol, tr, oc = run(n, k, rho)
         assert tr.status != "certified_B" and tr.certificate is None
         assert "criterion" not in oc.diagnostics
-        assert _kernels.pack_params(p)[_kernels.PP_HAS_B] == (1.0 if rho > 0.0 else 0.0)
+        assert (_kernels.pack_params(p)[_kernels.PP_BZ] > 0.0) == (rho > 0.0)
 
     @pytest.mark.parametrize("n,k,rho,most", [(4, 1, 1.0, 60), (4, 1, 5.0, 60), (5, 2, 1.0, 70)])
     def test_spiral_ends_at_its_second_upward_return(self, n, k, rho, most, run):
@@ -292,10 +292,10 @@ class TestReturnCertificate:
         ups = [s for s in tr.event_s("crossed_X_B") if tr.X[np.searchsorted(tr.s, s) - 1] < p.X_B]
         assert ups == [s1, s2] and s2 == tr.s[-1]
 
-    def test_conv_dist_zero_turns_the_certificate_off(self):
+    def test_end_at_b_false_turns_the_certificate_off(self):
         p = phase.make_params(4, 1, 1.0, 1e-6)
         sol = picard.picard_solve(1.0, p)
-        tr = orbit.integrate(sol, p, orbit.OrbitControls(s_max=40.0, conv_dist=0.0))
+        tr = orbit.integrate(sol, p, orbit.OrbitControls(s_max=40.0, end_at_b=False))
         assert tr.status == "s_max" and tr.certificate is None
 
     # certifies_b(z1, z2, z_b, bound) with Z_B = 1
@@ -395,7 +395,7 @@ class TestMonitors:
         # ends the default run at its second return, so the arc is read with
         # the ends at B off, up to s = 110, about where the band test alone
         # would end it
-        p, _sol, tr, _oc = run(4, 1, 5.0, s_max=110.0, conv_dist=0.0)
+        p, _sol, tr, _oc = run(4, 1, 5.0, s_max=110.0, end_at_b=False)
         assert orbit.self_intersection_check(tr, p) == 0
         i = np.searchsorted(tr.s, tr.event_s("crossed_X_B"))
         up = i[tr.Z[i] > p.Z_B]
@@ -409,7 +409,7 @@ class TestMonitors:
         # reverse their half-line's order, all within 4e-12 Z_B of the one
         # before, against a bound of about 1.6e-6 Z. The certificate ends the
         # default run before it sits there, so the ends at B are off
-        p, _sol, tr, _oc = run(64, 8, 10.0, conv_dist=0.0)
+        p, _sol, tr, _oc = run(64, 8, 10.0, end_at_b=False)
         assert orbit.self_intersection_check(tr, p) == 0
         assert orbit.self_intersection_check(replace(tr, rtol=0.0), p) == 32
         i = np.searchsorted(tr.s, tr.event_s("crossed_X_B"))
@@ -487,7 +487,7 @@ class TestBarrier:
         x0, w0 = sol.state_at_s0(p)
         out = _kernels.integrate_core(
             float(x0), float(w0), float(sol.tail.s0), ctl.s_max, _kernels.pack_params(p),
-            ctl.rtol, ctl.step_floor, ctl.asym_tol, ctl.conv_dist, True,
+            ctl.rtol, ctl.step_floor, ctl.asym_tol, ctl.end_at_b, True,
             ctl.max_samples,
         )
         assert out[6] == _kernels.ST_XB_STOP

@@ -437,6 +437,13 @@ class TestRegionAndStructure:
         assert ev[0] == pytest.approx(1j)
         assert ev[1] == pytest.approx(-1j)
 
+    @pytest.mark.parametrize("n,k", [(6, 1), (12, 4)])
+    def test_eig2x2_double_root_at_B(self, n, k):
+        # rho = theta: B is a node with the double eigenvalue -2; on (12,4)
+        # the discriminant rounds to -3.6e-15, which is no complex pair
+        p = phase.make_params(n, k, 1.0, 1.0)
+        assert phase.eig2x2(phase.jacobian((p.X_B, p.Z_B), p)) == (-2.0, -2.0)
+
     def test_phase_state_unpacks(self):
         p = phase.make_params(4, 1, 1.0, 1.0)
         state = phase.PhaseState(3.0, 1.0, s=0.0)

@@ -221,6 +221,15 @@ class TestPotential:
         assert np.all(np.diff(pot.phi) > 0.0)
         assert profile.potential_identity_residual(profile.reconstruct_u(tr, p), p) < 1e-6
 
+    @pytest.mark.parametrize("rho,ctrl", [(0.0, {}), (1.0, {"end_at_b": False})])
+    def test_identity_holds_where_sigma_k_underflows(self, rho, ctrl, run):
+        # at k = 4 the product lambda2^3 [bracket] underflows to subnormals:
+        # on (12,4,1), held at B up to s = 200, sigma_k reads 1.5e-321 at
+        # s = 92.6, and the residual read off the product was 1.8e-5
+        p, _sol, tr, _oc = run(12, 4, rho, **ctrl)
+        assert tr.status == "s_max"
+        assert profile.potential_identity_residual(profile.reconstruct_u(tr, p), p) < 1e-12
+
     def test_gauge_shift_changes_nothing(self, run):
         p, _sol, tr, _oc = run(4, 1, 0.0)
         pot = profile.potential_phi(tr, p)

@@ -60,7 +60,7 @@ class TestHigherK:
         # test alone would end it
         p, _sol, _tr, oc = run(7, 3, 1.0)
         assert oc.kind == orbit.TYPE_B and oc.diagnostics["criterion"] == "poincare_return"
-        p, _sol, tr, _oc = run(7, 3, 1.0, s_max=47.7, conv_dist=0.0)
+        p, _sol, tr, _oc = run(7, 3, 1.0, s_max=47.7, end_at_b=False)
         X_end, Z_end = tr.end_state
         assert abs(X_end - p.X_B) < 1e-6 and abs(Z_end - p.Z_B) < 1e-6
         tab = profile.reconstruct_u(tr, p)
@@ -110,7 +110,7 @@ class TestHigherK:
         # test alone would end it
         p, _sol, _tr, oc = run(12, 1, 1.0)
         assert oc.kind == orbit.TYPE_B and oc.diagnostics["criterion"] == "funnel"
-        p, _sol, tr, arc_oc = run(12, 1, 1.0, s_max=23.3, conv_dist=0.0)
+        p, _sol, tr, arc_oc = run(12, 1, 1.0, s_max=23.3, end_at_b=False)
         tab = profile.reconstruct_u(tr, p)
         rr = profile.tail_rate(tab, p, arc_oc)
         assert rr.fitted_exponent == pytest.approx(-2.0 / (1.0 - p.m), rel=0.01)

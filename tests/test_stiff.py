@@ -23,8 +23,16 @@ NON_STIFF_SETS = [(4, 1, 1.0), (4, 1, 5.0), (4, 2, 1.0), (3, 2, 3.0), (5, 2, 1.0
 # reads: the controls that run them with the ends at B off, up to about
 # where the band test alone would end them
 SPIRAL_ARCS = {
-    (4, 1, 5.0): {"s_max": 110.0, "conv_dist": 0.0},
-    (5, 2, 1.0): {"s_max": 45.0, "conv_dist": 0.0},
+    (4, 1, 5.0): {"s_max": 110.0, "end_at_b": False},
+    (5, 2, 1.0): {"s_max": 45.0, "end_at_b": False},
+}
+# the spirals of NON_STIFF_SETS end at their second return to X_B, at s =
+# 5.7 to 9.0; with the ends at B off they run on into B (72 to 243 accepted
+# steps), where the stiffness switch could fire
+SPIRAL_APPROACH = {
+    (4, 1, 1.0): {"s_max": 23.5, "end_at_b": False},
+    (4, 1, 5.0): {"s_max": 110.1, "end_at_b": False},
+    (5, 2, 1.0): {"s_max": 44.4, "end_at_b": False},
 }
 # the sets the pipeline benchmark runs: the stiff sets, the regime table
 # at theta = 1 and (4,1,1) at the theta corners, as (n, k, rho, theta)
@@ -418,8 +426,11 @@ class TestStiffSwitch:
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n,k,rho", NON_STIFF_SETS)
     def test_non_stiff_sets_stay_explicit(self, n, k, rho, alpha, run):
-        _p, _sol, tr, _oc = run(n, k, rho, alpha=alpha)
+        controls = SPIRAL_APPROACH.get((n, k, rho), {})
+        _p, _sol, tr, _oc = run(n, k, rho, alpha=alpha, **controls)
         assert math.isnan(tr.stiff_from_s)
+        if controls:
+            assert tr.status == "s_max"
 
     @staticmethod
     def _dop853_steps(monkeypatch, n, k, rho, controls=None):
@@ -465,7 +476,7 @@ class TestStiffSwitch:
         # STIFF_SPAN steps that grow toward B, not shrink; the funnel ends the
         # default run at its hand-off, so the ends at B are off, up to about
         # where the band test alone would end it
-        controls = orbit.OrbitControls(s_max=23.3, conv_dist=0.0)
+        controls = orbit.OrbitControls(s_max=23.3, end_at_b=False)
         tr, steps = self._dop853_steps(monkeypatch, 12, 1, 1.0, controls)
         assert tr.stiff_from_s == pytest.approx(12.18, abs=5e-3)
         span = steps[-_kernels.STIFF_SPAN - 1:]
@@ -515,7 +526,7 @@ class TestStiffSwitch:
         # B is a stable node for (12,1,1) (eigenvalues -34.7 and -0.29):
         # the orbit meets X_B at most a few times; DOPRI5 held at its
         # stability limit there chattered across X_B 2,623 times by s = 2000
-        _p, _sol, tr, _oc = run(12, 1, 1.0, s_max=2000.0, conv_dist=0.0)
+        _p, _sol, tr, _oc = run(12, 1, 1.0, s_max=2000.0, end_at_b=False)
         assert math.isfinite(tr.stiff_from_s)
         assert len(tr.event_s("crossed_X_B")) < 10
         assert tr.events_dropped == 0
@@ -556,7 +567,7 @@ class TestStepCaps:
 
     @pytest.mark.parametrize("n,k,rho,theta", [(4, 1, -1.0, 1.0), (4, 1, 0.0, 1.0), (4, 1, 1.0, 1e3)])
     def test_radau_samples_keep_sample_tol(self, n, k, rho, theta, continued):
-        # after the switch the samples lie at most CONV_SPAN / 2 apart (up to
+        # after the switch the samples lie at most MAX_STEP apart (up to
         # the rounding of s), and the cubic Hermite between neighbours, from
         # the samples and the field there, meets the flow from the left one
         # (DOP853 at h rho(J) <= 2, below its stability limit) at the
@@ -569,7 +580,7 @@ class TestStepCaps:
         W = np.log(p.cb * tr.Z[i0:])
         assert s.size > 80
         h = np.diff(s)
-        assert np.all(h <= 0.5 * _kernels.CONV_SPAN + np.spacing(s[1:]))
+        assert np.all(h <= _kernels.MAX_STEP + np.spacing(s[1:]))
         slopes = np.array([_kernels.rhs(X[j], W[j], pp) for j in range(s.size)])
         mids = s[:-1] + 0.5 * h
         got = [orbit.hermite(s, y, slopes[:, i], mids) for i, y in enumerate((X, W))]
@@ -582,7 +593,7 @@ class TestStepCaps:
     @pytest.mark.parametrize("n,k,rho,theta", BENCH_SETS)
     def test_longest_step(self, n, k, rho, theta, continued):
         _p, tr = continued(n, k, rho, theta)
-        assert tr.h_min <= tr.h_max <= 0.5 * _kernels.CONV_SPAN
+        assert tr.h_min <= tr.h_max <= _kernels.MAX_STEP
 
 
 @pytest.fixture(scope="module")
