@@ -1001,7 +1001,8 @@ def integrate_core(
     max_samples,
 ):
     """Adaptive integration of the phase-plane field in the log chart, with
-    event detection.
+    event detection: a run from (X0, W0) at s0 to its end, in one
+    :func:`advance` with no pause.
 
     The state is (X, W), W = ln(c_nk beta^k Z); W0 = -inf starts on the
     invariant axis Z = 0, where W stays. X's error is held relative to X,
@@ -1024,12 +1025,70 @@ def integrate_core(
     end), the shortest and the longest accepted step and the s where Radau
     took over (NaN if it never did).
     """
+    buffers, loop = start_run(X0, W0, s0, pp, max_samples)
+    loop = advance(
+        buffers, loop, math.inf, s_max, pp, rtol, step_floor, asym_tol, end_at_b, stop_at_xb
+    )
+    return run_result(buffers, loop)
+
+
+# the slots of a run's loop state that its caller reads at a pause: the
+# run's s, its status and its sample count
+LOOP_S = 0
+LOOP_STATUS = 8
+LOOP_SAMPLES = 27
+
+
+@njit
+def start_run(X0, W0, s0, pp, max_samples):
+    """A run at (X0, W0) at s0 before its first step, as (buffers, loop):
+    the sample and event buffers, whose first sample is the start, and the
+    state the step loop of :func:`advance` carries from one step to the
+    next, in the order it unpacks it. The first step is 1e-3 long."""
     s_out = np.empty(max_samples)
     x_out = np.empty(max_samples)
     z_out = np.empty(max_samples)
     ev_s = np.empty(EV_CAP)
     ev_code = np.zeros(EV_CAP, dtype=np.int64)
-    n_ev = 0
+    s_out[0] = s0
+    x_out[0] = X0
+    z_out[0] = math.exp(W0) / pp[PP_CB]
+    fX, fW = rhs(X0, W0, pp)
+    zero = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    nan = math.nan
+    # the state (s, X, W) and its derivative; the step, the last error and
+    # the peak of W; the status; whether Radau runs, the consecutive
+    # accepted DOP853 steps held by stability, the last accepted DOP853 step
+    # and where Radau took over; Radau's Jacobian at the step start, its
+    # last accepted step (0 before the first; its error is err_prev),
+    # whether an attempt of the current step was rejected, whether Newton
+    # failed on one, and the dense output (cx, cw) of the last accepted
+    # step; the step and rhs counters and the extreme steps; the last upward
+    # X_B crossing (s_up, z_up) and the certificate; the sample and event
+    # counts
+    loop = (
+        s0, X0, W0, fX, fW, 1e-3, 1.0, W0, ST_SMAX, False, 0, math.inf, nan,
+        (0.0, 0.0, 0.0, 0.0), 0.0, False, False, zero, zero, 0, 0, 1, nan, nan,
+        nan, nan, (nan, nan, nan, nan, nan), 1, 0,
+    )
+    return (s_out, x_out, z_out, ev_s, ev_code), loop
+
+
+@njit
+def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_at_b, stop_at_xb):
+    """The run (buffers, loop) of :func:`start_run` continued to its end or
+    to a pause: the first accepted step that ends at or past s_pause. Steps
+    are clipped at s_max alone, so a run paused and resumed, with the loop
+    state this returns, takes the steps of a run that never paused, bit for
+    bit. Returns the loop state; the status slot (LOOP_STATUS) still reads
+    ST_SMAX short of s_max at a pause."""
+    s_out, x_out, z_out, ev_s, ev_code = buffers
+    max_samples = s_out.size
+    (
+        s, X, W, fX, fW, h, err_prev, w_peak, status, stiff, n_limited, h_last, stiff_from_s,
+        J, h_acc, rejected, newton_failed, cx, cw, n_acc, n_rej, n_rhs, h_min, h_max,
+        s_up, z_up, cert, m, n_ev,
+    ) = loop
 
     k = int(pp[PP_K])
     cb = pp[PP_CB]
@@ -1041,45 +1100,11 @@ def integrate_core(
     # exit of the region
     gamma_edge = pp[PP_N] >= 2.0 * pp[PP_K] and pp[PP_NUM_B] < 0.0 and pp[PP_GAMMA] <= pp[PP_XA_ROOT]
     X_gamma = pp[PP_XCAP] if gamma_edge else math.inf
-    # W carries no error on the axis
-    magW = 1.0 if W0 > -math.inf else 0.0
-    s = s0
-    X = X0
-    W = W0
-    s_out[0] = s
-    x_out[0] = X
-    z_out[0] = math.exp(W) / cb
-    m = 1
-
-    fX, fW = rhs(X, W, pp)
-    h = 1e-3
-    err_prev = 1.0
-    w_peak = W
-    status = ST_SMAX
-    stiff = False
-    n_limited = 0  # consecutive accepted DOP853 steps held by stability
-    h_last = math.inf  # the last accepted DOP853 step
-    stiff_from_s = math.nan
-    # Radau: the Jacobian at the step start, the last accepted Radau step
-    # (0 before the first; its error is err_prev), whether an attempt of the
-    # current step was rejected, whether Newton failed on one, and the dense
-    # output of the last accepted step
-    J = (0.0, 0.0, 0.0, 0.0)
-    h_acc = 0.0
-    rejected = False
-    newton_failed = False
-    cx = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    cw = cx
-    n_acc = 0
-    n_rej = 0
-    n_rhs = 1
-    h_min = math.nan
-    h_max = math.nan
-    # the Poincare-return certificate: the last upward X_B crossing
+    # W carries no error on the axis, where it stays -inf
+    magW = 1.0 if W > -math.inf else 0.0
+    # the Poincare-return certificate, from the last upward X_B crossing
+    # (s_up, z_up)
     certify = pp[PP_BZ] > 0.0 and end_at_b
-    s_up = math.nan
-    z_up = math.nan
-    cert = (math.nan, math.nan, math.nan, math.nan, math.nan)
 
     while s < s_max:
         if h > s_max - s:
@@ -1263,7 +1288,26 @@ def integrate_core(
                 h_last = h
 
         h = h_next
+        if s >= s_pause:
+            break
 
+    return (
+        s, X, W, fX, fW, h, err_prev, w_peak, status, stiff, n_limited, h_last, stiff_from_s,
+        J, h_acc, rejected, newton_failed, cx, cw, n_acc, n_rej, n_rhs, h_min, h_max,
+        s_up, z_up, cert, m, n_ev,
+    )
+
+
+@njit
+def run_result(buffers, loop):
+    """The result of :func:`integrate_core` from a run's buffers and loop
+    state."""
+    s_out, x_out, z_out, ev_s, ev_code = buffers
+    (
+        _s, _X, _W, _fX, _fW, _h, _err_prev, _w_peak, status, _stiff, _n_limited, _h_last,
+        stiff_from_s, _J, _h_acc, _rejected, _newton_failed, _cx, _cw, n_acc, n_rej, n_rhs,
+        h_min, h_max, _s_up, _z_up, cert, m, n_ev,
+    ) = loop
     n_kept = min(n_ev, EV_CAP)
     return (
         s_out[:m],

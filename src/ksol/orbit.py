@@ -3,7 +3,8 @@ classification, the barrier comparison for rho > 2 theta, and the runtime
 invariant monitors.
 
 Orbit taxonomy: type gamma reaches the asymptote X = gamma^k with Z
-unbounded; type B converges to the interior attractor, which a run
+unbounded, which a run at rho <= 0 and n > 2k certifies by a trap at the
+Picard hand-off; type B converges to the interior attractor, which a run
 certifies by two contracting returns to the section X = X_B (a focus) or by
 a funnel into a node B that closes at the Picard hand-off; generalized
 type B stays in a bounded band around it up to s_max with no certificate;
@@ -11,6 +12,7 @@ type A (or generalized type A when n = 2k) collapses onto the Z = 0 axis
 at X = X_inf; non-admissible orbits leave the region at a finite s_exit.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -64,6 +66,15 @@ FUNNEL_DELTA = 1e-3
 FUNNEL_SAFETY = 4.0
 _EPS = float(np.finfo(float).eps)
 
+# the steady end: the log power lim s (gamma - x) is fitted with
+# STEADY_FIT_TERMS powers of 1/s to s (gamma - x) at STEADY_FIT_POINTS equal
+# points of s; the run is tested at the octave ends S = STEADY_FIRST_OCTAVE
+# 2^j, where the fits over [S/4, S/2] and [S/2, S] must agree
+STEADY_FIT_TERMS = 6
+STEADY_FIT_POINTS = 65
+STEADY_FIRST_OCTAVE = 16.0
+STEADY_END = "log_power_converged"
+
 
 @dataclass(frozen=True)
 class OrbitControls:
@@ -78,7 +89,8 @@ class OrbitControls:
     step_floor: float = 1e-13
     # terminal proximity to the asymptote, relative in x = X^(1/k), bisected
     # on the step's dense output; Z speeds the transverse contraction, which
-    # the Radau steps absorb (<= 0: no event)
+    # the Radau steps absorb. It is also the relative agreement of the two
+    # fits that ends a steady arc (<= 0: no event and no steady end)
     asym_tol: float = 1e-5
     # the switch of every end at B, the funnel and the Poincare return
     end_at_b: bool = True
@@ -122,8 +134,13 @@ class OrbitTrace:
     # a certified_B end, the one end at B: (s1, Z1, s2, Z2, bound), the two
     # upward returns to X = X_B that certified convergence to B and the
     # error bound on their Z, or, for a run ended at the Picard hand-off,
-    # its FunnelCertificate (the hand-off point, its error bound, the margin)
+    # its FunnelCertificate (the hand-off point, its error bound, the
+    # margin); on a run into the asymptote, its TrapCertificate
     certificate: tuple | None = None
+    # per row of a steady run (``integrate``'s shifts), the octave end S, in
+    # the row's frame, where its log power converged, or None; () where the
+    # run has no steady end
+    steady_ends: tuple = ()
 
     @property
     def end_state(self):
@@ -131,6 +148,21 @@ class OrbitTrace:
 
     def event_s(self, kind):
         return [s for s, name in self.events if name == kind]
+
+
+class TrapCertificate(NamedTuple):
+    """The asymptote trap that the hand-off point (X, Z) lies in.
+
+    ``err`` is Picard's error bound on X and Z at s0. With the box's lower
+    left corner (X - err, Z - err), F > 0 there and X + err < gamma^k;
+    ``margin`` is the least ratio of the two values to FUNNEL_SAFETY times
+    their rounding estimates, above 1 on every certificate.
+    """
+
+    X: float
+    Z: float
+    err: float
+    margin: float
 
 
 class FunnelCertificate(NamedTuple):
@@ -157,31 +189,35 @@ class OrbitClass:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _integrate_raw(x0, w0, s0, p, controls):
+def _integrate_raw(x0, w0, s0, p, controls, shifts=()):
     """One run of the kernel in the chart of ``p`` from (X, W) = (x0, w0) at
     s0, with W = ln(c_nk beta^k Z) (-inf on the axis Z = 0); an A-chart run
-    ends at its first crossing of X_B."""
+    ends at its first crossing of X_B. Given ``shifts``, the frames s + shift
+    of the rows that the run serves, it is a steady arc, which ends where
+    every row's log power has converged (:func:`_steady_run`)."""
     # for n < 2k the region boundary X = x_cap is crossed in finite s (X_s > 0
     # there): the run must end at the exit, not at an asymptote tolerance
     asym_tol = controls.asym_tol if p.n >= 2 * p.k else -1.0
-    # the Picard tail hands over numpy scalars, and Python floats keep the
-    # uncompiled kernel's arithmetic off numpy's scalar path
-    out = _kernels.integrate_core(
-        float(x0),
-        float(w0),
-        float(s0),
-        controls.s_max,
+    args = (
         _kernels.pack_params(p),
         controls.rtol,
         controls.step_floor,
         asym_tol,
         controls.end_at_b,
         p.stops_at_xb,
-        controls.max_samples,
     )
+    # the Picard tail hands over numpy scalars, and Python floats keep the
+    # uncompiled kernel's arithmetic off numpy's scalar path
+    start = (float(x0), float(w0), float(s0))
+    ends = ()
+    if shifts:
+        out, ends = _steady_run(start, p, controls, args, shifts)
+    else:
+        out = _kernels.integrate_core(*start, controls.s_max, *args, controls.max_samples)
     s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status, cert = out[:8]
     n_acc, n_rej, n_rhs, h_min, h_max, stiff_s = out[8:]
     events = [(float(se), _EVENT_NAMES[int(ce)]) for se, ce in zip(ev_s, ev_code)]
+    status = STEADY_END if ends and None not in ends else _STATUS_NAMES[int(status)]
     fields = {
         "events_dropped": int(n_ev) - len(events),
         "accepted_steps": int(n_acc),
@@ -191,24 +227,113 @@ def _integrate_raw(x0, w0, s0, p, controls):
         "h_max": float(h_max),
         "stiff_from_s": float(stiff_s),
         "rtol": controls.rtol,
-        "certificate": tuple(map(float, cert)) if status == _kernels.ST_CERT_B else None,
+        "certificate": tuple(map(float, cert)) if status == "certified_B" else None,
+        "steady_ends": tuple(ends),
     }
-    return s_arr, x_arr, z_arr, events, _STATUS_NAMES[int(status)], fields
+    return s_arr, x_arr, z_arr, events, status, fields
 
 
-def integrate(start, p, controls=None):
+def _steady_run(start, p, controls, args, shifts):
+    """The kernel's run of a steady arc from ``start`` = (X, W, s0), and the
+    octave end of each row, in the row's frame s + shift, or None.
+
+    The kernel pauses at the first step end at or past each row's next
+    octave end S (``_kernels.advance``). There the row's log power is read
+    over [S/2, S] and over [S/4, S/2] by :func:`log_power_fit`; where the two
+    agree within asym_tol relative, the row ends at S, else it is next
+    tested at 2S, up to s_max. The two fits are compared with each other,
+    never with the predicted 1/(1-m). The run ends at that step end once
+    every row has ended, and otherwise goes on to s_max. It resumes with its
+    whole state, so its steps are those of a run that never paused."""
+    s_max, tol = controls.s_max, controls.asym_tol
+    buffers, loop = _kernels.start_run(*start, args[0], controls.max_samples)
+    octave = [STEADY_FIRST_OCTAVE] * len(shifts)
+    older = [None] * len(shifts)  # each row's fit over [S/4, S/2]
+    ends = [None] * len(shifts)
+    while None in ends:
+        due = [S - d for S, d, end in zip(octave, shifts, ends) if end is None and S <= s_max]
+        if not due:
+            break
+        loop = _kernels.advance(buffers, loop, min(due), s_max, *args)
+        s = loop[_kernels.LOOP_S]
+        if loop[_kernels.LOOP_STATUS] != _kernels.ST_SMAX or s >= s_max:
+            break
+        m = loop[_kernels.LOOP_SAMPLES]
+        x_arr, z_arr = buffers[1][:m], buffers[2][:m]
+        for i, d in enumerate(shifts):
+            s_arr = buffers[0][:m] + d
+            while ends[i] is None and octave[i] <= s_max and octave[i] - d <= s:
+                S = octave[i]
+                if older[i] is None:
+                    older[i] = log_power_fit(s_arr, x_arr, z_arr, p, S / 2.0)[0]
+                newer = log_power_fit(s_arr, x_arr, z_arr, p, S)[0]
+                if abs(newer - older[i]) <= tol * abs(newer):
+                    ends[i] = S
+                older[i] = newer
+                octave[i] = 2.0 * S
+    if None in ends and loop[_kernels.LOOP_STATUS] == _kernels.ST_SMAX:
+        loop = _kernels.advance(buffers, loop, math.inf, s_max, *args)
+    return _kernels.run_result(buffers, loop), ends
+
+
+@functools.cache
+def _fit_weights():
+    """The rows that read the fit of :func:`log_power_fit` off its values,
+    at 1/s = 0 and at s = S. The fit is linear least squares, and with 1/s
+    over [1/S, 2/S] mapped onto [-1, 1], where its powers are well
+    conditioned, the points t = 2S/s - 3 do not depend on S: 1/s = 0 lies
+    at t = -3 and s = S at t = -1. Formed on first use, so that a process
+    that reads no steady arc does not load the linear algebra."""
+    t = 2.0 / np.linspace(0.5, 1.0, STEADY_FIT_POINTS) - 3.0
+    V = np.vander(t, STEADY_FIT_TERMS)
+    return np.vander([-3.0, -1.0], STEADY_FIT_TERMS) @ np.linalg.solve(V.T @ V, V.T)
+
+
+def log_power_fit(s, X, Z, p, S):
+    """The log power lim s (gamma - x) of a steady orbit, fitted over
+    [S/2, S], which the samples (s, X, Z) must cover.
+
+    y = s (gamma - x) is read at STEADY_FIT_POINTS equal points of s, with
+    X off the cubic Hermite (:func:`hermite`) with the field's slopes F at
+    the samples, so the value does not depend on where the steps fell, and
+    fitted by a polynomial of STEADY_FIT_TERMS terms in 1/s. Returns the
+    polynomial at 1/s = 0, the log power, and at s = S.
+    """
+    i0 = max(int(np.searchsorted(s, 0.5 * S, side="right")) - 1, 0)
+    i1 = int(np.searchsorted(s, S)) + 1
+    s, X, Z = s[i0:i1], X[i0:i1], Z[i0:i1]
+    F, _G = phase.vector_field(X, Z, p)
+    grid = np.linspace(0.5 * S, S, STEADY_FIT_POINTS)
+    y = grid * (p.gamma - phase.kth_root(hermite(s, X, F, grid), p.k))
+    log_power, y_end = _fit_weights() @ y
+    return float(log_power), float(y_end)
+
+
+def integrate(start, p, controls=None, shifts=(0.0,)):
     """Continue a local solution into a global orbit trace.
 
     ``start`` is a LocalSolution; XZ charts continue the origin orbit
     forward in s, WV charts continue the A-orbit backwards (forward in
     sigma = -s), which is the orientation the barrier comparison needs, and
     end at X_B, where that comparison ends (status "stopped_at_X_B").
+
+    Where the hand-off lies in the asymptote trap (:func:`asymptote_trap`),
+    the trace carries its certificate. At rho = 0 the arc is then steady,
+    and it ends once the log power of every row has converged
+    (:func:`_steady_run`), at the first step end past the last row's octave
+    end, with status STEADY_END; ``shifts`` are the rows' frames s + shift,
+    and ``steady_ends`` gives each row's octave end. Unless every row
+    converges, the run goes on to s_max.
     """
     controls = controls or OrbitControls()
+    trap = asymptote_trap(start, p) if start.chart == "XZ" else None
+    steady = trap is not None and p.rho == 0.0 and controls.asym_tol > 0.0
     x0, w0 = start.state_at_s0(p)
     s_arr, x_arr, z_arr, events, status, fields = _integrate_raw(
-        x0, w0, start.tail.s0, p.in_chart(start.chart), controls
+        x0, w0, start.tail.s0, p.in_chart(start.chart), controls, tuple(shifts) if steady else ()
     )
+    if trap is not None:
+        fields["certificate"] = trap
     s_arr, x_arr, z_arr, tail_end = _with_tail(start, p.k, s_arr, x_arr, z_arr)
     return OrbitTrace(s_arr, x_arr, z_arr, events, status, start.chart, tail_end, **fields)
 
@@ -272,15 +397,19 @@ def classify_orbit(trace, p):
     Undetermined, with the status as its reason. Every Undetermined result
     says why in ``diagnostics["reason"]``.
 
+    A run whose hand-off lies in the asymptote trap is TypeGamma at any end
+    but a budget's: its diagnostics name the criterion ("asymptote_trap"), the
+    hand-off point and the :class:`TrapCertificate`'s margin.
+
     A certified_B end is TypeB. Where ``_kernels.certifies_b`` accepted two
     returns to X = X_B, its diagnostics name the criterion
     ("poincare_return"), the returns ((s1, Z1), (s2, Z2)), the contraction
     (Z2 - Z_B)/(Z1 - Z_B) per loop and the margin (Z1 - Z2)/bound of the gap
     over the error bound. Where the run ended at the Picard hand-off on a
     :class:`FunnelCertificate`, they name the criterion ("funnel"), the
-    hand-off point and the certificate's margin. No other class carries a
-    criterion: a run into B that neither certificate ends reaches s_max,
-    where its bounded band reads GeneralizedB.
+    hand-off point and the certificate's margin. No other run into B carries
+    a criterion: one that neither certificate ends reaches s_max, where its
+    bounded band reads GeneralizedB.
     """
     x_end, z_end = trace.end_state
     status = trace.status
@@ -289,6 +418,14 @@ def classify_orbit(trace, p):
 
     if status == "exited_region":
         return OrbitClass(NON_ADMISSIBLE, s_exit=float(trace.s[-1]), diagnostics=diag)
+    if status in ("sample_overflow", "step_floor"):
+        # a budget cut the trace short: its tail says nothing of the orbit's end
+        diag["reason"] = f"trace cut short ({status})"
+        return OrbitClass(UNDETERMINED, diagnostics=diag)
+    if isinstance(trace.certificate, TrapCertificate):
+        cert = trace.certificate
+        diag.update(criterion="asymptote_trap", hand_off=(cert.X, cert.Z), margin=cert.margin)
+        return OrbitClass(TYPE_GAMMA, diagnostics=diag)
     if status == "certified_B" and isinstance(trace.certificate, FunnelCertificate):
         cert = trace.certificate
         diag.update(
@@ -309,11 +446,6 @@ def classify_orbit(trace, p):
         return _axis_class(x_end, p, diag)
     if status == "reached_asymptote":
         return _gamma_class(z_end, p, diag)
-
-    if status in ("sample_overflow", "step_floor"):
-        # a budget cut the trace short: its tail says nothing of the orbit's end
-        diag["reason"] = f"trace cut short ({status})"
-        return OrbitClass(UNDETERMINED, diagnostics=diag)
 
     # ran to s_max: read the tail
     win = _tail_window(trace)
@@ -362,7 +494,9 @@ def run_orbits(p, alphas, controls=None, tol=picard.DEFAULT_TOL):
     succeeds, is solved, and every other alpha's tail is the anchor's under
     ``picard.gauge_map``. All of them hand off the same state, each at its
     own s0, so one continuation from the anchor's hand-off serves them all;
-    it runs until every alpha reaches its own s_max. Where the hand-off lies
+    it runs until every alpha reaches its own s_max, or, on a steady arc,
+    until every alpha's log power has converged, and each alpha's trace
+    then ends at its own octave end. Where the hand-off lies
     in a funnel into B (:func:`funnel_end`), nothing is continued: every
     alpha's trace is its tail and the hand-off, ended certified_B. Returns
     one (sol, trace, oc) per alpha, in order; an alpha that fails Picard's
@@ -376,7 +510,11 @@ def run_orbits(p, alphas, controls=None, tol=picard.DEFAULT_TOL):
     if ok and cert is None:
         c0 = picard.gauge(anchor.alpha, p)
         c_max = max(picard.gauge(sol.alpha, p) for sol in ok)
-        shared = integrate(anchor, p, replace(controls, s_max=controls.s_max + (c_max - c0)))
+        shifts = [c0 - picard.gauge(sol.alpha, p) for sol in ok]
+        shared = integrate(
+            anchor, p, replace(controls, s_max=controls.s_max + (c_max - c0)), shifts
+        )
+        steady_ends = dict(zip(shifts, shared.steady_ends))
     runs = []
     for sol in sols:
         if isinstance(sol, KsolError):
@@ -388,7 +526,8 @@ def run_orbits(p, alphas, controls=None, tol=picard.DEFAULT_TOL):
             # the shift c0 - c is the negated d of the gauge map, so the
             # hand-off lands on sol's s0 exactly, and the anchor's shift is 0
             c = picard.gauge(sol.alpha, p)
-            trace = _shifted_trace(shared, sol, c0 - c, c < c_max, controls.s_max, p)
+            end = steady_ends.get(c0 - c)
+            trace = _shifted_trace(shared, sol, c0 - c, c < c_max, controls.s_max, p, end)
         runs.append((sol, trace, classify_orbit(trace, p)))
     return runs
 
@@ -433,17 +572,65 @@ def funnel_end(sol, p, controls):
     """
     if not (p.b_attracts and controls.end_at_b):
         return None
-    X, W = sol.state_at_s0(p)
-    X, Z = float(X), math.exp(W) / p.cb  # the integrator's first sample
+    X, Z, err = _hand_off(sol, p)
     if not Z < p.Z_B:
         return None
     lam = phase.eig2x2(phase.jacobian((p.X_B, p.Z_B), p))
     if lam[0].imag != 0.0:
         return None
+    return funnel_certificate(X, Z, err, p)
+
+
+def _hand_off(sol, p):
+    """The integrator's first sample (X, Z) at sol's s0 and Picard's
+    a-posteriori error bound on both, sup_residual / (1 - rate) in the
+    weighted norm, with the larger of the measured and the proven
+    contraction rate, carried to s0 by e^(2k s0)."""
+    X, W = sol.state_at_s0(p)
     s0 = sol.tail.s0
     rate = max(sol.contraction_rate, sol.thresholds.contraction_bound * math.exp(2.0 * s0))
     err = sol.sup_residual / (1.0 - rate) * math.exp(2.0 * p.k * s0)
-    return funnel_certificate(X, Z, err, p)
+    return float(X), math.exp(W) / p.cb, err
+
+
+def asymptote_trap(sol, p):
+    """The :class:`TrapCertificate` of sol's hand-off, or None, checked
+    where rho <= 0 and n > 2k; the error bound is :func:`funnel_end`'s."""
+    if not (p.rho <= 0.0 and p.n > 2 * p.k):
+        return None
+    return trap_certificate(*_hand_off(sol, p), p)
+
+
+def trap_certificate(X, Z, err, p):
+    """The :class:`TrapCertificate` of an orbit through the box
+    (X, Z) +- err, at rho <= 0 and n > 2k, or None where the check refuses
+    it.
+
+    Take the box's lower left corner (X1, Z1) = (X - err, Z - err). If
+    F(X1, Z1) > 0 and X + err < gamma^k, the rectangle X1 <= X < gamma^k,
+    Z >= Z1 holds the box and is forward-invariant (fences: Hubbard & West,
+    *Differential Equations: A Dynamical Systems Approach*, Part I). On
+    X = X1, F grows with Z, since f(x1) > 0. On Z = Z1, G = 2k Z (1 - x/x_B)
+    > 0, since x < gamma <= x_B at rho <= 0. On X = gamma^k, f vanishes and
+    F = -(n-2k)(1 - gamma/x_A) X < 0. Inside, G > 0 and there is no critical
+    point, so x tends to gamma and Z grows without bound: TypeGamma. Both
+    values must exceed FUNNEL_SAFETY times their rounding estimates, those
+    of ``funnel_certificate``; ``tests/test_oracle.py`` re-proves each
+    certificate with interval arithmetic.
+    """
+    X1, Z1 = X - err, Z - err
+    x1 = phase.kth_root(X1, p.k)
+    gap = p.gamma_k - (X + err)
+    if not (p.rho <= 0.0 and p.n > 2 * p.k and X1 > 0.0 and Z1 > 0.0 and x1 < p.gamma):
+        return None
+    F, _G = phase.vector_field(X1, Z1, p)
+    round_F = _f_condition(x1, p) * ((p.n - 2.0 * p.k) * X1 + abs(F))
+    # gamma^k is a k-fold product, then the sum
+    round_gap = (p.k + 2.0) * p.gamma_k
+    margin = min(F / round_F, gap / round_gap) / (FUNNEL_SAFETY * _EPS)
+    if not margin > 1.0:
+        return None
+    return TrapCertificate(X, Z, err, float(margin))
 
 
 def funnel_certificate(X, Z, err, p):
@@ -531,16 +718,18 @@ def _hand_off_trace(sol, p, cert):
     )
 
 
-def _shifted_trace(shared, sol, shift, ends_early, s_max, p):
+def _shifted_trace(shared, sol, shift, ends_early, s_max, p, end=None):
     """The trace of sol's alpha read off a shared continuation.
 
     It is sol's own tail below s0, then the shared samples from the
     hand-off on, shifted by ``shift`` in s, which puts the hand-off at sol's
-    s0. A row that ends before the shared run
-    (``ends_early``) and that the run went past is cut at s_max: the later
-    samples and events are dropped, a cubic Hermite point closes it and its
-    status is s_max. The solver counters are the shared run's, with
-    stiff_from_s and the certificate's returns shifted into the row's frame.
+    s0. A row whose log power converged at the octave end ``end`` is cut
+    there, with status STEADY_END and an event of that name. A row that ends before the shared run
+    (``ends_early``) and that the run went past is cut at s_max, with
+    status s_max, and loses a Poincare-return certificate. A cut drops the
+    later samples and events, and a cubic Hermite point closes the trace.
+    The solver counters are the shared run's, with stiff_from_s and the
+    certificate's returns shifted into the row's frame.
     """
     i0 = shared.tail_end_index
     s = shared.s[i0:] + shift
@@ -548,14 +737,19 @@ def _shifted_trace(shared, sol, shift, ends_early, s_max, p):
     events = [(se + shift, name) for se, name in shared.events]
     status = shared.status
     certificate = shared.certificate
-    if certificate is not None:
+    if status == "certified_B":
         s1, z1, s2, z2, bound = certificate
         certificate = (s1 + shift, z1, s2 + shift, z2, bound)
-    if ends_early and s[-1] > s_max:
-        s, X, Z = _cut_at(s, X, Z, s_max, p)
-        events = [(se, name) for se, name in events if se <= s_max]
+    cut = end if end is not None else s_max if ends_early and s[-1] > s_max else None
+    if cut is not None:
+        s, X, Z = _cut_at(s, X, Z, cut, p)
+        events = [(se, name) for se, name in events if se <= cut]
+        if status == "certified_B":
+            certificate = None
         status = "s_max"
-        certificate = None
+    if end is not None:
+        events.append((end, STEADY_END))
+        status = STEADY_END
     s, X, Z, tail_end = _with_tail(sol, p.k, s, X, Z)
     return replace(
         shared,
@@ -567,6 +761,7 @@ def _shifted_trace(shared, sol, shift, ends_early, s_max, p):
         tail_end_index=tail_end,
         stiff_from_s=shared.stiff_from_s + shift,
         certificate=certificate,
+        steady_ends=(end,) if shared.steady_ends else (),
     )
 
 

@@ -26,7 +26,8 @@ class ProfileTable:
     """Samples (r, u, u_r, u_rr) of the reconstructed conformal factor.
 
     ``s_full``, ``x_full`` and ``ln_u_full`` cover the whole admissible
-    trace (log space, no underflow filtering). ``x_full`` is x = X^(1/k) =
+    trace (log space, no underflow filtering), and so do ``X_full`` and
+    ``Z_full``, the trace's own samples there. ``x_full`` is x = X^(1/k) =
     -d ln u/ds, from which ``tail_rate`` reads the decay.
     """
 
@@ -44,6 +45,8 @@ class ProfileTable:
     ln_u_full: np.ndarray
     excluded_inadmissible: int = 0
     excluded_unrepresentable: int = 0
+    X_full: np.ndarray | None = None
+    Z_full: np.ndarray | None = None
 
 
 def reconstruct_u(trace, p):
@@ -92,6 +95,8 @@ def reconstruct_u(trace, p):
         ln_u_full=ln_u,
         excluded_inadmissible=n_in,
         excluded_unrepresentable=n_rep,
+        X_full=X,
+        Z_full=Z,
     )
 
 
@@ -133,7 +138,7 @@ def origin_expansion_check(table, alpha, p):
     # Z/X carries an O(e^(2s)) correction; remove it by two-point
     # extrapolation before comparing with n/f(0)
     zx = table.Z / table.X
-    j = max(1, np.searchsorted(table.s, table.s[0] + 1.0))
+    j = min(max(1, int(np.searchsorted(table.s, table.s[0] + 1.0))), table.s.size - 1)
     ea, eb = math.exp(2.0 * table.s[0]), math.exp(2.0 * table.s[j])
     zx0 = (zx[0] * eb - zx[j] * ea) / (eb - ea)
     return OriginReport(
@@ -214,9 +219,10 @@ def tail_rate(table, p, orbit_class):
     r^(-lim x). An orbit that converges exponentially gives the exponent
     -x(s_end). A steady orbit (TypeGamma at rho = 0) approaches gamma like
     p/s, which is u ~ r^(-gamma) (ln r)^p: the log power p = lim s (gamma - x)
-    comes from one c0 + c1/s fit of s (gamma - x) over s >= s_end/2, and the
-    exponent is x's limit with the fitted correction taken out,
-    -(x + (c0 + c1/s)/s) at s_end: -gamma up to the fit's residual there.
+    comes from ``orbit.log_power_fit`` over [s_end/2, s_end], the fit that
+    ends the steady arc, and the exponent is x's limit with the fitted
+    correction y(s_end) taken out, -(x + y/s) at s_end: -gamma up to the
+    fit's residual there.
 
     The agreement with ``expected_rate`` checks nothing on two orbit types
     and one end: on expanders it is the asymptote tolerance asym_tol (1e-5),
@@ -240,10 +246,9 @@ def tail_rate(table, p, orbit_class):
         )
     limit, log_power = float(x[-1]), None
     if orbit_class.kind == orbit_mod.TYPE_GAMMA and p.rho == 0.0:
-        late = s >= 0.5 * s[-1]
-        c1, c0 = np.polyfit(1.0 / s[late], s[late] * (p.gamma - x[late]), 1)
-        log_power = float(c0)
-        limit += (c0 + c1 / s[-1]) / s[-1]
+        s_end = float(s[-1])
+        log_power, y_end = orbit_mod.log_power_fit(s, table.X_full, table.Z_full, p, s_end)
+        limit += y_end / s_end
     predicted = expected_rate(p, orbit_class)
     agreement = None
     if predicted is not None:

@@ -102,7 +102,9 @@ class TestClassify:
         "n,k,rho,theta,kind,criterion",
         [("4", "2", "1e-4", "1", "Undetermined", None), ("4", "1", "1", "1e3", "TypeB", "funnel"),
          ("4", "1", "1", "1", "TypeB", "poincare_return"),
-         ("6", "1", "1", "1", "GeneralizedB", None)],
+         ("6", "1", "1", "1", "GeneralizedB", None),
+         ("4", "1", "0", "1", "TypeGamma", "asymptote_trap"),
+         ("5", "2", "-1", "1", "TypeGamma", "asymptote_trap")],
     )
     def test_class_reason(self, tmp_path, n, k, rho, theta, kind, criterion):
         # an Undetermined class says why; a decided one carries reason null.
@@ -250,6 +252,19 @@ class TestProfileCommand:
         assert sidecar["class"] == "TypeB" and sidecar["rows"] == len(r)
         assert sidecar["elliptic_max_rel"] <= 4e-15
 
+    def test_table_runs_past_the_steady_end(self, tmp_path):
+        # (6,1,0) ends at s = 16, where its log power is read; the table
+        # runs on to r = e^30
+        p = phase.make_params(6, 1, 0.0, 1.0)
+        _sol, tr, _oc = orbit.run_orbit(p, controls=orbit.OrbitControls(s_max=30.0))
+        assert tr.status == orbit.STEADY_END and tr.s[-1] == 16.0
+        out = tmp_path / "p.csv"
+        code = run_cli(["profile", "--n", "6", "--k", "1", "--rho", "0", "--theta", "1",
+                        "--out", str(out)])
+        assert code == 0
+        r = [float(row["r"]) for row in csv.DictReader(out.open())]
+        assert r[-1] == pytest.approx(math.exp(30.0), rel=1e-12)
+
     def test_lf_line_endings(self, tmp_path):
         out = tmp_path / "p.csv"
         run_cli(["profile", "--n", "4", "--k", "1", "--rho", "0", "--theta", "1",
@@ -367,6 +382,20 @@ class TestVerify:
                         "--theta", "1", "--out", str(out)])
         check = json.loads(out.read_text())["checks"]["tail_log_power_agreement"]
         assert code == 0 and check["pass"] and check["threshold"] == 1e-2
+
+    @pytest.mark.parametrize(
+        "n,k,rho", [(33, 16, 1e-4), (33, 16, 1e-2), (33, 16, 0.3), (64, 8, 1e-4), (64, 8, 1e-2),
+                    (64, 8, 0.3), (64, 8, 1.0)]
+    )
+    def test_short_funnel_trace_is_verified(self, tmp_path, n, k, rho):
+        # these funnel ends keep a trace (tail and hand-off) that spans less
+        # than 1 in s: the origin check reads Z/X at its last sample, and
+        # verify reports, with exit 0 or 1, never an internal error (3)
+        out = tmp_path / "v.json"
+        code = run_cli(["verify", "--n", str(n), "--k", str(k), "--rho", str(rho),
+                        "--theta", "1", "--out", str(out)])
+        assert code in (0, 1)
+        assert "origin_zx_ratio" in json.loads(out.read_text())["checks"]
 
     @pytest.mark.parametrize("n,k,rho", [(4, 1, -1.0), (4, 1, 1.0), (4, 2, 1.0), (4, 2, 0.0)])
     def test_no_log_power_check_without_a_log_power(self, tmp_path, n, k, rho):

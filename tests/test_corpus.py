@@ -10,12 +10,14 @@ pinned or not.
 Every run into an attracting B ends at B on a certificate (certified_B),
 except on the nodes that no certificate reaches, named in
 UNCERTIFIED_NODES with their cause: they run to s_max, where their bounded
-band reads GeneralizedB.
+band reads GeneralizedB. Every run at rho <= 0 and n > 2k is decided by the
+asymptote trap at its hand-off, and at rho = 0 it ends once its log power
+is read.
 """
 
 import pytest
 
-from ksol import orbit, phase
+from ksol import orbit, phase, profile
 from ksol.errors import KsolError
 
 PAIRS = [
@@ -76,6 +78,27 @@ def test_result_is_in_the_regime_table(n, k, ratio):
         assert result == (orbit.GENERALIZED_B, "s_max"), result
     elif p.b_attracts:
         assert result[1] == "certified_B", result
+    # the asymptote trap decides every run at rho <= 0 and n > 2k, and the
+    # steady ones among them end once their log power is read
+    if n > 2 * k and ratio <= 0.0:
+        assert oc.diagnostics["criterion"] == "asymptote_trap", result
+    assert (result[1] == orbit.STEADY_END) == (n > 2 * k and ratio == 0.0), result
+    if result[1] == orbit.STEADY_END:
+        assert trace.s[-1] <= 64.0, result
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,k", [(n, k) for n, k in PAIRS if n > 2 * k])
+def test_steady_log_power_is_one_over_one_minus_m(n, k):
+    # the end test compares two fits with each other; the power they read
+    # agrees with the prediction 1/(1-m) within 1e-6 (5.1e-7 at most over
+    # alphas 0.5, 1 and 2; the two-term fit at s = 200 was off by up to
+    # 3.2e-4)
+    p = phase.make_params(n, k, 0.0, 1.0)
+    _sol, trace, oc = orbit.run_orbit(p)
+    rate = profile.tail_rate(profile.reconstruct_u(trace, p), p, oc)
+    assert trace.status == orbit.STEADY_END
+    assert rate.log_correction_power == pytest.approx(1.0 / (1.0 - p.m), abs=1e-6)
 
 
 def test_pins_name_corpus_cases():

@@ -57,8 +57,9 @@ STEP_KERNELS = (
     "_collocation_sample_count", "_hermite_coeffs", "_dense", "_event_value", "_bisect_event",
     "_sample", "_interior", "_log_event", "certifies_b",
 )
-# the @njit kernel the step loop does not reach: the loop itself
-OUTSIDE_STEP_LOOP = {"integrate_core"}
+# the @njit kernels the step loop does not reach: the loop itself, the run
+# that calls it, the run's start and its result
+OUTSIDE_STEP_LOOP = {"integrate_core", "advance", "start_run", "run_result"}
 
 
 def test_step_kernels_list_every_njit_kernel():

@@ -1,4 +1,4 @@
-"""An interval oracle for the funnel certificate.
+"""An interval oracle for the funnel and the asymptote-trap certificates.
 
 ``orbit.funnel_certificate`` samples the fences in floats. Here every
 certificate it issues on the slow passages and the theta corners is proved
@@ -13,6 +13,14 @@ error bound alone:
   F(C(t)) = -int_t^1 dF/dt' shows them positive: enclosures of their slopes
   along the chord, from the Jacobian, are negative there.
 
+The asymptote traps that ``orbit.trap_certificate`` issues at the hand-off
+of every n > 2k pair at rho/theta -1, -1e-2 and 0 are proved from the
+hand-off point and its error bound: the box's lower left corner
+(X1, Z1) = (X - err, Z - err) lies in the region, X + err < gamma^k, and
+f(x1) > 0 and F(X1, Z1) > 0 there. rho <= 0 is checked exactly on its
+float: it makes gamma = x_B (1 + rho/(2 theta)) <= x_B < x_A, so G > 0 on
+Z = Z1 below gamma and F < 0 on X = gamma^k.
+
 The field, its Jacobian and B are written out here from the formulas, with
 the float parameters as exact inputs; none of it is read from ``ksol``.
 """
@@ -22,7 +30,7 @@ import math
 
 import pytest
 
-from ksol import orbit, phase
+from ksol import orbit, phase, picard
 
 mpmath = pytest.importorskip("mpmath")
 iv = mpmath.iv
@@ -171,3 +179,44 @@ def test_oracle_refuses_a_point_above_the_fence():
     p = phase.make_params(4, 1, 1e-2, 1.0)
     cert = orbit.FunnelCertificate(0.2 * p.X_B, 0.999 * p.Z_B, 0.0, 1.0)
     assert not proves_funnel(p, cert)[0]
+
+
+def proves_trap(p, cert):
+    """Whether interval arithmetic proves the asymptote trap ``cert`` of
+    the parameter set ``p``."""
+    if not (p.rho <= 0.0 and p.n > 2 * p.k):
+        return False
+    with _precision(PREC):
+        fld = _Field(p.n, p.k, p.rho, p.theta)
+        X, Z, err = iv.mpf(cert.X), iv.mpf(cert.Z), iv.mpf(cert.err)
+        X1, Z1 = X - err, Z - err
+        if not (X1.a > 0 and Z1.a > 0 and (X + err).b < (fld.gamma**p.k).a):
+            return False
+        f, _g = fld._profile(fld._root(X1))
+        F, _G = fld.values(X1, Z1)
+        return bool(f.a > 0 and F.a > 0)
+
+
+TRAP_CASES = [(n, k, r) for n, k in N_GT_2K for r in (-1.0, -1e-2, 0.0)]
+
+
+@pytest.mark.parametrize("n,k,rho", TRAP_CASES, ids=[f"{n}-{k}-{r:g}" for n, k, r in TRAP_CASES])
+def test_interval_arithmetic_proves_every_trap_certificate(n, k, rho):
+    p = phase.make_params(n, k, rho, 1.0)
+    _anchor, sols = orbit._local_solutions(p, ALPHAS, picard.DEFAULT_TOL)
+    for sol in sols:
+        cert = orbit.asymptote_trap(sol, p)
+        assert cert is not None and cert.margin > 1.0
+        assert proves_trap(p, cert)
+
+
+def test_oracle_refuses_a_forged_trap():
+    # (4,1,0): a box that reaches the asymptote, and a point below the
+    # nullcline F = 0, where X decreases
+    p = phase.make_params(4, 1, 0.0, 1.0)
+    assert not proves_trap(p, orbit.TrapCertificate(p.gamma_k, 1.0, 1e-12, 2.0))
+    X = 0.1
+    F0, _G = phase.vector_field(X, 0.0, p)
+    z_null = -F0 / phase.profile_value(X, p)
+    assert proves_trap(p, orbit.TrapCertificate(X, 2.0 * z_null, 1e-12, 2.0))
+    assert not proves_trap(p, orbit.TrapCertificate(X, 0.5 * z_null, 1e-12, 2.0))

@@ -274,11 +274,16 @@ class TestReturnCertificate:
     )
     def test_no_certificate_without_a_spiral_into_B(self, n, k, rho, run):
         # rho <= 0: no B draws the run (at (6,1,-1) the field's B is a source
-        # outside the region); (6,1,1): a node (double eigenvalue -2) whose
-        # funnel fences fail, approached without a return
+        # outside the region), and its one certificate is the asymptote
+        # trap; (6,1,1): a node (double eigenvalue -2) whose funnel fences
+        # fail, approached without a return
         p, _sol, tr, oc = run(n, k, rho)
-        assert tr.status != "certified_B" and tr.certificate is None
-        assert "criterion" not in oc.diagnostics
+        assert tr.status != "certified_B"
+        if rho <= 0.0:
+            assert isinstance(tr.certificate, orbit.TrapCertificate)
+            assert oc.diagnostics["criterion"] == "asymptote_trap"
+        else:
+            assert tr.certificate is None and "criterion" not in oc.diagnostics
         assert (_kernels.pack_params(p)[_kernels.PP_BZ] > 0.0) == (rho > 0.0)
 
     @pytest.mark.parametrize("n,k,rho,most", [(4, 1, 1.0, 60), (4, 1, 5.0, 60), (5, 2, 1.0, 70)])
@@ -317,6 +322,106 @@ class TestReturnCertificate:
 
 
 EXPECTED_GRID_CASES = [(4, 1), (4, 2), (3, 2)]
+
+
+class TestAsymptoteTrap:
+    @pytest.mark.parametrize("n,k,rho", [(4, 1, -1.0), (4, 1, 0.0), (5, 2, -1.0), (64, 8, 0.0)])
+    def test_hand_off_lies_in_the_trap(self, n, k, rho, run):
+        p, sol, _tr, oc = run(n, k, rho)
+        cert = orbit.asymptote_trap(sol, p)
+        assert cert is not None and cert.margin > 1.0
+        assert oc.kind == orbit.TYPE_GAMMA
+        assert oc.diagnostics["criterion"] == "asymptote_trap"
+        assert oc.diagnostics["margin"] == cert.margin
+        assert oc.diagnostics["hand_off"] == (cert.X, cert.Z)
+
+    @pytest.mark.parametrize("n,k", [(4, 1), (9, 4)])
+    def test_refuses_forged_points(self, n, k, run):
+        # x >= gamma: on the asymptote itself, and a point whose box reaches
+        # it; F <= 0: on the nullcline F = 0 and below it
+        p, sol, _tr, _oc = run(n, k, 0.0)
+        X, Z, err = orbit._hand_off(sol, p)
+        assert orbit.trap_certificate(X, Z, err, p) is not None
+        assert orbit.trap_certificate(p.gamma_k, Z, err, p) is None
+        assert orbit.trap_certificate(p.gamma_k * (1.0 - 1e-9), Z, 1e-9 * p.gamma_k, p) is None
+        F0, _G = phase.vector_field(X, 0.0, p)
+        f = phase.profile_value(phase.kth_root(X, k), p)
+        z_null = -F0 / f  # F = -(n-2k) q X + Z f vanishes here
+        assert orbit.trap_certificate(X, z_null, 0.0, p) is None
+        assert orbit.trap_certificate(X, 0.5 * z_null, 0.0, p) is None
+        assert orbit.trap_certificate(X, 2.0 * z_null, 0.0, p) is not None
+
+    @pytest.mark.parametrize("n,k,rho", [(4, 1, 1.0), (4, 2, 0.0), (4, 2, -1.0)])
+    def test_checked_only_at_rho_le_0_and_n_gt_2k(self, n, k, rho, run):
+        p, sol, tr, oc = run(n, k, rho)
+        assert orbit.asymptote_trap(sol, p) is None
+        assert not isinstance(tr.certificate, orbit.TrapCertificate)
+        assert oc.diagnostics.get("criterion") != "asymptote_trap"
+
+
+class TestSteadyEnd:
+    def test_steps_are_the_full_runs_bit_for_bit(self, run):
+        # the kernel pauses at each octave end and resumes with its whole
+        # state: up to the end at S = 32, (4,1,0) takes the steps of the
+        # run to s_max (the steady end off), and its trace is that run's
+        # samples, closed by a cubic Hermite point at S
+        p, _sol, tr, _oc = run(4, 1, 0.0)
+        _p, _sol, full, _oc = run(4, 1, 0.0, asym_tol=0.0)
+        assert tr.status == orbit.STEADY_END and full.status == "s_max"
+        assert tr.s[-1] == 32.0 and tr.events[-1] == (32.0, orbit.STEADY_END)
+        n = tr.s.size - 1
+        assert full.s[n - 1] < 32.0 < full.s[n]
+        for a, b in ((tr.s, full.s), (tr.X, full.X), (tr.Z, full.Z)):
+            assert np.array_equal(a[:n], b[:n])
+        assert tr.accepted_steps == 353 < full.accepted_steps == 620
+
+    def test_kernel_resumes_bit_for_bit(self):
+        # (4,1,-1) switches to Radau at s = 2.2: paused five times across the
+        # switch, the run returns what one call returns
+        p = phase.make_params(4, 1, -1.0, 1.0)
+        ctl = orbit.OrbitControls()
+        args = (_kernels.pack_params(p), ctl.rtol, ctl.step_floor, ctl.asym_tol, True, False)
+        start = (0.1, 0.0, 0.0)
+        whole = _kernels.integrate_core(*start, ctl.s_max, *args, ctl.max_samples)
+        buffers, loop = _kernels.start_run(*start, args[0], ctl.max_samples)
+        for s_pause in (0.5, 1.0, 2.0, 2.5, 4.0, math.inf):
+            loop = _kernels.advance(buffers, loop, s_pause, ctl.s_max, *args)
+            assert loop[_kernels.LOOP_S] >= min(s_pause, whole[0][-1])
+        paused = _kernels.run_result(buffers, loop)
+        assert paused[6] == whole[6] == _kernels.ST_ASYMPTOTE
+        for a, b in zip(paused, whole):
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b)
+            else:
+                assert a == b or (a != a and b != b)
+
+    def test_rows_end_at_their_own_octave(self):
+        # (9,4,0): the alphas' log powers converge at S = 32, 64 and 64; the
+        # shared continuation runs until the last of them has
+        p = phase.make_params(9, 4, 0.0, 1.0)
+        runs = orbit.run_orbits(p, [0.5, 1.0, 2.0])
+        for (_sol, tr, oc), end in zip(runs, (32.0, 64.0, 64.0)):
+            assert tr.status == orbit.STEADY_END and tr.s[-1] == end
+            assert tr.steady_ends == (end,)
+            assert oc.kind == orbit.TYPE_GAMMA
+            assert oc.diagnostics["criterion"] == "asymptote_trap"
+
+    def test_unconverged_run_goes_on_to_s_max(self, run):
+        # (4,1,0) converges at S = 32 > s_max: the run ends at s_max as
+        # before, still TypeGamma on the trap
+        p, _sol, tr, oc = run(4, 1, 0.0, s_max=20.0)
+        assert tr.status == "s_max" and tr.s[-1] == 20.0
+        assert tr.steady_ends == (None,)
+        assert oc.diagnostics["criterion"] == "asymptote_trap"
+
+    def test_end_test_reads_the_two_octaves(self, run):
+        # the fits over [16, 32] and [8, 16] that end (4,1,0) agree within
+        # asym_tol; those over [8, 16] and [4, 8] did not
+        p, _sol, tr, _oc = run(4, 1, 0.0)
+        fits = [orbit.log_power_fit(tr.s, tr.X, tr.Z, p, S)[0] for S in (8.0, 16.0, 32.0)]
+        tol = orbit.OrbitControls().asym_tol
+        assert abs(fits[1] - fits[0]) > tol * abs(fits[1])
+        assert abs(fits[2] - fits[1]) <= tol * abs(fits[2])
 
 
 class TestRegimeTable:
