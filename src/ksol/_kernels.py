@@ -1032,13 +1032,6 @@ def integrate_core(
     return run_result(buffers, loop)
 
 
-# the slots of a run's loop state that its caller reads at a pause: the
-# run's s, its status and its sample count
-LOOP_S = 0
-LOOP_STATUS = 8
-LOOP_SAMPLES = 27
-
-
 @njit
 def start_run(X0, W0, s0, pp, max_samples):
     """A run at (X0, W0) at s0 before its first step, as (buffers, loop):
@@ -1080,8 +1073,8 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
     to a pause: the first accepted step that ends at or past s_pause. Steps
     are clipped at s_max alone, so a run paused and resumed, with the loop
     state this returns, takes the steps of a run that never paused, bit for
-    bit. Returns the loop state; the status slot (LOOP_STATUS) still reads
-    ST_SMAX short of s_max at a pause."""
+    bit. Returns the loop state; at a pause short of s_max, the status of
+    :func:`run_result` still reads ST_SMAX."""
     s_out, x_out, z_out, ev_s, ev_code = buffers
     max_samples = s_out.size
     (

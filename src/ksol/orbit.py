@@ -250,28 +250,28 @@ def _steady_run(start, p, controls, args, shifts):
     octave = [STEADY_FIRST_OCTAVE] * len(shifts)
     older = [None] * len(shifts)  # each row's fit over [S/4, S/2]
     ends = [None] * len(shifts)
+    status = _kernels.ST_SMAX
     while None in ends:
         due = [S - d for S, d, end in zip(octave, shifts, ends) if end is None and S <= s_max]
         if not due:
             break
         loop = _kernels.advance(buffers, loop, min(due), s_max, *args)
-        s = loop[_kernels.LOOP_S]
-        if loop[_kernels.LOOP_STATUS] != _kernels.ST_SMAX or s >= s_max:
+        out = _kernels.run_result(buffers, loop)
+        s_arr, x_arr, z_arr, status = out[0], out[1], out[2], out[6]
+        s = s_arr[-1]  # the step end, the last sample
+        if status != _kernels.ST_SMAX or s >= s_max:
             break
-        m = loop[_kernels.LOOP_SAMPLES]
-        x_arr, z_arr = buffers[1][:m], buffers[2][:m]
         for i, d in enumerate(shifts):
-            s_arr = buffers[0][:m] + d
             while ends[i] is None and octave[i] <= s_max and octave[i] - d <= s:
                 S = octave[i]
                 if older[i] is None:
-                    older[i] = log_power_fit(s_arr, x_arr, z_arr, p, S / 2.0)[0]
-                newer = log_power_fit(s_arr, x_arr, z_arr, p, S)[0]
+                    older[i] = log_power_fit(s_arr + d, x_arr, z_arr, p, S / 2.0)[0]
+                newer = log_power_fit(s_arr + d, x_arr, z_arr, p, S)[0]
                 if abs(newer - older[i]) <= tol * abs(newer):
                     ends[i] = S
-                older[i] = newer
-                octave[i] = 2.0 * S
-    if None in ends and loop[_kernels.LOOP_STATUS] == _kernels.ST_SMAX:
+                else:
+                    older[i], octave[i] = newer, 2.0 * S
+    if None in ends and status == _kernels.ST_SMAX:
         loop = _kernels.advance(buffers, loop, math.inf, s_max, *args)
     return _kernels.run_result(buffers, loop), ends
 

@@ -386,7 +386,7 @@ class TestSteadyEnd:
         buffers, loop = _kernels.start_run(*start, args[0], ctl.max_samples)
         for s_pause in (0.5, 1.0, 2.0, 2.5, 4.0, math.inf):
             loop = _kernels.advance(buffers, loop, s_pause, ctl.s_max, *args)
-            assert loop[_kernels.LOOP_S] >= min(s_pause, whole[0][-1])
+            assert _kernels.run_result(buffers, loop)[0][-1] >= min(s_pause, whole[0][-1])
         paused = _kernels.run_result(buffers, loop)
         assert paused[6] == whole[6] == _kernels.ST_ASYMPTOTE
         for a, b in zip(paused, whole):
