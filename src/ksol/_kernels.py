@@ -48,6 +48,8 @@ Both methods have a dense output: the order-7 extension, the collocation
 cubic. Every event is located on it by bisection, and it supplies interior
 samples wherever the cubic Hermite between the step ends would miss
 SAMPLE_TOL in (X, W). So the steps are limited by accuracy, up to MAX_STEP.
+The state at an asymptote event inside a Radau step is not the cubic's but
+the end of the step redone up to it, which is stiffly accurate.
 
 Ends at B: where B attracts the run, its one end there is certified_B, at
 the first upward crossing of X = X_B where ``certifies_b`` proves
@@ -748,16 +750,18 @@ _EPS = 2.220446049250313e-16  # the spacing of doubles at 1
 
 
 @njit
-def _radau_step(X, W, h, fX, fW, J, cx, cw, ratio, rtol, magW, refine, pp):
+def _radau_step(X, W, h, fX, fW, J, cx, cw, ratio, rtol, magW, refine, pp, t0=1.0):
     """One Radau IIA step from (X, W) with derivative (fX, fW) and Jacobian
     J = (a, b, c, d) there.
 
     The stage increments u_i = y(s + C_i h) - y solve the collocation system
     by simplified Newton in TI's coordinates, where it splits into one real
     and one complex 2x2 system, each solved by Cramer's rule. Newton starts
-    from the previous step's dense output (coefficients cx, cw of ``_dense``
-    on a step ``ratio`` times shorter than h), extrapolated to the nodes;
-    ratio = 0 starts from zero. The error is Hairer's filtered estimate,
+    from a dense output (coefficients cx, cw of ``_dense``) read at
+    t0 + C_i ratio less its value at t0: with t0 = 1, the previous step's,
+    ``ratio`` times shorter than h, extrapolated to the nodes (ratio = 0
+    starts from zero); with t0 = 0, a step's own, redone to the fraction
+    ratio of it. The error is Hairer's filtered estimate,
     (MU_REAL/h - J)^-1 (f + sum_i E_i u_i / h), refined once through f when
     ``refine`` (an attempt of this step was rejected) and it fails rtol.
 
@@ -772,15 +776,19 @@ def _radau_step(X, W, h, fX, fW, J, cx, cw, ratio, rtol, magW, refine, pp):
     det_c = (mc - a) * (mc - d) - b * c
     scX = rtol * abs(X)
     scW = rtol * magW
-    # Newton's tolerance on the scaled update, as scipy sets it
-    tol = max(10.0 * _EPS / rtol, min(0.03, math.sqrt(rtol)))
+    # Newton's tolerance on the scaled update, as scipy sets it, with a
+    # floor on the rounding of W, which is held absolutely: an update within
+    # 10 ulps of W is rounding, more than 10 eps where |W| > 1
+    tol = max(10.0 * _EPS * max(1.0, abs(W)) / rtol, min(0.03, math.sqrt(rtol)))
 
-    u1x = _dense(1.0 + _RC1 * ratio, 0.0, cx) - cx[0]
-    u2x = _dense(1.0 + _RC2 * ratio, 0.0, cx) - cx[0]
-    u3x = _dense(1.0 + ratio, 0.0, cx) - cx[0]
-    u1w = _dense(1.0 + _RC1 * ratio, 0.0, cw) - cw[0]
-    u2w = _dense(1.0 + _RC2 * ratio, 0.0, cw) - cw[0]
-    u3w = _dense(1.0 + ratio, 0.0, cw) - cw[0]
+    bx = cx[0] if t0 == 1.0 else _dense(t0, 0.0, cx)
+    bw = cw[0] if t0 == 1.0 else _dense(t0, 0.0, cw)
+    u1x = _dense(t0 + _RC1 * ratio, 0.0, cx) - bx
+    u2x = _dense(t0 + _RC2 * ratio, 0.0, cx) - bx
+    u3x = _dense(t0 + ratio, 0.0, cx) - bx
+    u1w = _dense(t0 + _RC1 * ratio, 0.0, cw) - bw
+    u2w = _dense(t0 + _RC2 * ratio, 0.0, cw) - bw
+    u3w = _dense(t0 + ratio, 0.0, cw) - bw
     v1x = _TI11 * u1x + _TI12 * u2x + _TI13 * u3x
     v2x = _TI21 * u1x + _TI22 * u2x + _TI23 * u3x
     v3x = _TI31 * u1x + _TI32 * u2x + _TI33 * u3x
@@ -1175,11 +1183,9 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
 
         # dense output of the step, which also sets how many samples the step
         # emits: the order-7 extension after DOP853 (three rhs calls), the
-        # collocation cubic after Radau (the step end's derivative is one)
+        # collocation cubic after Radau
         if stiff:
             cx, cw = rx, rw
-            fX1, fW1 = rhs(X1, W1, pp)
-            n_rhs += 1
             n_sub = _collocation_sample_count(h, fX, fW, cx, cw, magX, magW)
         else:
             cx, cw = _dop853_dense(X, W, h, fX, fW, X1, W1, KX, KW, pp)
@@ -1214,6 +1220,27 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
                 X1 = pp[PP_XCAP]
             else:
                 X1 = (pp[PP_GAMMA] - asym_tol * pp[PP_GAMMA]) ** k
+                if stiff:
+                    # inside a step the collocation cubic is not stiffly
+                    # accurate, and up the asymptote, where h rho(J) reaches
+                    # 1e4, the orbit runs nearly along W: a point of the
+                    # cubic lies off it by more than the sampled Hermite
+                    # through the field's slope there can absorb. The event
+                    # is the end of a Radau step to th h, started from this
+                    # step's cubic, moved along the field to the level; the
+                    # step it replaces counts as rejected (the redone one as
+                    # rejected where its Newton fails)
+                    Xe, We, err_e, _n_iter, n_f, _cx, _cw = _radau_step(
+                        X, W, th * h, fX, fW, J, cx, cw, th, rtol, magW, False, pp, 0.0
+                    )
+                    n_rhs += n_f
+                    n_rej += 1
+                    if err_e < math.inf:
+                        gX, gW = rhs(Xe, We, pp)
+                        n_rhs += 1
+                        ds = (X1 - Xe) / gX
+                        W1 = We + ds * gW
+                        s1 = s + th * h + ds
 
         # samples: interior points at equal fractions of the step (of its
         # part before a terminal event), then the step end. A crossing of
@@ -1245,10 +1272,14 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
         s = s1
         X = X1
         W = W1
-        fX, fW = fX1, fW1
         m = _sample(s_out, x_out, z_out, m, s, X, W, cb, 0)
         if code != 0:
             break
+        if stiff:
+            # the derivative at a Radau step's end, where the run goes on
+            fX1, fW1 = rhs(X, W, pp)
+            n_rhs += 1
+        fX, fW = fX1, fW1
         if m >= max_samples:
             status = ST_OVERFLOW
             break
