@@ -919,6 +919,28 @@ def _collocation(u1, u2, u3):
 
 
 @njit
+def _redone_event(X, W, h, th, fX, fW, J, cx, cw, rtol, magW, X_event, pp):
+    """The state where X reaches X_event inside a Radau step from (X, W),
+    at the fraction th of it on its collocation cubic (cx, cw).
+
+    Inside a step the cubic is not stiffly accurate, and up the asymptote,
+    where h rho(J) reaches 1e4, the orbit runs nearly along W: a point of
+    the cubic lies off it by more than the sampled Hermite through the
+    field's slope there can absorb. So the step is redone to th h, started
+    from its own cubic, and the end moved along the field to X_event.
+    Returns (ds, W1, n_f): the move in s past th h, W there and the rhs
+    calls made; (0, the cubic's W, n_f) where Newton fails."""
+    Xe, We, err, _n_iter, n_f, _cx, _cw = _radau_step(
+        X, W, th * h, fX, fW, J, cx, cw, th, rtol, magW, False, pp, 0.0
+    )
+    if err == math.inf:
+        return 0.0, _dense(th, W, cw), n_f
+    gX, gW = rhs(Xe, We, pp)
+    ds = (X_event - Xe) / gX
+    return ds, We + ds * gW, n_f + 1
+
+
+@njit
 def _event_value(code, X, pp, asym_tol):
     """Signed event functions of X; a root marks the event location."""
     k = int(pp[PP_K])
@@ -1221,26 +1243,12 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
             else:
                 X1 = (pp[PP_GAMMA] - asym_tol * pp[PP_GAMMA]) ** k
                 if stiff:
-                    # inside a step the collocation cubic is not stiffly
-                    # accurate, and up the asymptote, where h rho(J) reaches
-                    # 1e4, the orbit runs nearly along W: a point of the
-                    # cubic lies off it by more than the sampled Hermite
-                    # through the field's slope there can absorb. The event
-                    # is the end of a Radau step to th h, started from this
-                    # step's cubic, moved along the field to the level; the
-                    # step it replaces counts as rejected (the redone one as
-                    # rejected where its Newton fails)
-                    Xe, We, err_e, _n_iter, n_f, _cx, _cw = _radau_step(
-                        X, W, th * h, fX, fW, J, cx, cw, th, rtol, magW, False, pp, 0.0
-                    )
+                    # the step that the redone one replaces counts as
+                    # rejected (the redone one, where its Newton fails)
+                    ds, W1, n_f = _redone_event(X, W, h, th, fX, fW, J, cx, cw, rtol, magW, X1, pp)
+                    s1 += ds
                     n_rhs += n_f
                     n_rej += 1
-                    if err_e < math.inf:
-                        gX, gW = rhs(Xe, We, pp)
-                        n_rhs += 1
-                        ds = (X1 - Xe) / gX
-                        W1 = We + ds * gW
-                        s1 = s + th * h + ds
 
         # samples: interior points at equal fractions of the step (of its
         # part before a terminal event), then the step end. A crossing of

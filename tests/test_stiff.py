@@ -27,6 +27,9 @@ SPIRAL_ARCS = {
     (4, 1, 5.0): {"s_max": 110.0, "end_at_b": False},
     (5, 2, 1.0): {"s_max": 45.0, "end_at_b": False},
 }
+# the steady set whose oracle targets (up to s = 199) lie past its steady
+# end at s = 32: the run with the steady end off (asym_tol 0), to s_max
+STEADY_ARC = {(4, 1, 0.0): {"asym_tol": 0.0}}
 # the spirals of NON_STIFF_SETS end at their second return to X_B, at s =
 # 5.7 to 9.0; with the ends at B off they run on into B (72 to 243 accepted
 # steps), where the stiffness switch could fire
@@ -582,7 +585,7 @@ class TestStepCaps:
         # the samples and the field there, meets the flow from the left one
         # (DOP853 at h rho(J) <= 2, below its stability limit) at the
         # midpoint within SAMPLE_TOL, X relative and ln Z absolute; measured:
-        # 2.1e-10 at most
+        # 1.2e-10 at most, at the asymptote event of (4,1,-1)
         p, tr = continued(n, k, rho, theta)
         pp = _kernels.pack_params(p)
         i0 = int(np.searchsorted(tr.s, tr.stiff_from_s))
@@ -672,8 +675,10 @@ class TestScipyOracle:
         ],
     )
     def test_samples_match(self, n, k, rho, targets, method, oracle):
-        # the spirals' targets lie past their certificates, on SPIRAL_ARCS
-        tr, res = oracle(n, k, rho, 1.0, method, **SPIRAL_ARCS.get((n, k, rho), {}))
+        # the spirals' targets lie past their certificates, on SPIRAL_ARCS,
+        # and (4,1,0)'s past its steady end, on STEADY_ARC
+        ctrl = SPIRAL_ARCS.get((n, k, rho), STEADY_ARC.get((n, k, rho), {}))
+        tr, res = oracle(n, k, rho, 1.0, method, **ctrl)
         for target in targets:
             j = int(np.argmin(np.abs(tr.s - target)))
             x_ref, ln_z_ref = res.sol(tr.s[j])
