@@ -724,10 +724,11 @@ def _shifted_trace(shared, sol, shift, ends_early, s_max, p, end=None):
     It is sol's own tail below s0, then the shared samples from the
     hand-off on, shifted by ``shift`` in s, which puts the hand-off at sol's
     s0. A row whose log power converged at the octave end ``end`` is cut
-    there, with status STEADY_END and an event of that name. A row that ends before the shared run
-    (``ends_early``) and that the run went past is cut at s_max, with
-    status s_max, and loses a Poincare-return certificate. A cut drops the
-    later samples and events, and a cubic Hermite point closes the trace.
+    there, with status STEADY_END and an event of that name. A row that
+    ends before the shared run (``ends_early``) and that the run went past
+    is cut at s_max, with status s_max, and loses a Poincare-return
+    certificate. A cut drops the later samples and events, and a cubic
+    Hermite point closes the trace.
     The solver counters are the shared run's, with stiff_from_s and the
     certificate's returns shifted into the row's frame.
     """
@@ -747,9 +748,9 @@ def _shifted_trace(shared, sol, shift, ends_early, s_max, p, end=None):
         if status == "certified_B":
             certificate = None
         status = "s_max"
-    if end is not None:
-        events.append((end, STEADY_END))
-        status = STEADY_END
+        if end is not None:
+            events.append((end, STEADY_END))
+            status = STEADY_END
     s, X, Z, tail_end = _with_tail(sol, p.k, s, X, Z)
     return replace(
         shared,
