@@ -23,10 +23,11 @@ x alone: the exponential arcs of Z are straight lines in W. X's error is
 held relative to X and W's absolutely, both at rtol, which is to first
 order the relative control of Z. The axis Z = 0 is W = -inf, where W stays.
 The samples are returned in Z = e^W/(c_nk beta^k), and the threshold on Z
-(Z_FLOOR_REL) is applied as its exact image. No bound on Z
-stops a run: W grows only linearly up the asymptote, and a step whose e^W
-would overflow (W > EXP_W_MAX) is rejected as a bad state, so the step
-floor is the one stop left there.
+(Z_FLOOR_REL) is applied as its exact image. Below EXP_W_MIN, where e^W
+would lose its bits to underflow, the f-term and Z are summed from logs.
+No bound on Z stops a run: W grows only linearly up the asymptote, and a
+step whose e^W would overflow (W > EXP_W_MAX) is rejected as a bad state,
+so the step floor is the one stop left there.
 
 Integrator: DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5, II.10),
 an explicit 12-stage pair of order 8 whose error estimate combines
@@ -137,6 +138,11 @@ STIFF_SPAN = 15
 SAMPLE_TOL = 1e-9
 # e^W overflows beyond this; the field takes e^W = inf there, a bad state
 EXP_W_MAX = 709.0
+# below this, e^W nears the subnormal range (from W = -708.4) and then
+# underflows to 0, so the field forms its f-term e^W q g^k as
+# exp(W + ln(q g^k)), and a sample's Z = e^W/(c_nk beta^k) as
+# exp(W - ln(c_nk beta^k)); above it, both keep the product form
+EXP_W_MIN = -700.0
 
 
 def pack_params(p):
@@ -182,7 +188,8 @@ def rhs(X, W, pp):
     Packed in the A chart, this is the reversed A-chart field in
     (W-, ln(c_nk beta^k V-)). At k = 1, x is X and g^k is g: neither the
     root nor the power loop runs. At k = 2, x is sqrt(X) and g^k is g * g,
-    the product the loop forms. Every other operation is the same."""
+    the product the loop forms. Every other operation is the same. Below
+    EXP_W_MIN the f-term is exp(W + ln(q g^k)), where q g^k > 0."""
     n = pp[PP_N]
     k = pp[PP_K]
     if k == 1.0:
@@ -200,8 +207,12 @@ def rhs(X, W, pp):
         else:
             for _ in range(int(k) - 1):
                 gk *= g
-    ez = math.exp(W) if W < EXP_W_MAX else math.inf
-    F = -(n - 2.0 * k) * q * X + ez * (q * gk)
+    fq = q * gk
+    if W < EXP_W_MIN and fq > 0.0:
+        fz = math.exp(W + math.log(fq))
+    else:
+        fz = (math.exp(W) if W < EXP_W_MAX else math.inf) * fq
+    F = -(n - 2.0 * k) * q * X + fz
     return F, 2.0 * k * (1.0 - x / pp[PP_XB_ROOT])
 
 
@@ -235,7 +246,9 @@ def jac(X, W, pp):
     ez = math.exp(W) if W < EXP_W_MAX else math.inf
     slope = k * g_km1 * (((k - 1.0) / (n + 2.0 * k)) * g + pp[PP_NUM_B])
     dFdX = (2.0 * k - n) + m * (k + 1.0) * x + ez * (slope * xpow / k)
-    dFdW = ez * (q * (g_km1 * g))  # the f-term of rhs, same product order
+    # the f-term of rhs, in the same product order and form
+    fq = q * (g_km1 * g)
+    dFdW = math.exp(W + math.log(fq)) if W < EXP_W_MIN and fq > 0.0 else ez * fq
     dGdX = -(1.0 - m) * xpow
     return dFdX, dFdW, dGdX, 0.0
 
@@ -976,7 +989,7 @@ def _sample(s_out, x_out, z_out, m, s, X, W, cb, room):
     if s > s_out[m - 1] and m < s_out.size - room:
         s_out[m] = s
         x_out[m] = X
-        z_out[m] = math.exp(W) / cb
+        z_out[m] = math.exp(W) / cb if W >= EXP_W_MIN else math.exp(W - math.log(cb))
         m += 1
     return m
 
@@ -1075,7 +1088,8 @@ def start_run(X0, W0, s0, pp, max_samples):
     ev_code = np.zeros(EV_CAP, dtype=np.int64)
     s_out[0] = s0
     x_out[0] = X0
-    z_out[0] = math.exp(W0) / pp[PP_CB]
+    cb = pp[PP_CB]
+    z_out[0] = math.exp(W0) / cb if W0 >= EXP_W_MIN else math.exp(W0 - math.log(cb))
     fX, fW = rhs(X0, W0, pp)
     zero = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     nan = math.nan
@@ -1123,6 +1137,10 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
     # exit of the region
     gamma_edge = pp[PP_N] >= 2.0 * pp[PP_K] and pp[PP_NUM_B] < 0.0 and pp[PP_GAMMA] <= pp[PP_XA_ROOT]
     X_gamma = pp[PP_XCAP] if gamma_edge else math.inf
+    # where n < 2k and gamma < x_A the region ends at gamma^k before A, and
+    # the axis flow (2k-n)(1 - x/x_A) X > 0 carries X on to that exit: no
+    # collapse onto the axis ends the run there
+    axis_end = not (pp[PP_N] < 2.0 * pp[PP_K] and pp[PP_GAMMA] < pp[PP_XA_ROOT])
     # W carries no error on the axis, where it stays -inf
     magW = 1.0 if W > -math.inf else 0.0
     # the Poincare-return certificate, from the last upward X_B crossing
@@ -1297,7 +1315,7 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
 
         # collapse onto the Z = 0 axis beyond X_B (orbits toward A or the
         # degenerate line): Z below Z_FLOOR_REL times its peak
-        if X > pp[PP_XB] and W - w_peak < w_floor:
+        if axis_end and X > pp[PP_XB] and W - w_peak < w_floor:
             n_ev = _log_event(ev_s, ev_code, n_ev, s, EV_CONVERGED)
             status = ST_CONV_AXIS
             break

@@ -3,13 +3,14 @@ classification, the barrier comparison for rho > 2 theta, and the runtime
 invariant monitors.
 
 Orbit taxonomy: type gamma reaches the asymptote X = gamma^k with Z
-unbounded, which a run at rho <= 0 and n > 2k certifies by a trap at the
-Picard hand-off; type B converges to the interior attractor, which a run
-certifies by two contracting returns to the section X = X_B (a focus) or by
-a funnel into a node B that closes at the Picard hand-off; generalized
-type B stays in a bounded band around it up to s_max with no certificate;
-type A (or generalized type A when n = 2k) collapses onto the Z = 0 axis
-at X = X_inf; non-admissible orbits leave the region at a finite s_exit.
+unbounded, which a run at rho <= 0 and n >= 2k certifies by a trap at the
+Picard hand-off, the only route to the class; type B converges to the
+interior attractor, which a run certifies by two contracting returns to the
+section X = X_B (a focus) or by a funnel into a node B that closes at the
+Picard hand-off; generalized type B stays in a bounded band around it up to
+s_max with no certificate, the only class read off a tail; type A (or
+generalized type A when n = 2k) collapses onto the Z = 0 axis at X = X_inf;
+non-admissible orbits leave the region at a finite s_exit.
 """
 
 import functools
@@ -51,8 +52,6 @@ _STATUS_NAMES = {
 }
 
 
-# classification tolerances
-GAMMA_NEAR_REL = 0.05  # an end point within 5 % of gamma in x counts as near
 BOUNDED_RATIO = 100.0  # max/min of Z over the tail window of a bounded band
 
 # the funnel certificate: the fences are sampled at FUNNEL_POINTS points of
@@ -374,48 +373,37 @@ def _axis_class(x_end, p, diag):
     return OrbitClass(GENERALIZED_A, X_inf=x_end, diagnostics=diag)
 
 
-def _gamma_class(z_end, p, diag):
-    """TypeGamma for an end at the asymptote with Z growing, at rho <= 0. At
-    rho > 0, gamma > x_B, where Z_s/Z = 2k (1 - x/x_B) < 0: Z cannot grow up
-    the asymptote, and the end is a slow passage cut short."""
-    diag["Z_end"] = z_end
-    if p.rho > 0.0:
-        diag["reason"] = "slow passage along x ~ gamma ~ x_B, of order theta/rho in s, not ended"
-        return OrbitClass(UNDETERMINED, diagnostics=diag)
-    return OrbitClass(TYPE_GAMMA, diagnostics=diag)
-
-
 def classify_orbit(trace, p):
     """Orbit type per the regime taxonomy; never guesses silently.
 
-    An orbit ending at s_max must show a clear signature (asymptote
-    approach with growing Z, collapse onto the axis, or a bounded band)
-    to be classified; anything else is reported Undetermined together
-    with the tail diagnostics. An orbit that reaches the asymptote event
-    (x within asym_tol of gamma) is type gamma at rho <= 0, Undetermined at
-    rho > 0. A trace cut short by the sample buffer or the step floor is
-    Undetermined, with the status as its reason. Every Undetermined result
-    says why in ``diagnostics["reason"]``.
+    Every decided class rests on a certificate, a located event or, where B
+    attracts the run, its bounded band:
 
-    A run whose hand-off lies in the asymptote trap is TypeGamma at any end
-    but a budget's: its diagnostics name the criterion ("asymptote_trap"), the
-    hand-off point and the :class:`TrapCertificate`'s margin.
+    - a run whose hand-off lies in the asymptote trap is TypeGamma at any
+      end but a budget's; its diagnostics name the criterion
+      ("asymptote_trap"), the hand-off point and the
+      :class:`TrapCertificate`'s margin;
+    - a certified_B end is TypeB. Where ``_kernels.certifies_b`` accepted
+      two returns to X = X_B, its diagnostics name the criterion
+      ("poincare_return"), the returns ((s1, Z1), (s2, Z2)), the contraction
+      (Z2 - Z_B)/(Z1 - Z_B) per loop and the margin (Z1 - Z2)/bound of the
+      gap over the error bound. Where the run ended at the Picard hand-off
+      on a :class:`FunnelCertificate`, they name the criterion ("funnel"),
+      the hand-off point and the certificate's margin;
+    - an exited_region end is NonAdmissible, a converged_axis end TypeA or
+      GeneralizedA (:func:`_axis_class`);
+    - a run into an attracting B that no certificate ends reaches s_max,
+      where its bounded band reads GeneralizedB.
 
-    A certified_B end is TypeB. Where ``_kernels.certifies_b`` accepted two
-    returns to X = X_B, its diagnostics name the criterion
-    ("poincare_return"), the returns ((s1, Z1), (s2, Z2)), the contraction
-    (Z2 - Z_B)/(Z1 - Z_B) per loop and the margin (Z1 - Z2)/bound of the gap
-    over the error bound. Where the run ended at the Picard hand-off on a
-    :class:`FunnelCertificate`, they name the criterion ("funnel"), the
-    hand-off point and the certificate's margin. No other run into B carries
-    a criterion: one that neither certificate ends reaches s_max, where its
-    bounded band reads GeneralizedB.
+    Anything else is Undetermined, and ``diagnostics["reason"]`` says why: a
+    trace cut short by the sample buffer or the step floor names its
+    status; at rho > 0, an end at the asymptote, or an end at s_max on
+    n = 2k, is the slow passage along x ~ gamma ~ x_B cut short; an end at
+    the asymptote that no trap decided says so; any other end has no end
+    signature.
     """
-    x_end, z_end = trace.end_state
     status = trace.status
     diag = {"status": status, "s_end": float(trace.s[-1])}
-    near_gamma = p.gamma - phase.kth_root(x_end, p.k) < GAMMA_NEAR_REL * p.gamma
-
     if status == "exited_region":
         return OrbitClass(NON_ADMISSIBLE, s_exit=float(trace.s[-1]), diagnostics=diag)
     if status in ("sample_overflow", "step_floor"):
@@ -443,26 +431,23 @@ def classify_orbit(trace, p):
         )
         return OrbitClass(TYPE_B, diagnostics=diag)
     if status == "converged_axis":
-        return _axis_class(x_end, p, diag)
-    if status == "reached_asymptote":
-        return _gamma_class(z_end, p, diag)
-
-    # ran to s_max: read the tail
-    win = _tail_window(trace)
-    zw = trace.Z[win]
-    z_min, z_max = float(np.min(zw)), float(np.max(zw))
-    z_peak = float(np.max(trace.Z))
-    diag.update(z_tail=(z_min, z_max), x_end=x_end)
-    if near_gamma and zw[-1] >= zw[0] > 0.0:
-        return _gamma_class(z_end, p, diag)
-    if x_end > p.X_B and z_end < 1e-6 * z_peak and zw[-1] <= zw[0]:
-        return _axis_class(x_end, p, diag)
-    if status == "s_max" and z_min > 0.0 and z_max / z_min < BOUNDED_RATIO and not near_gamma:
-        return OrbitClass(GENERALIZED_B, diagnostics=diag)
-    diag["reason"] = (
-        f"no end signature at {status}: no asymptote approach with Z growing, "
-        "no collapse onto the axis, no bounded band"
-    )
+        return _axis_class(trace.end_state[0], p, diag)
+    if status == "s_max" and p.b_attracts:
+        zw = trace.Z[_tail_window(trace)]
+        z_min, z_max = float(np.min(zw)), float(np.max(zw))
+        diag["z_tail"] = (z_min, z_max)
+        if z_min > 0.0 and z_max / z_min < BOUNDED_RATIO:
+            return OrbitClass(GENERALIZED_B, diagnostics=diag)
+    if p.rho > 0.0 and (status == "reached_asymptote" or p.n == 2 * p.k):
+        # gamma > x_B at rho > 0, where Z_s/Z = 2k (1 - x/x_B) < 0: Z cannot
+        # grow up the asymptote, and at n = 2k, where F = Z f(x) > 0, X
+        # crosses X_B only after the passage
+        why = "slow passage along x ~ gamma ~ x_B, of order theta/rho in s, not ended"
+    elif status == "reached_asymptote":
+        why = "the hand-off lies in no asymptote trap"
+    else:
+        why = "no certificate, no collapse onto the axis, no bounded band"
+    diag["reason"] = f"{why}: no end signature at {status}"
     return OrbitClass(UNDETERMINED, diagnostics=diag)
 
 
@@ -595,15 +580,15 @@ def _hand_off(sol, p):
 
 def asymptote_trap(sol, p):
     """The :class:`TrapCertificate` of sol's hand-off, or None, checked
-    where rho <= 0 and n > 2k; the error bound is :func:`funnel_end`'s."""
-    if not (p.rho <= 0.0 and p.n > 2 * p.k):
+    where rho <= 0 and n >= 2k; the error bound is :func:`funnel_end`'s."""
+    if not (p.rho <= 0.0 and p.n >= 2 * p.k):
         return None
     return trap_certificate(*_hand_off(sol, p), p)
 
 
 def trap_certificate(X, Z, err, p):
     """The :class:`TrapCertificate` of an orbit through the box
-    (X, Z) +- err, at rho <= 0 and n > 2k, or None where the check refuses
+    (X, Z) +- err, at rho <= 0 and n >= 2k, or None where the check refuses
     it.
 
     Take the box's lower left corner (X1, Z1) = (X - err, Z - err). If
@@ -612,8 +597,13 @@ def trap_certificate(X, Z, err, p):
     *Differential Equations: A Dynamical Systems Approach*, Part I). On
     X = X1, F grows with Z, since f(x1) > 0. On Z = Z1, G = 2k Z (1 - x/x_B)
     > 0, since x < gamma <= x_B at rho <= 0. On X = gamma^k, f vanishes and
-    F = -(n-2k)(1 - gamma/x_A) X < 0. Inside, G > 0 and there is no critical
-    point, so x tends to gamma and Z grows without bound: TypeGamma. Both
+    F = -(n-2k)(1 - gamma/x_A) X < 0; at n = 2k, F = 0 there, and the side
+    is an invariant line. Inside, G > 0 and there is no critical point, so
+    x tends to gamma and Z grows without bound: TypeGamma. At n = 2k and
+    rho = 0 the line is critical, and Z still grows without bound: were it
+    bounded, eps = gamma - x would decay no faster than s^(-1/(k-1)) (eps_s
+    ~ -c Z eps^k, and k >= 2 since n >= 3), whose integral, that of
+    (ln Z)_s = 2k eps/gamma, diverges. Both
     values must exceed FUNNEL_SAFETY times their rounding estimates, those
     of ``funnel_certificate``; ``tests/test_oracle.py`` re-proves each
     certificate with interval arithmetic.
@@ -621,7 +611,7 @@ def trap_certificate(X, Z, err, p):
     X1, Z1 = X - err, Z - err
     x1 = phase.kth_root(X1, p.k)
     gap = p.gamma_k - (X + err)
-    if not (p.rho <= 0.0 and p.n > 2 * p.k and X1 > 0.0 and Z1 > 0.0 and x1 < p.gamma):
+    if not (p.rho <= 0.0 and p.n >= 2 * p.k and X1 > 0.0 and Z1 > 0.0 and x1 < p.gamma):
         return None
     F, _G = phase.vector_field(X1, Z1, p)
     round_F = _f_condition(x1, p) * ((p.n - 2.0 * p.k) * X1 + abs(F))

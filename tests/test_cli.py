@@ -88,14 +88,15 @@ class TestClassify:
     def test_tiny_picard_x_passes_the_monitors(self, tmp_path):
         # the hand-off of (33, 16) at rho = 10, theta = 1e-3 has X(s0) ~ 1e-285;
         # the log Z identity's tolerance must not overflow there (the suite
-        # turns RuntimeWarning into an error, which the CLI reports as exit 3)
+        # turns RuntimeWarning into an error, which the CLI reports as exit 3),
+        # and the run, whose e^W underflows at the start, ends at A
         out = tmp_path / "r.json"
         code = run_cli(["classify", "--n", "33", "--k", "16", "--rho", "10",
                         "--theta", "1e-3", "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
-        assert doc["class"]["kind"] == "Undetermined"
-        assert doc["status"] == "step_floor"
+        assert doc["class"]["kind"] == "TypeA"
+        assert doc["status"] == "converged_axis"
         assert set(doc["monitors"].values()) == {0}
 
     @pytest.mark.parametrize(
@@ -104,12 +105,15 @@ class TestClassify:
          ("4", "1", "1", "1", "TypeB", "poincare_return"),
          ("6", "1", "1", "1", "GeneralizedB", None),
          ("4", "1", "0", "1", "TypeGamma", "asymptote_trap"),
-         ("5", "2", "-1", "1", "TypeGamma", "asymptote_trap")],
+         ("5", "2", "-1", "1", "TypeGamma", "asymptote_trap"),
+         ("4", "2", "-1", "1", "TypeGamma", "asymptote_trap")],
     )
     def test_class_reason(self, tmp_path, n, k, rho, theta, kind, criterion):
         # an Undetermined class says why; a decided one carries reason null.
-        # n = 2k has no B, so its slow passage stays Undetermined; the theta
-        # 1e3 corner is decided at its hand-off by the funnel certificate,
+        # n = 2k has no B, so its slow passage stays Undetermined, while its
+        # expander (4,2,-1), like (5,2,-1) and the steady (4,1,0), is decided
+        # at its hand-off by the asymptote trap; the theta 1e3 corner is
+        # decided at its hand-off by the funnel certificate,
         # and (4,1,1) at its second upward return to X = X_B, which the class
         # names with its margin; (6,1,1), whose fences fail, runs into B with
         # no certificate to s_max, GeneralizedB, and its criterion and margin

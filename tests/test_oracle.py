@@ -14,12 +14,13 @@ error bound alone:
   along the chord, from the Jacobian, are negative there.
 
 The asymptote traps that ``orbit.trap_certificate`` issues at the hand-off
-of every n > 2k pair at rho/theta -1, -1e-2 and 0 are proved from the
+of every n >= 2k pair at rho/theta -1, -1e-2 and 0 are proved from the
 hand-off point and its error bound: the box's lower left corner
 (X1, Z1) = (X - err, Z - err) lies in the region, X + err < gamma^k, and
-f(x1) > 0 and F(X1, Z1) > 0 there. rho <= 0 is checked exactly on its
-float: it makes gamma = x_B (1 + rho/(2 theta)) <= x_B < x_A, so G > 0 on
-Z = Z1 below gamma and F < 0 on X = gamma^k.
+f(x1) > 0 and F(X1, Z1) > 0 there. rho <= 0 and n >= 2k are checked
+exactly: they make gamma = x_B (1 + rho/(2 theta)) <= x_B < x_A, so G > 0
+on Z = Z1 below gamma and F <= 0 on X = gamma^k (F = 0 at n = 2k, where
+the side is an invariant line).
 
 The field, its Jacobian and B are written out here from the formulas, with
 the float parameters as exact inputs; none of it is read from ``ksol``.
@@ -184,7 +185,7 @@ def test_oracle_refuses_a_point_above_the_fence():
 def proves_trap(p, cert):
     """Whether interval arithmetic proves the asymptote trap ``cert`` of
     the parameter set ``p``."""
-    if not (p.rho <= 0.0 and p.n > 2 * p.k):
+    if not (p.rho <= 0.0 and p.n >= 2 * p.k):
         return False
     with _precision(PREC):
         fld = _Field(p.n, p.k, p.rho, p.theta)
@@ -197,7 +198,8 @@ def proves_trap(p, cert):
         return bool(f.a > 0 and F.a > 0)
 
 
-TRAP_CASES = [(n, k, r) for n, k in N_GT_2K for r in (-1.0, -1e-2, 0.0)]
+N_EQ_2K = ((4, 2), (6, 3), (16, 8), (10, 5))
+TRAP_CASES = [(n, k, r) for n, k in N_GT_2K + N_EQ_2K for r in (-1.0, -1e-2, 0.0)]
 
 
 @pytest.mark.parametrize("n,k,rho", TRAP_CASES, ids=[f"{n}-{k}-{r:g}" for n, k, r in TRAP_CASES])
