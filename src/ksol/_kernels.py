@@ -36,21 +36,21 @@ accepted DOP853 step builds its order-7 continuous extension from three
 more stages. Once the step is stability-limited on STIFF_SPAN consecutive
 accepted steps (h times the spectral radius of the closed-form 2x2 Jacobian
 above STIFF_HRHO, or above STIFF_HRHO_SHRINK on a step shorter than the one
-before) the rest of the run takes Radau IIA steps
-(Hairer & Wanner, Solving ODEs II, IV.8, ported from scipy's radau.py):
-implicit, L-stable and stiffly accurate, order 5 with stage order 3, so it
-keeps its order on the stiff arcs, where the stage order 1 of Rosenbrock
-methods loses it (IV.7, IV.15). Simplified Newton solves its collocation
-system as one real and one complex 2x2 system by Cramer's rule, starting
-from the previous step's collocation cubic; Hairer's filtered estimate
-gives the error, and Gustafsson's predictive controller the next step; the
-step after a Newton failure does not grow where the state moves.
+before) the rest of the run takes five-stage Radau IIA steps (Hairer &
+Wanner, Solving ODEs II, IV.8, and "Stiff differential equations solved
+by Radau methods", 1999; the structure of scipy's radau.py): implicit,
+L-stable and stiffly accurate, order 9 with stage order 5, so it keeps its
+order on the stiff arcs, where the stage order 1 of Rosenbrock methods
+loses it (IV.7, IV.15). Simplified Newton solves its collocation system as
+one real and two complex 2x2 systems by Cramer's rule, starting from the
+previous step's collocation quintic; Hairer's filtered estimate, of order
+5, gives the error, and Gustafsson's predictive controller the next step;
+the step after a Newton failure does not grow where the state moves.
 Both methods have a dense output: the order-7 extension, the collocation
-cubic. Every event is located on it by bisection, and it supplies interior
-samples wherever the cubic Hermite between the step ends would miss
-SAMPLE_TOL in (X, W). So the steps are limited by accuracy, up to MAX_STEP.
-The state at an asymptote event inside a Radau step is not the cubic's but
-the end of the step redone up to it, which is stiffly accurate.
+quintic. Every event is located on it by bisection, and it supplies
+interior samples wherever the cubic Hermite between the step ends would
+miss SAMPLE_TOL in (X, W). So the steps are limited by accuracy, up to
+MAX_STEP.
 
 Ends at B: where B attracts the run, its one end there is certified_B, at
 the first upward crossing of X = X_B where ``certifies_b`` proves
@@ -696,25 +696,37 @@ def _sample_count(cx, cw, magX, magW):
 
 @njit
 def _collocation_sample_count(h, fX, fW, cx, cw, magX, magW):
-    """Pieces of a Radau step between emitted samples. The collocation cubic
-    u meets the field at the nodes C1, C2 and 1, so its defect u' - h f(u)
-    in theta is close to K p(t), p = (t - C1)(t - C2)(t - 1), with K set by
-    the defect at the step start, u'(0) - h f0 = F0 + F1 - h f0. The cubic
-    Hermite of a piece from u and f at its ends misses u at the midpoint by
-    a/8 times the change of the defect across the piece a, so N equal pieces
-    miss by e1 (9N^2 - 18N + 10)/N^4 at most, on the first piece, where e1 is
-    the miss of the whole step. N is the least count within SAMPLE_TOL,
-    found below the bound 3 sqrt(e1/SAMPLE_TOL)."""
-    gap = 0.0
+    """Pieces of a Radau step between emitted samples. On a piece of length
+    a, the cubic Hermite from the collocation quintic u and the field at the
+    piece ends misses u at the midpoint by two terms. One is u's own, a^4/16
+    times u''''/24 = F3 - 2 F4 + 5 F4 t, at most i = max(|F3 - 2 F4|,
+    |F3 + 3 F4|)/16 times a^4. The other is a/8 times the change of the
+    defect u' - h f(u) across the piece. The defect vanishes at the five
+    nodes, so it is close to K p(t), p = (t - C1)...(t - C4)(t - 1), with K
+    set by the defect at the step start, u'(0) - h f0 = F0 + F1 - h f0; its
+    change is largest on the first piece, where N equal pieces miss by
+    e1 (25N^4 - 150N^3 + 350N^2 - 350N + 126)/N^6, e1 the miss of the whole
+    step. N is the least count whose two terms together stay within
+    SAMPLE_TOL, found below a bound."""
+    ix = iw = ex = ew = 0.0
     if magX > 0.0:
-        gap = abs(cx[0] + cx[1] - h * fX) / magX
+        ix = max(abs(cx[3] - 2.0 * cx[4]), abs(cx[3] + 3.0 * cx[4])) / (16.0 * magX)
+        ex = abs(cx[0] + cx[1] - h * fX) / (8.0 * magX)
     if magW > 0.0:
-        gap = max(gap, abs(cw[0] + cw[1] - h * fW) / magW)
-    e1 = 0.125 * gap
-    if not SAMPLE_TOL < e1 < math.inf:
+        iw = max(abs(cw[3] - 2.0 * cw[4]), abs(cw[3] + 3.0 * cw[4])) / (16.0 * magW)
+        ew = abs(cw[0] + cw[1] - h * fW) / (8.0 * magW)
+    if not SAMPLE_TOL < max(ix + ex, iw + ew) < math.inf:
         return 1
-    n = int(math.ceil(3.0 * math.sqrt(e1 / SAMPLE_TOL)))
-    while n > 1 and e1 * (9.0 * (n - 1) ** 2 - 18.0 * (n - 1) + 10.0) / (n - 1) ** 4 <= SAMPLE_TOL:
+    # the first term falls as N^-4, the second at least as 25 N^-2: at the
+    # larger of these counts each is within SAMPLE_TOL/2
+    n4 = (2.0 * max(ix, iw) / SAMPLE_TOL) ** 0.25
+    n2 = 5.0 * math.sqrt(2.0 * max(ex, ew) / SAMPLE_TOL)
+    n = int(math.ceil(max(n4, n2)))
+    while n > 1:
+        m = n - 1.0
+        r = ((((25.0 * m - 150.0) * m + 350.0) * m - 350.0) * m + 126.0) / m**6
+        if max(ix / m**4 + ex * r, iw / m**4 + ew * r) > SAMPLE_TOL:
+            break
         n -= 1
     return n
 
@@ -737,56 +749,127 @@ def _dense(theta, y0, c):
     return y0 + theta * (c[0] + t1 * (c[1] + theta * (c[2] + t1 * inner)))
 
 
-# Radau IIA of order 5 (Hairer & Wanner, Solving ODEs II, IV.8), the
-# constants of scipy's radau.py: the nodes C, the error weights E, the
-# eigenvalues of the inverse of the stage matrix (one real, one complex
-# pair), the transformation T that diagonalises it and its inverse TI, and
-# the coefficients P of the collocation cubic
-_RC1 = 0.15505102572168222
-_RC2 = 0.6449489742783178
-_RE1, _RE2, _RE3 = -10.048809399827414, 1.382142733160748, -0.3333333333333333
-_MU_REAL = 3.637834252744496
-_MU_COMPLEX = 2.6810828736277523 - 3.050430199247411j
-_T11, _T12, _T13 = 0.09443876248897524, -0.1412552950209542, 0.03002919410514742
-_T21, _T22, _T23 = 0.2502131229653333, 0.20412935229379994, -0.3829421127572619
-# T's third row is (1, 1, 0)
-_TI11, _TI12, _TI13 = 4.178718591551904, 0.32768282076106237, 0.5233764454994495
-_TI21, _TI22, _TI23 = -4.178718591551904, -0.32768282076106237, 0.47662355450055044
-_TI31, _TI32, _TI33 = 0.5028726349457868, -2.571926949855605, 0.5960392048282249
-# scipy's TI_COMPLEX, TI's second row plus i times its third
-_TIC1, _TIC2, _TIC3 = _TI21 + 1j * _TI31, _TI22 + 1j * _TI32, _TI23 + 1j * _TI33
-_P11, _P12, _P13 = 10.048809399827414, -25.62959144707664, 15.580782047249224
-_P21, _P22, _P23 = -1.382142733160748, 10.296258113743303, -8.914115380582556
-_P31, _P32, _P33 = 0.3333333333333333, -2.6666666666666665, 3.3333333333333335
-NEWTON_MAXITER = 6
+# Radau IIA of order 9 (Hairer & Wanner, Solving ODEs II, IV.8; the
+# five-stage method of Hairer's radau.f): the nodes C1..C4 (C5 = 1), the
+# eigenvalues of the inverse of the stage matrix (one real, two complex
+# pairs MU1, MU2), the transformation T that block-diagonalises it (rows 1-4;
+# the fifth is (1, 1, 0, 1, 0)), TI's first row and its rows 2 + i 3 and
+# 4 + i 5, and the rows P1..P4 that map the stage increments to the
+# coefficients F1..F4 of the collocation quintic in the form of ``_dense``
+_C1, _C2, _C3, _C4 = 0.05710419611451768, 0.2768430136381238, 0.5835904323689168, 0.8602401356562195
+_MU_REAL = 6.2867047517292765
+_MU1 = 5.70095329867179 - 3.2102656003085497j
+_MU2 = 3.655694325463572 - 6.543736899360077j
+_T1_1, _T1_2, _T1_3, _T1_4, _T1_5 = (
+    0.013576867344947943,
+    -0.011478515255229515,
+    0.01401985889287541,
+    -0.010242047817908826,
+    -0.04767387729029572,
+)
+_T2_1, _T2_2, _T2_3, _T2_4, _T2_5 = (
+    0.0016179004017190875,
+    -0.007668830749180163,
+    -0.024708578426518527,
+    0.05017286451737106,
+    0.09433181918161143,
+)
+_T3_1, _T3_2, _T3_3, _T3_4, _T3_5 = (
+    0.07915785334744721,
+    0.01939846399882895,
+    -0.08180035370375117,
+    -0.23053953404341795,
+    -0.1027030453801259,
+)
+_T4_1, _T4_2, _T4_3, _T4_4, _T4_5 = (
+    0.41225608268046143,
+    0.40760117128019907,
+    -0.19968242788680252,
+    0.37789390224886127,
+    -0.46674413033249434,
+)
+_TI1, _TI2, _TI3, _TI4, _TI5 = (
+    27.697693775684087,
+    12.783337911304406,
+    3.20848938671343,
+    -0.9514904122489162,
+    0.7415504960259897,
+)
+_TZ1_1, _TZ1_2, _TZ1_3, _TZ1_4, _TZ1_5 = (
+    -33.041880213519 + 8.611443979875292j,
+    -17.376953479063566 - 9.699991409528808j,
+    -0.17212906325400557 - 1.9147286396968743j,
+    -0.09916977798254265 - 2.41869200608494j,
+    0.5312281158383066 + 1.0474634879353375j,
+)
+_TZ2_1, _TZ2_2, _TZ2_3, _TZ2_4, _TZ2_5 = (
+    5.344186437834912 - 3.748059807439805j,
+    4.593615567759161 + 3.984965736343885j,
+    -3.0363603234594243 + 1.0444156416080188j,
+    1.050660190231459 - 1.1840985681379486j,
+    -0.27277861186429625 + 0.44991777015678036j,
+)
+_P1_1, _P1_2, _P1_3, _P1_4, _P1_5 = (
+    27.78093394406464,
+    -3.641478498049213,
+    1.2525477211691187,
+    -0.5920031671845428,
+    -0.8,
+)
+_P2_1, _P2_2, _P2_3, _P2_4, _P2_5 = (
+    -36.19335816765893,
+    10.611734614705874,
+    -10.029661925319592,
+    18.811285478272644,
+    -11.2,
+)
+_P3_1, _P3_2, _P3_3, _P3_4, _P3_5 = (
+    -144.05356518917776,
+    63.63016294236274,
+    -17.885204671340986,
+    -5.291393081843982,
+    5.6,
+)
+_P4_1, _P4_2, _P4_3, _P4_4, _P4_5 = (
+    199.88739542347736,
+    -127.022853068795,
+    92.10283313613321,
+    -64.16737549081559,
+    25.2,
+)
+# radau.f's default for five stages, 7 + 2.5 (s - 3)
+NEWTON_MAXITER = 12
 _EPS = 2.220446049250313e-16  # the spacing of doubles at 1
 
 
 @njit
-def _radau_step(X, W, h, fX, fW, J, cx, cw, ratio, rtol, magW, refine, pp, t0=1.0):
+def _radau_step(X, W, h, fX, fW, J, cx, cw, ratio, rtol, magW, refine, pp):
     """One Radau IIA step from (X, W) with derivative (fX, fW) and Jacobian
     J = (a, b, c, d) there.
 
     The stage increments u_i = y(s + C_i h) - y solve the collocation system
     by simplified Newton in TI's coordinates, where it splits into one real
-    and one complex 2x2 system, each solved by Cramer's rule. Newton starts
-    from a dense output (coefficients cx, cw of ``_dense``) read at
-    t0 + C_i ratio less its value at t0: with t0 = 1, the previous step's,
-    ``ratio`` times shorter than h, extrapolated to the nodes (ratio = 0
-    starts from zero); with t0 = 0, a step's own, redone to the fraction
-    ratio of it. The error is Hairer's filtered estimate,
-    (MU_REAL/h - J)^-1 (f + sum_i E_i u_i / h), refined once through f when
-    ``refine`` (an attempt of this step was rejected) and it fails rtol.
+    and two complex 2x2 systems, each solved by Cramer's rule. Newton starts
+    from the previous step's collocation quintic (coefficients cx, cw of
+    ``_dense``), ``ratio`` times shorter than h, extrapolated to the nodes:
+    read at 1 + C_i ratio less its value at 1 (ratio = 0 starts from zero).
+    The error is Hairer's filtered estimate
+    (MU_REAL/h - J)^-1 (f + sum_i E_i u_i / h), of order 5; sum_i E_i u_i is
+    exactly minus the slope F0 + F1 of the collocation quintic at the step
+    start, so no E is stored. It is refined once through f when ``refine``
+    (an attempt of this step was rejected) and it fails rtol.
 
     Returns (X1, W1, err, n_iter, n_f, cx1, cw1): the solution, the error
     norm (inf where Newton did not converge), the Newton iterations and the
-    rhs calls made, and the collocation cubic as coefficients of ``_dense``.
+    rhs calls made, and the collocation quintic as coefficients of ``_dense``.
     """
     a, b, c, d = J
     mr = _MU_REAL / h
-    mc = _MU_COMPLEX / h
+    m1 = _MU1 / h
+    m2 = _MU2 / h
     det_r = (mr - a) * (mr - d) - b * c
-    det_c = (mc - a) * (mc - d) - b * c
+    det_1 = (m1 - a) * (m1 - d) - b * c
+    det_2 = (m2 - a) * (m2 - d) - b * c
     scX = rtol * abs(X)
     scW = rtol * magW
     # Newton's tolerance on the scaled update, as scipy sets it, with a
@@ -794,20 +877,23 @@ def _radau_step(X, W, h, fX, fW, J, cx, cw, ratio, rtol, magW, refine, pp, t0=1.
     # 10 ulps of W is rounding, more than 10 eps where |W| > 1
     tol = max(10.0 * _EPS * max(1.0, abs(W)) / rtol, min(0.03, math.sqrt(rtol)))
 
-    bx = cx[0] if t0 == 1.0 else _dense(t0, 0.0, cx)
-    bw = cw[0] if t0 == 1.0 else _dense(t0, 0.0, cw)
-    u1x = _dense(t0 + _RC1 * ratio, 0.0, cx) - bx
-    u2x = _dense(t0 + _RC2 * ratio, 0.0, cx) - bx
-    u3x = _dense(t0 + ratio, 0.0, cx) - bx
-    u1w = _dense(t0 + _RC1 * ratio, 0.0, cw) - bw
-    u2w = _dense(t0 + _RC2 * ratio, 0.0, cw) - bw
-    u3w = _dense(t0 + ratio, 0.0, cw) - bw
-    v1x = _TI11 * u1x + _TI12 * u2x + _TI13 * u3x
-    v2x = _TI21 * u1x + _TI22 * u2x + _TI23 * u3x
-    v3x = _TI31 * u1x + _TI32 * u2x + _TI33 * u3x
-    v1w = _TI11 * u1w + _TI12 * u2w + _TI13 * u3w
-    v2w = _TI21 * u1w + _TI22 * u2w + _TI23 * u3w
-    v3w = _TI31 * u1w + _TI32 * u2w + _TI33 * u3w
+    u1x = _dense(1.0 + _C1 * ratio, 0.0, cx) - cx[0]
+    u2x = _dense(1.0 + _C2 * ratio, 0.0, cx) - cx[0]
+    u3x = _dense(1.0 + _C3 * ratio, 0.0, cx) - cx[0]
+    u4x = _dense(1.0 + _C4 * ratio, 0.0, cx) - cx[0]
+    u5x = _dense(1.0 + ratio, 0.0, cx) - cx[0]
+    u1w = _dense(1.0 + _C1 * ratio, 0.0, cw) - cw[0]
+    u2w = _dense(1.0 + _C2 * ratio, 0.0, cw) - cw[0]
+    u3w = _dense(1.0 + _C3 * ratio, 0.0, cw) - cw[0]
+    u4w = _dense(1.0 + _C4 * ratio, 0.0, cw) - cw[0]
+    u5w = _dense(1.0 + ratio, 0.0, cw) - cw[0]
+    # v = TI u: its real first entry, and v2 + i v3 and v4 + i v5
+    vx = _TI1 * u1x + _TI2 * u2x + _TI3 * u3x + _TI4 * u4x + _TI5 * u5x
+    vw = _TI1 * u1w + _TI2 * u2w + _TI3 * u3w + _TI4 * u4w + _TI5 * u5w
+    zx = _TZ1_1 * u1x + _TZ1_2 * u2x + _TZ1_3 * u3x + _TZ1_4 * u4x + _TZ1_5 * u5x
+    zw = _TZ1_1 * u1w + _TZ1_2 * u2w + _TZ1_3 * u3w + _TZ1_4 * u4w + _TZ1_5 * u5w
+    yx = _TZ2_1 * u1x + _TZ2_2 * u2x + _TZ2_3 * u3x + _TZ2_4 * u4x + _TZ2_5 * u5x
+    yw = _TZ2_1 * u1w + _TZ2_2 * u2w + _TZ2_3 * u3w + _TZ2_4 * u4w + _TZ2_5 * u5w
 
     converged = False
     norm_old = -1.0
@@ -818,27 +904,29 @@ def _radau_step(X, W, h, fX, fW, J, cx, cw, ratio, rtol, magW, refine, pp, t0=1.
         g1x, g1w = rhs(X + u1x, W + u1w, pp)
         g2x, g2w = rhs(X + u2x, W + u2w, pp)
         g3x, g3w = rhs(X + u3x, W + u3w, pp)
-        if not (
-            math.isfinite(g1x) and math.isfinite(g2x) and math.isfinite(g3x)
-            and math.isfinite(g1w) and math.isfinite(g2w) and math.isfinite(g3w)
-        ):
+        g4x, g4w = rhs(X + u4x, W + u4w, pp)
+        g5x, g5w = rhs(X + u5x, W + u5w, pp)
+        if not math.isfinite(g1x + g2x + g3x + g4x + g5x + g1w + g2w + g3w + g4w + g5w):
             break
-        rx = _TI11 * g1x + _TI12 * g2x + _TI13 * g3x - mr * v1x
-        rw = _TI11 * g1w + _TI12 * g2w + _TI13 * g3w - mr * v1w
-        zx = _TIC1 * g1x + _TIC2 * g2x + _TIC3 * g3x - mc * (v2x + 1j * v3x)
-        zw = _TIC1 * g1w + _TIC2 * g2w + _TIC3 * g3w - mc * (v2w + 1j * v3w)
-        d1x = ((mr - d) * rx + b * rw) / det_r
-        d1w = ((mr - a) * rw + c * rx) / det_r
-        dzx = ((mc - d) * zx + b * zw) / det_c
-        dzw = ((mc - a) * zw + c * zx) / det_c
-        d2x, d3x, d2w, d3w = dzx.real, dzx.imag, dzw.real, dzw.imag
+        rx = _TI1 * g1x + _TI2 * g2x + _TI3 * g3x + _TI4 * g4x + _TI5 * g5x - mr * vx
+        rw = _TI1 * g1w + _TI2 * g2w + _TI3 * g3w + _TI4 * g4w + _TI5 * g5w - mr * vw
+        sx = _TZ1_1 * g1x + _TZ1_2 * g2x + _TZ1_3 * g3x + _TZ1_4 * g4x + _TZ1_5 * g5x - m1 * zx
+        sw = _TZ1_1 * g1w + _TZ1_2 * g2w + _TZ1_3 * g3w + _TZ1_4 * g4w + _TZ1_5 * g5w - m1 * zw
+        tx = _TZ2_1 * g1x + _TZ2_2 * g2x + _TZ2_3 * g3x + _TZ2_4 * g4x + _TZ2_5 * g5x - m2 * yx
+        tw = _TZ2_1 * g1w + _TZ2_2 * g2w + _TZ2_3 * g3w + _TZ2_4 * g4w + _TZ2_5 * g5w - m2 * yw
+        dvx = ((mr - d) * rx + b * rw) / det_r
+        dvw = ((mr - a) * rw + c * rx) / det_r
+        dzx = ((m1 - d) * sx + b * sw) / det_1
+        dzw = ((m1 - a) * sw + c * sx) / det_1
+        dyx = ((m2 - d) * tx + b * tw) / det_2
+        dyw = ((m2 - a) * tw + c * tx) / det_2
 
         sq = 0.0
         if scX > 0.0:
-            sq += ((d1x * d1x + d2x * d2x + d3x * d3x) / scX) / scX
+            sq += ((dvx * dvx + (dzx * dzx.conjugate() + dyx * dyx.conjugate()).real) / scX) / scX
         if scW > 0.0:
-            sq += ((d1w * d1w + d2w * d2w + d3w * d3w) / scW) / scW
-        norm = math.sqrt(sq / 6.0)
+            sq += ((dvw * dvw + (dzw * dzw.conjugate() + dyw * dyw.conjugate()).real) / scW) / scW
+        norm = math.sqrt(sq / 10.0)
         # scipy's tests on the rate of convergence, except that an update
         # below tol is converged whatever the rate: it moves the stages by
         # less than Newton's tolerance, and near a fixed point it and the
@@ -851,43 +939,51 @@ def _radau_step(X, W, h, fX, fW, J, cx, cw, ratio, rtol, magW, refine, pp, t0=1.
             ):
                 break
 
-        v1x += d1x
-        v2x += d2x
-        v3x += d3x
-        v1w += d1w
-        v2w += d2w
-        v3w += d3w
-        u1x = _T11 * v1x + _T12 * v2x + _T13 * v3x
-        u2x = _T21 * v1x + _T22 * v2x + _T23 * v3x
-        u3x = v1x + v2x
-        u1w = _T11 * v1w + _T12 * v2w + _T13 * v3w
-        u2w = _T21 * v1w + _T22 * v2w + _T23 * v3w
-        u3w = v1w + v2w
+        vx += dvx
+        vw += dvw
+        zx += dzx
+        zw += dzw
+        yx += dyx
+        yw += dyw
+        p2, p3, p4, p5 = zx.real, zx.imag, yx.real, yx.imag
+        u1x = _T1_1 * vx + _T1_2 * p2 + _T1_3 * p3 + _T1_4 * p4 + _T1_5 * p5
+        u2x = _T2_1 * vx + _T2_2 * p2 + _T2_3 * p3 + _T2_4 * p4 + _T2_5 * p5
+        u3x = _T3_1 * vx + _T3_2 * p2 + _T3_3 * p3 + _T3_4 * p4 + _T3_5 * p5
+        u4x = _T4_1 * vx + _T4_2 * p2 + _T4_3 * p3 + _T4_4 * p4 + _T4_5 * p5
+        u5x = vx + p2 + p4
+        p2, p3, p4, p5 = zw.real, zw.imag, yw.real, yw.imag
+        u1w = _T1_1 * vw + _T1_2 * p2 + _T1_3 * p3 + _T1_4 * p4 + _T1_5 * p5
+        u2w = _T2_1 * vw + _T2_2 * p2 + _T2_3 * p3 + _T2_4 * p4 + _T2_5 * p5
+        u3w = _T3_1 * vw + _T3_2 * p2 + _T3_3 * p3 + _T3_4 * p4 + _T3_5 * p5
+        u4w = _T4_1 * vw + _T4_2 * p2 + _T4_3 * p3 + _T4_4 * p4 + _T4_5 * p5
+        u5w = vw + p2 + p4
 
         if norm == 0.0 or (norm_old >= 0.0 and (rate >= 1.0 or rate / (1.0 - rate) * norm < tol)):
             converged = True
             break
         norm_old = norm
 
-    n_f = 3 * n_iter
+    n_f = 5 * n_iter
     if not converged:
         return X, W, math.inf, n_iter, n_f, cx, cw
 
-    X1 = X + u3x
-    W1 = W + u3w
+    X1 = X + u5x
+    W1 = W + u5w
+    cx1 = _collocation(u1x, u2x, u3x, u4x, u5x)
+    cw1 = _collocation(u1w, u2w, u3w, u4w, u5w)
     scX = rtol * max(abs(X), abs(X1))
-    ex = (_RE1 * u1x + _RE2 * u2x + _RE3 * u3x) / h
-    ew = (_RE1 * u1w + _RE2 * u2w + _RE3 * u3w) / h
-    errx = ((mr - d) * (fX + ex) + b * (fW + ew)) / det_r
-    errw = ((mr - a) * (fW + ew) + c * (fX + ex)) / det_r
+    qx = (cx1[0] + cx1[1]) / h
+    qw = (cw1[0] + cw1[1]) / h
+    errx = ((mr - d) * (fX - qx) + b * (fW - qw)) / det_r
+    errw = ((mr - a) * (fW - qw) + c * (fX - qx)) / det_r
     err = _rms(errx, errw, scX, scW)
     if refine and err > 1.0:
         gx, gw = rhs(X + errx, W + errw, pp)
         n_f += 1
-        errx = ((mr - d) * (gx + ex) + b * (gw + ew)) / det_r
-        errw = ((mr - a) * (gw + ew) + c * (gx + ex)) / det_r
+        errx = ((mr - d) * (gx - qx) + b * (gw - qw)) / det_r
+        errw = ((mr - a) * (gw - qw) + c * (gx - qx)) / det_r
         err = _rms(errx, errw, scX, scW)
-    return X1, W1, err, n_iter, n_f, _collocation(u1x, u2x, u3x), _collocation(u1w, u2w, u3w)
+    return X1, W1, err, n_iter, n_f, cx1, cw1
 
 
 @njit
@@ -900,15 +996,15 @@ def _radau_safety(n_iter):
 @njit
 def _predict_factor(h, h_acc, err, err_acc):
     """Gustafsson's predictive step factor (Hairer & Wanner II, IV.8), as
-    scipy's ``predict_factor``: err^(-1/4), times min(1, (h/h_acc)
-    (err_acc/err)^(1/4)) once a previous step (h_acc > 0) was accepted with
-    error err_acc; inf at err = 0."""
+    scipy's ``predict_factor`` for an error estimate of order 5:
+    err^(-1/6), times min(1, (h/h_acc) (err_acc/err)^(1/6)) once a previous
+    step (h_acc > 0) was accepted with error err_acc; inf at err = 0."""
     if err == 0.0:
         return math.inf
     mult = 1.0
     if h_acc > 0.0:
-        mult = min(1.0, h / h_acc * (err_acc / err) ** 0.25)
-    return mult * err**-0.25
+        mult = min(1.0, h / h_acc * (err_acc / err) ** (1.0 / 6.0))
+    return mult * err ** (-1.0 / 6.0)
 
 
 @njit
@@ -921,36 +1017,19 @@ def _rms(ex, ew, scX, scW):
 
 
 @njit
-def _collocation(u1, u2, u3):
-    """The collocation cubic Q1 t + Q2 t^2 + Q3 t^3, Q = u P, through the
-    stage increments of one component, as coefficients of ``_dense``:
-    F0 = Q1 + Q2 + Q3 is its value u3 at the step end, F1 = -Q2 - Q3 and
-    F2 = -Q3."""
-    q2 = _P12 * u1 + _P22 * u2 + _P32 * u3
-    q3 = _P13 * u1 + _P23 * u2 + _P33 * u3
-    return (u3, -q2 - q3, -q3, 0.0, 0.0, 0.0, 0.0)
-
-
-@njit
-def _redone_event(X, W, h, th, fX, fW, J, cx, cw, rtol, magW, X_event, pp):
-    """The state where X reaches X_event inside a Radau step from (X, W),
-    at the fraction th of it on its collocation cubic (cx, cw).
-
-    Inside a step the cubic is not stiffly accurate, and up the asymptote,
-    where h rho(J) reaches 1e4, the orbit runs nearly along W: a point of
-    the cubic lies off it by more than the sampled Hermite through the
-    field's slope there can absorb. So the step is redone to th h, started
-    from its own cubic, and the end moved along the field to X_event.
-    Returns (ds, W1, n_f): the move in s past th h, W there and the rhs
-    calls made; (0, the cubic's W, n_f) where Newton fails."""
-    Xe, We, err, _n_iter, n_f, _cx, _cw = _radau_step(
-        X, W, th * h, fX, fW, J, cx, cw, th, rtol, magW, False, pp, 0.0
+def _collocation(u1, u2, u3, u4, u5):
+    """The collocation quintic through the stage increments of one
+    component, as coefficients of ``_dense``: F0 is its value u5 at the step
+    end, F1..F4 = P u."""
+    return (
+        u5,
+        _P1_1 * u1 + _P1_2 * u2 + _P1_3 * u3 + _P1_4 * u4 + _P1_5 * u5,
+        _P2_1 * u1 + _P2_2 * u2 + _P2_3 * u3 + _P2_4 * u4 + _P2_5 * u5,
+        _P3_1 * u1 + _P3_2 * u2 + _P3_3 * u3 + _P3_4 * u4 + _P3_5 * u5,
+        _P4_1 * u1 + _P4_2 * u2 + _P4_3 * u3 + _P4_4 * u4 + _P4_5 * u5,
+        0.0,
+        0.0,
     )
-    if err == math.inf:
-        return 0.0, _dense(th, W, cw), n_f
-    gX, gW = rhs(Xe, We, pp)
-    ds = (X_event - Xe) / gX
-    return ds, We + ds * gW, n_f + 1
 
 
 @njit
@@ -1063,10 +1142,12 @@ def integrate_core(
     Z = e^W/(c_nk beta^k); the event arrays, which keep the first EV_CAP of
     the n_ev events that fired; the status; the certificate (s1, Z1, s2, Z2,
     bound) of the two returns of a certified_B end, NaNs otherwise; then the
-    accepted and rejected steps, the rhs evaluations (three per Newton
-    iteration of a Radau attempt, and one at each accepted Radau step's
-    end), the shortest and the longest accepted step and the s where Radau
-    took over (NaN if it never did).
+    accepted and rejected steps, the rhs evaluations, the shortest and the
+    longest accepted step and the s where Radau took over (NaN if it never
+    did). The rhs evaluations are one at the start, 12 per DOP853 attempt
+    and 3 per continuous extension, 5 per Newton iteration of a Radau
+    attempt, one at the end of each accepted Radau step that the run goes
+    on from, and one per refined error estimate.
     """
     buffers, loop = start_run(X0, W0, s0, pp, max_samples)
     loop = advance(
@@ -1223,7 +1304,7 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
 
         # dense output of the step, which also sets how many samples the step
         # emits: the order-7 extension after DOP853 (three rhs calls), the
-        # collocation cubic after Radau
+        # collocation quintic after Radau
         if stiff:
             cx, cw = rx, rw
             n_sub = _collocation_sample_count(h, fX, fW, cx, cw, magX, magW)
@@ -1260,13 +1341,6 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
                 X1 = pp[PP_XCAP]
             else:
                 X1 = (pp[PP_GAMMA] - asym_tol * pp[PP_GAMMA]) ** k
-                if stiff:
-                    # the step that the redone one replaces counts as
-                    # rejected (the redone one, where its Newton fails)
-                    ds, W1, n_f = _redone_event(X, W, h, th, fX, fW, J, cx, cw, rtol, magW, X1, pp)
-                    s1 += ds
-                    n_rhs += n_f
-                    n_rej += 1
 
         # samples: interior points at equal fractions of the step (of its
         # part before a terminal event), then the step end. A crossing of

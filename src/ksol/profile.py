@@ -247,7 +247,7 @@ def tail_rate(table, p, orbit_class):
     limit, log_power = float(x[-1]), None
     if orbit_class.kind == orbit_mod.TYPE_GAMMA and p.rho == 0.0:
         s_end = float(s[-1])
-        log_power, y_end = orbit_mod.log_power_fit(s, table.X_full, table.Z_full, p, s_end)
+        log_power, y_end = orbit_mod.log_power_fit(s, table.X_full, p, s_end)
         limit += y_end / s_end
     predicted = expected_rate(p, orbit_class)
     agreement = None

@@ -55,7 +55,7 @@ STEP_KERNELS = (
     "_dop853_step", "_dop853_error", "_dop853_dense", "_extension", "_sample_count",
     "_radau_step", "_radau_safety", "_predict_factor", "_rms", "_collocation",
     "_collocation_sample_count", "_hermite_coeffs", "_dense", "_event_value", "_bisect_event",
-    "_sample", "_interior", "_log_event", "certifies_b", "_redone_event",
+    "_sample", "_interior", "_log_event", "certifies_b",
 )
 # the @njit kernels the step loop does not reach: the loop itself, the run
 # that calls it, the run's start and its result

@@ -16,9 +16,9 @@ from ksol import _jit, _kernels, orbit, phase
 
 # with their accepted steps at alpha 1: their DOP853 arcs end while the
 # step shrinks with h rho(J) above STIFF_HRHO_SHRINK, below the step cap,
-# and Radau takes 173, 165 and 302 steps after it, the last up to the
-# steady end at s = 32
-STIFF_SETS = [(4, 1, -1.0, 253), (5, 2, -1.0, 259), (4, 1, 0.0, 353)]
+# after 80, 94 and 51 steps, and Radau takes 40, 36 and 45 steps after it,
+# the last up to the steady end at s = 32
+STIFF_SETS = [(4, 1, -1.0, 120), (5, 2, -1.0, 130), (4, 1, 0.0, 96)]
 NON_STIFF_SETS = [(4, 1, 1.0), (4, 1, 5.0), (4, 2, 1.0), (3, 2, 3.0), (5, 2, 1.0), (3, 2, 1.0)]
 # the spirals into B whose arc past the Poincare-return certificate a test
 # reads: the controls that run them with the ends at B off, up to about
@@ -325,43 +325,152 @@ class TestDop853Step:
         assert _piece_error(h, X0, W0, cx, cw, pp, pieces - 1) > _kernels.SAMPLE_TOL
 
 
+def _radau_tableau(mp):
+    """The five-stage Radau IIA method derived in ``mp`` at its precision:
+    the nodes, the inverse of the stage matrix A, its eigenvalues (MU_REAL,
+    and MU1 and MU2 = alpha - i beta, beta ascending), the transformation T
+    whose columns are the eigenvectors scaled to a last entry 1 (the real
+    one, then the real and imaginary parts of the eigenvector of
+    alpha + i beta), the error weights E of Hairer's embedded estimate, the
+    weights Q1 of the collocation polynomial's slope at the step start, and
+    the coefficients F1..F4 of ``_kernels._dense`` per stage (rows of P)."""
+    s = 5
+    # the right Radau nodes: the roots of d^4/dt^4 [t^4 (t - 1)^5]
+    poly = [mp.mpf(0)] * (s - 1)
+    poly += [mp.mpf(math.comb(s, j) * (-1) ** (s - j)) for j in range(s + 1)]
+    for _ in range(s - 1):
+        poly = [i * poly[i] for i in range(1, len(poly))]
+    C = sorted(mp.re(r) for r in mp.polyroots(poly[::-1], maxsteps=200, extraprec=200))
+    L = mp.matrix([[c**m for m in range(s)] for c in C]) ** -1  # Lagrange basis
+    A = mp.matrix(
+        [[sum(L[m, j] * c ** (m + 1) / (m + 1) for m in range(s)) for j in range(s)] for c in C]
+    )
+    A_inv = A**-1
+    eig = mp.eig(A_inv)[0]
+    mu_real = mp.re(min(eig, key=lambda e: abs(mp.im(e))))
+    mus = sorted((e for e in eig if mp.im(e) < -1e-20), key=lambda e: -mp.im(e))
+
+    def eigenvector(lam):
+        M = A_inv - lam * mp.eye(s)
+        v = mp.lu_solve(M[: s - 1, : s - 1], -M[: s - 1, s - 1])
+        return [v[i] for i in range(s - 1)] + [mp.mpf(1)]
+
+    columns = [eigenvector(mu_real)]
+    for mu in mus:
+        v = eigenvector(mp.conj(mu))
+        columns += [[mp.re(x) for x in v], [mp.im(x) for x in v]]
+    T = mp.matrix([[columns[j][i] for j in range(s)] for i in range(s)])
+    # the embedded method of order s: gamma0 = 1/MU_REAL at the node 0 and
+    # weights bh at the nodes, E = MU_REAL (bh - b) A^-1 with b = A's last row
+    V = mp.matrix([[c ** (q - 1) for c in C] for q in range(1, s + 1)])
+    rhs = [mp.mpf(1) / q - (1 / mu_real if q == 1 else 0) for q in range(1, s + 1)]
+    bh = mp.lu_solve(V, mp.matrix(rhs))
+    E = [mu_real * sum((bh[i] - A[s - 1, i]) * A_inv[i, j] for i in range(s)) for j in range(s)]
+    # the collocation polynomial u = sum_j Q_j t^j through the stages, u(C_i)
+    # = u_i, and its coefficients in the form of _dense
+    Q = mp.matrix([[c ** (j + 1) for j in range(s)] for c in C]) ** -1
+
+    def q(j, i):
+        return Q[j - 1, i]
+
+    P = [
+        [-(q(2, i) + q(3, i) + q(4, i) + q(5, i)) for i in range(s)],
+        [-(q(3, i) + 2 * q(4, i) + 3 * q(5, i)) for i in range(s)],
+        [q(4, i) + 2 * q(5, i) for i in range(s)],
+        [q(5, i) for i in range(s)],
+    ]
+    return C, A_inv, mu_real, mus, T, E, [q(1, i) for i in range(s)], P
+
+
 class TestRadauStep:
-    def test_coefficients_match_scipy(self):
-        # bit for bit against scipy's radau.py; T's third row is (1, 1, 0)
-        radau = pytest.importorskip("scipy.integrate._ivp.radau")
+    def test_tableau_matches_mpmath(self):
+        # every constant within 2 ulp of the tableau derived at 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        const = vars(_kernels)
 
-        def const(name):
-            return getattr(_kernels, name)
+        def near(name, value, imag=None):
+            got = const[name]
+            parts = [(got, value)] if imag is None else [(got.real, value), (got.imag, imag)]
+            for g, v in parts:
+                assert abs(g - v) <= 2.0 * math.ulp(g), (name, got, value, imag)
 
-        assert (const("_RC1"), const("_RC2")) == tuple(radau.C[:2]) and radau.C[2] == 1.0
-        assert (const("_RE1"), const("_RE2"), const("_RE3")) == tuple(radau.E)
-        assert const("_MU_REAL") == radau.MU_REAL
-        assert const("_MU_COMPLEX") == radau.MU_COMPLEX
-        for name, table in (("_T", radau.T[:2]), ("_TI", radau.TI), ("_P", radau.P)):
-            for i, row in enumerate(table):
-                for j, value in enumerate(row):
-                    assert const(f"{name}{i + 1}{j + 1}") == value, (name, i, j)
-        assert tuple(radau.T[2]) == (1.0, 1.0, 0.0)
-        assert (const("_TIC1"), const("_TIC2"), const("_TIC3")) == tuple(radau.TI_COMPLEX)
-        assert _kernels.NEWTON_MAXITER == radau.NEWTON_MAXITER
+        with mpmath.workdps(30):
+            C, A_inv, mu_real, mus, T, E, slope, P = _radau_tableau(mpmath)
+            tiny = mpmath.mpf(10) ** -25
+            assert abs(C[4] - 1) < tiny
+            for i in range(4):
+                near(f"_C{i + 1}", C[i])
+            near("_MU_REAL", mu_real)
+            for j, mu in enumerate(mus):
+                near(f"_MU{j + 1}", mpmath.re(mu), mpmath.im(mu))
+            TI = T**-1
+            # TI A^-1 T is block-diagonal: MU_REAL, then per MU = alpha - i
+            # beta the block [[alpha, beta], [-beta, alpha]]
+            blocks = mpmath.zeros(5, 5)
+            blocks[0, 0] = const["_MU_REAL"]
+            for j in range(2):
+                alpha, beta = const[f"_MU{j + 1}"].real, -const[f"_MU{j + 1}"].imag
+                r = 1 + 2 * j
+                blocks[r, r] = blocks[r + 1, r + 1] = alpha
+                blocks[r, r + 1], blocks[r + 1, r] = beta, -beta
+            assert mpmath.norm(TI * A_inv * T - blocks) < 1e-14
+            for i in range(4):
+                for j in range(5):
+                    near(f"_T{i + 1}_{j + 1}", T[i, j])
+            assert [T[4, j] for j in range(5)] == [1, 1, 0, 1, 0]
+            for j in range(5):
+                near(f"_TI{j + 1}", TI[0, j])
+                near(f"_TZ1_{j + 1}", TI[1, j], TI[2, j])
+                near(f"_TZ2_{j + 1}", TI[3, j], TI[4, j])
+                for r in range(4):
+                    near(f"_P{r + 1}_{j + 1}", P[r][j])
+                # the step reads sum_i E_i u_i as -(F0 + F1), minus the
+                # collocation polynomial's slope at the step start
+                assert abs(E[j] + slope[j]) < tiny
+        # the kernel's TI and T are inverses, T's fifth row (1, 1, 0, 1, 0)
+        T_k = [[const[f"_T{i}_{j}"] for j in range(1, 6)] for i in range(1, 5)] + [[1, 1, 0, 1, 0]]
+        TI_k = [[const[f"_TI{j}"] for j in range(1, 6)]]
+        for pair in ("_TZ1_", "_TZ2_"):
+            rows = [const[f"{pair}{j}"] for j in range(1, 6)]
+            TI_k += [[z.real for z in rows], [z.imag for z in rows]]
+        assert np.max(np.abs(np.array(TI_k) @ np.array(T_k) - np.eye(5))) < 1e-13
+        # the kernel's constants are these and no more
+        pattern = r"_(C\d|MU\w*|T\d_\d|TI\d|TZ\d_\d|P\d_\d)"
+        names = [name for name in const if re.fullmatch(pattern, name)]
+        assert len(names) == 4 + 3 + 20 + 5 + 10 + 20
 
-    def test_fifth_order(self):
-        # fixed steps over s in [0, 1]: halving h divides the error by ~32;
-        # a wrong coefficient drops the order and the ratio with it
+    def test_collocation_passes_through_the_stages(self):
+        # P maps each stage increment to the quintic through it: the
+        # polynomial of a unit increment at one stage is 1 at its node and 0
+        # at the others and at theta = 0
+        nodes = [_kernels._C1, _kernels._C2, _kernels._C3, _kernels._C4, 1.0]
+        for j in range(5):
+            unit = [0.0] * 5
+            unit[j] = 1.0
+            c = _kernels._collocation(*unit)
+            assert _kernels._dense(0.0, 0.0, c) == 0.0
+            for i, t in enumerate(nodes):
+                assert abs(_kernels._dense(t, 0.0, c) - (i == j)) <= 1e-12
+
+    def test_ninth_order(self):
+        # fixed steps over s in [0, 1]: halving h divides the error by ~512;
+        # a wrong coefficient drops the order and the ratio with it. The
+        # finer error stays 1e4 times above rounding
         _p, pp, X0, W0 = _start(5, 2, -1.0)
         ref = _fixed_steps(_dop853, 2048, X0, W0, pp)
         errs = [
-            _chart_error(_fixed_steps(_radau_stepper(), n, X0, W0, pp), ref) for n in (16, 32)
+            _chart_error(_fixed_steps(_radau_stepper(), n, X0, W0, pp), ref) for n in (4, 8)
         ]
-        assert errs[0] / errs[1] >= 25.0
+        assert errs[1] > 1e-12
+        assert errs[0] / errs[1] >= 300.0
 
     def test_keeps_its_order_on_the_stiff_arc(self, run):
         # 50 fixed steps of h = 0.054 along the expander's stiff arc from its
         # first sample with h rho(J) >= 23 (s = 4.83), against DOP853 at
         # h = 1.35e-4, below its stability limit: RODAS4, of stage order 1,
-        # ends 5.3e-11 off in X; Radau, of stage order 3, keeps the bound
-        # (6.5e-14). From the switch (s = 2.24, h rho(J) = 1.8) the arc is
-        # not yet stiff, and the same steps end 1.0e-11 off
+        # ends 5.3e-11 off in X; Radau, of stage order 5, keeps the bound
+        # (4.4e-14; 6.5e-14 at three stages). From the switch (s = 2.24,
+        # h rho(J) = 1.8) the same steps end 2.1e-15 off (1.0e-11 at three)
         p, _sol, tr, _oc = run(4, 1, -1.0)
         pp = _kernels.pack_params(p)
         W = np.log(p.cb * tr.Z)
@@ -381,15 +490,16 @@ class TestRadauStep:
     def test_sample_count_keeps_the_hermite_within_tol(self, n, k, rho, h):
         # as for DOP853: an accepted step cut into _collocation_sample_count
         # pieces, the cubic Hermite of each piece from the collocation
-        # cubic's values and the field there stays near SAMPLE_TOL of the
-        # cubic at the piece midpoint, and one piece fewer misses SAMPLE_TOL.
-        # At rtol = 1e-10 an accepted step's cubic needs no interior sample
-        # on these states, so the step is accepted at rtol = 1e-6
+        # quintic's values and the field there stays near SAMPLE_TOL of the
+        # quintic at the piece midpoint, and one piece fewer misses
+        # SAMPLE_TOL. On these steps, accepted at the integrator's rtol, the
+        # quintic's own fourth derivative sets the count, and its defect
+        # adds less than 1e-11
         _p, pp, X0, W0 = _start(n, k, rho)
         fX, fW = _kernels.rhs(X0, W0, pp)
         zero = (0.0,) * 7
         X1, _W1, err, _n_iter, _n_f, cx, cw = _kernels._radau_step(
-            X0, W0, h, fX, fW, _kernels.jac(X0, W0, pp), zero, zero, 0.0, 1e-6, 1.0, False, pp
+            X0, W0, h, fX, fW, _kernels.jac(X0, W0, pp), zero, zero, 0.0, 1e-10, 1.0, False, pp
         )
         assert err < 1.0
         magX = max(abs(X0), abs(X1))
@@ -399,9 +509,9 @@ class TestRadauStep:
         assert _piece_error(h, X0, W0, cx, cw, pp, pieces) <= 2.0 * _kernels.SAMPLE_TOL
         assert _piece_error(h, X0, W0, cx, cw, pp, pieces - 1) > _kernels.SAMPLE_TOL
 
-    def test_collocation_cubic_meets_the_stages(self):
+    def test_collocation_quintic_meets_the_stages(self):
         # the dense output passes through the step end exactly, and its
-        # derivative meets the field there (C3 = 1 is a collocation node)
+        # derivative meets the field at the five nodes
         _p, pp, X0, W0 = _start(5, 2, -1.0)
         fX, fW = _kernels.rhs(X0, W0, pp)
         zero = (0.0,) * 7
@@ -411,10 +521,14 @@ class TestRadauStep:
         )
         assert err < 1.0
         assert _kernels._dense(1.0, X0, cx) == X1 and _kernels._dense(1.0, W0, cw) == W1
-        gX, gW = _kernels.rhs(X1, W1, pp)
-        # d/dtheta of _dense at theta = 1 is F0 - F1 - F2 for a cubic
-        assert abs((cx[0] - cx[1] - cx[2]) / h - gX) <= 1e-8 * abs(gX)
-        assert abs((cw[0] - cw[1] - cw[2]) / h - gW) <= 1e-8 * abs(gW)
+        for t in (_kernels._C1, _kernels._C2, _kernels._C3, _kernels._C4, 1.0):
+            g = _kernels.rhs(_kernels._dense(t, X0, cx), _kernels._dense(t, W0, cw), pp)
+            for c, gi in zip((cx, cw), g):
+                # the quintic's monomial coefficients Q1..Q5 from F0..F4
+                f0, f1, f2, f3, f4 = c[:5]
+                Q = (f0 + f1, -f1 + f2 + f3, -f2 - 2.0 * f3 + f4, f3 - 2.0 * f4, f4)
+                slope = sum((j + 1) * Q[j] * t**j for j in range(5))
+                assert abs(slope / h - gi) <= 1e-8 * abs(gi), t
 
 
 class TestStiffSwitch:
@@ -468,19 +582,19 @@ class TestStiffSwitch:
             assert _kernels.STIFF_HRHO_SHRINK < h_rho < _kernels.STIFF_HRHO
 
     @pytest.mark.parametrize(
-        "n,k,rho,rejected", [(4, 1, -1.99, 41), (5, 2, -1.99, 32), (3, 1, -1.99, 41)]
+        "n,k,rho,rejected", [(4, 1, -1.99, 24), (5, 2, -1.99, 18), (3, 1, -1.99, 24)]
     )
     def test_no_regrowth_after_a_newton_failure(self, n, k, rho, rejected, run):
         # Newton fails on the near-degenerate expanders (2 theta + rho =
-        # 0.01) where the step regrows at once: the controller rejects 71, 55
-        # and 67 steps there with the regrowth allowed. On (4,1,-1) and
-        # (5,2,-1), with the Newton floor on the rounding of W, Newton does
-        # not fail, and the one rejection is the step that the asymptote
-        # event replaces
+        # 0.01) where the step regrows at once: the controller rejects 40, 32
+        # and 39 steps there with the regrowth allowed. On (4,1,-1) and
+        # (5,2,-1) Newton fails 11 and 9 times (21 and 17 with the regrowth
+        # allowed), each on a step regrown twofold two steps after the last
+        # failure
         _p, _sol, tr, _oc = run(n, k, rho)
         assert tr.rejected_steps == rejected
-        for expander in ((4, 1, -1.0), (5, 2, -1.0)):
-            assert run(*expander)[2].rejected_steps == 1
+        for expander, count in (((4, 1, -1.0), 11), ((5, 2, -1.0), 9)):
+            assert run(*expander)[2].rejected_steps == count
 
     def test_node_B_switches_by_stability(self, monkeypatch):
         # (12,1,1) still switches where h rho(J) > STIFF_HRHO held on
@@ -497,12 +611,11 @@ class TestStiffSwitch:
     def test_expander_step_count(self, monkeypatch):
         # DOPRI5 alone took 47,265 steps at its stability limit, DOP853 and
         # RODAS4 961. Every rhs call is the start's, 12 of a DOP853 attempt,
-        # 3 of a continuous extension, 3 of a Newton iteration of a Radau
-        # attempt, 1 at an accepted Radau step's end, or 1 of a refined
-        # error estimate (counted only on the Python kernels: compiled
-        # kernels call each other directly). The last Radau step is redone
-        # up to the asymptote event: the step it replaces counts as
-        # rejected, and the field at the redone step's end as its end
+        # 3 of a continuous extension, 5 of a Newton iteration of a Radau
+        # attempt, 1 at the end of an accepted Radau step the run goes on
+        # from (all but the last, which the asymptote event ends), or 1 of a
+        # refined error estimate (counted only on the Python kernels:
+        # compiled kernels call each other directly)
         calls = collections.Counter()
         if not _jit.JIT_ENABLED:
 
@@ -513,7 +626,7 @@ class TestStiffSwitch:
                     if name == "_radau_step":
                         n_iter, n_f = out[3], out[4]
                         calls["newton"] += n_iter
-                        calls["refined"] += n_f - 3 * n_iter
+                        calls["refined"] += n_f - 5 * n_iter
                     return out
 
                 return call
@@ -529,10 +642,10 @@ class TestStiffSwitch:
             assert calls["_dop853_step"] + calls["_radau_step"] == (
                 tr.accepted_steps + tr.rejected_steps
             )
-            radau_ends = tr.accepted_steps - calls["_dop853_dense"]
+            radau_ends = tr.accepted_steps - calls["_dop853_dense"] - 1
             assert tr.rhs_evals == calls["rhs"] == (
                 1 + 12 * calls["_dop853_step"] + 3 * calls["_dop853_dense"]
-                + 3 * calls["newton"] + radau_ends + calls["refined"]
+                + 5 * calls["newton"] + radau_ends + calls["refined"]
             )
 
     def test_node_B_takes_no_spurious_crossings(self, run):
@@ -585,7 +698,8 @@ class TestStepCaps:
         # the samples and the field there, meets the flow from the left one
         # (DOP853 at h rho(J) <= 2, below its stability limit) at the
         # midpoint within SAMPLE_TOL, X relative and ln Z absolute; measured:
-        # 1.2e-10 at most, at the asymptote event of (4,1,-1)
+        # 9.4e-10 at most, on (4,1,1) at theta 1e3 (s = 62.6): a piece count
+        # holds the Hermite within SAMPLE_TOL of the quintic, not far inside it
         p, tr = continued(n, k, rho, theta)
         pp = _kernels.pack_params(p)
         i0 = int(np.searchsorted(tr.s, tr.stiff_from_s))
