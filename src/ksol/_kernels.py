@@ -43,14 +43,20 @@ L-stable and stiffly accurate, order 9 with stage order 5, so it keeps its
 order on the stiff arcs, where the stage order 1 of Rosenbrock methods
 loses it (IV.7, IV.15). Simplified Newton solves its collocation system as
 one real and two complex 2x2 systems by Cramer's rule, starting from the
-previous step's collocation quintic; Hairer's filtered estimate, of order
-5, gives the error, and Gustafsson's predictive controller the next step;
-the step after a Newton failure does not grow where the state moves.
-Both methods have a dense output: the order-7 extension, the collocation
-quintic. Every event is located on it by bisection, and it supplies
-interior samples wherever the cubic Hermite between the step ends would
-miss SAMPLE_TOL in (X, W). So the steps are limited by accuracy, up to
-MAX_STEP.
+previous step's collocation quintic, with the Jacobian at that start's
+third stage, near the middle of the step: up the asymptote the stiff
+eigenvalue grows like e^W across a step, and at the step start it slowed
+Newton down and made it fail on longer steps. The same Jacobian gives
+Hairer's filtered estimate, of order 5, for the error, and Gustafsson's
+predictive controller gives the next step. A Newton failure halves the
+step, or retries it from the zero start where the extrapolated start
+failed on a step no longer than the last, which moved the state; the step
+after a failure does not grow where the state moves. Both methods have a
+dense output: the order-7 extension, the collocation quintic. Every event
+is located on it by bisection, and it supplies interior samples wherever
+the cubic Hermite between the step ends would miss SAMPLE_TOL in (X, W),
+Radau's at its collocation nodes, where the quintic's slope is the
+field's. So the steps are limited by accuracy, up to MAX_STEP.
 
 Ends at B: where B attracts the run, its one end there is certified_B, at
 the first upward crossing of X = X_B where ``certifies_b`` proves
@@ -132,9 +138,10 @@ STIFF_HRHO = 1.93
 STIFF_HRHO_SHRINK = 0.5
 STIFF_SPAN = 15
 # interior samples: an accepted step is cut into pieces short enough that
-# the cubic Hermite between consecutive samples stays within SAMPLE_TOL of
-# the dense output at the midpoint, relative in X and absolute in W
-# (relative in Z)
+# the cubic Hermite between consecutive samples, through the field there,
+# stays within SAMPLE_TOL of the dense output at the midpoint, relative in
+# X and absolute in W (relative in Z); a Radau step's pieces end at its
+# collocation nodes
 SAMPLE_TOL = 1e-9
 # e^W overflows beyond this; the field takes e^W = inf there, a bad state
 EXP_W_MAX = 709.0
@@ -695,40 +702,32 @@ def _sample_count(cx, cw, magX, magW):
 
 
 @njit
-def _collocation_sample_count(h, fX, fW, cx, cw, magX, magW):
-    """Pieces of a Radau step between emitted samples. On a piece of length
-    a, the cubic Hermite from the collocation quintic u and the field at the
-    piece ends misses u at the midpoint by two terms. One is u's own, a^4/16
-    times u''''/24 = F3 - 2 F4 + 5 F4 t, at most i = max(|F3 - 2 F4|,
-    |F3 + 3 F4|)/16 times a^4. The other is a/8 times the change of the
-    defect u' - h f(u) across the piece. The defect vanishes at the five
-    nodes, so it is close to K p(t), p = (t - C1)...(t - C4)(t - 1), with K
-    set by the defect at the step start, u'(0) - h f0 = F0 + F1 - h f0; its
-    change is largest on the first piece, where N equal pieces miss by
-    e1 (25N^4 - 150N^3 + 350N^2 - 350N + 126)/N^6, e1 the miss of the whole
-    step. N is the least count whose two terms together stay within
-    SAMPLE_TOL, found below a bound."""
-    ix = iw = ex = ew = 0.0
+def _quintic_miss(cx, cw, magX, magW, ta, tb):
+    """How far the cubic Hermite through the collocation quintic's values and
+    slopes at the fractions ta and tb of a Radau step misses the quintic at
+    the midpoint, X relative (to magX) and W absolute (magW): a^4/16 times
+    u^(4)/24 = F3 - 2 F4 + 5 F4 t for a = tb - ta, which is linear in t and
+    so at most its larger value at ta or tb."""
+    a4 = (tb - ta) ** 4 / 16.0
+    miss = 0.0
     if magX > 0.0:
-        ix = max(abs(cx[3] - 2.0 * cx[4]), abs(cx[3] + 3.0 * cx[4])) / (16.0 * magX)
-        ex = abs(cx[0] + cx[1] - h * fX) / (8.0 * magX)
+        d4 = cx[3] - 2.0 * cx[4]
+        miss = a4 * max(abs(d4 + 5.0 * cx[4] * ta), abs(d4 + 5.0 * cx[4] * tb)) / magX
     if magW > 0.0:
-        iw = max(abs(cw[3] - 2.0 * cw[4]), abs(cw[3] + 3.0 * cw[4])) / (16.0 * magW)
-        ew = abs(cw[0] + cw[1] - h * fW) / (8.0 * magW)
-    if not SAMPLE_TOL < max(ix + ex, iw + ew) < math.inf:
-        return 1
-    # the first term falls as N^-4, the second at least as 25 N^-2: at the
-    # larger of these counts each is within SAMPLE_TOL/2
-    n4 = (2.0 * max(ix, iw) / SAMPLE_TOL) ** 0.25
-    n2 = 5.0 * math.sqrt(2.0 * max(ex, ew) / SAMPLE_TOL)
-    n = int(math.ceil(max(n4, n2)))
-    while n > 1:
-        m = n - 1.0
-        r = ((((25.0 * m - 150.0) * m + 350.0) * m - 350.0) * m + 126.0) / m**6
-        if max(ix / m**4 + ex * r, iw / m**4 + ew * r) > SAMPLE_TOL:
-            break
-        n -= 1
-    return n
+        d4 = cw[3] - 2.0 * cw[4]
+        miss = max(miss, a4 * max(abs(d4 + 5.0 * cw[4] * ta), abs(d4 + 5.0 * cw[4] * tb)) / magW)
+    return miss
+
+
+@njit
+def _quintic_slope(theta, c):
+    """The derivative in theta of the collocation quintic with coefficients
+    c of ``_dense``, from its monomial coefficients F0 + F1,
+    F2 + F3 - F1, F4 - F2 - 2 F3, F3 - 2 F4 and F4."""
+    q3 = c[4] - c[2] - 2.0 * c[3]
+    q4 = c[3] - 2.0 * c[4]
+    inner = 3.0 * q3 + theta * (4.0 * q4 + theta * 5.0 * c[4])
+    return c[0] + c[1] + theta * (2.0 * (c[2] + c[3] - c[1]) + theta * inner)
 
 
 @njit
@@ -843,9 +842,8 @@ _EPS = 2.220446049250313e-16  # the spacing of doubles at 1
 
 
 @njit
-def _radau_step(X, W, h, fX, fW, J, cx, cw, ratio, rtol, magW, refine, pp):
-    """One Radau IIA step from (X, W) with derivative (fX, fW) and Jacobian
-    J = (a, b, c, d) there.
+def _radau_step(X, W, h, fX, fW, cx, cw, ratio, rtol, magW, refine, pp):
+    """One Radau IIA step from (X, W) with derivative (fX, fW).
 
     The stage increments u_i = y(s + C_i h) - y solve the collocation system
     by simplified Newton in TI's coordinates, where it splits into one real
@@ -853,6 +851,12 @@ def _radau_step(X, W, h, fX, fW, J, cx, cw, ratio, rtol, magW, refine, pp):
     from the previous step's collocation quintic (coefficients cx, cw of
     ``_dense``), ``ratio`` times shorter than h, extrapolated to the nodes:
     read at 1 + C_i ratio less its value at 1 (ratio = 0 starts from zero).
+    Its iteration matrix holds the Jacobian J = (a, b, c, d) at that start's
+    third stage, (X + u3x, W + u3w), at node C3 = 0.58 near the middle of the
+    step (the step start where ratio = 0 or where that stage has X <= 0):
+    up the asymptote the stiff eigenvalue grows like e^W across the step,
+    and a J frozen at the step start slows Newton down there until a longer
+    step makes it diverge.
     The error is Hairer's filtered estimate
     (MU_REAL/h - J)^-1 (f + sum_i E_i u_i / h), of order 5; sum_i E_i u_i is
     exactly minus the slope F0 + F1 of the collocation quintic at the step
@@ -863,7 +867,21 @@ def _radau_step(X, W, h, fX, fW, J, cx, cw, ratio, rtol, magW, refine, pp):
     norm (inf where Newton did not converge), the Newton iterations and the
     rhs calls made, and the collocation quintic as coefficients of ``_dense``.
     """
-    a, b, c, d = J
+    u1x = _dense(1.0 + _C1 * ratio, 0.0, cx) - cx[0]
+    u2x = _dense(1.0 + _C2 * ratio, 0.0, cx) - cx[0]
+    u3x = _dense(1.0 + _C3 * ratio, 0.0, cx) - cx[0]
+    u4x = _dense(1.0 + _C4 * ratio, 0.0, cx) - cx[0]
+    u5x = _dense(1.0 + ratio, 0.0, cx) - cx[0]
+    u1w = _dense(1.0 + _C1 * ratio, 0.0, cw) - cw[0]
+    u2w = _dense(1.0 + _C2 * ratio, 0.0, cw) - cw[0]
+    u3w = _dense(1.0 + _C3 * ratio, 0.0, cw) - cw[0]
+    u4w = _dense(1.0 + _C4 * ratio, 0.0, cw) - cw[0]
+    u5w = _dense(1.0 + ratio, 0.0, cw) - cw[0]
+
+    if X + u3x > 0.0:
+        a, b, c, d = jac(X + u3x, W + u3w, pp)
+    else:
+        a, b, c, d = jac(X, W, pp)
     mr = _MU_REAL / h
     m1 = _MU1 / h
     m2 = _MU2 / h
@@ -876,17 +894,6 @@ def _radau_step(X, W, h, fX, fW, J, cx, cw, ratio, rtol, magW, refine, pp):
     # floor on the rounding of W, which is held absolutely: an update within
     # 10 ulps of W is rounding, more than 10 eps where |W| > 1
     tol = max(10.0 * _EPS * max(1.0, abs(W)) / rtol, min(0.03, math.sqrt(rtol)))
-
-    u1x = _dense(1.0 + _C1 * ratio, 0.0, cx) - cx[0]
-    u2x = _dense(1.0 + _C2 * ratio, 0.0, cx) - cx[0]
-    u3x = _dense(1.0 + _C3 * ratio, 0.0, cx) - cx[0]
-    u4x = _dense(1.0 + _C4 * ratio, 0.0, cx) - cx[0]
-    u5x = _dense(1.0 + ratio, 0.0, cx) - cx[0]
-    u1w = _dense(1.0 + _C1 * ratio, 0.0, cw) - cw[0]
-    u2w = _dense(1.0 + _C2 * ratio, 0.0, cw) - cw[0]
-    u3w = _dense(1.0 + _C3 * ratio, 0.0, cw) - cw[0]
-    u4w = _dense(1.0 + _C4 * ratio, 0.0, cw) - cw[0]
-    u5w = _dense(1.0 + ratio, 0.0, cw) - cw[0]
     # v = TI u: its real first entry, and v2 + i v3 and v4 + i v5
     vx = _TI1 * u1x + _TI2 * u2x + _TI3 * u3x + _TI4 * u4x + _TI5 * u5x
     vw = _TI1 * u1w + _TI2 * u2w + _TI3 * u3w + _TI4 * u4w + _TI5 * u5w
@@ -1084,6 +1091,50 @@ def _interior(s_out, x_out, z_out, m, s, h, t0, t1, n_sub, X, W, cx, cw, cb):
 
 
 @njit
+def _collocation_interior(
+    s_out, x_out, z_out, m, s, h, t0, t1, X, W, cx, cw, cb, magX, magW, d1
+):
+    """Samples of a Radau step at fractions in (t0, t1), keeping one slot
+    free for the sample at t1, where the field misses the quintic's slope
+    by d1 (X relative to magX, W absolute to magW; 0 at the step end).
+
+    A step whose cubic Hermite between t0 and t1 keeps SAMPLE_TOL of the
+    collocation quintic (``_quintic_miss``) takes none. Any other takes them
+    at the nodes C2, C3 and C4, which cut it into pieces of at most 0.31 h
+    (C1 lies 0.06 h from the start). At a node the quintic's slope is the
+    field's, so the Hermite through the samples and the field there misses
+    the quintic by its own fourth derivative alone. Between the nodes the
+    field misses the quintic's slope by the collocation defect, which a
+    stiff Jacobian magnifies: up the asymptote the Hermite through samples
+    at equal fractions of the step missed the flow by 3e-9, and twice as
+    many of them by 2.9e-9. A piece that still misses SAMPLE_TOL is cut
+    into the fewest equal pieces that keep it; on the piece of length a
+    that ends at t1, the slope missed by d1 there adds a d1/8."""
+    miss = _quintic_miss(cx, cw, magX, magW, t0, t1) + (t1 - t0) * d1 / 8.0
+    if not SAMPLE_TOL < miss < math.inf:
+        return m
+    ta = t0
+    for c in (_C2, _C3, _C4, 1.0):
+        if c <= t0:
+            continue
+        c = min(c, t1)
+        q = _quintic_miss(cx, cw, magX, magW, ta, c)
+        e = (c - ta) * d1 / 8.0 if c >= t1 else 0.0
+        if q + e > SAMPLE_TOL:
+            n_sub = int(math.ceil(max((q / SAMPLE_TOL) ** 0.25, e / SAMPLE_TOL)))
+            while q / n_sub**4 + e / n_sub > SAMPLE_TOL:
+                n_sub += 1
+            m = _interior(s_out, x_out, z_out, m, s, h, ta, c, n_sub, X, W, cx, cw, cb)
+        if c >= t1:
+            break
+        m = _sample(
+            s_out, x_out, z_out, m, s + c * h, _dense(c, X, cx), _dense(c, W, cw), cb, 1
+        )
+        ta = c
+    return m
+
+
+@njit
 def _log_event(ev_s, ev_code, n_ev, s, code):
     """Store the event while the buffer has room, count it either way."""
     if n_ev < ev_s.size:
@@ -1138,16 +1189,19 @@ def integrate_core(
     that no return certifies goes on to s_max.
 
     Returns (s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status, cert, n_acc,
-    n_rej, n_rhs, h_min, h_max, stiff_from_s): the samples, with
-    Z = e^W/(c_nk beta^k); the event arrays, which keep the first EV_CAP of
-    the n_ev events that fired; the status; the certificate (s1, Z1, s2, Z2,
-    bound) of the two returns of a certified_B end, NaNs otherwise; then the
-    accepted and rejected steps, the rhs evaluations, the shortest and the
-    longest accepted step and the s where Radau took over (NaN if it never
-    did). The rhs evaluations are one at the start, 12 per DOP853 attempt
-    and 3 per continuous extension, 5 per Newton iteration of a Radau
-    attempt, one at the end of each accepted Radau step that the run goes
-    on from, and one per refined error estimate.
+    n_rej, n_rhs, n_newton, n_newton_fail, h_min, h_max, stiff_from_s): the
+    samples, with Z = e^W/(c_nk beta^k); the event arrays, which keep the
+    first EV_CAP of the n_ev events that fired; the status; the certificate
+    (s1, Z1, s2, Z2, bound) of the two returns of a certified_B end, NaNs
+    otherwise; then the accepted and rejected steps, the rhs evaluations,
+    the Newton iterations of all Radau attempts and the attempts on which
+    Newton did not converge, the shortest and the longest accepted step and
+    the s where Radau took over (NaN if it never did). The rhs evaluations
+    are one at the start, 12 per DOP853 attempt and 3 per continuous
+    extension, 5 per Newton iteration of a Radau attempt, one at the end of
+    each accepted Radau step that the run goes on from, one at a terminal
+    event on a Radau step (the defect there), and one per refined error
+    estimate.
     """
     buffers, loop = start_run(X0, W0, s0, pp, max_samples)
     loop = advance(
@@ -1177,16 +1231,15 @@ def start_run(X0, W0, s0, pp, max_samples):
     # the state (s, X, W) and its derivative; the step, the last error and
     # the peak of W; the status; whether Radau runs, the consecutive
     # accepted DOP853 steps held by stability, the last accepted DOP853 step
-    # and where Radau took over; Radau's Jacobian at the step start, its
-    # last accepted step (0 before the first; its error is err_prev),
-    # whether an attempt of the current step was rejected, whether Newton
-    # failed on one, and the dense output (cx, cw) of the last accepted
-    # step; the step and rhs counters and the extreme steps; the last upward
-    # X_B crossing (s_up, z_up) and the certificate; the sample and event
-    # counts
+    # and where Radau took over; Radau's last accepted step (0 before the
+    # first; its error is err_prev), whether an attempt of the current step
+    # was rejected, whether Newton failed on one, and the dense output
+    # (cx, cw) of the last accepted step; the step, rhs and Newton counters
+    # and the extreme steps; the last upward X_B crossing (s_up, z_up) and
+    # the certificate; the sample and event counts
     loop = (
         s0, X0, W0, fX, fW, 1e-3, 1.0, W0, ST_SMAX, False, 0, math.inf, nan,
-        (0.0, 0.0, 0.0, 0.0), 0.0, False, False, zero, zero, 0, 0, 1, nan, nan,
+        0.0, False, False, False, zero, zero, 0, 0, 1, 0, 0, nan, nan,
         nan, nan, (nan, nan, nan, nan, nan), 1, 0,
     )
     return (s_out, x_out, z_out, ev_s, ev_code), loop
@@ -1204,8 +1257,8 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
     max_samples = s_out.size
     (
         s, X, W, fX, fW, h, err_prev, w_peak, status, stiff, n_limited, h_last, stiff_from_s,
-        J, h_acc, rejected, newton_failed, cx, cw, n_acc, n_rej, n_rhs, h_min, h_max,
-        s_up, z_up, cert, m, n_ev,
+        h_acc, rejected, newton_failed, zero_start, cx, cw, n_acc, n_rej, n_rhs, n_newton,
+        n_newton_fail, h_min, h_max, s_up, z_up, cert, m, n_ev,
     ) = loop
 
     k = int(pp[PP_K])
@@ -1237,11 +1290,12 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
             break
 
         if stiff:
+            ratio = h / h_acc if h_acc > 0.0 and not zero_start else 0.0
             X1, W1, err, n_iter, n_f, rx, rw = _radau_step(
-                X, W, h, fX, fW, J, cx, cw, h / h_acc if h_acc > 0.0 else 0.0, rtol, magW,
-                rejected, pp,
+                X, W, h, fX, fW, cx, cw, ratio, rtol, magW, rejected, pp
             )
             n_rhs += n_f
+            n_newton += n_iter
         else:
             X1, W1, e5x, e5w, e3x, e3w, KX, KW = _dop853_step(X, W, h, fX, fW, pp)
             fX1 = KX[7]
@@ -1264,8 +1318,21 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
             elif not stiff:
                 fac = max(0.2, 0.9 * err**-0.125)
             elif err == math.inf:
-                fac = 0.5  # Newton did not converge
+                # Newton did not converge. Where its start, the last step's
+                # quintic extrapolated, reached no further than that step
+                # (h <= h_acc) and that step moved the state beyond its error
+                # scale, the start failed, not the step (up the asymptote
+                # the quintic extrapolates the rounding of its stages): the
+                # step is retried from the zero start. At rest the two starts
+                # coincide. Otherwise the step is halved
+                if not zero_start and 0.0 < h <= h_acc and _rms(cx[0], cw[0], scX, scW) > 1.0:
+                    fac = 1.0
+                    zero_start = True
+                else:
+                    fac = 0.5
+                    zero_start = False
                 newton_failed = True
+                n_newton_fail += 1
             else:
                 fac = max(0.2, _radau_safety(n_iter) * _predict_factor(h, h_acc, err, err_prev))
                 rejected = True
@@ -1290,6 +1357,7 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
             h_acc = h
             rejected = False
             newton_failed = False
+            zero_start = False
         elif err == 0.0:
             fac = 5.0
         else:
@@ -1302,12 +1370,12 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
         err_prev = max(err, 1e-10)
         s1 = s + h
 
-        # dense output of the step, which also sets how many samples the step
-        # emits: the order-7 extension after DOP853 (three rhs calls), the
-        # collocation quintic after Radau
+        # dense output of the step: the collocation quintic after Radau, the
+        # order-7 extension after DOP853 (three rhs calls), which also sets
+        # how many samples the step emits
+        n_sub = 1
         if stiff:
             cx, cw = rx, rw
-            n_sub = _collocation_sample_count(h, fX, fW, cx, cw, magX, magW)
         else:
             cx, cw = _dop853_dense(X, W, h, fX, fW, X1, W1, KX, KW, pp)
             n_rhs += 3
@@ -1322,6 +1390,7 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
         ) > XB_ROUND * pp[PP_XB]
         code = 0
         th = 1.0
+        d1 = 0.0
         if crossed and stop_at_xb:
             code, status = EV_CROSS_XB, ST_XB_STOP
         elif X1 > pp[PP_XCAP]:
@@ -1341,6 +1410,17 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
                 X1 = pp[PP_XCAP]
             else:
                 X1 = (pp[PP_GAMMA] - asym_tol * pp[PP_GAMMA]) ** k
+            if stiff and code != EV_EXITED:
+                # the event lies off the nodes, where the field misses the
+                # quintic's slope by the collocation defect: up the
+                # asymptote of (64,8,-1) the Hermite to it missed the flow
+                # by 2.4e-8 on its piece alone (at an exit through X_A the
+                # field is singular)
+                gx, gw = rhs(X1, W1, pp)
+                n_rhs += 1
+                d1 = abs(_quintic_slope(th, cx) - h * gx) / magX
+                if magW > 0.0:
+                    d1 = max(d1, abs(_quintic_slope(th, cw) - h * gw) / magW)
 
         # samples: interior points at equal fractions of the step (of its
         # part before a terminal event), then the step end. A crossing of
@@ -1355,7 +1435,12 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
             if tc < th:
                 sc = s + tc * h
                 n_ev = _log_event(ev_s, ev_code, n_ev, sc, EV_CROSS_XB)
-                m = _interior(s_out, x_out, z_out, m, s, h, 0.0, tc, n_sub, X, W, cx, cw, cb)
+                if stiff:
+                    m = _collocation_interior(
+                        s_out, x_out, z_out, m, s, h, 0.0, tc, X, W, cx, cw, cb, magX, magW, 0.0
+                    )
+                else:
+                    m = _interior(s_out, x_out, z_out, m, s, h, 0.0, tc, n_sub, X, W, cx, cw, cb)
                 m = _sample(s_out, x_out, z_out, m, sc, pp[PP_XB], wc, cb, 1)
                 t0 = tc
                 if certify and X < pp[PP_XB]:
@@ -1366,7 +1451,12 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
                         code, status, th = EV_CERTIFIED, ST_CERT_B, tc
                         s1, X1, W1 = sc, pp[PP_XB], wc
                     s_up, z_up = sc, zc
-        m = _interior(s_out, x_out, z_out, m, s, h, t0, th, n_sub, X, W, cx, cw, cb)
+        if stiff:
+            m = _collocation_interior(
+                s_out, x_out, z_out, m, s, h, t0, th, X, W, cx, cw, cb, magX, magW, d1
+            )
+        else:
+            m = _interior(s_out, x_out, z_out, m, s, h, t0, th, n_sub, X, W, cx, cw, cb)
         if code != 0:
             n_ev = _log_event(ev_s, ev_code, n_ev, s1, code)
         s = s1
@@ -1394,22 +1484,19 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
             status = ST_CONV_AXIS
             break
 
-        # the Jacobian at the new state: Radau's for its next step, or the
-        # stiffness test on the accepted DOP853 step, whose Jacobian the
-        # first Radau step reuses
-        if X > 0.0:
+        # the stiffness test on the accepted DOP853 step, by the Jacobian at
+        # its end (Radau takes its own at each step)
+        if not stiff and X > 0.0:
             a, b, c, d = jac(X, W, pp)
-            J = (a, b, c, d)
-            if not stiff:
-                hrho = h * _spectral_radius(a, b, c, d)
-                if hrho > STIFF_HRHO or (hrho > STIFF_HRHO_SHRINK and h < h_last):
-                    n_limited += 1
-                    if n_limited >= STIFF_SPAN:
-                        stiff = True
-                        stiff_from_s = s
-                else:
-                    n_limited = 0
-                h_last = h
+            hrho = h * _spectral_radius(a, b, c, d)
+            if hrho > STIFF_HRHO or (hrho > STIFF_HRHO_SHRINK and h < h_last):
+                n_limited += 1
+                if n_limited >= STIFF_SPAN:
+                    stiff = True
+                    stiff_from_s = s
+            else:
+                n_limited = 0
+            h_last = h
 
         h = h_next
         if s >= s_pause:
@@ -1417,8 +1504,8 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
 
     return (
         s, X, W, fX, fW, h, err_prev, w_peak, status, stiff, n_limited, h_last, stiff_from_s,
-        J, h_acc, rejected, newton_failed, cx, cw, n_acc, n_rej, n_rhs, h_min, h_max,
-        s_up, z_up, cert, m, n_ev,
+        h_acc, rejected, newton_failed, zero_start, cx, cw, n_acc, n_rej, n_rhs, n_newton,
+        n_newton_fail, h_min, h_max, s_up, z_up, cert, m, n_ev,
     )
 
 
@@ -1429,8 +1516,8 @@ def run_result(buffers, loop):
     s_out, x_out, z_out, ev_s, ev_code = buffers
     (
         _s, _X, _W, _fX, _fW, _h, _err_prev, _w_peak, status, _stiff, _n_limited, _h_last,
-        stiff_from_s, _J, _h_acc, _rejected, _newton_failed, _cx, _cw, n_acc, n_rej, n_rhs,
-        h_min, h_max, _s_up, _z_up, cert, m, n_ev,
+        stiff_from_s, _h_acc, _rejected, _newton_failed, _zero_start, _cx, _cw, n_acc, n_rej, n_rhs,
+        n_newton, n_newton_fail, h_min, h_max, _s_up, _z_up, cert, m, n_ev,
     ) = loop
     n_kept = min(n_ev, EV_CAP)
     return (
@@ -1445,6 +1532,8 @@ def run_result(buffers, loop):
         n_acc,
         n_rej,
         n_rhs,
+        n_newton,
+        n_newton_fail,
         h_min,
         h_max,
         stiff_from_s,

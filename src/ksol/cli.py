@@ -223,6 +223,8 @@ def cmd_classify(args):
             "accepted_steps": trace.accepted_steps,
             "rejected_steps": trace.rejected_steps,
             "rhs_evals": trace.rhs_evals,
+            "newton_iterations": trace.newton_iterations,
+            "newton_failures": trace.newton_failures,
             "h_min": trace.h_min,
             "h_max": trace.h_max,
             "stiff_from_s": None if math.isnan(trace.stiff_from_s) else trace.stiff_from_s,

@@ -122,9 +122,13 @@ class OrbitTrace:
     rejected_steps: int = 0
     # field evaluations: the start's, 12 per DOP853 attempt and 3 per
     # continuous extension, 5 per Newton iteration of a Radau attempt, 1 at
-    # the end of each accepted Radau step the run goes on from and 1 per
-    # refined error estimate
+    # the end of each accepted Radau step the run goes on from, 1 at a
+    # terminal event on a Radau step and 1 per refined error estimate
     rhs_evals: int = 0
+    # Radau's Newton iterations, over all its attempts, and the attempts on
+    # which Newton did not converge
+    newton_iterations: int = 0
+    newton_failures: int = 0
     h_min: float = math.nan  # shortest accepted step
     h_max: float = math.nan  # longest accepted step
     stiff_from_s: float = math.nan  # where Radau took over; NaN if it never did
@@ -187,12 +191,13 @@ class OrbitClass:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _integrate_raw(x0, w0, s0, p, controls, shifts=()):
+def _integrate_raw(x0, w0, s0, p, controls, shifts=(), stop_at_xb=False):
     """One run of the kernel in the chart of ``p`` from (X, W) = (x0, w0) at
-    s0, with W = ln(c_nk beta^k Z) (-inf on the axis Z = 0); an A-chart run
-    ends at its first crossing of X_B. Given ``shifts``, the frames s + shift
-    of the rows that the run serves, it is a steady arc, which ends where
-    every row's log power has converged (:func:`_steady_run`)."""
+    s0, with W = ln(c_nk beta^k Z) (-inf on the axis Z = 0); an A-chart run,
+    or any run with ``stop_at_xb``, ends at its first crossing of X_B. Given
+    ``shifts``, the frames s + shift of the rows that the run serves, it is
+    a steady arc, which ends where every row's log power has converged
+    (:func:`_steady_run`)."""
     # for n < 2k the region boundary X = x_cap is crossed in finite s (X_s > 0
     # there): the run must end at the exit, not at an asymptote tolerance
     asym_tol = controls.asym_tol if p.n >= 2 * p.k else -1.0
@@ -202,7 +207,7 @@ def _integrate_raw(x0, w0, s0, p, controls, shifts=()):
         controls.step_floor,
         asym_tol,
         controls.end_at_b,
-        p.stops_at_xb,
+        p.stops_at_xb or stop_at_xb,
     )
     # the Picard tail hands over numpy scalars, and Python floats keep the
     # uncompiled kernel's arithmetic off numpy's scalar path
@@ -213,7 +218,7 @@ def _integrate_raw(x0, w0, s0, p, controls, shifts=()):
     else:
         out = _kernels.integrate_core(*start, controls.s_max, *args, controls.max_samples)
     s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status, cert = out[:8]
-    n_acc, n_rej, n_rhs, h_min, h_max, stiff_s = out[8:]
+    n_acc, n_rej, n_rhs, n_newton, n_newton_fail, h_min, h_max, stiff_s = out[8:]
     events = [(float(se), _EVENT_NAMES[int(ce)]) for se, ce in zip(ev_s, ev_code)]
     status = STEADY_END if ends and None not in ends else _STATUS_NAMES[int(status)]
     fields = {
@@ -221,6 +226,8 @@ def _integrate_raw(x0, w0, s0, p, controls, shifts=()):
         "accepted_steps": int(n_acc),
         "rejected_steps": int(n_rej),
         "rhs_evals": int(n_rhs),
+        "newton_iterations": int(n_newton),
+        "newton_failures": int(n_newton_fail),
         "h_min": float(h_min),
         "h_max": float(h_max),
         "stiff_from_s": float(stiff_s),
@@ -297,13 +304,14 @@ def log_power_fit(s, X, p, S):
     return float(log_power), float(y_end)
 
 
-def integrate(start, p, controls=None, shifts=(0.0,)):
+def integrate(start, p, controls=None, shifts=(0.0,), stop_at_xb=False):
     """Continue a local solution into a global orbit trace.
 
     ``start`` is a LocalSolution; XZ charts continue the origin orbit
     forward in s, WV charts continue the A-orbit backwards (forward in
     sigma = -s), which is the orientation the barrier comparison needs, and
-    end at X_B, where that comparison ends (status "stopped_at_X_B").
+    end at X_B, where that comparison ends (status "stopped_at_X_B"); with
+    ``stop_at_xb`` an XZ run ends at its first crossing of X_B too.
 
     Where the hand-off lies in the asymptote trap (:func:`asymptote_trap`),
     the trace carries its certificate. At rho = 0 the arc is then steady,
@@ -318,7 +326,8 @@ def integrate(start, p, controls=None, shifts=(0.0,)):
     steady = trap is not None and p.rho == 0.0 and controls.asym_tol > 0.0
     x0, w0 = start.state_at_s0(p)
     s_arr, x_arr, z_arr, events, status, fields = _integrate_raw(
-        x0, w0, start.tail.s0, p.in_chart(start.chart), controls, tuple(shifts) if steady else ()
+        x0, w0, start.tail.s0, p.in_chart(start.chart), controls, tuple(shifts) if steady else (),
+        stop_at_xb,
     )
     if trap is not None:
         fields["certificate"] = trap
@@ -914,9 +923,16 @@ class BarrierReport:
 def _z_of_x(X, Z, p, grid):
     """Z(X) on ``grid`` off a curve's samples up to its first crossing of
     X_B, where X increases strictly: the cubic Hermite in X with the slopes
-    dZ/dX = G/F of the field in p's chart."""
+    dZ/dX = G/F of the field in p's chart. At a sample where F vanishes, a
+    critical point, G/F is undefined, and the slope is the chord to the
+    sample before (the origin orbit of (64,8,2.01) crosses X_B at the node
+    B, to rounding)."""
     F, G = phase.vector_field(X, Z, p)
-    return hermite(X, Z, G / F, grid)
+    slopes = np.divide(G, F, out=np.zeros_like(Z), where=F != 0.0)
+    for i in np.flatnonzero(F == 0.0):
+        j = i - 1 if i > 0 else 1
+        slopes[i] = (Z[i] - Z[j]) / (X[i] - X[j])
+    return hermite(X, Z, slopes, grid)
 
 
 def barrier_compare(
@@ -930,10 +946,10 @@ def barrier_compare(
     f > h on the same interval. The local solutions are solved at ``tol``.
     The origin curve is the origin orbit's trace for ``alpha`` up to its
     first crossing of X_B, a sample at X = X_B exactly: ``trace`` when the
-    caller already has it, else the trace of :func:`run_orbit`. The
-    A-orbit's run ends at X_B by its chart. Each curve is read on the grid
-    off the cubic Hermite in X (:func:`hermite`) with the slopes
-    dZ/dX = G/F of its own chart, which the samples keep to the
+    caller already has it, else a run from the origin that ends at that
+    crossing, as the A-orbit's run ends at X_B by its chart. Each curve is
+    read on the grid off the cubic Hermite in X (:func:`hermite`) with the
+    slopes dZ/dX = G/F of its own chart, which the samples keep to the
     integrator's accuracy; chords between them would not.
     """
     if not p.rho > 2.0 * p.theta:
@@ -942,7 +958,8 @@ def barrier_compare(
         raise NotApplicableError("barrier comparison requires n >= 2k")
     controls = controls or OrbitControls()
     if trace is None:
-        _sol, trace, _oc = run_orbit(p, alpha, controls, tol)
+        picard.check_alpha(alpha)
+        trace = integrate(picard.picard_solve(alpha, p, tol), p, controls, stop_at_xb=True)
     crossings = trace.event_s("crossed_X_B")
     tr_a = integrate(picard.picard_solve_at_A(alpha_bar, p, tol), p, controls)
     if not crossings or tr_a.status != "stopped_at_X_B":

@@ -54,8 +54,8 @@ STEP_KERNELS = (
     "kth_root", "rhs", "jac", "_spectral_radius",
     "_dop853_step", "_dop853_error", "_dop853_dense", "_extension", "_sample_count",
     "_radau_step", "_radau_safety", "_predict_factor", "_rms", "_collocation",
-    "_collocation_sample_count", "_hermite_coeffs", "_dense", "_event_value", "_bisect_event",
-    "_sample", "_interior", "_log_event", "certifies_b",
+    "_quintic_miss", "_quintic_slope", "_hermite_coeffs", "_dense", "_event_value", "_bisect_event",
+    "_sample", "_interior", "_collocation_interior", "_log_event", "certifies_b",
 )
 # the @njit kernels the step loop does not reach: the loop itself, the run
 # that calls it, the run's start and its result
@@ -125,17 +125,17 @@ def test_fallback_kernels_compute_on_python_floats(n, k, monkeypatch):
 
 def test_integrate_core_arity():
     # orbit.py unpacks the result by position, on either path: the samples,
-    # the events, the status, the certificate, the step and rhs counts,
-    # h_min, h_max and stiff_from_s
+    # the events, the status, the certificate, the step, rhs and Newton
+    # counts, h_min, h_max and stiff_from_s
     p = phase.make_params(4, 1, -1.0, 1.0)
     ctl = orbit.OrbitControls(s_max=1.0)
     out = _kernels.integrate_core(
         0.1, 0.0, 0.0, ctl.s_max, _kernels.pack_params(p), ctl.rtol, ctl.step_floor,
         ctl.asym_tol, ctl.end_at_b, False, ctl.max_samples,
     )
-    assert len(out) == 14
+    assert len(out) == 16
     assert len(out[7]) == 5 and all(math.isnan(v) for v in out[7])
-    n_acc, n_rej, n_rhs, h_min, h_max, stiff_from_s = out[-6:]
-    assert all(isinstance(v, int) for v in (n_acc, n_rej, n_rhs))
+    n_acc, n_rej, n_rhs, n_newton, n_newton_fail, h_min, h_max, stiff_from_s = out[-8:]
+    assert all(isinstance(v, int) for v in (n_acc, n_rej, n_rhs, n_newton, n_newton_fail))
     assert all(isinstance(v, float) for v in (h_min, h_max, stiff_from_s))
     assert 0.0 < h_min <= h_max

@@ -625,6 +625,26 @@ class TestBarrier:
         rep = orbit.barrier_compare(phase.make_params(n, k, rho, 1.0), 1.0)
         assert rep.ordered and rep.min_gap == pytest.approx(gap, rel=1e-9)
 
+    def test_z_of_x_takes_a_chord_where_the_field_vanishes(self):
+        # at B the field vanishes (exactly at (X_B, Z_B) of (4,1,5)), and
+        # dZ/dX = G/F is undefined there: the slope is the chord to the
+        # sample before, with no division by zero
+        p = phase.make_params(4, 1, 5.0, 1.0)
+        X = np.array([1.0, 2.0, p.X_B])
+        Z = np.array([0.1, 0.15, p.Z_B])
+        assert phase.vector_field(X, Z, p)[0][-1] == 0.0
+        z = orbit._z_of_x(X, Z, p, X)
+        np.testing.assert_array_equal(z, Z)
+        mid = orbit._z_of_x(X, Z, p, np.array([0.5 * (2.0 + p.X_B)]))
+        assert np.all(np.isfinite(mid))
+
+    def test_min_gap_is_finite_where_the_origin_orbit_crosses_at_B(self):
+        # the origin orbit of (64,8,2.01) crosses X_B at the node B, to
+        # rounding, where F may read exactly 0 (it did at the crossing
+        # sample, and min_gap was NaN)
+        rep = orbit.barrier_compare(phase.make_params(64, 8, 2.01, 1.0))
+        assert math.isfinite(rep.min_gap) and rep.ordered
+
     def test_min_gap_does_not_depend_on_rtol_or_alpha(self):
         # (4,1,1) at theta = 1e-6: the true gap is 5.31 theta. Chords
         # between the samples read -1.09e-4 to -1.31e-4 here, and moved

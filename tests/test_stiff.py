@@ -16,9 +16,9 @@ from ksol import _jit, _kernels, orbit, phase
 
 # with their accepted steps at alpha 1: their DOP853 arcs end while the
 # step shrinks with h rho(J) above STIFF_HRHO_SHRINK, below the step cap,
-# after 80, 94 and 51 steps, and Radau takes 40, 36 and 45 steps after it,
+# after 80, 94 and 51 steps, and Radau takes 28, 27 and 45 steps after it,
 # the last up to the steady end at s = 32
-STIFF_SETS = [(4, 1, -1.0, 120), (5, 2, -1.0, 130), (4, 1, 0.0, 96)]
+STIFF_SETS = [(4, 1, -1.0, 108), (5, 2, -1.0, 121), (4, 1, 0.0, 96)]
 NON_STIFF_SETS = [(4, 1, 1.0), (4, 1, 5.0), (4, 2, 1.0), (3, 2, 3.0), (5, 2, 1.0), (3, 2, 1.0)]
 # the spirals into B whose arc past the Poincare-return certificate a test
 # reads: the controls that run them with the ends at B off, up to about
@@ -195,8 +195,7 @@ def _radau_stepper(rtol=1e-10):
 
     def step(X, W, h, fX, fW, pp):
         X1, W1, err, _n_iter, _n_f, cx, cw = _kernels._radau_step(
-            X, W, h, fX, fW, _kernels.jac(X, W, pp), last["cx"], last["cw"], h / last["h"],
-            rtol, 1.0, False, pp,
+            X, W, h, fX, fW, last["cx"], last["cw"], h / last["h"], rtol, 1.0, False, pp
         )
         if err == math.inf:
             X1, W1, _e, _z, fX1, fW1 = step(X, W, 0.5 * h, fX, fW, pp)
@@ -223,9 +222,10 @@ def _chart_error(got, ref):
 def _piece_error(h, X0, W0, cx, cw, pp, pieces):
     """The largest miss, X relative and W absolute, of the dense output
     (coefficients cx, cw) of a step of length h at the midpoints of its
-    ``pieces`` equal pieces by ``orbit.hermite`` through the dense output's
-    values at the piece ends and the field there."""
-    t = np.arange(pieces + 1) / pieces
+    pieces by ``orbit.hermite`` through the dense output's values at the
+    piece ends and the field there. ``pieces`` is a count of equal pieces
+    or the fractions of the step where they end, 0 and 1 included."""
+    t = np.arange(pieces + 1) / pieces if np.isscalar(pieces) else np.asarray(pieces)
     ends = np.array([(_kernels._dense(tj, X0, cx), _kernels._dense(tj, W0, cw)) for tj in t])
     slopes = np.array([_kernels.rhs(X, W, pp) for X, W in ends])
     mid = 0.5 * (t[:-1] + t[1:])
@@ -466,11 +466,13 @@ class TestRadauStep:
 
     def test_keeps_its_order_on_the_stiff_arc(self, run):
         # 50 fixed steps of h = 0.054 along the expander's stiff arc from its
-        # first sample with h rho(J) >= 23 (s = 4.83), against DOP853 at
+        # first sample with h rho(J) >= 23 (s = 4.86), against DOP853 at
         # h = 1.35e-4, below its stability limit: RODAS4, of stage order 1,
         # ends 5.3e-11 off in X; Radau, of stage order 5, keeps the bound
-        # (4.4e-14; 6.5e-14 at three stages). From the switch (s = 2.24,
-        # h rho(J) = 1.8) the same steps end 2.1e-15 off (1.0e-11 at three)
+        # in X and in ln Z (0 and 1.3e-13: X ends on DOP853's double; from
+        # s = 4.83 4.4e-14 in X, 6.5e-14 at three stages). From the switch
+        # (s = 2.24, h rho(J) = 1.8) the same steps end 2.1e-15 off in X
+        # (1.0e-11 at three)
         p, _sol, tr, _oc = run(4, 1, -1.0)
         pp = _kernels.pack_params(p)
         W = np.log(p.cb * tr.Z)
@@ -485,29 +487,34 @@ class TestRadauStep:
         ref = _fixed_steps(_dop853, 20_000, X0, W0, pp, s_span=span)
         got = _fixed_steps(_radau_stepper(), 50, X0, W0, pp, s_span=span)
         assert abs(got[0] - ref[0]) <= 1e-12 * ref[0]
+        assert abs(got[1] - ref[1]) <= 1e-12
 
     @pytest.mark.parametrize("n,k,rho,h", [(5, 2, -1.0, 0.05), (4, 1, 1.0, 0.02)])
     def test_sample_count_keeps_the_hermite_within_tol(self, n, k, rho, h):
-        # as for DOP853: an accepted step cut into _collocation_sample_count
-        # pieces, the cubic Hermite of each piece from the collocation
-        # quintic's values and the field there stays near SAMPLE_TOL of the
-        # quintic at the piece midpoint, and one piece fewer misses
-        # SAMPLE_TOL. On these steps, accepted at the integrator's rtol, the
-        # quintic's own fourth derivative sets the count, and its defect
-        # adds less than 1e-11
+        # as for DOP853, on a step accepted at the integrator's rtol: the
+        # cubic Hermite between the step ends, from the collocation
+        # quintic's values and the field there, misses SAMPLE_TOL of the
+        # quintic at the midpoint (1.4e-8 and 5.4e-9), so the step takes
+        # interior samples, at the nodes C2, C3 and C4 (no piece between
+        # them needs cutting here), and the Hermite of each piece then
+        # stays within SAMPLE_TOL of the quintic at its midpoint
         _p, pp, X0, W0 = _start(n, k, rho)
         fX, fW = _kernels.rhs(X0, W0, pp)
         zero = (0.0,) * 7
         X1, _W1, err, _n_iter, _n_f, cx, cw = _kernels._radau_step(
-            X0, W0, h, fX, fW, _kernels.jac(X0, W0, pp), zero, zero, 0.0, 1e-10, 1.0, False, pp
+            X0, W0, h, fX, fW, zero, zero, 0.0, 1e-10, 1.0, False, pp
         )
         assert err < 1.0
         magX = max(abs(X0), abs(X1))
 
-        pieces = _kernels._collocation_sample_count(h, fX, fW, cx, cw, magX, 1.0)
-        assert pieces > 1
-        assert _piece_error(h, X0, W0, cx, cw, pp, pieces) <= 2.0 * _kernels.SAMPLE_TOL
-        assert _piece_error(h, X0, W0, cx, cw, pp, pieces - 1) > _kernels.SAMPLE_TOL
+        s, x, z = np.full(8, -1.0), np.zeros(8), np.zeros(8)
+        m = _kernels._collocation_interior(
+            s, x, z, 1, 0.0, h, 0.0, 1.0, X0, W0, cx, cw, 1.0, magX, 1.0, 0.0
+        )
+        t = np.concatenate(([0.0], s[1:m] / h, [1.0]))
+        np.testing.assert_allclose(t[1:-1], [_kernels._C2, _kernels._C3, _kernels._C4], rtol=1e-15)
+        assert _piece_error(h, X0, W0, cx, cw, pp, 1) > _kernels.SAMPLE_TOL
+        assert _piece_error(h, X0, W0, cx, cw, pp, t) <= _kernels.SAMPLE_TOL
 
     def test_collocation_quintic_meets_the_stages(self):
         # the dense output passes through the step end exactly, and its
@@ -517,7 +524,7 @@ class TestRadauStep:
         zero = (0.0,) * 7
         h = 0.01
         X1, W1, err, _n_iter, _n_f, cx, cw = _kernels._radau_step(
-            X0, W0, h, fX, fW, _kernels.jac(X0, W0, pp), zero, zero, 0.0, 1e-10, 1.0, False, pp
+            X0, W0, h, fX, fW, zero, zero, 0.0, 1e-10, 1.0, False, pp
         )
         assert err < 1.0
         assert _kernels._dense(1.0, X0, cx) == X1 and _kernels._dense(1.0, W0, cw) == W1
@@ -581,20 +588,33 @@ class TestStiffSwitch:
             assert h < h_before
             assert _kernels.STIFF_HRHO_SHRINK < h_rho < _kernels.STIFF_HRHO
 
+    REGROWTH_SETS = [(4, 1, -1.99, 8), (5, 2, -1.99, 8), (3, 1, -1.99, 10)]
+
     @pytest.mark.parametrize(
-        "n,k,rho,rejected", [(4, 1, -1.99, 24), (5, 2, -1.99, 18), (3, 1, -1.99, 24)]
+        "n,k,rho,rejected", REGROWTH_SETS, ids=[f"{n}-{k}-{rho}" for n, k, rho, _ in REGROWTH_SETS]
     )
     def test_no_regrowth_after_a_newton_failure(self, n, k, rho, rejected, run):
         # Newton fails on the near-degenerate expanders (2 theta + rho =
-        # 0.01) where the step regrows at once: the controller rejects 40, 32
-        # and 39 steps there with the regrowth allowed. On (4,1,-1) and
-        # (5,2,-1) Newton fails 11 and 9 times (21 and 17 with the regrowth
-        # allowed), each on a step regrown twofold two steps after the last
-        # failure
+        # 0.01) where the step regrows at once: the controller rejects 16, 12
+        # and 17 steps there with the regrowth allowed. On (4,1,-1) and
+        # (5,2,-1) it rejects none either way (11 and 9 Newton failures with
+        # the Jacobian at the step start)
         _p, _sol, tr, _oc = run(n, k, rho)
         assert tr.rejected_steps == rejected
-        for expander, count in (((4, 1, -1.0), 11), ((5, 2, -1.0), 9)):
-            assert run(*expander)[2].rejected_steps == count
+        for expander in ((4, 1, -1.0), (5, 2, -1.0)):
+            assert run(*expander)[2].rejected_steps == 0
+
+    @pytest.mark.parametrize(
+        "n,k,rho,iterations", [(4, 1, -1.0, 197), (5, 2, -1.0, 182)], ids=["4-1--1.0", "5-2--1.0"]
+    )
+    def test_expanders_take_no_newton_failure(self, n, k, rho, iterations, run):
+        # up the asymptote the stiff eigenvalue grows like e^W across a
+        # step; with the Jacobian at the Newton start's third stage, near
+        # the middle of the step, Newton converges on every attempt (343 and
+        # 297 iterations with 11 and 9 failures at the step start)
+        _p, _sol, tr, _oc = run(n, k, rho)
+        assert tr.newton_failures == 0
+        assert tr.newton_iterations == iterations
 
     def test_node_B_switches_by_stability(self, monkeypatch):
         # (12,1,1) still switches where h rho(J) > STIFF_HRHO held on
@@ -612,10 +632,10 @@ class TestStiffSwitch:
         # DOPRI5 alone took 47,265 steps at its stability limit, DOP853 and
         # RODAS4 961. Every rhs call is the start's, 12 of a DOP853 attempt,
         # 3 of a continuous extension, 5 of a Newton iteration of a Radau
-        # attempt, 1 at the end of an accepted Radau step the run goes on
-        # from (all but the last, which the asymptote event ends), or 1 of a
-        # refined error estimate (counted only on the Python kernels:
-        # compiled kernels call each other directly)
+        # attempt, 1 per accepted Radau step (at the end of each the run
+        # goes on from, and at the asymptote event that ends the last, for
+        # the defect there), or 1 of a refined error estimate (counted only
+        # on the Python kernels: compiled kernels call each other directly)
         calls = collections.Counter()
         if not _jit.JIT_ENABLED:
 
@@ -642,10 +662,11 @@ class TestStiffSwitch:
             assert calls["_dop853_step"] + calls["_radau_step"] == (
                 tr.accepted_steps + tr.rejected_steps
             )
-            radau_ends = tr.accepted_steps - calls["_dop853_dense"] - 1
+            assert tr.newton_iterations == calls["newton"]
+            radau_steps = tr.accepted_steps - calls["_dop853_dense"]
             assert tr.rhs_evals == calls["rhs"] == (
                 1 + 12 * calls["_dop853_step"] + 3 * calls["_dop853_dense"]
-                + 5 * calls["newton"] + radau_ends + calls["refined"]
+                + 5 * calls["newton"] + radau_steps + calls["refined"]
             )
 
     def test_node_B_takes_no_spurious_crossings(self, run):
