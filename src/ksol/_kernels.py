@@ -1348,7 +1348,10 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
         if n_acc == 1 or h > h_max:
             h_max = h
         if stiff:
-            fac = min(10.0, _radau_safety(n_iter) * _predict_factor(h, h_acc, err, err_prev))
+            # bounded below as on a rejection (radau5's FACL = 5): the
+            # predictive factor reads h/h_acc, and after a rejection chain
+            # h_acc is far larger than h
+            fac = min(10.0, max(0.2, _radau_safety(n_iter) * _predict_factor(h, h_acc, err, err_prev)))
             # no regrowth right after a Newton failure, which would fail
             # again, except where the step leaves the state within its
             # error scale: held at B, Newton fails on rounding, at any h

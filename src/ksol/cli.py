@@ -204,19 +204,15 @@ def cmd_classify(args):
         "status": trace.status,
         "events": [{"s": s, "kind": kind} for s, kind in trace.events],
         "local_solution": {
-            "s0": sol.tail.s0,
+            "s0": sol.s0,
             "iterations": sol.iterations,
             "contraction_rate": sol.contraction_rate,
             "sup_residual": sol.sup_residual,
             "weighted_limits": list(sol.weighted_limits),
             "u0": sol.u0,
             "retries": sol.retries,
-            "thresholds": {
-                "s1": sol.thresholds.s1,
-                "s2": sol.thresholds.s2,
-                "s3": sol.thresholds.s3,
-                "contraction_bound": sol.thresholds.contraction_bound,
-            },
+            "terms": sol.terms,
+            "err": sol.err,
         },
         "monitors": orbit_mod.monitor_report(trace, p),
         "solver": {
@@ -363,6 +359,33 @@ def cmd_profile(args):
     return 0
 
 
+def critical_point_residual(p, points):
+    """The largest |F| or |G| at the critical points ``points`` in units of
+    its rounding estimate: eps times the terms summed, for F times the
+    profile's condition in gamma - x (``orbit._f_condition``) plus k for the
+    location's rounding (X_B = x_B^k), for G 8 times. A-chart points sit at
+    that chart's origin; the degenerate line of n = 2k is read at 7 points.
+    """
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for cp in points:
+        q = p.in_chart(cp.chart)
+        if cp.kind == phase.DEGENERATE_LINE:
+            locs = [(x, 0.0) for x in np.linspace(0.0, p.x_cap, 7)]
+        else:
+            locs = [(0.0, 0.0) if cp.chart == "WV" else cp.location]
+        for X, Z in locs:
+            F, G = phase.system_rhs((X, Z), q)
+            if F == 0.0 and G == 0.0:
+                continue
+            x = phase.kth_root(X, p.k)
+            terms = (p.n - 2.0 * p.k) * abs(1.0 - x / p.x_A) * X + abs(Z * phase.profile_value(x, q))
+            round_F = eps * (orbit_mod._f_condition(x, q) + p.k) * terms
+            round_G = eps * 8.0 * 2.0 * p.k * abs(Z)
+            worst = max(worst, abs(F) / round_F, abs(G) / round_G)
+    return float(worst)
+
+
 def cmd_verify(args):
     cfg = _resolve(args)
     p = _params(cfg)
@@ -379,17 +402,7 @@ def cmd_verify(args):
 
     # stationarity of the reported critical points / non-vanishing elsewhere
     rng = np.random.default_rng(7)
-    worst = 0.0
-    for cp in phase.critical_points(p):
-        if cp.kind == phase.DEGENERATE_LINE:
-            locs = [(x, 0.0) for x in np.linspace(0.0, p.x_cap, 7)]
-        else:
-            # a point of the A chart sits at that chart's origin
-            locs = [(0.0, 0.0) if cp.chart == "WV" else cp.location]
-        for loc in locs:
-            F, G = phase.system_rhs(loc, p.in_chart(cp.chart))
-            worst = max(worst, abs(F), abs(G))
-    record("critical_points_rhs_zero", worst, 1e-12)
+    record("critical_points_rhs_zero", critical_point_residual(p, phase.critical_points(p)), 1.0)
     # random points off the critical points, one array call per check
     X = rng.uniform(0.05, 0.95, 1000) * p.x_cap
     Z = rng.uniform(0.05, 2.0, 1000)

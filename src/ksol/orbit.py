@@ -98,7 +98,7 @@ class OrbitControls:
 class OrbitTrace:
     """Adaptive samples of one orbit plus the located events.
 
-    Samples are strictly increasing in s: the Picard tail below s0, then the
+    Samples are strictly increasing in s: the local series' head below s0, then the
     ends of the integrator's steps and, between them, interior points of
     each step's dense output (DOP853's continuous extension, Radau's
     collocation cubic), enough that the cubic Hermite between consecutive
@@ -116,7 +116,7 @@ class OrbitTrace:
     status: str
     chart: str = "XZ"
     tail_end_index: int = 0
-    # integrator counters (the Picard tail samples are not steps)
+    # integrator counters (the local series' head samples are not steps)
     events_dropped: int = 0  # fired beyond the kernel's event buffer
     accepted_steps: int = 0
     rejected_steps: int = 0
@@ -155,8 +155,9 @@ class OrbitTrace:
 class TrapCertificate(NamedTuple):
     """The asymptote trap that the hand-off point (X, Z) lies in.
 
-    ``err`` is Picard's error bound on X and Z at s0. With the box's lower
-    left corner (X - err, Z - err), F > 0 there and X + err < gamma^k;
+    ``err`` is the local series' relative error bound on X and Z at s0.
+    With the box's lower left corner (X (1 - err), Z (1 - err)), F > 0 there
+    and X (1 + err) < gamma^k;
     ``margin`` is the least ratio of the two values to FUNNEL_SAFETY times
     their rounding estimates, above 1 on every certificate.
     """
@@ -170,8 +171,9 @@ class TrapCertificate(NamedTuple):
 class FunnelCertificate(NamedTuple):
     """The funnel into B that the hand-off point (X, Z) lies in.
 
-    ``err`` is Picard's error bound on X and Z at s0, so the orbit starts in
-    the box (X, Z) +- err. The chord from the box's upper left corner to B
+    ``err`` is the local series' relative error bound on X and Z at s0, so
+    the orbit starts in the box (X (1 +- err), Z (1 +- err)). The chord from
+    the box's upper left corner to B
     is an upper fence and the nullcline F = 0 a lower one; ``margin`` is the
     least ratio of a fence value (or of its slope near B) to FUNNEL_SAFETY
     times its rounding estimate, above 1 on every certificate.
@@ -209,7 +211,7 @@ def _integrate_raw(x0, w0, s0, p, controls, shifts=(), stop_at_xb=False):
         controls.end_at_b,
         p.stops_at_xb or stop_at_xb,
     )
-    # the Picard tail hands over numpy scalars, and Python floats keep the
+    # callers may hand over numpy scalars, and Python floats keep the
     # uncompiled kernel's arithmetic off numpy's scalar path
     start = (float(x0), float(w0), float(s0))
     ends = ()
@@ -326,24 +328,23 @@ def integrate(start, p, controls=None, shifts=(0.0,), stop_at_xb=False):
     steady = trap is not None and p.rho == 0.0 and controls.asym_tol > 0.0
     x0, w0 = start.state_at_s0(p)
     s_arr, x_arr, z_arr, events, status, fields = _integrate_raw(
-        x0, w0, start.tail.s0, p.in_chart(start.chart), controls, tuple(shifts) if steady else (),
+        x0, w0, start.s0, p.in_chart(start.chart), controls, tuple(shifts) if steady else (),
         stop_at_xb,
     )
     if trap is not None:
         fields["certificate"] = trap
-    s_arr, x_arr, z_arr, tail_end = _with_tail(start, p.k, s_arr, x_arr, z_arr)
+    s_arr, x_arr, z_arr, tail_end = _with_tail(start, s_arr, x_arr, z_arr)
     return OrbitTrace(s_arr, x_arr, z_arr, events, status, start.chart, tail_end, **fields)
 
 
-def _with_tail(start, k, s_arr, x_arr, z_arr):
-    """Samples from s0 on, preceded by the local solution's tail below s0;
-    also returns the number of tail samples."""
-    tx, tz = start.tail.unweighted(k)
-    keep = start.tail.grid < start.tail.s0
-    s_arr = np.concatenate([start.tail.grid[keep], s_arr])
-    x_arr = np.concatenate([tx[keep], x_arr])
-    z_arr = np.concatenate([tz[keep], z_arr])
-    return s_arr, x_arr, z_arr, int(np.sum(keep))
+def _with_tail(start, s_arr, x_arr, z_arr):
+    """Samples from s0 on, preceded by the local solution's head below s0;
+    also returns the number of head samples."""
+    hs, hx, hz = start.head()
+    s_arr = np.concatenate([hs, s_arr])
+    x_arr = np.concatenate([hx, x_arr])
+    z_arr = np.concatenate([hz, z_arr])
+    return s_arr, x_arr, z_arr, hs.size
 
 
 def _tail_window(trace, frac=0.25):
@@ -472,18 +473,18 @@ def run_orbits(p, alphas, controls=None, tol=picard.DEFAULT_TOL):
 
     The system is autonomous and the orbit leaving the origin is unique, so
     alpha only shifts it in s: X(s; alpha) = X(s + c; 1) with
-    c = ln(alpha_k)/(2k) (``picard.gauge``). One Picard tail serves every
+    c = ln(alpha_k)/(2k) (``picard.gauge``). One local series serves every
     alpha: the anchor, the alpha with the largest alpha_k whose solve
-    succeeds, is solved, and every other alpha's tail is the anchor's under
+    succeeds, is solved, and every other alpha's series is the anchor's under
     ``picard.gauge_map``. All of them hand off the same state, each at its
     own s0, so one continuation from the anchor's hand-off serves them all;
     it runs until every alpha reaches its own s_max, or, on a steady arc,
     until every alpha's log power has converged, and each alpha's trace
     then ends at its own octave end. Where the hand-off lies
     in a funnel into B (:func:`funnel_end`), nothing is continued: every
-    alpha's trace is its tail and the hand-off, ended certified_B. Returns
-    one (sol, trace, oc) per alpha, in order; an alpha that fails Picard's
-    checks, or whose own solve as a candidate anchor fails, gets its
+    alpha's trace is its head and the hand-off, ended certified_B. Returns
+    one (sol, trace, oc) per alpha, in order; an alpha that fails the local
+    solution's checks, or whose own solve as a candidate anchor fails, gets its
     KsolError in place of the tuple.
     """
     controls = controls or OrbitControls()
@@ -522,9 +523,8 @@ def _local_solutions(p, alphas, tol):
     largest alpha) that passes ``picard.check_alpha`` and whose own solve
     succeeds; an alpha whose solve failed keeps its error, and the next one
     down is tried. Every other alpha is the anchor's image under
-    ``picard.gauge_map``, whose factor r = alpha_k / alpha_k(anchor) is then
-    at most 1, so its residual is at most the anchor's. The anchor is None
-    when no alpha could be solved.
+    ``picard.gauge_map``, which hands off the anchor's state with its bound.
+    The anchor is None when no alpha could be solved.
     """
     anchor = None
     by_alpha = {}
@@ -546,12 +546,10 @@ def funnel_end(sol, p, controls):
 
     It is checked where B attracts the run and ``controls.end_at_b`` is set,
     and B is a node: the field's Jacobian there has real
-    eigenvalues, which spares a focus the chord. The error bound is
-    Picard's a-posteriori one, sup_residual / (1 - rate) in the weighted
-    norm, with the larger of the measured and the proven contraction rate,
-    carried to s0 by e^(2k s0). The alphas of one parameter set hand off the
-    same state with the same error bound (``picard.gauge_map``), so one
-    check serves them all.
+    eigenvalues, which spares a focus the chord. The error bound is the
+    local series' validated one, ``sol.err``: its truncation and rounding at
+    s0. The alphas of one parameter set hand off the same state with the
+    same error bound (``picard.gauge_map``), so one check serves them all.
     """
     if not (p.b_attracts and controls.end_at_b):
         return None
@@ -565,15 +563,12 @@ def funnel_end(sol, p, controls):
 
 
 def _hand_off(sol, p):
-    """The integrator's first sample (X, Z) at sol's s0 and Picard's
-    a-posteriori error bound on both, sup_residual / (1 - rate) in the
-    weighted norm, with the larger of the measured and the proven
-    contraction rate, carried to s0 by e^(2k s0)."""
+    """The integrator's first sample (X, Z) at sol's s0 and the local
+    series' validated bound on its distance from the orbit, relative to X
+    and to Z: the truncation's tail, proved on coefficient space, and the
+    rounding (``picard`` module docstring)."""
     X, W = sol.state_at_s0(p)
-    s0 = sol.tail.s0
-    rate = max(sol.contraction_rate, sol.thresholds.contraction_bound * math.exp(2.0 * s0))
-    err = sol.sup_residual / (1.0 - rate) * math.exp(2.0 * p.k * s0)
-    return float(X), math.exp(W) / p.cb, err
+    return float(X), math.exp(W) / p.cb, sol.err
 
 
 def asymptote_trap(sol, p):
@@ -586,11 +581,11 @@ def asymptote_trap(sol, p):
 
 def trap_certificate(X, Z, err, p):
     """The :class:`TrapCertificate` of an orbit through the box
-    (X, Z) +- err, at rho <= 0 and n >= 2k, or None where the check refuses
-    it.
+    (X (1 +- err), Z (1 +- err)), at rho <= 0 and n >= 2k, or None where the
+    check refuses it.
 
-    Take the box's lower left corner (X1, Z1) = (X - err, Z - err). If
-    F(X1, Z1) > 0 and X + err < gamma^k, the rectangle X1 <= X < gamma^k,
+    Take the box's lower left corner (X1, Z1) = (X (1 - err), Z (1 - err)).
+    If F(X1, Z1) > 0 and X (1 + err) < gamma^k, the rectangle X1 <= X < gamma^k,
     Z >= Z1 holds the box and is forward-invariant (fences: Hubbard & West,
     *Differential Equations: A Dynamical Systems Approach*, Part I). On
     X = X1, F grows with Z, since f(x1) > 0. On Z = Z1, G = 2k Z (1 - x/x_B)
@@ -606,9 +601,9 @@ def trap_certificate(X, Z, err, p):
     of ``funnel_certificate``; ``tests/test_oracle.py`` re-proves each
     certificate with interval arithmetic.
     """
-    X1, Z1 = X - err, Z - err
+    X1, Z1 = X * (1.0 - err), Z * (1.0 - err)
     x1 = phase.kth_root(X1, p.k)
-    gap = p.gamma_k - (X + err)
+    gap = p.gamma_k - X * (1.0 + err)
     if not (p.rho <= 0.0 and p.n >= 2 * p.k and X1 > 0.0 and Z1 > 0.0 and x1 < p.gamma):
         return None
     F, _G = phase.vector_field(X1, Z1, p)
@@ -623,13 +618,13 @@ def trap_certificate(X, Z, err, p):
 
 def funnel_certificate(X, Z, err, p):
     """The :class:`FunnelCertificate` of an orbit through the box
-    (X, Z) +- err below B, or None where the check refuses it.
+    (X (1 +- err), Z (1 +- err)) below B, or None where the check refuses it.
 
     Fences and funnels (Hubbard & West, *Differential Equations: A Dynamical
     Systems Approach*, Part I, ch. 1). Where F > 0 the orbit is a graph
     Z(X) with dZ/dX = G/F. On the nullcline F = 0 the flow points straight
     up, into F > 0, since dF/dZ = f > 0: a lower fence. On the chord from
-    L = (X - err, Z + err) to B, of slope sigma > 0, it points below the
+    L = (X (1 - err), Z (1 + err)) to B, of slope sigma > 0, it points below the
     chord where F > 0 and sigma F - G > 0: an upper fence. If F > 0 on the
     box and both values are positive on the chord short of B, the region
     between the fences right of L holds the orbit, X increases in it, and
@@ -644,16 +639,16 @@ def funnel_certificate(X, Z, err, p):
     ``tests/test_oracle.py`` re-proves what it certifies with interval
     arithmetic.
     """
-    xl, zl = X - err, Z + err
-    if not (0.0 < xl and X + err < p.X_B and zl < p.Z_B):
+    xl, zl = X * (1.0 - err), Z * (1.0 + err)
+    if not (0.0 < xl and X * (1.0 + err) < p.X_B and zl < p.Z_B):
         return None
     k, n2k, m = p.k, p.n - 2.0 * p.k, p.m
     dx, dz = p.X_B - xl, p.Z_B - zl
     sigma = dz / dx
     # the chord short of B, then the four corners of the box
     t = np.linspace(0.0, 1.0 - FUNNEL_DELTA, FUNNEL_POINTS)
-    Xs = np.concatenate([xl + t * dx, X + err * np.array([1.0, 1.0, -1.0, -1.0])])
-    Zs = np.concatenate([zl + t * dz, Z + err * np.array([1.0, -1.0, 1.0, -1.0])])
+    Xs = np.concatenate([xl + t * dx, X * (1.0 + err * np.array([1.0, 1.0, -1.0, -1.0]))])
+    Zs = np.concatenate([zl + t * dz, Z * (1.0 + err * np.array([1.0, -1.0, 1.0, -1.0]))])
     F, G = phase.vector_field(Xs, Zs, p)
     H = sigma * F[:-4] - G[:-4]
     cond = _f_condition(phase.kth_root(Xs, k), p)
@@ -691,16 +686,16 @@ def _f_condition(x, p):
     k-fold power of g = (gamma - x)/q carries the cancellation of
     gamma - x, (gamma + x)/(gamma - x) per factor; the root, the quotients
     and the products around it add a few more."""
-    return (p.k + 1.0) * (p.gamma + x) / (p.gamma - x) + 8.0
+    return (p.k + 1.0) * (p.gamma + x) / np.abs(p.gamma - x) + 8.0
 
 
 def _hand_off_trace(sol, p, cert):
     """The trace of a run ended at its hand-off by the funnel certificate
-    ``cert``: sol's tail below s0, then the hand-off state, the
+    ``cert``: sol's head below s0, then the hand-off state, the
     integrator's first sample."""
-    s0 = sol.tail.s0
+    s0 = sol.s0
     X, Z = np.array([cert.X]), np.array([cert.Z])
-    s, X, Z, tail_end = _with_tail(sol, p.k, np.array([s0]), X, Z)
+    s, X, Z, tail_end = _with_tail(sol, np.array([s0]), X, Z)
     return OrbitTrace(
         s, X, Z, [(s0, "certified_B")], "certified_B", "XZ", tail_end, certificate=cert
     )
@@ -709,7 +704,7 @@ def _hand_off_trace(sol, p, cert):
 def _shifted_trace(shared, sol, shift, ends_early, s_max, p, end=None):
     """The trace of sol's alpha read off a shared continuation.
 
-    It is sol's own tail below s0, then the shared samples from the
+    It is sol's own head below s0, then the shared samples from the
     hand-off on, shifted by ``shift`` in s, which puts the hand-off at sol's
     s0. A row whose log power converged at the octave end ``end`` is cut
     there, with status STEADY_END and an event of that name. A row that
@@ -739,7 +734,7 @@ def _shifted_trace(shared, sol, shift, ends_early, s_max, p, end=None):
         if end is not None:
             events.append((end, STEADY_END))
             status = STEADY_END
-    s, X, Z, tail_end = _with_tail(sol, p.k, s, X, Z)
+    s, X, Z, tail_end = _with_tail(sol, s, X, Z)
     return replace(
         shared,
         s=s,

@@ -1,39 +1,52 @@
-"""Local existence by contraction mapping: the unique orbit leaving the
-origin, and its mirror converging to the corner point A.
+"""Local existence: the unique orbit leaving the origin, and its mirror
+converging to the corner point A, as validated power series in tau = e^(2s).
 
-The integral operator acts on pairs (X, Z) over (-inf, s0] stored in
-weighted form wX = e^(-2ks) X, wZ = e^(-2ks) Z. The admissible function
-space demands
+With x = X^(1/k), x = sum_{j>=1} a_j tau^j and Z = tau^k sum_{j>=0} b_j tau^j,
+a_1 = alpha_k^(1/k), b_0 = n alpha_k / f(0), alpha_k = alpha^((1-m)k). By
+(ln Z)_s = 2k (1 - x/x_B), 2j b_j = -(2k/x_B) sum_{i=1..j} a_i b_{j-i}; by
+x_s = -(n-2k) q x / k + Z f(x) / (k x^(k-1)), q = 1 - x/x_A, (2j + n - 2) a_j
+is the tau^j coefficient of the right side formed with a_j = 0: an explicit
+recursion with no resonance, by the O(N^2) recurrences for products,
+quotients and powers of series (Jorba & Zou, *Exp. Math.* 14, 2005).
 
-    alpha_k/2 <= wX <= 2 alpha_k,   n alpha_k/(2 f(0)) <= wZ <= 2 n alpha_k/f(0)
+The truncation at N terms is validated on coefficient space (van den Berg &
+Lessard, *Notices AMS* 62, 2015). With y = x/tau and Y = Z/tau^k, the omitted
+tail of (y, Y) is the fixed point of the recursion itself, an operator T on
+tails in the norm sum |c_j| tau0^j, which bounds a series on |tau| <= tau0.
+T is lower triangular in the order, so its iterates reach the tail
+coefficient by coefficient, and a ball T maps into itself holds it. The
+Lipschitz matrix L of T on a trial ball, from its multipliers carried as
+polynomials plus a norm bound of the rest, gives such a ball,
+r = (I - L)^(-1) T(0). The hand-off s0 is the largest s <= s1, the box edge,
+where that bound meets HAND_OFF_TOL * tol relative to X and Z; with the
+coefficients' rounding it is the hand-off's ``err``.
 
-with alpha_k = alpha^((1-m)k). The same machinery solves the mirrored
-problem at A: reversing s turns the A-chart system into the origin system
-with f replaced by h; everything below reads the profile from p's chart.
-
-Normalization note: the operator pins the weighted X-limit to alpha_k, which
-forces the weighted Z-limit to n alpha_k / f(0) (the slow eigendirection is
-(1, n/f(0))). The reconstructed conformal factor then has
+alpha only shifts s (:func:`gauge`), so the coefficients are formed at
+alpha_k = 1 and kept in u = e^(2(s - s0)), where every alpha has the same
+ones. Reversing s turns the A-chart system into the origin system with f
+replaced by h, so the same code, reading the profile's numerator
+num_a + num_b x from p's chart, builds the orbit at A. The weighted limits
+of (X, Z) e^(-2ks) are alpha_k and n alpha_k / f(0), and the profile has
 u(0) = (n alpha_k / f(0))^(1/((1-m)k)), exposed as ``u0``.
 """
 
-import functools
 import math
 from dataclasses import dataclass, replace
+from operator import mul
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, NotApplicableError, ParameterError
-from .phase import kth_root, profile_slope, profile_value, vector_field
+from .phase import vector_field
 
-GRID_POINTS = 512
-WINDOW_FACTOR = 12.0  # s_min = s0 - WINDOW_FACTOR/(2k)
+GRID_POINTS = 512  # samples of the head below s0 in a trace
+WINDOW_FACTOR = 12.0  # the head spans s0 - WINDOW_FACTOR/(2k) to s0
 DEFAULT_TOL = 1e-10
-MAX_RETRIES = 8
-MAX_SWEEPS = 200
-RATE_LIMIT = 0.9
-THRESHOLD_STEP = 0.5 * math.log(2.0)  # left step of a trial endpoint
-MAX_THRESHOLD_STEPS = 2048  # to s ~ -710; e^(2s) is 0 in floats below s ~ -373
+HAND_OFF_TOL = 1e-2  # the hand-off's bound meets HAND_OFF_TOL * tol
+MAX_TERMS = 24  # the cap on the order N
+MAX_TRIALS = 64  # validated hand-offs tried before a ConvergenceError
+SAFETY = 8.0  # the next terms' share of tol when N is chosen
+_EPS = np.finfo(float).eps
 
 
 def alpha_weight(alpha, p):
@@ -52,34 +65,30 @@ def gauge_map(sol, alpha, p):
     """The LocalSolution of alpha, read off sol, the solution of the same
     parameter set at another alpha.
 
-    With d = c(alpha) - c(sol.alpha) (see :func:`gauge`) and
-    r = alpha_k / alpha_k(sol.alpha) = e^(2kd), alpha's orbit is sol's
-    shifted by -d in s, so its weighted samples are sol's times r on sol's
-    grid shifted by -d; the residual and the weighted limits scale by r too.
-    The thresholds shift by -d. The contraction bound C of ``_constants``
-    scales as alpha_k^(1/k) = e^(2c), and K1 as alpha_k^(1+1/k), so
-    C e^(2 s0) and K1 e^(2 s0)/alpha_k, and with them the self-map and
-    contraction inequalities, are sol's at the shifted s0. The contraction
-    rate, iterations and retries are sol's; u0 is alpha's. alpha is checked
-    as :func:`picard_solve` checks it.
+    With d = c(alpha) - c(sol.alpha) (see :func:`gauge`), alpha's orbit is
+    sol's shifted by -d in s: a_j scales by e^(2dj) and b_j by e^(2d(j+k)),
+    which leaves the coefficients in u = e^(2(s - s0)) as they are once s0
+    moves by -d. The hand-off is the same state, with the same bound; the
+    weighted limits scale by alpha_k / alpha_k(sol.alpha) and u0 is
+    alpha's. alpha is checked as :func:`picard_solve` checks it.
     """
     check_alpha(alpha)
     d = gauge(alpha, p) - gauge(sol.alpha, p)
     r = alpha_weight(alpha, p) / alpha_weight(sol.alpha, p)
-    tail, th = sol.tail, sol.thresholds
     return replace(
         sol,
-        tail=WeightedTail(
-            tail.s0 - d, tail.s_min - d, tail.grid - d, tail.X_samples * r, tail.Z_samples * r
-        ),
+        s0=sol.s0 - d,
         alpha=alpha,
-        sup_residual=sol.sup_residual * r,
-        thresholds=Thresholds(
-            th.s1 - d, th.s2 - d, th.s3 - d, th.s0 - d, th.contraction_bound * math.exp(2.0 * d)
-        ),
         weighted_limits=tuple(w * r for w in sol.weighted_limits),
         u0=_u0(alpha, p.in_chart(sol.chart)),
     )
+
+
+def box_edge(alpha, p):
+    """s1, where the leading term alpha_k e^(2ks) of X is half the box's
+    cap min(gamma^k, X_B) (X_B in the A chart); the hand-off lies at or
+    left of it."""
+    return math.log(p.picard_cap / (2.0 * alpha_weight(alpha, p))) / (2.0 * p.k)
 
 
 def check_alpha(alpha):
@@ -96,443 +105,406 @@ def _u0(alpha, p):
 
 
 @dataclass(frozen=True)
-class Thresholds:
-    s1: float
-    s2: float
-    s3: float
-    s0: float
-    contraction_bound: float  # C such that the contraction constant is C e^(2 s0)
-
-
-def _constants(alpha_k, p):
-    """Explicit constants of the mapping and contraction estimates.
-
-    All bounds are taken in the weighted sup norm; the mapped-image bounds
-    give K1, K2 with |wE1 - alpha_k| <= K1 e^(2s), and the Lipschitz
-    estimate gives C with ||E u - E v|| <= C e^(2 s0) ||u - v||.
-    """
-    n, k, m = p.n, p.k, p.m
-    p0 = p.profile0
-    y_max = p.picard_cap ** (1.0 / k)
-    # numeric Lipschitz constant of the profile on [0, y_max], with margin
-    M = 1.05 * float(np.max(np.abs(profile_slope(np.linspace(0.0, y_max, 1024), p))))
-    two_ak = 2.0 * alpha_k
-    zc = 2.0 * n * alpha_k / p0  # weighted Z upper bound
-    # integrand amplitudes: |F1|, |G1| <= c e^((2k+2)t)
-    c_G = k * (1.0 - m) * zc * two_ak ** (1.0 / k)
-    c_F = abs(k * m) * two_ak ** ((k + 1.0) / k) + zc * M * two_ak ** (1.0 / k)
-    K1 = (c_F + (p0 / n) * c_G) / (n + 2.0) + (p0 / n) * c_G / 2.0
-    K2 = c_G / 2.0
-    # Lipschitz coefficients against the weighted norm
-    kappa = 1.0 / (k * (alpha_k / 2.0) ** ((k - 1.0) / k))
-    l_G = k * (1.0 - m) * (zc * kappa + two_ak ** (1.0 / k))
-    l_F = (
-        abs(m) * (k + 1.0) * two_ak ** (1.0 / k)
-        + zc * M * kappa
-        + M * two_ak ** (1.0 / k)
-    )
-    C = max(
-        l_G / 2.0,
-        (l_F + (p0 / n) * l_G) / (n + 2.0) + (p0 / n) * l_G / 2.0,
-    )
-    return K1, K2, C
-
-
-def thresholds(alpha, p):
-    """The admissible right endpoints (s1, s2, s3) and s0 = min of the three.
-
-    s1 keeps X below min(gamma^k, X_B) (closed form); s2 makes the operator
-    map the space into itself; s3 makes it a contraction with constant
-    below 1/2. s2 and s3 are found constructively by stepping a trial
-    endpoint left until the explicit bounds hold, in at most
-    MAX_THRESHOLD_STEPS steps (ConvergenceError beyond).
-    """
-    if alpha <= 0.0:
-        raise DomainError("alpha must be positive")
-    alpha_k = alpha_weight(alpha, p)
-    K1, K2, C = _constants(alpha_k, p)
-    s1 = math.log(p.picard_cap / (2.0 * alpha_k)) / (2.0 * p.k)
-
-    def step_left(name, fails):
-        s = min(s1, 0.0)
-        for _ in range(MAX_THRESHOLD_STEPS):
-            if not fails(s):
-                return s
-            s -= THRESHOLD_STEP
-        raise ConvergenceError(
-            f"Picard thresholds: {name} not found in {MAX_THRESHOLD_STEPS} steps "
-            f"(alpha {alpha:g}, s {s:.6g})"
-        )
-
-    s2 = step_left(
-        "s2 (self-map)",
-        lambda s: K1 * math.exp(2.0 * s) > alpha_k / 2.0
-        or K2 * math.exp(2.0 * s) > p.n * alpha_k / (2.0 * p.profile0),
-    )
-    s3 = step_left("s3 (contraction)", lambda s: C * math.exp(2.0 * s) >= 0.5)
-    s0 = min(s1, s2, s3)
-    return Thresholds(s1, s2, s3, s0, C)
-
-
-@dataclass(frozen=True)
-class WeightedTail:
-    """Weighted samples of an orbit tail on [s_min, s0].
-
-    X_samples[j] = e^(-2k grid[j]) X(grid[j]) and likewise for Z; grid is
-    uniform and strictly increasing with grid[-1] = s0.
-    """
-
-    s0: float
-    s_min: float
-    grid: np.ndarray
-    X_samples: np.ndarray
-    Z_samples: np.ndarray
-
-    def unweighted(self, k):
-        w = np.exp(2.0 * k * self.grid)
-        return self.X_samples * w, self.Z_samples * w
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    ok: bool
-    min_slack_X: float
-    min_slack_Z: float
-
-
-def affine_seed(alpha, p, s0, n_points=GRID_POINTS):
-    """The seed tail: constant weighted values (alpha_k, n alpha_k / f(0)),
-    with h(0) for f(0) in the A chart."""
-    alpha_k = alpha_weight(alpha, p)
-    s_min = s0 - WINDOW_FACTOR / (2.0 * p.k)
-    grid = np.linspace(s_min, s0, n_points)
-    return WeightedTail(
-        s0,
-        s_min,
-        grid,
-        np.full(n_points, alpha_k),
-        np.full(n_points, p.n * alpha_k / p.profile0),
-    )
-
-
-def verify_membership(tail, alpha, p):
-    """Pointwise check of the four weighted space bounds, with worst slack."""
-    alpha_k = alpha_weight(alpha, p)
-    wx, wz = tail.X_samples, tail.Z_samples
-    slack_x = float(min(np.min(wx - alpha_k / 2.0), np.min(2.0 * alpha_k - wx)))
-    zc = p.n * alpha_k / p.profile0
-    slack_z = float(min(np.min(wz - zc / 2.0), np.min(2.0 * zc - wz)))
-    return MembershipReport(slack_x >= 0.0 and slack_z >= 0.0, slack_x, slack_z)
-
-
-def _exp_moments(z):
-    """m_j(z) = int_0^1 xi^j e^(z xi) d xi for j = 0..3, cancellation-safe."""
-    if abs(z) <= 1.0:
-        out = np.zeros(4)
-        term = 1.0
-        i = 0
-        while True:
-            contrib = np.array([term / (i + 1.0), term / (i + 2.0), term / (i + 3.0), term / (i + 4.0)])
-            out += contrib
-            if abs(term) < 1e-19:
-                break
-            i += 1
-            term *= z / i
-        return out
-    ez = math.exp(z)
-    m0 = (ez - 1.0) / z
-    m1 = (ez * (z - 1.0) + 1.0) / z**2
-    m2 = (ez * (z * z - 2.0 * z + 2.0) - 2.0) / z**3
-    m3 = (ez * (z**3 - 3.0 * z * z + 6.0 * z - 6.0) + 6.0) / z**4
-    return np.array([m0, m1, m2, m3])
-
-
-def _product_weights(z, offsets):
-    """Weights w with sum(w * g[stencil]) ~= (1/h) int over one interval of
-    p(tau) e^(mu tau), where p is the cubic through the de-exponentiated
-    samples g_j e^(-z xi_j). Exact for g = (cubic) * e^(mu tau).
-
-    The weights depend on mu and h only through z = mu h; the operator
-    reads them through the per-z cache of ``_stencil_weights``."""
-    V = np.vander(offsets, 4, increasing=True)
-    coef = np.linalg.solve(V.T @ V, V.T)  # exact 4x4 interpolation, solved stably
-    w = _exp_moments(z) @ coef
-    return w * np.exp(-z * offsets)
-
-
-# node offsets of the first, interior and last interval's stencil
-_STENCIL_OFFSETS = ((0.0, 1.0, 2.0, 3.0), (-1.0, 0.0, 1.0, 2.0), (-2.0, -1.0, 0.0, 1.0))
-
-
-@functools.lru_cache
-def _stencil_weights(z):
-    """The first, interior and last stencil weights of ``_cumulative_product``
-    for z = mu h, read-only. A solve sweeps one grid with two values of mu, so
-    after its first sweep every lookup on that grid hits."""
-    out = []
-    for offsets in _STENCIL_OFFSETS:
-        w = _product_weights(z, np.array(offsets))
-        w.flags.writeable = False
-        out.append(w)
-    return tuple(out)
-
-
-def _cumulative_product(y, h, mu):
-    """Cumulative integral at every node of an integrand y(t) ~ (smooth) *
-    e^(mu t); exponentially-fitted cubic product rule per interval.
-
-    Plain cumulative Simpson leaves an O(h^3 mu^3) bias that dominates the
-    fixed point's derivative defect; weighting the interpolation by the
-    known exponential removes it. The weights depend only on z = mu h and
-    are cached per z (``_stencil_weights``).
-    """
-    n = y.size
-    w_first, w_mid, w_last = _stencil_weights(mu * h)
-    inc = np.empty(n - 1)
-    inc[0] = w_first @ y[:4]
-    inc[1 : n - 2] = (
-        w_mid[0] * y[0 : n - 3]
-        + w_mid[1] * y[1 : n - 2]
-        + w_mid[2] * y[2 : n - 1]
-        + w_mid[3] * y[3:n]
-    )
-    inc[n - 2] = w_last @ y[n - 4 :]
-    inc *= h
-    out = np.empty(n)
-    out[0] = 0.0
-    np.cumsum(inc, out=out[1:])
-    return out
-
-
-def _tail_integral(vals, t, two_k, mu):
-    """int_(-inf)^(s_min) e^(-lam (t - s_min)) vals(t) dt where the kernel
-    exponent satisfies (2k+2) - lam = mu.
-
-    vals decays like e^((2k+2)t); fitting b1 e^((2k+2)(t-s_min)) +
-    b2 e^((2k+4)(t-s_min)) through two left-end nodes integrates in closed
-    form to b1/mu + b2/(mu+2).
-    """
-    j = max(1, t.size // 8)
-    delta = t[j] - t[0]
-    e1 = math.exp((two_k + 2.0) * delta)
-    e2 = math.exp((two_k + 4.0) * delta)
-    b2 = (vals[j] - vals[0] * e1) / (e2 - e1)
-    b1 = vals[0] - b2
-    return b1 / mu + b2 / (mu + 2.0)
-
-
-def apply_E(tail, alpha, p, check=True):
-    """One application of the integral operator, weighted in and out.
-
-    The integral over (-inf, s_min] uses the leading e^((2k+2)t) decay of
-    the integrands in closed form; the rest is the exponentially fitted
-    cumulative product rule on the uniform grid, with the exponential
-    kernels evaluated exactly at nodes.
-    """
-    if check:
-        rep = verify_membership(tail, alpha, p)
-        if not rep.ok:
-            raise DomainError(
-                f"tail violates the weighted space bounds (slack X {rep.min_slack_X:.3e}, "
-                f"Z {rep.min_slack_Z:.3e})"
-            )
-    n, k = p.n, p.k
-    alpha_k = alpha_weight(alpha, p)
-    p0 = p.profile0
-    t = tail.grid
-    h = t[1] - t[0]
-    shift = t - tail.s_min
-    ew = np.exp(2.0 * k * t)
-    X = tail.X_samples * ew
-    Z = tail.Z_samples * ew
-    x = kth_root(X, k)
-
-    F1 = k * p.m * X ** ((k + 1.0) / k) + Z * (profile_value(x, p) - p0)
-    G1 = -k * (1.0 - p.m) * Z * x
-    P1 = F1 - (p0 / n) * G1
-
-    g1 = P1 * np.exp(-(2.0 * k - n) * shift)
-    g2 = G1 * np.exp(-2.0 * k * shift)
-    # the integrands decay like e^((2k+2)t), so g1 ~ e^((n+2) shift) and
-    # g2 ~ e^(2 shift); the product rule is fitted to those exponentials
-    C1 = _cumulative_product(g1, h, n + 2.0)
-    C2 = _cumulative_product(g2, h, 2.0)
-    # analytic tails over (-inf, s_min]: two-term exponential model
-    # b1 e^((2k+2)(t-s_min)) + b2 e^((2k+4)(t-s_min)) fitted at two nodes,
-    # integrated against the kernels in closed form
-    T1 = _tail_integral(P1, t, 2.0 * k, n + 2.0)
-    T2 = _tail_integral(G1, t, 2.0 * k, 2.0)
-
-    try:
-        scale = math.exp(-2.0 * k * tail.s_min)
-    except OverflowError:
-        raise ConvergenceError(
-            f"Picard tail: e^(-2k s_min) overflows (alpha {alpha:g}, s_min {tail.s_min:.6g})"
-        ) from None
-    A1 = np.exp(-n * shift) * (T1 + C1)
-    A2 = T2 + C2
-    wE1 = alpha_k + scale * (A1 + (p0 / n) * A2)
-    wE2 = n * alpha_k / p0 + scale * A2
-    return WeightedTail(tail.s0, tail.s_min, t, wE1, wE2)
-
-
-def _extrapolate_limit(tail):
-    """Limit of the weighted samples as s -> -inf.
-
-    The corrections form a power series in e^(2s); interpolating
-    w = a + sum_j c_j e^(2js), j = 1..3, at four nodes near s_min leaves
-    an O(e^(8 s_min)) error in a.
-    """
-    n = tail.grid.size
-    idx = [0, n // 8, n // 4, 3 * n // 8]
-    s = tail.grid[idx]
-    V = np.column_stack([np.exp(2.0 * j * s) for j in range(4)])
-    out = []
-    for w in (tail.X_samples, tail.Z_samples):
-        out.append(float(np.linalg.solve(V, w[idx])[0]))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
 class LocalSolution:
-    """A converged fixed point of the tail operator with its certificate."""
+    """The orbit below its hand-off s0 as a truncated series, with the
+    certificate of its validation.
 
-    tail: WeightedTail
+    With u = e^(2(s - s0)), x = sum_j x_coef[j] u^j and
+    Z = e^(log_z0) u^k sum_j z_coef[j] u^j (z_coef[0] = 1). ``err`` bounds
+    the distance of the hand-off (X, Z) from the orbit in both, ``terms``
+    is N, ``sup_residual`` the relative size of T(0), the first omitted
+    terms, and ``contraction_rate`` T's Lipschitz constant on the ball.
+    ``iterations`` counts the validations, ``retries`` the hand-offs they
+    refused.
+    """
+
+    s0: float
+    k: int
+    x_coef: np.ndarray
+    z_coef: np.ndarray
+    log_z0: float
     alpha: float
     contraction_rate: float
     iterations: int
     sup_residual: float
-    thresholds: Thresholds
+    err: float
+    terms: int
     weighted_limits: tuple
     u0: float | None
     chart: str = "XZ"
     retries: int = 0
+    # the head's X and Z (see :meth:`head`), the same for every alpha
+    head_X: np.ndarray | None = None
+    head_Z: np.ndarray | None = None
+
+    def state(self, s):
+        """(X, Z) on the series at s <= s0; floats or arrays."""
+        u = np.exp(2.0 * (np.asarray(s, dtype=float) - self.s0))
+        x = np.polynomial.polynomial.polyval(u, self.x_coef)
+        z = np.polynomial.polynomial.polyval(u, self.z_coef)
+        return x**self.k, np.exp(self.log_z0 + 2.0 * self.k * (s - self.s0)) * z
+
+    def head(self):
+        """The trace's samples below s0: (s, X, Z) on GRID_POINTS - 1 uniform
+        points of [s0 - WINDOW_FACTOR/(2k), s0)."""
+        return self.s0 + _head_offsets(self.k), self.head_X, self.head_Z
 
     def state_at_s0(self, p):
-        """The hand-off to the global integrator in its chart: (X, W) at the
-        right endpoint, W = ln(c_nk beta^k Z), -inf on the axis Z = 0. For
-        the A-chart the pair is (W-, ln(c_nk beta^k V-)) at s = -s0. W is
-        summed from logs of the weighted sample: the product c_nk beta^k Z
-        underflows where both factors are tiny."""
-        two_ks0 = 2.0 * p.k * self.tail.s0
-        wz = float(self.tail.Z_samples[-1])
-        w0 = math.log(p.cb) + math.log(wz) + two_ks0 if wz > 0.0 else -math.inf
-        return self.tail.X_samples[-1] * math.exp(two_ks0), w0
+        """The hand-off to the global integrator in its chart: (X, W) at s0,
+        W = ln(c_nk beta^k Z), -inf on the axis Z = 0. For the A-chart the
+        pair is (W-, ln(c_nk beta^k V-)) at s = -s0. W is summed from logs:
+        the product c_nk beta^k Z underflows where both factors are tiny."""
+        x = float(np.sum(self.x_coef))
+        z = float(np.sum(self.z_coef))
+        w0 = math.log(p.cb) + self.log_z0 + math.log(z) if z > 0.0 else -math.inf
+        return x**self.k, w0
 
 
-def _picard(alpha, p, tol, n_points):
+def _head_offsets(k):
+    return np.linspace(-WINDOW_FACTOR / (2.0 * k), 0.0, GRID_POINTS)[:-1]
+
+
+def _coefficients(p, order):
+    """(y, b, ey, eb) at alpha_k = 1: y[j] = a_(j+1) for j < order, b[j]
+    for j <= order, and estimates ey, eb of their rounding.
+
+    Order j forms b_j, then the tau^j coefficient of phi = (x_s right
+    side)/tau with y_j = 0 through m = q y, v = (num_a + num_b x)/m,
+    w = v^(k-1), nw = num w and phi = -(n-2k)/k m + (c_nk beta^k/k) b nw;
+    phi's y_j-coefficient is 2 - n, so y_j = phi_j / (2j + n), and m_j to
+    nw_j then take y_j's share. The orders are few and sequential, so plain
+    floats serve. y_j's rounding estimate is (j + 2) eps times the size of
+    the terms it sums, four times over for the series they come from; b_j's
+    carries y's and its own through its linear recursion; both take num_a's
+    rounding (y_j is about j-fold sensitive) and b_0's. A bound carried
+    through the whole recursion (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 3.3) grows like the series of the terms' sizes,
+    and exceeds alternating coefficients within ten orders.
+    """
+    n, k = p.n, p.k
+    c_m, c_p = -(n - 2.0 * k) / k, p.cb / k
+    y, b = [1.0], [n / p.profile0]
+    m, num, v = [1.0], [p.num_a], [p.num_a]
+    w = [p.num_a ** (k - 1)]
+    nw = [p.num_a * w[0]]
+    for j in range(1, order + 1):
+        b.append(-(k / (j * p.x_B)) * sum(map(mul, y, reversed(b))))
+        if j == order:
+            break
+        m.append(-sum(map(mul, y, reversed(y))) / p.x_A)
+        num.append(p.num_b * y[j - 1])
+        v.append(num[j] - sum(map(mul, v, reversed(m[1:]))))
+        w.append(sum(((k - 1.0) * (j - i) - i) * v[j - i] * w[i] for i in range(j)) / (j * v[0]))
+        nw.append(sum(map(mul, num, reversed(w))))
+        y.append((c_m * m[j] + c_p * sum(map(mul, b, reversed(nw)))) / (2.0 * j + n))
+        dw = -(k - 1.0) * w[0] * y[j]
+        m[j] += y[j]
+        v[j] -= v[0] * y[j]
+        w[j] += dw
+        nw[j] += num[0] * dw
+    y, b = np.array(y), np.array(b)
+    ay, ab, j = np.abs(y), np.abs(b), np.arange(1, order)
+    # the relative rounding of num_a (nu = gamma - x_A cancels in the A
+    # chart), and that of b_0 = n / f(0), f(0) some 3k + 10 operations
+    d_num = _EPS * (4.0 * abs(p.gamma) + abs(p.num_a - p.gamma)) / abs(p.num_a)
+    terms = abs(c_m) * np.convolve(ay, ay)[: order - 1] / p.x_A
+    terms += abs(c_p) * np.convolve(ab[:order], np.abs(nw))[1:order]
+    ey = np.zeros(order)
+    ey[1:] = 4.0 * (j + 2.0) * _EPS * terms / (2.0 * j + n) + (j + 1.0) * d_num * ay[1:]
+    t_b, carried = np.convolve(ay, ab), np.convolve(ey, ab)
+    eb = np.zeros(order + 1)
+    eb[0] = ((3.0 * k + 12.0) * _EPS + k * d_num) * b[0]
+    for i in range(1, order + 1):
+        eb[i] = k / (i * p.x_B) * ((i + 2.0) * _EPS * t_b[i - 1] + carried[i - 1] + ay[:i] @ eb[i - 1 :: -1])
+    return y, b, ey, eb
+
+
+class _Balls:
+    """Series on |tau| <= nu in the norm ||c|| = sum |c_j| nu^j, as balls
+    (c, e): a polynomial of degree <= M plus any series of norm <= e. The
+    arithmetic is in floats; ``tests/test_oracle.py`` redoes it in
+    intervals."""
+
+    def __init__(self, nu, M):
+        self.M = M
+        self.w = nu ** np.arange(2 * M + 1)
+        self.nu = nu
+
+    def norm(self, c, start=0):
+        """The norm of c read as the orders start, start + 1, ..."""
+        return float(np.abs(c) @ self.w[start : start + c.size])
+
+    def ball(self, c, e=0.0):
+        out = np.zeros(self.M + 1)
+        out[: np.size(c)] = c
+        return out, e
+
+    @staticmethod
+    def lin(*terms):
+        """sum of coefficient * ball."""
+        c = sum(s * t[0] for s, t in terms)
+        return c, sum(abs(s) * t[1] for s, t in terms)
+
+    def shift(self, a):
+        """tau a."""
+        c, e = a
+        return np.concatenate(([0.0], c[:-1])), self.nu * (e + abs(c[-1]) * self.w[self.M])
+
+    def mul(self, a, b):
+        (ca, ea), (cb, eb) = a, b
+        full = np.convolve(ca, cb)
+        na, nb = self.norm(ca), self.norm(cb)
+        e = self.norm(full[self.M + 1 :], self.M + 1) + na * eb + ea * nb + ea * eb
+        return full[: self.M + 1], e
+
+    def power(self, a, exponent):
+        out = None
+        for bit in bin(exponent)[2:]:
+            if out is not None:
+                out = self.mul(out, out)
+            if bit == "1":
+                out = a if out is None else self.mul(out, a)
+        return self.ball(1.0) if out is None else out
+
+    def inverse(self, a):
+        """1/a, or None where the ball holds no invertible series: with P
+        the reciprocal polynomial and D = 1 - a P, 1/a = P/(1 - D) lies
+        within ||P|| ||D|| / (1 - ||D||) of P."""
+        c = a[0]
+        inv = np.array([1.0 / c[0]])
+        while inv.size < c.size:
+            size = min(2 * inv.size, c.size)
+            ci = np.convolve(c[:size], inv)[:size]
+            inv = np.concatenate((2.0 * inv, np.zeros(size - inv.size))) - np.convolve(inv, ci)[:size]
+        dc, de = self.mul(a, (inv, 0.0))
+        dc = -dc
+        dc[0] += 1.0
+        rho = self.norm(dc) + de
+        if not rho < 1.0:
+            return None
+        return inv, self.norm(inv) * rho / (1.0 - rho)
+
+
+def _field(balls, y, B, p, multipliers=False):
+    """Balls of phi = (x_s right side)/tau at (y, Y = B) and of its
+    multiplier M_B = d phi/dY; with ``multipliers``, those of
+    M_y = d phi/dy + (n - 2) and M_B. None where a reciprocal fails. M_y
+    has no constant term: y_j's share of phi_j is 2 - n."""
+    n, k = p.n, p.k
+    c_m, c_p = -(n - 2.0 * k) / k, p.cb / k
+    one = balls.ball(1.0)
+    tau, x = balls.shift(one), balls.shift(y)
+    m = balls.lin((1.0, y), (-1.0 / p.x_A, balls.mul(x, y)))
+    im = balls.inverse(m)
+    if im is None:
+        return None
+    num = balls.lin((p.num_a, one), (p.num_b, x))
+    v = balls.mul(num, im)
+    vk2 = balls.power(v, k - 2) if k >= 2 else None
+    w = balls.mul(vk2, v) if k >= 2 else one
+    nw = balls.mul(num, w)
+    M_B = balls.lin((c_p, nw))
+    if not multipliers:
+        return balls.lin((c_m, m), (c_p, balls.mul(B, nw))), M_B
+    # d/dy: m' = 1 - 2x/x_A, v' = (num_b tau - v m')/m, w' = (k-1) v^(k-2) v'
+    dm = balls.lin((1.0, one), (-2.0 / p.x_A, x))
+    dnw = balls.lin((p.num_b, balls.shift(w)))
+    if k >= 2:
+        dv = balls.mul(balls.lin((p.num_b, tau), (-1.0, balls.mul(v, dm))), im)
+        dnw = balls.lin((1.0, dnw), (k - 1.0, balls.mul(num, balls.mul(vk2, dv))))
+    M_y = balls.lin((c_m, dm), (c_p, balls.mul(B, dnw)), (n - 2.0, one))
+    return M_y, M_B
+
+
+@dataclass(frozen=True)
+class _Validation:
+    err_x: float  # relative bounds on X and Z at the hand-off,
+    err_z: float
+    tail: float  # the truncation's share of them,
+    defect: float  # T(0)'s size and
+    rate: float  # T's Lipschitz constant
+
+
+def _validate(y, b, nu, p, ey, eb):
+    """The :class:`_Validation` at tau = nu of the truncation y (orders < N),
+    b (orders <= N), with the rounding estimates ey, eb, or None where the
+    trial ball does not hold the radii or T's Lipschitz constant on it, the
+    spectral radius of L, exceeds 1/2. T(t) is (phi(y + t))_j / (2j + n) on
+    the y-tail (orders >= N), -(k/(j x_B)) (tau y Y)_j on the Y-tail
+    (orders >= N + 1). The lower orders' defect in the same equations, the
+    recursion's rounding or a wrong coefficient, joins T(0).
+    """
+    n, k, N = p.n, p.k, y.size
+    balls = _Balls(nu, 2 * N)
+    yb, Bb = balls.ball(y), balls.ball(b)
+    j = np.arange(balls.M + 1)
+    norm_y, norm_b = balls.norm(y), balls.norm(b)
+    # T(0): phi's orders >= N, and the tail of tau y Y
+    point = _field(balls, yb, Bb, p)
+    if point is None:
+        return None
+    phi = point[0]
+    t_y = float(np.abs(phi[0][N:]) @ (balls.w[N : balls.M + 1] / (2.0 * j[N:] + n)))
+    t_y += phi[1] / (2.0 * N + n)
+    yB = np.convolve(y, b)
+    jb = np.arange(N + 1, yB.size + 1)
+    t_b = k / p.x_B * float(np.abs(yB[N:]) @ (balls.w[jb] / jb))
+    low_y = np.abs(phi[0][:N] - (2.0 * j[:N] + 2.0) * y) @ (balls.w[:N] / (2.0 * j[:N] + n))
+    low_b = np.abs(b[1:] + k / p.x_B * yB[:N] / j[1 : N + 1]) @ balls.w[1 : N + 1]
+    T0 = np.array([t_y, t_b])
+    low = np.array([low_y, low_b])
+    gain_y, gain_b = 1.0 / (2.0 * N + n), k * nu / (p.x_B * (N + 1.0))
+
+    def radii(M_y, M_B, trial):
+        """r = (I - L)^(-1) T(0) with T's Lipschitz matrix L on the trial
+        ball, which T maps into itself, and L's spectral radius."""
+        L_yy = 0.0 if M_y is None else (balls.norm(M_y[0]) + M_y[1]) * gain_y
+        L_yb = (balls.norm(M_B[0]) + M_B[1]) * gain_y
+        L = np.array([[L_yy, L_yb], [gain_b * (norm_b + trial[1]), gain_b * (norm_y + trial[0])]])
+        half = 0.5 * (L[0, 0] - L[1, 1])
+        rate = 0.5 * (L[0, 0] + L[1, 1]) + math.sqrt(half * half + L[0, 1] * L[1, 0])
+        if not rate < 1.0:
+            return None, rate
+        det = (1.0 - L[0, 0]) * (1.0 - L[1, 1]) - L[0, 1] * L[1, 0]
+        return np.array([[1.0 - L[1, 1], L[0, 1]], [L[1, 0], 1.0 - L[0, 0]]]) @ (T0 + low) / det, rate
+
+    # a trial ball twice the radii of T without its y-y block, which is
+    # small: M_y has no constant term
+    r, rate = radii(None, point[1], np.zeros(2))
+    if r is None:
+        return None
+    trial = 2.0 * r + _EPS * np.array([norm_y, norm_b])
+    spread = _field(balls, balls.ball(y, trial[0]), balls.ball(b, trial[1]), p, True)
+    if spread is None:
+        return None
+    r, rate = radii(*spread, trial)
+    if r is None or np.any(r > trial) or rate > 0.5:
+        return None
+    y_nu = float(np.polynomial.polynomial.polyval(nu, y))
+    b_nu = float(np.polynomial.polynomial.polyval(nu, b))
+    if not (y_nu > 0.0 and b_nu > 0.0):
+        return None
+    # with the coefficients' and the sums' rounding, and then X = x^k's
+    round_y = (N + 2.0) * _EPS * norm_y + balls.norm(ey)
+    round_b = (N + 3.0) * _EPS * norm_b + balls.norm(eb)
+    rel_y = (r[0] + round_y) / y_nu
+    rel_b = (r[1] + round_b) / b_nu
+    return _Validation(
+        err_x=math.expm1(k * math.log1p(rel_y)) + 2.0 * _EPS,
+        err_z=rel_b,
+        tail=max(k * r[0] / y_nu, r[1] / b_nu),
+        defect=max(k * (T0[0] + low[0]) / y_nu, (T0[1] + low[1]) / b_nu),
+        rate=rate,
+    )
+
+
+def _order(y, b, nu, k, tol):
+    """The least N in [2, MAX_TERMS] whose largest omitted term at tau = nu,
+    relative to the sum of the kept ones in X and Z, is below tol / SAFETY
+    (None where none is), and that measure at MAX_TERMS."""
+    ty = y * nu ** np.arange(y.size)
+    tb = b * nu ** np.arange(b.size)
+    # the largest term from each order on, and the partial sums
+    ry = np.maximum.accumulate(np.abs(ty[::-1]))[::-1]
+    rb = np.maximum.accumulate(np.abs(tb[::-1]))[::-1]
+    N = np.arange(2, MAX_TERMS + 1)
+    nxt = np.maximum(
+        k * ry[N] / np.abs(np.cumsum(ty)[N - 1]), rb[N + 1] / np.abs(np.cumsum(tb)[N])
+    )
+    ok = np.flatnonzero(nxt <= tol / SAFETY)
+    return (int(ok[0]) + 2 if ok.size else None), float(nxt[-1])
+
+
+def _solve(alpha, p, tol):
     check_alpha(alpha)
-    th = thresholds(alpha, p)
-    s0 = th.s0
+    target = HAND_OFF_TOL * tol
+    y, b, ey, eb = _coefficients(p, MAX_TERMS + 2)
+    nu = math.exp(2.0 * box_edge(1.0, p))  # tau at s1, at alpha_k = 1
     retries = 0
-    while True:
-        seed = affine_seed(alpha, p, s0, n_points)
-        cur = seed
-        prev_change = None
-        rate_max = 0.0
-        failed = False
-        sweeps = 0
-        for i in range(MAX_SWEEPS):
-            nxt = apply_E(cur, alpha, p, check=False)
-            if not verify_membership(nxt, alpha, p).ok:
-                failed = True
-                break
-            change = float(
-                max(
-                    np.max(np.abs(nxt.X_samples - cur.X_samples)),
-                    np.max(np.abs(nxt.Z_samples - cur.Z_samples)),
-                )
-            )
-            if prev_change is not None and prev_change > 0.0:
-                rate = change / prev_change
-                rate_max = max(rate_max, rate)
-                if rate >= RATE_LIMIT:
-                    failed = True
-                    break
-            prev_change = change
-            cur = nxt
-            sweeps = i + 1
-            if change < tol:
-                break
-        else:
-            failed = True
-        if not failed and prev_change is not None and prev_change < tol:
+    for trial in range(1, MAX_TRIALS + 1):
+        N, last = _order(y, b, nu, p.k, target)
+        while N is None:
+            nu *= min(0.9, (target / (SAFETY * last)) ** (1.0 / MAX_TERMS))
+            N, last = _order(y, b, nu, p.k, target)
+        val = _validate(y[:N], b[: N + 1], nu, p, ey[:N], eb[: N + 1])
+        # the rounding does not fall as s0 moves left: tol bounds it
+        if val is not None and val.tail <= target and max(val.err_x, val.err_z) <= tol:
             break
         retries += 1
-        if retries > MAX_RETRIES:
-            raise ConvergenceError(
-                f"contraction failed after {MAX_RETRIES} retries (rate {rate_max:.3f})"
-            )
-        s0 -= 0.5 * math.log(2.0)
-
-    final = apply_E(cur, alpha, p, check=False)
-    residual = float(
-        max(
-            np.max(np.abs(final.X_samples - cur.X_samples)),
-            np.max(np.abs(final.Z_samples - cur.Z_samples)),
+        nu *= 0.8
+    else:
+        raise ConvergenceError(
+            f"series hand-off not validated in {MAX_TRIALS} trials (alpha {alpha:g})"
         )
-    )
-    limits = _extrapolate_limit(cur)
-    return LocalSolution(
-        tail=cur,
-        alpha=alpha,
-        contraction_rate=rate_max,
-        iterations=sweeps,
-        sup_residual=residual,
-        thresholds=Thresholds(th.s1, th.s2, th.s3, s0, th.contraction_bound),
-        weighted_limits=limits,
-        u0=_u0(alpha, p),
+    powers = nu ** np.arange(N + 1)
+    x_coef = np.concatenate(([0.0], y[:N] * powers[1:]))
+    z_coef = b[: N + 1] * powers / b[0]
+    alpha_k = alpha_weight(alpha, p)
+    log_z0 = math.log(b[0]) + p.k * math.log(nu)
+    # the hand-off's W = ln(c_nk beta^k) + log_z0 + ln(z) rounds too
+    err_w = 4.0 * _EPS * (abs(math.log(p.cb)) + abs(log_z0) + 1.0)
+    sol = LocalSolution(
+        s0=0.5 * math.log(nu),
+        k=p.k,
+        x_coef=x_coef,
+        z_coef=z_coef,
+        log_z0=log_z0,
+        alpha=1.0,
+        contraction_rate=val.rate,
+        iterations=trial,
+        sup_residual=val.defect,
+        err=max(val.err_x, val.err_z + err_w),
+        terms=N,
+        weighted_limits=(1.0, b[0]),
+        u0=None,
         chart=p.chart,
         retries=retries,
     )
+    head_X, head_Z = sol.state(sol.s0 + _head_offsets(p.k))
+    # the unit gauge is alpha_k = 1: move it to alpha
+    c = math.log(alpha_k) / (2.0 * p.k)
+    return replace(
+        sol,
+        s0=sol.s0 - c,
+        head_X=head_X,
+        head_Z=head_Z,
+        alpha=alpha,
+        weighted_limits=(alpha_k, alpha_k * b[0]),
+        u0=_u0(alpha, p),
+    )
 
 
-def picard_solve(alpha, p, tol=DEFAULT_TOL, n_points=GRID_POINTS):
-    """Construct the orbit leaving the origin for u(0)-parameter alpha.
-
-    Iterates the operator from the affine seed until the weighted sup-norm
-    change drops below tol, shifting s0 left (at most 8 times) if the
-    empirical contraction rate reaches 0.9.
-    """
-    return _picard(alpha, p, tol, n_points)
+def picard_solve(alpha, p, tol=DEFAULT_TOL):
+    """Construct the orbit leaving the origin for u(0)-parameter alpha: its
+    series, validated at the hand-off s0 to HAND_OFF_TOL * tol relative to X
+    and Z."""
+    return _solve(alpha, p, tol)
 
 
-def picard_solve_at_A(alpha_bar, p, tol=DEFAULT_TOL, n_points=GRID_POINTS):
+def picard_solve_at_A(alpha_bar, p, tol=DEFAULT_TOL):
     """Mirrored construction at A: the orbit converging to (X_A, 0).
 
     Reversing s turns the A-chart system into the origin system with f
-    replaced by h, so the fixed point is built in sigma = -s on
-    (-inf, sigma0] and read backwards. Requires rho > 2 theta so that
-    h(0) > 0; rho = 2 theta is degenerate (nu = 0 kills the eigendirection).
+    replaced by h, so the series is built in sigma = -s and read backwards.
+    Requires rho > 2 theta so that h(0) > 0; rho = 2 theta is degenerate
+    (nu = 0 kills the eigendirection).
     """
     if p.rho < 2.0 * p.theta:
         raise NotApplicableError("orbit at A requires rho >= 2 theta")
     if p.rho == 2.0 * p.theta:
         raise ParameterError("rho = 2 theta is degenerate: h(0) = 0")
-    return _picard(alpha_bar, p.in_chart("WV"), tol, n_points)
+    return _solve(alpha_bar, p.in_chart("WV"), tol)
 
 
 def derivative_residual(sol, p):
-    """Max pointwise defect of the tail against the differential system of
-    its chart.
-
-    Sixth-order Richardson extrapolation of centered differences on the
-    uniform grid, compared with the analytic right-hand side.
-    """
-    tail = sol.tail
-    X, Z = tail.unweighted(p.k)
-    h = tail.grid[1] - tail.grid[0]
-
-    def central(y, stride):
-        return (y[2 * stride :] - y[: -2 * stride]) / (2.0 * stride * h)
-
-    def richardson(y):
-        d1 = central(y, 1)[3:-3]
-        d2 = central(y, 2)[2:-2]
-        d4 = central(y, 4)
-        ra = (4.0 * d1 - d2) / 3.0
-        rb = (4.0 * d2 - d4) / 3.0
-        return (16.0 * ra - rb) / 15.0
-
-    F, G = vector_field(X[4:-4], Z[4:-4], p.in_chart(sol.chart))
-    return float(max(np.max(np.abs(richardson(X) - F)), np.max(np.abs(richardson(Z) - G))))
+    """Max pointwise defect of the series against the differential system
+    of its chart on the head's grid: the series' derivative in s, term by
+    term, against the field."""
+    s, X, Z = sol.head()
+    j = np.arange(sol.x_coef.size)
+    V = np.vander(np.exp(2.0 * (s - sol.s0)), j.size, increasing=True)
+    coef = np.column_stack([sol.x_coef, 2.0 * j * sol.x_coef, sol.z_coef, 2.0 * (j + sol.k) * sol.z_coef])
+    x, x_s, z, z_s = (V @ coef).T
+    F, G = vector_field(X, Z, p.in_chart(sol.chart))
+    X_s = sol.k * x ** (sol.k - 1) * x_s
+    return float(max(np.max(np.abs(X_s - F)), np.max(np.abs(Z * z_s / z - G))))

@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from ksol import _jit, cli, orbit, phase
+from ksol import _jit, cli, orbit, phase, picard
 
 
 def run_cli(argv):
@@ -77,13 +77,15 @@ class TestClassify:
         local = json.loads(out.read_text())["local_solution"]
         assert set(local) == {
             "s0", "iterations", "contraction_rate", "sup_residual", "weighted_limits",
-            "u0", "retries", "thresholds",
+            "u0", "retries", "terms", "err",
         }
-        th = local["thresholds"]
-        assert set(th) == {"s1", "s2", "s3", "contraction_bound"}
-        assert local["retries"] == 0
-        assert local["s0"] == min(th["s1"], th["s2"], th["s3"])
-        assert th["contraction_bound"] * math.exp(2.0 * local["s0"]) < 0.5
+        # one validation at N terms, within the box edge s1, and the hand-off
+        # bound relative to X and Z
+        assert (local["iterations"], local["retries"]) == (1, 0)
+        assert 2 <= local["terms"] <= picard.MAX_TERMS
+        assert local["s0"] <= picard.box_edge(1.0, phase.make_params(4, 1, 1.0, 1.0))
+        assert 0.0 < local["err"] <= picard.HAND_OFF_TOL * picard.DEFAULT_TOL
+        assert local["contraction_rate"] <= 0.5 and local["sup_residual"] <= local["err"]
 
     def test_tiny_picard_x_passes_the_monitors(self, tmp_path):
         # the hand-off of (33, 16) at rho = 10, theta = 1e-3 has X(s0) ~ 1e-285;
@@ -351,6 +353,38 @@ class TestVerify:
         assert code == 0 and doc["all_pass"], failed
         assert {"barrier_ordering", "monitor_self_intersections"} <= set(doc["checks"])
 
+    def test_theta_1e6_corner_passes(self, tmp_path):
+        # (4,1,1) at theta = 1e6: gamma - x_B = x_B rho/(2 theta) cancels in
+        # the profile at B, where |F| read 4.19e-10 against the check's former
+        # absolute 1e-12; against its rounding estimate it reads 0.04
+        out = tmp_path / "v.json"
+        code = run_cli(["verify", "--n", "4", "--k", "1", "--rho", "1", "--theta", "1e6",
+                        "--out", str(out)])
+        doc = json.loads(out.read_text())
+        failed = {k: v for k, v in doc["checks"].items() if not v["pass"]}
+        assert code == 0 and doc["all_pass"], failed
+        assert doc["checks"]["critical_points_rhs_zero"]["threshold"] == 1.0
+
+    def test_forged_b_is_flagged(self):
+        # B moved by 1e-6 relative, in X or in Z, fails the check on every
+        # corpus set that has B, while B itself passes on each
+        from dataclasses import replace
+
+        from test_corpus import PAIRS, RATIOS
+
+        sets = 0
+        for n, k in PAIRS:
+            for ratio in RATIOS:
+                p = phase.make_params(n, k, ratio, 1.0)
+                points = phase.critical_points(p)
+                assert cli.critical_point_residual(p, points) <= 1.0, (n, k, ratio)
+                for b in (cp for cp in points if cp.name == "B"):
+                    sets += 1
+                    for loc in ((p.X_B * (1.0 + 1e-6), p.Z_B), (p.X_B, p.Z_B * (1.0 + 1e-6))):
+                        forged = replace(b, location=loc)
+                        assert cli.critical_point_residual(p, [forged]) > 1.0, (n, k, ratio, loc)
+        assert sets == 153
+
     def test_weighted_limits_are_checked_relative(self, tmp_path):
         # each limit against its own size: (6,3,-1) at alpha 1.7 has
         # alpha_k = 4.913, and its X limit is off by 4.55e-8, 9.3e-9 of it
@@ -429,8 +463,6 @@ class TestVerify:
     def test_barrier_reuses_local_solution(self, tmp_path, monkeypatch):
         # rho > 2 theta and n >= 2k: the barrier comparison takes the origin's
         # local solution from the run instead of solving it again
-        from ksol import picard
-
         calls = []
         solve = picard.picard_solve
         monkeypatch.setattr(
@@ -607,12 +639,12 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("command", ["classify", "verify"])
     @pytest.mark.parametrize("rho", ["100", "-1.99"])
-    def test_picard_overflow_is_reported(self, capsys, command, rho):
-        # the Picard tail of (33, 16) needs e^(-2k s_min) beyond the float range
+    def test_former_picard_overflow_sets_run(self, capsys, command, rho):
+        # the grid operator needed e^(-2k s_min) beyond the float range on
+        # (33, 16) here; the series solves them, and classify exits 0
         code = run_cli([command, "--n", "33", "--k", "16", "--rho", rho, "--theta", "1"])
-        err = capsys.readouterr().err
-        assert code in (1, 2)
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert code == 0 if command == "classify" else code in (0, 1)
+        assert capsys.readouterr().err == ""
 
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         from ksol import orbit

@@ -35,7 +35,11 @@ SLOW_PASSAGE = (
     "along x ~ gamma ~ x_B lasts of order theta/rho, beyond s_max, and its tail is "
     "Undetermined"
 )
-PICARD_OVERFLOW = "Picard overflow: e^(-2k s_min) exceeds the float range"
+WEAK_FOCUS = (
+    "B is a focus with Re(lambda) = -5e-3 (rho/theta 1e2) or -5e-5 (1e4): the first "
+    "loop around it takes Z down some 26 orders, and the run ends there on the axis "
+    "stop, converged_axis (TypeA), before any return to X = X_B"
+)
 DOUBLE_NODE = (
     "B is a node with the double eigenvalue -2: the funnel refuses the hand-off, "
     "and the orbit approaches B with no return to X = X_B"
@@ -51,7 +55,7 @@ KNOWN = {}
 for _n, _k in PAIRS:
     if _n == 2 * _k:
         KNOWN.update({(_n, _k, r): SLOW_PASSAGE for r in (1e-4, 1e-2)})
-KNOWN.update({(33, 16, r): PICARD_OVERFLOW for r in (-1.99, 1e2, 1e4)})
+KNOWN.update({(33, 16, r): WEAK_FOCUS for r in (1e2, 1e4)})
 
 
 def _case(n, k, ratio):
@@ -109,7 +113,8 @@ def test_steady_log_power_is_one_over_one_minus_m(n, k):
 
 
 def test_pins_name_corpus_cases():
-    # 0 wrong labels, 8 Undetermined and 3 errors at the last count
-    assert len(KNOWN) == 11
+    # 0 wrong labels, 8 Undetermined and 0 errors at the last count; the
+    # two weak foci read TypeA, in the table, off their axis stop
+    assert len(KNOWN) == 10
     assert set(KNOWN) <= {(n, k, r) for n, k in PAIRS for r in RATIOS}
     assert set(UNCERTIFIED_NODES) <= {(n, k, r) for n, k in PAIRS for r in RATIOS}

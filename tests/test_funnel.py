@@ -113,16 +113,17 @@ def test_jacobian_at_B_matches_central_differences(n, k, rho):
 def test_funnel_end_is_the_tail_and_the_hand_off(n, k, rho):
     p = phase.make_params(n, k, rho, 1.0)
     sol, tr, oc = orbit.run_orbit(p)
-    plain = orbit.integrate(sol, p, orbit.OrbitControls(s_max=sol.tail.s0 + 1.0))
+    plain = orbit.integrate(sol, p, orbit.OrbitControls(s_max=sol.s0 + 1.0))
     i = tr.tail_end_index
-    # the tail below s0 and the integrator's first sample, bit for bit
+    # the head below s0 and the integrator's first sample, bit for bit
     assert i == plain.tail_end_index == tr.s.size - 1
     for name in ("s", "X", "Z"):
         assert np.array_equal(getattr(tr, name), getattr(plain, name)[: i + 1]), name
-    assert tr.status == "certified_B" and tr.events == [(sol.tail.s0, "certified_B")]
+    assert tr.status == "certified_B" and tr.events == [(sol.s0, "certified_B")]
     assert tr.accepted_steps == 0 and tr.rhs_evals == 0
     cert = tr.certificate
-    assert (cert.X, cert.Z) == (tr.X[-1], tr.Z[-1]) and 0.0 <= cert.err < 1e-12 * cert.X
+    # err is relative: the box's half-width is below 1e-12 X (and 1e-12 Z)
+    assert (cert.X, cert.Z) == (tr.X[-1], tr.Z[-1]) and 0.0 <= cert.err < 1e-12
     assert oc.kind == orbit.TYPE_B
     assert oc.diagnostics["criterion"] == "funnel" and oc.diagnostics["margin"] == cert.margin > 1.0
 

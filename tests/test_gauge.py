@@ -16,7 +16,6 @@ CSUR 2018).
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,10 +63,9 @@ class TestSharedContinuation:
             if oc_1.X_inf is not None:
                 assert oc.X_inf == pytest.approx(oc_1.X_inf, rel=1e-10)
             if isinstance(trace.certificate, orbit.FunnelCertificate):
-                # ended on the anchor's hand-off, at the mapped s0; the own
-                # run's s0 is quantized by picard.THRESHOLD_STEP
+                # ended on the anchor's hand-off, at the mapped s0
                 d = picard.gauge(alpha, p) - picard.gauge(anchor, p)
-                assert trace.s[-1] == sol_a.tail.s0 - d
+                assert trace.s[-1] == sol_a.s0 - d
                 assert trace.end_state == (float(X_a), math.exp(W_a) / p.cb)
             else:
                 ds = abs(trace.s[-1] - trace_1.s[-1])
@@ -85,7 +83,8 @@ class TestSharedContinuation:
             oc_1 = orbit.classify_orbit(trace_1, p)
             [(sol, trace, oc)] = orbit.run_orbits(p, [alpha])
             _assert_same_trace(trace, trace_1)
-            assert oc == oc_1 and np.array_equal(sol.tail.X_samples, sol_1.tail.X_samples)
+            assert oc == oc_1
+            _assert_same_solution(sol, sol_1)
 
     def test_rows_are_cut_at_their_own_s_max(self):
         p = phase.make_params(4, 1, 0.0, 1.0)
@@ -147,10 +146,9 @@ class TestSharedContinuation:
 
 
 def _assert_same_solution(a, b):
-    """Every field of two LocalSolutions equal, the tail's arrays element
-    by element."""
-    _assert_same_trace(a.tail, b.tail)
-    assert replace(a, tail=None) == replace(b, tail=None)
+    """Every field of two LocalSolutions equal, the series' coefficients
+    element by element."""
+    _assert_same_trace(a, b)
 
 
 def _assert_same_trace(a, b):

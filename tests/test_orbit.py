@@ -161,23 +161,27 @@ class TestIntegratorEdges:
         assert oc.kind == orbit.UNDETERMINED
         assert oc.diagnostics["reason"] == "trace cut short (step_floor)"
 
-    def test_hand_off_where_c_nk_beta_k_z_underflows(self):
-        # (33,16) at rho = 10, theta = 1e-3: c_nk beta^k = 1.9e-51 and
-        # Z(s0) = 9.3e-297, whose product underflows to 0; the hand-off
-        # W0 is summed from logs, and below EXP_W_MIN the field's f-term
-        # and the samples' Z are too, so the run climbs out of the range
-        # where e^W underflows and collapses onto the axis at A: TypeA,
-        # as the table has it
+    def test_start_where_c_nk_beta_k_z_underflows(self):
+        # (33,16) at rho = 10, theta = 1e-3: c_nk beta^k = 1.9e-51. The
+        # hand-off has W = -170, but the series' point 19 units of s below
+        # it has W = -776 < EXP_W_MIN (Z = 4.0e-287 there, and its product
+        # with c_nk beta^k underflows to 0): W is summed from logs, and below
+        # EXP_W_MIN the field's f-term and the samples' Z are too, so the run
+        # climbs out of the range where e^W underflows and collapses onto
+        # the axis at A: TypeA, as the table has it
         p = phase.make_params(33, 16, 10.0, 1e-3)
         sol = picard.picard_solve(1.0, p)
-        _x0, w0 = sol.state_at_s0(p)
-        z0 = sol.tail.Z_samples[-1] * math.exp(2.0 * p.k * sol.tail.s0)
-        assert p.cb * z0 == 0.0 < z0
-        assert w0 == pytest.approx(math.log(p.cb) + math.log(z0), rel=1e-14)
-        assert w0 < _kernels.EXP_W_MIN
-        _sol, tr, oc = orbit.run_orbit(p)
-        assert (oc.kind, tr.status) == (orbit.TYPE_A, "converged_axis")
-        assert tr.Z[tr.tail_end_index] == pytest.approx(z0, rel=1e-10)
+        s = sol.s0 - 19.0
+        u = math.exp(2.0 * (s - sol.s0))
+        X, Z = sol.state(s)
+        w = math.log(p.cb) + sol.log_z0 + 2.0 * p.k * (s - sol.s0)
+        w += math.log(np.polynomial.polynomial.polyval(u, sol.z_coef))
+        assert p.cb * Z == 0.0 < Z and w < _kernels.EXP_W_MIN
+        assert w == pytest.approx(math.log(p.cb) + math.log(Z), rel=1e-14)
+        out = orbit._integrate_raw(float(X), w, s, p, orbit.OrbitControls())
+        tr = orbit.OrbitTrace(*out[:5], **out[5])
+        assert tr.status == "converged_axis" and orbit.classify_orbit(tr, p).kind == orbit.TYPE_A
+        assert tr.Z[0] == pytest.approx(Z, rel=1e-10)
 
     def test_generalized_b_abstention(self):
         # with convergence detection disabled the orbit keeps circling B;
@@ -381,7 +385,7 @@ class TestSteadyEnd:
         assert full.s[n - 1] < 32.0 < full.s[n]
         for a, b in ((tr.s, full.s), (tr.X, full.X), (tr.Z, full.Z)):
             assert np.array_equal(a[:n], b[:n])
-        assert tr.accepted_steps == 96 < full.accepted_steps == 264
+        assert tr.accepted_steps == 88 < full.accepted_steps == 256
 
     def test_kernel_resumes_bit_for_bit(self):
         # (4,1,-1) switches to Radau at s = 2.2: paused five times across the
@@ -599,7 +603,7 @@ class TestBarrier:
         ctl = orbit.OrbitControls()
         x0, w0 = sol.state_at_s0(p)
         out = _kernels.integrate_core(
-            float(x0), float(w0), float(sol.tail.s0), ctl.s_max, _kernels.pack_params(p),
+            float(x0), float(w0), float(sol.s0), ctl.s_max, _kernels.pack_params(p),
             ctl.rtol, ctl.step_floor, ctl.asym_tol, ctl.end_at_b, True,
             ctl.max_samples,
         )

@@ -57,6 +57,17 @@ class TestOriginExpansion:
         assert rep.dev_small < rep.dev_large or rep.dev_large < 1e-12
         assert rep.zx_ratio_err < 1e-5
 
+    @pytest.mark.parametrize("case", [(4, 1, 1.0), (12, 4, 2.0), (64, 8, 1.0)])
+    def test_forged_table_is_flagged(self, case, run):
+        # the readings fit the next orders of the expansion, and still see a
+        # Z moved by 1e-4 or a quadratic term moved by 2 %
+        p, _sol, tr, _oc = run(*case)
+        tab = profile.reconstruct_u(tr, p)
+        forged_z = replace(tab, Z=tab.Z * (1.0 + 1e-4))
+        assert profile.origin_expansion_check(forged_z, tab.alpha, p).zx_ratio_err > 1e-5
+        u = np.where(tab.r < 1.0, tab.alpha - 1.02 * (tab.alpha - tab.u), tab.u)
+        assert profile.origin_expansion_check(replace(tab, u=u), tab.alpha, p).rel_err > 1e-2
+
     def test_exponent_positive(self):
         for n, k in [(4, 1), (3, 2), (64, 32)]:
             p = phase.make_params(n, k, 0.0, 1.0)
@@ -247,6 +258,10 @@ class TestFlowSolutions:
         fs = profile.flow_solution(tab, p, t=0.0, T=1.0)
         radii = np.array([1e-3, 0.3, 1.0, 4.0])
         want = np.exp(np.interp(np.log(radii), tab.s_full, tab.ln_u_full))
+        # below the table's first radius the snapshot is u(0) (1e-3 lies
+        # there: the local series hands off at s0 = -0.10, and its head
+        # starts 6 units of s below)
+        want = np.where(radii < np.exp(tab.s_full[0]), tab.alpha, want)
         np.testing.assert_allclose(fs(radii), want, rtol=1e-12)
 
     def test_self_similarity(self, run):
