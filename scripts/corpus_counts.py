@@ -5,8 +5,10 @@ rho = ratio * theta and alpha 1, each set run once by ``orbit.run_orbit``.
 The script prints how many sets end in the regime table, how many outside
 it (wrong), how many are Undetermined and how many raise a KsolError; the
 integrator's accepted and rejected steps, rhs evaluations, Newton
-iterations and Newton failures summed over the corpus; and the wall time
-of the whole pass, on the pure-Python kernels unless numba is installed.
+iterations and Newton failures summed over the corpus (the integrated
+part of each run); how many runs handed over to the slow-manifold series;
+and the wall time of the whole pass, on the pure-Python kernels unless
+numba is installed.
 
     PYTHONPATH=src python3 scripts/corpus_counts.py
     PYTHONPATH=src python3 scripts/corpus_counts.py --theta 1e-3 --sets > sets.txt
@@ -40,6 +42,7 @@ def main(argv=None):
 
     tally = dict.fromkeys(("in_table", "wrong", "undetermined", "error"), 0)
     totals = dict.fromkeys(COUNTERS, 0)
+    handed_over = 0
     t0 = time.perf_counter()
     for n, k in PAIRS:
         for ratio in RATIOS:
@@ -53,6 +56,7 @@ def main(argv=None):
                 kind, status = oc.kind, trace.status
                 for name in COUNTERS:
                     totals[name] += getattr(trace, name)
+                handed_over += trace.hand_over is not None
                 if kind == orbit.UNDETERMINED:
                     tally["undetermined"] += 1
                 elif kind in orbit.expected_kinds(p):
@@ -67,6 +71,7 @@ def main(argv=None):
     print(f"theta {args.theta:g}: {len(PAIRS) * len(RATIOS)} sets, backend {backend}")
     print("  " + ", ".join(f"{name} {count}" for name, count in tally.items()))
     print("  " + ", ".join(f"{name} {count:,}" for name, count in totals.items()))
+    print(f"  handed over to the slow-manifold series: {handed_over}")
     print(f"  wall {wall:.1f} s")
 
 

@@ -58,6 +58,12 @@ the cubic Hermite between the step ends would miss SAMPLE_TOL in (X, W),
 Radau's at its collocation nodes, where the quintic's slope is the
 field's. So the steps are limited by accuracy, up to MAX_STEP.
 
+Hand-over: up the asymptote of an expander the run need not be integrated
+to its end. Given the slow-manifold series of ``manifold`` packed as floats
+(SM_* layout), the step loop ends the run ST_SERIES at the first accepted
+step past the series' least W whose end lies within rtol X of the series
+at its own W (``_on_series``), and the series gives the rest of the trace.
+
 Ends at B: where B attracts the run, its one end there is certified_B, at
 the first upward crossing of X = X_B where ``certifies_b`` proves
 convergence from that return and the one before (Bendixson-Dulac and
@@ -85,6 +91,14 @@ PP_XB_ROOT = 9  # x_B = (n+2k)/(2k)
 PP_BZ = 10  # Z_B where B attracts the run, else 0.0
 PP_SIZE = 11
 
+# the slow-manifold series the run hands over to (``manifold.SlowManifold``),
+# as ``pack_series`` packs it
+SM_W_MIN = 0
+SM_TERMS = 1
+SM_COEF = 2
+SM_MAX_TERMS = 24
+SM_SIZE = SM_COEF + SM_MAX_TERMS
+
 # terminal status codes
 ST_SMAX = 0
 ST_ASYMPTOTE = 1
@@ -94,6 +108,7 @@ ST_CERT_B = 5
 ST_STEP_FLOOR = 6
 ST_XB_STOP = 7
 ST_OVERFLOW = 8
+ST_SERIES = 9  # handed over to the slow-manifold series (``manifold``)
 
 # event codes logged along a trace
 EV_CROSS_XB = 1
@@ -169,6 +184,19 @@ def pack_params(p):
         float(p.x_B),
         float(p.Z_B) if p.b_attracts else 0.0,
     )
+
+
+def pack_series(W_min, coefficients):
+    """The slow-manifold series the kernels read, as a tuple of SM_SIZE
+    floats in the SM_* order: the least W of a hand-over, the number N of
+    ``coefficients`` (at most SM_MAX_TERMS), C_0 .. C_(N-1) and zeros; numba
+    types it as UniTuple(float64, SM_SIZE)."""
+    coef = [float(c) for c in coefficients]
+    return (float(W_min), float(len(coef)), *coef) + (0.0,) * (SM_MAX_TERMS - len(coef))
+
+
+# no series: no W reaches the least W of a hand-over
+NO_SERIES = pack_series(math.inf, ())
 
 
 @njit
@@ -1160,6 +1188,20 @@ def certifies_b(z1, z2, z_b, bound):
 
 
 @njit
+def _on_series(X, W, pp, rtol, series):
+    """Whether the state (X, W) lies within rtol X of the slow-manifold
+    series packed in ``series`` at its own W: with eps = e^(-W/k), the series
+    has x = gamma - eps sum_(j<N) C_j eps^j, and X = x^k."""
+    k = pp[PP_K]
+    eps = math.exp(-W / k)
+    c = 0.0
+    for j in range(int(series[SM_TERMS]) - 1, -1, -1):
+        c = c * eps + series[SM_COEF + j]
+    x = pp[PP_GAMMA] - eps * c
+    return x > 0.0 and abs(X - x**k) <= rtol * X
+
+
+@njit
 def integrate_core(
     X0,
     W0,
@@ -1172,6 +1214,7 @@ def integrate_core(
     end_at_b,
     stop_at_xb,
     max_samples,
+    series,
 ):
     """Adaptive integration of the phase-plane field in the log chart, with
     event detection: a run from (X0, W0) at s0 to its end, in one
@@ -1188,12 +1231,19 @@ def integrate_core(
     far. Where it holds, the run ends certified_B at the crossing; a run
     that no return certifies goes on to s_max.
 
-    Returns (s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status, cert, n_acc,
-    n_rej, n_rhs, n_newton, n_newton_fail, h_min, h_max, stiff_from_s): the
-    samples, with Z = e^W/(c_nk beta^k); the event arrays, which keep the
-    first EV_CAP of the n_ev events that fired; the status; the certificate
-    (s1, Z1, s2, Z2, bound) of the two returns of a certified_B end, NaNs
-    otherwise; then the accepted and rejected steps, the rhs evaluations,
+    Where ``series`` packs a slow-manifold series (SM_* layout; NO_SERIES
+    packs none), the run ends ST_SERIES at the first accepted step past the
+    series' least W whose end lies within rtol X of the series at its own W
+    (:func:`_on_series`): the series takes the rest of the run
+    (``manifold.SlowManifold.arc``).
+
+    Returns (s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status, cert, hand,
+    n_acc, n_rej, n_rhs, n_newton, n_newton_fail, h_min, h_max,
+    stiff_from_s): the samples, with Z = e^W/(c_nk beta^k); the event
+    arrays, which keep the first EV_CAP of the n_ev events that fired; the
+    status; the certificate (s1, Z1, s2, Z2, bound) of the two returns of a
+    certified_B end, NaNs otherwise; the state (s, X, W) of an ST_SERIES
+    end, NaNs otherwise; then the accepted and rejected steps, the rhs evaluations,
     the Newton iterations of all Radau attempts and the attempts on which
     Newton did not converge, the shortest and the longest accepted step and
     the s where Radau took over (NaN if it never did). The rhs evaluations
@@ -1205,7 +1255,8 @@ def integrate_core(
     """
     buffers, loop = start_run(X0, W0, s0, pp, max_samples)
     loop = advance(
-        buffers, loop, math.inf, s_max, pp, rtol, step_floor, asym_tol, end_at_b, stop_at_xb
+        buffers, loop, math.inf, s_max, pp, rtol, step_floor, asym_tol, end_at_b, stop_at_xb,
+        series,
     )
     return run_result(buffers, loop)
 
@@ -1246,9 +1297,12 @@ def start_run(X0, W0, s0, pp, max_samples):
 
 
 @njit
-def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_at_b, stop_at_xb):
-    """The run (buffers, loop) of :func:`start_run` continued to its end or
-    to a pause: the first accepted step that ends at or past s_pause. Steps
+def advance(
+    buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_at_b, stop_at_xb, series
+):
+    """The run (buffers, loop) of :func:`start_run` continued to its end, a
+    hand-over to the packed ``series`` (see :func:`integrate_core`), or a
+    pause: the first accepted step that ends at or past s_pause. Steps
     are clipped at s_max alone, so a run paused and resumed, with the loop
     state this returns, takes the steps of a run that never paused, bit for
     bit. Returns the loop state; at a pause short of s_max, the status of
@@ -1468,6 +1522,9 @@ def advance(buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_a
         m = _sample(s_out, x_out, z_out, m, s, X, W, cb, 0)
         if code != 0:
             break
+        if W >= series[SM_W_MIN] and s < s_max and _on_series(X, W, pp, rtol, series):
+            status = ST_SERIES
+            break
         if stiff:
             # the derivative at a Radau step's end, where the run goes on
             fX1, fW1 = rhs(X, W, pp)
@@ -1518,11 +1575,13 @@ def run_result(buffers, loop):
     state."""
     s_out, x_out, z_out, ev_s, ev_code = buffers
     (
-        _s, _X, _W, _fX, _fW, _h, _err_prev, _w_peak, status, _stiff, _n_limited, _h_last,
+        s, X, W, _fX, _fW, _h, _err_prev, _w_peak, status, _stiff, _n_limited, _h_last,
         stiff_from_s, _h_acc, _rejected, _newton_failed, _zero_start, _cx, _cw, n_acc, n_rej, n_rhs,
         n_newton, n_newton_fail, h_min, h_max, _s_up, _z_up, cert, m, n_ev,
     ) = loop
     n_kept = min(n_ev, EV_CAP)
+    nan = math.nan
+    hand = (s, X, W) if status == ST_SERIES else (nan, nan, nan)
     return (
         s_out[:m],
         x_out[:m],
@@ -1532,6 +1591,7 @@ def run_result(buffers, loop):
         n_ev,
         status,
         cert,
+        hand,
         n_acc,
         n_rej,
         n_rhs,

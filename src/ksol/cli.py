@@ -28,7 +28,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import orbit as orbit_mod
-from . import _jit, phase, picard, profile, sigma
+from . import _jit, manifold, phase, picard, profile, sigma
 from .errors import DomainError, KsolError, ParameterError
 
 # the kernel path of this process, named in the classify and verify reports
@@ -185,6 +185,13 @@ def _derived_dict(p):
     }
 
 
+def _hand_over_dict(hand):
+    """Where the run handed over to the slow-manifold series, or None."""
+    if hand is None:
+        return None
+    return {"s": hand.s, "terms": hand.terms, "distance": hand.distance, "omitted": hand.omitted}
+
+
 def cmd_classify(args):
     cfg = _resolve(args)
     p = _params(cfg)
@@ -225,6 +232,7 @@ def cmd_classify(args):
             "h_max": trace.h_max,
             "stiff_from_s": None if math.isnan(trace.stiff_from_s) else trace.stiff_from_s,
             "events_dropped": trace.events_dropped,
+            "hand_over": _hand_over_dict(trace.hand_over),
         },
     }
     if table is not None:
@@ -362,7 +370,7 @@ def cmd_profile(args):
 def critical_point_residual(p, points):
     """The largest |F| or |G| at the critical points ``points`` in units of
     its rounding estimate: eps times the terms summed, for F times the
-    profile's condition in gamma - x (``orbit._f_condition``) plus k for the
+    profile's condition in gamma - x (``phase.profile_condition``) plus k for the
     location's rounding (X_B = x_B^k), for G 8 times. A-chart points sit at
     that chart's origin; the degenerate line of n = 2k is read at 7 points.
     """
@@ -380,7 +388,7 @@ def critical_point_residual(p, points):
                 continue
             x = phase.kth_root(X, p.k)
             terms = (p.n - 2.0 * p.k) * abs(1.0 - x / p.x_A) * X + abs(Z * phase.profile_value(x, q))
-            round_F = eps * (orbit_mod._f_condition(x, q) + p.k) * terms
+            round_F = eps * (phase.profile_condition(x, q) + p.k) * terms
             round_G = eps * 8.0 * 2.0 * p.k * abs(Z)
             worst = max(worst, abs(F) / round_F, abs(G) / round_G)
     return float(worst)
@@ -472,6 +480,9 @@ def cmd_verify(args):
     mon = orbit_mod.monitor_report(trace, p)
     for name, count in mon.items():
         record(f"monitor_{name}", float(count), 0.0, ok=count == 0)
+    if trace.hand_over is not None:
+        # the series' arc against the field, in units of its error estimate
+        record("slow_manifold_defect", manifold.defect(trace, p), 1.0)
 
     if table is not None:
         x_back = (-table.r * table.u_r / table.u) ** p.k

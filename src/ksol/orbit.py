@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels, phase, picard
+from . import _kernels, manifold, phase, picard
 from .errors import DomainError, KsolError, NotApplicableError
 
 TYPE_GAMMA = "TypeGamma"
@@ -101,9 +101,11 @@ class OrbitTrace:
     Samples are strictly increasing in s: the local series' head below s0, then the
     ends of the integrator's steps and, between them, interior points of
     each step's dense output (DOP853's continuous extension, Radau's
-    collocation cubic), enough that the cubic Hermite between consecutive
+    collocation quintic), enough that the cubic Hermite between consecutive
     samples keeps ``_kernels.SAMPLE_TOL`` in (X, ln Z), the integrator's
-    chart up to a constant in ln Z. Each crossing of X_B is a sample too. Z is read off
+    chart up to a constant in ln Z; past a hand-over to the slow-manifold
+    series (``hand_over``), the series' own samples, spaced to the same
+    tolerance. Each crossing of X_B is a sample too. Z is read off
     the integrated W = ln(c_nk beta^k Z) as e^W/(c_nk beta^k). In the WV
     chart the rows hold (sigma, W-, V-) for the reversed A-chart flow
     (sigma = -s).
@@ -143,6 +145,10 @@ class OrbitTrace:
     # the row's frame, where its log power converged, or None; () where the
     # run has no steady end
     steady_ends: tuple = ()
+    # where the run handed over to the slow-manifold series, the
+    # ``manifold.HandOver``: the samples past its s are the series' arc;
+    # None where the integrator ran to the end
+    hand_over: manifold.HandOver | None = None
 
     @property
     def end_state(self):
@@ -193,13 +199,16 @@ class OrbitClass:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _integrate_raw(x0, w0, s0, p, controls, shifts=(), stop_at_xb=False):
+def _integrate_raw(x0, w0, s0, p, controls, shifts=(), stop_at_xb=False, series=None):
     """One run of the kernel in the chart of ``p`` from (X, W) = (x0, w0) at
     s0, with W = ln(c_nk beta^k Z) (-inf on the axis Z = 0); an A-chart run,
     or any run with ``stop_at_xb``, ends at its first crossing of X_B. Given
     ``shifts``, the frames s + shift of the rows that the run serves, it is
     a steady arc, which ends where every row's log power has converged
-    (:func:`_steady_run`)."""
+    (:func:`_steady_run`). Given the ``manifold.SlowManifold`` ``series``,
+    the kernel hands the run over to it, and the series' arc
+    (``SlowManifold.arc``) ends the trace at the asymptote event or at
+    s_max."""
     # for n < 2k the region boundary X = x_cap is crossed in finite s (X_s > 0
     # there): the run must end at the exit, not at an asymptote tolerance
     asym_tol = controls.asym_tol if p.n >= 2 * p.k else -1.0
@@ -218,13 +227,28 @@ def _integrate_raw(x0, w0, s0, p, controls, shifts=(), stop_at_xb=False):
     if shifts:
         out, ends = _steady_run(start, p, controls, args, shifts)
     else:
-        out = _kernels.integrate_core(*start, controls.s_max, *args, controls.max_samples)
-    s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status, cert = out[:8]
-    n_acc, n_rej, n_rhs, n_newton, n_newton_fail, h_min, h_max, stiff_s = out[8:]
+        packed = _kernels.NO_SERIES if series is None else series.packed()
+        out = _kernels.integrate_core(*start, controls.s_max, *args, controls.max_samples, packed)
+    s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status, cert, hand = out[:9]
+    n_acc, n_rej, n_rhs, n_newton, n_newton_fail, h_min, h_max, stiff_s = out[9:]
     events = [(float(se), _EVENT_NAMES[int(ce)]) for se, ce in zip(ev_s, ev_code)]
+    dropped = int(n_ev) - len(events)
+    hand_over = None
+    if status == _kernels.ST_SERIES:
+        hand_over = series.hand_over(*hand, controls.rtol)
+        s_a, x_a, z_a, at_event = series.arc(hand_over, controls.s_max, controls.asym_tol)
+        s_arr = np.concatenate((s_arr, s_a))
+        x_arr = np.concatenate((x_arr, x_a))
+        z_arr = np.concatenate((z_arr, z_a))
+        status = _kernels.ST_ASYMPTOTE if at_event else _kernels.ST_SMAX
+        if at_event:
+            if not s_a.size:
+                # the event at the hand-over itself, clipped as the kernel clips it
+                x_arr[-1] = (p.gamma - controls.asym_tol * p.gamma) ** p.k
+            events.append((float(s_arr[-1]), _EVENT_NAMES[_kernels.EV_ASYMPTOTE]))
     status = STEADY_END if ends and None not in ends else _STATUS_NAMES[int(status)]
     fields = {
-        "events_dropped": int(n_ev) - len(events),
+        "events_dropped": dropped,
         "accepted_steps": int(n_acc),
         "rejected_steps": int(n_rej),
         "rhs_evals": int(n_rhs),
@@ -236,6 +260,7 @@ def _integrate_raw(x0, w0, s0, p, controls, shifts=(), stop_at_xb=False):
         "rtol": controls.rtol,
         "certificate": tuple(map(float, cert)) if status == "certified_B" else None,
         "steady_ends": tuple(ends),
+        "hand_over": hand_over,
     }
     return s_arr, x_arr, z_arr, events, status, fields
 
@@ -262,7 +287,7 @@ def _steady_run(start, p, controls, args, shifts):
         due = [S - d for S, d, end in zip(octave, shifts, ends) if end is None and S <= s_max]
         if not due:
             break
-        loop = _kernels.advance(buffers, loop, min(due), s_max, *args)
+        loop = _kernels.advance(buffers, loop, min(due), s_max, *args, _kernels.NO_SERIES)
         out = _kernels.run_result(buffers, loop)
         s_arr, x_arr, z_arr, status = out[0], out[1], out[2], out[6]
         s = s_arr[-1]  # the step end, the last sample
@@ -279,7 +304,7 @@ def _steady_run(start, p, controls, args, shifts):
                 else:
                     older[i], octave[i] = newer, 2.0 * S
     if None in ends and status == _kernels.ST_SMAX:
-        loop = _kernels.advance(buffers, loop, math.inf, s_max, *args)
+        loop = _kernels.advance(buffers, loop, math.inf, s_max, *args, _kernels.NO_SERIES)
     return _kernels.run_result(buffers, loop), ends
 
 
@@ -321,15 +346,22 @@ def integrate(start, p, controls=None, shifts=(0.0,), stop_at_xb=False):
     (:func:`_steady_run`), at the first step end past the last row's octave
     end, with status STEADY_END; ``shifts`` are the rows' frames s + shift,
     and ``steady_ends`` gives each row's octave end. Unless every row
-    converges, the run goes on to s_max.
+    converges, the run goes on to s_max. At rho < 0 and n > 2k, with the
+    asymptote event on, the kernel hands the run over to the slow-manifold
+    series (``manifold.slow_manifold``) where the state meets it within
+    rtol, and the series' arc takes the trace to the asymptote event or to
+    s_max; ``hand_over`` says where.
     """
     controls = controls or OrbitControls()
     trap = asymptote_trap(start, p) if start.chart == "XZ" else None
     steady = trap is not None and p.rho == 0.0 and controls.asym_tol > 0.0
+    series = None
+    if trap is not None and p.rho < 0.0 and p.n > 2 * p.k and controls.asym_tol > 0.0:
+        series = manifold.slow_manifold(p, controls.rtol)
     x0, w0 = start.state_at_s0(p)
     s_arr, x_arr, z_arr, events, status, fields = _integrate_raw(
         x0, w0, start.s0, p.in_chart(start.chart), controls, tuple(shifts) if steady else (),
-        stop_at_xb,
+        stop_at_xb, series,
     )
     if trap is not None:
         fields["certificate"] = trap
@@ -607,7 +639,7 @@ def trap_certificate(X, Z, err, p):
     if not (p.rho <= 0.0 and p.n >= 2 * p.k and X1 > 0.0 and Z1 > 0.0 and x1 < p.gamma):
         return None
     F, _G = phase.vector_field(X1, Z1, p)
-    round_F = _f_condition(x1, p) * ((p.n - 2.0 * p.k) * X1 + abs(F))
+    round_F = phase.profile_condition(x1, p) * ((p.n - 2.0 * p.k) * X1 + abs(F))
     # gamma^k is a k-fold product, then the sum
     round_gap = (p.k + 2.0) * p.gamma_k
     margin = min(F / round_F, gap / round_gap) / (FUNNEL_SAFETY * _EPS)
@@ -651,7 +683,7 @@ def funnel_certificate(X, Z, err, p):
     Zs = np.concatenate([zl + t * dz, Z * (1.0 + err * np.array([1.0, -1.0, 1.0, -1.0]))])
     F, G = phase.vector_field(Xs, Zs, p)
     H = sigma * F[:-4] - G[:-4]
-    cond = _f_condition(phase.kth_root(Xs, k), p)
+    cond = phase.profile_condition(phase.kth_root(Xs, k), p)
     # both terms of F are at most (n-2k) X + |F|; those of G at most 2k Z
     round_F = cond * (n2k * Xs + np.abs(F))
     round_G = 8.0 * 2.0 * k * Zs[:-4] + np.abs(G[:-4])
@@ -665,7 +697,7 @@ def funnel_certificate(X, Z, err, p):
     dH = sigma * dF - (J[1, 0] * dx + J[1, 1] * dz)
     # dF/dX = (2k - n) + m (k+1) x + Z f'(x) x/(kX): its three terms
     f_x = np.abs(n2k) + m * (k + 1) * x + np.abs(J[0, 0] + n2k - m * (k + 1) * x)
-    round_dF = _f_condition(x, p) * (f_x * dx + J[0, 1] * dz)
+    round_dF = phase.profile_condition(x, p) * (f_x * dx + J[0, 1] * dz)
     round_dG = 8.0 * (np.abs(J[1, 0]) * dx + (2.0 * k + (1.0 - m) * k * x) * dz)
     round_dH = sigma * round_dF + round_dG + sigma * np.abs(dF) + np.abs(dH)
     margin = float(
@@ -679,14 +711,6 @@ def funnel_certificate(X, Z, err, p):
     if not margin > 1.0:
         return None
     return FunnelCertificate(X, Z, err, margin)
-
-
-def _f_condition(x, p):
-    """The relative rounding error of the profile f(x) in units of eps: its
-    k-fold power of g = (gamma - x)/q carries the cancellation of
-    gamma - x, (gamma + x)/(gamma - x) per factor; the root, the quotients
-    and the products around it add a few more."""
-    return (p.k + 1.0) * (p.gamma + x) / np.abs(p.gamma - x) + 8.0
 
 
 def _hand_off_trace(sol, p, cert):
@@ -724,12 +748,17 @@ def _shifted_trace(shared, sol, shift, ends_early, s_max, p, end=None):
     if status == "certified_B":
         s1, z1, s2, z2, bound = certificate
         certificate = (s1 + shift, z1, s2 + shift, z2, bound)
+    hand_over = shared.hand_over
+    if hand_over is not None:
+        hand_over = hand_over._replace(s=hand_over.s + shift)
     cut = end if end is not None else s_max if ends_early and s[-1] > s_max else None
     if cut is not None:
         s, X, Z = _cut_at(s, X, Z, cut, p)
         events = [(se, name) for se, name in events if se <= cut]
         if status == "certified_B":
             certificate = None
+        if hand_over is not None and not hand_over.s < cut:
+            hand_over = None
         status = "s_max"
         if end is not None:
             events.append((end, STEADY_END))
@@ -746,6 +775,7 @@ def _shifted_trace(shared, sol, shift, ends_early, s_max, p, end=None):
         stiff_from_s=shared.stiff_from_s + shift,
         certificate=certificate,
         steady_ends=(end,) if shared.steady_ends else (),
+        hand_over=hand_over,
     )
 
 

@@ -218,6 +218,14 @@ def profile_slope(x, p):
     return p.cb * p.k * g ** (p.k - 1) * (((p.k - 1) / (p.n + 2 * p.k)) * g + p.num_b)
 
 
+def profile_condition(x, p):
+    """The relative rounding error of the profile f(x) in units of eps: its
+    k-fold power of g = (gamma - x)/q carries the cancellation of
+    gamma - x, (gamma + x)/(gamma - x) per factor; the root, the quotients
+    and the products around it add a few more. Floats or arrays."""
+    return (p.k + 1.0) * (p.gamma + x) / np.abs(p.gamma - x) + 8.0
+
+
 def vector_field(X, Z, p):
     """(X_s, Z_s) with the chart's profile: the origin field with f, or with
     h the reversed A-chart field; floats or arrays, no domain check. The

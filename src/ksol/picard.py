@@ -164,6 +164,29 @@ def _head_offsets(k):
     return np.linspace(-WINDOW_FACTOR / (2.0 * k), 0.0, GRID_POINTS)[:-1]
 
 
+def product(a, b):
+    """The order-j coefficient sum_i a_i b_(j-i) of the product of two
+    series, a and b holding their orders 0 .. j."""
+    return sum(map(mul, a, reversed(b)))
+
+
+def quotient(num_j, den, quo):
+    """The order-j coefficient of quo = num/den, (num_j - sum_(i<j) quo_i
+    den_(j-i)) / den_0, with num_j num's, den holding orders 0 .. j and quo
+    orders 0 .. j-1."""
+    return (num_j - sum(map(mul, quo, reversed(den[1:])))) / den[0]
+
+
+def power(base, pw, e):
+    """The order-j coefficient (j >= 1) of pw = base^e, e an integer,
+    base_0 != 0, base holding orders 0 .. j and pw orders 0 .. j-1:
+    j base_0 pw_j = sum_(i<j) (e (j - i) - i) base_(j-i) pw_i, from
+    pw' base = e base' pw."""
+    j = len(pw)
+    weights = range(e * j, -j, -e - 1)
+    return sum(map(mul, map(mul, weights, reversed(base[1:])), pw)) / (j * base[0])
+
+
 def _coefficients(p, order):
     """(y, b, ey, eb) at alpha_k = 1: y[j] = a_(j+1) for j < order, b[j]
     for j <= order, and estimates ey, eb of their rounding.
@@ -188,15 +211,15 @@ def _coefficients(p, order):
     w = [p.num_a ** (k - 1)]
     nw = [p.num_a * w[0]]
     for j in range(1, order + 1):
-        b.append(-(k / (j * p.x_B)) * sum(map(mul, y, reversed(b))))
+        b.append(-(k / (j * p.x_B)) * product(y, b))
         if j == order:
             break
-        m.append(-sum(map(mul, y, reversed(y))) / p.x_A)
+        m.append(-product(y, y) / p.x_A)
         num.append(p.num_b * y[j - 1])
-        v.append(num[j] - sum(map(mul, v, reversed(m[1:]))))
-        w.append(sum(((k - 1.0) * (j - i) - i) * v[j - i] * w[i] for i in range(j)) / (j * v[0]))
-        nw.append(sum(map(mul, num, reversed(w))))
-        y.append((c_m * m[j] + c_p * sum(map(mul, b, reversed(nw)))) / (2.0 * j + n))
+        v.append(quotient(num[j], m, v))
+        w.append(power(v, w, k - 1))
+        nw.append(product(num, w))
+        y.append((c_m * m[j] + c_p * product(b, nw)) / (2.0 * j + n))
         dw = -(k - 1.0) * w[0] * y[j]
         m[j] += y[j]
         v[j] -= v[0] * y[j]

@@ -28,7 +28,10 @@ class ProfileTable:
     ``s_full``, ``x_full`` and ``ln_u_full`` cover the whole admissible
     trace (log space, no underflow filtering), and so do ``X_full`` and
     ``Z_full``, the trace's own samples there. ``x_full`` is x = X^(1/k) =
-    -d ln u/ds, from which ``tail_rate`` reads the decay.
+    -d ln u/ds, from which ``tail_rate`` reads the decay. ``origin_fit``
+    holds the coefficients of u as a polynomial in (r/r[0])^2 near the
+    table's start (:func:`_origin_fit`): the origin expansion, with
+    ``alpha`` = u(0) its constant.
     """
 
     r: np.ndarray
@@ -47,6 +50,7 @@ class ProfileTable:
     excluded_unrepresentable: int = 0
     X_full: np.ndarray | None = None
     Z_full: np.ndarray | None = None
+    origin_fit: np.ndarray | None = None
 
 
 def reconstruct_u(trace, p):
@@ -77,13 +81,13 @@ def reconstruct_u(trace, p):
     x_slope = F / (k * Xr ** ((k - 1.0) / k))
     u_rr = -(u / r**2) * (x_slope - xr - xr**2)
 
-    alpha = float(_origin_fit(sr, u, k)[0])
+    fit = _origin_fit(sr, u, k)
     return ProfileTable(
         r=r,
         u=u,
         u_r=u_r,
         u_rr=u_rr,
-        alpha=alpha,
+        alpha=float(fit[0]),
         params=p,
         X=Xr,
         Z=Zr,
@@ -95,6 +99,7 @@ def reconstruct_u(trace, p):
         excluded_unrepresentable=n_rep,
         X_full=X,
         Z_full=Z,
+        origin_fit=fit,
     )
 
 
@@ -416,7 +421,10 @@ def potential_identity_residual(table, p):
 
 @dataclass(frozen=True)
 class FlowSolution:
-    """Evaluator for the self-similar flow snapshot at one time t."""
+    """Evaluator for the self-similar flow snapshot at one time t. Past the
+    table's first radius r0 the profile is read off the table in log space;
+    below it, off the origin expansion, the table's ``origin_fit`` in
+    (r/r0)^2, which meets the table at r0 and is u(0) at r = 0."""
 
     kind: str  # shrinker / expander / steady
     amplitude: float
@@ -432,9 +440,11 @@ class FlowSolution:
         ln_eta = np.where(eta > 0.0, np.log(np.maximum(eta, 1e-300)), s_full[0])
         ln_eta = np.maximum(ln_eta, s_full[0])
         vals = np.exp(np.interp(ln_eta, s_full, ln_u))
-        small = eta < np.exp(s_full[0])
+        r0 = math.exp(self.table.s[0])
+        small = eta < r0
         if np.any(small):
-            vals = np.where(small, self.table.alpha, vals)
+            t = (np.minimum(eta, r0) / r0) ** 2
+            vals = np.where(small, np.polynomial.polynomial.polyval(t, self.table.origin_fit), vals)
         return self.amplitude * vals
 
 

@@ -330,6 +330,36 @@ class TestPortrait:
             assert float(r["X"]) == pytest.approx(p.X_A)
 
 
+class TestHandOverReport:
+    def test_classify_reports_the_hand_over(self, tmp_path):
+        # the solver block carries where the run handed over to the
+        # slow-manifold series: an expander's, and none on a shrinker
+        docs = []
+        for rho in ("-1", "1"):
+            out = tmp_path / f"c{rho}.json"
+            assert run_cli(["classify", "--n", "4", "--k", "1", "--rho", rho, "--theta", "1",
+                            "--out", str(out)]) == 0
+            docs.append(json.loads(out.read_text()))
+        hand = docs[0]["solver"]["hand_over"]
+        assert set(hand) == {"s", "terms", "distance", "omitted"}
+        assert hand["distance"] <= 1e-10 and hand["omitted"] <= picard.HAND_OFF_TOL * 1e-10
+        assert docs[0]["solver"]["newton_iterations"] == 0
+        assert docs[1]["solver"]["hand_over"] is None
+
+    def test_verify_checks_the_series_arc(self, tmp_path):
+        # slow_manifold_defect reads the series' arc against the field in
+        # units of its error estimate, on expanders only
+        checks = []
+        for rho in ("-1", "1"):
+            out = tmp_path / f"v{rho}.json"
+            assert run_cli(["verify", "--n", "4", "--k", "1", "--rho", rho, "--theta", "1",
+                            "--out", str(out)]) == 0
+            checks.append(json.loads(out.read_text())["checks"])
+        defect = checks[0]["slow_manifold_defect"]
+        assert defect["pass"] and defect["threshold"] == 1.0 and 0.0 < defect["value"] < 1.0
+        assert "slow_manifold_defect" not in checks[1]
+
+
 class TestVerify:
     def test_three_regimes_pass(self, tmp_path):
         for rho in ("-1", "0", "1"):

@@ -55,7 +55,7 @@ STEP_KERNELS = (
     "_dop853_step", "_dop853_error", "_dop853_dense", "_extension", "_sample_count",
     "_radau_step", "_radau_safety", "_predict_factor", "_rms", "_collocation",
     "_quintic_miss", "_quintic_slope", "_hermite_coeffs", "_dense", "_event_value", "_bisect_event",
-    "_sample", "_interior", "_collocation_interior", "_log_event", "certifies_b",
+    "_sample", "_interior", "_collocation_interior", "_log_event", "certifies_b", "_on_series",
 )
 # the @njit kernels the step loop does not reach: the loop itself, the run
 # that calls it, the run's start and its result
@@ -123,18 +123,38 @@ def test_fallback_kernels_compute_on_python_floats(n, k, monkeypatch):
     assert seen == []
 
 
+@pytest.mark.skipif(_jit.JIT_ENABLED, reason="the compiled kernels return numba's own types")
+def test_series_kernel_computes_on_python_floats(monkeypatch):
+    # an expander's run carries the packed slow-manifold series into the
+    # step loop, and hands over to it: its floats stay Python floats
+    seen, calls = [], []
+    on_series = _kernels._on_series
+
+    def spy(*args):
+        out = on_series(*args)
+        calls.append(out)
+        seen.extend(_non_floats(args))
+        return out
+
+    monkeypatch.setattr(_kernels, "_on_series", spy)
+    _sol, trace, _oc = orbit.run_orbit(phase.make_params(5, 2, -1.0, 1.0), 1.0)
+    assert trace.hand_over is not None and calls[-1] is True
+    assert seen == []
+
+
 def test_integrate_core_arity():
     # orbit.py unpacks the result by position, on either path: the samples,
-    # the events, the status, the certificate, the step, rhs and Newton
-    # counts, h_min, h_max and stiff_from_s
+    # the events, the status, the certificate, the hand-over state, the
+    # step, rhs and Newton counts, h_min, h_max and stiff_from_s
     p = phase.make_params(4, 1, -1.0, 1.0)
     ctl = orbit.OrbitControls(s_max=1.0)
     out = _kernels.integrate_core(
         0.1, 0.0, 0.0, ctl.s_max, _kernels.pack_params(p), ctl.rtol, ctl.step_floor,
-        ctl.asym_tol, ctl.end_at_b, False, ctl.max_samples,
+        ctl.asym_tol, ctl.end_at_b, False, ctl.max_samples, _kernels.NO_SERIES,
     )
-    assert len(out) == 16
+    assert len(out) == 17
     assert len(out[7]) == 5 and all(math.isnan(v) for v in out[7])
+    assert len(out[8]) == 3 and all(math.isnan(v) for v in out[8])
     n_acc, n_rej, n_rhs, n_newton, n_newton_fail, h_min, h_max, stiff_from_s = out[-8:]
     assert all(isinstance(v, int) for v in (n_acc, n_rej, n_rhs, n_newton, n_newton_fail))
     assert all(isinstance(v, float) for v in (h_min, h_max, stiff_from_s))

@@ -394,10 +394,11 @@ class TestSteadyEnd:
         ctl = orbit.OrbitControls()
         args = (_kernels.pack_params(p), ctl.rtol, ctl.step_floor, ctl.asym_tol, True, False)
         start = (0.1, 0.0, 0.0)
-        whole = _kernels.integrate_core(*start, ctl.s_max, *args, ctl.max_samples)
+        series = _kernels.NO_SERIES
+        whole = _kernels.integrate_core(*start, ctl.s_max, *args, ctl.max_samples, series)
         buffers, loop = _kernels.start_run(*start, args[0], ctl.max_samples)
         for s_pause in (0.5, 1.0, 2.0, 2.5, 4.0, math.inf):
-            loop = _kernels.advance(buffers, loop, s_pause, ctl.s_max, *args)
+            loop = _kernels.advance(buffers, loop, s_pause, ctl.s_max, *args, series)
             assert _kernels.run_result(buffers, loop)[0][-1] >= min(s_pause, whole[0][-1])
         paused = _kernels.run_result(buffers, loop)
         assert paused[6] == whole[6] == _kernels.ST_ASYMPTOTE
@@ -605,7 +606,7 @@ class TestBarrier:
         out = _kernels.integrate_core(
             float(x0), float(w0), float(sol.s0), ctl.s_max, _kernels.pack_params(p),
             ctl.rtol, ctl.step_floor, ctl.asym_tol, ctl.end_at_b, True,
-            ctl.max_samples,
+            ctl.max_samples, _kernels.NO_SERIES,
         )
         assert out[6] == _kernels.ST_XB_STOP
         i0 = tr.tail_end_index

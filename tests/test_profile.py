@@ -258,11 +258,30 @@ class TestFlowSolutions:
         fs = profile.flow_solution(tab, p, t=0.0, T=1.0)
         radii = np.array([1e-3, 0.3, 1.0, 4.0])
         want = np.exp(np.interp(np.log(radii), tab.s_full, tab.ln_u_full))
-        # below the table's first radius the snapshot is u(0) (1e-3 lies
-        # there: the local series hands off at s0 = -0.10, and its head
-        # starts 6 units of s below)
-        want = np.where(radii < np.exp(tab.s_full[0]), tab.alpha, want)
+        # below the table's first radius r0 the snapshot is the origin
+        # expansion, the table's polynomial in (r/r0)^2 (1e-3 lies there:
+        # the local series hands off at s0 = -0.10, and its head starts 6
+        # units of s below)
+        r0 = np.exp(tab.s[0])
+        expansion = np.polynomial.polynomial.polyval((radii / r0) ** 2, tab.origin_fit)
+        want = np.where(radii < r0, expansion, want)
         np.testing.assert_allclose(fs(radii), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("n,k,rho", [(4, 1, 1.0), (12, 4, 2.0), (64, 8, 1.0)])
+    def test_continuous_at_the_table_start(self, n, k, rho, run):
+        # u(0) alone below the table jumped by 2.5e-6 relative at r = 1e-3
+        # on (4,1,1); the origin expansion meets the table at its first
+        # radius, and lies between it and u(0) below
+        p, _sol, tr, _oc = run(n, k, rho)
+        tab = profile.reconstruct_u(tr, p)
+        fs = profile.flow_solution(tab, p, t=0.0, T=1.0)
+        r0 = math.exp(tab.s[0])
+        below, at = fs(np.array([r0 * (1.0 - 1e-12), r0]))
+        assert abs(below - at) <= 1e-10 * at
+        assert at == pytest.approx(tab.u[0], rel=1e-10)
+        inner = fs(np.geomspace(1e-3 * r0, r0, 7))
+        assert np.all(np.diff(inner) < 0.0) and tab.alpha > inner[0] > inner[-1]
+        assert fs(np.array([0.0]))[0] == tab.alpha
 
     def test_self_similarity(self, run):
         p, _sol, tr, _oc = run(4, 1, 1.0)

@@ -12,13 +12,19 @@ import re
 import numpy as np
 import pytest
 
-from ksol import _jit, _kernels, orbit, phase
+from ksol import _jit, _kernels, orbit, phase, picard
 
 # with their accepted steps at alpha 1: their DOP853 arcs end while the
 # step shrinks with h rho(J) above STIFF_HRHO_SHRINK, below the step cap,
 # after 80, 94 and 51 steps, and Radau takes 28, 27 and 45 steps after it,
-# the last up to the steady end at s = 32
+# the last up to the steady end at s = 32. The expanders' steps are those of
+# the kernel's run up to the asymptote event (``integrated``), which
+# ``orbit.integrate`` hands over to the slow-manifold series before the
+# switch (see EXPANDER_HAND_OVERS)
 STIFF_SETS = [(4, 1, -1.0, 100), (5, 2, -1.0, 113), (4, 1, 0.0, 88)]
+# the expanders of STIFF_SETS as the pipeline runs them: the accepted steps
+# up to the hand-over to the series, and its s
+EXPANDER_HAND_OVERS = [(4, 1, -1.0, 69, 2.191), (5, 2, -1.0, 75, 2.478)]
 NON_STIFF_SETS = [(4, 1, 1.0), (4, 1, 5.0), (4, 2, 1.0), (3, 2, 3.0), (5, 2, 1.0), (3, 2, 1.0)]
 # the spirals into B whose arc past the Poincare-return certificate a test
 # reads: the controls that run them with the ends at B off, up to about
@@ -45,6 +51,32 @@ BENCH_SETS = (
     + [(n, k, rho, 1.0) for n, k, rho in NON_STIFF_SETS + [(4, 2, -1.0)]]
     + [(4, 1, 1.0, theta) for theta in (1e-6, 1e3, 1e6)]
 )
+
+
+@pytest.fixture(scope="module")
+def integrated(run):
+    """(n, k, rho) -> (p, trace): the Picard hand-off at alpha 1 run by the
+    kernel alone, with no slow-manifold series to hand over to, to the end
+    of an ``orbit.OrbitControls()`` run. Up the asymptote of an expander this
+    is the Radau arc that ``orbit.integrate`` leaves to the series, step for
+    step. The trace has no head below s0 and no certificate."""
+    cache = {}
+
+    def _integrated(n, k, rho):
+        if (n, k, rho) not in cache:
+            p, sol, _tr, _oc = run(n, k, rho)
+            x0, w0 = sol.state_at_s0(p)
+            out = orbit._integrate_raw(x0, w0, sol.s0, p, orbit.OrbitControls())
+            cache[n, k, rho] = (p, orbit.OrbitTrace(*out[:5], **out[5]))
+        return cache[n, k, rho]
+
+    return _integrated
+
+
+def _stiff_run(n, k, rho, run, integrated):
+    """The trace that a STIFF_SETS pin reads: the kernel's own run for an
+    expander (``integrated``), the pipeline's for the steady set."""
+    return integrated(n, k, rho)[1] if rho < 0.0 else run(n, k, rho)[2]
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (7, 3), (12, 4)])
@@ -464,7 +496,7 @@ class TestRadauStep:
         assert errs[1] > 1e-12
         assert errs[0] / errs[1] >= 300.0
 
-    def test_keeps_its_order_on_the_stiff_arc(self, run):
+    def test_keeps_its_order_on_the_stiff_arc(self, integrated):
         # 50 fixed steps of h = 0.054 along the expander's stiff arc from its
         # first sample with h rho(J) >= 23 (s = 4.86), against DOP853 at
         # h = 1.35e-4, below its stability limit: RODAS4, of stage order 1,
@@ -472,8 +504,9 @@ class TestRadauStep:
         # in X and in ln Z (0 and 1.3e-13: X ends on DOP853's double; from
         # s = 4.83 4.4e-14 in X, 6.5e-14 at three stages). From the switch
         # (s = 2.24, h rho(J) = 1.8) the same steps end 2.1e-15 off in X
-        # (1.0e-11 at three)
-        p, _sol, tr, _oc = run(4, 1, -1.0)
+        # (1.0e-11 at three). The arc is the kernel's, run without the
+        # slow-manifold series
+        p, tr = integrated(4, 1, -1.0)
         pp = _kernels.pack_params(p)
         W = np.log(p.cb * tr.Z)
         h_rho = [
@@ -542,8 +575,8 @@ class TestStiffSwitch:
     @pytest.mark.parametrize(
         "n,k,rho,steps", STIFF_SETS, ids=[f"{n}-{k}-{rho}" for n, k, rho, _ in STIFF_SETS]
     )
-    def test_stiff_sets_switch(self, n, k, rho, steps, run):
-        _p, _sol, tr, _oc = run(n, k, rho)
+    def test_stiff_sets_switch(self, n, k, rho, steps, run, integrated):
+        tr = _stiff_run(n, k, rho, run, integrated)
         assert math.isfinite(tr.stiff_from_s)
         assert tr.s[tr.tail_end_index] < tr.stiff_from_s < tr.s[-1]
         assert tr.accepted_steps == steps
@@ -561,7 +594,8 @@ class TestStiffSwitch:
     def _dop853_steps(monkeypatch, n, k, rho, controls=None):
         """The trace at alpha 1 and, for each accepted DOP853 step, its
         length h and h rho(J) at its end, read where the step builds its
-        extension (only on the Python kernels)."""
+        extension (only on the Python kernels). An expander's is the
+        kernel's run without the slow-manifold series (``integrated``)."""
         if _jit.JIT_ENABLED:
             pytest.skip("compiled kernels call each other directly")
         p = phase.make_params(n, k, rho, 1.0)
@@ -574,6 +608,11 @@ class TestStiffSwitch:
             return dense(X, W, h, fX, fW, X1, W1, *rest)
 
         monkeypatch.setattr(_kernels, "_dop853_dense", spy)
+        if rho < 0.0:
+            sol = picard.picard_solve(1.0, p)
+            x0, w0 = sol.state_at_s0(p)
+            out = orbit._integrate_raw(x0, w0, sol.s0, p, controls or orbit.OrbitControls())
+            return orbit.OrbitTrace(*out[:5], **out[5]), steps
         _sol, tr, _oc = orbit.run_orbit(p, controls=controls)
         return tr, steps
 
@@ -593,26 +632,41 @@ class TestStiffSwitch:
     @pytest.mark.parametrize(
         "n,k,rho,rejected", REGROWTH_SETS, ids=[f"{n}-{k}-{rho}" for n, k, rho, _ in REGROWTH_SETS]
     )
-    def test_no_regrowth_after_a_newton_failure(self, n, k, rho, rejected, run):
+    def test_no_regrowth_after_a_newton_failure(self, n, k, rho, rejected, integrated):
         # Newton fails on the near-degenerate expanders (2 theta + rho =
         # 0.01) where the step regrows at once: the controller rejects 16, 12
         # and 17 steps there with the regrowth allowed. On (4,1,-1) and
         # (5,2,-1) it rejects none either way (11 and 9 Newton failures with
-        # the Jacobian at the step start)
-        _p, _sol, tr, _oc = run(n, k, rho)
+        # the Jacobian at the step start). The arcs are the kernel's, run
+        # without the slow-manifold series
+        _p, tr = integrated(n, k, rho)
         assert tr.rejected_steps == rejected
         for expander in ((4, 1, -1.0), (5, 2, -1.0)):
-            assert run(*expander)[2].rejected_steps == 0
+            assert integrated(*expander)[1].rejected_steps == 0
+
+    @pytest.mark.parametrize(
+        "n,k,rho,steps,s_hand", EXPANDER_HAND_OVERS, ids=["4-1--1.0", "5-2--1.0"]
+    )
+    def test_expanders_hand_over_before_the_switch(self, n, k, rho, steps, s_hand, run):
+        # the slow-manifold series takes the run over while DOP853 still
+        # runs (the switch would come at s = 2.24 and 2.67): Radau takes no
+        # step, and the kernel's run ends at the hand-over, after 69 and 75
+        # accepted steps (100 and 113 up to the asymptote event without it)
+        _p, _sol, tr, _oc = run(n, k, rho)
+        assert tr.hand_over.s == pytest.approx(s_hand, abs=1e-3)
+        assert math.isnan(tr.stiff_from_s) and tr.newton_iterations == 0
+        assert tr.accepted_steps == steps
 
     @pytest.mark.parametrize(
         "n,k,rho,iterations", [(4, 1, -1.0, 197), (5, 2, -1.0, 182)], ids=["4-1--1.0", "5-2--1.0"]
     )
-    def test_expanders_take_no_newton_failure(self, n, k, rho, iterations, run):
+    def test_expanders_take_no_newton_failure(self, n, k, rho, iterations, integrated):
         # up the asymptote the stiff eigenvalue grows like e^W across a
         # step; with the Jacobian at the Newton start's third stage, near
         # the middle of the step, Newton converges on every attempt (343 and
-        # 297 iterations with 11 and 9 failures at the step start)
-        _p, _sol, tr, _oc = run(n, k, rho)
+        # 297 iterations with 11 and 9 failures at the step start), on the
+        # kernel's run without the slow-manifold series
+        _p, tr = integrated(n, k, rho)
         assert tr.newton_failures == 0
         assert tr.newton_iterations == iterations
 
@@ -663,7 +717,9 @@ class TestStiffSwitch:
         # attempt, 1 per accepted Radau step (at the end of each the run
         # goes on from, and at the asymptote event that ends the last, for
         # the defect there), or 1 of a refined error estimate (counted only
-        # on the Python kernels: compiled kernels call each other directly)
+        # on the Python kernels: compiled kernels call each other directly).
+        # The run is the kernel's own from the Picard hand-off, without the
+        # slow-manifold series, which leaves Radau no step here
         calls = collections.Counter()
         if not _jit.JIT_ENABLED:
 
@@ -681,8 +737,12 @@ class TestStiffSwitch:
 
             for name in ("rhs", "_dop853_step", "_radau_step", "_dop853_dense"):
                 monkeypatch.setattr(_kernels, name, spy(name, getattr(_kernels, name)))
-        _sol, tr, oc = orbit.run_orbit(phase.make_params(4, 1, -1.0, 1.0))
-        assert oc.kind == orbit.TYPE_GAMMA
+        p = phase.make_params(4, 1, -1.0, 1.0)
+        sol = picard.picard_solve(1.0, p)
+        x0, w0 = sol.state_at_s0(p)
+        out = orbit._integrate_raw(x0, w0, sol.s0, p, orbit.OrbitControls())
+        tr = orbit.OrbitTrace(*out[:5], **out[5])
+        assert tr.status == "reached_asymptote" and tr.newton_iterations > 0
         assert tr.accepted_steps <= 290
         if not _jit.JIT_ENABLED:
             # every accepted DOP853 step builds its extension once; events
@@ -708,17 +768,22 @@ class TestStiffSwitch:
 
 
 @pytest.fixture(scope="module")
-def continued(run):
+def continued(run, integrated):
     """(n, k, rho, theta) -> (p, trace) of the continuation at alpha 1: the
     trace of ``run_orbit``, or, where the funnel certificate ends that run
     at its hand-off (the theta corners 1e3 and 1e6 of (4,1,1)), a plain
     ``integrate`` from the same Picard tail, which still runs the stiff
-    Radau arc to s_max."""
+    Radau arc to s_max; an expander's at theta 1 is the kernel's run to the
+    asymptote event (``integrated``), whose Radau arc ``orbit.integrate``
+    leaves to the slow-manifold series."""
     cache = {}
 
     def _continued(n, k, rho, theta):
         key = (n, k, rho, theta)
         if key not in cache:
+            if rho < 0.0 and n > 2 * k and theta == 1.0:
+                cache[key] = integrated(n, k, rho)
+                return cache[key]
             p, sol, tr, _oc = run(n, k, rho, theta=theta)
             if isinstance(tr.certificate, orbit.FunnelCertificate):
                 tr = orbit.integrate(sol, p)
@@ -747,8 +812,10 @@ class TestStepCaps:
         # the samples and the field there, meets the flow from the left one
         # (DOP853 at h rho(J) <= 2, below its stability limit) at the
         # midpoint within SAMPLE_TOL, X relative and ln Z absolute; measured:
-        # 9.4e-10 at most, on (4,1,1) at theta 1e3 (s = 62.6): a piece count
-        # holds the Hermite within SAMPLE_TOL of the quintic, not far inside it
+        # 9.52e-10, 9.54e-10 and 9.53e-10 at most (at s = 2.38, 3.96 and
+        # 3.96): a piece count holds the Hermite within SAMPLE_TOL of the
+        # quintic, not far inside it. The expander's arc is the kernel's run
+        # without the slow-manifold series (``continued``)
         p, tr = continued(n, k, rho, theta)
         pp = _kernels.pack_params(p)
         i0 = int(np.searchsorted(tr.s, tr.stiff_from_s))
