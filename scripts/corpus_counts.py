@@ -3,8 +3,8 @@
 The corpus is ``tests/test_corpus.py``'s PAIRS times RATIOS, at
 rho = ratio * theta and alpha 1, each set run once by ``orbit.run_orbit``.
 The script prints how many sets end in the regime table, how many outside
-it (wrong), how many are Undetermined and how many raise a KsolError; the
-integrator's accepted and rejected steps, rhs evaluations, Newton
+it (wrong), how many are Undetermined and how many raise a KsolError; how
+many runs end in each status; the integrator's accepted and rejected steps, rhs evaluations, Newton
 iterations and Newton failures summed over the corpus (the integrated
 part of each run); how many runs handed over to the slow-manifold series;
 and the wall time of the whole pass, on the pure-Python kernels unless
@@ -18,6 +18,7 @@ status``, so that two checkouts' outputs can be compared with diff.
 """
 
 import argparse
+import collections
 import sys
 import time
 from pathlib import Path
@@ -43,6 +44,7 @@ def main(argv=None):
     tally = dict.fromkeys(("in_table", "wrong", "undetermined", "error"), 0)
     totals = dict.fromkeys(COUNTERS, 0)
     handed_over = 0
+    ends = collections.Counter()
     t0 = time.perf_counter()
     for n, k in PAIRS:
         for ratio in RATIOS:
@@ -54,6 +56,7 @@ def main(argv=None):
                 kind, status = type(exc).__name__, "-"
             else:
                 kind, status = oc.kind, trace.status
+                ends[status] += 1
                 for name in COUNTERS:
                     totals[name] += getattr(trace, name)
                 handed_over += trace.hand_over is not None
@@ -70,6 +73,7 @@ def main(argv=None):
     backend = "numba" if _jit.JIT_ENABLED else "python"
     print(f"theta {args.theta:g}: {len(PAIRS) * len(RATIOS)} sets, backend {backend}")
     print("  " + ", ".join(f"{name} {count}" for name, count in tally.items()))
+    print("  ends: " + ", ".join(f"{status} {count}" for status, count in sorted(ends.items())))
     print("  " + ", ".join(f"{name} {count:,}" for name, count in totals.items()))
     print(f"  handed over to the slow-manifold series: {handed_over}")
     print(f"  wall {wall:.1f} s")

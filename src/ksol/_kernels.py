@@ -1217,8 +1217,8 @@ def integrate_core(
     series,
 ):
     """Adaptive integration of the phase-plane field in the log chart, with
-    event detection: a run from (X0, W0) at s0 to its end, in one
-    :func:`advance` with no pause.
+    event detection: a run from (X0, W0) at s0 to its end. The first step
+    is 1e-3 long.
 
     The state is (X, W), W = ln(c_nk beta^k Z); W0 = -inf starts on the
     invariant axis Z = 0, where W stays. X's error is held relative to X,
@@ -1253,20 +1253,6 @@ def integrate_core(
     event on a Radau step (the defect there), and one per refined error
     estimate.
     """
-    buffers, loop = start_run(X0, W0, s0, pp, max_samples)
-    loop = advance(
-        buffers, loop, math.inf, s_max, pp, rtol, step_floor, asym_tol, end_at_b, stop_at_xb,
-        series,
-    )
-    return run_result(buffers, loop)
-
-
-@njit
-def start_run(X0, W0, s0, pp, max_samples):
-    """A run at (X0, W0) at s0 before its first step, as (buffers, loop):
-    the sample and event buffers, whose first sample is the start, and the
-    state the step loop of :func:`advance` carries from one step to the
-    next, in the order it unpacks it. The first step is 1e-3 long."""
     s_out = np.empty(max_samples)
     x_out = np.empty(max_samples)
     z_out = np.empty(max_samples)
@@ -1276,48 +1262,27 @@ def start_run(X0, W0, s0, pp, max_samples):
     x_out[0] = X0
     cb = pp[PP_CB]
     z_out[0] = math.exp(W0) / cb if W0 >= EXP_W_MIN else math.exp(W0 - math.log(cb))
-    fX, fW = rhs(X0, W0, pp)
-    zero = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    nan = math.nan
-    # the state (s, X, W) and its derivative; the step, the last error and
-    # the peak of W; the status; whether Radau runs, the consecutive
-    # accepted DOP853 steps held by stability, the last accepted DOP853 step
-    # and where Radau took over; Radau's last accepted step (0 before the
-    # first; its error is err_prev), whether an attempt of the current step
-    # was rejected, whether Newton failed on one, and the dense output
-    # (cx, cw) of the last accepted step; the step, rhs and Newton counters
-    # and the extreme steps; the last upward X_B crossing (s_up, z_up) and
-    # the certificate; the sample and event counts
-    loop = (
-        s0, X0, W0, fX, fW, 1e-3, 1.0, W0, ST_SMAX, False, 0, math.inf, nan,
-        0.0, False, False, False, zero, zero, 0, 0, 1, 0, 0, nan, nan,
-        nan, nan, (nan, nan, nan, nan, nan), 1, 0,
-    )
-    return (s_out, x_out, z_out, ev_s, ev_code), loop
-
-
-@njit
-def advance(
-    buffers, loop, s_pause, s_max, pp, rtol, step_floor, asym_tol, end_at_b, stop_at_xb, series
-):
-    """The run (buffers, loop) of :func:`start_run` continued to its end, a
-    hand-over to the packed ``series`` (see :func:`integrate_core`), or a
-    pause: the first accepted step that ends at or past s_pause. Steps
-    are clipped at s_max alone, so a run paused and resumed, with the loop
-    state this returns, takes the steps of a run that never paused, bit for
-    bit. Returns the loop state; at a pause short of s_max, the status of
-    :func:`run_result` still reads ST_SMAX."""
-    s_out, x_out, z_out, ev_s, ev_code = buffers
-    max_samples = s_out.size
-    (
-        s, X, W, fX, fW, h, err_prev, w_peak, status, stiff, n_limited, h_last, stiff_from_s,
-        h_acc, rejected, newton_failed, zero_start, cx, cw, n_acc, n_rej, n_rhs, n_newton,
-        n_newton_fail, h_min, h_max, s_up, z_up, cert, m, n_ev,
-    ) = loop
-
+    m, n_ev = 1, 0  # the sample and event counts; the start is the first sample
     k = int(pp[PP_K])
-    cb = pp[PP_CB]
     w_floor = math.log(Z_FLOOR_REL)
+
+    # the state (s, X, W) and its derivative, the step, the last error and
+    # the peak of W
+    s, X, W = s0, X0, W0
+    fX, fW = rhs(X, W, pp)
+    h, err_prev, w_peak, status = 1e-3, 1.0, W, ST_SMAX
+    # whether Radau runs, the consecutive accepted DOP853 steps held by
+    # stability, the last accepted DOP853 step and where Radau took over
+    stiff, n_limited, h_last, stiff_from_s = False, 0, math.inf, math.nan
+    # Radau's last accepted step (0 before the first; its error is
+    # err_prev), whether an attempt of the current step was rejected,
+    # whether Newton failed on one, whether the step is retried from the
+    # zero start, and the dense output (cx, cw) of the last accepted step
+    h_acc, rejected, newton_failed, zero_start = 0.0, False, False, False
+    cx = cw = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    # the step, rhs and Newton counters and the extreme steps
+    n_acc, n_rej, n_rhs, n_newton, n_newton_fail = 0, 0, 1, 0, 0
+    h_min = h_max = math.nan
     # where x = gamma ends the region of the origin chart (g = gamma - x,
     # gamma <= x_A, so q >= 0 there) and n >= 2k, g^k vanishes on it and
     # X_s = -(n-2k) q X <= 0: the flow cannot leave there, and a step that
@@ -1334,6 +1299,8 @@ def advance(
     # the Poincare-return certificate, from the last upward X_B crossing
     # (s_up, z_up)
     certify = pp[PP_BZ] > 0.0 and end_at_b
+    s_up = z_up = math.nan
+    cert = (math.nan, math.nan, math.nan, math.nan, math.nan)
 
     while s < s_max:
         if h > s_max - s:
@@ -1559,26 +1526,7 @@ def advance(
             h_last = h
 
         h = h_next
-        if s >= s_pause:
-            break
 
-    return (
-        s, X, W, fX, fW, h, err_prev, w_peak, status, stiff, n_limited, h_last, stiff_from_s,
-        h_acc, rejected, newton_failed, zero_start, cx, cw, n_acc, n_rej, n_rhs, n_newton,
-        n_newton_fail, h_min, h_max, s_up, z_up, cert, m, n_ev,
-    )
-
-
-@njit
-def run_result(buffers, loop):
-    """The result of :func:`integrate_core` from a run's buffers and loop
-    state."""
-    s_out, x_out, z_out, ev_s, ev_code = buffers
-    (
-        s, X, W, _fX, _fW, _h, _err_prev, _w_peak, status, _stiff, _n_limited, _h_last,
-        stiff_from_s, _h_acc, _rejected, _newton_failed, _zero_start, _cx, _cw, n_acc, n_rej, n_rhs,
-        n_newton, n_newton_fail, h_min, h_max, _s_up, _z_up, cert, m, n_ev,
-    ) = loop
     n_kept = min(n_ev, EV_CAP)
     nan = math.nan
     hand = (s, X, W) if status == ST_SERIES else (nan, nan, nan)

@@ -329,9 +329,6 @@ def cmd_profile(args):
     if trace.status == "certified_B":
         # the class is proven; the table runs on to s_max past the certificate
         trace = orbit_mod.integrate(sol, p, replace(controls, end_at_b=False))
-    elif trace.status == orbit_mod.STEADY_END:
-        # the log power is read; the table runs on to s_max, the steady end off
-        trace = orbit_mod.integrate(sol, p, replace(controls, asym_tol=0.0))
     table = profile.reconstruct_u(trace, p)
     lam1, lam2 = sigma.schouten_pair(table.u, table.u_r, table.u_rr, table.r, p.n, p.k)
     sig, cond = sigma.split_sigma_l(lam1, lam2, p.n, p.k)

@@ -1,10 +1,11 @@
-"""The expanders' end: the slow manifold up the asymptote x -> gamma as a
-series in eps = e^(-W/k), and the arc of a trace read off it.
+"""The end of the runs up the asymptote: the slow manifold up x -> gamma as
+a series in eps = e^(-W/k), and the arc of a trace read off it.
 
-For n > 2k and rho < 0 an orbit in the asymptote trap runs up x -> gamma
-while W = ln(c_nk beta^k Z) grows without bound, and the two terms of X_s
-balance: the orbit is drawn onto a slow manifold, along which the field's
-stiff eigenvalue grows like e^(W/k). There e^W = eps^(-k) and
+For n > 2k and rho <= 0, the expanders and the steady solitons, an orbit
+in the asymptote trap runs up x -> gamma while W = ln(c_nk beta^k Z)
+grows without bound, and the two terms of X_s balance: the orbit is drawn
+onto a slow manifold, along which the field's stiff eigenvalue grows like
+e^(W/k). There e^W = eps^(-k) and
 gamma - x = eps C(eps), C = sum_j C_j eps^j. With q = 1 - x/x_A and
 eps_s = -2 (1 - x/x_B) eps, X_s = k x^(k-1) x_s turns the field into the
 invariance equation
@@ -15,7 +16,10 @@ At eps = 0 it fixes C_0 = q_0 gamma (n-2k)^(1/k), q_0 = 1 - gamma/x_A, and at
 each order j >= 1 it is linear in C_j, whose factor k q_0^(1-k) C_0^(k-1)
 is nonzero: everything else of order j depends on C_0 .. C_(j-1) alone,
 since x_j = -C_(j-1). The coefficients are formed by ``picard``'s product,
-quotient and power recurrences, writing q^(1-k) C^k as C (C/q)^(k-1).
+quotient and power recurrences, writing q^(1-k) C^k as C (C/q)^(k-1). They
+are polynomial in a = 1 - gamma/x_B = -rho/(2 theta), so the steady case
+a = 0 is no special one: there W_s = 2k delta/x_B to leading order, and
+the series gives the steady law s (gamma - x) -> x_B/2 = 1/(1-m).
 
 The singular point eps = 0 is irregular, so the series is Gevrey: its
 coefficients grow like j! (Wasow, *Asymptotic Expansions for Ordinary
@@ -28,7 +32,8 @@ HAND_OFF_TOL * rtol relative to X. The rest of the trace is the series: X = x(ep
 Z = e^W/(c_nk beta^k), s(W) by Gauss-Legendre quadrature of
 ds/dW = 1/W_s = 1/(2k (1 - x/x_B)), samples placed so that the cubic
 Hermite between them keeps ``_kernels.SAMPLE_TOL``, up to the asymptote
-event, where gamma - x = asym_tol gamma, or to s_max.
+event, where gamma - x = asym_tol gamma, or to s_max; a steady arc, where
+gamma - x falls like x_B/(2s), meets the event only near s = 1/(2 asym_tol).
 """
 
 import math
@@ -218,17 +223,23 @@ class SlowManifold:
         return eps
 
     def _fourth_derivatives(self, terms):
-        """The coefficients (orders 0 .. terms) of X_ssss and W_ssss in eps.
-        On the series d/ds is the operator -lam eps d/deps, lam = 2 (a +
-        delta/x_B) = W_s / k, applied to the series of X four times and to
-        that of W_s three times."""
-        lam = np.concatenate(([2.0 * self.a], 2.0 * self.C[:terms] / self.x_B))
-        orders = np.arange(terms + 1)
-        x4, w4 = self.xk[: terms + 1], self.k * lam
+        """The coefficients of X_ssss and W_ssss in eps, from order 0 to the
+        order that holds the leading image of each of the series' ``terms``
+        orders. On the series d/ds is the operator -lam eps d/deps, lam =
+        2 (a + delta/x_B) = W_s / k, applied to the series of X four times and
+        to that of W_s three times. At a > 0 it maps eps^j to -2a j eps^j and
+        higher orders, and the coefficients stop at order ``terms``. At a = 0,
+        the steady arc, each application raises the order by one, so they
+        run to order terms + 4: cut at ``terms`` they would lose every term
+        of a short series ((6,1,0) sums one, C = (8, 0, 0, ...))."""
+        order = terms if self.a != 0.0 else terms + 4
+        lam = np.concatenate(([2.0 * self.a], 2.0 * self.C[:order] / self.x_B))
+        orders = np.arange(order + 1)
+        x4, w4 = self.xk[: order + 1], self.k * lam
         for i in range(4):
-            x4 = -np.convolve(lam, orders * x4)[: terms + 1]
+            x4 = -np.convolve(lam, orders * x4)[: order + 1]
             if i < 3:
-                w4 = -np.convolve(lam, orders * w4)[: terms + 1]
+                w4 = -np.convolve(lam, orders * w4)[: order + 1]
         return x4, w4
 
     def arc(self, hand, s_max, asym_tol):
@@ -248,16 +259,23 @@ class SlowManifold:
         fall with eps, so the density at a piece's left end holds over it.
         An end at s_max is found on the candidates by Newton's method. The
         samples equidistribute the density's trapezoid integral from the
-        hand-over to the end, and their s are quadratures again."""
+        hand-over to the end, and their s are quadratures again. So a gap
+        between samples follows h at the candidates up to the growth of
+        ds/dW over one candidate interval, e^(1/CANDIDATES_PER_K) = 1.13 at
+        leading order: where h is MAX_STEP, a gap may exceed it by that
+        much (1.104 at most on the corpus hand-overs). Nothing reads the
+        arc against MAX_STEP, which caps the kernel's steps for its
+        converged_axis end alone."""
         N, k = hand.terms, self.k
         W_end = max(-k * math.log(self._event_eps(asym_tol * self.gamma, N)), hand.W)
         n_c = max(2, math.ceil((W_end - hand.W) * CANDIDATES_PER_K / k) + 1)
         W = np.linspace(hand.W, W_end, n_c)
         x4, w4 = self._fourth_derivatives(N)
-        d = np.concatenate(([0.0], self.C[:N]))
+        d = np.zeros(x4.size)
+        d[1 : N + 1] = self.C[:N]
         nodes, half = _gauss_nodes(W[:-1], W[1:])
         columns = np.column_stack((d, np.abs(x4), np.abs(w4)))
-        delta, x4, w4 = self._at(np.concatenate((W, nodes.ravel())), N, columns)
+        delta, x4, w4 = self._at(np.concatenate((W, nodes.ravel())), x4.size - 1, columns)
         ds_dw = self._ds_dw(delta)
         gain = half * (ds_dw[n_c:].reshape(nodes.shape) @ _GL_W)
         s = hand.s + np.concatenate(([0.0], np.cumsum(gain)))
@@ -294,7 +312,7 @@ class SlowManifold:
 
 
 def slow_manifold(p, rtol):
-    """The :class:`SlowManifold` of p (n > 2k, rho < 0) at the integrator's
+    """The :class:`SlowManifold` of p (n > 2k, rho <= 0) at the integrator's
     rtol.
 
     For each N <= MAX_TERMS, the largest eps where each of the TAIL_TERMS

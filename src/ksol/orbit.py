@@ -11,6 +11,10 @@ Picard hand-off; generalized type B stays in a bounded band around it up to
 s_max with no certificate, the only class read off a tail; type A (or
 generalized type A when n = 2k) collapses onto the Z = 0 axis at X = X_inf;
 non-admissible orbits leave the region at a finite s_exit.
+
+A run into the asymptote trap with n > 2k, an expander (rho < 0) or a
+steady soliton (rho = 0), is handed over to the slow-manifold series of
+``manifold``, whose arc ends the trace at the asymptote event or at s_max.
 """
 
 import math
@@ -64,14 +68,6 @@ FUNNEL_DELTA = 1e-3
 FUNNEL_SAFETY = 4.0
 _EPS = float(np.finfo(float).eps)
 
-# the steady end: the log power lim s (gamma - x) is fitted with
-# STEADY_FIT_TERMS powers of 1/s to s (gamma - x) at the samples; the run
-# is tested at the octave ends S = STEADY_FIRST_OCTAVE 2^j, where the fits
-# over [S/4, S/2] and [S/2, S] must agree
-STEADY_FIT_TERMS = 6
-STEADY_FIRST_OCTAVE = 16.0
-STEADY_END = "log_power_converged"
-
 
 @dataclass(frozen=True)
 class OrbitControls:
@@ -85,9 +81,8 @@ class OrbitControls:
     s_max: float = 200.0
     step_floor: float = 1e-13
     # terminal proximity to the asymptote, relative in x = X^(1/k), bisected
-    # on the step's dense output; Z speeds the transverse contraction, which
-    # the Radau steps absorb. It is also the relative agreement of the two
-    # fits that ends a steady arc (<= 0: no event and no steady end)
+    # on the step's dense output or found on the slow-manifold series
+    # (<= 0: no event and no hand-over to the series)
     asym_tol: float = 1e-5
     # the switch of every end at B, the funnel and the Poincare return
     end_at_b: bool = True
@@ -141,10 +136,6 @@ class OrbitTrace:
     # its FunnelCertificate (the hand-off point, its error bound, the
     # margin); on a run into the asymptote, its TrapCertificate
     certificate: tuple | None = None
-    # per row of a steady run (``integrate``'s shifts), the octave end S, in
-    # the row's frame, where its log power converged, or None; () where the
-    # run has no steady end
-    steady_ends: tuple = ()
     # where the run handed over to the slow-manifold series, the
     # ``manifold.HandOver``: the samples past its s are the series' arc;
     # None where the integrator ran to the end
@@ -199,16 +190,13 @@ class OrbitClass:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _integrate_raw(x0, w0, s0, p, controls, shifts=(), stop_at_xb=False, series=None):
+def _integrate_raw(x0, w0, s0, p, controls, stop_at_xb=False, series=None):
     """One run of the kernel in the chart of ``p`` from (X, W) = (x0, w0) at
     s0, with W = ln(c_nk beta^k Z) (-inf on the axis Z = 0); an A-chart run,
     or any run with ``stop_at_xb``, ends at its first crossing of X_B. Given
-    ``shifts``, the frames s + shift of the rows that the run serves, it is
-    a steady arc, which ends where every row's log power has converged
-    (:func:`_steady_run`). Given the ``manifold.SlowManifold`` ``series``,
-    the kernel hands the run over to it, and the series' arc
-    (``SlowManifold.arc``) ends the trace at the asymptote event or at
-    s_max."""
+    the ``manifold.SlowManifold`` ``series``, the kernel hands the run over
+    to it, and the series' arc (``SlowManifold.arc``) ends the trace at the
+    asymptote event or at s_max."""
     # for n < 2k the region boundary X = x_cap is crossed in finite s (X_s > 0
     # there): the run must end at the exit, not at an asymptote tolerance
     asym_tol = controls.asym_tol if p.n >= 2 * p.k else -1.0
@@ -223,12 +211,8 @@ def _integrate_raw(x0, w0, s0, p, controls, shifts=(), stop_at_xb=False, series=
     # callers may hand over numpy scalars, and Python floats keep the
     # uncompiled kernel's arithmetic off numpy's scalar path
     start = (float(x0), float(w0), float(s0))
-    ends = ()
-    if shifts:
-        out, ends = _steady_run(start, p, controls, args, shifts)
-    else:
-        packed = _kernels.NO_SERIES if series is None else series.packed()
-        out = _kernels.integrate_core(*start, controls.s_max, *args, controls.max_samples, packed)
+    packed = _kernels.NO_SERIES if series is None else series.packed()
+    out = _kernels.integrate_core(*start, controls.s_max, *args, controls.max_samples, packed)
     s_arr, x_arr, z_arr, ev_s, ev_code, n_ev, status, cert, hand = out[:9]
     n_acc, n_rej, n_rhs, n_newton, n_newton_fail, h_min, h_max, stiff_s = out[9:]
     events = [(float(se), _EVENT_NAMES[int(ce)]) for se, ce in zip(ev_s, ev_code)]
@@ -246,7 +230,7 @@ def _integrate_raw(x0, w0, s0, p, controls, shifts=(), stop_at_xb=False, series=
                 # the event at the hand-over itself, clipped as the kernel clips it
                 x_arr[-1] = (p.gamma - controls.asym_tol * p.gamma) ** p.k
             events.append((float(s_arr[-1]), _EVENT_NAMES[_kernels.EV_ASYMPTOTE]))
-    status = STEADY_END if ends and None not in ends else _STATUS_NAMES[int(status)]
+    status = _STATUS_NAMES[int(status)]
     fields = {
         "events_dropped": dropped,
         "accepted_steps": int(n_acc),
@@ -259,79 +243,12 @@ def _integrate_raw(x0, w0, s0, p, controls, shifts=(), stop_at_xb=False, series=
         "stiff_from_s": float(stiff_s),
         "rtol": controls.rtol,
         "certificate": tuple(map(float, cert)) if status == "certified_B" else None,
-        "steady_ends": tuple(ends),
         "hand_over": hand_over,
     }
     return s_arr, x_arr, z_arr, events, status, fields
 
 
-def _steady_run(start, p, controls, args, shifts):
-    """The kernel's run of a steady arc from ``start`` = (X, W, s0), and the
-    octave end of each row, in the row's frame s + shift, or None.
-
-    The kernel pauses at the first step end at or past each row's next
-    octave end S (``_kernels.advance``). There the row's log power is read
-    over [S/2, S] and over [S/4, S/2] by :func:`log_power_fit`; where the two
-    agree within asym_tol relative, the row ends at S, else it is next
-    tested at 2S, up to s_max. The two fits are compared with each other,
-    never with the predicted 1/(1-m). The run ends at that step end once
-    every row has ended, and otherwise goes on to s_max. It resumes with its
-    whole state, so its steps are those of a run that never paused."""
-    s_max, tol = controls.s_max, controls.asym_tol
-    buffers, loop = _kernels.start_run(*start, args[0], controls.max_samples)
-    octave = [STEADY_FIRST_OCTAVE] * len(shifts)
-    older = [None] * len(shifts)  # each row's fit over [S/4, S/2]
-    ends = [None] * len(shifts)
-    status = _kernels.ST_SMAX
-    while None in ends:
-        due = [S - d for S, d, end in zip(octave, shifts, ends) if end is None and S <= s_max]
-        if not due:
-            break
-        loop = _kernels.advance(buffers, loop, min(due), s_max, *args, _kernels.NO_SERIES)
-        out = _kernels.run_result(buffers, loop)
-        s_arr, x_arr, z_arr, status = out[0], out[1], out[2], out[6]
-        s = s_arr[-1]  # the step end, the last sample
-        if status != _kernels.ST_SMAX or s >= s_max:
-            break
-        for i, d in enumerate(shifts):
-            while ends[i] is None and octave[i] <= s_max and octave[i] - d <= s:
-                S = octave[i]
-                if older[i] is None:
-                    older[i] = log_power_fit(s_arr + d, x_arr, p, S / 2.0)[0]
-                newer = log_power_fit(s_arr + d, x_arr, p, S)[0]
-                if abs(newer - older[i]) <= tol * abs(newer):
-                    ends[i] = S
-                else:
-                    older[i], octave[i] = newer, 2.0 * S
-    if None in ends and status == _kernels.ST_SMAX:
-        loop = _kernels.advance(buffers, loop, math.inf, s_max, *args, _kernels.NO_SERIES)
-    return _kernels.run_result(buffers, loop), ends
-
-
-def log_power_fit(s, X, p, S):
-    """The log power lim s (gamma - x) of a steady orbit, fitted over
-    [S/2, S], which the samples (s, X) must cover.
-
-    y = s (gamma - x) at the samples in [S/2, S) is fitted by least squares
-    with STEADY_FIT_TERMS powers of 1/s, with 1/s over [1/S, 2/S] mapped
-    onto t in [-1, 1], where the powers are well conditioned: 1/s = 0 lies
-    at t = -3 and s = S at t = -1. Extrapolated to 1/s = 0, the fit
-    magnifies an error in X about 1,000-fold, so it reads the samples alone,
-    within 1e-13 of the flow on a steady tail, and no point between them:
-    the cubic Hermite through the field's slopes misses by up to SAMPLE_TOL
-    between samples 0.25 to 1 apart, and a trace cut at s = S ends on such a
-    point. Returns the polynomial at 1/s = 0, the log power, and at s = S.
-    """
-    i0 = int(np.searchsorted(s, 0.5 * S))
-    i1 = int(np.searchsorted(s, S))
-    s = s[i0:i1]
-    y = s * (p.gamma - phase.kth_root(X[i0:i1], p.k))
-    coef = np.linalg.lstsq(np.vander(2.0 * S / s - 3.0, STEADY_FIT_TERMS), y, rcond=None)[0]
-    log_power, y_end = np.vander([-3.0, -1.0], STEADY_FIT_TERMS) @ coef
-    return float(log_power), float(y_end)
-
-
-def integrate(start, p, controls=None, shifts=(0.0,), stop_at_xb=False):
+def integrate(start, p, controls=None, stop_at_xb=False):
     """Continue a local solution into a global orbit trace.
 
     ``start`` is a LocalSolution; XZ charts continue the origin orbit
@@ -341,27 +258,23 @@ def integrate(start, p, controls=None, shifts=(0.0,), stop_at_xb=False):
     ``stop_at_xb`` an XZ run ends at its first crossing of X_B too.
 
     Where the hand-off lies in the asymptote trap (:func:`asymptote_trap`),
-    the trace carries its certificate. At rho = 0 the arc is then steady,
-    and it ends once the log power of every row has converged
-    (:func:`_steady_run`), at the first step end past the last row's octave
-    end, with status STEADY_END; ``shifts`` are the rows' frames s + shift,
-    and ``steady_ends`` gives each row's octave end. Unless every row
-    converges, the run goes on to s_max. At rho < 0 and n > 2k, with the
-    asymptote event on, the kernel hands the run over to the slow-manifold
-    series (``manifold.slow_manifold``) where the state meets it within
-    rtol, and the series' arc takes the trace to the asymptote event or to
-    s_max; ``hand_over`` says where.
+    the trace carries its certificate. There, at n > 2k (rho <= 0) and with
+    the asymptote event on, the kernel hands the run over to the
+    slow-manifold series (``manifold.slow_manifold``) where the state meets
+    it within rtol, and the series' arc takes the trace to the asymptote
+    event or to s_max; ``hand_over`` says where. On a steady arc (rho = 0)
+    gamma - x falls only like x_B/(2s), which meets the event near
+    s = 1/(2 asym_tol), far past the default s_max, where the arc ends. At
+    n = 2k there is no series, and the kernel takes the run to its end.
     """
     controls = controls or OrbitControls()
     trap = asymptote_trap(start, p) if start.chart == "XZ" else None
-    steady = trap is not None and p.rho == 0.0 and controls.asym_tol > 0.0
     series = None
-    if trap is not None and p.rho < 0.0 and p.n > 2 * p.k and controls.asym_tol > 0.0:
+    if trap is not None and p.n > 2 * p.k and controls.asym_tol > 0.0:
         series = manifold.slow_manifold(p, controls.rtol)
     x0, w0 = start.state_at_s0(p)
     s_arr, x_arr, z_arr, events, status, fields = _integrate_raw(
-        x0, w0, start.s0, p.in_chart(start.chart), controls, tuple(shifts) if steady else (),
-        stop_at_xb, series,
+        x0, w0, start.s0, p.in_chart(start.chart), controls, stop_at_xb, series
     )
     if trap is not None:
         fields["certificate"] = trap
@@ -510,9 +423,7 @@ def run_orbits(p, alphas, controls=None, tol=picard.DEFAULT_TOL):
     succeeds, is solved, and every other alpha's series is the anchor's under
     ``picard.gauge_map``. All of them hand off the same state, each at its
     own s0, so one continuation from the anchor's hand-off serves them all;
-    it runs until every alpha reaches its own s_max, or, on a steady arc,
-    until every alpha's log power has converged, and each alpha's trace
-    then ends at its own octave end. Where the hand-off lies
+    it runs until every alpha reaches its own s_max. Where the hand-off lies
     in a funnel into B (:func:`funnel_end`), nothing is continued: every
     alpha's trace is its head and the hand-off, ended certified_B. Returns
     one (sol, trace, oc) per alpha, in order; an alpha that fails the local
@@ -526,11 +437,7 @@ def run_orbits(p, alphas, controls=None, tol=picard.DEFAULT_TOL):
     if ok and cert is None:
         c0 = picard.gauge(anchor.alpha, p)
         c_max = max(picard.gauge(sol.alpha, p) for sol in ok)
-        shifts = [c0 - picard.gauge(sol.alpha, p) for sol in ok]
-        shared = integrate(
-            anchor, p, replace(controls, s_max=controls.s_max + (c_max - c0)), shifts
-        )
-        steady_ends = dict(zip(shifts, shared.steady_ends))
+        shared = integrate(anchor, p, replace(controls, s_max=controls.s_max + (c_max - c0)))
     runs = []
     for sol in sols:
         if isinstance(sol, KsolError):
@@ -542,8 +449,7 @@ def run_orbits(p, alphas, controls=None, tol=picard.DEFAULT_TOL):
             # the shift c0 - c is the negated d of the gauge map, so the
             # hand-off lands on sol's s0 exactly, and the anchor's shift is 0
             c = picard.gauge(sol.alpha, p)
-            end = steady_ends.get(c0 - c)
-            trace = _shifted_trace(shared, sol, c0 - c, c < c_max, controls.s_max, p, end)
+            trace = _shifted_trace(shared, sol, c0 - c, c < c_max, controls.s_max, p)
         runs.append((sol, trace, classify_orbit(trace, p)))
     return runs
 
@@ -725,17 +631,16 @@ def _hand_off_trace(sol, p, cert):
     )
 
 
-def _shifted_trace(shared, sol, shift, ends_early, s_max, p, end=None):
+def _shifted_trace(shared, sol, shift, ends_early, s_max, p):
     """The trace of sol's alpha read off a shared continuation.
 
     It is sol's own head below s0, then the shared samples from the
     hand-off on, shifted by ``shift`` in s, which puts the hand-off at sol's
-    s0. A row whose log power converged at the octave end ``end`` is cut
-    there, with status STEADY_END and an event of that name. A row that
-    ends before the shared run (``ends_early``) and that the run went past
-    is cut at s_max, with status s_max, and loses a Poincare-return
-    certificate. A cut drops the later samples and events, and a cubic
-    Hermite point closes the trace.
+    s0. A row that ends before the shared run (``ends_early``) and that the
+    run went past is cut at s_max, with status s_max, and loses a
+    Poincare-return certificate and a hand-over at or past s_max. The cut
+    drops the later samples and events, and a cubic Hermite point closes
+    the trace.
     The solver counters are the shared run's, with stiff_from_s and the
     certificate's returns shifted into the row's frame.
     """
@@ -751,18 +656,14 @@ def _shifted_trace(shared, sol, shift, ends_early, s_max, p, end=None):
     hand_over = shared.hand_over
     if hand_over is not None:
         hand_over = hand_over._replace(s=hand_over.s + shift)
-    cut = end if end is not None else s_max if ends_early and s[-1] > s_max else None
-    if cut is not None:
-        s, X, Z = _cut_at(s, X, Z, cut, p)
-        events = [(se, name) for se, name in events if se <= cut]
+    if ends_early and s[-1] > s_max:
+        s, X, Z = _cut_at(s, X, Z, s_max, p)
+        events = [(se, name) for se, name in events if se <= s_max]
         if status == "certified_B":
             certificate = None
-        if hand_over is not None and not hand_over.s < cut:
+        if hand_over is not None and not hand_over.s < s_max:
             hand_over = None
         status = "s_max"
-        if end is not None:
-            events.append((end, STEADY_END))
-            status = STEADY_END
     s, X, Z, tail_end = _with_tail(sol, s, X, Z)
     return replace(
         shared,
@@ -774,7 +675,6 @@ def _shifted_trace(shared, sol, shift, ends_early, s_max, p, end=None):
         tail_end_index=tail_end,
         stiff_from_s=shared.stiff_from_s + shift,
         certificate=certificate,
-        steady_ends=(end,) if shared.steady_ends else (),
         hand_over=hand_over,
     )
 

@@ -219,6 +219,34 @@ class RateReport:
     agreement: float | None
 
 
+# the log power lim s (gamma - x) of a steady tail is fitted with
+# LOG_POWER_TERMS powers of 1/s to s (gamma - x) at the samples
+LOG_POWER_TERMS = 6
+
+
+def log_power_fit(s, X, p, S):
+    """The log power lim s (gamma - x) of a steady orbit, fitted over
+    [S/2, S], which the samples (s, X) must cover.
+
+    y = s (gamma - x) at the samples in [S/2, S) is fitted by least squares
+    with LOG_POWER_TERMS powers of 1/s, with 1/s over [1/S, 2/S] mapped
+    onto t in [-1, 1], where the powers are well conditioned: 1/s = 0 lies
+    at t = -3 and s = S at t = -1. Extrapolated to 1/s = 0, the fit
+    magnifies an error in X about 1,000-fold, so it reads the samples alone,
+    within 1e-13 of the flow on a steady tail, and no point between them:
+    the cubic Hermite through the field's slopes misses by up to SAMPLE_TOL
+    between samples about 1 apart, and a trace cut at s = S ends on such a
+    point. Returns the polynomial at 1/s = 0, the log power, and at s = S.
+    """
+    i0 = int(np.searchsorted(s, 0.5 * S))
+    i1 = int(np.searchsorted(s, S))
+    s = s[i0:i1]
+    y = s * (p.gamma - phase.kth_root(X[i0:i1], p.k))
+    coef = np.linalg.lstsq(np.vander(2.0 * S / s - 3.0, LOG_POWER_TERMS), y, rcond=None)[0]
+    log_power, y_end = np.vander([-3.0, -1.0], LOG_POWER_TERMS) @ coef
+    return float(log_power), float(y_end)
+
+
 def tail_rate(table, p, orbit_class):
     """The decay exponent of u, and on steady orbits its log power, read off
     the flow.
@@ -227,10 +255,13 @@ def tail_rate(table, p, orbit_class):
     r^(-lim x). An orbit that converges exponentially gives the exponent
     -x(s_end). A steady orbit (TypeGamma at rho = 0) approaches gamma like
     p/s, which is u ~ r^(-gamma) (ln r)^p: the log power p = lim s (gamma - x)
-    comes from ``orbit.log_power_fit`` over [s_end/2, s_end], the fit that
-    ends the steady arc, and the exponent is x's limit with the fitted
-    correction y(s_end) taken out, -(x + y/s) at s_end: -gamma up to the
-    fit's residual there.
+    comes from :func:`log_power_fit` over [s_end/2, s_end], and the exponent
+    is x's limit with the fitted correction y(s_end) taken out, -(x + y/s)
+    at s_end: -gamma up to the fit's residual there. At n > 2k the tail is
+    the slow-manifold series' arc (``manifold``), whose samples carry the
+    steady law s (gamma - x) -> x_B/2 = 1/(1-m) itself, so the fit agrees
+    with the prediction by construction there; ``manifold.defect`` checks
+    the arc against the field.
 
     The agreement with ``expected_rate`` checks nothing on two orbit types
     and one end: on expanders it is the asymptote tolerance asym_tol (1e-5),
@@ -255,7 +286,7 @@ def tail_rate(table, p, orbit_class):
     limit, log_power = float(x[-1]), None
     if orbit_class.kind == orbit_mod.TYPE_GAMMA and p.rho == 0.0:
         s_end = float(s[-1])
-        log_power, y_end = orbit_mod.log_power_fit(s, table.X_full, p, s_end)
+        log_power, y_end = log_power_fit(s, table.X_full, p, s_end)
         limit += y_end / s_end
     predicted = expected_rate(p, orbit_class)
     agreement = None

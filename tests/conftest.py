@@ -23,6 +23,27 @@ def run():
 
 
 @pytest.fixture(scope="session")
+def integrated(run):
+    """(n, k, rho) -> (p, trace): the Picard hand-off at alpha 1 run by the
+    kernel alone, with no slow-manifold series to hand over to, to the end
+    of an ``orbit.OrbitControls()`` run. Up the asymptote of an expander or
+    a steady soliton with n > 2k this is the Radau arc that
+    ``orbit.integrate`` leaves to the series, step for step. The trace has
+    no head below s0 and no certificate."""
+    cache = {}
+
+    def _integrated(n, k, rho):
+        if (n, k, rho) not in cache:
+            p, sol, _tr, _oc = run(n, k, rho)
+            x0, w0 = sol.state_at_s0(p)
+            out = orbit._integrate_raw(x0, w0, sol.s0, p, orbit.OrbitControls())
+            cache[n, k, rho] = (p, orbit.OrbitTrace(*out[:5], **out[5]))
+        return cache[n, k, rho]
+
+    return _integrated
+
+
+@pytest.fixture(scope="session")
 def solve_local():
     cache = {}
 

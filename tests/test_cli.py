@@ -259,11 +259,11 @@ class TestProfileCommand:
         assert sidecar["elliptic_max_rel"] <= 4e-15
 
     def test_table_runs_past_the_steady_end(self, tmp_path):
-        # (6,1,0) ends at s = 16, where its log power is read; the table
-        # runs on to r = e^30
+        # (6,1,0) has no end short of s_max: the series' arc takes its one
+        # run there, and the table runs on to r = e^30
         p = phase.make_params(6, 1, 0.0, 1.0)
         _sol, tr, _oc = orbit.run_orbit(p, controls=orbit.OrbitControls(s_max=30.0))
-        assert tr.status == orbit.STEADY_END and tr.s[-1] == 16.0
+        assert tr.status == "s_max" and tr.s[-1] == 30.0 and tr.hand_over is not None
         out = tmp_path / "p.csv"
         code = run_cli(["profile", "--n", "6", "--k", "1", "--rho", "0", "--theta", "1",
                         "--out", str(out)])
@@ -448,8 +448,15 @@ class TestVerify:
         out = tmp_path / "v.json"
         code = run_cli(["verify", "--n", str(n), "--k", str(k), "--rho", "0",
                         "--theta", "1", "--out", str(out)])
-        check = json.loads(out.read_text())["checks"]["tail_log_power_agreement"]
+        checks = json.loads(out.read_text())["checks"]
+        check = checks["tail_log_power_agreement"]
         assert code == 0 and check["pass"] and check["threshold"] == 1e-2
+        # at n > 2k the tail is the slow-manifold series' arc, which carries
+        # the steady law itself: the defect against the field checks it
+        if n > 2 * k:
+            assert checks["slow_manifold_defect"]["pass"]
+        else:
+            assert "slow_manifold_defect" not in checks
 
     @pytest.mark.parametrize(
         "n,k,rho", [(33, 16, 1e-4), (33, 16, 1e-2), (33, 16, 0.3), (64, 8, 1e-4), (64, 8, 1e-2),

@@ -11,14 +11,17 @@ Every run into an attracting B ends at B on a certificate (certified_B),
 except on the nodes that no certificate reaches, named in
 UNCERTIFIED_NODES with their cause: they run to s_max, where their bounded
 band reads GeneralizedB. Every run at rho <= 0 and n >= 2k is decided by
-the asymptote trap at its hand-off. At rho = 0 a run with n > 2k ends once
-its log power is read, and one with n = 2k may: the log power (k-2)/k of
-(4,2) and (6,3) has not converged by s_max.
+the asymptote trap at its hand-off, and at n > 2k it hands over to the
+slow-manifold series (``ksol.manifold``). At rho = 0 the runs end at
+s_max: with n > 2k on the series' arc, whose log power 1/(1-m) an
+integrated run confirms, and with n = 2k, which has no series, on the
+kernel's, where the log power (k-2)/k of (10,5) and (16,8) has converged
+(that of (4,2) and (6,3) has not).
 """
 
 import pytest
 
-from ksol import orbit, phase, profile
+from ksol import manifold, orbit, phase, profile
 from ksol.errors import KsolError
 
 PAIRS = [
@@ -78,38 +81,40 @@ def test_result_is_in_the_regime_table(n, k, ratio):
         assert result == (orbit.GENERALIZED_B, "s_max"), result
     elif p.b_attracts:
         assert result[1] == "certified_B", result
-    # the asymptote trap decides every run at rho <= 0 and n >= 2k; the
-    # steady ones with n > 2k end once their log power is read, and those
-    # with n = 2k may, within 1e-6 of its prediction (k-2)/k: (10,5) and
-    # (16,8) end at S = 32, within 1.6e-8 over alphas 0.5, 1 and 2 run
-    # alone or read off one shared run
+    # the asymptote trap decides every run at rho <= 0 and n >= 2k, and at
+    # n > 2k the slow-manifold series takes it over. The steady runs end
+    # at s_max; at n = 2k and k >= 5 the log power there lies within 1e-6
+    # of its prediction (k-2)/k (1.8e-11 and 8.2e-13 on (10,5) and (16,8);
+    # 5.3e-2 and 2.1e-4 on (4,2) and (6,3))
     if n >= 2 * k and ratio <= 0.0:
         assert oc.diagnostics["criterion"] == "asymptote_trap", result
-    steady = result[1] == orbit.STEADY_END
-    if n > 2 * k and ratio == 0.0:
-        assert steady, result
-    elif steady:
-        assert n == 2 * k and ratio == 0.0, result
-    if steady:
-        assert trace.s[-1] <= 64.0, result
-    if steady and n == 2 * k:
+        assert (trace.hand_over is not None) == (n > 2 * k), result
+    if n >= 2 * k and ratio == 0.0:
+        assert result[1] == "s_max" and trace.s[-1] == 200.0, result
+    if n == 2 * k and ratio == 0.0 and k >= 5:
         rate = profile.tail_rate(profile.reconstruct_u(trace, p), p, oc)
         assert rate.log_correction_power == pytest.approx((k - 2.0) / k, abs=1e-6), result
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("n,k", [(n, k) for n, k in PAIRS if n > 2 * k])
-def test_steady_log_power_is_one_over_one_minus_m(n, k):
-    # the end test compares two fits with each other; the power they read
-    # agrees with the prediction 1/(1-m) within 1e-6 (5.1e-7 at most over
-    # alphas 0.5, 1 and 2; the two-term fit at s = 200 was off by up to
-    # 3.2e-4, and the fit at 65 points off the cubic Hermite of the samples
-    # by up to 2.1e-6 on the five-stage Radau's samples)
-    p = phase.make_params(n, k, 0.0, 1.0)
-    _sol, trace, oc = orbit.run_orbit(p)
+def test_steady_log_power_is_one_over_one_minus_m(n, k, run, integrated):
+    # the series' arc carries the steady law s (gamma - x) -> x_B/2 =
+    # 1/(1-m) itself, so the power read off it agrees by construction
+    # (1.1e-10 at most); its defect against the field checks the arc
+    # (0.02 to 0.21). The independent evidence is the kernel's run without
+    # the series (``integrated``) to s_max, DOP853 and Radau: the same fit
+    # over [100, 200] reads the power within 1e-6 (1.1e-10 at most; the
+    # two-term fit at s = 200 was off by up to 3.2e-4)
+    p, _sol, trace, oc = run(n, k, 0.0)
     rate = profile.tail_rate(profile.reconstruct_u(trace, p), p, oc)
-    assert trace.status == orbit.STEADY_END
+    assert trace.status == "s_max" and trace.hand_over is not None
     assert rate.log_correction_power == pytest.approx(1.0 / (1.0 - p.m), abs=1e-6)
+    assert manifold.defect(trace, p) <= 1.0
+    _p, kernel_run = integrated(n, k, 0.0)
+    assert kernel_run.hand_over is None and kernel_run.s[-1] == 200.0
+    fit = profile.log_power_fit(kernel_run.s, kernel_run.X, p, 200.0)[0]
+    assert fit == pytest.approx(1.0 / (1.0 - p.m), abs=1e-6)
 
 
 def test_pins_name_corpus_cases():

@@ -57,9 +57,8 @@ STEP_KERNELS = (
     "_quintic_miss", "_quintic_slope", "_hermite_coeffs", "_dense", "_event_value", "_bisect_event",
     "_sample", "_interior", "_collocation_interior", "_log_event", "certifies_b", "_on_series",
 )
-# the @njit kernels the step loop does not reach: the loop itself, the run
-# that calls it, the run's start and its result
-OUTSIDE_STEP_LOOP = {"integrate_core", "advance", "start_run", "run_result"}
+# the @njit kernel the step loop does not reach: the run holding the loop
+OUTSIDE_STEP_LOOP = {"integrate_core"}
 
 
 def test_step_kernels_list_every_njit_kernel():

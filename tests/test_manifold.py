@@ -1,13 +1,16 @@
-"""The slow-manifold series up the expanders' asymptote: its coefficients,
-the kernel's hand-over to it, the arc it gives a trace, the verify check
-on that arc, and oracles for the arc (scipy Radau at rtol 1e-13, mpmath at
-30 and 40 digits)."""
+"""The slow-manifold series up the asymptote of the expanders and the
+steady solitons (n > 2k, rho <= 0): its coefficients, the kernel's
+hand-over to it, the arc it gives a trace, the verify check on that arc,
+and oracles for the arc (scipy Radau at rtol 1e-13, mpmath at 30 and 40
+digits)."""
 
 import math
 
 import mpmath
 import numpy as np
 import pytest
+
+from test_corpus import PAIRS, RATIOS
 
 from ksol import _kernels, manifold, orbit, phase, picard
 
@@ -19,8 +22,17 @@ EXPANDERS = ORACLE_SETS + [
     (5, 2, -1.0), (9, 4, -1.0), (33, 16, -0.3), (64, 8, -0.3), (4, 1, -1.99), (33, 16, -1.99),
     (4, 1, -1e-4),
 ]
-IDS = [f"{n}-{k}-{rho:g}" for n, k, rho in EXPANDERS]
+# steady sets (a = 0) of k = 1, 4 and 8, whose arcs run to s_max, and
+# (6,1,0), whose series is one term, C = (8, 0, 0, ...)
+STEADY_SETS = [(4, 1, 0.0), (12, 4, 0.0), (64, 8, 0.0)]
+ARCS = EXPANDERS + STEADY_SETS + [(6, 1, 0.0)]
+IDS = [f"{n}-{k}-{rho:g}" for n, k, rho in ARCS]
 ORACLE_IDS = IDS[: len(ORACLE_SETS)]
+STEADY_IDS = IDS[len(EXPANDERS) : len(EXPANDERS) + len(STEADY_SETS)]
+# the corpus sets (``tests/test_corpus.py``) that hand over at theta 1
+CORPUS_HAND_OVERS = [
+    (n, k, r) for n, k in PAIRS if n > 2 * k for r in RATIOS if r <= 0.0
+]
 
 
 def _mp_series(mp, n, k, rho, order):
@@ -117,7 +129,7 @@ class TestCoefficients:
 
 
 class TestHandOver:
-    @pytest.mark.parametrize("n,k,rho", EXPANDERS, ids=IDS)
+    @pytest.mark.parametrize("n,k,rho", ARCS, ids=IDS)
     def test_meets_both_tolerances(self, n, k, rho, run):
         # the last integrated state lies within rtol X of the kernel's
         # series, whose omitted terms meet HAND_OFF_TOL rtol there,
@@ -151,11 +163,12 @@ class TestHandOver:
         ],
     )
     def test_only_expanders_with_the_event_hand_over(self, n, k, rho, ctrl, run):
-        # n = 2k, the steady set and the shrinker have no slow manifold in
-        # eps; with the asymptote event off the run has no end the series
-        # could reach, and the kernel takes it to its own end
+        # n = 2k and the shrinker have no slow manifold in eps; the steady
+        # set has one, at a = 0, and hands over like an expander; with the
+        # asymptote event off the run has no end the series could reach,
+        # and the kernel takes it to its own end
         _p, _sol, tr, _oc = run(n, k, rho, **ctrl)
-        assert tr.hand_over is None
+        assert (tr.hand_over is not None) == (rho == 0.0)
 
     def test_a_forged_coefficient_is_refused(self, run, monkeypatch):
         # C_3 moved so that x moves by 10 rtol at the hand-over: the kernel
@@ -203,7 +216,7 @@ class TestArc:
         assert tr.X[-1] == pytest.approx(X[-1], rel=_kernels.SAMPLE_TOL)
         assert math.log(tr.Z[-1] / Z[-1]) == pytest.approx(0.0, abs=_kernels.SAMPLE_TOL)
 
-    @pytest.mark.parametrize("n,k,rho", EXPANDERS, ids=IDS)
+    @pytest.mark.parametrize("n,k,rho", ARCS, ids=IDS)
     def test_hermite_keeps_sample_tol_of_the_series(self, n, k, rho, run):
         # at the midpoint of each piece the cubic Hermite through the
         # samples and the field there, against the series at the W whose
@@ -245,12 +258,29 @@ class TestArc:
         assert cut.events[-1] == (cut.hand_over.s, "reached_asymptote")
         assert cut.X[-1] == (p.gamma - ASYM_TOL * p.gamma) ** p.k
 
+    def test_gaps_follow_the_density(self, run):
+        # the samples equidistribute the density's integral, read at
+        # candidates k/8 apart in W: a gap exceeds its pieces' length, at
+        # most MAX_STEP, by the growth of ds/dW over one candidate interval,
+        # e^(1/8) = 1.13 at leading order. Over the 63 corpus hand-overs at
+        # theta 1 the widest gap is 1.104 ((6,1,-1e-4)); the steady arcs'
+        # are 1.055 to 1.096
+        bound = _kernels.MAX_STEP * math.exp(1.0 / manifold.CANDIDATES_PER_K)
+        widest = 0.0
+        for n, k, rho in CORPUS_HAND_OVERS:
+            _p, _sol, tr, _oc = run(n, k, rho)
+            gaps = np.diff(tr.s[_arc(tr) :])
+            assert gaps.size and np.all(gaps > 0.0), (n, k, rho)
+            widest = max(widest, float(np.max(gaps)))
+        assert 1.0 < widest <= bound
+
 
 class TestDefect:
-    @pytest.mark.parametrize("n,k,rho", EXPANDERS, ids=IDS)
+    @pytest.mark.parametrize("n,k,rho", ARCS, ids=IDS)
     def test_within_its_estimate(self, n, k, rho, run):
-        # 0.05 to 0.30 of the estimate (0.05 to 0.30 over the 54 corpus
-        # expanders too)
+        # 0.02 to 0.30 of the estimate (0.02 to 0.30 over the 63 corpus
+        # hand-overs too; 0.02 on (6,1,0), 0.12 to 0.21 on the other steady
+        # sets)
         p, _sol, tr, _oc = run(n, k, rho)
         assert manifold.defect(tr, p) <= 1.0
 
@@ -390,19 +420,11 @@ class TestOracles:
         assert abs(tr.s[-1] - s_of(-k * mp.log(eps))) <= 1e-11
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("n,k,rho", [(64, 8, -0.3), (64, 8, -1.5), (64, 8, -1.0)])
-def test_64_8_arcs_keep_sample_tol_of_the_flow(n, k, rho, run):
-    # the Radau samples of these expanders missed SAMPLE_TOL by up to 5.6e-9
-    # up the asymptote (h rho(J) ~ 6e5). The series now takes the run over
-    # before Radau would (s = 2.21, 0.78 and 1.33, against switches at 3.5,
-    # 2.7 and 2.15), and its arc keeps SAMPLE_TOL of the flow: the cubic
-    # Hermite between samples at their midpoint against scipy Radau (rtol
-    # 1e-13) from the left one, X relative and ln Z absolute, at most
-    # 5.6e-10
+def _hermite_misses_of_the_flow(p, tr):
+    """The worst miss of the cubic Hermite between the arc's samples, at
+    each piece's midpoint, against scipy Radau (rtol 1e-13) from the
+    piece's left sample: X relative and W absolute."""
     integrate = pytest.importorskip("scipy.integrate")
-    p, _sol, tr, _oc = run(n, k, rho)
-    assert math.isnan(tr.stiff_from_s) and tr.newton_iterations == 0
     pp = _kernels.pack_params(p)
     i = _arc(tr)
     s, X = tr.s[i:], tr.X[i:]
@@ -418,11 +440,90 @@ def test_64_8_arcs_keep_sample_tol_of_the_flow(n, k, rho, run):
         a, b, c, d = _kernels.jac(y[0], y[1], pp)
         return [[a, b], [c, d]]
 
+    miss_x = miss_w = 0.0
     for j in range(mid.size):
         res = integrate.solve_ivp(
             fun, (s[j], mid[j]), [X[j], W[j]], method="Radau", rtol=1e-13,
             atol=[1e-13 * X[j], 1e-13], jac=jac,
         )
         x_ref, w_ref = res.y[:, -1]
-        assert abs(got[0][j] / x_ref - 1.0) <= _kernels.SAMPLE_TOL, s[j]
-        assert abs(got[1][j] - w_ref) <= _kernels.SAMPLE_TOL, s[j]
+        miss_x = max(miss_x, abs(got[0][j] / x_ref - 1.0))
+        miss_w = max(miss_w, abs(got[1][j] - w_ref))
+    return miss_x, miss_w
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,k,rho", [(64, 8, -0.3), (64, 8, -1.5), (64, 8, -1.0)])
+def test_64_8_arcs_keep_sample_tol_of_the_flow(n, k, rho, run):
+    # the Radau samples of these expanders missed SAMPLE_TOL by up to 5.6e-9
+    # up the asymptote (h rho(J) ~ 6e5). The series now takes the run over
+    # before Radau would (s = 2.21, 0.78 and 1.33, against switches at 3.5,
+    # 2.7 and 2.15), and its arc keeps SAMPLE_TOL of the flow: the cubic
+    # Hermite between samples at their midpoint against scipy Radau (rtol
+    # 1e-13) from the left one, X relative and ln Z absolute, at most
+    # 5.6e-10
+    p, _sol, tr, _oc = run(n, k, rho)
+    assert math.isnan(tr.stiff_from_s) and tr.newton_iterations == 0
+    assert max(_hermite_misses_of_the_flow(p, tr)) <= _kernels.SAMPLE_TOL
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,k", [(6, 1), (4, 1), (12, 4)])
+def test_steady_arcs_keep_sample_tol_of_the_flow(n, k, run):
+    # at a = 0 each d/ds raises the order in eps by one, so the density's
+    # majorant of the fourth derivatives runs to order N + 4: cut at the
+    # series' N = 1 terms, (6,1,0)'s read 0, and its samples, 1.09 apart,
+    # missed the flow by 1.3e-5. Now at most 3.4e-10, 1.6e-10 and 1.1e-10
+    # in X, 5.0e-10 in W
+    p, _sol, tr, _oc = run(n, k, 0.0)
+    assert tr.status == "s_max" and tr.s[-1] == 200.0
+    miss_x, miss_w = _hermite_misses_of_the_flow(p, tr)
+    assert miss_x <= _kernels.SAMPLE_TOL and miss_w <= _kernels.SAMPLE_TOL
+
+
+@pytest.fixture(scope="module")
+def steady_flow(run, log_chart):
+    """(n, k) -> (p, trace, solution): scipy Radau at rtol 1e-13 (atol
+    1e-13 X and 1e-13 in ln Z) in (X, ln Z) from the steady trace's
+    hand-over to s_max."""
+    integrate = pytest.importorskip("scipy.integrate")
+    cache = {}
+
+    def _solve(n, k):
+        if (n, k) not in cache:
+            p, _sol, tr, _oc = run(n, k, 0.0)
+            hand = tr.hand_over
+            fun, jac = log_chart(p)
+            res = integrate.solve_ivp(
+                fun, (hand.s, tr.s[-1]), [hand.X, hand.W - math.log(p.cb)], method="Radau",
+                rtol=1e-13, atol=[1e-13 * hand.X, 1e-13], jac=jac, dense_output=True,
+            )
+            assert res.success
+            cache[n, k] = (p, tr, res)
+        return cache[n, k]
+
+    return _solve
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n,k,rho", STEADY_SETS, ids=STEADY_IDS)
+class TestSteadyOracles:
+    def test_arc_samples_match_scipy(self, n, k, rho, steady_flow):
+        # the bounds of the expanders' oracle; worst 6.6e-13 in X and
+        # 8.0e-13 in ln Z
+        p, tr, res = steady_flow(n, k)
+        i = _arc(tr)
+        x_ref, ln_z_ref = res.sol(tr.s[i + 1 :])
+        assert np.max(np.abs(tr.X[i + 1 :] / x_ref - 1.0)) <= 2e-11
+        assert np.max(np.abs(np.log(tr.Z[i + 1 :]) - ln_z_ref)) <= 2e-11
+
+    @pytest.mark.parametrize("target", [16.0, 64.0, 200.0])
+    def test_fixed_s_matches_scipy(self, n, k, rho, target, steady_flow):
+        # read off the trace by ``orbit._cut_at``: within SAMPLE_TOL + 2e-11
+        # of the flow, as on the expanders (at most 6.1e-11 in X and
+        # 4.9e-10 in ln Z; s = 200 is the last sample)
+        p, tr, res = steady_flow(n, k)
+        _s, X, Z = orbit._cut_at(tr.s, tr.X, tr.Z, target, p)
+        x_ref, ln_z_ref = res.sol(target)
+        assert abs(X[-1] / x_ref - 1.0) <= _kernels.SAMPLE_TOL + 2e-11
+        assert abs(math.log(Z[-1]) - ln_z_ref) <= _kernels.SAMPLE_TOL + 2e-11

@@ -373,68 +373,41 @@ class TestAsymptoteTrap:
 
 class TestSteadyEnd:
     def test_steps_are_the_full_runs_bit_for_bit(self, run):
-        # the kernel pauses at each octave end and resumes with its whole
-        # state: up to the end at S = 32, (4,1,0) takes the steps of the
-        # run to s_max (the steady end off), and its trace is that run's
-        # samples, closed by a cubic Hermite point at S
+        # up to its hand-over to the slow-manifold series at s = 6.21,
+        # (4,1,0) takes the steps of the kernel's run to s_max (the
+        # asymptote event off, so no series), and its trace is that run's
+        # samples; the series' arc then takes it to s_max
         p, _sol, tr, _oc = run(4, 1, 0.0)
         _p, _sol, full, _oc = run(4, 1, 0.0, asym_tol=0.0)
-        assert tr.status == orbit.STEADY_END and full.status == "s_max"
-        assert tr.s[-1] == 32.0 and tr.events[-1] == (32.0, orbit.STEADY_END)
-        n = tr.s.size - 1
-        assert full.s[n - 1] < 32.0 < full.s[n]
+        assert tr.status == full.status == "s_max" and tr.s[-1] == full.s[-1] == 200.0
+        assert full.hand_over is None and tr.hand_over.s == pytest.approx(6.210, abs=1e-3)
+        n = int(np.searchsorted(tr.s, tr.hand_over.s)) + 1
         for a, b in ((tr.s, full.s), (tr.X, full.X), (tr.Z, full.Z)):
             assert np.array_equal(a[:n], b[:n])
-        assert tr.accepted_steps == 88 < full.accepted_steps == 256
+        assert tr.accepted_steps == 55 < full.accepted_steps == 256
+        assert tr.newton_iterations == 35 and not tr.events
 
-    def test_kernel_resumes_bit_for_bit(self):
-        # (4,1,-1) switches to Radau at s = 2.2: paused five times across the
-        # switch, the run returns what one call returns
-        p = phase.make_params(4, 1, -1.0, 1.0)
-        ctl = orbit.OrbitControls()
-        args = (_kernels.pack_params(p), ctl.rtol, ctl.step_floor, ctl.asym_tol, True, False)
-        start = (0.1, 0.0, 0.0)
-        series = _kernels.NO_SERIES
-        whole = _kernels.integrate_core(*start, ctl.s_max, *args, ctl.max_samples, series)
-        buffers, loop = _kernels.start_run(*start, args[0], ctl.max_samples)
-        for s_pause in (0.5, 1.0, 2.0, 2.5, 4.0, math.inf):
-            loop = _kernels.advance(buffers, loop, s_pause, ctl.s_max, *args, series)
-            assert _kernels.run_result(buffers, loop)[0][-1] >= min(s_pause, whole[0][-1])
-        paused = _kernels.run_result(buffers, loop)
-        assert paused[6] == whole[6] == _kernels.ST_ASYMPTOTE
-        for a, b in zip(paused, whole):
-            if isinstance(a, np.ndarray):
-                assert np.array_equal(a, b)
-            else:
-                assert a == b or (a != a and b != b)
-
-    def test_rows_end_at_their_own_octave(self):
-        # (9,4,0): the alphas' log powers converge at S = 32, 64 and 64; the
-        # shared continuation runs until the last of them has
+    def test_rows_hand_over_at_their_own_s(self):
+        # (9,4,0): the alphas read one shared continuation, hand-over
+        # included, each shifted into its own frame and ended at s_max
         p = phase.make_params(9, 4, 0.0, 1.0)
         runs = orbit.run_orbits(p, [0.5, 1.0, 2.0])
-        for (_sol, tr, oc), end in zip(runs, (32.0, 64.0, 64.0)):
-            assert tr.status == orbit.STEADY_END and tr.s[-1] == end
-            assert tr.steady_ends == (end,)
+        shift = [picard.gauge(1.0, p) - picard.gauge(a, p) for a in (0.5, 1.0, 2.0)]
+        hand = runs[1][1].hand_over
+        for (_sol, tr, oc), d in zip(runs, shift):
+            assert tr.status == "s_max" and tr.s[-1] == 200.0 and not tr.events
+            assert tr.hand_over[1:] == hand[1:]
+            assert tr.hand_over.s == pytest.approx(hand.s + d, abs=1e-12)
             assert oc.kind == orbit.TYPE_GAMMA
             assert oc.diagnostics["criterion"] == "asymptote_trap"
 
     def test_unconverged_run_goes_on_to_s_max(self, run):
-        # (4,1,0) converges at S = 32 > s_max: the run ends at s_max as
-        # before, still TypeGamma on the trap
+        # cut at s_max = 20, (4,1,0) ends there on the series' arc, still
+        # TypeGamma on the trap
         p, _sol, tr, oc = run(4, 1, 0.0, s_max=20.0)
         assert tr.status == "s_max" and tr.s[-1] == 20.0
-        assert tr.steady_ends == (None,)
+        assert tr.hand_over == run(4, 1, 0.0)[2].hand_over
         assert oc.diagnostics["criterion"] == "asymptote_trap"
-
-    def test_end_test_reads_the_two_octaves(self, run):
-        # the fits over [16, 32] and [8, 16] that end (4,1,0) agree within
-        # asym_tol; those over [8, 16] and [4, 8] did not
-        p, _sol, tr, _oc = run(4, 1, 0.0)
-        fits = [orbit.log_power_fit(tr.s, tr.X, p, S)[0] for S in (8.0, 16.0, 32.0)]
-        tol = orbit.OrbitControls().asym_tol
-        assert abs(fits[1] - fits[0]) > tol * abs(fits[1])
-        assert abs(fits[2] - fits[1]) <= tol * abs(fits[2])
 
 
 class TestRegimeTable:

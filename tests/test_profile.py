@@ -232,9 +232,9 @@ class TestPotential:
         assert np.all(np.diff(pot.phi) > 0.0)
         assert profile.potential_identity_residual(profile.reconstruct_u(tr, p), p) < 1e-6
 
-    # the ends that cut these arcs short are off: the steady end at rho = 0
-    # (asym_tol 0), the ends at B at rho = 1
-    @pytest.mark.parametrize("rho,ctrl", [(0.0, {"asym_tol": 0.0}), (1.0, {"end_at_b": False})])
+    # the steady arc runs to s_max on the slow-manifold series; at rho = 1
+    # the ends at B, which cut the arc short, are off
+    @pytest.mark.parametrize("rho,ctrl", [(0.0, {}), (1.0, {"end_at_b": False})])
     def test_identity_holds_where_sigma_k_underflows(self, rho, ctrl, run):
         # at k = 4 the product lambda2^3 [bracket] underflows to subnormals:
         # on (12,4,1), held at B up to s = 200, sigma_k reads 1.5e-321 at

@@ -16,12 +16,12 @@ from ksol import _jit, _kernels, orbit, phase, picard
 
 # with their accepted steps at alpha 1: their DOP853 arcs end while the
 # step shrinks with h rho(J) above STIFF_HRHO_SHRINK, below the step cap,
-# after 80, 94 and 51 steps, and Radau takes 28, 27 and 45 steps after it,
-# the last up to the steady end at s = 32. The expanders' steps are those of
-# the kernel's run up to the asymptote event (``integrated``), which
-# ``orbit.integrate`` hands over to the slow-manifold series before the
-# switch (see EXPANDER_HAND_OVERS)
-STIFF_SETS = [(4, 1, -1.0, 100), (5, 2, -1.0, 113), (4, 1, 0.0, 88)]
+# after 72, 86 and 44 steps, and Radau takes 28, 27 and 212 steps after it,
+# the last up to s_max. The steps are those of the kernel's run without the
+# slow-manifold series (``integrated``): ``orbit.integrate`` hands the
+# expanders over to the series before the switch (see EXPANDER_HAND_OVERS),
+# and the steady set after it, at s = 6.21
+STIFF_SETS = [(4, 1, -1.0, 100), (5, 2, -1.0, 113), (4, 1, 0.0, 256)]
 # the expanders of STIFF_SETS as the pipeline runs them: the accepted steps
 # up to the hand-over to the series, and its s
 EXPANDER_HAND_OVERS = [(4, 1, -1.0, 69, 2.191), (5, 2, -1.0, 75, 2.478)]
@@ -33,9 +33,6 @@ SPIRAL_ARCS = {
     (4, 1, 5.0): {"s_max": 110.0, "end_at_b": False},
     (5, 2, 1.0): {"s_max": 45.0, "end_at_b": False},
 }
-# the steady set whose oracle targets (up to s = 199) lie past its steady
-# end at s = 32: the run with the steady end off (asym_tol 0), to s_max
-STEADY_ARC = {(4, 1, 0.0): {"asym_tol": 0.0}}
 # the spirals of NON_STIFF_SETS end at their second return to X_B, at s =
 # 5.7 to 9.0; with the ends at B off they run on into B (72 to 243 accepted
 # steps), where the stiffness switch could fire
@@ -51,32 +48,6 @@ BENCH_SETS = (
     + [(n, k, rho, 1.0) for n, k, rho in NON_STIFF_SETS + [(4, 2, -1.0)]]
     + [(4, 1, 1.0, theta) for theta in (1e-6, 1e3, 1e6)]
 )
-
-
-@pytest.fixture(scope="module")
-def integrated(run):
-    """(n, k, rho) -> (p, trace): the Picard hand-off at alpha 1 run by the
-    kernel alone, with no slow-manifold series to hand over to, to the end
-    of an ``orbit.OrbitControls()`` run. Up the asymptote of an expander this
-    is the Radau arc that ``orbit.integrate`` leaves to the series, step for
-    step. The trace has no head below s0 and no certificate."""
-    cache = {}
-
-    def _integrated(n, k, rho):
-        if (n, k, rho) not in cache:
-            p, sol, _tr, _oc = run(n, k, rho)
-            x0, w0 = sol.state_at_s0(p)
-            out = orbit._integrate_raw(x0, w0, sol.s0, p, orbit.OrbitControls())
-            cache[n, k, rho] = (p, orbit.OrbitTrace(*out[:5], **out[5]))
-        return cache[n, k, rho]
-
-    return _integrated
-
-
-def _stiff_run(n, k, rho, run, integrated):
-    """The trace that a STIFF_SETS pin reads: the kernel's own run for an
-    expander (``integrated``), the pipeline's for the steady set."""
-    return integrated(n, k, rho)[1] if rho < 0.0 else run(n, k, rho)[2]
 
 
 @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (7, 3), (12, 4)])
@@ -575,8 +546,8 @@ class TestStiffSwitch:
     @pytest.mark.parametrize(
         "n,k,rho,steps", STIFF_SETS, ids=[f"{n}-{k}-{rho}" for n, k, rho, _ in STIFF_SETS]
     )
-    def test_stiff_sets_switch(self, n, k, rho, steps, run, integrated):
-        tr = _stiff_run(n, k, rho, run, integrated)
+    def test_stiff_sets_switch(self, n, k, rho, steps, integrated):
+        _p, tr = integrated(n, k, rho)
         assert math.isfinite(tr.stiff_from_s)
         assert tr.s[tr.tail_end_index] < tr.stiff_from_s < tr.s[-1]
         assert tr.accepted_steps == steps
@@ -594,8 +565,9 @@ class TestStiffSwitch:
     def _dop853_steps(monkeypatch, n, k, rho, controls=None):
         """The trace at alpha 1 and, for each accepted DOP853 step, its
         length h and h rho(J) at its end, read where the step builds its
-        extension (only on the Python kernels). An expander's is the
-        kernel's run without the slow-manifold series (``integrated``)."""
+        extension (only on the Python kernels). A run into the asymptote
+        trap is the kernel's without the slow-manifold series
+        (``integrated``)."""
         if _jit.JIT_ENABLED:
             pytest.skip("compiled kernels call each other directly")
         p = phase.make_params(n, k, rho, 1.0)
@@ -608,7 +580,7 @@ class TestStiffSwitch:
             return dense(X, W, h, fX, fW, X1, W1, *rest)
 
         monkeypatch.setattr(_kernels, "_dop853_dense", spy)
-        if rho < 0.0:
+        if rho <= 0.0:
             sol = picard.picard_solve(1.0, p)
             x0, w0 = sol.state_at_s0(p)
             out = orbit._integrate_raw(x0, w0, sol.s0, p, controls or orbit.OrbitControls())
@@ -773,15 +745,15 @@ def continued(run, integrated):
     trace of ``run_orbit``, or, where the funnel certificate ends that run
     at its hand-off (the theta corners 1e3 and 1e6 of (4,1,1)), a plain
     ``integrate`` from the same Picard tail, which still runs the stiff
-    Radau arc to s_max; an expander's at theta 1 is the kernel's run to the
-    asymptote event (``integrated``), whose Radau arc ``orbit.integrate``
-    leaves to the slow-manifold series."""
+    Radau arc to s_max; an expander's or a steady soliton's at theta 1 is
+    the kernel's run to its end (``integrated``), whose Radau arc
+    ``orbit.integrate`` leaves to the slow-manifold series."""
     cache = {}
 
     def _continued(n, k, rho, theta):
         key = (n, k, rho, theta)
         if key not in cache:
-            if rho < 0.0 and n > 2 * k and theta == 1.0:
+            if rho <= 0.0 and n > 2 * k and theta == 1.0:
                 cache[key] = integrated(n, k, rho)
                 return cache[key]
             p, sol, tr, _oc = run(n, k, rho, theta=theta)
@@ -814,8 +786,9 @@ class TestStepCaps:
         # midpoint within SAMPLE_TOL, X relative and ln Z absolute; measured:
         # 9.52e-10, 9.54e-10 and 9.53e-10 at most (at s = 2.38, 3.96 and
         # 3.96): a piece count holds the Hermite within SAMPLE_TOL of the
-        # quintic, not far inside it. The expander's arc is the kernel's run
-        # without the slow-manifold series (``continued``)
+        # quintic, not far inside it. The expander's and the steady set's
+        # arcs are the kernel's runs without the slow-manifold series
+        # (``continued``), the steady one to s_max
         p, tr = continued(n, k, rho, theta)
         pp = _kernels.pack_params(p)
         i0 = int(np.searchsorted(tr.s, tr.stiff_from_s))
@@ -906,8 +879,9 @@ class TestScipyOracle:
     )
     def test_samples_match(self, n, k, rho, targets, method, oracle):
         # the spirals' targets lie past their certificates, on SPIRAL_ARCS,
-        # and (4,1,0)'s past its steady end, on STEADY_ARC
-        ctrl = SPIRAL_ARCS.get((n, k, rho), STEADY_ARC.get((n, k, rho), {}))
+        # and (4,1,0)'s on the slow-manifold series' arc past its hand-over
+        # at s = 6.21
+        ctrl = SPIRAL_ARCS.get((n, k, rho), {})
         tr, res = oracle(n, k, rho, 1.0, method, **ctrl)
         for target in targets:
             j = int(np.argmin(np.abs(tr.s - target)))
