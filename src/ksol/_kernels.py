@@ -58,11 +58,11 @@ the cubic Hermite between the step ends would miss SAMPLE_TOL in (X, W),
 Radau's at its collocation nodes, where the quintic's slope is the
 field's. So the steps are limited by accuracy, up to MAX_STEP.
 
-Hand-over: up the asymptote of an expander the run need not be integrated
-to its end. Given the slow-manifold series of ``manifold`` packed as floats
-(SM_* layout), the step loop ends the run ST_SERIES at the first accepted
-step past the series' least W whose end lies within rtol X of the series
-at its own W (``_on_series``), and the series gives the rest of the trace.
+Hand-over: up the asymptote of an expander or a steady soliton (n > 2k) the
+run need not be integrated to its end. Given the slow-manifold series of
+``manifold`` packed as floats (SM_* layout), the step loop ends the run
+ST_SERIES at the first accepted step past the series' least W whose end lies
+within rtol X of it (``_on_series``); the series gives the rest of the trace.
 
 Ends at B: where B attracts the run, its one end there is certified_B, at
 the first upward crossing of X = X_B where ``certifies_b`` proves

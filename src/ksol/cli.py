@@ -29,7 +29,7 @@ import numpy as np
 
 from . import orbit as orbit_mod
 from . import _jit, manifold, phase, picard, profile, sigma
-from .errors import DomainError, KsolError, ParameterError
+from .errors import KsolError, ParameterError
 
 # the kernel path of this process, named in the classify and verify reports
 BACKEND = "numba" if _jit.JIT_ENABLED else "python"
@@ -283,17 +283,12 @@ def cmd_portrait(args):
 
     with _csv_writer(cfg["out"]) as writer:
         writer.writerow(["record", "label", "s", "X", "Z", "dX", "dZ"])
-        xs = np.linspace(0.0, p.x_cap, n_grid)
-        zs = np.linspace(0.0, z_hi, n_grid)
-        for X in xs:
-            for Z in zs:
-                try:
-                    F, G = phase.system_rhs((X, Z), p)
-                    dX, dZ = f"{F:.12g}", f"{G:.12g}"
-                except DomainError:
-                    # the field is undefined at X = x_cap = X_A, Z > 0 (rho > 2 theta)
-                    dX = dZ = ""
-                writer.writerow(["field", "", "", f"{X:.12g}", f"{Z:.12g}", dX, dZ])
+        X = np.repeat(np.linspace(0.0, p.x_cap, n_grid), n_grid)
+        Z = np.tile(np.linspace(0.0, z_hi, n_grid), n_grid)
+        for X, Z, F, G in zip(X, Z, *phase.field_in_domain(X, Z, p)):
+            # blank where the field is undefined: X = x_cap = X_A, Z > 0 (rho > 2 theta)
+            dX, dZ = ("", "") if math.isnan(F) else (f"{F:.12g}", f"{G:.12g}")
+            writer.writerow(["field", "", "", f"{X:.12g}", f"{Z:.12g}", dX, dZ])
         # X_s = 0 nullcline: Z = (n-2k)(1 - x/x_A) X / f(x) where positive
         X = np.linspace(1e-9, p.x_cap * 0.999, 400)
         x = phase.kth_root(X, p.k)
@@ -441,10 +436,8 @@ def cmd_verify(args):
 
     # repulsion at the asymptote and the Z_s sign structure
     if p.n >= 2 * p.k and p.rho <= 2.0 * p.theta:
-        worst = -math.inf
-        for Z in np.linspace(0.1, 5.0, 25):
-            F, _ = phase.system_rhs((p.gamma_k, Z), p)
-            worst = max(worst, F)
+        F, _ = phase.field_in_domain(np.full(25, p.gamma_k), np.linspace(0.1, 5.0, 25), p)
+        worst = max(F.tolist())
         # n = 2k, and rho = 2 theta (gamma = x_A), make X_s vanish on the line
         limit = 0.0 if p.n == 2 * p.k or p.rho == 2.0 * p.theta else -1e-12
         record("asymptote_repulsion", worst, limit, ok=worst <= limit + 1e-15)
@@ -459,10 +452,11 @@ def cmd_verify(args):
     sol, trace, oc, table, rate, _rate_error = _analyse_one(p, alpha, cfg)
     record("picard_residual", sol.sup_residual, tol)
     record("picard_rate", sol.contraction_rate, 0.9)
-    # relative per component: the limits are alpha_k and n alpha_k / f(0)
+    # relative per component, of alpha_k and n alpha_k / f(0); inf if one is 0 or inf
     ak = picard.alpha_weight(alpha, p)
     lim_err = max(
-        abs(got - want) / want for got, want in zip(sol.weighted_limits, (ak, p.n * ak / p.f0))
+        abs(got - want) / want if 0.0 < want < math.inf else math.inf
+        for got, want in zip(sol.weighted_limits, (ak, p.n * ak / p.f0))
     )
     record("picard_weighted_limits", lim_err, 1e-8)
     record("picard_derivative_defect", picard.derivative_residual(sol, p), 10.0 * tol)

@@ -190,10 +190,10 @@ class OrbitClass:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _integrate_raw(x0, w0, s0, p, controls, stop_at_xb=False, series=None):
+def _integrate_raw(x0, w0, s0, p, controls, series=None):
     """One run of the kernel in the chart of ``p`` from (X, W) = (x0, w0) at
-    s0, with W = ln(c_nk beta^k Z) (-inf on the axis Z = 0); an A-chart run,
-    or any run with ``stop_at_xb``, ends at its first crossing of X_B. Given
+    s0, with W = ln(c_nk beta^k Z) (-inf on the axis Z = 0); an A-chart run
+    ends at its first crossing of X_B (``p.stops_at_xb``). Given
     the ``manifold.SlowManifold`` ``series``, the kernel hands the run over
     to it, and the series' arc (``SlowManifold.arc``) ends the trace at the
     asymptote event or at s_max."""
@@ -206,7 +206,7 @@ def _integrate_raw(x0, w0, s0, p, controls, stop_at_xb=False, series=None):
         controls.step_floor,
         asym_tol,
         controls.end_at_b,
-        p.stops_at_xb or stop_at_xb,
+        p.stops_at_xb,
     )
     # callers may hand over numpy scalars, and Python floats keep the
     # uncompiled kernel's arithmetic off numpy's scalar path
@@ -248,14 +248,13 @@ def _integrate_raw(x0, w0, s0, p, controls, stop_at_xb=False, series=None):
     return s_arr, x_arr, z_arr, events, status, fields
 
 
-def integrate(start, p, controls=None, stop_at_xb=False):
+def integrate(start, p, controls=None):
     """Continue a local solution into a global orbit trace.
 
     ``start`` is a LocalSolution; XZ charts continue the origin orbit
     forward in s, WV charts continue the A-orbit backwards (forward in
     sigma = -s), which is the orientation the barrier comparison needs, and
-    end at X_B, where that comparison ends (status "stopped_at_X_B"); with
-    ``stop_at_xb`` an XZ run ends at its first crossing of X_B too.
+    end at X_B, where that comparison ends (status "stopped_at_X_B").
 
     Where the hand-off lies in the asymptote trap (:func:`asymptote_trap`),
     the trace carries its certificate. There, at n > 2k (rho <= 0) and with
@@ -274,7 +273,7 @@ def integrate(start, p, controls=None, stop_at_xb=False):
         series = manifold.slow_manifold(p, controls.rtol)
     x0, w0 = start.state_at_s0(p)
     s_arr, x_arr, z_arr, events, status, fields = _integrate_raw(
-        x0, w0, start.s0, p.in_chart(start.chart), controls, stop_at_xb, series
+        x0, w0, start.s0, p.in_chart(start.chart), controls, series
     )
     if trap is not None:
         fields["certificate"] = trap
@@ -419,63 +418,58 @@ def run_orbits(p, alphas, controls=None, tol=picard.DEFAULT_TOL):
     The system is autonomous and the orbit leaving the origin is unique, so
     alpha only shifts it in s: X(s; alpha) = X(s + c; 1) with
     c = ln(alpha_k)/(2k) (``picard.gauge``). One local series serves every
-    alpha: the anchor, the alpha with the largest alpha_k whose solve
-    succeeds, is solved, and every other alpha's series is the anchor's under
+    alpha (:func:`_local_solutions`): the anchor, the largest alpha in its
+    range, is solved, and every other alpha's series is the anchor's under
     ``picard.gauge_map``. All of them hand off the same state, each at its
     own s0, so one continuation from the anchor's hand-off serves them all;
     it runs until every alpha reaches its own s_max. Where the hand-off lies
     in a funnel into B (:func:`funnel_end`), nothing is continued: every
     alpha's trace is its head and the hand-off, ended certified_B. Returns
-    one (sol, trace, oc) per alpha, in order; an alpha that fails the local
-    solution's checks, or whose own solve as a candidate anchor fails, gets its
-    KsolError in place of the tuple.
+    one (sol, trace, oc) per alpha, in order; an alpha out of its range gets
+    its DomainError in place of the tuple, and where the solve fails, every
+    alpha in range gets its KsolError.
     """
     controls = controls or OrbitControls()
-    anchor, sols = _local_solutions(p, alphas, tol)
+    gauges, sols = _local_solutions(p, alphas, tol)
     ok = [sol for sol in sols if not isinstance(sol, KsolError)]
-    cert = funnel_end(anchor, p, controls) if ok else None
-    if ok and cert is None:
-        c0 = picard.gauge(anchor.alpha, p)
-        c_max = max(picard.gauge(sol.alpha, p) for sol in ok)
-        shared = integrate(anchor, p, replace(controls, s_max=controls.s_max + (c_max - c0)))
-    runs = []
-    for sol in sols:
+    if not ok:
+        return sols
+    anchor = max(ok, key=lambda sol: sol.alpha)
+    cert = funnel_end(anchor, p, controls)
+    # the anchor's c is the largest, so its row runs longest: to s_max
+    shared = integrate(anchor, p, controls) if cert is None else None
+    for i, sol in enumerate(sols):
         if isinstance(sol, KsolError):
-            runs.append(sol)
             continue
         if cert is not None:
             trace = _hand_off_trace(sol, p, cert)
         else:
-            # the shift c0 - c is the negated d of the gauge map, so the
+            # the shift c_anchor - c is the negated d of the gauge map, so the
             # hand-off lands on sol's s0 exactly, and the anchor's shift is 0
-            c = picard.gauge(sol.alpha, p)
-            trace = _shifted_trace(shared, sol, c0 - c, c < c_max, controls.s_max, p)
-        runs.append((sol, trace, classify_orbit(trace, p)))
-    return runs
+            shift = gauges[anchor.alpha] - gauges[sol.alpha]
+            trace = _shifted_trace(shared, sol, shift, controls.s_max, p)
+        sols[i] = (sol, trace, classify_orbit(trace, p))
+    return sols
 
 
 def _local_solutions(p, alphas, tol):
-    """The anchor and one LocalSolution or KsolError per alpha, in order.
-
-    The anchor is the alpha with the largest alpha_k (1 - m > 0, so the
-    largest alpha) that passes ``picard.check_alpha`` and whose own solve
-    succeeds; an alpha whose solve failed keeps its error, and the next one
-    down is tried. Every other alpha is the anchor's image under
-    ``picard.gauge_map``, which hands off the anchor's state with its bound.
-    The anchor is None when no alpha could be solved.
-    """
-    anchor = None
-    by_alpha = {}
-    for alpha in sorted(set(alphas), reverse=True):
+    """The gauge c of each alpha in range (``picard.gauge`` raises outside
+    it), keyed by alpha, and one LocalSolution or KsolError per alpha, in
+    order. The anchor, the largest alpha in range (the largest alpha_k),
+    is solved once; the solve reads no alpha, so its error is every alpha's."""
+    gauges, by_alpha = {}, {}
+    for alpha in set(alphas):
         try:
-            if anchor is None:
-                picard.check_alpha(alpha)
-                anchor = by_alpha[alpha] = picard.picard_solve(alpha, p, tol)
-            else:
-                by_alpha[alpha] = picard.gauge_map(anchor, alpha, p)
+            gauges[alpha] = picard.gauge(alpha, p)
         except KsolError as exc:
             by_alpha[alpha] = exc
-    return anchor, [by_alpha[alpha] for alpha in alphas]
+    try:
+        anchor = picard.picard_solve(max(gauges), p, tol) if gauges else None
+    except KsolError as exc:
+        by_alpha.update(dict.fromkeys(gauges, exc))
+    else:
+        by_alpha.update({alpha: picard.gauge_map(anchor, alpha, p) for alpha in gauges})
+    return gauges, [by_alpha[alpha] for alpha in alphas]
 
 
 def funnel_end(sol, p, controls):
@@ -631,18 +625,17 @@ def _hand_off_trace(sol, p, cert):
     )
 
 
-def _shifted_trace(shared, sol, shift, ends_early, s_max, p):
+def _shifted_trace(shared, sol, shift, s_max, p):
     """The trace of sol's alpha read off a shared continuation.
 
     It is sol's own head below s0, then the shared samples from the
     hand-off on, shifted by ``shift`` in s, which puts the hand-off at sol's
-    s0. A row that ends before the shared run (``ends_early``) and that the
-    run went past is cut at s_max, with status s_max, and loses a
-    Poincare-return certificate and a hand-over at or past s_max. The cut
-    drops the later samples and events, and a cubic Hermite point closes
-    the trace.
-    The solver counters are the shared run's, with stiff_from_s and the
-    certificate's returns shifted into the row's frame.
+    s0. A row shifted to later s (shift > 0) that the run took past s_max is
+    cut there, with status s_max, and loses a Poincare-return certificate
+    and a hand-over at or past s_max. The cut drops the later samples and
+    events, and a cubic Hermite point closes the trace. The solver counters
+    are the shared run's, with stiff_from_s and the certificate's returns
+    shifted into the row's frame.
     """
     i0 = shared.tail_end_index
     s = shared.s[i0:] + shift
@@ -656,7 +649,7 @@ def _shifted_trace(shared, sol, shift, ends_early, s_max, p):
     hand_over = shared.hand_over
     if hand_over is not None:
         hand_over = hand_over._replace(s=hand_over.s + shift)
-    if ends_early and s[-1] > s_max:
+    if shift > 0.0 and s[-1] > s_max:
         s, X, Z = _cut_at(s, X, Z, s_max, p)
         events = [(se, name) for se, name in events if se <= s_max]
         if status == "certified_B":
@@ -869,10 +862,10 @@ def barrier_compare(
     Both curves are parametrized by X on [x_lo, X_B] (X is strictly
     increasing there for each); the A-orbit must dominate pointwise, and
     f > h on the same interval. The local solutions are solved at ``tol``.
-    The origin curve is the origin orbit's trace for ``alpha`` up to its
-    first crossing of X_B, a sample at X = X_B exactly: ``trace`` when the
-    caller already has it, else a run from the origin that ends at that
-    crossing, as the A-orbit's run ends at X_B by its chart. Each curve is
+    The origin curve is the origin orbit's trace for ``alpha``, ``trace``
+    when the caller already has it, else :func:`run_orbit`'s, read up to its
+    first crossing of X_B, a sample at X = X_B exactly, where the A-orbit's
+    run ends by its chart. Each curve is
     read on the grid off the cubic Hermite in X (:func:`hermite`) with the
     slopes dZ/dX = G/F of its own chart, which the samples keep to the
     integrator's accuracy; chords between them would not.
@@ -883,8 +876,7 @@ def barrier_compare(
         raise NotApplicableError("barrier comparison requires n >= 2k")
     controls = controls or OrbitControls()
     if trace is None:
-        picard.check_alpha(alpha)
-        trace = integrate(picard.picard_solve(alpha, p, tol), p, controls, stop_at_xb=True)
+        trace = run_orbit(p, alpha, controls, tol)[1]
     crossings = trace.event_s("crossed_X_B")
     tr_a = integrate(picard.picard_solve_at_A(alpha_bar, p, tol), p, controls)
     if not crossings or tr_a.status != "stopped_at_X_B":

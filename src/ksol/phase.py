@@ -278,6 +278,19 @@ def system_rhs(state, p):
     raise DomainError(f"state with X^(1/k) = {x} >= x_A = {p.x_A} and Z > 0")
 
 
+def field_in_domain(X, Z, p):
+    """:func:`system_rhs` on arrays, NaN where it raises: one :func:`vector_field`
+    call, with the points on the axis Z = 0 or off 0 <= x < x_A read off system_rhs."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        F, G = ((1.0 if p.chart == "XZ" else -1.0) * v for v in vector_field(X, Z, p))
+    for i in np.flatnonzero((Z == 0.0) | (X < 0.0) | ~(kth_root(X, p.k) < p.x_A)):
+        try:
+            F.flat[i], G.flat[i] = system_rhs((X.flat[i], Z.flat[i]), p)
+        except DomainError:
+            F.flat[i] = G.flat[i] = np.nan
+    return F, G
+
+
 def jacobian(state, p):
     """Analytic Jacobian of (F, G) = ``vector_field`` at interior points
     0 < X < X_A.

@@ -21,16 +21,17 @@ r = (I - L)^(-1) T(0). The hand-off s0 is the largest s <= s1, the box edge,
 where that bound meets HAND_OFF_TOL * tol relative to X and Z; with the
 coefficients' rounding it is the hand-off's ``err``.
 
-alpha only shifts s (:func:`gauge`), so the coefficients are formed at
-alpha_k = 1 and kept in u = e^(2(s - s0)), where every alpha has the same
-ones. Reversing s turns the A-chart system into the origin system with f
-replaced by h, so the same code, reading the profile's numerator
-num_a + num_b x from p's chart, builds the orbit at A. The weighted limits
-of (X, Z) e^(-2ks) are alpha_k and n alpha_k / f(0), and the profile has
-u(0) = (n alpha_k / f(0))^(1/((1-m)k)), exposed as ``u0``.
+alpha only shifts s (:func:`gauge`): the series is built once, at alpha_k = 1,
+in u = e^(2(s - s0)), where every alpha has the same coefficients, and
+:func:`gauge_map` alone moves it to an alpha. Reversing s turns the A-chart
+system into the origin system with f replaced by h, so the same code, reading
+the profile's numerator num_a + num_b x from p's chart, builds the orbit at A.
+The weighted limits of (X, Z) e^(-2ks) are alpha_k and n alpha_k / f(0), and
+``u0`` is u(0) = (n alpha_k / f(0))^(1/((1-m)k)).
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from operator import mul
 
@@ -50,8 +51,27 @@ _EPS = np.finfo(float).eps
 
 
 def alpha_weight(alpha, p):
-    """alpha_k = alpha^((1-m)k), the weighted amplitude matching u(0)-scaling."""
-    return alpha ** ((1.0 - p.m) * p.k)
+    """alpha_k = alpha^((1-m)k), the weighted amplitude matching u(0)-scaling.
+    It checks alpha's range: DomainError outside [1e-8, 1e8], and where
+    alpha_k underflows to 0 or it or the weighted Z limit n alpha_k / f(0)
+    (h(0) at A) overflows, which at n = 64 narrows the range from k = 37 on;
+    the message names the range that p can use."""
+    if not 1e-8 <= alpha <= 1e8:
+        raise DomainError("alpha outside the supported range [1e-8, 1e8]")
+    e, b0 = (1.0 - p.m) * p.k, max(1.0, p.n / p.profile0)
+    try:
+        alpha_k = alpha**e
+        if 0.0 < alpha_k and alpha_k * b0 < math.inf:
+            return alpha_k
+    except OverflowError:
+        pass
+    # the ends (alpha^e is 0 below half the least float), moved well inward
+    lo = max(1e-8, 2.0 ** (-1075.0 / e) * (1.0 + 1e-4))
+    hi = min(1e8, (sys.float_info.max / b0) ** (1.0 / e) * (1.0 - 1e-4))
+    raise DomainError(
+        f"alpha {alpha:g} is outside [{lo:.6g}, {hi:.6g}], the range usable at (n, k, rho) = "
+        f"({p.n}, {p.k}, {p.rho:g}), where alpha^{e:.6g} and the weighted limits are floats"
+    )
 
 
 def gauge(alpha, p):
@@ -63,24 +83,24 @@ def gauge(alpha, p):
 
 def gauge_map(sol, alpha, p):
     """The LocalSolution of alpha, read off sol, the solution of the same
-    parameter set at another alpha.
+    parameter set at another alpha; the one map between alphas.
 
     With d = c(alpha) - c(sol.alpha) (see :func:`gauge`), alpha's orbit is
     sol's shifted by -d in s: a_j scales by e^(2dj) and b_j by e^(2d(j+k)),
     which leaves the coefficients in u = e^(2(s - s0)) as they are once s0
     moves by -d. The hand-off is the same state, with the same bound; the
-    weighted limits scale by alpha_k / alpha_k(sol.alpha) and u0 is
-    alpha's. alpha is checked as :func:`picard_solve` checks it.
+    weighted limits scale by alpha_k / alpha_k(sol.alpha), and u0 is
+    alpha's u(0) (none in the A chart). alpha is checked by :func:`alpha_weight`.
     """
-    check_alpha(alpha)
+    alpha_k = alpha_weight(alpha, p)
     d = gauge(alpha, p) - gauge(sol.alpha, p)
-    r = alpha_weight(alpha, p) / alpha_weight(sol.alpha, p)
+    r = alpha_k / alpha_weight(sol.alpha, p)
     return replace(
         sol,
         s0=sol.s0 - d,
         alpha=alpha,
         weighted_limits=tuple(w * r for w in sol.weighted_limits),
-        u0=_u0(alpha, p.in_chart(sol.chart)),
+        u0=(p.n * alpha_k / p.f0) ** (1.0 / ((1.0 - p.m) * p.k)) if sol.chart == "XZ" else None,
     )
 
 
@@ -89,19 +109,6 @@ def box_edge(alpha, p):
     cap min(gamma^k, X_B) (X_B in the A chart); the hand-off lies at or
     left of it."""
     return math.log(p.picard_cap / (2.0 * alpha_weight(alpha, p))) / (2.0 * p.k)
-
-
-def check_alpha(alpha):
-    """Raise DomainError unless alpha lies in the supported range."""
-    if not 1e-8 <= alpha <= 1e8:
-        raise DomainError("alpha outside the supported range [1e-8, 1e8]")
-
-
-def _u0(alpha, p):
-    """u(0) of the profile at the origin; the A chart has none."""
-    if p.chart != "XZ":
-        return None
-    return (p.n * alpha_weight(alpha, p) / p.profile0) ** (1.0 / ((1.0 - p.m) * p.k))
 
 
 @dataclass(frozen=True)
@@ -438,11 +445,11 @@ def _order(y, b, nu, k, tol):
     return (int(ok[0]) + 2 if ok.size else None), float(nxt[-1])
 
 
-def _solve(alpha, p, tol):
-    check_alpha(alpha)
+def _solve(p, tol):
+    """The solution at alpha_k = 1, the unit gauge."""
     target = HAND_OFF_TOL * tol
     y, b, ey, eb = _coefficients(p, MAX_TERMS + 2)
-    nu = math.exp(2.0 * box_edge(1.0, p))  # tau at s1, at alpha_k = 1
+    nu = math.exp(2.0 * box_edge(1.0, p))  # tau at s1
     retries = 0
     for trial in range(1, MAX_TRIALS + 1):
         N, last = _order(y, b, nu, p.k, target)
@@ -456,21 +463,16 @@ def _solve(alpha, p, tol):
         retries += 1
         nu *= 0.8
     else:
-        raise ConvergenceError(
-            f"series hand-off not validated in {MAX_TRIALS} trials (alpha {alpha:g})"
-        )
+        raise ConvergenceError(f"series hand-off not validated in {MAX_TRIALS} trials")
     powers = nu ** np.arange(N + 1)
-    x_coef = np.concatenate(([0.0], y[:N] * powers[1:]))
-    z_coef = b[: N + 1] * powers / b[0]
-    alpha_k = alpha_weight(alpha, p)
     log_z0 = math.log(b[0]) + p.k * math.log(nu)
     # the hand-off's W = ln(c_nk beta^k) + log_z0 + ln(z) rounds too
     err_w = 4.0 * _EPS * (abs(math.log(p.cb)) + abs(log_z0) + 1.0)
     sol = LocalSolution(
         s0=0.5 * math.log(nu),
         k=p.k,
-        x_coef=x_coef,
-        z_coef=z_coef,
+        x_coef=np.concatenate(([0.0], y[:N] * powers[1:])),
+        z_coef=b[: N + 1] * powers / b[0],
         log_z0=log_z0,
         alpha=1.0,
         contraction_rate=val.rate,
@@ -479,29 +481,20 @@ def _solve(alpha, p, tol):
         err=max(val.err_x, val.err_z + err_w),
         terms=N,
         weighted_limits=(1.0, b[0]),
-        u0=None,
+        u0=None,  # set by gauge_map
         chart=p.chart,
         retries=retries,
     )
     head_X, head_Z = sol.state(sol.s0 + _head_offsets(p.k))
-    # the unit gauge is alpha_k = 1: move it to alpha
-    c = math.log(alpha_k) / (2.0 * p.k)
-    return replace(
-        sol,
-        s0=sol.s0 - c,
-        head_X=head_X,
-        head_Z=head_Z,
-        alpha=alpha,
-        weighted_limits=(alpha_k, alpha_k * b[0]),
-        u0=_u0(alpha, p),
-    )
+    return replace(sol, head_X=head_X, head_Z=head_Z)
 
 
 def picard_solve(alpha, p, tol=DEFAULT_TOL):
-    """Construct the orbit leaving the origin for u(0)-parameter alpha: its
-    series, validated at the hand-off s0 to HAND_OFF_TOL * tol relative to X
-    and Z."""
-    return _solve(alpha, p, tol)
+    """Construct the orbit leaving the origin for u(0)-parameter alpha: the
+    unit-gauge series, validated at its hand-off to HAND_OFF_TOL * tol
+    relative to X and Z, moved to alpha by :func:`gauge_map`."""
+    alpha_weight(alpha, p)  # alpha's range, checked before the solve
+    return gauge_map(_solve(p, tol), alpha, p)
 
 
 def picard_solve_at_A(alpha_bar, p, tol=DEFAULT_TOL):
@@ -516,7 +509,9 @@ def picard_solve_at_A(alpha_bar, p, tol=DEFAULT_TOL):
         raise NotApplicableError("orbit at A requires rho >= 2 theta")
     if p.rho == 2.0 * p.theta:
         raise ParameterError("rho = 2 theta is degenerate: h(0) = 0")
-    return _solve(alpha_bar, p.in_chart("WV"), tol)
+    q = p.in_chart("WV")
+    alpha_weight(alpha_bar, q)
+    return gauge_map(_solve(q, tol), alpha_bar, q)
 
 
 def derivative_residual(sol, p):

@@ -408,17 +408,20 @@ class PotentialTable:
 def potential_phi(trace, p):
     """Soliton potential from phi_s = 2 theta w, w = r^2 u^((1-m)) = Z^(1/k).
 
-    phi is gauged to phi = 0 at the first sample; the additive constant is
-    immaterial to every identity involving phi derivatives.
+    Each piece between samples integrates 2 theta e^(ln Z / k), ln Z on the
+    trace's interpolant (``orbit.hermite``), by 8-point Gauss-Legendre, exact
+    to rounding: |(ln w)_s| <= 2 and pieces are at most about MAX_STEP long.
+    phi is 0 at the first sample; the additive constant is immaterial.
     """
     good = trace.Z > 0.0
-    s = trace.s[good]
-    w = phase.kth_root(trace.Z[good], p.k)
-    phi_s = 2.0 * p.theta * w
-    phi = np.empty_like(phi_s)
-    phi[0] = 0.0
-    np.cumsum(0.5 * (phi_s[1:] + phi_s[:-1]) * np.diff(s), out=phi[1:])
-    return PotentialTable(s=s, phi=phi, phi_s=phi_s, w=w)
+    s, Z = trace.s[good], trace.Z[good]
+    w = phase.kth_root(Z, p.k)
+    _F, G = phase.vector_field(trace.X[good], Z, p)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    h = np.diff(s)
+    ln_z = orbit_mod.hermite(s, np.log(Z), G / Z, s[:-1, None] + np.outer(h, 0.5 + 0.5 * nodes))
+    phi = 2.0 * p.theta * np.concatenate(([0.0], np.cumsum(np.exp(ln_z / p.k) @ weights * h / 2)))
+    return PotentialTable(s=s, phi=phi, phi_s=2.0 * p.theta * w, w=w)
 
 
 def potential_identity_residual(table, p):
@@ -453,9 +456,10 @@ def potential_identity_residual(table, p):
 @dataclass(frozen=True)
 class FlowSolution:
     """Evaluator for the self-similar flow snapshot at one time t. Past the
-    table's first radius r0 the profile is read off the table in log space;
-    below it, off the origin expansion, the table's ``origin_fit`` in
-    (r/r0)^2, which meets the table at r0 and is u(0) at r = 0."""
+    table's first radius r0 the profile is read off the trace's interpolant
+    (``orbit.hermite``) of ln u, slopes ((G/Z)/k - 2)/(1 - m); below it, off
+    the origin expansion, the table's ``origin_fit`` in (r/r0)^2, which meets
+    the table at r0 and is u(0) at r = 0."""
 
     kind: str  # shrinker / expander / steady
     amplitude: float
@@ -465,12 +469,13 @@ class FlowSolution:
     def __call__(self, radii):
         radii = np.asarray(radii, dtype=float)
         eta = np.abs(radii) * self.eta_scale
-        s_full, ln_u = self.table.s_full, self.table.ln_u_full
-        if np.any(eta > np.exp(s_full[-1])):
+        tab, p = self.table, self.table.params
+        if np.any(eta > np.exp(tab.s_full[-1])):
             raise DomainError("requested radius outside the profile range")
-        ln_eta = np.where(eta > 0.0, np.log(np.maximum(eta, 1e-300)), s_full[0])
-        ln_eta = np.maximum(ln_eta, s_full[0])
-        vals = np.exp(np.interp(ln_eta, s_full, ln_u))
+        ln_eta = np.clip(np.log(np.maximum(eta, 1e-300)), tab.s_full[0], tab.s_full[-1])
+        _F, G = phase.vector_field(tab.X_full, tab.Z_full, p)
+        slopes = ((G / tab.Z_full) / p.k - 2.0) / (1.0 - p.m)
+        vals = np.exp(orbit_mod.hermite(tab.s_full, tab.ln_u_full, slopes, ln_eta))
         r0 = math.exp(self.table.s[0])
         small = eta < r0
         if np.any(small):

@@ -683,6 +683,39 @@ class TestUsageErrors:
         assert code == 0 if command == "classify" else code in (0, 1)
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    @pytest.mark.parametrize("k,alpha", [(64, "1e-8"), (64, "1e8"), (37, "1e-8"), (37, "1e8")])
+    def test_ends_of_the_alpha_range_at_large_k(self, capsys, command, k, alpha):
+        # alpha^((1-m)k) leaves the floats inside [1e-8, 1e8] once (1-m)k
+        # exceeds about 38.5: a report, or a DomainError that names the
+        # usable range, never an internal error
+        code = run_cli([command, "--n", "64", "--k", str(k), "--rho", "1", "--theta", "1",
+                        "--alpha", alpha])
+        out, err = capsys.readouterr()
+        if (k, alpha) != (37, "1e-8"):
+            assert code == 2 and err.startswith("error: alpha") and "range usable at" in err
+            return
+        # alpha_k = 3.6e-318 is a float; n alpha_k / f(0) underflows to 0,
+        # and verify reads that limit as unreadable, not as a pass
+        assert err == ""
+        if command == "classify":
+            assert code == 0
+        else:
+            assert code == 1
+            check = json.loads(out)["checks"]["picard_weighted_limits"]
+            assert check["value"] == math.inf and not check["pass"]
+
+    def test_sweep_mixes_the_ends_of_the_alpha_range(self, tmp_path, capsys):
+        for k, want in ((64, ["error", "ok", "error"]), (37, ["ok", "ok", "error"])):
+            out = tmp_path / f"{k}.csv"
+            code = run_cli(["sweep", "--n", "64", "--k", str(k), "--theta", "1", "--rhos=1",
+                            "--alphas=1e-8,1,1e8", "--out", str(out)])
+            assert code == 0 and capsys.readouterr().err == ""
+            rows = list(csv.DictReader(out.open()))
+            assert [row["status"] for row in rows] == want
+            errors = [row["error"] for row in rows if row["status"] == "error"]
+            assert all("range usable at" in error for error in errors)
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         from ksol import orbit
 

@@ -117,24 +117,25 @@ class TestSharedContinuation:
         _good, bad = orbit.run_orbits(p, [1.0, 1e9])
         assert calls == [1.0] and isinstance(bad, DomainError)
 
-    def test_a_failed_anchor_hands_over_to_the_next_alpha(self, monkeypatch):
+    def test_a_failed_solve_fails_every_alpha(self, monkeypatch):
+        # the solve reads no alpha, so one failure is every alpha's: no retry
         p = phase.make_params(4, 1, 1.0, 1.0)
         calls = []
         solve = picard.picard_solve
 
-        def forged(alpha, *a, **kw):
+        def spy(alpha, *a, **kw):
             calls.append(alpha)
-            if alpha == 2.0:
-                raise ConvergenceError("forged")
             return solve(alpha, *a, **kw)
 
-        monkeypatch.setattr(picard, "picard_solve", forged)
-        low, mid, top = orbit.run_orbits(p, [0.5, 1.0, 2.0])
-        assert calls == [2.0, 1.0] and isinstance(top, ConvergenceError)
-        sol_1, trace_1, _oc_1 = orbit.run_orbit(p, 1.0)
-        _assert_same_solution(mid[0], sol_1)
-        _assert_same_trace(mid[1], trace_1)
-        _assert_same_solution(low[0], picard.gauge_map(sol_1, 0.5, p))
+        def forged(*a, **kw):
+            raise ConvergenceError("forged")
+
+        monkeypatch.setattr(picard, "picard_solve", spy)
+        monkeypatch.setattr(picard, "_solve", forged)
+        low, mid, top, bad = orbit.run_orbits(p, [0.5, 1.0, 2.0, 1e9])
+        assert calls == [2.0]
+        assert all(isinstance(run, ConvergenceError) for run in (low, mid, top))
+        assert isinstance(bad, DomainError)
 
     def test_picard_error_fails_only_its_alpha(self):
         p = phase.make_params(4, 1, 1.0, 1.0)

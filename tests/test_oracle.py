@@ -207,7 +207,7 @@ TRAP_CASES = [(n, k, r) for n, k in N_GT_2K + N_EQ_2K for r in (-1.0, -1e-2, 0.0
 @pytest.mark.parametrize("n,k,rho", TRAP_CASES, ids=[f"{n}-{k}-{r:g}" for n, k, r in TRAP_CASES])
 def test_interval_arithmetic_proves_every_trap_certificate(n, k, rho):
     p = phase.make_params(n, k, rho, 1.0)
-    _anchor, sols = orbit._local_solutions(p, ALPHAS, picard.DEFAULT_TOL)
+    _gauges, sols = orbit._local_solutions(p, ALPHAS, picard.DEFAULT_TOL)
     for sol in sols:
         cert = orbit.asymptote_trap(sol, p)
         assert cert is not None and cert.margin > 1.0

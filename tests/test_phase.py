@@ -161,6 +161,25 @@ class TestSystemRHS:
             # on the axis every w is evaluated: W_s = (n-2k) W (1 - w/x_A), x_A = 6
             assert phase.system_rhs((9.0, 0.0), a) == (-9.0, 0.0)
 
+    # rho = 2 theta: the stationary line at X_A; rho = 5 theta: no field there
+    @pytest.mark.parametrize("n,k,rho", [(4, 1, 2.0), (9, 4, 2.0), (4, 1, 5.0), (4, 2, 1.0)])
+    @pytest.mark.parametrize("chart", ["XZ", "WV"])
+    def test_array_domain_is_system_rhs(self, n, k, rho, chart):
+        # field_in_domain is system_rhs on arrays, bit for bit, NaN where
+        # it raises: on the axis, at X = X_A and past it, and at X < 0
+        p = phase.make_params(n, k, rho, 1.0).in_chart(chart)
+        X = np.repeat(np.append(np.linspace(-0.5, 1.0, 7) * p.X_A, p.X_A * 1.5), 4)
+        Z = np.tile([0.0, 1e-3, 1.0, 7.0], 8)
+        F, G = phase.field_in_domain(X, Z, p)
+        for i in range(X.size):
+            try:
+                want = phase.system_rhs((X[i], Z[i]), p)
+            except DomainError:
+                assert np.isnan(F[i]) and np.isnan(G[i]), (X[i], Z[i])
+            else:
+                got = (F[i], G[i])
+                assert got == want and np.array_equal(np.signbit(got), np.signbit(want)), got
+
     @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (7, 3), (12, 4)])
     # ids 0 and 1 name the origin and the A chart
     @pytest.mark.parametrize("chart", ["XZ", "WV"], ids=["0", "1"])

@@ -4,6 +4,7 @@ the validated bound by a longer series and by a forged coefficient, and
 the gauge map by a solve at each alpha."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,27 @@ class TestGaugeMap:
         for alpha in (0.0, -1.0, 1e12):
             with pytest.raises(DomainError, match="alpha"):
                 picard.gauge_map(sol, alpha, p)
+
+
+class TestAlphaRange:
+    """alpha_k = alpha^((1-m)k) leaves the floats inside [1e-8, 1e8] once
+    (1-m)k exceeds about 38.5, at n = 64 from k = 37 on, and the weighted Z
+    limit n alpha_k / f(0) can overflow first. There the range narrows, and
+    its DomainError names the usable range."""
+
+    @pytest.mark.parametrize("n,k,rho", [(64, 64, 1.0), (64, 37, 1.0), (64, 37, -1.9)])
+    def test_named_range_is_usable_to_its_ends(self, n, k, rho):
+        p = phase.make_params(n, k, rho, 1.0)
+        with pytest.raises(DomainError, match="usable") as exc:
+            picard.alpha_weight(1e8, p)
+        lo, hi = map(float, re.search(r"\[(\S+), (\S+)\]", str(exc.value)).groups())
+        for alpha in (lo, hi):
+            limits = picard.picard_solve(alpha, p).weighted_limits
+            assert limits[0] > 0.0 and all(math.isfinite(w) for w in limits)
+        for alpha in (lo / 1.001, hi * 1.001):
+            if 1e-8 <= alpha <= 1e8:
+                with pytest.raises(DomainError, match="usable"):
+                    picard.picard_solve(alpha, p)
 
 
 class TestSeriesOracle:

@@ -256,16 +256,15 @@ class TestFlowSolutions:
         p, _sol, tr, _oc = run(4, 1, 1.0)
         tab = profile.reconstruct_u(tr, p)
         fs = profile.flow_solution(tab, p, t=0.0, T=1.0)
-        radii = np.array([1e-3, 0.3, 1.0, 4.0])
-        want = np.exp(np.interp(np.log(radii), tab.s_full, tab.ln_u_full))
-        # below the table's first radius r0 the snapshot is the origin
-        # expansion, the table's polynomial in (r/r0)^2 (1e-3 lies there:
-        # the local series hands off at s0 = -0.10, and its head starts 6
-        # units of s below)
-        r0 = np.exp(tab.s[0])
-        expansion = np.polynomial.polynomial.polyval((radii / r0) ** 2, tab.origin_fit)
-        want = np.where(radii < r0, expansion, want)
-        np.testing.assert_allclose(fs(radii), want, rtol=1e-12)
+        # the table's own radii, where the snapshot is u itself, and 1e-3,
+        # below the table's first radius r0, where it is the origin
+        # expansion, the table's polynomial in (r/r0)^2 (the local series
+        # hands off at s0 = -0.10, and its head starts 6 units of s below)
+        i = np.linspace(0, tab.r.size - 1, 9).astype(int)
+        radii = np.append(tab.r[i], 1e-3)
+        r0 = tab.r[0]
+        expansion = np.polynomial.polynomial.polyval((1e-3 / r0) ** 2, tab.origin_fit)
+        np.testing.assert_allclose(fs(radii), np.append(tab.u[i], expansion), rtol=1e-12)
 
     @pytest.mark.parametrize("n,k,rho", [(4, 1, 1.0), (12, 4, 2.0), (64, 8, 1.0)])
     def test_continuous_at_the_table_start(self, n, k, rho, run):
@@ -316,6 +315,62 @@ class TestFlowSolutions:
         fs = profile.flow_solution(tab, p, t=0.0, T=1.0)
         with pytest.raises(DomainError):
             fs(np.array([1e30]))
+
+
+@pytest.mark.slow
+class TestHermiteReadersOracle:
+    """``FlowSolution`` and ``potential_phi`` read the trace between its
+    samples off the cubic Hermite with the field's slopes, which the samples
+    keep within SAMPLE_TOL of the flow, in (X, ln Z). scipy Radau (rtol
+    1e-13, atol 1e-13 in X and ln Z and 1e-16 of the piece's scale in phi),
+    started from the sample before, gives the flow at 41 pieces spread over
+    the trace: ln u at their midpoints, where linear interpolation in s was
+    off by up to 8.5e-5 (on (4,1,1)), and phi's increment over the piece,
+    where the trapezoid rule was off by up to 2e-2 relative (on (4,2,1))."""
+
+    SETS = [(4, 1, 1.0), (4, 1, 0.0), (4, 2, 1.0), (5, 2, -1.0)]
+
+    @staticmethod
+    def _flow(p, s, X, Z, ends):
+        """(ln Z, phi - phi(s)) of the flow from (X, Z) at s, at ``ends``."""
+        integrate = pytest.importorskip("scipy.integrate")
+
+        def fun(_s, y):
+            z = math.exp(y[1])
+            F, G = phase.vector_field(y[0], z, p)
+            return [F, G / z, 2.0 * p.theta * math.exp(y[1] / p.k)]
+
+        scale = 2.0 * p.theta * phase.kth_root(Z, p.k) * (ends[-1] - s)
+        res = integrate.solve_ivp(
+            fun, (s, ends[-1]), [X, math.log(Z), 0.0], method="Radau", rtol=1e-13,
+            atol=[1e-13, 1e-13, 1e-16 * scale], t_eval=ends,
+        )
+        assert res.success
+        return res.y[1], res.y[2]
+
+    @pytest.mark.parametrize("n,k,rho", SETS)
+    def test_u_between_samples(self, n, k, rho, run):
+        p, _sol, tr, _oc = run(n, k, rho)
+        tab = profile.reconstruct_u(tr, p)
+        u = profile.FlowSolution("profile", 1.0, 1.0, tab)  # the snapshot at scale one
+        s, X, Z = tab.s_full, tab.X_full, tab.Z_full
+        for i in np.linspace(0, s.size - 2, 41).astype(int):
+            mid = 0.5 * (s[i] + s[i + 1])
+            [ln_z], _phi = self._flow(p, s[i], X[i], Z[i], [mid])
+            ln_u = (ln_z / k - 2.0 * mid) / (1.0 - p.m)
+            assert abs(math.log(u(np.array([math.exp(mid)]))[0]) - ln_u) <= 1e-8, mid
+
+    @pytest.mark.parametrize("n,k,rho", SETS)
+    def test_phi_pieces(self, n, k, rho, run):
+        p, _sol, tr, _oc = run(n, k, rho)
+        pot = profile.potential_phi(tr, p)
+        good = tr.Z > 0.0
+        X, Z = tr.X[good], tr.Z[good]
+        for i in np.linspace(0, pot.s.size - 2, 41).astype(int):
+            _ln_z, [piece] = self._flow(p, pot.s[i], X[i], Z[i], [pot.s[i + 1]])
+            # phi is a running sum: its difference rounds to a few ulps of phi
+            slack = 4.0 * np.finfo(float).eps * pot.phi[i + 1]
+            assert abs(pot.phi[i + 1] - pot.phi[i] - piece) <= 1e-8 * piece + slack, pot.s[i]
 
 
 @pytest.mark.slow
