@@ -14,7 +14,7 @@ from .errors import (
 from .phase import PhaseState, SolitonParams, make_params
 from .picard import LocalSolution, picard_solve, picard_solve_at_A
 from .orbit import OrbitControls, OrbitTrace, classify_orbit, integrate, run_orbit, run_orbits
-from .profile import ProfileTable, reconstruct_u, tail_rate
+from .profile import ProfileTable, admissible_samples, reconstruct_u, tail_rate
 
 __version__ = "0.1.0"
 
@@ -30,6 +30,7 @@ __all__ = [
     "PhaseState",
     "ProfileTable",
     "SolitonParams",
+    "admissible_samples",
     "classify_orbit",
     "integrate",
     "make_params",

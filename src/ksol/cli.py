@@ -111,35 +111,39 @@ def _controls(cfg):
 
 def _analyse(p, alphas, cfg):
     """One run per alpha, the alphas sharing one continuation. Yields in
-    order (sol, trace, oc, table, rate, rate_error), with the profile table
-    and its tail rate for an admissible orbit (rate_error is the message of
-    a failed fit), or the KsolError that ended that alpha's run. Stages are
-    called through their modules, so a tracer can wrap them."""
+    order (sol, trace, oc, samples, rate, rate_error), with the trace's
+    admissible samples and its tail rate for an admissible orbit
+    (rate_error is the message of a failed fit), or the KsolError that
+    ended that alpha's run. Stages are called through their modules, so a
+    tracer can wrap them."""
     for run in orbit_mod.run_orbits(p, alphas, _controls(cfg), cfg["tol"]):
         if isinstance(run, KsolError):
             yield run
             continue
         sol, trace, oc = run
-        table = rate = rate_error = None
+        samples = rate = rate_error = None
         if oc.kind not in (orbit_mod.NON_ADMISSIBLE, orbit_mod.UNDETERMINED):
             try:
-                table = profile.reconstruct_u(trace, p)
+                samples = profile.admissible_samples(trace, p)
             except KsolError as exc:
                 yield exc
                 continue
             try:
-                rate = profile.tail_rate(table, p, oc)
+                rate = profile.tail_rate(samples, p, oc)
             except KsolError as exc:
                 rate_error = str(exc)
-        yield sol, trace, oc, table, rate, rate_error
+        yield sol, trace, oc, samples, rate, rate_error
 
 
 def _analyse_one(p, alpha, cfg):
-    """The run of classify and verify; a failed alpha raises its KsolError."""
+    """The run of classify and verify, with the profile table built on the
+    rate's samples; a failed alpha raises its KsolError."""
     [result] = _analyse(p, [alpha], cfg)
     if isinstance(result, KsolError):
         raise result
-    return result
+    sol, trace, oc, samples, rate, rate_error = result
+    table = None if samples is None else profile.reconstruct_u(samples, p)
+    return sol, trace, oc, table, rate, rate_error
 
 
 def _write_json(payload, path):
@@ -324,7 +328,7 @@ def cmd_profile(args):
     if trace.status == "certified_B":
         # the class is proven; the table runs on to s_max past the certificate
         trace = orbit_mod.integrate(sol, p, replace(controls, end_at_b=False))
-    table = profile.reconstruct_u(trace, p)
+    table = profile.reconstruct_u(profile.admissible_samples(trace, p), p)
     lam1, lam2 = sigma.schouten_pair(table.u, table.u_r, table.u_rr, table.r, p.n, p.k)
     sig, cond = sigma.split_sigma_l(lam1, lam2, p.n, p.k)
     # keep rows where sigma_k is a well-conditioned combination of the
@@ -525,7 +529,7 @@ def _sweep_rows(rho, alphas, base):
         if isinstance(result, KsolError):
             row.update({"status": "error", "error": str(result)})
             continue
-        _sol, trace, oc, _table, rate, rate_error = result
+        _sol, trace, oc, _samples, rate, rate_error = result
         row.update(
             {"class": oc.kind, "s_end": float(trace.s[-1]), "X_inf": oc.X_inf, "status": "ok"}
         )

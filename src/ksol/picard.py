@@ -89,17 +89,18 @@ def gauge_map(sol, alpha, p):
     sol's shifted by -d in s: a_j scales by e^(2dj) and b_j by e^(2d(j+k)),
     which leaves the coefficients in u = e^(2(s - s0)) as they are once s0
     moves by -d. The hand-off is the same state, with the same bound; the
-    weighted limits scale by alpha_k / alpha_k(sol.alpha), and u0 is
-    alpha's u(0) (none in the A chart). alpha is checked by :func:`alpha_weight`.
+    weighted limits are the unit gauge's times alpha_k, with no ratio of two
+    alpha_k, which underflows where the alphas span more than the float
+    range, and u0 is alpha's u(0) (none in the A chart). alpha is checked by
+    :func:`alpha_weight`.
     """
     alpha_k = alpha_weight(alpha, p)
     d = gauge(alpha, p) - gauge(sol.alpha, p)
-    r = alpha_k / alpha_weight(sol.alpha, p)
     return replace(
         sol,
         s0=sol.s0 - d,
         alpha=alpha,
-        weighted_limits=tuple(w * r for w in sol.weighted_limits),
+        weighted_limits=tuple(w * alpha_k for w in sol.unit_limits),
         u0=(p.n * alpha_k / p.f0) ** (1.0 / ((1.0 - p.m) * p.k)) if sol.chart == "XZ" else None,
     )
 
@@ -122,7 +123,7 @@ class LocalSolution:
     is N, ``sup_residual`` the relative size of T(0), the first omitted
     terms, and ``contraction_rate`` T's Lipschitz constant on the ball.
     ``iterations`` counts the validations, ``retries`` the hand-offs they
-    refused.
+    refused. ``unit_limits`` are the weighted limits at alpha_k = 1.
     """
 
     s0: float
@@ -137,6 +138,7 @@ class LocalSolution:
     err: float
     terms: int
     weighted_limits: tuple
+    unit_limits: tuple
     u0: float | None
     chart: str = "XZ"
     retries: int = 0
@@ -481,6 +483,7 @@ def _solve(p, tol):
         err=max(val.err_x, val.err_z + err_w),
         terms=N,
         weighted_limits=(1.0, b[0]),
+        unit_limits=(1.0, b[0]),
         u0=None,  # set by gauge_map
         chart=p.chart,
         retries=retries,
@@ -517,7 +520,8 @@ def picard_solve_at_A(alpha_bar, p, tol=DEFAULT_TOL):
 def derivative_residual(sol, p):
     """Max pointwise defect of the series against the differential system
     of its chart on the head's grid: the series' derivative in s, term by
-    term, against the field."""
+    term, against the field, relative to X and to Z, as ``err`` is: Z
+    scales like theta^-k, so an absolute defect grows with it."""
     s, X, Z = sol.head()
     j = np.arange(sol.x_coef.size)
     V = np.vander(np.exp(2.0 * (s - sol.s0)), j.size, increasing=True)
@@ -525,4 +529,4 @@ def derivative_residual(sol, p):
     x, x_s, z, z_s = (V @ coef).T
     F, G = vector_field(X, Z, p.in_chart(sol.chart))
     X_s = sol.k * x ** (sol.k - 1) * x_s
-    return float(max(np.max(np.abs(X_s - F)), np.max(np.abs(Z * z_s / z - G))))
+    return float(max(np.max(np.abs(X_s - F) / X), np.max(np.abs(Z * z_s / z - G) / Z)))

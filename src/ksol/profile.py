@@ -22,16 +22,36 @@ MIN_TAIL_SPAN = 2.0 * math.log(10.0)  # two decades of r before a rate is read
 
 
 @dataclass(frozen=True)
+class AdmissibleSamples:
+    """The trace's samples (s, X, Z) with Z > 0 and 0 < X < x_cap, and
+    x = X^(1/k) = -d ln u/ds there, from which ``tail_rate`` reads the
+    decay and ``reconstruct_u`` builds the profile."""
+
+    s: np.ndarray
+    X: np.ndarray
+    Z: np.ndarray
+    x: np.ndarray
+
+
+def admissible_samples(trace, p):
+    """The :class:`AdmissibleSamples` of an orbit trace."""
+    keep = (trace.Z > 0.0) & (trace.X > 0.0) & (trace.X < p.x_cap)
+    if not np.any(keep):
+        raise DomainError("trace has no admissible samples")
+    X = trace.X[keep]
+    return AdmissibleSamples(trace.s[keep], X, trace.Z[keep], phase.kth_root(X, p.k))
+
+
+@dataclass(frozen=True)
 class ProfileTable:
     """Samples (r, u, u_r, u_rr) of the reconstructed conformal factor.
 
-    ``s_full``, ``x_full`` and ``ln_u_full`` cover the whole admissible
-    trace (log space, no underflow filtering), and so do ``X_full`` and
-    ``Z_full``, the trace's own samples there. ``x_full`` is x = X^(1/k) =
-    -d ln u/ds, from which ``tail_rate`` reads the decay. ``origin_fit``
-    holds the coefficients of u as a polynomial in (r/r[0])^2 near the
-    table's start (:func:`_origin_fit`): the origin expansion, with
-    ``alpha`` = u(0) its constant.
+    ``samples`` are the admissible samples it was built from, and
+    ``ln_u_full`` is ln u at each of them (log space, no underflow
+    filtering); ``s``, ``X`` and ``Z`` are those of the representable rows.
+    ``origin_fit`` holds the coefficients of u as a polynomial in
+    (r/r[0])^2 near the table's start (:func:`_origin_fit`): the origin
+    expansion, with ``alpha`` = u(0) its constant.
     """
 
     r: np.ndarray
@@ -43,37 +63,27 @@ class ProfileTable:
     X: np.ndarray
     Z: np.ndarray
     s: np.ndarray
-    s_full: np.ndarray
-    x_full: np.ndarray
+    samples: AdmissibleSamples
     ln_u_full: np.ndarray
-    excluded_inadmissible: int = 0
     excluded_unrepresentable: int = 0
-    X_full: np.ndarray | None = None
-    Z_full: np.ndarray | None = None
     origin_fit: np.ndarray | None = None
 
 
-def reconstruct_u(trace, p):
-    """Build the profile from an orbit trace.
+def reconstruct_u(samples, p):
+    """Build the profile from a trace's :func:`admissible_samples`.
 
     u = (Z^(1/k)/r^2)^(1/(1-m)), u_r = -u x / r, and u_rr comes from the
     analytic slope of x = X^(1/k) along the flow rather than from second
     differences of u.
     """
     k, m = p.k, p.m
-    s, X, Z = trace.s, trace.X, trace.Z
-    admissible = (Z > 0.0) & (X > 0.0) & (X < p.x_cap)
-    n_in = int(np.sum(~admissible))
-    s, X, Z = s[admissible], X[admissible], Z[admissible]
-    if s.size == 0:
-        raise DomainError("trace has no admissible samples")
-    x = phase.kth_root(X, k)
-    ln_u = ((1.0 / k) * np.log(Z) - 2.0 * s) / (1.0 - m)
+    s, x = samples.s, samples.x
+    ln_u = ((1.0 / k) * np.log(samples.Z) - 2.0 * s) / (1.0 - m)
 
     # representable subset for the linear-space columns (u_rr ~ u / r^2)
     ok = (ln_u > LN_FLOOR) & (ln_u + np.log(x) - s > LN_FLOOR) & (ln_u - 2.0 * s > LN_FLOOR)
     n_rep = int(np.sum(~ok))
-    sr, Xr, Zr, xr, ln_ur = s[ok], X[ok], Z[ok], x[ok], ln_u[ok]
+    sr, Xr, Zr, xr, ln_ur = s[ok], samples.X[ok], samples.Z[ok], x[ok], ln_u[ok]
     r = np.exp(sr)
     u = np.exp(ln_ur)
     u_r = -u * xr / r
@@ -92,13 +102,9 @@ def reconstruct_u(trace, p):
         X=Xr,
         Z=Zr,
         s=sr,
-        s_full=s,
-        x_full=x,
+        samples=samples,
         ln_u_full=ln_u,
-        excluded_inadmissible=n_in,
         excluded_unrepresentable=n_rep,
-        X_full=X,
-        Z_full=Z,
         origin_fit=fit,
     )
 
@@ -247,9 +253,9 @@ def log_power_fit(s, X, p, S):
     return float(log_power), float(y_end)
 
 
-def tail_rate(table, p, orbit_class):
+def tail_rate(samples, p, orbit_class):
     """The decay exponent of u, and on steady orbits its log power, read off
-    the flow.
+    the flow at a trace's :func:`admissible_samples`.
 
     Along the orbit d ln u/ds = -x exactly (u_r = -u x/r), so u decays like
     r^(-lim x). An orbit that converges exponentially gives the exponent
@@ -278,7 +284,7 @@ def tail_rate(table, p, orbit_class):
             "the run ended at the Picard hand-off on a funnel certificate: "
             "no tail span to read a decay rate from"
         )
-    s, x = table.s_full, table.x_full
+    s, x = samples.s, samples.x
     if s[-1] - s[0] < MIN_TAIL_SPAN or s[-1] <= 1.0:
         raise DomainError(
             f"tail span {s[-1] - s[0]:.2f} too short to read a decay rate; increase s_max"
@@ -286,7 +292,7 @@ def tail_rate(table, p, orbit_class):
     limit, log_power = float(x[-1]), None
     if orbit_class.kind == orbit_mod.TYPE_GAMMA and p.rho == 0.0:
         s_end = float(s[-1])
-        log_power, y_end = log_power_fit(s, table.X_full, p, s_end)
+        log_power, y_end = log_power_fit(s, samples.X, p, s_end)
         limit += y_end / s_end
     predicted = expected_rate(p, orbit_class)
     agreement = None
@@ -470,12 +476,13 @@ class FlowSolution:
         radii = np.asarray(radii, dtype=float)
         eta = np.abs(radii) * self.eta_scale
         tab, p = self.table, self.table.params
-        if np.any(eta > np.exp(tab.s_full[-1])):
+        s, X, Z = tab.samples.s, tab.samples.X, tab.samples.Z
+        if np.any(eta > np.exp(s[-1])):
             raise DomainError("requested radius outside the profile range")
-        ln_eta = np.clip(np.log(np.maximum(eta, 1e-300)), tab.s_full[0], tab.s_full[-1])
-        _F, G = phase.vector_field(tab.X_full, tab.Z_full, p)
-        slopes = ((G / tab.Z_full) / p.k - 2.0) / (1.0 - p.m)
-        vals = np.exp(orbit_mod.hermite(tab.s_full, tab.ln_u_full, slopes, ln_eta))
+        ln_eta = np.clip(np.log(np.maximum(eta, 1e-300)), s[0], s[-1])
+        _F, G = phase.vector_field(X, Z, p)
+        slopes = ((G / Z) / p.k - 2.0) / (1.0 - p.m)
+        vals = np.exp(orbit_mod.hermite(s, tab.ln_u_full, slopes, ln_eta))
         r0 = math.exp(self.table.s[0])
         small = eta < r0
         if np.any(small):

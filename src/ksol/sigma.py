@@ -158,11 +158,13 @@ def split_sigma_l(lam1, lam2, n, l):
 
 def sigma_l_bracket(lam1, lam2, n, l):
     """The bracket C(n-1,l-1) lambda1 + C(n-1,l) lambda2 of
-    ``split_sigma_l`` and the condition number of its sum."""
+    ``split_sigma_l`` and the condition number of its sum, inf where it
+    exceeds the float range."""
     b1 = float(binomial(n - 1, l - 1))
     b2 = float(binomial(n - 1, l))
     combo = b1 * lam1 + b2 * lam2
-    cond = (b1 * np.abs(lam1) + b2 * np.abs(lam2)) / np.maximum(np.abs(combo), 1e-300)
+    with np.errstate(over="ignore"):
+        cond = (b1 * np.abs(lam1) + b2 * np.abs(lam2)) / np.maximum(np.abs(combo), 1e-300)
     return combo, cond
 
 

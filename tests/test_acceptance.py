@@ -140,8 +140,7 @@ def test_criterion_08_steady_rate(run):
     p, _sol, tr, oc = run(4, 1, 0.0)
     slope, _b, r2 = profile.affine_z_root_fit(tr, p)
     assert r2 > 0.999
-    tab = profile.reconstruct_u(tr, p)
-    rr = profile.tail_rate(tab, p, oc)
+    rr = profile.tail_rate(profile.admissible_samples(tr, p), p, oc)
     assert rr.fitted_exponent == pytest.approx(-3.0, rel=0.02)
     assert rr.log_correction_power == pytest.approx(1.5, rel=0.02)
     print(f"PASS criterion 8: Z affine (R2={r2:.6f}); u ~ (ln r/r^2)^(3/2): "
@@ -151,8 +150,7 @@ def test_criterion_08_steady_rate(run):
 def test_criterion_09_shrinker_slow_rate(run):
     p, _sol, tr, oc = run(4, 1, 1.0)
     assert oc.kind == orbit.TYPE_B
-    tab = profile.reconstruct_u(tr, p)
-    rr = profile.tail_rate(tab, p, oc)
+    rr = profile.tail_rate(profile.admissible_samples(tr, p), p, oc)
     assert rr.fitted_exponent == pytest.approx(-2.0 / (1.0 - p.m), rel=0.01)
     print(f"PASS criterion 9: type-B exponent {rr.fitted_exponent:.5f} vs -3 (<=1%)")
 
@@ -162,8 +160,7 @@ def test_criterion_10_n2k_shrinker(run):
     assert oc.X_inf is not None
     d = oc.X_inf ** 0.5 / 2.0 - 1.0
     assert 0.0 < d <= 0.5
-    tab = profile.reconstruct_u(tr, p)
-    rr = profile.tail_rate(tab, p, oc)
+    rr = profile.tail_rate(profile.admissible_samples(tr, p), p, oc)
     assert rr.fitted_exponent == pytest.approx(-2.0 * (1.0 + d), rel=0.02)
     print(f"PASS criterion 10: d={d:.5f} in (0, 1/2], exponent {rr.fitted_exponent:.5f} "
           f"vs {-2 * (1 + d):.5f} (<=2%)")
@@ -187,7 +184,7 @@ def test_criterion_12_pde_residual(run):
         p, _sol, tr, oc = run(n, k, rho)
         if oc.kind == orbit.NON_ADMISSIBLE:
             continue
-        tab = profile.reconstruct_u(tr, p)
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
         rep = profile.elliptic_residual(tab, p)
         worst = max(worst, rep.max_rel)
         assert rep.max_rel < 1e-6, (n, k, rho, rep.max_rel)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -398,8 +399,6 @@ class TestVerify:
     def test_forged_b_is_flagged(self):
         # B moved by 1e-6 relative, in X or in Z, fails the check on every
         # corpus set that has B, while B itself passes on each
-        from dataclasses import replace
-
         from test_corpus import PAIRS, RATIOS
 
         sets = 0
@@ -596,8 +595,11 @@ class TestSweep:
 
     def test_anchor_row_is_its_classify_run(self, tmp_path):
         # the largest alpha anchors each rho group (one Picard solve): its row
-        # is the run classify makes at that alpha, and the other rows, read
-        # off it, keep the classes and statuses they had with a solve each
+        # is the run classify makes at that alpha, bit for bit. The other
+        # rows are read off its run, shifted in s, which moves their ends by
+        # rounding: the steady exponent by up to 3e-13 and its log power by
+        # up to 3e-11. A row reads its rate off the trace's admissible
+        # samples, with no profile table
         out = tmp_path / "s.csv"
         code = run_cli(["sweep", "--n", "4", "--k", "1", "--theta", "1", "--rhos=0,1,5",
                         "--alphas=0.5,1.0,2.0", "--out", str(out)])
@@ -606,19 +608,69 @@ class TestSweep:
         assert [(r["class"], r["status"]) for r in rows] == (
             [("TypeGamma", "ok")] * 3 + [("TypeB", "ok")] * 6
         )
-        for row in rows[2::3]:
+        for row in rows:
             rep = tmp_path / "c.json"
             assert run_cli(["classify", "--n", "4", "--k", "1", "--theta", "1",
-                            "--rho", row["rho"], "--alpha", "2.0", "--out", str(rep)]) == 0
+                            "--rho", row["rho"], "--alpha", row["alpha"], "--out", str(rep)]) == 0
             doc = json.loads(rep.read_text())
             # a run ends at s_max or at its terminal event
             s_end = 200.0 if doc["status"] == "s_max" else doc["events"][-1]["s"]
             rate = doc["tail_rate"]
+            got = [float(row["s_end"]), float(row["exponent"])]
+            want = [s_end, rate["fitted_exponent"]]
+            if row["log_power"]:
+                got.append(float(row["log_power"]))
+                want.append(rate["log_correction_power"])
+            else:
+                assert rate["log_correction_power"] is None
             assert row["class"] == doc["class"]["kind"]
-            assert float(row["s_end"]) == s_end
-            assert float(row["exponent"]) == rate["fitted_exponent"]
-            log_power = float(row["log_power"]) if row["log_power"] else None
-            assert log_power == rate["log_correction_power"]
+            if row["alpha"] == "2.0":
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_rows_build_no_profile_table(self, tmp_path, monkeypatch):
+        from ksol import profile
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("a sweep row built a profile table")
+
+        monkeypatch.setattr(profile, "reconstruct_u", no_table)
+        out = tmp_path / "s.csv"
+        code = run_cli(["sweep", "--n", "4", "--k", "1", "--theta", "1", "--rhos=-1,0,1,5",
+                        "--alphas=0.5,2.0", "--out", str(out)])
+        assert code == 0
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == 8
+        assert all(r["status"] == "ok" and r["exponent"] for r in rows)
+
+    def test_row_without_admissible_samples_is_an_error(self, tmp_path, monkeypatch):
+        # the message comes from profile.admissible_samples; a failed rate,
+        # by contrast, keeps its row ok (test_rate_error_keeps_the_row_ok)
+        from ksol import profile
+
+        x_cap = phase.make_params(4, 1, 1.0, 1.0).x_cap
+        admissible_samples = profile.admissible_samples
+
+        def off_the_strip(trace, p):
+            return admissible_samples(replace(trace, X=np.full_like(trace.X, x_cap)), p)
+
+        monkeypatch.setattr(profile, "admissible_samples", off_the_strip)
+        out = tmp_path / "s.csv"
+        assert run_cli(["sweep", "--n", "4", "--k", "1", "--theta", "1", "--rhos=1",
+                        "--alphas=1.0", "--out", str(out)]) == 0
+        [row] = csv.DictReader(out.open())
+        assert row["status"] == "error" and row["error"] == "trace has no admissible samples"
+
+    def test_rate_error_keeps_the_row_ok(self, tmp_path):
+        # (4,1,1e-2) ends at its hand-off on a funnel certificate: TypeB,
+        # with no tail span to read a rate from
+        out = tmp_path / "s.csv"
+        assert run_cli(["sweep", "--n", "4", "--k", "1", "--theta", "1", "--rhos=0.01",
+                        "--alphas=1.0", "--out", str(out)]) == 0
+        [row] = csv.DictReader(out.open())
+        assert (row["class"], row["status"], row["exponent"]) == ("TypeB", "ok", "")
+        assert "no tail span" in row["error"]
 
     def test_jobs_do_not_change_the_table(self, tmp_path):
         # --jobs is still accepted and has no effect on the table

@@ -92,7 +92,7 @@ def test_result_is_in_the_regime_table(n, k, ratio):
     if n >= 2 * k and ratio == 0.0:
         assert result[1] == "s_max" and trace.s[-1] == 200.0, result
     if n == 2 * k and ratio == 0.0 and k >= 5:
-        rate = profile.tail_rate(profile.reconstruct_u(trace, p), p, oc)
+        rate = profile.tail_rate(profile.admissible_samples(trace, p), p, oc)
         assert rate.log_correction_power == pytest.approx((k - 2.0) / k, abs=1e-6), result
 
 
@@ -107,7 +107,7 @@ def test_steady_log_power_is_one_over_one_minus_m(n, k, run, integrated):
     # over [100, 200] reads the power within 1e-6 (1.1e-10 at most; the
     # two-term fit at s = 200 was off by up to 3.2e-4)
     p, _sol, trace, oc = run(n, k, 0.0)
-    rate = profile.tail_rate(profile.reconstruct_u(trace, p), p, oc)
+    rate = profile.tail_rate(profile.admissible_samples(trace, p), p, oc)
     assert trace.status == "s_max" and trace.hand_over is not None
     assert rate.log_correction_power == pytest.approx(1.0 / (1.0 - p.m), abs=1e-6)
     assert manifold.defect(trace, p) <= 1.0

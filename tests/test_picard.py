@@ -5,6 +5,7 @@ the gauge map by a solve at each alpha."""
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,6 +91,22 @@ class TestPicardSolve:
         y[1] *= 1.0 + 1e-8
         assert picard._validate(y, b, tau0, p, ey, eb).err_x > 1e3 * HAND_OFF_BOUND
 
+    @pytest.mark.parametrize(
+        "n,k,rho,theta", [(4, 2, -1.5e-3, 1e-3), (4, 1, 1e-6, 1e-6), (4, 1, 1.0, 1.0)]
+    )
+    def test_derivative_defect_is_relative(self, n, k, rho, theta):
+        # Z scales like theta^-k: the defect relative to X and Z passes at
+        # every theta, and x_coef[1] or z_coef[1] moved by 1e-8 relative
+        # still fails the 10 tol bound
+        p = phase.make_params(n, k, rho, theta)
+        sol = picard.picard_solve(1.0, p)
+        assert picard.derivative_residual(sol, p) < 1e-11
+        for name in ("x_coef", "z_coef"):
+            coef = getattr(sol, name).copy()
+            coef[1] *= 1.0 + 1e-8
+            forged = replace(sol, **{name: coef})
+            assert picard.derivative_residual(forged, p) > 10.0 * 1e-10, name
+
     def test_next_term_lies_within_the_bound(self):
         # the first omitted term of x, relative to x and carried to X = x^k,
         # is the first term of T(0), so the bound holds it
@@ -114,7 +131,7 @@ class TestPicardSolve:
         # u(0) reconstructed through the profile equals the solution's u0
         p = phase.make_params(4, 1, 0.0, 1.0)
         sol, trace, _oc = orbit.run_orbit(p, 2.0)
-        table = profile.reconstruct_u(trace, p)
+        table = profile.reconstruct_u(profile.admissible_samples(trace, p), p)
         assert table.alpha == pytest.approx(sol.u0, abs=1e-8)
 
     def test_tail_glues_into_integrator(self):
@@ -176,7 +193,7 @@ class TestGaugeMap:
             assert np.array_equal(sol.x_coef, own.x_coef) and np.array_equal(sol.z_coef, own.z_coef)
             assert sol.state_at_s0(p) == anchor.state_at_s0(p)
             assert (sol.err, sol.contraction_rate) == (anchor.err, anchor.contraction_rate)
-            assert sol.weighted_limits == pytest.approx(own.weighted_limits, rel=1e-14)
+            assert sol.weighted_limits == own.weighted_limits
             assert sol.u0 == own.u0
             assert picard.derivative_residual(sol, p) < 10.0 * 1e-10
 
@@ -194,6 +211,16 @@ class TestGaugeMap:
         for alpha in (0.0, -1.0, 1e12):
             with pytest.raises(DomainError, match="alpha"):
                 picard.gauge_map(sol, alpha, p)
+
+    def test_limits_of_alphas_a_float_range_apart(self):
+        # a shared run maps the anchor 1e8 to 1e-8: alpha_k reads 8.7e+304
+        # and 1.1e-305, whose ratio underflows; the limits are the unit
+        # gauge's times alpha_k, those of 1e-8's own solve bit for bit
+        p = phase.make_params(64, 36, 1.0, 1.0)
+        own = picard.picard_solve(1e-8, p)
+        [_anchor, sol] = orbit._local_solutions(p, [1e8, 1e-8], picard.DEFAULT_TOL)[1]
+        assert sol.weighted_limits == own.weighted_limits
+        assert 0.0 < own.weighted_limits[1] < own.weighted_limits[0] < 1e-300
 
 
 class TestAlphaRange:

@@ -14,7 +14,7 @@ class TestReconstruction:
     def test_round_trip(self, run):
         for case in [(4, 1, 1.0), (4, 2, 1.0), (5, 2, 0.0)]:
             p, _sol, tr, _oc = run(*case)
-            tab = profile.reconstruct_u(tr, p)
+            tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
             x_back = (-tab.r * tab.u_r / tab.u) ** p.k
             z_back = (tab.r**2 * tab.u ** (1.0 - p.m)) ** p.k
             assert np.max(np.abs(x_back - tab.X) / (1.0 + tab.X)) < 1e-8
@@ -23,7 +23,7 @@ class TestReconstruction:
     def test_u_positive_and_decreasing(self, run):
         for case in [(4, 1, -1.0), (4, 1, 1.0), (3, 2, 5.0)]:
             p, _sol, tr, _oc = run(*case)
-            tab = profile.reconstruct_u(tr, p)
+            tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
             assert np.all(tab.u > 0.0)
             assert np.all(tab.u_r < 0.0)
             assert np.all(np.diff(tab.r) > 0.0)
@@ -31,18 +31,18 @@ class TestReconstruction:
     def test_lambda2_positive_along_admissible_profiles(self, run):
         for case in [(4, 1, 0.0), (4, 1, 1.0), (4, 2, 1.0)]:
             p, _sol, tr, _oc = run(*case)
-            tab = profile.reconstruct_u(tr, p)
+            tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
             _l1, lam2, _sig = profile.sigma_k_column(tab, p)
             assert np.all(lam2 > 0.0)
 
     def test_u0_recovery(self, run):
         p, sol, tr, _oc = run(4, 1, 1.0)
-        tab = profile.reconstruct_u(tr, p)
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
         assert tab.alpha == pytest.approx(sol.u0, abs=1e-6)
 
     def test_non_admissible_samples_excluded(self, run):
         p, _sol, tr, _oc = run(3, 2, 1.0)  # exits the region
-        tab = profile.reconstruct_u(tr, p)
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
         assert np.all(tab.X < p.x_cap)
 
 
@@ -50,7 +50,7 @@ class TestOriginExpansion:
     @pytest.mark.parametrize("case", [(4, 1, 1.0), (4, 1, -1.0), (4, 2, 1.0), (5, 2, 0.0)])
     def test_quadratic_coefficient(self, case, run):
         p, _sol, tr, _oc = run(*case)
-        tab = profile.reconstruct_u(tr, p)
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
         rep = profile.origin_expansion_check(tab, tab.alpha, p)
         assert rep.rel_err < 0.01
         # deviation from the quadratic model is o(r^2)
@@ -62,7 +62,7 @@ class TestOriginExpansion:
         # the readings fit the next orders of the expansion, and still see a
         # Z moved by 1e-4 or a quadratic term moved by 2 %
         p, _sol, tr, _oc = run(*case)
-        tab = profile.reconstruct_u(tr, p)
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
         forged_z = replace(tab, Z=tab.Z * (1.0 + 1e-4))
         assert profile.origin_expansion_check(forged_z, tab.alpha, p).zx_ratio_err > 1e-5
         u = np.where(tab.r < 1.0, tab.alpha - 1.02 * (tab.alpha - tab.u), tab.u)
@@ -131,8 +131,7 @@ class TestTailRates:
 
     def test_expander_u_exponent(self, run):
         p, _sol, tr, oc = run(4, 1, -1.0)
-        tab = profile.reconstruct_u(tr, p)
-        rr = profile.tail_rate(tab, p, oc)
+        rr = profile.tail_rate(profile.admissible_samples(tr, p), p, oc)
         assert rr.fitted_exponent == pytest.approx(-1.5, rel=0.01)
         assert rr.log_correction_power is None
 
@@ -147,15 +146,13 @@ class TestTailRates:
         # upper edge at k = 1, hence the 5% slack on the edges
         assert lo <= a <= hi
         assert a == pytest.approx(2.0 * C ** (1.0 / p.k) / p.gamma, rel=1e-3)
-        tab = profile.reconstruct_u(tr, p)
-        rr = profile.tail_rate(tab, p, oc)
+        rr = profile.tail_rate(profile.admissible_samples(tr, p), p, oc)
         assert rr.fitted_exponent == pytest.approx(-3.0, rel=0.02)
         assert rr.log_correction_power == pytest.approx(1.5, rel=0.02)
 
     def test_type_b_exponent(self, run):
         p, _sol, tr, oc = run(4, 1, 1.0)
-        tab = profile.reconstruct_u(tr, p)
-        rr = profile.tail_rate(tab, p, oc)
+        rr = profile.tail_rate(profile.admissible_samples(tr, p), p, oc)
         assert rr.fitted_exponent == pytest.approx(-3.0, rel=0.01)
         assert rr.log_correction_power is None
 
@@ -163,25 +160,25 @@ class TestTailRates:
         p, _sol, tr, oc = run(4, 2, 1.0)
         d = oc.X_inf ** 0.5 / 2.0 - 1.0
         assert 0.0 < d <= 0.5
-        tab = profile.reconstruct_u(tr, p)
-        rr = profile.tail_rate(tab, p, oc)
+        rr = profile.tail_rate(profile.admissible_samples(tr, p), p, oc)
         assert rr.fitted_exponent == pytest.approx(-2.0 * (1.0 + d), rel=0.02)
 
     def test_rate_is_read_from_x(self, run):
         # d ln u/ds = -x along the flow: the exponent of an exponentially
         # converging orbit is -x at the end of the trace (k = 2, so x != X)
         p, _sol, tr, oc = run(4, 2, 1.0)
-        tab = profile.reconstruct_u(tr, p)
-        np.testing.assert_allclose(np.gradient(tab.ln_u_full, tab.s_full), -tab.x_full, atol=1e-3)
-        assert profile.tail_rate(tab, p, oc).fitted_exponent == -tab.x_full[-1]
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
+        s, x = tab.samples.s, tab.samples.x
+        np.testing.assert_allclose(np.gradient(tab.ln_u_full, s), -x, atol=1e-3)
+        assert profile.tail_rate(tab.samples, p, oc).fitted_exponent == -x[-1]
 
     def test_short_tail_raises(self, run):
         p = phase.make_params(4, 1, 0.0, 1.0)
         controls = orbit.OrbitControls(s_max=0.5)
         _sol, tr, oc = orbit.run_orbit(p, 1.0, controls)
-        tab = profile.reconstruct_u(tr, p)
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
         with pytest.raises(DomainError, match="s_max"):
-            profile.tail_rate(tab, p, oc)
+            profile.tail_rate(tab.samples, p, oc)
 
 
 class TestEllipticResidual:
@@ -190,14 +187,14 @@ class TestEllipticResidual:
     )
     def test_small_along_converged_orbits(self, case, run):
         p, _sol, tr, _oc = run(*case)
-        tab = profile.reconstruct_u(tr, p)
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
         rep = profile.elliptic_residual(tab, p)
         assert rep.max_rel < 1e-6
         assert rep.n_rows > 100
 
     def test_sigma_k_positive(self, run):
         p, _sol, tr, _oc = run(4, 1, 1.0)
-        tab = profile.reconstruct_u(tr, p)
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
         _l1, _l2, sig = profile.sigma_k_column(tab, p)
         assert np.all(sig > 0.0)
 
@@ -205,7 +202,7 @@ class TestEllipticResidual:
         # a constant conformal factor solves nothing: lambda2 = 0 rows are
         # rejected and the check refuses to bless it
         p, _sol, tr, _oc = run(4, 1, 1.0)
-        tab = profile.reconstruct_u(tr, p)
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
         fake = profile.ProfileTable(
             r=tab.r,
             u=np.full_like(tab.u, 0.7),
@@ -216,8 +213,7 @@ class TestEllipticResidual:
             X=tab.X,
             Z=tab.Z,
             s=tab.s,
-            s_full=tab.s_full,
-            x_full=tab.x_full,
+            samples=tab.samples,
             ln_u_full=tab.ln_u_full,
         )
         with pytest.raises(DomainError):
@@ -230,7 +226,8 @@ class TestPotential:
         pot = profile.potential_phi(tr, p)
         assert np.all(pot.phi_s > 0.0)
         assert np.all(np.diff(pot.phi) > 0.0)
-        assert profile.potential_identity_residual(profile.reconstruct_u(tr, p), p) < 1e-6
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
+        assert profile.potential_identity_residual(tab, p) < 1e-6
 
     # the steady arc runs to s_max on the slow-manifold series; at rho = 1
     # the ends at B, which cut the arc short, are off
@@ -241,7 +238,8 @@ class TestPotential:
         # s = 92.6, and the residual read off the product was 1.8e-5
         p, _sol, tr, _oc = run(12, 4, rho, **ctrl)
         assert tr.status == "s_max"
-        assert profile.potential_identity_residual(profile.reconstruct_u(tr, p), p) < 1e-12
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
+        assert profile.potential_identity_residual(tab, p) < 1e-12
 
     def test_gauge_shift_changes_nothing(self, run):
         p, _sol, tr, _oc = run(4, 1, 0.0)
@@ -254,7 +252,7 @@ class TestPotential:
 class TestFlowSolutions:
     def test_scale_one_reproduces_u(self, run):
         p, _sol, tr, _oc = run(4, 1, 1.0)
-        tab = profile.reconstruct_u(tr, p)
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
         fs = profile.flow_solution(tab, p, t=0.0, T=1.0)
         # the table's own radii, where the snapshot is u itself, and 1e-3,
         # below the table's first radius r0, where it is the origin
@@ -272,7 +270,7 @@ class TestFlowSolutions:
         # on (4,1,1); the origin expansion meets the table at its first
         # radius, and lies between it and u(0) below
         p, _sol, tr, _oc = run(n, k, rho)
-        tab = profile.reconstruct_u(tr, p)
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
         fs = profile.flow_solution(tab, p, t=0.0, T=1.0)
         r0 = math.exp(tab.s[0])
         below, at = fs(np.array([r0 * (1.0 - 1e-12), r0]))
@@ -284,7 +282,7 @@ class TestFlowSolutions:
 
     def test_self_similarity(self, run):
         p, _sol, tr, _oc = run(4, 1, 1.0)
-        tab = profile.reconstruct_u(tr, p)
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
         beta = (1.0 - p.m) * p.theta
         eta = np.array([0.05, 0.4, 1.3])
         ratios = []
@@ -297,7 +295,7 @@ class TestFlowSolutions:
 
     def test_steady_amplitude_affine_in_t(self, run):
         p, _sol, tr, _oc = run(4, 1, 0.0)
-        tab = profile.reconstruct_u(tr, p)
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
         ts = np.array([-1.0, 0.0, 1.0, 2.0])
         vals = [math.log(profile.flow_solution(tab, p, t)(np.array([0.0]))[0]) for t in ts]
         slopes = np.diff(vals) / np.diff(ts)
@@ -305,11 +303,11 @@ class TestFlowSolutions:
 
     def test_time_domain_errors(self, run):
         p, _sol, tr, _oc = run(4, 1, 1.0)
-        tab = profile.reconstruct_u(tr, p)
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
         with pytest.raises(DomainError):
             profile.flow_solution(tab, p, t=1.5, T=1.0)
         pe, _sol2, tr2, _oc2 = run(4, 1, -1.0)
-        tab2 = profile.reconstruct_u(tr2, pe)
+        tab2 = profile.reconstruct_u(profile.admissible_samples(tr2, pe), pe)
         with pytest.raises(DomainError):
             profile.flow_solution(tab2, pe, t=0.0)
         fs = profile.flow_solution(tab, p, t=0.0, T=1.0)
@@ -351,9 +349,9 @@ class TestHermiteReadersOracle:
     @pytest.mark.parametrize("n,k,rho", SETS)
     def test_u_between_samples(self, n, k, rho, run):
         p, _sol, tr, _oc = run(n, k, rho)
-        tab = profile.reconstruct_u(tr, p)
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
         u = profile.FlowSolution("profile", 1.0, 1.0, tab)  # the snapshot at scale one
-        s, X, Z = tab.s_full, tab.X_full, tab.Z_full
+        s, X, Z = tab.samples.s, tab.samples.X, tab.samples.Z
         for i in np.linspace(0, s.size - 2, 41).astype(int):
             mid = 0.5 * (s[i] + s[i + 1])
             [ln_z], _phi = self._flow(p, s[i], X[i], Z[i], [mid])
@@ -404,6 +402,6 @@ class TestSteadyN2kOracle:
         c0 = np.polyval(np.polyfit(400.0 / s - 3.0, s * (p.gamma - x), 5), -3.0)
         assert c0 == pytest.approx((k - 2.0) / k, abs=2e-3)
         assert abs(c0 - (k - 1.0) / k) > 0.2
-        rr = profile.tail_rate(profile.reconstruct_u(tr, p), p, oc)
+        rr = profile.tail_rate(profile.admissible_samples(tr, p), p, oc)
         assert rr.log_correction_power == pytest.approx(c0, abs=1e-4)
         assert rr.predicted.log_power == pytest.approx(c0, abs=2e-3)

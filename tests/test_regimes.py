@@ -19,8 +19,7 @@ class TestScalingInvariance:
             p, _sol, tr, oc = run(n, k, rho, 1.0, alpha)
             kinds.append(oc.kind)
             xinfs.append(oc.X_inf)
-            tab = profile.reconstruct_u(tr, p)
-            exps.append(profile.tail_rate(tab, p, oc).fitted_exponent)
+            exps.append(profile.tail_rate(profile.admissible_samples(tr, p), p, oc).fitted_exponent)
         assert len(set(kinds)) == 1
         assert max(exps) - min(exps) < 1e-4 * abs(exps[0])
         if xinfs[0] is not None:
@@ -31,7 +30,7 @@ class TestScalingInvariance:
         powers = []
         for alpha in (0.5, 1.0, 2.0):
             p, _sol, tr, oc = run(n, k, 0.0, 1.0, alpha)
-            rr = profile.tail_rate(profile.reconstruct_u(tr, p), p, oc)
+            rr = profile.tail_rate(profile.admissible_samples(tr, p), p, oc)
             assert rr.log_correction_power == pytest.approx(rr.predicted.log_power, abs=1e-3)
             powers.append(rr.log_correction_power)
         assert max(powers) - min(powers) <= 2e-4
@@ -63,9 +62,9 @@ class TestHigherK:
         p, _sol, tr, _oc = run(7, 3, 1.0, s_max=47.7, end_at_b=False)
         X_end, Z_end = tr.end_state
         assert abs(X_end - p.X_B) < 1e-6 and abs(Z_end - p.Z_B) < 1e-6
-        tab = profile.reconstruct_u(tr, p)
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
         assert profile.elliptic_residual(tab, p).max_rel < 1e-6
-        rr = profile.tail_rate(tab, p, oc)
+        rr = profile.tail_rate(tab.samples, p, oc)
         assert rr.fitted_exponent == pytest.approx(-2.0 / (1.0 - p.m), rel=0.01)
 
     def test_k3_n2k_shrinker_d_window(self, run):
@@ -73,15 +72,13 @@ class TestHigherK:
         assert oc.kind == orbit.GENERALIZED_A
         d = oc.X_inf ** (1.0 / 3.0) / 2.0 - 1.0
         assert 0.0 < d <= p.rho / (2.0 * p.theta)
-        tab = profile.reconstruct_u(tr, p)
-        rr = profile.tail_rate(tab, p, oc)
+        rr = profile.tail_rate(profile.admissible_samples(tr, p), p, oc)
         assert rr.fitted_exponent == pytest.approx(-2.0 * (1.0 + d), rel=0.02)
 
     def test_k3_subcritical_fast_decay(self, run):
         p, _sol, tr, oc = run(5, 3, 5.0)
         assert oc.kind == orbit.TYPE_A
-        tab = profile.reconstruct_u(tr, p)
-        rr = profile.tail_rate(tab, p, oc)
+        rr = profile.tail_rate(profile.admissible_samples(tr, p), p, oc)
         assert rr.fitted_exponent == pytest.approx(-4.0 / (1.0 - p.m), rel=0.02)
 
     def test_k4_monitors_clean(self, run):
@@ -99,9 +96,9 @@ class TestHigherK:
         # residual must still verify against the constituent scale
         p, _sol, tr, oc = run(3, 3, 5.0)
         assert oc.kind == orbit.TYPE_A
-        tab = profile.reconstruct_u(tr, p)
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
         assert profile.elliptic_residual(tab, p).max_rel < 1e-6
-        rr = profile.tail_rate(tab, p, oc)
+        rr = profile.tail_rate(tab.samples, p, oc)
         assert rr.fitted_exponent == pytest.approx(-3.0, rel=0.02)
 
     def test_large_n_classical(self, run):
@@ -111,8 +108,7 @@ class TestHigherK:
         p, _sol, _tr, oc = run(12, 1, 1.0)
         assert oc.kind == orbit.TYPE_B and oc.diagnostics["criterion"] == "funnel"
         p, _sol, tr, arc_oc = run(12, 1, 1.0, s_max=23.3, end_at_b=False)
-        tab = profile.reconstruct_u(tr, p)
-        rr = profile.tail_rate(tab, p, arc_oc)
+        rr = profile.tail_rate(profile.admissible_samples(tr, p), p, arc_oc)
         assert rr.fitted_exponent == pytest.approx(-2.0 / (1.0 - p.m), rel=0.01)
 
     def test_k5_critical_dimension(self, run):
@@ -120,8 +116,7 @@ class TestHigherK:
         assert oc.kind == orbit.GENERALIZED_A
         d = oc.X_inf ** (1.0 / 5.0) / 2.0 - 1.0
         assert 0.0 < d <= 0.5
-        tab = profile.reconstruct_u(tr, p)
-        rr = profile.tail_rate(tab, p, oc)
+        rr = profile.tail_rate(profile.admissible_samples(tr, p), p, oc)
         assert rr.fitted_exponent == pytest.approx(-2.0 * (1.0 + d), rel=0.02)
 
 
@@ -156,5 +151,5 @@ class TestNearDegenerateCorner:
     def test_huge_rho(self, run):
         p, _sol, tr, oc = run(4, 1, 40.0)
         assert oc.kind in orbit.expected_kinds(p)
-        tab = profile.reconstruct_u(tr, p)
+        tab = profile.reconstruct_u(profile.admissible_samples(tr, p), p)
         assert profile.elliptic_residual(tab, p).max_rel < 1e-6

@@ -1,6 +1,9 @@
 """Symmetric-function layer: every production value is pinned against a
 brute-force subset-enumeration oracle or a frozen hand computation."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -188,6 +191,19 @@ class TestRadialSigma:
                     # no cancellation when both eigenvalues share a sign
                     assert np.all(cond >= 1.0 - 1e-12)
                     np.testing.assert_allclose(cond[lam1 * lam2 > 0.0], 1.0, rtol=1e-12)
+
+    def test_condition_past_the_float_range_is_inf(self):
+        # a bracket that cancels to 0 exactly at n = 64, l = 50, where the
+        # eigenvalues are O(10): their sum over the 1e-300 floor exceeds
+        # the float range, as on (64,50,3) and (64,48,2.01)
+        b1, b2 = float(sigma.binomial(63, 49)), float(sigma.binomial(63, 50))
+        c = 2.0**-40
+        lam1, lam2 = np.array([-b2 * c, 1.0]), np.array([b1 * c, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            combo, cond = sigma.sigma_l_bracket(lam1, lam2, 64, 50)
+        assert combo[0] == 0.0 and cond[0] == math.inf
+        assert cond[1] == 1.0
 
     def test_matches_expanded_list(self):
         for _ in range(400):
