@@ -350,9 +350,9 @@ def defect(trace, p):
     equal F(X, Z) of ``phase.vector_field``. The series is cut after N
     terms, and its TAIL_TERMS omitted terms, tau = sum_j |C_j| eps^(j+1),
     move F by k |Z f(x)| tau / delta, since Z f(x) carries delta^k, and X_s
-    by at most x^(k-1) W_s (N + TAIL_TERMS) tau. F sums two terms
-    of the size of (n-2k) q X, rounded as ``phase.profile_condition``
-    says. The sum of the three is taken DEFECT_SAFETY times over."""
+    by at most x^(k-1) W_s (N + TAIL_TERMS) tau. F's rounding is
+    ``phase.field_rounding``'s. The sum of the three is taken DEFECT_SAFETY
+    times over."""
     hand = trace.hand_over
     if hand is None:
         return None
@@ -374,6 +374,6 @@ def defect(trace, p):
     estimate = (
         k * (F + term) * tau / delta
         + x ** (k - 1) * W_s * (N + TAIL_TERMS) * tau
-        + _EPS * phase.profile_condition(x, p) * (term + np.abs(F))
+        + phase.field_rounding(X, Z, p)[0]
     )
     return float(np.max(np.abs(X_s - F) / (DEFECT_SAFETY * estimate)))

@@ -539,10 +539,10 @@ def trap_certificate(X, Z, err, p):
     if not (p.rho <= 0.0 and p.n >= 2 * p.k and X1 > 0.0 and Z1 > 0.0 and x1 < p.gamma):
         return None
     F, _G = phase.vector_field(X1, Z1, p)
-    round_F = phase.profile_condition(x1, p) * ((p.n - 2.0 * p.k) * X1 + abs(F))
+    round_F = phase.field_rounding(X1, Z1, p)[0]
     # gamma^k is a k-fold product, then the sum
-    round_gap = (p.k + 2.0) * p.gamma_k
-    margin = min(F / round_F, gap / round_gap) / (FUNNEL_SAFETY * _EPS)
+    round_gap = (p.k + 2.0) * _EPS * p.gamma_k
+    margin = min(F / round_F, gap / round_gap) / FUNNEL_SAFETY
     if not margin > 1.0:
         return None
     return TrapCertificate(X, Z, err, float(margin))
@@ -583,11 +583,8 @@ def funnel_certificate(X, Z, err, p):
     Zs = np.concatenate([zl + t * dz, Z * (1.0 + err * np.array([1.0, -1.0, 1.0, -1.0]))])
     F, G = phase.vector_field(Xs, Zs, p)
     H = sigma * F[:-4] - G[:-4]
-    cond = phase.profile_condition(phase.kth_root(Xs, k), p)
-    # both terms of F are at most (n-2k) X + |F|; those of G at most 2k Z
-    round_F = cond * (n2k * Xs + np.abs(F))
-    round_G = 8.0 * 2.0 * k * Zs[:-4] + np.abs(G[:-4])
-    round_H = sigma * round_F[:-4] + round_G + sigma * np.abs(F[:-4]) + np.abs(H)
+    round_F, round_G = phase.field_rounding(Xs, Zs, p)
+    round_H = sigma * round_F[:-4] + round_G[:-4] + _EPS * (sigma * np.abs(F[:-4]) + np.abs(H))
     # the slopes along the chord near B
     t = np.linspace(1.0 - FUNNEL_DELTA, 1.0, FUNNEL_END_POINTS)
     Xe, Ze = xl + t * dx, zl + t * dz
@@ -604,10 +601,10 @@ def funnel_certificate(X, Z, err, p):
         min(
             np.min(F / round_F),
             np.min(H / round_H),
-            np.min(-dF / round_dF),
-            np.min(-dH / round_dH),
+            np.min(-dF / (_EPS * round_dF)),
+            np.min(-dH / (_EPS * round_dH)),
         )
-    ) / (FUNNEL_SAFETY * _EPS)
+    ) / FUNNEL_SAFETY
     if not margin > 1.0:
         return None
     return FunnelCertificate(X, Z, err, margin)
@@ -853,19 +850,17 @@ def _z_of_x(X, Z, p, grid):
     return hermite(X, Z, slopes, grid)
 
 
-def barrier_compare(
-    p, alpha=1.0, alpha_bar=1.0, controls=None, n_grid=400, x_lo=0.01, tol=picard.DEFAULT_TOL,
-    trace=None,
-):
+def barrier_compare(p, controls=None, n_grid=400, x_lo=0.01, tol=picard.DEFAULT_TOL, trace=None):
     """Compare the origin orbit Z(X) with the reversed A-orbit V-(X).
 
     Both curves are parametrized by X on [x_lo, X_B] (X is strictly
     increasing there for each); the A-orbit must dominate pointwise, and
     f > h on the same interval. The local solutions are solved at ``tol``.
-    The origin curve is the origin orbit's trace for ``alpha``, ``trace``
-    when the caller already has it, else :func:`run_orbit`'s, read up to its
-    first crossing of X_B, a sample at X = X_B exactly, where the A-orbit's
-    run ends by its chart. Each curve is
+    The gauge alpha only shifts an orbit in s, so neither curve depends on
+    it, and both runs are at alpha 1. The origin curve is the origin orbit's
+    trace, ``trace`` when the caller already has it, else :func:`run_orbit`'s,
+    read up to its first crossing of X_B, a sample at X = X_B exactly, where
+    the A-orbit's run ends by its chart. Each curve is
     read on the grid off the cubic Hermite in X (:func:`hermite`) with the
     slopes dZ/dX = G/F of its own chart, which the samples keep to the
     integrator's accuracy; chords between them would not.
@@ -876,9 +871,9 @@ def barrier_compare(
         raise NotApplicableError("barrier comparison requires n >= 2k")
     controls = controls or OrbitControls()
     if trace is None:
-        trace = run_orbit(p, alpha, controls, tol)[1]
+        trace = run_orbit(p, 1.0, controls, tol)[1]
     crossings = trace.event_s("crossed_X_B")
-    tr_a = integrate(picard.picard_solve_at_A(alpha_bar, p, tol), p, controls)
+    tr_a = integrate(picard.picard_solve_at_A(1.0, p, tol), p, controls)
     if not crossings or tr_a.status != "stopped_at_X_B":
         origin = "crossed_X_B" if crossings else trace.status
         raise DomainError(f"barrier orbits did not reach X_B (origin: {origin}, A: {tr_a.status})")

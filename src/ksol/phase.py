@@ -22,6 +22,9 @@ import numpy as np
 from .errors import DomainError, NotApplicableError, ParameterError
 from .sigma import MAX_DIM, binomial
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
+
 # Critical point kinds.
 SADDLE = "saddle"
 SOURCE = "source"
@@ -199,40 +202,135 @@ def _profile_ratio(x, p):
     return q, (p.num_a + p.num_b * x) / q
 
 
-def profile_value(x, p):
-    """The chart's profile (f at the origin, h at A) at x = X^(1/k),
-    c_nk beta^k q g^k with (q, g) from :func:`_profile_ratio`; floats or
-    arrays, no domain check. g^k is a k-fold product, in the operation order
-    of the integrator's kernel."""
+def _in_logs(value, c, g, j):
+    """``value``, the float product c g^j, where it is finite; where g^j
+    left the float range (large k, g near x_A), c g^j formed in logs
+    instead, and inf, with no warning, where c g^j is past the range too.
+    The callers pass values they formed under ``np.errstate(over="ignore")``
+    and call this only where one of them is not finite."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        spilled = np.sign(c) * np.sign(g) ** j * np.exp(np.log(np.abs(c)) + j * np.log(np.abs(g)))
+        return np.where(np.isfinite(value) | ~np.isfinite(g), value, spilled)
+
+
+def _profile(x, p):
+    """:func:`profile_value`, for callers that hold ``np.errstate(over="ignore",
+    invalid="ignore")``."""
     q, g = _profile_ratio(x, p)
     power = g
     for _ in range(p.k - 1):
         power = power * g
-    return p.cb * q * power
+    value = p.cb * q * power
+    return value if np.isfinite(value).all() else _in_logs(value, p.cb * q, g, p.k)
+
+
+def profile_value(x, p):
+    """The chart's profile (f at the origin, h at A) at x = X^(1/k),
+    c_nk beta^k q g^k with (q, g) from :func:`_profile_ratio`; floats or
+    arrays, no domain check. g^k is a k-fold product, in the operation order
+    of the integrator's kernel, and in logs where it leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _profile(x, p)
 
 
 def profile_slope(x, p):
     """d/dx of :func:`profile_value`: c_nk beta^k k g^(k-1) (((k-1)/(n+2k)) g + num_b),
     num_b = -1 for f and +1 for h. Takes floats or arrays."""
     _q, g = _profile_ratio(x, p)
-    return p.cb * p.k * g ** (p.k - 1) * (((p.k - 1) / (p.n + 2 * p.k)) * g + p.num_b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tail = ((p.k - 1) / (p.n + 2 * p.k)) * g + p.num_b
+        value = p.cb * p.k * g ** (p.k - 1) * tail
+    return value if np.isfinite(value).all() else _in_logs(value, p.cb * p.k * tail, g, p.k - 1)
+
+
+def _root_rounding(x, k):
+    """A bound on the relative rounding of x = ``kth_root``(X, k) in units
+    of eps: none at k = 1, sqrt's half ulp at k = 2; at k >= 3 ln X and its
+    quotient by k each err by an ulp, |ln x| eps in the exponent, which exp
+    carries into x with an ulp of its own."""
+    if k <= 2:
+        return 0.5 * (k - 1)
+    return 2.0 * np.abs(np.log(np.where(x > 0.0, x, 1.0))) + 2.0
+
+
+def _rounding_parts(x, p):
+    """The terms of the profile's rounding at x = ``kth_root``(X, k) in
+    units of eps, first order: (q, N, ex, dq, dN, rest), with q = 1 - x/x_A
+    and its absolute rounding dq, the numerator N = num_a + num_b x and its
+    absolute rounding dN, x's relative rounding ex, and ``rest``, the
+    profile's relative rounding from all but N: that of c_nk beta^k (the
+    powers of k/(n+2k) and of beta = (1 - m) theta, m rounded relative to
+    1 - m), of q^(1-k) and of the operations around the power. num_a = gamma
+    is four operations from the parameters, and nu = gamma - x_A a fifth."""
+    k = p.k
+    ex = _root_rounding(x, k)
+    q = 1.0 - x / p.x_A
+    N = p.num_a + p.num_b * x
+    dq = x / p.x_A * (ex + 1.0) + np.abs(q)
+    dN = (2.0 * p.gamma if p.chart == "XZ" else 3.0 * p.gamma + p.x_A) + x * ex + np.abs(N)
+    rest = abs(p.n - 2 * k) / 8.0 + 3.5 * k + 5.0 + (k + 1.0) * dq / np.abs(q)
+    return q, N, ex, dq, dN, rest
 
 
 def profile_condition(x, p):
-    """The relative rounding error of the profile f(x) in units of eps: its
-    k-fold power of g = (gamma - x)/q carries the cancellation of
-    gamma - x, (gamma + x)/(gamma - x) per factor; the root, the quotients
-    and the products around it add a few more. Floats or arrays."""
-    return (p.k + 1.0) * (p.gamma + x) / np.abs(p.gamma - x) + 8.0
+    """The relative rounding of the chart's profile at x in units of eps, to
+    first order (:func:`_rounding_parts`): k dN/|N| from the k-fold power of
+    the numerator N, which carries its cancellation (gamma - x near gamma),
+    plus the rest. Floats or arrays."""
+    with np.errstate(divide="ignore"):
+        _q, N, _ex, _dq, dN, rest = _rounding_parts(x, p)
+        return rest + p.k * dN / np.abs(N)
+
+
+def field_rounding(X, Z, p):
+    """(rF, rG): bounds on the rounding of :func:`vector_field`'s F and G
+    at (X, Z), absolute, floats or arrays, in the chart of ``p``.
+
+    The error model is the standard one (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3), each operation off by at most half an ulp
+    and each library function by an ulp, carried term by term through
+    vector_field to first order in eps (:func:`_rounding_parts`): the k-th
+    root x, q = 1 - x/x_A, the term (n-2k) q X, the profile term Z f(x) and
+    the final sum. The profile's numerator N enters as a k-th power, whose
+    rounding the mean value theorem bounds by
+    Z c_nk beta^k k eps dN ((|N| + eps dN)/|q|)^(k-1): finite where f
+    vanishes (N = 0), and k dN/|N| relative to Z f elsewhere, the
+    cancellation of gamma - x. G rounds as 2k Z (1 - x/x_B). The rounding of
+    the parameters' derived constants is included, so the bound holds
+    against the field of the exact (n, k, rho, theta);
+    ``tests/test_phase.py`` checks it against mpmath at 50 digits. It is
+    first order: near q = 0 (x within some k eps of x_A) it is an estimate.
+    """
+    eps, k = _EPS, p.k
+    x = kth_root(X, k)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q, N, ex, dq, dN, rest = _rounding_parts(x, p)
+        t1 = (p.n - 2.0 * k) * q * X
+        t2 = Z * _profile(x, p)
+        Z = np.abs(Z)
+        numerator = Z * (p.cb * k * eps) * dN
+        if k > 1:
+            G1 = (np.abs(N) + eps * dN) / np.abs(q)
+            power = numerator * G1 ** (k - 1)
+            numerator = power if np.isfinite(power).all() else _in_logs(power, numerator, G1, k - 1)
+        rF = eps * (abs(p.n - 2.0 * k) * np.abs(X) * (dq + np.abs(q)) + rest * np.abs(t2) + 0.5 * np.abs(t2 - t1))
+        # gradual underflow: each operation is also off by up to half the
+        # least subnormal, the k-fold power's carried by Z c_nk beta^k q
+        rF = rF + numerator + _TINY * (k * Z * (p.cb * np.abs(q) + 1.0) + 4.0)
+    r_b = x / p.x_B
+    rG = (eps * 2.0 * k) * Z * (r_b * (ex + 1.0) + 2.0 * np.abs(1.0 - r_b)) + 2.0 * _TINY
+    return rF, rG
 
 
 def vector_field(X, Z, p):
     """(X_s, Z_s) with the chart's profile: the origin field with f, or with
     h the reversed A-chart field; floats or arrays, no domain check. The
     integrator's scalar kernel evaluates the same field in the log chart
-    W = ln(c_nk beta^k Z)."""
+    W = ln(c_nk beta^k Z). F is inf, with no warning, where it leaves the
+    float range (large k near x_A)."""
     x = kth_root(X, p.k)
-    F = -(p.n - 2.0 * p.k) * (1.0 - x / p.x_A) * X + Z * profile_value(x, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = -(p.n - 2.0 * p.k) * (1.0 - x / p.x_A) * X + Z * _profile(x, p)
     G = 2.0 * p.k * Z * (1.0 - x / p.x_B)
     return F, G
 
@@ -296,9 +394,9 @@ def jacobian(state, p):
     0 < X < X_A.
 
     ``state`` is one point, or (X, Z) as two arrays of one shape, which
-    gives the entries as arrays: shape (2, 2) + X.shape. Matches central
-    finite differences; at the corner points O and A the field is not
-    differentiable, use the restricted forms instead.
+    gives the entries as arrays: shape (2, 2) + X.shape. Matches the
+    complex-step derivative of vector_field; at the corner points O and A
+    the field is not differentiable, use the restricted forms instead.
     """
     X, Z = state
     if np.ndim(X) == 0:

@@ -121,17 +121,34 @@ class OriginReport:
     zx_ratio_err: float
 
 
+# C(i, l) at row l, column i, for _origin_fit's degrees
+_PASCAL = np.array([[binomial(i, l) for i in range(9)] for l in range(9)], dtype=float)
+
+
 def _origin_fit(s, values, k, deg=8):
     """The coefficients of the polynomial of degree deg in e^(2(s - s[0]))
     fitted to values over s <= s[0] + min(1/2, 4/k), at least 2 deg
     samples: near r = 0 the orbit is analytic in r^2 = e^(2s), and the
     table starts where the local series hands off, for k >= 3 up to a few
     percent from the leading term, so a line in r^2 through the first
-    samples misses u(0) by up to 4e-3 and Z/X's limit by up to 0.8."""
+    samples misses u(0) by up to 4e-3 and Z/X's limit by up to 0.8.
+
+    The least squares run in t mapped onto [-1, 1], where the powers are
+    well conditioned (at k = 50 the span in t is [1, 1.17], on which the
+    powers of t are nearly parallel), and the coefficients are then carried
+    back to powers of t."""
     span = min(0.5, 4.0 / k)
     j = min(max(int(np.searchsorted(s, s[0] + span, side="right")), 2 * deg), s.size)
     t = np.exp(2.0 * (s[:j] - s[0]))
-    return np.polynomial.polynomial.polyfit(t, values[:j], min(deg, j - 1))
+    deg = min(deg, j - 1)
+    # tau = a + b t maps [t[0], t[-1]] onto [-1, 1]
+    b = 2.0 / (t[-1] - t[0]) if j > 1 else 1.0
+    a = -1.0 - b * t[0]
+    coef = np.linalg.lstsq(np.vander(a + b * t, deg + 1, increasing=True), values[:j], rcond=None)[0]
+    # tau^i = sum_l C(i, l) a^(i-l) b^l t^l
+    i = np.arange(deg + 1)
+    to_t = _PASCAL[: deg + 1, : deg + 1] * a ** np.abs(i - i[:, None]) * b ** i[:, None]
+    return to_t @ coef
 
 
 def origin_expansion_check(table, alpha, p):

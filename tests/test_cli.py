@@ -414,6 +414,83 @@ class TestVerify:
                         assert cli.critical_point_residual(p, [forged]) > 1.0, (n, k, ratio, loc)
         assert sets == 153
 
+    @staticmethod
+    def _checks(tmp_path, n, k, rho, theta=1.0):
+        out = tmp_path / "v.json"
+        code = run_cli(["verify", "--n", str(n), "--k", str(k), f"--rho={rho!r}",
+                        "--theta", repr(theta), "--out", str(out)])
+        return code, json.loads(out.read_text())["checks"]
+
+    def test_forged_repulsion_is_flagged(self, tmp_path, monkeypatch):
+        # F with its sign flipped on X = gamma^k reads attraction, at every
+        # margin: (33,16,-1.99) has F = -1.3e-32 there, -1.8e15 rF
+        sets = [(4, 1, -1.0), (9, 4, 1.0), (33, 16, -1.99)]
+        for n, k, rho in sets:
+            check = self._checks(tmp_path, n, k, rho)[1]["asymptote_repulsion"]
+            assert check["pass"] and check["threshold"] == -1.0 and check["value"] < -1e6
+        field = phase.field_in_domain
+        monkeypatch.setattr(phase, "field_in_domain", lambda X, Z, p: (-field(X, Z, p)[0], field(X, Z, p)[1]))
+        for n, k, rho in sets:
+            code, checks = self._checks(tmp_path, n, k, rho)
+            assert code == 1 and not checks["asymptote_repulsion"]["pass"]
+
+    def test_forged_field_at_b_is_flagged(self, monkeypatch):
+        # F off by 10 times its rounding bound at B
+        sets = [(4, 1, 1.0), (5, 2, 1e-4), (12, 4, 10.0), (64, 8, 1.0), (33, 16, 1e2), (7, 3, -1.0)]
+        points = {}
+        for n, k, rho in sets:
+            p = phase.make_params(n, k, rho, 1.0)
+            points[p] = [cp for cp in phase.critical_points(p) if cp.name == "B"]
+            assert cli.critical_point_residual(p, points[p]) <= 1.0
+        rhs = phase.system_rhs
+
+        def forged(state, p):
+            F, G = rhs(state, p)
+            return F + 10.0 * phase.field_rounding(*state, p)[0], G
+
+        monkeypatch.setattr(phase, "system_rhs", forged)
+        for p, b in points.items():
+            assert cli.critical_point_residual(p, b) > 1.0, (p.n, p.k, p.rho)
+
+    def test_forged_g_at_x_b_is_flagged(self, tmp_path, monkeypatch):
+        # G off by 10 times its rounding bound on X = X_B
+        sets = [(4, 1, 1.0), (5, 2, -1.0), (12, 4, 10.0), (33, 16, 1.0)]
+        for n, k, rho in sets:
+            check = self._checks(tmp_path, n, k, rho)[1]["zs_sign_structure"]
+            assert check["pass"] and check["threshold"] == 1.0 and check["value"] <= 1.0
+        field = phase.vector_field
+
+        def forged(X, Z, p):
+            F, G = field(X, Z, p)
+            if np.iscomplexobj(X) or np.ndim(X) == 0:
+                return F, G
+            return F, G + np.where(X == p.X_B, 10.0 * phase.field_rounding(X, Z, p)[1], 0.0)
+
+        monkeypatch.setattr(phase, "vector_field", forged)
+        for n, k, rho in sets:
+            check = self._checks(tmp_path, n, k, rho)[1]["zs_sign_structure"]
+            assert not check["pass"] and check["value"] > 5.0
+
+    def test_jacobian_check_takes_the_complex_step(self, tmp_path, monkeypatch):
+        # (33,16,10) reaches X = 5e9, where a central difference rounded to 0
+        # (the check read 1.2e91); the complex step agrees to 1e-11
+        for n, k, rho in [(4, 1, 1.0), (33, 16, 10.0), (64, 8, 1.0)]:
+            check = self._checks(tmp_path, n, k, rho)[1]["jacobian_matches_fd"]
+            assert check["pass"] and check["threshold"] == 1e-6 and check["value"] < 1e-10
+        # one entry off by 1e-5 is caught
+        jacobian = phase.jacobian
+
+        def forged(state, p):
+            J = jacobian(state, p)
+            if J.ndim == 3:
+                J[0, 1] += 1e-5 * (1.0 + np.abs(J[0, 1]))
+            return J
+
+        monkeypatch.setattr(phase, "jacobian", forged)
+        code, checks = self._checks(tmp_path, 4, 1, 1.0)
+        check = checks["jacobian_matches_fd"]
+        assert code == 1 and not check["pass"] and check["value"] == pytest.approx(1e-5, rel=1e-3)
+
     def test_weighted_limits_are_checked_relative(self, tmp_path):
         # each limit against its own size: (6,3,-1) at alpha 1.7 has
         # alpha_k = 4.913, and its X limit is off by 4.55e-8, 9.3e-9 of it
@@ -433,13 +510,14 @@ class TestVerify:
         "n,k,rho,theta", [(4, 1, 2.0, 1.0), (12, 4, 2.0, 1.0), (4, 1, 2e-3, 1e-3)]
     )
     def test_asymptote_line_is_stationary_at_rho_eq_2theta(self, tmp_path, n, k, rho, theta):
-        # gamma = x_A: X_s vanishes on X = gamma^k, whose repulsion limit is 0
+        # gamma = x_A: X_s vanishes on X = gamma^k, where |F| must stay
+        # within its rounding bound
         out = tmp_path / "v.json"
         code = run_cli(["verify", "--n", str(n), "--k", str(k), "--rho", str(rho),
                         "--theta", str(theta), "--out", str(out)])
         doc = json.loads(out.read_text())
         check = doc["checks"]["asymptote_repulsion"]
-        assert check["threshold"] == 0.0 and check["pass"]
+        assert check["threshold"] == 1.0 and check["pass"] and 0.0 <= check["value"] <= 1.0
         assert code == 0 and doc["all_pass"]
 
     @pytest.mark.parametrize("n,k", [(4, 1), (5, 2), (6, 3)])

@@ -19,9 +19,11 @@ kernel's, where the log power (k-2)/k of (10,5) and (16,8) has converged
 (that of (4,2) and (6,3) has not).
 """
 
+import json
+
 import pytest
 
-from ksol import manifold, orbit, phase, profile
+from ksol import cli, manifold, orbit, phase, profile
 from ksol.errors import KsolError
 
 PAIRS = [
@@ -115,6 +117,48 @@ def test_steady_log_power_is_one_over_one_minus_m(n, k, run, integrated):
     assert kernel_run.hand_over is None and kernel_run.s[-1] == 200.0
     fit = profile.log_power_fit(kernel_run.s, kernel_run.X, p, 200.0)[0]
     assert fit == pytest.approx(1.0 / (1.0 - p.m), abs=1e-6)
+
+
+# ``ksol verify`` over the corpus at three thetas: the checks that fail, by
+# (n, k, ratio, theta), each under its cause; every other run passes
+THETAS = (1.0, 1e-3, 1e3)
+ORIGIN_ZX = (
+    "Z/X read off the profile's origin fit misses n/f(0) by 6.7e-3 against 1e-5; "
+    "which side is wrong is not diagnosed"
+)
+LOG_Z_BUDGET = (
+    "the three-point budget 0.5 h+ h- |g''| of (ln Z)_s omits the formula's next "
+    "order: at s = 26.1 on the slow-manifold arc g'' nearly vanishes, and the "
+    "defect, 1.3e-6 at every theta, reads 1.07 of the budget at theta 1e3 only"
+)
+VERIFY_FAILS = {}
+for _theta in THETAS:
+    for (_n, _k, _r), _cause in KNOWN.items():
+        _check = "classification_in_regime_table" if _cause == SLOW_PASSAGE else "tail_rate_agreement"
+        VERIFY_FAILS[_n, _k, _r, _theta] = {_check: _cause}
+    VERIFY_FAILS[33, 16, -1.99, _theta] = {"origin_zx_ratio": ORIGIN_ZX}
+VERIFY_FAILS[64, 8, -0.3, 1e3] = {"monitor_log_z_identity": LOG_Z_BUDGET}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("theta", THETAS)
+def test_verify_fails_only_where_pinned(theta, tmp_path):
+    # exit 1 with exactly the pinned checks failing, else exit 0; a
+    # RuntimeWarning (an error in this suite) would exit 3
+    out = tmp_path / "v.json"
+    got, want = {}, {}
+    for n, k in PAIRS:
+        for ratio in RATIOS:
+            code = cli.main(["verify", "--n", str(n), "--k", str(k), f"--rho={ratio * theta!r}",
+                             "--theta", repr(theta), "--out", str(out)])
+            checks = json.loads(out.read_text())["checks"]
+            failed = sorted(name for name, check in checks.items() if not check["pass"])
+            assert code == (1 if failed else 0), (n, k, ratio, code)
+            if failed:
+                got[n, k, ratio] = failed
+            if (n, k, ratio, theta) in VERIFY_FAILS:
+                want[n, k, ratio] = sorted(VERIFY_FAILS[n, k, ratio, theta])
+    assert got == want
 
 
 def test_pins_name_corpus_cases():

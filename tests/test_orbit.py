@@ -600,7 +600,7 @@ class TestBarrier:
     def test_min_gap_pinned(self, n, k, rho, gap):
         # min_gap as a run stopped at the origin orbit's first X_B crossing
         # gave it, read off the cubic Hermite in X
-        rep = orbit.barrier_compare(phase.make_params(n, k, rho, 1.0), 1.0)
+        rep = orbit.barrier_compare(phase.make_params(n, k, rho, 1.0))
         assert rep.ordered and rep.min_gap == pytest.approx(gap, rel=1e-9)
 
     def test_z_of_x_takes_a_chord_where_the_field_vanishes(self):
@@ -626,11 +626,12 @@ class TestBarrier:
     def test_min_gap_does_not_depend_on_rtol_or_alpha(self):
         # (4,1,1) at theta = 1e-6: the true gap is 5.31 theta. Chords
         # between the samples read -1.09e-4 to -1.31e-4 here, and moved
-        # with rtol and alpha
+        # with rtol and alpha; the origin curve is read off a run at alpha
         p = phase.make_params(4, 1, 1.0, 1e-6)
-        gaps = [
-            orbit.barrier_compare(p, alpha, controls=orbit.OrbitControls(rtol=rtol)).min_gap
-            for rtol, alpha in [(1e-8, 1.0), (1e-10, 1.0), (1e-12, 1.0), (1e-10, 0.5), (1e-10, 2.0)]
-        ]
+        gaps = []
+        for rtol, alpha in [(1e-8, 1.0), (1e-10, 1.0), (1e-12, 1.0), (1e-10, 0.5), (1e-10, 2.0)]:
+            controls = orbit.OrbitControls(rtol=rtol)
+            trace = orbit.run_orbit(p, alpha, controls)[1]
+            gaps.append(orbit.barrier_compare(p, controls=controls, trace=trace).min_gap)
         assert max(gaps) - min(gaps) <= 1e-6 * min(gaps)
         assert gaps[1] == pytest.approx(5.312617e-8, rel=1e-6)

@@ -238,6 +238,106 @@ class TestSystemRHS:
                 assert V_s == pytest.approx(G, rel=1e-9, abs=1e-12)
 
 
+def _exact_field(X, Z, p):
+    """(F, G) of the exact parameter set (n, k, rho, theta) at the float
+    point (X, Z), in mpmath at 50 digits, in the chart of ``p``; None at
+    x = x_A."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        n, k = p.n, p.k
+        rho, theta = mp.mpf(p.rho), mp.mpf(p.theta)
+        beta = (1 - mp.mpf(n - 2 * k) / (n + 2 * k)) * theta
+        gamma = (mp.mpf(n + 2 * k) / k) * (2 * theta + rho) / (4 * theta)
+        cnk = mp.mpf(n + 2 * k) / (2**k * mp.binomial(n - 1, k - 1)) * (mp.mpf(k) / (n + 2 * k)) ** (1 - k)
+        x_A = mp.mpf(n + 2 * k) / k
+        num = gamma - x_A + mp.mpf(X) ** (mp.mpf(1) / k) if p.chart == "WV" else gamma - mp.mpf(X) ** (mp.mpf(1) / k)
+        x = mp.mpf(X) ** (mp.mpf(1) / k)
+        q = 1 - x / x_A
+        if q == 0:
+            return None  # exactly x_A: off the domain
+        f = cnk * beta**k * q * (num / q) ** k
+        return -(n - 2 * k) * q * X + Z * f, 2 * k * Z * (1 - 2 * x / x_A)
+
+
+class TestFieldRounding:
+    @pytest.mark.slow
+    @pytest.mark.parametrize("chart", ["XZ", "WV"])
+    @pytest.mark.parametrize(
+        "n,k,rho,theta",
+        [
+            (4, 1, 1.0, 1.0), (3, 1, -1e-3, 1e-3), (6, 1, 5.0, 1.0), (5, 2, -1.0, 1.0),
+            (4, 2, 1.0, 1.0), (9, 4, 2.0, 1.0), (7, 3, 1.0, 1.0), (9, 3, -0.5, 1e3),
+            (33, 16, -1.99, 1.0), (33, 16, 1.0, 1.0), (64, 16, 3e-3, 1e-3), (64, 60, 10.0, 1e-3),
+        ],
+    )
+    def test_bound_against_mpmath(self, n, k, rho, theta, chart):
+        # the float field against the exact one at 50 digits: x near gamma
+        # (and near -nu, where h vanishes), near x_A and spread over
+        # (0, x_A), X over 1e-300 to 1e9, Z over 1e-300 to 1e8
+        p = phase.make_params(n, k, rho, theta).in_chart(chart)
+        rng = np.random.default_rng(n * 100 + k)
+        xs = list(rng.uniform(0.0, 1.0, 12) * p.x_A)
+        for j in range(1, 14):
+            near = 10.0**-j
+            xs += [p.x_A * (1.0 - near)]
+            xs += [p.gamma * (1.0 - near), p.gamma * (1.0 + near)]
+            xs += [-p.nu * (1.0 - near), -p.nu * (1.0 + near)]
+        Xs = [x**k for x in xs if 0.0 < x < p.x_A] + [p.gamma_k, p.X_B] + list(np.logspace(-300, 9, 12))
+        Xs = np.array([X for X in Xs if phase.kth_root(X, k) < p.x_A])
+        X = np.repeat(Xs, 4)
+        Z = np.tile([1e-300, 1e-20, 1.0, 1e8], Xs.size)
+        F, G = phase.vector_field(X, Z, p)
+        rF, rG = phase.field_rounding(X, Z, p)
+        checked, worst = 0, 0.0
+        for i in np.flatnonzero(np.isfinite(F)):
+            exact = _exact_field(X[i], Z[i], p)
+            if exact is None:
+                continue
+            F_exact, G_exact = exact
+            assert abs(F[i] - F_exact) <= rF[i], (X[i], Z[i], F[i], float(F_exact), rF[i])
+            assert abs(G[i] - G_exact) <= rG[i], (X[i], Z[i], G[i], float(G_exact), rG[i])
+            checked += 1
+            worst = max(worst, abs(F[i] - F_exact) / rF[i], abs(G[i] - G_exact) / rG[i])
+        # and not a vacuous one: within 30 times the worst error seen
+        assert checked > 100 and worst > 1.0 / 30.0
+
+    def test_finite_where_the_profile_vanishes(self):
+        # at n = 2k and x = gamma in floats F reads 0, and so may its bound;
+        # the bound is the numerator's mean value term there, not 0 * inf
+        for n, k, rho in [(4, 2, 1.0), (4, 1, -1.0), (33, 16, -1.99)]:
+            p = phase.make_params(n, k, rho, 1.0)
+            rF, rG = phase.field_rounding(np.array([p.gamma_k]), np.array([2.0]), p)
+            assert np.isfinite(rF[0]) and rF[0] > 0.0 and np.isfinite(rG[0])
+
+    def test_profile_past_the_float_range(self):
+        # (64,60) with rho/theta = 1e4: near x_A the k-fold power of g
+        # overflows. At theta 1e-3, c_nk beta^k = 1.2e-166 brings f back
+        # into range, and the power is formed in logs; at theta 1 f itself
+        # is past the range and reads inf. Neither warns
+        for theta in (1e-3, 1.0):
+            p = phase.make_params(64, 60, 1e4 * theta, theta)
+            x = p.x_A * np.array([0.3, 0.6, 0.9, 0.95, 0.99, 0.999])
+            q, g = phase._profile_ratio(x, p)
+            log_f = math.log(p.cb) + np.log(q) + p.k * np.log(g)
+            f = phase.profile_value(x, p)
+            inside = log_f < 709.0
+            np.testing.assert_allclose(np.log(f[inside]), log_f[inside], rtol=1e-13)
+            assert np.all(np.isinf(f[~inside]))
+            assert phase.profile_value(float(x[-2]), p) == f[-2]
+            assert not np.any(np.isnan(phase.profile_slope(x, p)))
+            # verify's field points
+            rng = np.random.default_rng(7)
+            X = rng.uniform(0.05, 0.95, 1000) * p.x_cap
+            Z = rng.uniform(0.05, 2.0, 1000)
+            F, G = phase.vector_field(X, Z, p)
+            rF, rG = phase.field_rounding(X, Z, p)
+            phase.jacobian((X, Z), p)
+            assert np.all(np.isfinite(G) & np.isfinite(rG)) and not np.any(np.isnan(rF))
+        p = phase.make_params(64, 60, 10.0, 1e-3)
+        assert np.any(p.k * np.log(phase._profile_ratio(x, p)[1]) > 709.8)
+
+
 class TestJacobian:
     def test_matches_finite_differences(self):
         p = phase.make_params(4, 1, 1.0, 1.0)

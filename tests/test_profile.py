@@ -68,6 +68,33 @@ class TestOriginExpansion:
         u = np.where(tab.r < 1.0, tab.alpha - 1.02 * (tab.alpha - tab.u), tab.u)
         assert profile.origin_expansion_check(replace(tab, u=u), tab.alpha, p).rel_err > 1e-2
 
+    @pytest.mark.parametrize("n,k,rho", [(64, 50, 3.0), (64, 48, 2.01)])
+    def test_origin_fit_raises_no_warning(self, n, k, rho, tmp_path):
+        # at k = 50 the fit spans t = e^(2(s - s0)) in [1, 1.17], where the
+        # powers of t are nearly parallel (numpy warned RankWarning); mapped
+        # onto [-1, 1] they are not
+        import warnings
+
+        from ksol import cli
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["classify", "--n", str(n), "--k", str(k), "--rho", str(rho),
+                             "--theta", "1", "--out", str(tmp_path / "c.json")])
+        assert code == 0
+
+    def test_origin_fit_in_powers_of_t(self):
+        # the fit in the mapped variable comes back as powers of t: a
+        # polynomial of the fit's degree is recovered, on a short span too
+        for span in (0.5, 0.08):
+            s = np.linspace(0.0, span, 40)
+            t = np.exp(2.0 * s)
+            coef = np.array([2.0, -1.0, 0.5, 0.25, -0.125, 0.0, 0.01, 0.0, -0.001])
+            fit = profile._origin_fit(s, np.polynomial.polynomial.polyval(t, coef), 4.0 / span)
+            np.testing.assert_allclose(np.polynomial.polynomial.polyval(t, fit),
+                                       np.polynomial.polynomial.polyval(t, coef), rtol=1e-12)
+            assert fit[0] == pytest.approx(coef[0], rel=1e-5 if span < 0.1 else 1e-9)
+
     def test_exponent_positive(self):
         for n, k in [(4, 1), (3, 2), (64, 32)]:
             p = phase.make_params(n, k, 0.0, 1.0)
