@@ -19,11 +19,21 @@ unless numba is installed.
 
 With ``--sets`` it first prints one line per run, ``n k ratio kind
 status``, with the alpha appended when ``--alphas`` is given, so that two
-checkouts' outputs can be compared with diff.
+checkouts' outputs can be compared with diff. ``--digest`` appends to each
+line a SHA-256 of the run's LocalSolution fields and its trace's s, X, Z,
+events and status, and adds one line per set for each other series the
+corpus forms: ``A``, the A-chart local solution where rho > 2 theta, and
+``M``, the slow-manifold coefficients (C and x^k) where n > 2k and
+rho <= 0; equal digests mean bit-identical results.
+
+    PYTHONPATH=src python3 scripts/corpus_counts.py --digest > digest.txt
+    diff <(grep -v wall parent.txt) <(grep -v wall digest.txt)
 """
 
 import argparse
 import collections
+import dataclasses
+import hashlib
 import math
 import sys
 import time
@@ -35,10 +45,32 @@ sys.path.insert(0, str(REPO / "tests"))
 
 from test_corpus import PAIRS, RATIOS  # noqa: E402
 
-from ksol import _jit, orbit, phase  # noqa: E402
+import numpy as np  # noqa: E402
+
+from ksol import _jit, manifold, orbit, phase, picard  # noqa: E402
 from ksol.errors import KsolError  # noqa: E402
 
 COUNTERS = ("accepted_steps", "rejected_steps", "rhs_evals", "newton_iterations", "newton_failures")
+
+
+def digest(*values):
+    """SHA-256 of values: arrays by their bytes, anything else by its repr,
+    which round-trips floats exactly; a dataclass by its fields."""
+    h = hashlib.sha256()
+
+    def feed(value):
+        if dataclasses.is_dataclass(value):
+            for f in dataclasses.fields(value):
+                feed(getattr(value, f.name))
+        elif isinstance(value, np.ndarray):
+            h.update(repr((value.dtype.str, value.shape)).encode())
+            h.update(np.ascontiguousarray(value).tobytes())
+        else:
+            h.update(repr(value).encode())
+
+    for value in values:
+        feed(value)
+    return h.hexdigest()
 
 
 def main(argv=None):
@@ -46,7 +78,9 @@ def main(argv=None):
     ap.add_argument("--theta", type=float, default=1.0)
     ap.add_argument("--sets", action="store_true", help="print each run's kind and status")
     ap.add_argument("--alphas", help="comma list of alphas, run together per set (default 1)")
+    ap.add_argument("--digest", action="store_true", help="print each run's and series' SHA-256")
     args = ap.parse_args(argv)
+    args.sets |= args.digest
     alphas = [float(a) for a in args.alphas.split(",")] if args.alphas else [1.0]
 
     tally = dict.fromkeys(("in_table", "wrong", "undetermined", "error"), 0)
@@ -79,7 +113,12 @@ def main(argv=None):
                         tally["wrong"] += 1
                 if args.sets:
                     tag = [f"{alpha:g}"] if args.alphas else []
+                    if args.digest:
+                        tag.append(run_digest(run))
                     print(n, k, f"{ratio:g}", kind, status, *tag)
+            if args.digest:
+                for name, series in other_series(p):
+                    print(n, k, f"{ratio:g}", name, series)
     wall = time.perf_counter() - t0
 
     backend = "numba" if _jit.JIT_ENABLED else "python"
@@ -92,6 +131,28 @@ def main(argv=None):
     radau = ", ".join(f"{end} {count}" for end, count in sorted(radau_ends.items()))
     print(f"  switched to Radau: {sum(radau_ends.values())} ({radau})")
     print(f"  wall {wall:.1f} s")
+
+
+def run_digest(run):
+    """The digest of one run of ``orbit.run_orbits``, or its error's name."""
+    if isinstance(run, KsolError):
+        return f"{type(run).__name__}: {run}"
+    sol, trace, _oc = run
+    return digest(sol, trace.s, trace.X, trace.Z, trace.events, trace.status)
+
+
+def other_series(p):
+    """(name, digest) of p's A-chart local solution and slow-manifold
+    coefficients, where p has them."""
+    out = []
+    if p.rho > 2.0 * p.theta:
+        try:
+            out.append(("A", digest(picard.picard_solve_at_A(1.0, p))))
+        except KsolError as exc:
+            out.append(("A", f"{type(exc).__name__}: {exc}"))
+    if p.n > 2 * p.k and p.rho <= 0.0:
+        out.append(("M", digest(*manifold._coefficients(p, manifold.MAX_TERMS + manifold.TAIL_TERMS))))
+    return out
 
 
 if __name__ == "__main__":

@@ -82,35 +82,44 @@ def _coefficients(p, order):
     C_(j-1)/x_B and D_j = j C_(j-1), D = eps (C + eps C'), then x^(k-1),
     x^k, q x^k and (1 - x/x_B) x^(k-1) D, the right side; the left side
     C w, w = G^(k-1), G = C/q, is formed with C_j = 0, whose share
-    k w_0 C_j closes the order, and G_j and w_j then take C_j's share.
+    k w_0 C_j closes the order, and G_j and w_j then take C_j's share. At
+    k = 1, x^(k-1) = w = 1: the right side alone is C_j, and neither G nor
+    a power is formed.
     """
     n, k, gamma = p.n, p.k, p.gamma
     q0 = 1.0 - gamma / p.x_A
     C = [q0 * gamma * (n - 2.0 * k) ** (1.0 / k)]
     x, q, b, D = [gamma], [q0], [1.0 - gamma / p.x_B], [0.0]
-    xk1 = [gamma ** (k - 1)]
-    xk = [gamma * xk1[0]]
+    xk = [gamma]
+    if k > 1:
+        xk1 = [gamma ** (k - 1)]
+        xk = [gamma * xk1[0]]
+        bx, bxD = [b[0] * xk1[0]], [0.0]
+        G = [C[0] / q0]
+        w = [G[0] ** (k - 1)]
     qxk = [q0 * xk[0]]
-    bx = [b[0] * xk1[0]]
-    bxD = [0.0]
-    G = [C[0] / q0]
-    w = [G[0] ** (k - 1)]
     for j in range(1, order + 1):
         c = C[j - 1]
         x.append(-c)
         q.append(c / p.x_A)
         b.append(c / p.x_B)
         D.append(j * c)
-        xk1.append(power(x, xk1, k - 1) if k > 1 else 0.0)
-        xk.append(product(x, xk1))
+        if k == 1:
+            xk.append(0.0 - c)  # x_j = -c, +0.0 at c = 0 as the product with x^0 sums it
+        else:
+            xk1.append(power(x, xk1, k - 1))
+            xk.append(product(x, xk1))
         if j == order:
             break
         qxk.append(product(q, xk))
+        if k == 1:
+            C.append((n - 2.0) * qxk[j] + 2.0 * product(b, D))
+            continue
         bx.append(product(b, xk1))
         bxD.append(product(bx, D))
         C.append(0.0)
         G.append(quotient(0.0, q, G))
-        w.append(power(G, w, k - 1) if k > 1 else 0.0)
+        w.append(power(G, w, k - 1))
         C[j] = ((n - 2.0 * k) * qxk[j] + 2.0 * k * bxD[j] - product(C, w)) / (k * w[0])
         G[j] += C[j] / q0
         w[j] += (k - 1.0) * w[0] * C[j] / (G[0] * q0)

@@ -406,7 +406,13 @@ def jacobian(state, p):
     n, k, m = p.n, p.k, p.m
     x = kth_root(X, k)
     xpow = X ** ((1 - k) / k) if k > 1 else 1.0  # dx/dX = xpow/k
-    dFdX = (2 * k - n) + m * (k + 1) * x + Z * (profile_slope(x, p) * xpow / k)
+    slope = profile_slope(x, p)
+    with np.errstate(over="ignore"):
+        dFdX = (2 * k - n) + m * (k + 1) * x + Z * (slope * xpow / k)
+        if not np.all(np.isfinite(dFdX)):
+            # at large k and tiny X, slope xpow leaves the float range where
+            # Z slope xpow does not: there Z multiplies first
+            dFdX = np.where(np.isfinite(dFdX), dFdX, (2 * k - n) + m * (k + 1) * x + Z * slope * xpow / k)
     dFdZ = profile_value(x, p)
     dGdX = -(1.0 - m) * Z * xpow
     dGdZ = 2.0 * k - (1.0 - m) * k * x

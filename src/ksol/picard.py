@@ -30,6 +30,7 @@ The weighted limits of (X, Z) e^(-2ks) are alpha_k and n alpha_k / f(0), and
 ``u0`` is u(0) = (n alpha_k / f(0))^(1/((1-m)k)).
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -48,6 +49,7 @@ MAX_TERMS = 24  # the cap on the order N
 MAX_TRIALS = 64  # validated hand-offs tried before a ConvergenceError
 SAFETY = 8.0  # the next terms' share of tol when N is chosen
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny  # the least normal float
 
 
 def alpha_weight(alpha, p):
@@ -148,10 +150,7 @@ class LocalSolution:
 
     def state(self, s):
         """(X, Z) on the series at s <= s0; floats or arrays."""
-        u = np.exp(2.0 * (np.asarray(s, dtype=float) - self.s0))
-        x = np.polynomial.polynomial.polyval(u, self.x_coef)
-        z = np.polynomial.polynomial.polyval(u, self.z_coef)
-        return x**self.k, np.exp(self.log_z0 + 2.0 * self.k * (s - self.s0)) * z
+        return _state(s, self.s0, self.k, self.log_z0, self.x_coef, self.z_coef)
 
     def head(self):
         """The trace's samples below s0: (s, X, Z) on GRID_POINTS - 1 uniform
@@ -169,8 +168,28 @@ class LocalSolution:
         return x**self.k, w0
 
 
+@functools.cache
 def _head_offsets(k):
-    return np.linspace(-WINDOW_FACTOR / (2.0 * k), 0.0, GRID_POINTS)[:-1]
+    """s - s0 at the head's samples, one read-only array per k."""
+    offsets = np.linspace(-WINDOW_FACTOR / (2.0 * k), 0.0, GRID_POINTS)[:-1]
+    offsets.flags.writeable = False
+    return offsets
+
+
+def _state(s, s0, k, log_z0, x_coef, z_coef):
+    """:meth:`LocalSolution.state` of the series with these fields: x and z
+    summed in one Horner pass over both, side by side, in the order of
+    operations of ``np.polynomial.polynomial.polyval``."""
+    s = np.asarray(s, dtype=float)
+    u = np.tile(np.exp(2.0 * (s - s0)).ravel(), 2)
+    # one row per order: x's coefficient, then z's, each repeated over s
+    coef = np.repeat(np.column_stack((x_coef, z_coef)), s.size, axis=1)
+    xz = coef[-1] + u * 0
+    for c in coef[-2::-1]:
+        xz *= u
+        xz += c
+    x, z = xz.reshape((2,) + s.shape)
+    return x**k, np.exp(log_z0 + 2.0 * k * (s - s0)) * z
 
 
 def product(a, b):
@@ -204,36 +223,42 @@ def _coefficients(p, order):
     side)/tau with y_j = 0 through m = q y, v = (num_a + num_b x)/m,
     w = v^(k-1), nw = num w and phi = -(n-2k)/k m + (c_nk beta^k/k) b nw;
     phi's y_j-coefficient is 2 - n, so y_j = phi_j / (2j + n), and m_j to
-    nw_j then take y_j's share. The orders are few and sequential, so plain
-    floats serve. y_j's rounding estimate is (j + 2) eps times the size of
-    the terms it sums, four times over for the series they come from; b_j's
-    carries y's and its own through its linear recursion; both take num_a's
-    rounding (y_j is about j-fold sensitive) and b_0's. A bound carried
-    through the whole recursion (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 3.3) grows like the series of the terms' sizes,
-    and exceeds alternating coefficients within ten orders.
+    nw_j then take y_j's share. At k = 1, w = 1 and nw = num: the field is
+    polynomial, and v and w are not formed. The orders are few and
+    sequential, so plain floats serve. y_j's rounding estimate is (j + 2)
+    eps times the size of the terms it sums, four times over for the series
+    they come from; b_j's carries y's and its own through its linear
+    recursion; both take num_a's rounding (y_j is about j-fold sensitive)
+    and b_0's. A bound carried through the whole recursion (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 3.3) grows like the
+    series of the terms' sizes, and exceeds alternating coefficients within
+    ten orders.
     """
     n, k = p.n, p.k
     c_m, c_p = -(n - 2.0 * k) / k, p.cb / k
     y, b = [1.0], [n / p.profile0]
-    m, num, v = [1.0], [p.num_a], [p.num_a]
-    w = [p.num_a ** (k - 1)]
-    nw = [p.num_a * w[0]]
+    m, num = [1.0], [p.num_a]
+    nw = num
+    if k > 1:
+        v, w = [p.num_a], [p.num_a ** (k - 1)]
+        nw = [p.num_a * w[0]]
     for j in range(1, order + 1):
         b.append(-(k / (j * p.x_B)) * product(y, b))
         if j == order:
             break
         m.append(-product(y, y) / p.x_A)
         num.append(p.num_b * y[j - 1])
-        v.append(quotient(num[j], m, v))
-        w.append(power(v, w, k - 1))
-        nw.append(product(num, w))
+        if k > 1:
+            v.append(quotient(num[j], m, v))
+            w.append(power(v, w, k - 1))
+            nw.append(product(num, w))
         y.append((c_m * m[j] + c_p * product(b, nw)) / (2.0 * j + n))
-        dw = -(k - 1.0) * w[0] * y[j]
         m[j] += y[j]
-        v[j] -= v[0] * y[j]
-        w[j] += dw
-        nw[j] += num[0] * dw
+        if k > 1:
+            dw = -(k - 1.0) * w[0] * y[j]
+            v[j] -= v[0] * y[j]
+            w[j] += dw
+            nw[j] += num[0] * dw
     y, b = np.array(y), np.array(b)
     ay, ab, j = np.abs(y), np.abs(b), np.arange(1, order)
     # the relative rounding of num_a (nu = gamma - x_A cancels in the A
@@ -243,51 +268,75 @@ def _coefficients(p, order):
     terms += abs(c_p) * np.convolve(ab[:order], np.abs(nw))[1:order]
     ey = np.zeros(order)
     ey[1:] = 4.0 * (j + 2.0) * _EPS * terms / (2.0 * j + n) + (j + 1.0) * d_num * ay[1:]
-    t_b, carried = np.convolve(ay, ab), np.convolve(ey, ab)
+    t_b, carried = np.convolve(ay, ab).tolist(), np.convolve(ey, ab).tolist()
     eb = np.zeros(order + 1)
     eb[0] = ((3.0 * k + 12.0) * _EPS + k * d_num) * b[0]
     for i in range(1, order + 1):
-        eb[i] = k / (i * p.x_B) * ((i + 2.0) * _EPS * t_b[i - 1] + carried[i - 1] + ay[:i] @ eb[i - 1 :: -1])
+        carried_b = float(ay[:i] @ eb[i - 1 :: -1])
+        eb[i] = k / (i * p.x_B) * ((i + 2.0) * _EPS * t_b[i - 1] + carried[i - 1] + carried_b)
     return y, b, ey, eb
 
 
 class _Balls:
     """Series on |tau| <= nu in the norm ||c|| = sum |c_j| nu^j, as balls
-    (c, e): a polynomial of degree <= M plus any series of norm <= e. The
-    arithmetic is in floats; ``tests/test_oracle.py`` redoes it in
+    (c, n, e): a polynomial c of degree <= M, its norm n, plus any series of
+    norm <= e. A center and its norm depend on centers alone, so each is
+    formed once per instance, keyed by the centers it is formed from; a
+    pass at other radii over the same centers (``_validate``'s trial ball)
+    forms only the radii, by the same formulas. Centers are never written
+    to. The arithmetic is in floats; ``tests/test_oracle.py`` redoes it in
     intervals."""
 
     def __init__(self, nu, M):
         self.M = M
         self.w = nu ** np.arange(2 * M + 1)
         self.nu = nu
+        self._formed = {}
+        self.one = self.ball(1.0)
+
+    def _once(self, op, centers, make):
+        """make(), the result of op on centers, formed once; the entry keeps
+        the centers, so no other array takes their ids."""
+        key = (op, *map(id, centers))
+        entry = self._formed.get(key)
+        if entry is None:
+            entry = self._formed[key] = (make(), centers)
+        return entry[0]
 
     def norm(self, c, start=0):
         """The norm of c read as the orders start, start + 1, ..."""
         return float(np.abs(c) @ self.w[start : start + c.size])
 
+    def _normed(self, c):
+        return c, self.norm(c)
+
     def ball(self, c, e=0.0):
         out = np.zeros(self.M + 1)
         out[: np.size(c)] = c
-        return out, e
+        return *self._normed(out), e
 
-    @staticmethod
-    def lin(*terms):
+    def lin(self, *terms):
         """sum of coefficient * ball."""
-        c = sum(s * t[0] for s, t in terms)
-        return c, sum(abs(s) * t[1] for s, t in terms)
+        key, centers = ("lin", *(s for s, _ in terms)), [t[0] for _, t in terms]
+        c, n = self._once(key, centers, lambda: self._normed(sum(s * t[0] for s, t in terms)))
+        return c, n, sum(abs(s) * t[2] for s, t in terms)
 
     def shift(self, a):
         """tau a."""
-        c, e = a
-        return np.concatenate(([0.0], c[:-1])), self.nu * (e + abs(c[-1]) * self.w[self.M])
+        ca, _na, ea = a
+        c, n = self._once("shift", (ca,), lambda: self._normed(np.concatenate(([0.0], ca[:-1]))))
+        return c, n, self.nu * (ea + abs(ca[-1]) * self.w[self.M])
 
     def mul(self, a, b):
-        (ca, ea), (cb, eb) = a, b
-        full = np.convolve(ca, cb)
-        na, nb = self.norm(ca), self.norm(cb)
-        e = self.norm(full[self.M + 1 :], self.M + 1) + na * eb + ea * nb + ea * eb
-        return full[: self.M + 1], e
+        (ca, na, ea), (cb, nb, eb) = a, b
+
+        def make():
+            full = np.convolve(ca, cb)
+            c = full[: self.M + 1]
+            return c, self.norm(c), self.norm(full[self.M + 1 :], self.M + 1)
+
+        c, n, tail = self._once("mul", (ca, cb), make)
+        return c, n, tail + na * eb + ea * nb + ea * eb
 
     def power(self, a, exponent):
         out = None
@@ -296,45 +345,58 @@ class _Balls:
                 out = self.mul(out, out)
             if bit == "1":
                 out = a if out is None else self.mul(out, a)
-        return self.ball(1.0) if out is None else out
+        return self.one if out is None else out
 
     def inverse(self, a):
         """1/a, or None where the ball holds no invertible series: with P
         the reciprocal polynomial and D = 1 - a P, 1/a = P/(1 - D) lies
         within ||P|| ||D|| / (1 - ||D||) of P."""
         c = a[0]
-        inv = np.array([1.0 / c[0]])
-        while inv.size < c.size:
-            size = min(2 * inv.size, c.size)
-            ci = np.convolve(c[:size], inv)[:size]
-            inv = np.concatenate((2.0 * inv, np.zeros(size - inv.size))) - np.convolve(inv, ci)[:size]
-        dc, de = self.mul(a, (inv, 0.0))
-        dc = -dc
-        dc[0] += 1.0
-        rho = self.norm(dc) + de
+
+        def reciprocal():
+            inv = np.array([1.0 / c[0]])
+            while inv.size < c.size:
+                size = min(2 * inv.size, c.size)
+                ci = np.convolve(c[:size], inv)[:size]
+                inv = np.concatenate((2.0 * inv, np.zeros(size - inv.size))) - np.convolve(inv, ci)[:size]
+            return self._normed(inv)
+
+        P = self._once("inverse", (c,), reciprocal)
+        aP = self.mul(a, (*P, 0.0))
+
+        def defect():
+            d = -aP[0]
+            d[0] += 1.0
+            return self.norm(d)
+
+        rho = self._once("defect", (aP[0],), defect) + aP[2]
         if not rho < 1.0:
             return None
-        return inv, self.norm(inv) * rho / (1.0 - rho)
+        return P[0], P[1], P[1] * rho / (1.0 - rho)
 
 
 def _field(balls, y, B, p, multipliers=False):
     """Balls of phi = (x_s right side)/tau at (y, Y = B) and of its
     multiplier M_B = d phi/dY; with ``multipliers``, those of
     M_y = d phi/dy + (n - 2) and M_B. None where a reciprocal fails. M_y
-    has no constant term: y_j's share of phi_j is 2 - n."""
+    has no constant term: y_j's share of phi_j is 2 - n. At k = 1 the
+    field is polynomial, nw = num, and no reciprocal or power is formed;
+    at k = 2, w = v."""
     n, k = p.n, p.k
     c_m, c_p = -(n - 2.0 * k) / k, p.cb / k
-    one = balls.ball(1.0)
+    one = balls.one
     tau, x = balls.shift(one), balls.shift(y)
     m = balls.lin((1.0, y), (-1.0 / p.x_A, balls.mul(x, y)))
-    im = balls.inverse(m)
-    if im is None:
-        return None
     num = balls.lin((p.num_a, one), (p.num_b, x))
-    v = balls.mul(num, im)
-    vk2 = balls.power(v, k - 2) if k >= 2 else None
-    w = balls.mul(vk2, v) if k >= 2 else one
-    nw = balls.mul(num, w)
+    w, nw = one, num
+    if k >= 2:
+        im = balls.inverse(m)
+        if im is None:
+            return None
+        v = balls.mul(num, im)
+        vk2 = balls.power(v, k - 2)
+        w = balls.mul(vk2, v) if k > 2 else v
+        nw = balls.mul(num, w)
     M_B = balls.lin((c_p, nw))
     if not multipliers:
         return balls.lin((c_m, m), (c_p, balls.mul(B, nw))), M_B
@@ -343,7 +405,8 @@ def _field(balls, y, B, p, multipliers=False):
     dnw = balls.lin((p.num_b, balls.shift(w)))
     if k >= 2:
         dv = balls.mul(balls.lin((p.num_b, tau), (-1.0, balls.mul(v, dm))), im)
-        dnw = balls.lin((1.0, dnw), (k - 1.0, balls.mul(num, balls.mul(vk2, dv))))
+        dw = balls.mul(vk2, dv) if k > 2 else dv
+        dnw = balls.lin((1.0, dnw), (k - 1.0, balls.mul(num, dw)))
     M_y = balls.lin((c_m, dm), (c_p, balls.mul(B, dnw)), (n - 2.0, one))
     return M_y, M_B
 
@@ -377,7 +440,7 @@ def _validate(y, b, nu, p, ey, eb):
         return None
     phi = point[0]
     t_y = float(np.abs(phi[0][N:]) @ (balls.w[N : balls.M + 1] / (2.0 * j[N:] + n)))
-    t_y += phi[1] / (2.0 * N + n)
+    t_y += phi[2] / (2.0 * N + n)
     yB = np.convolve(y, b)
     jb = np.arange(N + 1, yB.size + 1)
     t_b = k / p.x_B * float(np.abs(yB[N:]) @ (balls.w[jb] / jb))
@@ -390,8 +453,8 @@ def _validate(y, b, nu, p, ey, eb):
     def radii(M_y, M_B, trial):
         """r = (I - L)^(-1) T(0) with T's Lipschitz matrix L on the trial
         ball, which T maps into itself, and L's spectral radius."""
-        L_yy = 0.0 if M_y is None else (balls.norm(M_y[0]) + M_y[1]) * gain_y
-        L_yb = (balls.norm(M_B[0]) + M_B[1]) * gain_y
+        L_yy = 0.0 if M_y is None else (M_y[1] + M_y[2]) * gain_y
+        L_yb = (M_B[1] + M_B[2]) * gain_y
         L = np.array([[L_yy, L_yb], [gain_b * (norm_b + trial[1]), gain_b * (norm_y + trial[0])]])
         half = 0.5 * (L[0, 0] - L[1, 1])
         rate = 0.5 * (L[0, 0] + L[1, 1]) + math.sqrt(half * half + L[0, 1] * L[1, 0])
@@ -401,12 +464,12 @@ def _validate(y, b, nu, p, ey, eb):
         return np.array([[1.0 - L[1, 1], L[0, 1]], [L[1, 0], 1.0 - L[0, 0]]]) @ (T0 + low) / det, rate
 
     # a trial ball twice the radii of T without its y-y block, which is
-    # small: M_y has no constant term
+    # small: M_y has no constant term; its centers are the point's
     r, rate = radii(None, point[1], np.zeros(2))
     if r is None:
         return None
     trial = 2.0 * r + _EPS * np.array([norm_y, norm_b])
-    spread = _field(balls, balls.ball(y, trial[0]), balls.ball(b, trial[1]), p, True)
+    spread = _field(balls, (*yb[:2], float(trial[0])), (*Bb[:2], float(trial[1])), p, True)
     if spread is None:
         return None
     r, rate = radii(*spread, trial)
@@ -467,14 +530,16 @@ def _solve(p, tol):
     else:
         raise ConvergenceError(f"series hand-off not validated in {MAX_TRIALS} trials")
     powers = nu ** np.arange(N + 1)
-    log_z0 = math.log(b[0]) + p.k * math.log(nu)
+    s0, log_z0 = 0.5 * math.log(nu), math.log(b[0]) + p.k * math.log(nu)
+    x_coef, z_coef = np.concatenate(([0.0], y[:N] * powers[1:])), b[: N + 1] * powers / b[0]
     # the hand-off's W = ln(c_nk beta^k) + log_z0 + ln(z) rounds too
     err_w = 4.0 * _EPS * (abs(math.log(p.cb)) + abs(log_z0) + 1.0)
-    sol = LocalSolution(
-        s0=0.5 * math.log(nu),
+    head_X, head_Z = _state(s0 + _head_offsets(p.k), s0, p.k, log_z0, x_coef, z_coef)
+    return LocalSolution(
+        s0=s0,
         k=p.k,
-        x_coef=np.concatenate(([0.0], y[:N] * powers[1:])),
-        z_coef=b[: N + 1] * powers / b[0],
+        x_coef=x_coef,
+        z_coef=z_coef,
         log_z0=log_z0,
         alpha=1.0,
         contraction_rate=val.rate,
@@ -487,9 +552,9 @@ def _solve(p, tol):
         u0=None,  # set by gauge_map
         chart=p.chart,
         retries=retries,
+        head_X=head_X,
+        head_Z=head_Z,
     )
-    head_X, head_Z = sol.state(sol.s0 + _head_offsets(p.k))
-    return replace(sol, head_X=head_X, head_Z=head_Z)
 
 
 def picard_solve(alpha, p, tol=DEFAULT_TOL):
@@ -521,12 +586,19 @@ def derivative_residual(sol, p):
     """Max pointwise defect of the series against the differential system
     of its chart on the head's grid: the series' derivative in s, term by
     term, against the field, relative to X and to Z, as ``err`` is: Z
-    scales like theta^-k, so an absolute defect grows with it."""
+    scales like theta^-k, so an absolute defect grows with it. It reads the
+    head points whose Z is a normal float: below, the field's Z term has
+    lost its relative precision, and Z itself may be 0. With none left it
+    is inf, a failed check; a NaN defect is returned as NaN."""
     s, X, Z = sol.head()
+    normal = Z >= _TINY
+    if not normal.any():
+        return math.inf
+    s, X, Z = s[normal], X[normal], Z[normal]
     j = np.arange(sol.x_coef.size)
     V = np.vander(np.exp(2.0 * (s - sol.s0)), j.size, increasing=True)
     coef = np.column_stack([sol.x_coef, 2.0 * j * sol.x_coef, sol.z_coef, 2.0 * (j + sol.k) * sol.z_coef])
     x, x_s, z, z_s = (V @ coef).T
     F, G = vector_field(X, Z, p.in_chart(sol.chart))
     X_s = sol.k * x ** (sol.k - 1) * x_s
-    return float(max(np.max(np.abs(X_s - F) / X), np.max(np.abs(Z * z_s / z - G) / Z)))
+    return float(np.max(np.concatenate((np.abs(X_s - F) / X, np.abs(Z * z_s / z - G) / Z))))

@@ -162,6 +162,10 @@ def origin_expansion_check(table, alpha, p):
     """
     e = 3.0 - p.m
     r2 = table.r**2
+    if not alpha > 0.0:
+        # a reconstruction whose u(0) is not positive has no expansion there
+        nan, inf = math.nan, math.inf
+        return OriginReport(nan, nan, rel_err=inf, dev_small=inf, dev_large=inf, zx_ratio_err=inf)
     y = alpha**e - table.u**e
     c = (p.f0 / p.n) ** (1.0 / p.k)
     expected = ((3.0 - p.m) / 2.0) * c * alpha ** (4.0 - 2.0 * p.m)

@@ -396,6 +396,18 @@ class TestVerify:
         assert code == 0 and doc["all_pass"], failed
         assert doc["checks"]["critical_points_rhs_zero"]["threshold"] == 1.0
 
+    def test_subnormal_head_fails_the_derivative_check(self, tmp_path):
+        # (64,60,1e4): every Z of the series' head is subnormal, so the
+        # derivative check has no point to read; it fails, with no warning
+        out = tmp_path / "v.json"
+        proc = run_proc(
+            ["verify", "--n", "64", "--k", "60", "--rho", "1e4", "--theta", "1", "--out", str(out)],
+            {"PYTHONWARNINGS": "error::RuntimeWarning"},
+        )
+        assert proc.returncode == 1, proc.stderr
+        check = json.loads(out.read_text())["checks"]["picard_derivative_defect"]
+        assert not check["pass"] and check["value"] == math.inf
+
     def test_forged_b_is_flagged(self):
         # B moved by 1e-6 relative, in X or in Z, fails the check on every
         # corpus set that has B, while B itself passes on each

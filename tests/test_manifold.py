@@ -107,6 +107,19 @@ class TestCoefficients:
         # X = x^k = x at k = 1: xk_j = x_j = -C_(j-1)
         np.testing.assert_array_equal(xk[1:], -C)
 
+    @pytest.mark.parametrize("rho", [-1.0, 1.0])
+    def test_k1_forms_no_quotient_or_power(self, rho, monkeypatch):
+        # at k = 1, x^(k-1) = (C/q)^(k-1) = 1: the series is the right side
+        # alone, with no quotient or power series
+        def refuse(*args):
+            raise AssertionError("a quotient or a power formed at k = 1")
+
+        for module in (manifold, picard):
+            monkeypatch.setattr(module, "quotient", refuse)
+            monkeypatch.setattr(module, "power", refuse)
+        series = manifold.slow_manifold(phase.make_params(4, 1, rho, 1.0), RTOL)
+        assert np.all(np.isfinite(series.C)) and 1 <= series.terms <= manifold.MAX_TERMS
+
     @pytest.mark.parametrize("n,k,rho", ORACLE_SETS + [(33, 16, -0.3)])
     def test_sum_matches_a_40_digit_series(self, n, k, rho, run):
         # gamma - x over the arc's terms, at the hand-over's eps, where they

@@ -107,6 +107,37 @@ class TestPicardSolve:
             forged = replace(sol, **{name: coef})
             assert picard.derivative_residual(forged, p) > 10.0 * 1e-10, name
 
+    @pytest.mark.parametrize("rho,theta,chart", [(-1.0, 1.0, "XZ"), (1.0, 1.0, "XZ"), (1.0, 0.25, "WV")])
+    def test_k1_forms_no_reciprocal_or_power(self, rho, theta, chart, monkeypatch):
+        # at k = 1 the field num_a + num_b x is polynomial: neither the
+        # coefficients nor the validation divide by m or raise to a power
+        def refuse(*args):
+            raise AssertionError("a reciprocal or a power formed at k = 1")
+
+        for name in ("inverse", "power"):
+            monkeypatch.setattr(picard._Balls, name, refuse)
+        monkeypatch.setattr(picard, "quotient", refuse)
+        monkeypatch.setattr(picard, "power", refuse)
+        sol = picard._solve(phase.make_params(4, 1, rho, theta).in_chart(chart), picard.DEFAULT_TOL)
+        assert sol.chart == chart and 0.0 < sol.err <= HAND_OFF_BOUND
+
+    def test_derivative_defect_reads_normal_z_only(self):
+        # (64,60,1e4): every head Z is subnormal (at most 8.4e-320, 48 of
+        # them 0), where the field's Z term has lost its precision: nothing
+        # is left to read, and the check fails without a warning
+        p = phase.make_params(64, 60, 1e4, 1.0)
+        sol = picard.picard_solve(1.0, p)
+        assert np.all(sol.head()[2] < np.finfo(float).tiny)
+        assert picard.derivative_residual(sol, p) == math.inf
+
+    def test_derivative_defect_propagates_nan(self):
+        # Python's max(x, nan) is x: a NaN in the Z part must not hide
+        p = phase.make_params(4, 1, 1.0, 1.0)
+        sol = picard.picard_solve(1.0, p)
+        z_coef = sol.z_coef.copy()
+        z_coef[-1] = math.nan
+        assert math.isnan(picard.derivative_residual(replace(sol, z_coef=z_coef), p))
+
     def test_next_term_lies_within_the_bound(self):
         # the first omitted term of x, relative to x and carried to X = x^k,
         # is the first term of T(0), so the bound holds it
